@@ -18,7 +18,6 @@ from . import reporting
 from .reporting import EXIT_RESOURCE, EXIT_USAGE, emit, exit_code, make_report
 
 DEFAULT_CAP = 10**6
-DEFAULT_SAMPLE = 10**5
 
 ISO_GRID = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]
 SIMPLES_GRID = ISO_GRID + [(2, 4)]
@@ -89,7 +88,7 @@ def _run_objects(args) -> dict:
 def _run_verify_iso(args) -> dict:
     from .algebra import verify_iso
 
-    rep = verify_iso(args.ell, args.d, sample=args.sample, seed=args.seed)
+    rep = verify_iso(args.ell, args.d, cap=args.cap)
     return make_report("verify-iso", {"ell": args.ell, "d": args.d}, rep["checks"])
 
 
@@ -238,7 +237,7 @@ def run_task(task: tuple) -> tuple[str, list[dict]]:
     if kind == "verify-iso":
         from .algebra import verify_iso
 
-        rep = verify_iso(params["ell"], params["d"], sample=params["sample"], seed=params["seed"])
+        rep = verify_iso(params["ell"], params["d"])
         name = f"verify-iso ({params['ell']},{params['d']})"
         return name, _flatten(name, rep)
     if kind == "simples":
@@ -313,9 +312,9 @@ def _all_tasks(args) -> list[tuple]:
             tasks.append(("cardinalities", {"ell": ell, "d": d}))
     for ell, d in ISO_GRID:
         if ell <= max_ell and d <= max_d:
-            tasks.append(("verify-iso", {"ell": ell, "d": d, "sample": args.sample, "seed": args.seed}))
+            tasks.append(("verify-iso", {"ell": ell, "d": d}))
     if max_ell >= 2 and max_d >= 4:
-        tasks.append(("verify-iso", {"ell": 2, "d": 4, "sample": args.sample, "seed": args.seed}))
+        tasks.append(("verify-iso", {"ell": 2, "d": 4}))
     for ell, d in SIMPLES_GRID:
         if ell <= max_ell and d <= max_d:
             tasks.append(("simples", {"ell": ell, "d": d}))
@@ -357,13 +356,7 @@ def _run_all(args) -> dict:
             results.append((name, checks))
     results.sort(key=lambda r: r[0])
     checks = [c for _name, cs in results for c in cs]
-    params = {
-        "max_ell": args.max_ell,
-        "max_d": args.max_d,
-        "sample": args.sample,
-        "seed": args.seed,
-        "jobs": args.jobs,
-    }
+    params = {"max_ell": args.max_ell, "max_d": args.max_d, "jobs": args.jobs}
     return make_report("all", params, checks, timings)
 
 
@@ -387,8 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--d", type=int, default=None)
         p.add_argument("--out", choices=("json", "text"), default=None)
         p.add_argument("--cap", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--sample", type=int, default=None)
         p.add_argument("--jobs", type=int, default=None)
 
     common(sub.add_parser("objects", help="enumerate objects and hom sets"))
@@ -424,8 +415,6 @@ _DEFAULTS = {
     "m": 1,
     "out": "text",
     "cap": DEFAULT_CAP,
-    "seed": 0,
-    "sample": DEFAULT_SAMPLE,
     "jobs": 1,
     "max_ell": 4,
     "max_d": 4,

@@ -106,8 +106,9 @@ def enum_group(ell: int, d: int, cap: int = DEFAULT_GROUP_CAP) -> list[WreathEle
     """All l^d * d! elements, ordered by (perm, colors)."""
     from math import factorial
 
-    if ell**d * factorial(d) > cap:
-        raise ResourceWarning(f"group order {size * factorial(d)} exceeds cap {cap}")
+    order = ell**d * factorial(d)
+    if order > cap:
+        raise ResourceWarning(f"group order {order} exceeds cap {cap}")
     out = []
     for perm in all_perms(d):
         for colors in product(range(ell), repeat=d):

@@ -83,7 +83,7 @@ def test_criterion_2_phi_isomorphism():
     t0 = time.perf_counter()
     ok = True
     for ell, d in GRID_LD:
-        rep = verify_iso(ell, d)  # exhaustive pairs on this grid
+        rep = verify_iso(ell, d)  # every element times every generator
         ok = ok and rep["ok"]
         ok = ok and rep["checks"][0]["details"]["mode"] == "exhaustive"
         for x in enum_group(ell, d):

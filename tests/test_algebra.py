@@ -1,9 +1,10 @@
 import random
 
+from groupoidreps import algebra
 from groupoidreps.algebra import AlgElem, phi, phi_inverse, phi_on_generators, verify_iso
 from groupoidreps.cyclo import Cyc, root_of_unity
 from groupoidreps.groupoid import all_morphisms, hom, identity_morphism, objects
-from groupoidreps.wreath import enum_group, generators, wreath_identity
+from groupoidreps.wreath import WreathElem, enum_group, generators, wreath_identity, wreath_mul
 
 
 def test_unit_and_idempotents():
@@ -117,9 +118,51 @@ def test_alg_mul_associative_on_chains():
 
 
 def test_verify_iso_grid():
-    for ell, d in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
+    for ell, d in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (4, 2), (2, 4)]:
         rep = verify_iso(ell, d)
         assert rep["ok"], (ell, d, rep)
+        mult = rep["checks"][0]
+        assert mult["details"]["mode"] == "exhaustive"
+        assert mult["details"]["generated"] is True
+        assert mult["details"]["pairs"] == len(enum_group(ell, d)) * d
+
+
+def test_verify_iso_catches_map_wrong_off_generators(monkeypatch):
+    # agrees with phi on e and on the generators, wrong on one element that
+    # is not a product of two generators
+    ell, d = 2, 3
+    gens = generators(ell, d)
+    bad = wreath_mul(wreath_mul(gens[0], gens[1]), gens[2])
+    assert bad not in {wreath_mul(x, y) for x in gens for y in gens}
+
+    def fake_phi(x, d=None):
+        image = phi(x, d)
+        return image.scale(Cyc.rational(ell, 2)) if x == bad else image
+
+    monkeypatch.setattr(algebra, "phi", fake_phi)
+    mult = verify_iso(ell, d)["checks"][0]
+    assert mult["name"] == "phi multiplicative"
+    assert mult["status"] == "fail"
+    assert mult["details"]["generated"] is True
+    found = mult["details"]["counterexample"]
+    x, y = (WreathElem(ell, tuple(found[k]["perm"]), tuple(found[k]["colors"])) for k in ("x", "y"))
+    assert y in gens
+    assert bad in (x, wreath_mul(x, y))
+
+
+def test_verify_iso_rejects_non_generating_set(monkeypatch):
+    # without s_1 the remaining generators do not reach all of S(2,3)
+    def without_s1(ell, d):
+        return [g for i, g in enumerate(generators(ell, d)) if i != 1]
+
+    monkeypatch.setattr(algebra, "generators", without_s1)
+    rep = verify_iso(2, 3)
+    mult = rep["checks"][0]
+    assert mult["status"] == "fail"
+    assert mult["details"]["generated"] is False
+    assert mult["details"]["generators"] == 2
+    assert "counterexample" not in mult["details"]
+    assert not rep["ok"]
 
 
 def test_phi_inverse_round_trip():
@@ -133,6 +176,35 @@ def test_phi_inverse_round_trip():
     for x, c in terms:
         acc = acc + phi(x).scale(c)
     assert acc == a
+
+
+def _convolve(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for x, c in a.items():
+        for y, e in b.items():
+            z = wreath_mul(x, y)
+            out[z] = out[z] + c * e if z in out else c * e
+    return {z: c for z, c in out.items() if not c.is_zero()}
+
+
+def test_phi_inverse_of_products_is_convolution():
+    rnd = random.Random(5)
+    for ell, d in [(4, 2), (5, 2)]:
+        group = enum_group(ell, d)
+        for _ in range(3):
+            a = {x: root_of_unity(ell, rnd.randrange(ell)).scale(rnd.randint(1, 3))
+                 for x in rnd.sample(group, 3)}
+            b = {x: root_of_unity(ell, rnd.randrange(ell)).scale(rnd.randint(-3, -1))
+                 for x in rnd.sample(group, 3)}
+            pa, pb = AlgElem.zero(ell, d), AlgElem.zero(ell, d)
+            for x, c in a.items():
+                pa = pa + phi(x).scale(c)
+            for x, c in b.items():
+                pb = pb + phi(x).scale(c)
+            got = phi_inverse(pa * pb)
+            assert dict(got) == _convolve(a, b)
+            keys = [(z.perm, z.colors) for z, _c in got]
+            assert keys == sorted(keys)
 
 
 def test_dim_of_algebra():

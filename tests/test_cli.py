@@ -82,6 +82,26 @@ def test_resource_cap_exit_code(capsys):
     assert code == 3
 
 
+def test_group_cap_exit_code(capsys):
+    # 5^6 * 6! exceeds the default group cap of 10^6
+    code, _out = run_cli(["verify-iso", "--ell", "5", "--d", "6"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: resource cap exceeded: group order 11250000 exceeds cap 1000000\n"
+
+
+def test_verify_iso_honours_cap(capsys):
+    code, _out = run_cli(["verify-iso", "--ell", "3", "--d", "4", "--cap", "10"])
+    assert code == 3
+    assert "group order 1944 exceeds cap 10" in capsys.readouterr().err
+
+
+def test_retired_sampling_flags_are_usage_errors():
+    assert run_cli(["verify-iso", "--sample", "10"])[0] == 2
+    assert run_cli(["verify-iso", "--seed", "1"])[0] == 2
+    assert run_cli(["all", "--seed", "1"])[0] == 2
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"ell": 1, "d": 3}))
