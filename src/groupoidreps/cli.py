@@ -12,10 +12,12 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from math import factorial
 
 from . import reporting
 from .reporting import EXIT_RESOURCE, EXIT_USAGE, emit, exit_code, make_report
+from .wreath import check_group_order
 
 DEFAULT_CAP = 10**6
 
@@ -44,6 +46,49 @@ TENSOR_GRID = [
     (2, (2, 2), 2),
 ]
 SHIFT_DUALITY_GRID = [(2, 2, 1, 1), (2, 2, 2, 2), (4, 2, 1, 2)]
+
+
+class UsageError(ValueError):
+    """An invalid flag value; reported as a usage error (exit 2)."""
+
+
+def _validate(args) -> None:
+    """Reject invalid parameters before any work starts."""
+    cmd = args.command
+    if args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
+    if hasattr(args, "ell") and args.ell < 1:
+        raise UsageError("--ell must be >= 1")
+    if hasattr(args, "d"):
+        needs_d1 = cmd in ("branching", "gkd", "rook-check") or (
+            cmd == "schur-weyl" and not args.shift_duality
+        )
+        min_d = 1 if needs_d1 else 0
+        if args.d < min_d:
+            raise UsageError(f"--d must be >= {min_d} for {cmd}")
+    if cmd == "gkd" and (args.k < 1 or args.ell % args.k):
+        raise UsageError(f"--k must be a positive divisor of --ell ({args.ell})")
+    if cmd == "schur-weyl":
+        if args.shift_duality:
+            if args.kk < 1 or args.ell % args.kk:
+                raise UsageError(f"--kk must be a positive divisor of --ell ({args.ell})")
+            if args.m < 1:
+                raise UsageError("--m must be >= 1")
+        else:
+            try:
+                kvec = [int(v) for v in args.kvec.split(",")]
+            except ValueError:
+                raise UsageError(f"--kvec must be comma-separated integers, got {args.kvec!r}") from None
+            if len(kvec) != args.ell or min(kvec) < 1:
+                raise UsageError(f"--kvec must have --ell ({args.ell}) parts, each >= 1")
+
+
+def _check_rook_order(d: int, cap: int) -> None:
+    from .rook import rook_monoid_order
+
+    order = rook_monoid_order(d)
+    if order > cap:
+        raise ResourceWarning(f"rook monoid order {order} exceeds cap {cap}")
 
 
 def _flatten(name: str, rep: dict) -> list[dict]:
@@ -95,6 +140,7 @@ def _run_verify_iso(args) -> dict:
 def _run_simples(args) -> dict:
     from .simples import all_simples, verify_complete
 
+    check_group_order(args.ell, args.d, args.cap)
     rep = verify_complete(args.ell, args.d)
     checks = list(rep["checks"])
     mods = all_simples(args.ell, args.d)
@@ -114,6 +160,7 @@ def _run_simples(args) -> dict:
 def _run_gelfand(args) -> dict:
     from .gelfand import build_gelfand, verify_gelfand
 
+    check_group_order(args.ell, args.d, args.cap)
     rep = verify_gelfand(args.ell, args.d)
     model = build_gelfand(args.ell, args.d)
     checks = list(rep["checks"])
@@ -136,6 +183,7 @@ def _run_gelfand(args) -> dict:
 def _run_branching(args) -> dict:
     from .simples import branching_report
 
+    check_group_order(args.ell, args.d, args.cap)
     rep = branching_report(args.ell, args.d)
     return make_report("branching", {"ell": args.ell, "d": args.d}, rep["checks"])
 
@@ -149,6 +197,7 @@ def _run_gkd(args) -> dict:
         quotient_simples_check,
     )
 
+    check_group_order(args.ell, args.d, args.cap)
     params = {"ell": args.ell, "k": args.k, "d": args.d}
     checks = []
     checks += _flatten("structure", quotient_structure_report(args.ell, args.k, args.d))
@@ -201,6 +250,7 @@ def _run_schur_weyl(args) -> dict:
 def _run_rook(args) -> dict:
     from .rook import rook_epimorphism_check
 
+    _check_rook_order(args.d, args.cap)
     rep = rook_epimorphism_check(args.d)
     return make_report("rook-check", {"d": args.d}, rep["checks"])
 
@@ -210,14 +260,19 @@ def _run_rook(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_task(task: tuple) -> tuple[str, list[dict]]:
-    """Execute one named task of the `all` suite (safe for process pools)."""
+def run_task(task: tuple, cap: int = DEFAULT_CAP) -> tuple[str, list[dict]]:
+    """Execute one named task of the `all` suite (safe for process pools).
+
+    Every task bounds its enumeration by cap, as the matching subcommand does.
+    """
     kind, params = task
+    if kind in ("simples", "branching", "gelfand", "gkd"):
+        check_group_order(params["ell"], params["d"], cap)
     if kind == "cardinalities":
         from .groupoid import hom, objects, type_of
 
         ell, d = params["ell"], params["d"]
-        objs = objects(ell, d)
+        objs = objects(ell, d, cap)
         total = 0
         sizes_ok = True
         for f in objs:
@@ -237,7 +292,7 @@ def run_task(task: tuple) -> tuple[str, list[dict]]:
     if kind == "verify-iso":
         from .algebra import verify_iso
 
-        rep = verify_iso(params["ell"], params["d"])
+        rep = verify_iso(params["ell"], params["d"], cap=cap)
         name = f"verify-iso ({params['ell']},{params['d']})"
         return name, _flatten(name, rep)
     if kind == "simples":
@@ -281,7 +336,7 @@ def run_task(task: tuple) -> tuple[str, list[dict]]:
 
         ell, kvec, d = params["ell"], tuple(params["kvec"]), params["d"]
         name = f"schur-weyl ({ell},{kvec},{d})"
-        T = TensorSpace(ell, kvec, d)
+        T = TensorSpace(ell, kvec, d, cap)
         checks = []
         checks += _flatten(f"{name} commuting", verify_commuting(T))
         checks += _flatten(f"{name} double-centralizer", verify_double_centralizer(T))
@@ -290,6 +345,7 @@ def run_task(task: tuple) -> tuple[str, list[dict]]:
     if kind == "rook":
         from .rook import rook_epimorphism_check
 
+        _check_rook_order(params["d"], cap)
         rep = rook_epimorphism_check(params["d"])
         name = f"rook d={params['d']}"
         return name, _flatten(name, rep)
@@ -297,7 +353,7 @@ def run_task(task: tuple) -> tuple[str, list[dict]]:
         from .schurweyl import shift_duality_check
 
         ell, k, m, d = params["ell"], params["k"], params["m"], params["d"]
-        rep = shift_duality_check(ell, k, m, d)
+        rep = shift_duality_check(ell, k, m, d, cap=cap)
         name = f"shift-duality ({ell},{k},{m},{d})"
         return name, _flatten(name, rep)
     raise ValueError(f"unknown task kind {kind}")
@@ -346,12 +402,11 @@ def _run_all(args) -> dict:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for (name, checks), task in zip(pool.map(run_task, tasks), tasks):
-                results.append((name, checks))
+            results.extend(pool.map(partial(run_task, cap=args.cap), tasks))
     else:
         for task in tasks:
             t0 = time.perf_counter()
-            name, checks = run_task(task)
+            name, checks = run_task(task, args.cap)
             timings[name] = round(time.perf_counter() - t0, 3)
             results.append((name, checks))
     results.sort(key=lambda r: r[0])
@@ -460,6 +515,11 @@ def main(argv=None) -> int:
         args = _apply_config(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        _validate(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     t0 = time.perf_counter()
     try:

@@ -74,7 +74,8 @@ def cyclotomic_poly(ell: int) -> tuple[Fraction, ...]:
     for d in range(1, ell):
         if ell % d == 0:
             num, rem = _poly_divmod(num, list(cyclotomic_poly(d)))
-            assert not rem
+            if rem:
+                raise ArithmeticError(f"Phi_{d} does not divide x^{ell} - 1 exactly")
     return tuple(num)
 
 
@@ -123,6 +124,17 @@ class Cyc:
         if ell <= 0:
             raise ValueError("cyclotomic order must be a positive integer")
         return _root_cached(ell, power % ell)
+
+    @staticmethod
+    def from_exponent_sums(ell: int, sums) -> "Cyc":
+        """sum_e sums[e] * xi_l^e for rationals sums[0..l-1], reduced once."""
+        acc = [_F0] * euler_phi(ell)
+        for e, q in enumerate(sums):
+            if q:
+                for i, c in enumerate(_root_cached(ell, e).coeffs):
+                    if c:
+                        acc[i] += q * c
+        return Cyc(ell, acc)
 
     # -- ring/field structure ---------------------------------------------
 
@@ -196,11 +208,10 @@ class Cyc:
     def galois(self, t: int) -> "Cyc":
         """The field automorphism xi_l -> xi_l^t (requires gcd(t, l) = 1)."""
         ell = self.ell
-        out = Cyc.zero(ell)
+        sums = [0] * ell
         for a, c in enumerate(self.coeffs):
-            if c:
-                out = out + Cyc.from_power(ell, a * t).scale(c)
-        return out
+            sums[a * t % ell] += c
+        return Cyc.from_exponent_sums(ell, sums)
 
     def conjugate(self) -> "Cyc":
         """Complex conjugation, as the automorphism xi_l -> xi_l^(-1)."""
@@ -211,11 +222,10 @@ class Cyc:
         if big_ell % self.ell != 0:
             raise ValueError("embedding requires the source order to divide the target order")
         step = big_ell // self.ell
-        out = Cyc.zero(big_ell)
+        sums = [0] * big_ell
         for a, c in enumerate(self.coeffs):
-            if c:
-                out = out + Cyc.from_power(big_ell, a * step).scale(c)
-        return out
+            sums[a * step] += c
+        return Cyc.from_exponent_sums(big_ell, sums)
 
     # -- predicates & conversions -----------------------------------------
 

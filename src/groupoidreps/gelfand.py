@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclo import Cyc, root_of_unity
+from .cyclo import Cyc
 from .groupoid import GMorphism, compose, hom, inverse, objects
 from .perms import compose_perms
 from .simples import (
@@ -74,23 +74,27 @@ class GelfandModel:
         return sign, conj
 
     def char_wreath(self, x: WreathElem) -> Cyc:
-        """Trace of the action of Phi(x) on the model."""
+        """Trace of the action of Phi(x) on the model.
+
+        At an object g fixed by x, sigma = perm(x) fixes the involution w
+        exactly when sigma w = w sigma; the signs are summed per exponent
+        e mod l and reduced once.
+        """
         ell, d = self.ell, self.d
-        perm = x.perm
-        acc = Cyc.zero(ell)
+        perm, colors = x.perm, x.colors
+        sums = [0] * ell
         for g in self.objects:
             if any(g[perm[i] - 1] != g[i] for i in range(d)):
                 continue
-            expo = sum(x.colors[i] * g[perm[i] - 1] for i in range(d))
             sigma = GMorphism(g, g, perm)
             diag = 0
             for w in self.basis[g]:
-                sign, conj = self.act_on_involution(sigma, w)
-                if conj == w:
-                    diag += sign
+                wp = w.perm
+                if all(perm[wp[i] - 1] == wp[perm[i] - 1] for i in range(d)):
+                    diag += -1 if inv_statistic(sigma, w) % 2 else 1
             if diag:
-                acc = acc + root_of_unity(ell, expo).scale(diag)
-        return acc
+                sums[sum(colors[i] * g[perm[i] - 1] for i in range(d)) % ell] += diag
+        return Cyc.from_exponent_sums(ell, sums)
 
     def class_function(self) -> ClassFunction:
         return ClassFunction.from_callable(self.ell, self.d, self.char_wreath)
@@ -119,14 +123,20 @@ def verify_gelfand(ell: int, d: int) -> dict:
         }
     )
 
+    # Each simple character is tabulated once: it feeds its multiplicity and
+    # a running per-class sum, which must equal the model's character.
     chi_model = model.class_function()
+    chi_sum = {rep: Cyc.zero(ell) for rep, _size in conjugacy_classes(ell, d)}
     mult_table = []
     all_one = True
     for m in simples:
-        val = inner_product(ell, d, chi_model, simple_class_function(m))
+        chi = simple_class_function(m)
+        val = inner_product(ell, d, chi_model, chi)
         ok = val.is_rational() and val.rational_value() == 1
         all_one = all_one and ok
         mult_table.append({"label": m.label_json(), "multiplicity": str(val.to_json()["coeffs"]) if not val.is_rational() else int(val.rational_value())})
+        for rep, total in chi_sum.items():
+            chi_sum[rep] = total + chi.values[rep]
     checks.append(
         {
             "name": "every simple has multiplicity exactly 1",
@@ -135,15 +145,7 @@ def verify_gelfand(ell: int, d: int) -> dict:
         }
     )
 
-    # character equality chi_model = sum_p chi_p on class representatives
-    diff_zero = True
-    for rep, _size in conjugacy_classes(ell, d):
-        total = Cyc.zero(ell)
-        for m in simples:
-            total = total + m.char_wreath(rep)
-        if chi_model.values[rep] != total:
-            diff_zero = False
-            break
+    diff_zero = all(chi_model.values[rep] == total for rep, total in chi_sum.items())
     checks.append(
         {"name": "gelfand character equals sum of simple characters", "status": "pass" if diff_zero else "fail"}
     )

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .cyclo import Cyc, Mat, SpanBasis, root_of_unity
+from .cyclo import Cyc, Mat, SpanBasis
 from .groupoid import (
     GMorphism,
     canonical_morphism,
@@ -31,7 +31,6 @@ from .groupoid import (
     objects,
     type_of,
 )
-from .perms import compose_perms
 from .tableaux import (
     compositions,
     multipartitions,
@@ -76,7 +75,8 @@ class SimpleModule:
         self.outer = outer_rep(self.p, self.lam)
         self.block_dim = self.outer.dim
         self.base = canonical_object(self.lam)
-        self.objects = [f for f in objects(ell, d) if type_of(f, ell) == self.lam]
+        objs, self._from_base, self._to_base = _shape_transports(ell, self.lam)
+        self.objects = list(objs)
         self.block_index = {f: i for i, f in enumerate(self.objects)}
         self.total_dim = self.block_dim * len(self.objects)
         self._mat_cache: dict[tuple[int, ...], Mat] = {}
@@ -86,9 +86,8 @@ class SimpleModule:
 
     def transported(self, m: GMorphism) -> tuple[int, ...]:
         """The S_lambda element sigma_(g,b) o pi o sigma_(b,f) for pi = m."""
-        to_f = canonical_morphism(self.base, m.source, self.ell)
-        to_base = canonical_morphism(m.target, self.base, self.ell)
-        return compose_perms(to_base.perm, compose_perms(m.perm, to_f.perm))
+        to_base, from_base, perm = self._to_base[m.target], self._from_base[m.source], m.perm
+        return tuple(to_base[perm[j - 1] - 1] for j in from_base)
 
     def action_block(self, m: GMorphism) -> Mat:
         """The block matrix of a basis morphism (source and target of type lambda)."""
@@ -132,24 +131,37 @@ class SimpleModule:
         return t
 
     def char_wreath(self, x: WreathElem) -> Cyc:
-        """Character of x in C[S(l,d)], i.e. the trace of the action of Phi(x)."""
+        """Character of x in C[S(l,d)], i.e. the trace of the action of Phi(x).
+
+        Each object g fixed by x contributes tr(transport of x at g) * xi^e;
+        the rational traces are summed per exponent e mod l and reduced once.
+        """
         ell, d = self.ell, self.d
-        acc = Cyc.zero(ell)
-        perm = x.perm
+        perm, colors = x.perm, x.colors
+        sums = [0] * ell
         for g in self.objects:
             if any(g[perm[i] - 1] != g[i] for i in range(d)):
                 continue
-            expo = sum(x.colors[i] * g[perm[i] - 1] for i in range(d))
             tr = self._block_trace(self.transported(GMorphism(g, g, perm)))
             if tr:
-                acc = acc + root_of_unity(ell, expo).scale(tr)
-        return acc
+                sums[sum(colors[i] * g[perm[i] - 1] for i in range(d)) % ell] += tr
+        return Cyc.from_exponent_sums(ell, sums)
 
     def label_json(self) -> list:
         return [list(pi) for pi in self.p]
 
     def __repr__(self) -> str:
         return f"SimpleModule(ell={self.ell}, d={self.d}, p={self.p}, dim={self.total_dim})"
+
+
+@lru_cache(maxsize=None)
+def _shape_transports(ell: int, lam: tuple[int, ...]) -> tuple[tuple, dict, dict]:
+    """Objects of type lam, with the perms of sigma_(b,f) and sigma_(f,b), b = f_lam."""
+    base = canonical_object(lam)
+    objs = tuple(f for f in objects(ell, sum(lam)) if type_of(f, ell) == lam)
+    from_base = {f: canonical_morphism(base, f, ell).perm for f in objs}
+    to_base = {f: canonical_morphism(f, base, ell).perm for f in objs}
+    return objs, from_base, to_base
 
 
 @lru_cache(maxsize=None)

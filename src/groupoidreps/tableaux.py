@@ -102,7 +102,8 @@ def standard_tableaux(mu: Partition) -> tuple[tuple[tuple[int, ...], ...], ...]:
                 )
 
     place(1, (0,) * rows, ((),) * rows)
-    assert len(out) == hook_length_count(mu)
+    if len(out) != hook_length_count(mu):
+        raise RuntimeError(f"standard tableaux of shape {mu} disagree with the hook length formula")
     return tuple(out)
 
 
@@ -214,7 +215,8 @@ class SpechtRep:
             self._tabloid_index = {(): 0}
         self._basis_vectors = [self._poly_vector(t) for t in self.tableaux]
         self._solver = LinSolver(1, self._basis_vectors)
-        assert self._solver.rank == self.dim, "standard polytabloids must be independent"
+        if self._solver.rank != self.dim:
+            raise RuntimeError("standard polytabloids must be independent")
         for i in range(1, self.n):
             self.gen_matrices[i] = self._matrix_of(adjacent_transposition(self.n, i))
 
@@ -224,7 +226,8 @@ class SpechtRep:
         for tab in self.tableaux:
             moved = tuple(tuple(w[x - 1] for x in row) for row in tab)
             coords = self._solver.express(self._poly_vector(moved))
-            assert coords is not None, "permuted polytabloid left the Specht module"
+            if coords is None:
+                raise RuntimeError("permuted polytabloid left the Specht module")
             cols.append(coords)
         return Mat(1, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
 

@@ -10,6 +10,7 @@ multiplication matches matrix multiplication.
 from __future__ import annotations
 
 from itertools import product
+from math import factorial
 from typing import NamedTuple
 
 from .cyclo import Cyc, root_of_unity
@@ -30,6 +31,7 @@ __all__ = [
     "generators",
     "s0_j",
     "s0_j_word",
+    "check_group_order",
     "enum_group",
     "check_presentation",
     "det",
@@ -102,13 +104,16 @@ def s0_j_word(ell: int, d: int, j: int) -> WreathElem:
     return out
 
 
-def enum_group(ell: int, d: int, cap: int = DEFAULT_GROUP_CAP) -> list[WreathElem]:
-    """All l^d * d! elements, ordered by (perm, colors)."""
-    from math import factorial
-
+def check_group_order(ell: int, d: int, cap: int = DEFAULT_GROUP_CAP) -> None:
+    """Raise ResourceWarning when |S(l,d)| = l^d * d! exceeds cap."""
     order = ell**d * factorial(d)
     if order > cap:
         raise ResourceWarning(f"group order {order} exceeds cap {cap}")
+
+
+def enum_group(ell: int, d: int, cap: int = DEFAULT_GROUP_CAP) -> list[WreathElem]:
+    """All l^d * d! elements, ordered by (perm, colors)."""
+    check_group_order(ell, d, cap)
     out = []
     for perm in all_perms(d):
         for colors in product(range(ell), repeat=d):

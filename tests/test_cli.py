@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import time
+
+import pytest
 
 from groupoidreps.cli import main
 from groupoidreps.reporting import checks_payload
@@ -122,3 +125,44 @@ def test_all_small_grid_deterministic():
     r1, r2 = json.loads(out1), json.loads(out2)
     assert checks_payload(r1) == checks_payload(r2)
     assert all(c["status"] == "pass" for c in r1["checks"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rook-check", "--d", "0"],
+        ["gkd", "--ell", "3", "--k", "2", "--d", "2"],
+        ["schur-weyl", "--ell", "2", "--kvec", "1", "--d", "2"],
+        ["objects", "--ell", "0", "--d", "1"],
+        ["simples", "--ell", "2", "--d", "-1"],
+    ],
+)
+def test_invalid_parameters_are_usage_errors(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cap_is_checked_before_modules_are_built(capsys):
+    t0 = time.perf_counter()
+    code, _out = run_cli(["gelfand", "--ell", "5", "--d", "6"])
+    assert code == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "group order 11250000 exceeds cap 1000000" in capsys.readouterr().err
+    for command in ("gelfand", "simples", "branching"):
+        assert run_cli([command, "--ell", "2", "--d", "3", "--cap", "10"])[0] == 3
+    assert run_cli(["gkd", "--ell", "2", "--k", "2", "--d", "3", "--cap", "10"])[0] == 3
+
+
+def test_all_honours_cap(capsys):
+    assert run_cli(["all", "--max-ell", "2", "--max-d", "2", "--cap", "1"])[0] == 3
+    assert "exceeds cap 1" in capsys.readouterr().err
+    # a cap that no task reaches leaves the report as it is
+    code, out = run_cli(["all", "--max-ell", "2", "--max-d", "1", "--cap", "48", "--out", "json"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["parameters"] == {"max_ell": 2, "max_d": 1, "jobs": 1}
+    assert checks_payload(rep) == checks_payload(json.loads(run_cli(["all", "--max-ell", "2", "--max-d", "1", "--out", "json"])[1]))

@@ -40,6 +40,19 @@ def test_roots_of_unity_examples():
     assert root_of_unity(5, 7) == root_of_unity(5, 2)
 
 
+def test_from_exponent_sums_matches_scaled_root_sum():
+    rng = random.Random(3)
+    for ell in (1, 2, 3, 4, 5, 6, 8):
+        for _ in range(20):
+            sums = [rng.choice([0, 0, 1, -2, Fraction(3, 7)]) for _ in range(ell)]
+            expected = Cyc.zero(ell)
+            for e, q in enumerate(sums):
+                expected = expected + root_of_unity(ell, e).scale(q)
+            got = Cyc.from_exponent_sums(ell, sums)
+            assert got == expected
+            assert all(isinstance(c, Fraction) for c in got.coeffs)
+
+
 def test_root_orders():
     for ell in range(1, 9):
         for p in range(ell):
@@ -97,6 +110,20 @@ def test_galois_and_embedding():
     assert root_of_unity(3, 1).embed(6) == root_of_unity(6, 2)
     with pytest.raises(ValueError):
         root_of_unity(4, 1).embed(6)
+
+
+def test_galois_and_embedding_are_ring_maps():
+    rng = random.Random(5)
+    for ell, t, big in [(3, 2, 6), (4, 3, 8), (5, 2, 10), (8, 5, 8), (12, 7, 24)]:
+        for _ in range(10):
+            x, y = rand_cyc(rng, ell), rand_cyc(rng, ell)
+            assert (x * y).galois(t) == x.galois(t) * y.galois(t)
+            assert (x + y).galois(t) == x.galois(t) + y.galois(t)
+            assert x.conjugate().conjugate() == x
+            assert (x * y).embed(big) == x.embed(big) * y.embed(big)
+            assert (x + y).embed(big) == x.embed(big) + y.embed(big)
+        assert root_of_unity(ell, 1).galois(t) == root_of_unity(ell, t)
+        assert root_of_unity(ell, 1).embed(big) == root_of_unity(big, big // ell)
 
 
 def test_json_round_trip():

@@ -1,8 +1,10 @@
+from groupoidreps.algebra import phi
+from groupoidreps.cyclo import Cyc
 from groupoidreps.gelfand import build_gelfand, inv_statistic, involutions, verify_gelfand
 from groupoidreps.groupoid import compose, hom, identity_morphism
 from groupoidreps.perms import compose_perms, identity_perm
 from groupoidreps.simples import all_simples
-from groupoidreps.wreath import WreathElem
+from groupoidreps.wreath import WreathElem, enum_group
 
 
 def test_involutions():
@@ -71,3 +73,19 @@ def test_verify_gelfand():
     for ell, d in [(1, 2), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]:
         rep = verify_gelfand(ell, d)
         assert rep["ok"], (ell, d, rep)
+
+
+def test_char_wreath_is_diagonal_count_of_phi_action():
+    # The trace of Phi(x) counted term by term with act_on_involution.
+    for ell, d in [(2, 3), (3, 2)]:
+        model = build_gelfand(ell, d)
+        for x in enum_group(ell, d):
+            trace = Cyc.zero(ell)
+            for m, coeff in phi(x).terms.items():
+                if m.source != m.target:
+                    continue
+                for w in model.basis[m.source]:
+                    sign, conj = model.act_on_involution(m, w)
+                    if conj == w:
+                        trace = trace + coeff.scale(sign)
+            assert model.char_wreath(x) == trace, x

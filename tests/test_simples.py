@@ -3,7 +3,7 @@ from math import factorial
 
 from groupoidreps.algebra import phi
 from groupoidreps.cyclo import Cyc, Mat
-from groupoidreps.groupoid import compose, hom, identity_morphism
+from groupoidreps.groupoid import canonical_morphism, compose, hom, identity_morphism, objects, type_of
 from groupoidreps.simples import (
     all_simples,
     branching_report,
@@ -148,3 +148,20 @@ def test_branching_grid():
     for ell, d in [(2, 2), (2, 3), (3, 2)]:
         rep = branching_report(ell, d)
         assert rep["ok"], (ell, d, rep)
+
+
+def test_char_wreath_is_trace_of_phi_action():
+    for ell, d in [(2, 2), (3, 2), (2, 3), (4, 2)]:
+        group = enum_group(ell, d)
+        for mod in all_simples(ell, d):
+            for x in group:
+                assert mod.char_wreath(x) == mod.act_alg(phi(x)).trace(), (mod.p, x)
+
+
+def test_transports_are_canonical_morphisms():
+    ell, d = 3, 3
+    for mod in all_simples(ell, d):
+        assert mod.objects == [f for f in objects(ell, d) if type_of(f, ell) == mod.lam]
+        for f in mod.objects:
+            assert mod._from_base[f] == canonical_morphism(mod.base, f, ell).perm
+            assert mod._to_base[f] == canonical_morphism(f, mod.base, ell).perm
