@@ -4,6 +4,10 @@ Every subcommand prints a report (text or a single JSON document) and exits
 0 on success, 1 when a check fails, 2 on usage errors and 3 when a resource
 cap is exceeded.  Reports are deterministic for identical flags: timings are
 kept outside the checks payload.
+
+Each suite is one entry of SUITES.  Its subcommand and the tasks of `all`
+run that entry, with the same cap check; only the check names and the
+subcommand's detail checks differ.
 """
 
 from __future__ import annotations
@@ -12,17 +16,18 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from functools import partial
-from math import factorial
+from itertools import product
+from math import factorial, prod
+from typing import Callable, NamedTuple
 
-from . import reporting
 from .reporting import EXIT_RESOURCE, EXIT_USAGE, emit, exit_code, make_report
-from .wreath import check_group_order
 
 DEFAULT_CAP = 10**6
 
-ISO_GRID = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]
-SIMPLES_GRID = ISO_GRID + [(2, 4)]
+# verify-iso and simples
+ISO_GRID = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (2, 4)]
 BRANCHING_GRID = [(2, 2), (2, 3), (3, 2)]
 GELFAND_WINDOW = [
     (ell, d)
@@ -53,7 +58,7 @@ class UsageError(ValueError):
 
 
 def _validate(args) -> None:
-    """Reject invalid parameters before any work starts."""
+    """Reject invalid parameters before any work starts; parse --kvec into a list."""
     cmd = args.command
     if args.jobs < 1:
         raise UsageError("--jobs must be >= 1")
@@ -69,190 +74,233 @@ def _validate(args) -> None:
     if cmd == "gkd" and (args.k < 1 or args.ell % args.k):
         raise UsageError(f"--k must be a positive divisor of --ell ({args.ell})")
     if cmd == "schur-weyl":
+        try:
+            args.kvec = [int(v) for v in args.kvec.split(",")]
+        except ValueError:
+            raise UsageError(f"--kvec must be comma-separated integers, got {args.kvec!r}") from None
         if args.shift_duality:
             if args.kk < 1 or args.ell % args.kk:
                 raise UsageError(f"--kk must be a positive divisor of --ell ({args.ell})")
             if args.m < 1:
                 raise UsageError("--m must be >= 1")
-        else:
-            try:
-                kvec = [int(v) for v in args.kvec.split(",")]
-            except ValueError:
-                raise UsageError(f"--kvec must be comma-separated integers, got {args.kvec!r}") from None
-            if len(kvec) != args.ell or min(kvec) < 1:
-                raise UsageError(f"--kvec must have --ell ({args.ell}) parts, each >= 1")
+        elif len(args.kvec) != args.ell or min(args.kvec) < 1:
+            raise UsageError(f"--kvec must have --ell ({args.ell}) parts, each >= 1")
 
 
-def _check_rook_order(d: int, cap: int) -> None:
-    from .rook import rook_monoid_order
-
-    order = rook_monoid_order(d)
-    if order > cap:
-        raise ResourceWarning(f"rook monoid order {order} exceeds cap {cap}")
+def _detail(name: str, details) -> dict:
+    """A subcommand-only check that reports what was built."""
+    return {"name": name, "status": "pass", "details": details}
 
 
-def _flatten(name: str, rep: dict) -> list[dict]:
-    return [
-        {**c, "name": f"{name}: {c['name']}"}
-        for c in rep["checks"]
-    ]
+def _name(prefix: str, section: str | None, check: str) -> str:
+    """`[prefix ][section: ]check`; a nameless check takes the prefix alone."""
+    head = " ".join(filter(None, (prefix, section)))
+    return ": ".join(filter(None, (head, check)))
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners
+# the suites: each runs from a params dict and returns (section, checks)
+# pairs; `detail` adds the checks that only its subcommand reports
 # ---------------------------------------------------------------------------
 
+Sections = list[tuple[str | None, list[dict]]]
 
-def _run_objects(args) -> dict:
+
+def _objects(p: dict, cap: int, detail: bool) -> Sections:
     from .groupoid import hom, objects, type_of
 
-    objs = objects(args.ell, args.d, args.cap)
+    ell, d = p["ell"], p["d"]
+    objs = objects(ell, d, cap)
+    types = {f: type_of(f, ell) for f in objs}
+    total = 0
+    sizes_ok = True
+    for f in objs:
+        aut = prod(factorial(li) for li in types[f])
+        for g in objs:
+            n = len(hom(f, g, ell))
+            total += n
+            sizes_ok = sizes_ok and n == (aut if types[g] == types[f] else 0)
+    expected = ell**d * factorial(d)
+    status = "pass" if sizes_ok and total == expected else "fail"
+    if not detail:
+        # `all` names this check after its task and keeps only the total
+        return [(None, [{"name": "", "status": status, "details": {"total": total}}])]
     per_type: dict = {}
     for f in objs:
-        per_type.setdefault(type_of(f, args.ell), []).append(f)
-    total = sum(len(hom(f, g, args.ell)) for f in objs for g in objs)
-    expected = args.ell**args.d * factorial(args.d)
-    checks = [
-        {
-            "name": "total morphism count = l^d d!",
-            "status": "pass" if total == expected else "fail",
-            "details": {"total": total, "expected": expected},
-        }
-    ]
-    details = {
+        per_type.setdefault(types[f], []).append(f)
+    table = {
         "objects": len(objs),
         "types": [
-            {"type": list(t), "objects": len(fs), "hom_size": len(hom(fs[0], fs[0], args.ell))}
+            {"type": list(t), "objects": len(fs), "hom_size": len(hom(fs[0], fs[0], ell))}
             for t, fs in sorted(per_type.items())
         ],
     }
-    checks.append({"name": "object table", "status": "pass", "details": details})
-    return make_report("objects", {"ell": args.ell, "d": args.d}, checks)
+    count = {"name": "total morphism count = l^d d!", "status": status,
+             "details": {"total": total, "expected": expected}}
+    return [(None, [count, _detail("object table", table)])]
 
 
-def _run_verify_iso(args) -> dict:
+def _verify_iso(p: dict, cap: int, detail: bool) -> Sections:
     from .algebra import verify_iso
 
-    rep = verify_iso(args.ell, args.d, cap=args.cap)
-    return make_report("verify-iso", {"ell": args.ell, "d": args.d}, rep["checks"])
+    return [(None, verify_iso(p["ell"], p["d"], cap=cap)["checks"])]
 
 
-def _run_simples(args) -> dict:
+def _simples(p: dict, cap: int, detail: bool) -> Sections:
     from .simples import all_simples, verify_complete
 
-    check_group_order(args.ell, args.d, args.cap)
-    rep = verify_complete(args.ell, args.d)
-    checks = list(rep["checks"])
-    mods = all_simples(args.ell, args.d)
-    checks.append(
-        {
-            "name": "simple modules",
-            "status": "pass",
-            "details": [
-                {"label": m.label_json(), "block_dim": m.block_dim, "total_dim": m.total_dim}
-                for m in mods
-            ],
-        }
-    )
-    return make_report("simples", {"ell": args.ell, "d": args.d}, checks)
+    sections = [(None, verify_complete(p["ell"], p["d"])["checks"])]
+    if detail:
+        mods = [
+            {"label": m.label_json(), "block_dim": m.block_dim, "total_dim": m.total_dim}
+            for m in all_simples(p["ell"], p["d"])
+        ]
+        sections.append((None, [_detail("simple modules", mods)]))
+    return sections
 
 
-def _run_gelfand(args) -> dict:
-    from .gelfand import build_gelfand, verify_gelfand
-
-    check_group_order(args.ell, args.d, args.cap)
-    rep = verify_gelfand(args.ell, args.d)
-    model = build_gelfand(args.ell, args.d)
-    checks = list(rep["checks"])
-    checks.append(
-        {
-            "name": "involution counts per object",
-            "status": "pass",
-            "details": {
-                "total_dim": model.total_dim,
-                "objects": [
-                    {"object": list(f), "involutions": len(ws)}
-                    for f, ws in sorted(model.basis.items())
-                ],
-            },
-        }
-    )
-    return make_report("gelfand", {"ell": args.ell, "d": args.d}, checks)
-
-
-def _run_branching(args) -> dict:
+def _branching(p: dict, cap: int, detail: bool) -> Sections:
     from .simples import branching_report
 
-    check_group_order(args.ell, args.d, args.cap)
-    rep = branching_report(args.ell, args.d)
-    return make_report("branching", {"ell": args.ell, "d": args.d}, rep["checks"])
+    return [(None, branching_report(p["ell"], p["d"])["checks"])]
 
 
-def _run_gkd(args) -> dict:
+def _gelfand(p: dict, cap: int, detail: bool) -> Sections:
+    from .gelfand import build_gelfand, verify_gelfand
+
+    sections = [(None, verify_gelfand(p["ell"], p["d"])["checks"])]
+    if detail:
+        model = build_gelfand(p["ell"], p["d"])
+        counts = {
+            "total_dim": model.total_dim,
+            "objects": [
+                {"object": list(f), "involutions": len(ws)} for f, ws in sorted(model.basis.items())
+            ],
+        }
+        sections.append((None, [_detail("involution counts per object", counts)]))
+    return sections
+
+
+def _gkd(p: dict, cap: int, detail: bool) -> Sections:
     from .gkd import (
-        restriction_check,
-        rotation_eigenspace_check,
+        quotient_simples_check,
         quotient_structure_report,
         reflection_span_check,
-        quotient_simples_check,
+        restriction_check,
+        rotation_eigenspace_check,
     )
 
-    check_group_order(args.ell, args.d, args.cap)
-    params = {"ell": args.ell, "k": args.k, "d": args.d}
-    checks = []
-    checks += _flatten("structure", quotient_structure_report(args.ell, args.k, args.d))
-    checks += _flatten("span-equality", reflection_span_check(args.ell, args.k, args.d))
-    qs = quotient_simples_check(args.ell, args.k, args.d)
-    checks += _flatten("quotient-simples", qs)
-    checks.append({"name": "simple labels", "status": "pass", "details": qs["labels"]})
-    checks += _flatten("restriction", restriction_check(args.ell, args.k, args.d))
-    checks += _flatten("rotation-eigenspaces", rotation_eigenspace_check(args.ell, args.k, args.d))
-    return make_report("gkd", params, checks)
+    ell, k, d = p["ell"], p["k"], p["d"]
+    sections = [
+        ("structure", quotient_structure_report(ell, k, d)["checks"]),
+        ("span-equality", reflection_span_check(ell, k, d)["checks"]),
+    ]
+    qs = quotient_simples_check(ell, k, d)
+    sections.append(("quotient-simples", qs["checks"]))
+    if detail:
+        sections.append((None, [_detail("simple labels", qs["labels"])]))
+    sections.append(("restriction", restriction_check(ell, k, d)["checks"]))
+    sections.append(("rotation-eigenspaces", rotation_eigenspace_check(ell, k, d)["checks"]))
+    return sections
 
 
-def _run_schur_weyl(args) -> dict:
-    from .schurweyl import (
-        TensorSpace,
-        kernel_check,
-        shift_duality_check,
-        verify_commuting,
-        verify_double_centralizer,
-    )
+def _schur_weyl(p: dict, cap: int, detail: bool) -> Sections:
+    from .schurweyl import TensorSpace, kernel_check, verify_commuting, verify_double_centralizer
 
-    kvec = tuple(int(v) for v in args.kvec.split(","))
-    params = {"ell": args.ell, "d": args.d, "kvec": list(kvec)}
-    if args.shift_duality:
-        params.update({"kk": args.kk, "m": args.m})
-        rep = shift_duality_check(args.ell, args.kk, args.m, args.d, cap=args.cap)
-        return make_report("schur-weyl", params, rep["checks"])
-    T = TensorSpace(args.ell, kvec, args.d, cap=args.cap)
-    checks = []
-    checks += _flatten("commuting", verify_commuting(T))
+    T = TensorSpace(p["ell"], p["kvec"], p["d"], cap)
+    sections = [("commuting", verify_commuting(T)["checks"])]
     dc = verify_double_centralizer(T)
-    checks += _flatten("double-centralizer", dc)
+    sections.append(("double-centralizer", dc["checks"]))
     ker = kernel_check(T)
-    checks += _flatten("action-kernel", ker)
-    checks.append(
-        {
-            "name": "dimensions",
-            "status": "pass",
-            "details": {
-                "tensor_dim": T.dim(),
-                "image_dim": dc["image_dim"],
-                "commutant_dim": dc["commutant_dim"],
-                "kernel_dim": ker["kernel_dim"],
-            },
+    sections.append(("action-kernel", ker["checks"]))
+    if detail:
+        dims = {
+            "tensor_dim": T.dim(),
+            "image_dim": dc["image_dim"],
+            "commutant_dim": dc["commutant_dim"],
+            "kernel_dim": ker["kernel_dim"],
         }
-    )
-    return make_report("schur-weyl", params, checks)
+        sections.append((None, [_detail("dimensions", dims)]))
+    return sections
 
 
-def _run_rook(args) -> dict:
+def _shift_duality(p: dict, cap: int, detail: bool) -> Sections:
+    from .schurweyl import shift_duality_check
+
+    return [(None, shift_duality_check(p["ell"], p["kk"], p["m"], p["d"], cap=cap)["checks"])]
+
+
+def _rook(p: dict, cap: int, detail: bool) -> Sections:
     from .rook import rook_epimorphism_check
 
-    _check_rook_order(args.d, args.cap)
-    rep = rook_epimorphism_check(args.d)
-    return make_report("rook-check", {"d": args.d}, rep["checks"])
+    return [(None, rook_epimorphism_check(p["d"])["checks"])]
+
+
+def _group_order(p: dict) -> tuple[str, int]:
+    return "group order", p["ell"] ** p["d"] * factorial(p["d"])
+
+
+def _hom_enumeration(p: dict) -> tuple[str, int]:
+    # l^2d hom calls over object pairs, listing l^d d! morphisms
+    ell, d = p["ell"], p["d"]
+    return "hom-set enumeration", max(ell ** (2 * d), ell**d * factorial(d))
+
+
+def _rook_order(p: dict) -> tuple[str, int]:
+    from .rook import rook_monoid_order
+
+    return "rook monoid order", rook_monoid_order(p["d"])
+
+
+class Suite(NamedTuple):
+    """One verification suite, run by its subcommand and by the tasks of `all`."""
+
+    flags: tuple[str, ...]  # its parameters, as its subcommand reports them
+    task: str  # format of its task name in `all`
+    size: Callable[[dict], tuple[str, int]]  # what it enumerates, checked against --cap
+    run: Callable[[dict, int, bool], Sections]
+
+
+SUITES = {
+    "objects": Suite(("ell", "d"), "cardinalities ({ell},{d})", _hom_enumeration, _objects),
+    "verify-iso": Suite(("ell", "d"), "verify-iso ({ell},{d})", _group_order, _verify_iso),
+    "simples": Suite(("ell", "d"), "simples ({ell},{d})", _group_order, _simples),
+    "branching": Suite(("ell", "d"), "branching ({ell},{d})", _group_order, _branching),
+    "gelfand": Suite(("ell", "d"), "gelfand ({ell},{d})", _group_order, _gelfand),
+    "gkd": Suite(("ell", "k", "d"), "gkd ({ell},{k},{d})", _group_order, _gkd),
+    "schur-weyl": Suite(
+        ("ell", "d", "kvec"),
+        "schur-weyl ({ell},{kvec},{d})",
+        lambda p: ("tensor dimension", sum(p["kvec"]) ** p["d"]),
+        _schur_weyl,
+    ),
+    "shift-duality": Suite(
+        ("ell", "d", "kvec", "kk", "m"),
+        "shift-duality ({ell},{kk},{m},{d})",
+        lambda p: ("tensor dimension", (p["ell"] * p["m"]) ** p["d"]),
+        _shift_duality,
+    ),
+    "rook-check": Suite(("d",), "rook d={d}", _rook_order, _rook),
+}
+
+
+def _checks(key: str, params: dict, cap: int, prefix: str, detail: bool) -> list[dict]:
+    """Run suite `key` on params after its cap check; name its checks after prefix."""
+    suite = SUITES[key]
+    what, size = suite.size(params)
+    if size > cap:
+        raise ResourceWarning(f"{what} {size} exceeds cap {cap}")
+    return [
+        {**c, "name": _name(prefix, section, c["name"])}
+        for section, checks in suite.run(params, cap, detail)
+        for c in checks
+    ]
+
+
+def _run_subcommand(args) -> dict:
+    key = "shift-duality" if getattr(args, "shift_duality", False) else args.command
+    params = {flag: getattr(args, flag) for flag in SUITES[key].flags}
+    return make_report(args.command, params, _checks(key, params, args.cap, "", detail=True))
 
 
 # ---------------------------------------------------------------------------
@@ -260,159 +308,46 @@ def _run_rook(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_task(task: tuple, cap: int = DEFAULT_CAP) -> tuple[str, list[dict]]:
-    """Execute one named task of the `all` suite (safe for process pools).
+def run_task(task: tuple[str, dict], cap: int = DEFAULT_CAP) -> tuple[str, list[dict], float]:
+    """Run one task of `all` (safe for process pools): (name, checks, seconds).
 
     Every task bounds its enumeration by cap, as the matching subcommand does.
     """
-    kind, params = task
-    if kind in ("simples", "branching", "gelfand", "gkd"):
-        check_group_order(params["ell"], params["d"], cap)
-    if kind == "cardinalities":
-        from .groupoid import hom, objects, type_of
-
-        ell, d = params["ell"], params["d"]
-        objs = objects(ell, d, cap)
-        total = 0
-        sizes_ok = True
-        for f in objs:
-            lam = type_of(f, ell)
-            lam_fact = 1
-            for li in lam:
-                lam_fact *= factorial(li)
-            for g in objs:
-                hs = len(hom(f, g, ell))
-                total += hs
-                expected = lam_fact if type_of(g, ell) == lam else 0
-                if hs != expected:
-                    sizes_ok = False
-        ok = sizes_ok and total == ell**d * factorial(d)
-        name = f"cardinalities ({ell},{d})"
-        return name, [{"name": name, "status": "pass" if ok else "fail", "details": {"total": total}}]
-    if kind == "verify-iso":
-        from .algebra import verify_iso
-
-        rep = verify_iso(params["ell"], params["d"], cap=cap)
-        name = f"verify-iso ({params['ell']},{params['d']})"
-        return name, _flatten(name, rep)
-    if kind == "simples":
-        from .simples import verify_complete
-
-        rep = verify_complete(params["ell"], params["d"])
-        name = f"simples ({params['ell']},{params['d']})"
-        return name, _flatten(name, rep)
-    if kind == "branching":
-        from .simples import branching_report
-
-        rep = branching_report(params["ell"], params["d"])
-        name = f"branching ({params['ell']},{params['d']})"
-        return name, _flatten(name, rep)
-    if kind == "gelfand":
-        from .gelfand import verify_gelfand
-
-        rep = verify_gelfand(params["ell"], params["d"])
-        name = f"gelfand ({params['ell']},{params['d']})"
-        return name, _flatten(name, rep)
-    if kind == "gkd":
-        from .gkd import (
-            restriction_check,
-            rotation_eigenspace_check,
-            quotient_structure_report,
-            reflection_span_check,
-            quotient_simples_check,
-        )
-
-        ell, k, d = params["ell"], params["k"], params["d"]
-        name = f"gkd ({ell},{k},{d})"
-        checks = []
-        checks += _flatten(f"{name} structure", quotient_structure_report(ell, k, d))
-        checks += _flatten(f"{name} span-equality", reflection_span_check(ell, k, d))
-        checks += _flatten(f"{name} quotient-simples", quotient_simples_check(ell, k, d))
-        checks += _flatten(f"{name} restriction", restriction_check(ell, k, d))
-        checks += _flatten(f"{name} rotation-eigenspaces", rotation_eigenspace_check(ell, k, d))
-        return name, checks
-    if kind == "schur-weyl":
-        from .schurweyl import TensorSpace, kernel_check, verify_commuting, verify_double_centralizer
-
-        ell, kvec, d = params["ell"], tuple(params["kvec"]), params["d"]
-        name = f"schur-weyl ({ell},{kvec},{d})"
-        T = TensorSpace(ell, kvec, d, cap)
-        checks = []
-        checks += _flatten(f"{name} commuting", verify_commuting(T))
-        checks += _flatten(f"{name} double-centralizer", verify_double_centralizer(T))
-        checks += _flatten(f"{name} action-kernel", kernel_check(T))
-        return name, checks
-    if kind == "rook":
-        from .rook import rook_epimorphism_check
-
-        _check_rook_order(params["d"], cap)
-        rep = rook_epimorphism_check(params["d"])
-        name = f"rook d={params['d']}"
-        return name, _flatten(name, rep)
-    if kind == "shift-duality":
-        from .schurweyl import shift_duality_check
-
-        ell, k, m, d = params["ell"], params["k"], params["m"], params["d"]
-        rep = shift_duality_check(ell, k, m, d, cap=cap)
-        name = f"shift-duality ({ell},{k},{m},{d})"
-        return name, _flatten(name, rep)
-    raise ValueError(f"unknown task kind {kind}")
+    t0 = time.perf_counter()
+    key, params = task
+    name = SUITES[key].task.format(**params)
+    checks = _checks(key, params, cap, name, detail=False)
+    return name, checks, round(time.perf_counter() - t0, 3)
 
 
-def _all_tasks(args) -> list[tuple]:
-    max_ell = args.max_ell
-    max_d = args.max_d
-    tasks: list[tuple] = []
-    for ell in range(1, min(4, max_ell) + 1):
-        for d in range(0, min(3, max_d) + 1):
-            tasks.append(("cardinalities", {"ell": ell, "d": d}))
-    for ell, d in ISO_GRID:
-        if ell <= max_ell and d <= max_d:
-            tasks.append(("verify-iso", {"ell": ell, "d": d}))
-    if max_ell >= 2 and max_d >= 4:
-        tasks.append(("verify-iso", {"ell": 2, "d": 4}))
-    for ell, d in SIMPLES_GRID:
-        if ell <= max_ell and d <= max_d:
-            tasks.append(("simples", {"ell": ell, "d": d}))
-    for ell, d in BRANCHING_GRID:
-        if ell <= max_ell and d <= max_d:
-            tasks.append(("branching", {"ell": ell, "d": d}))
-    for ell, d in GELFAND_WINDOW:
-        if ell <= max_ell and d <= max_d:
-            tasks.append(("gelfand", {"ell": ell, "d": d}))
-    for ell, k, d in GKD_GRID:
-        if ell <= max_ell and d <= max_d:
-            tasks.append(("gkd", {"ell": ell, "k": k, "d": d}))
-    for ell, kvec, d in TENSOR_GRID:
-        if ell <= max_ell and d <= max_d:
-            tasks.append(("schur-weyl", {"ell": ell, "kvec": list(kvec), "d": d}))
-    for d in range(1, min(4, max_d) + 1):
-        tasks.append(("rook", {"d": d}))
-    for ell, k, m, d in SHIFT_DUALITY_GRID:
-        if ell <= max_ell and d <= max_d:
-            tasks.append(("shift-duality", {"ell": ell, "k": k, "m": m, "d": d}))
-    return tasks
+def _all_tasks(args) -> list[tuple[str, dict]]:
+    """The (suite, params) tasks of `all`: every grid cut to --max-ell and --max-d."""
+    grids = [
+        ("objects", ("ell", "d"), product(range(1, 5), range(0, 4))),
+        ("verify-iso", ("ell", "d"), ISO_GRID),
+        ("simples", ("ell", "d"), ISO_GRID),
+        ("branching", ("ell", "d"), BRANCHING_GRID),
+        ("gelfand", ("ell", "d"), GELFAND_WINDOW),
+        ("gkd", ("ell", "k", "d"), GKD_GRID),
+        ("schur-weyl", ("ell", "kvec", "d"), TENSOR_GRID),
+        ("rook-check", ("d",), [(d,) for d in range(1, 5)]),
+        ("shift-duality", ("ell", "kk", "m", "d"), SHIFT_DUALITY_GRID),
+    ]
+    tasks = [(key, dict(zip(names, point))) for key, names, points in grids for point in points]
+    return [
+        (key, p) for key, p in tasks if p.get("ell", args.max_ell) <= args.max_ell and p["d"] <= args.max_d
+    ]
 
 
 def _run_all(args) -> dict:
-    tasks = _all_tasks(args)
-    timings: dict[str, float] = {}
-    results: list[tuple[str, list[dict]]] = []
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results.extend(pool.map(partial(run_task, cap=args.cap), tasks))
-    else:
-        for task in tasks:
-            t0 = time.perf_counter()
-            name, checks = run_task(task, args.cap)
-            timings[name] = round(time.perf_counter() - t0, 3)
-            results.append((name, checks))
-    results.sort(key=lambda r: r[0])
-    checks = [c for _name, cs in results for c in cs]
-    params = {"max_ell": args.max_ell, "max_d": args.max_d, "jobs": args.jobs}
-    return make_report("all", params, checks, timings)
+    run = partial(run_task, cap=args.cap)
+    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        results = sorted((pool.map if pool else map)(run, _all_tasks(args)), key=lambda r: r[0])
+    checks = [c for _name, cs, _seconds in results for c in cs]
+    timings = {name: seconds for name, _cs, seconds in results}
+    return make_report("all", {"max_ell": args.max_ell, "max_d": args.max_d}, checks, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -492,19 +427,6 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-_RUNNERS = {
-    "objects": _run_objects,
-    "simples": _run_simples,
-    "verify-iso": _run_verify_iso,
-    "gelfand": _run_gelfand,
-    "branching": _run_branching,
-    "gkd": _run_gkd,
-    "schur-weyl": _run_schur_weyl,
-    "rook-check": _run_rook,
-    "all": _run_all,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -523,7 +445,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     t0 = time.perf_counter()
     try:
-        report = _RUNNERS[args.command](args)
+        report = (_run_all if args.command == "all" else _run_subcommand)(args)
     except ResourceWarning as exc:
         print(f"error: resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -396,9 +396,6 @@ class Mat:
             out.append(row)
         return Mat(self.ell, out)
 
-    def transpose(self) -> "Mat":
-        return Mat(self.ell, list(zip(*self.rows)) if self.rows else [])
-
     def trace(self) -> Cyc:
         acc = Cyc.zero(self.ell)
         for i in range(min(self.nrows, self.ncols)):

@@ -44,10 +44,9 @@ from .simples import all_simples, build_simple
 from .tableaux import compositions, multipartitions, outer_rep
 from .wreath import (
     WreathElem,
+    conjugacy_classes_of,
     gkd_elements,
     gkd_generators,
-    wreath_inv,
-    wreath_mul,
 )
 
 __all__ = [
@@ -131,9 +130,6 @@ class QuotientGroupoid:
 
     def rep(self, oi: int):
         return self.orbits[oi][0]
-
-    def orbit_size(self, oi: int) -> int:
-        return len(self.orbits[oi])
 
     def type_stabilizer_order(self, lam) -> int:
         return sum(
@@ -637,24 +633,6 @@ class QuotientSimpleModule:
         self._mat_cache[q] = mat
         return mat
 
-    def act_quotient_terms(self, coords: dict[QMorphism, Cyc]) -> Mat:
-        n = self.total_dim
-        z = Cyc.zero(self.ell)
-        rows = [[z] * n for _ in range(n)]
-        for q, coeff in coords.items():
-            o1, o2 = self.Q.source_orbit(q), self.Q.target_orbit(q)
-            if o1 not in self.block_index or o2 not in self.block_index:
-                continue
-            blk = self.action_block(q)
-            r0 = self.block_index[o2] * self.block_dim
-            c0 = self.block_index[o1] * self.block_dim
-            for i in range(self.block_dim):
-                for j in range(self.block_dim):
-                    v = blk.rows[i][j]
-                    if not v.is_zero():
-                        rows[r0 + i][c0 + j] = rows[r0 + i][c0 + j] + coeff * v
-        return Mat(self.ell, rows)
-
     def char_group(self, x: WreathElem) -> Cyc:
         """Character at x in G(l,k,d), via Psi^(-1) Phi."""
         coords = self.Q.phi_to_quotient(x)
@@ -704,30 +682,7 @@ def quotient_labels(ell: int, k: int, d: int) -> list[tuple[tuple, tuple, int]]:
 @lru_cache(maxsize=None)
 def gkd_conjugacy_classes(ell: int, k: int, d: int) -> tuple[tuple[WreathElem, int], ...]:
     """Conjugacy classes of G(l,k,d) by orbit partitioning under its generators."""
-    members = gkd_elements(ell, k, d)
-    if d == 0:
-        return ((members[0], 1),)
-    gens = gkd_generators(ell, k, d)
-    gen_pairs = [(g, wreath_inv(g)) for g in gens]
-    seen: set[WreathElem] = set()
-    classes = []
-    for x in members:
-        if x in seen:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            new = []
-            for y in frontier:
-                for g, ginv in gen_pairs:
-                    z = wreath_mul(wreath_mul(g, y), ginv)
-                    if z not in orbit:
-                        orbit.add(z)
-                        new.append(z)
-            frontier = new
-        seen |= orbit
-        classes.append((x, len(orbit)))
-    return tuple(classes)
+    return conjugacy_classes_of(gkd_elements(ell, k, d), gkd_generators(ell, k, d) if d else [])
 
 
 def _gkd_inner_product(ell: int, k: int, d: int, alpha: dict, beta: dict) -> Cyc:
@@ -996,8 +951,6 @@ def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, reps_classes) -> tu
 
     # twisted equivariance: theta(x . v) = theta(x) . theta(v) for generators,
     # hence theta commutes with the G(l,k,d)-action
-    from .wreath import gkd_generators
-
     for g in gkd_generators(ell, k, d):
         if not theta_op.commutes_with(act_total(g)):
             return False, {"failure": "theta does not commute with the invariant algebra"}

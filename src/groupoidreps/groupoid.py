@@ -26,7 +26,6 @@ __all__ = [
     "identity_morphism",
     "canonical_object",
     "canonical_morphism",
-    "is_morphism",
     "all_morphisms",
 ]
 
@@ -76,11 +75,6 @@ def type_of(f: ColorFn, ell: int) -> tuple[int, ...]:
     for c in f:
         lam[c - 1] += 1
     return tuple(lam)
-
-
-def is_morphism(f: ColorFn, g: ColorFn, perm: tuple[int, ...]) -> bool:
-    """Check g o perm = f."""
-    return all(g[perm[i] - 1] == f[i] for i in range(len(f)))
 
 
 def _color_positions(f: ColorFn, ell: int) -> list[list[int]]:

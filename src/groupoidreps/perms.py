@@ -15,7 +15,6 @@ __all__ = [
     "perm_sign",
     "all_perms",
     "perm_to_word",
-    "apply_perm",
 ]
 
 
@@ -33,10 +32,6 @@ def invert_perm(a: tuple[int, ...]) -> tuple[int, ...]:
     for i, ai in enumerate(a):
         inv[ai - 1] = i + 1
     return tuple(inv)
-
-
-def apply_perm(a: tuple[int, ...], i: int) -> int:
-    return a[i - 1]
 
 
 def perm_sign(a: tuple[int, ...]) -> int:

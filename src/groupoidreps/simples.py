@@ -40,6 +40,7 @@ from .tableaux import (
 )
 from .wreath import (
     WreathElem,
+    conjugacy_classes_of,
     embed_lower_rank,
     enum_group,
     generators,
@@ -182,30 +183,7 @@ def all_simples(ell: int, d: int) -> tuple[SimpleModule, ...]:
 @lru_cache(maxsize=None)
 def conjugacy_classes(ell: int, d: int) -> tuple[tuple[WreathElem, int], ...]:
     """(representative, class size) pairs via conjugation-orbit partitioning."""
-    group = enum_group(ell, d)
-    if d == 0:
-        return (((group[0]), 1),)
-    gens = generators(ell, d)
-    gen_pairs = [(g, wreath_inv(g)) for g in gens]
-    seen: set[WreathElem] = set()
-    classes = []
-    for x in group:
-        if x in seen:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            new = []
-            for y in frontier:
-                for g, ginv in gen_pairs:
-                    z = wreath_mul(wreath_mul(g, y), ginv)
-                    if z not in orbit:
-                        orbit.add(z)
-                        new.append(z)
-            frontier = new
-        seen |= orbit
-        classes.append((x, len(orbit)))
-    return tuple(classes)
+    return conjugacy_classes_of(enum_group(ell, d), generators(ell, d) if d else [])
 
 
 class ClassFunction:

@@ -38,6 +38,7 @@ __all__ = [
     "gkd_member",
     "gkd_elements",
     "gkd_generators",
+    "conjugacy_classes_of",
     "embed_lower_rank",
 ]
 
@@ -203,6 +204,34 @@ def gkd_generators(ell: int, k: int, d: int) -> list[WreathElem]:
     if not out:
         out.append(e)
     return out
+
+
+def conjugacy_classes_of(members, gens) -> tuple[tuple[WreathElem, int], ...]:
+    """(representative, class size) pairs of a group given by its members and generators.
+
+    Each class is the orbit of its first member under conjugation by the
+    generators; classes come in the order of their representatives in members.
+    """
+    gen_pairs = [(g, wreath_inv(g)) for g in gens]
+    seen: set[WreathElem] = set()
+    classes = []
+    for x in members:
+        if x in seen:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            new = []
+            for y in frontier:
+                for g, ginv in gen_pairs:
+                    z = wreath_mul(wreath_mul(g, y), ginv)
+                    if z not in orbit:
+                        orbit.add(z)
+                        new.append(z)
+            frontier = new
+        seen |= orbit
+        classes.append((x, len(orbit)))
+    return tuple(classes)
 
 
 def embed_lower_rank(x: WreathElem, d: int) -> WreathElem:

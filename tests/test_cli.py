@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from groupoidreps.cli import main
+from groupoidreps.cli import main, run_task
 from groupoidreps.reporting import checks_payload
 
 
@@ -135,6 +135,7 @@ def test_all_small_grid_deterministic():
         ["schur-weyl", "--ell", "2", "--kvec", "1", "--d", "2"],
         ["objects", "--ell", "0", "--d", "1"],
         ["simples", "--ell", "2", "--d", "-1"],
+        ["schur-weyl", "--shift-duality", "--kvec", "x"],
     ],
 )
 def test_invalid_parameters_are_usage_errors(argv, capsys):
@@ -164,5 +165,66 @@ def test_all_honours_cap(capsys):
     code, out = run_cli(["all", "--max-ell", "2", "--max-d", "1", "--cap", "48", "--out", "json"])
     assert code == 0
     rep = json.loads(out)
-    assert rep["parameters"] == {"max_ell": 2, "max_d": 1, "jobs": 1}
+    assert rep["parameters"] == {"max_ell": 2, "max_d": 1}
     assert checks_payload(rep) == checks_payload(json.loads(run_cli(["all", "--max-ell", "2", "--max-d", "1", "--out", "json"])[1]))
+
+
+def test_objects_cap_bounds_the_hom_enumeration(capsys):
+    # 3^6 = 729 objects fit the cap, but the 3^12 object pairs do not
+    t0 = time.perf_counter()
+    code, _out = run_cli(["objects", "--ell", "3", "--d", "6", "--cap", "1000"])
+    assert code == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "hom-set enumeration 531441 exceeds cap 1000" in capsys.readouterr().err
+
+
+def test_all_payload_and_timings_do_not_depend_on_jobs():
+    reports = [
+        json.loads(run_cli(["all", "--max-ell", "2", "--max-d", "2", "--jobs", jobs, "--out", "json"])[1])
+        for jobs in ("1", "2")
+    ]
+    assert checks_payload(reports[0]) == checks_payload(reports[1])
+    assert reports[0]["timings"].keys() == reports[1]["timings"].keys()
+    assert len(reports[1]["timings"]) == 36  # 35 tasks and the total
+
+
+# checks that only a subcommand reports; `all` leaves them out
+DETAIL_CHECKS = {"simple modules", "involution counts per object", "simple labels", "dimensions", "object table"}
+
+
+@pytest.mark.parametrize(
+    "task, name, argv",
+    [
+        (("objects", {"ell": 2, "d": 2}), "cardinalities (2,2)", ["objects", "--ell", "2", "--d", "2"]),
+        (("verify-iso", {"ell": 2, "d": 2}), "verify-iso (2,2)", ["verify-iso", "--ell", "2", "--d", "2"]),
+        (("simples", {"ell": 2, "d": 2}), "simples (2,2)", ["simples", "--ell", "2", "--d", "2"]),
+        (("branching", {"ell": 2, "d": 2}), "branching (2,2)", ["branching", "--ell", "2", "--d", "2"]),
+        (("gelfand", {"ell": 2, "d": 2}), "gelfand (2,2)", ["gelfand", "--ell", "2", "--d", "2"]),
+        (("gkd", {"ell": 2, "k": 2, "d": 2}), "gkd (2,2,2)", ["gkd", "--ell", "2", "--k", "2", "--d", "2"]),
+        (
+            ("schur-weyl", {"ell": 2, "kvec": (1, 1), "d": 2}),
+            "schur-weyl (2,(1, 1),2)",
+            ["schur-weyl", "--ell", "2", "--kvec", "1,1", "--d", "2"],
+        ),
+        (
+            ("shift-duality", {"ell": 2, "kk": 2, "m": 1, "d": 1}),
+            "shift-duality (2,2,1,1)",
+            ["schur-weyl", "--shift-duality", "--ell", "2", "--kk", "2", "--m", "1", "--d", "1"],
+        ),
+        (("rook-check", {"d": 2}), "rook d=2", ["rook-check", "--d", "2"]),
+    ],
+)
+def test_all_task_reports_its_subcommand_checks(task, name, argv):
+    task_name, checks, seconds = run_task(task)
+    assert task_name == name and seconds >= 0
+    code, out = run_cli([*argv, "--out", "json"])
+    assert code == 0
+    shared = [c for c in json.loads(out)["checks"] if c["name"] not in DETAIL_CHECKS]
+    if task[0] == "objects":
+        # `all` names its one cardinality check after the task and keeps the total
+        expected = [{"name": name, "status": c["status"], "details": {"total": c["details"]["total"]}} for c in shared]
+    else:
+        # sectioned suites read "<task> <section>: <check>", the others "<task>: <check>"
+        sep = " " if task[0] in ("gkd", "schur-weyl") else ": "
+        expected = [{**c, "name": f"{name}{sep}{c['name']}"} for c in shared]
+    assert json.loads(json.dumps(checks)) == expected

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import groupoidreps
@@ -15,3 +16,14 @@ def test_no_assert_statements_in_library():
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders
     assert len(list(SRC.glob("*.py"))) >= 15
+
+
+def test_every_exported_name_resolves():
+    # a deleted helper must not leave a stale __all__ entry behind
+    stale = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module(f"groupoidreps.{path.stem}")
+        stale += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not stale
