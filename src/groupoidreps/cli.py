@@ -275,7 +275,7 @@ SUITES = {
         _schur_weyl,
     ),
     "shift-duality": Suite(
-        ("ell", "d", "kvec", "kk", "m"),
+        ("ell", "d", "kk", "m"),
         "shift-duality ({ell},{kk},{m},{d})",
         lambda p: ("tensor dimension", (p["ell"] * p["m"]) ** p["d"]),
         _shift_duality,

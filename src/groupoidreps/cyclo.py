@@ -1,10 +1,17 @@
 """Exact arithmetic in cyclotomic fields Q(xi_l), plus exact linear algebra.
 
-Elements are represented by their coordinates in the power basis
-1, x, ..., x^(phi(l)-1) of Q[x]/Phi_l(x), where Phi_l is the l-th cyclotomic
-polynomial.  Working modulo Phi_l (rather than x^l - 1) keeps the ring a
-field, so Gaussian elimination can invert pivots exactly.  No floating point
+An element is stored in the power basis 1, x, ..., x^(phi(l)-1) of
+Q[x]/Phi_l(x) as integer numerators over one positive denominator, in lowest
+terms, so equal values have equal representations.  Working modulo Phi_l
+(rather than x^l - 1) keeps the ring a field.  Phi_l is monic and integral,
+so a product is an integer convolution folded back with a cached table of
+x^j mod Phi_l.  Constructors accept only int and Fraction: no floating point
 appears anywhere in this module.
+
+All elimination runs on one sparse echelon engine, :class:`SpanBasis`, whose
+rows are {column: Cyc} in reduced row echelon form with pivots 1.
+:class:`LinSolver`, :func:`rref`, :func:`kernel_basis`, :func:`solve_system`
+and ``Mat.rank/kernel_basis/solve`` are thin layers over it.
 
 All values are immutable; all operations are pure functions.
 """
@@ -13,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 __all__ = [
     "euler_phi",
@@ -25,172 +33,164 @@ __all__ = [
     "kernel_basis",
 ]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
-
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    """Euler totient, by trial division (n stays tiny here)."""
-    if n <= 0:
-        raise ValueError("euler_phi requires n >= 1")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact division of polynomials with Fraction coefficients (low to high)."""
-    num = list(num)
-    quot = [_F0] * (max(len(num) - len(den) + 1, 0))
-    dlead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / dlead
-        quot[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    while num and not num[-1]:
-        num.pop()
-    return quot, num
+    """Euler totient, as the degree of Phi_n."""
+    return len(cyclotomic_poly(n)) - 1
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(ell: int) -> tuple[Fraction, ...]:
-    """Coefficients (low to high, monic) of Phi_l, via x^l - 1 = prod_{d|l} Phi_d."""
+def cyclotomic_poly(ell: int) -> tuple[int, ...]:
+    """Integer coefficients (low to high, monic) of Phi_l, via x^l - 1 = prod_{d|l} Phi_d."""
     if ell <= 0:
         raise ValueError("cyclotomic order must be a positive integer")
-    num = [_F0] * (ell + 1)
-    num[0] = Fraction(-1)
-    num[ell] = _F1
+    num = [-1] + [0] * (ell - 1) + [1]
     for d in range(1, ell):
-        if ell % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_poly(d)))
-            if rem:
-                raise ArithmeticError(f"Phi_{d} does not divide x^{ell} - 1 exactly")
+        if ell % d:
+            continue
+        den = cyclotomic_poly(d)
+        k = len(den) - 1
+        quot = [0] * (len(num) - k)
+        for i in range(len(quot) - 1, -1, -1):
+            c = quot[i] = num[i + k]
+            if c:
+                for j, dj in enumerate(den):
+                    num[i + j] -= c * dj
+        if any(num[:k]):
+            raise ArithmeticError(f"Phi_{d} does not divide x^{ell} - 1 exactly")
+        num = quot
     return tuple(num)
 
 
-class Cyc:
-    """An element of Q(xi_l) in the power basis of Q[x]/Phi_l(x).
+@lru_cache(maxsize=None)
+def _powers(ell: int) -> tuple[tuple[int, ...], ...]:
+    """x^j mod Phi_l as integer vectors, for 0 <= j < max(l, 2 phi(l) - 1).
 
-    Different cyclotomic orders never mix implicitly; use :meth:`embed`
-    to move into Q(xi_L) for l | L.
+    Rows 0..l-1 are the roots of unity; rows phi..2phi-2 fold a product back.
+    """
+    poly = cyclotomic_poly(ell)
+    n = len(poly) - 1
+    vec = [1] + [0] * (n - 1)
+    out = []
+    for _ in range(max(ell, 2 * n - 1)):
+        out.append(tuple(vec))
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:
+            vec = [v - top * p for v, p in zip(vec, poly)]
+    return tuple(out)
+
+
+def _rationals(values) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of int/Fraction values."""
+    for q in values:
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"exact coefficients must be int or Fraction, not {type(q).__name__}")
+    den = lcm(*(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values], den
+
+
+class Cyc:
+    """An element of Q(xi_l): integer numerators ``num`` over the denominator ``den``.
+
+    ``num`` has length phi(l), ``den > 0`` and gcd(den, *num) = 1.  Different
+    cyclotomic orders never mix implicitly; use :meth:`embed` to move into
+    Q(xi_L) for l | L.
     """
 
-    __slots__ = ("ell", "coeffs", "_hash")
+    __slots__ = ("ell", "num", "den")
 
     def __init__(self, ell: int, coeffs):
-        if ell <= 0:
-            raise ValueError("cyclotomic order must be a positive integer")
         coeffs = tuple(coeffs)
         if len(coeffs) != euler_phi(ell):
             raise ValueError("coefficient vector must have length phi(ell)")
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", None)
+        num, den = _rationals(coeffs)
+        _SET_ELL(self, ell)
+        _SET_NUM(self, tuple(num))
+        _SET_DEN(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc values are immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(ell: int) -> "Cyc":
-        return Cyc(ell, (_F0,) * euler_phi(ell))
+        return _constant(ell, 0)
 
     @staticmethod
     def one(ell: int) -> "Cyc":
-        return Cyc.rational(ell, 1)
+        return _constant(ell, 1)
 
     @staticmethod
     def rational(ell: int, q) -> "Cyc":
         """Embed a rational number (the explicit Q -> Q(xi_l) embedding)."""
-        c = [_F0] * euler_phi(ell)
-        c[0] = Fraction(q)
-        return Cyc(ell, c)
-
-    @staticmethod
-    def from_power(ell: int, power: int) -> "Cyc":
-        """xi_l^power, reduced mod Phi_l.  Depends only on power mod l."""
-        if ell <= 0:
-            raise ValueError("cyclotomic order must be a positive integer")
-        return _root_cached(ell, power % ell)
+        return Cyc(ell, (q,) + (0,) * (euler_phi(ell) - 1))
 
     @staticmethod
     def from_exponent_sums(ell: int, sums) -> "Cyc":
         """sum_e sums[e] * xi_l^e for rationals sums[0..l-1], reduced once."""
-        acc = [_F0] * euler_phi(ell)
-        for e, q in enumerate(sums):
-            if q:
-                for i, c in enumerate(_root_cached(ell, e).coeffs):
-                    if c:
-                        acc[i] += q * c
-        return Cyc(ell, acc)
+        bins, den = _rationals(list(sums))
+        return _fold(ell, bins, den)
 
     # -- ring/field structure ---------------------------------------------
 
-    def _check(self, other: "Cyc") -> None:
-        if self.ell != other.ell:
-            raise ValueError(
-                f"cyclotomic orders differ ({self.ell} vs {other.ell}); embed explicitly first"
-            )
-
     def __add__(self, other: "Cyc") -> "Cyc":
-        self._check(other)
-        return Cyc(self.ell, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if self.ell != other.ell:
+            raise _mismatch(self, other)
+        da, db = self.den, other.den
+        if da == db:
+            return _normed(self.ell, [a + b for a, b in zip(self.num, other.num)], da)
+        return _normed(self.ell, [a * db + b * da for a, b in zip(self.num, other.num)], da * db)
 
     def __sub__(self, other: "Cyc") -> "Cyc":
-        self._check(other)
-        return Cyc(self.ell, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.ell, tuple(-a for a in self.coeffs))
+        return _make(self.ell, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other: "Cyc") -> "Cyc":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
+        ell = self.ell
+        if ell != other.ell:
+            raise _mismatch(self, other)
+        a, b = self.num, other.num
         n = len(a)
         if n == 1:
-            return Cyc(self.ell, (a[0] * b[0],))
-        prod = [_F0] * (2 * n - 1)
+            return _normed(ell, [a[0] * b[0]], self.den * other.den)
+        prod = [0] * (2 * n - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return Cyc(self.ell, _reduce(self.ell, prod))
+                    prod[i + j] += ai * bj
+        return _fold(ell, prod, self.den * other.den)
 
     def scale(self, q) -> "Cyc":
-        q = Fraction(q)
-        return Cyc(self.ell, tuple(q * a for a in self.coeffs))
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"exact scalars must be int or Fraction, not {type(q).__name__}")
+        p = q.numerator
+        return _normed(self.ell, [a * p for a in self.num], self.den * q.denominator)
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the other Galois conjugates over the norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(xi_l)")
-        # invariants: r0 = s0 * self (mod Phi), r1 = s1 * self (mod Phi)
-        r0, s0 = list(cyclotomic_poly(self.ell)), []
-        r1, s1 = _trim(list(self.coeffs)), [_F1]
-        while True:
-            if len(r1) == 1:
-                inv = r1[0] ** -1
-                padded = [c * inv for c in s1] + [_F0] * len(self.coeffs)
-                return Cyc(self.ell, _reduce(self.ell, padded[: 2 * len(self.coeffs)]))
-            q, r = _poly_divmod(r0, r1)
-            s = _poly_sub(s0, _poly_mul(q, s1))
-            r0, s0, r1, s1 = r1, s1, _trim(r), s
+        ell, num, den = self.ell, self.num, self.den
+        if len(num) == 1:
+            return _normed(ell, [den if num[0] > 0 else -den], abs(num[0]))
+        others = self.galois(ell - 1)
+        for t in range(2, ell - 1):
+            if gcd(t, ell) == 1:
+                others = others * self.galois(t)
+        norm = self * others
+        return others.scale(Fraction(norm.den, norm.num[0]))
 
     def __truediv__(self, other: "Cyc") -> "Cyc":
-        self._check(other)
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "Cyc":
@@ -205,13 +205,16 @@ class Cyc:
             n >>= 1
         return result
 
+    def _power_map(self, big_ell: int, t: int) -> "Cyc":
+        """The image in Q(xi_L) of the ring map xi_l -> xi_L^t."""
+        bins = [0] * big_ell
+        for a, c in enumerate(self.num):
+            bins[a * t % big_ell] += c
+        return _fold(big_ell, bins, self.den)
+
     def galois(self, t: int) -> "Cyc":
         """The field automorphism xi_l -> xi_l^t (requires gcd(t, l) = 1)."""
-        ell = self.ell
-        sums = [0] * ell
-        for a, c in enumerate(self.coeffs):
-            sums[a * t % ell] += c
-        return Cyc.from_exponent_sums(ell, sums)
+        return self._power_map(self.ell, t)
 
     def conjugate(self) -> "Cyc":
         """Complex conjugation, as the automorphism xi_l -> xi_l^(-1)."""
@@ -221,27 +224,23 @@ class Cyc:
         """Explicit embedding Q(xi_l) -> Q(xi_L) for l | L (power map p -> p*L/l)."""
         if big_ell % self.ell != 0:
             raise ValueError("embedding requires the source order to divide the target order")
-        step = big_ell // self.ell
-        sums = [0] * big_ell
-        for a, c in enumerate(self.coeffs):
-            sums[a * step] += c
-        return Cyc.from_exponent_sums(big_ell, sums)
+        return self._power_map(big_ell, big_ell // self.ell)
 
     # -- predicates & conversions -----------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def to_json(self) -> dict:
         return {
@@ -257,19 +256,16 @@ class Cyc:
         return (
             isinstance(other, Cyc)
             and self.ell == other.ell
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.ell, self.coeffs))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.ell, self.num, self.den))
 
     def __repr__(self) -> str:
         if self.is_rational():
-            return f"Cyc({self.ell}, {self.coeffs[0]})"
+            return f"Cyc({self.ell}, {self.rational_value()})"
         terms = []
         for a, c in enumerate(self.coeffs):
             if c:
@@ -277,47 +273,60 @@ class Cyc:
         return f"Cyc({self.ell}, {' + '.join(terms)})"
 
 
+_NEW = object.__new__
+_SET_ELL, _SET_NUM, _SET_DEN = (Cyc.__dict__[name].__set__ for name in Cyc.__slots__)
+
+
+def _make(ell: int, num: tuple[int, ...], den: int) -> Cyc:
+    """A Cyc from numerators and a denominator already in canonical form."""
+    c = _NEW(Cyc)
+    _SET_ELL(c, ell)
+    _SET_NUM(c, num)
+    _SET_DEN(c, den)
+    return c
+
+
+def _normed(ell: int, num: list[int], den: int) -> Cyc:
+    """A Cyc from integer numerators over a positive denominator, put in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return _make(ell, tuple(a // g for a in num), den // g)
+    return _make(ell, tuple(num), den)
+
+
+def _fold(ell: int, bins: list[int], den: int) -> Cyc:
+    """sum_e bins[e] * xi_l^e / den for len(bins) >= phi(l): the power table folds e >= phi."""
+    powers = _powers(ell)
+    n = len(powers[0])
+    acc = bins[:n] + [0] * (n - len(bins))
+    for e in range(n, len(bins)):
+        q = bins[e]
+        if q:
+            for i, t in enumerate(powers[e]):
+                acc[i] += q * t
+    return _normed(ell, acc, den)
+
+
+def _mismatch(a: Cyc, b: Cyc) -> ValueError:
+    return ValueError(f"cyclotomic orders differ ({a.ell} vs {b.ell}); embed explicitly first")
+
+
+@lru_cache(maxsize=None)
+def _constant(ell: int, q: int) -> Cyc:
+    return Cyc.rational(ell, q)
+
+
 @lru_cache(maxsize=None)
 def _root_cached(ell: int, power: int) -> Cyc:
-    poly = [_F0] * power + [_F1]
-    return Cyc(ell, _reduce(ell, poly))
+    return _make(ell, _powers(ell)[power], 1)
 
 
 def root_of_unity(ell: int, power: int) -> Cyc:
-    """xi_l^power as an exact element of Q(xi_l)."""
-    return Cyc.from_power(ell, power)
-
-
-def _reduce(ell: int, poly: list[Fraction]) -> tuple[Fraction, ...]:
-    phi = euler_phi(ell)
-    if len(poly) <= phi:
-        return tuple(poly) + (_F0,) * (phi - len(poly))
-    _, rem = _poly_divmod(poly, list(cyclotomic_poly(ell)))
-    return tuple(rem) + (_F0,) * (phi - len(rem))
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_F0] * (n - len(a))
-    b = b + [_F0] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+    """xi_l^power as an exact element of Q(xi_l).  Depends only on power mod l."""
+    if ell <= 0:
+        raise ValueError("cyclotomic order must be a positive integer")
+    return _root_cached(ell, power % ell)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +373,6 @@ class Mat:
     def __hash__(self):
         return hash((self.ell, self.rows))
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.rows[i][j]
-
     def __add__(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in addition")
@@ -383,18 +388,8 @@ class Mat:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in multiplication")
         z = Cyc.zero(self.ell)
-        bt = list(zip(*other.rows)) if other.rows else []
-        out = []
-        for r in self.rows:
-            row = []
-            for col in bt:
-                acc = z
-                for a, b in zip(r, col):
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return Mat(self.ell, out)
+        cols = list(zip(*other.rows)) if other.rows else []
+        return Mat(self.ell, [[_dot(z, r, col) for col in cols] for r in self.rows])
 
     def trace(self) -> Cyc:
         acc = Cyc.zero(self.ell)
@@ -407,8 +402,6 @@ class Mat:
         for r in self.rows:
             for s in other.rows:
                 out.append([a * b for a in r for b in s])
-        if not out:
-            return Mat(self.ell, [])
         return Mat(self.ell, out)
 
     def is_zero(self) -> bool:
@@ -429,14 +422,7 @@ class Mat:
 
     def apply(self, vec: list[Cyc]) -> list[Cyc]:
         z = Cyc.zero(self.ell)
-        out = []
-        for r in self.rows:
-            acc = z
-            for a, v in zip(r, vec):
-                if not (a.is_zero() or v.is_zero()):
-                    acc = acc + a * v
-            out.append(acc)
-        return out
+        return [_dot(z, r, vec) for r in self.rows]
 
     def commutes_with(self, other: "Mat") -> bool:
         return (self * other) == (other * self)
@@ -445,139 +431,147 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols} over Q(xi_{self.ell}))"
 
 
+def _dot(zero: Cyc, r, col) -> Cyc:
+    acc = zero
+    for a, b in zip(r, col):
+        if not (a.is_zero() or b.is_zero()):
+            acc = acc + a * b
+    return acc
+
+
+def _sparse(vec, n: int) -> dict[int, Cyc]:
+    """The nonzero entries of a length-n vector, as {column: value}."""
+    if len(vec) != n:
+        raise ValueError(f"vector of length {len(vec)} where {n} is expected")
+    return {j: c for j, c in enumerate(vec) if not c.is_zero()}
+
+
 class SpanBasis:
     """Incrementally row-reduced basis of a subspace of Q(xi_l)^n.
 
-    The workhorse for rank computations, span growth (algebra closure) and
-    membership tests.  Rows are kept with their pivot normalized to 1.
+    The one elimination engine, behind rank, span growth, membership,
+    LinSolver and rref.  Rows are sparse and in reduced row echelon form: a
+    row is stored without its pivot entry 1 and is 0 at every other pivot.
     """
 
     def __init__(self, ell: int, n: int):
         self.ell = ell
         self.n = n
-        self.pivots: list[int] = []
-        self.rows: list[list[Cyc]] = []
+        self._rows: dict[int, dict[int, Cyc]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
-    def reduce(self, vec: list[Cyc]) -> list[Cyc]:
-        v = list(vec)
-        for p, row in zip(self.pivots, self.rows):
-            c = v[p]
-            if not c.is_zero():
-                for j in range(p, self.n):
-                    if not row[j].is_zero():
-                        v[j] = v[j] - c * row[j]
+    @property
+    def rows(self) -> list[list[Cyc]]:
+        """The basis rows as dense vectors, in pivot order."""
+        zero, one = Cyc.zero(self.ell), Cyc.one(self.ell)
+        out = []
+        for p in sorted(self._rows):
+            vec = [zero] * self.n
+            vec[p] = one
+            for j, c in self._rows[p].items():
+                vec[j] = c
+            out.append(vec)
+        return out
+
+    def _reduce(self, v: dict[int, Cyc]) -> dict[int, Cyc]:
+        """Subtract from v (in place) its component along every pivot it touches."""
+        rows = self._rows
+        for p in v.keys() & rows.keys():
+            _sub_multiple(v, v.pop(p), rows[p])
         return v
 
+    def _insert(self, v: dict[int, Cyc], width: int) -> bool:
+        """Reduce v and keep it if it has a nonzero entry before column `width`."""
+        self._reduce(v)
+        p = min(v, default=width)
+        if p >= width:
+            return False
+        inv = v.pop(p).inverse()
+        if not inv.is_one():
+            v = {j: c * inv for j, c in v.items()}
+        for row in self._rows.values():
+            c = row.pop(p, None)
+            if c is not None:
+                _sub_multiple(row, c, v)
+        self._rows[p] = v
+        return True
+
     def contains(self, vec: list[Cyc]) -> bool:
-        return all(c.is_zero() for c in self.reduce(vec))
+        return not self._reduce(_sparse(vec, self.n))
 
     def add(self, vec: list[Cyc]) -> bool:
         """Insert vec; return True iff it enlarged the span."""
-        v = self.reduce(vec)
-        for p in range(self.n):
-            if not v[p].is_zero():
-                inv = v[p].inverse()
-                v = [c * inv for c in v]
-                idx = 0
-                while idx < len(self.pivots) and self.pivots[idx] < p:
-                    idx += 1
-                self.pivots.insert(idx, p)
-                self.rows.insert(idx, v)
-                return True
-        return False
+        return self._insert(_sparse(vec, self.n), self.n)
 
-    def equals(self, other: "SpanBasis") -> bool:
-        if self.rank != other.rank:
-            return False
-        return all(other.contains(r) for r in self.rows)
+
+def _sub_multiple(v: dict[int, Cyc], c: Cyc, row: dict[int, Cyc]) -> None:
+    """v -= c * row in place, dropping entries that cancel."""
+    m = -c
+    for j, x in row.items():
+        y = v.get(j)
+        y = m * x if y is None else y + m * x
+        if y.is_zero():
+            del v[j]
+        else:
+            v[j] = y
 
 
 class LinSolver:
     """Express vectors exactly in a fixed spanning list of vectors.
 
     Built once from `basis` (rows); :meth:`express` returns coordinates of a
-    vector in that list, or None if the vector lies outside the span.
+    vector in that list, or None if the vector lies outside the span.  Each
+    vector that enlarges the span of those before it is kept; the others get
+    coordinate 0.  Columns n.. of an engine row record the combination of
+    basis vectors that the row equals.
     """
 
     def __init__(self, ell: int, basis: list[list[Cyc]]):
         self.ell = ell
         self.m = len(basis)
         self.n = len(basis[0]) if basis else 0
-        self.entries: list[tuple[int, list[Cyc], list[Cyc]]] = []
-        zero = Cyc.zero(ell)
+        self._span = SpanBasis(ell, self.n + self.m)
+        one = Cyc.one(ell)
         for i, vec in enumerate(basis):
-            coeff = [zero] * self.m
-            coeff[i] = Cyc.one(ell)
-            v, coeff = self._reduce(list(vec), coeff)
-            for p in range(self.n):
-                if not v[p].is_zero():
-                    inv = v[p].inverse()
-                    v = [c * inv for c in v]
-                    coeff = [c * inv for c in coeff]
-                    self.entries.append((p, v, coeff))
-                    break
-        self.entries.sort(key=lambda e: e[0])
-
-    def _reduce(self, v: list[Cyc], coeff: list[Cyc]):
-        for p, row, cf in self.entries:
-            c = v[p]
-            if not c.is_zero():
-                for j in range(self.n):
-                    if not row[j].is_zero():
-                        v[j] = v[j] - c * row[j]
-                for j in range(self.m):
-                    if not cf[j].is_zero():
-                        coeff[j] = coeff[j] - c * cf[j]
-        return v, coeff
+            v = _sparse(vec, self.n)
+            v[self.n + i] = one
+            self._span._insert(v, self.n)
 
     @property
     def rank(self) -> int:
-        return len(self.entries)
+        return self._span.rank
 
     def express(self, vec: list[Cyc]):
-        zero = Cyc.zero(self.ell)
-        v, coeff = self._reduce(list(vec), [zero] * self.m)
-        if any(not c.is_zero() for c in v):
+        n = self.n
+        v = self._span._reduce(_sparse(vec, n))
+        if min(v, default=n) < n:
             return None
-        return [-c for c in coeff]
+        coords = [Cyc.zero(self.ell)] * self.m
+        for j, c in v.items():
+            coords[j - n] = -c
+        return coords
 
 
 def rref(ell: int, rows: list[list[Cyc]]) -> tuple[list[list[Cyc]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
+    sb = SpanBasis(ell, ncols)
+    for r in rows:
+        sb._insert(_sparse(r, ncols), ncols)
+    return sb.rows, sorted(sb._rows)
 
 
 def kernel_basis(ell: int, rows: list[list[Cyc]], ncols: int) -> list[list[Cyc]]:
     """Exact basis of the right null space {x : A x = 0}."""
+    if rows and len(rows[0]) != ncols:
+        raise ValueError(f"rows of length {len(rows[0])} where {ncols} is expected")
     red, pivots = rref(ell, rows)
     zero, one = Cyc.zero(ell), Cyc.one(ell)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         vec = [zero] * ncols
         vec[fc] = one
         for r, pc in enumerate(pivots):
@@ -588,13 +582,13 @@ def kernel_basis(ell: int, rows: list[list[Cyc]], ncols: int) -> list[list[Cyc]]
 
 def solve_system(ell: int, rows: list[list[Cyc]], rhs: list[Cyc]):
     """One solution of A x = rhs, or None when the system is inconsistent."""
-    aug = [r + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(ell, aug)
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} equations")
+    red, pivots = rref(ell, [list(r) + [b] for r, b in zip(rows, rhs)])
     ncols = len(rows[0]) if rows else 0
     if ncols in pivots:
         return None
-    zero = Cyc.zero(ell)
-    x = [zero] * ncols
+    x = [Cyc.zero(ell)] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x

@@ -206,7 +206,7 @@ def _intertwiners(T: TensorSpace, gens: list[dict], f, g) -> list[Mat]:
                 rows.append(row)
     from .cyclo import kernel_basis
 
-    basis = kernel_basis(ell, rows, nunk) if rows else []
+    basis = kernel_basis(ell, rows, nunk)
     out = []
     for vec in basis:
         out.append(Mat(ell, [[vec[r * nf + c] for c in range(nf)] for r in range(ng)]))
@@ -313,7 +313,7 @@ def verify_double_centralizer(T: TensorSpace) -> dict:
                             if not w.is_zero():
                                 row[offsets[g] + r * ng + t] = row[offsets[g] + r * ng + t] - w
                         rows.append(row)
-    comm_A = kernel_basis(T.ell, rows, nunk) if rows else []
+    comm_A = kernel_basis(T.ell, rows, nunk)
     algebra = glk_generated_algebra(T)
     sb_alg = SpanBasis(T.ell, nunk)
     for x in algebra:
@@ -531,7 +531,7 @@ def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TEN
     from .cyclo import kernel_basis as _kb
 
     coeff_rows = list(map(list, zip(*rows))) if rows else []
-    coeffs = _kb(ell, coeff_rows, len(cgl)) if coeff_rows else []
+    coeffs = _kb(ell, coeff_rows, len(cgl))
     sb_comm = SpanBasis(ell, nsq)
     for cvec in coeffs:
         acc = Mat.zeros(ell, len(T.basis), len(T.basis))

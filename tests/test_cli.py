@@ -75,6 +75,15 @@ def test_shift_duality_flag():
     assert code == 0
 
 
+def test_shift_duality_reports_only_the_parameters_it_uses():
+    # the tensor space is built from (m,) * ell, so no kvec is reported
+    code, out = run_cli(
+        ["schur-weyl", "--shift-duality", "--ell", "2", "--kk", "2", "--m", "1", "--d", "0", "--out", "json"]
+    )
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"ell": 2, "d": 0, "kk": 2, "m": 1}
+
+
 def test_usage_error_exit_code():
     code, _ = run_cli(["not-a-command"])
     assert code == 2

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,8 @@ from groupoidreps.cyclo import (
     euler_phi,
     kernel_basis,
     root_of_unity,
+    rref,
+    solve_system,
 )
 
 
@@ -179,3 +182,208 @@ def test_span_basis_and_solver():
         acc = [a + c * v for a, v in zip(acc, vec)]
     assert acc == [Cyc.rational(2, 3), Cyc.rational(2, 2)]
     assert solver.express([Cyc.zero(2), Cyc.zero(2)]) == [Cyc.zero(2), Cyc.zero(2)]
+
+
+# ---------------------------------------------------------------------------
+# The integer-backed core against a Fraction reference, and the echelon engine
+# against a dense Gauss-Jordan reference
+# ---------------------------------------------------------------------------
+
+REFERENCE_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+
+def ref_reduce(ell, poly):
+    """Remainder of a Fraction polynomial (low to high) by long division by Phi_l."""
+    phi_poly = [Fraction(c) for c in cyclotomic_poly(ell)]
+    n = len(phi_poly) - 1
+    rem = [Fraction(c) for c in poly] + [Fraction(0)] * max(0, n - len(poly))
+    for i in range(len(rem) - 1, n - 1, -1):
+        c = rem[i] / phi_poly[-1]
+        for j, p in enumerate(phi_poly):
+            rem[i - n + j] -= c * p
+    return tuple(rem[:n])
+
+
+def ref_mul(ell, a, b):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return ref_reduce(ell, prod)
+
+
+def dense_rref(rows, is_zero, inv):
+    """Textbook Gauss-Jordan on dense rows over any exact field."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if not is_zero(rows[i][c])), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        f = inv(rows[r][c])
+        rows[r] = [f * v for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not is_zero(rows[i][c]):
+                g = rows[i][c]
+                rows[i] = [x - g * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def ref_inverse(ell, a):
+    """Solve (multiplication by a) y = 1 over Q with the dense reference."""
+    n = len(a)
+    unit = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
+    cols = [ref_mul(ell, a, e) for e in unit]
+    aug = [[cols[j][i] for j in range(n)] + [Fraction(int(i == 0))] for i in range(n)]
+    red, pivots = dense_rref(aug, lambda x: x == 0, lambda x: 1 / x)
+    assert pivots == list(range(n))
+    return tuple(row[n] for row in red)
+
+
+def test_integer_core_agrees_with_fraction_reference():
+    for ell in REFERENCE_ORDERS:
+        rng = random.Random(1000 + ell)
+        for _ in range(150):
+            a, b = rand_cyc(rng, ell), rand_cyc(rng, ell)
+            assert (a * b).coeffs == ref_mul(ell, a.coeffs, b.coeffs)
+            assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+            assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+            assert (-a).coeffs == tuple(-x for x in a.coeffs)
+            if not a.is_zero():
+                assert a.inverse().coeffs == ref_inverse(ell, a.coeffs)
+            sums = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(ell)]
+            expected = ref_reduce(ell, sums)
+            assert Cyc.from_exponent_sums(ell, sums).coeffs == expected
+
+
+def test_canonical_form():
+    for ell in REFERENCE_ORDERS:
+        rng = random.Random(2000 + ell)
+        for _ in range(100):
+            a, b, c = (rand_cyc(rng, ell) for _ in range(3))
+            x, y = (a + b) * c, a * c + c * b
+            assert (x.num, x.den, hash(x)) == (y.num, y.den, hash(y))
+            assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+            assert all(isinstance(v, int) for v in x.num)
+            z = x - y
+            assert z.is_zero() and z.num == (0,) * euler_phi(ell) and z.den == 1
+        assert Cyc(ell, [Fraction(2, 4)] * euler_phi(ell)) == Cyc(ell, [Fraction(1, 2)] * euler_phi(ell))
+
+
+def test_constructors_accept_only_exact_rationals():
+    with pytest.raises(TypeError):
+        Cyc(3, [0.5, 1])
+    with pytest.raises(TypeError):
+        Cyc.rational(2, 0.1)
+    with pytest.raises(TypeError):
+        Cyc.one(3).scale(0.3)
+    with pytest.raises(TypeError):
+        Cyc.from_exponent_sums(2, [0.5, 0])
+    with pytest.raises(TypeError):
+        Cyc(1, ["1/2"])
+    x = Cyc(3, [Fraction(1, 2), 1])
+    assert x.coeffs == (Fraction(1, 2), Fraction(1))
+    assert x.to_json() == {"order": 3, "coeffs": ["1/2", "1/1"]}
+    assert Cyc.from_json({"order": 3, "coeffs": ["1/2", "1"]}) == x
+    assert Cyc.rational(2, Fraction(1, 10)).scale(3).rational_value() == Fraction(3, 10)
+
+
+def rand_sparse_rows(rng, ell, nrows, ncols):
+    zero = Cyc.zero(ell)
+
+    def entry():
+        if rng.random() < 0.6:
+            return zero
+        return root_of_unity(ell, rng.randrange(ell)).scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def test_rref_matches_dense_gauss_jordan():
+    for ell in (1, 3, 4):
+        rng = random.Random(3000 + ell)
+        for _ in range(60):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+            rows = rand_sparse_rows(rng, ell, nrows, ncols)
+            if rng.random() < 0.3:  # a dependent row
+                rows.append([a + b for a, b in zip(rows[0], rows[-1])])
+            expected = dense_rref(rows, Cyc.is_zero, Cyc.inverse)
+            assert rref(ell, rows) == expected
+            kb = kernel_basis(ell, rows, ncols)
+            assert len(kb) == ncols - len(expected[1])
+            assert all(c.is_zero() for vec in kb for c in Mat(ell, rows).apply(vec))
+            assert Mat(ell, rows).rank() == len(expected[1])
+
+
+def test_kernel_of_an_empty_system_is_the_whole_space():
+    kb = kernel_basis(3, [], 2)
+    assert kb == [[Cyc.one(3), Cyc.zero(3)], [Cyc.zero(3), Cyc.one(3)]]
+
+
+def test_solve_and_express_round_trip():
+    for ell in (1, 3, 4):
+        rng = random.Random(4000 + ell)
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            rows = rand_sparse_rows(rng, ell, nrows, ncols)
+            m = Mat(ell, rows)
+            x0 = [rand_cyc(rng, ell) for _ in range(ncols)]
+            rhs = m.apply(x0)
+            x = solve_system(ell, rows, rhs)
+            assert x is not None and m.apply(x) == rhs
+            # the rows as a spanning list: express round-trips inside the span
+            solver = LinSolver(ell, rows)
+            coeffs = [rand_cyc(rng, ell) for _ in range(nrows)]
+            vec = [Cyc.zero(ell)] * ncols
+            for c, row in zip(coeffs, rows):
+                vec = [a + c * b for a, b in zip(vec, row)]
+            coords = solver.express(vec)
+            back = [Cyc.zero(ell)] * ncols
+            for c, row in zip(coords, rows):
+                back = [a + c * b for a, b in zip(back, row)]
+            assert back == vec
+            # a vector outside the span is refused, and an inconsistent system too
+            sb = SpanBasis(ell, ncols)
+            for row in rows:
+                sb.add(row)
+            columns = [list(c) for c in zip(*rows)]
+            for j in range(ncols):
+                unit = [Cyc.one(ell) if i == j else Cyc.zero(ell) for i in range(ncols)]
+                outside = not sb.contains(unit)
+                assert (solver.express(unit) is None) == outside
+                assert (solve_system(ell, columns, unit) is None) == outside
+
+
+def test_express_keeps_the_in_order_choice():
+    one, zero, two = Cyc.one(3), Cyc.zero(3), Cyc.rational(3, 2)
+    xi = root_of_unity(3, 1)
+    u, w = [one, xi, zero], [zero, one, one]
+    solver = LinSolver(3, [[zero, zero, zero], u, [two * c for c in u], w, [a + b for a, b in zip(u, w)]])
+    assert solver.rank == 2
+    assert solver.express([two * c for c in u]) == [zero, two, zero, zero, zero]
+    assert solver.express([a + b for a, b in zip(u, w)]) == [zero, one, zero, one, zero]
+    assert solver.express([one, zero, zero]) is None
+
+
+def test_engine_rejects_vectors_of_the_wrong_length():
+    one = Cyc.one(1)
+    with pytest.raises(ValueError):
+        SpanBasis(1, 3).add([one, one])
+    with pytest.raises(ValueError):
+        SpanBasis(1, 2).add([one, one, one])
+    with pytest.raises(ValueError):
+        SpanBasis(1, 2).contains([one])
+    with pytest.raises(ValueError):
+        LinSolver(1, [[one, one], [one]])
+    with pytest.raises(ValueError):
+        LinSolver(1, [[one, one]]).express([one])
+    with pytest.raises(ValueError):
+        rref(1, [[one, one], [one]])
+    with pytest.raises(ValueError):
+        kernel_basis(1, [[one, one]], 3)
+    with pytest.raises(ValueError):
+        solve_system(1, [[one]], [one, one])
