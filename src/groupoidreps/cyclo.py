@@ -86,7 +86,7 @@ def _rationals(values) -> tuple[list[int], int]:
     """Integer numerators over the least common denominator of int/Fraction values."""
     for q in values:
         if not isinstance(q, (int, Fraction)):
-            raise TypeError(f"exact coefficients must be int or Fraction, not {type(q).__name__}")
+            raise TypeError(f"exact rationals must be int or Fraction, not {type(q).__name__}")
     den = lcm(*(q.denominator for q in values))
     return [q.numerator * (den // q.denominator) for q in values], den
 
@@ -102,10 +102,9 @@ class Cyc:
     __slots__ = ("ell", "num", "den")
 
     def __init__(self, ell: int, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != euler_phi(ell):
+        num, den = _rationals(tuple(coeffs))
+        if len(num) != euler_phi(ell):
             raise ValueError("coefficient vector must have length phi(ell)")
-        num, den = _rationals(coeffs)
         _SET_ELL(self, ell)
         _SET_NUM(self, tuple(num))
         _SET_DEN(self, den)
@@ -121,12 +120,14 @@ class Cyc:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def zero(ell: int) -> "Cyc":
-        return _constant(ell, 0)
+        return Cyc.rational(ell, 0)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def one(ell: int) -> "Cyc":
-        return _constant(ell, 1)
+        return Cyc.rational(ell, 1)
 
     @staticmethod
     def rational(ell: int, q) -> "Cyc":
@@ -171,10 +172,8 @@ class Cyc:
         return _fold(ell, prod, self.den * other.den)
 
     def scale(self, q) -> "Cyc":
-        if not isinstance(q, (int, Fraction)):
-            raise TypeError(f"exact scalars must be int or Fraction, not {type(q).__name__}")
-        p = q.numerator
-        return _normed(self.ell, [a * p for a in self.num], self.den * q.denominator)
+        (p,), r = _rationals((q,))
+        return _normed(self.ell, [a * p for a in self.num], self.den * r)
 
     def inverse(self) -> "Cyc":
         """Multiplicative inverse: the other Galois conjugates over the norm."""
@@ -313,11 +312,6 @@ def _mismatch(a: Cyc, b: Cyc) -> ValueError:
 
 
 @lru_cache(maxsize=None)
-def _constant(ell: int, q: int) -> Cyc:
-    return Cyc.rational(ell, q)
-
-
-@lru_cache(maxsize=None)
 def _root_cached(ell: int, power: int) -> Cyc:
     return _make(ell, _powers(ell)[power], 1)
 
@@ -388,8 +382,9 @@ class Mat:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in multiplication")
         z = Cyc.zero(self.ell)
-        cols = list(zip(*other.rows)) if other.rows else []
-        return Mat(self.ell, [[_dot(z, r, col) for col in cols] for r in self.rows])
+        cols = [_nonzero(col) for col in zip(*other.rows)]
+        rows = [_nonzero(r).items() for r in self.rows]
+        return Mat(self.ell, [[_dot(z, r, col) for col in cols] for r in rows])
 
     def trace(self) -> Cyc:
         acc = Cyc.zero(self.ell)
@@ -422,7 +417,8 @@ class Mat:
 
     def apply(self, vec: list[Cyc]) -> list[Cyc]:
         z = Cyc.zero(self.ell)
-        return [_dot(z, r, vec) for r in self.rows]
+        v = _nonzero(vec)
+        return [_dot(z, _nonzero(r).items(), v) for r in self.rows]
 
     def commutes_with(self, other: "Mat") -> bool:
         return (self * other) == (other * self)
@@ -431,19 +427,26 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols} over Q(xi_{self.ell}))"
 
 
-def _dot(zero: Cyc, r, col) -> Cyc:
+def _dot(zero: Cyc, items, col: dict[int, Cyc]) -> Cyc:
+    """sum_k a * col[k] over the (k, a) in items."""
     acc = zero
-    for a, b in zip(r, col):
-        if not (a.is_zero() or b.is_zero()):
+    for k, a in items:
+        b = col.get(k)
+        if b is not None:
             acc = acc + a * b
     return acc
 
 
+def _nonzero(vec) -> dict[int, Cyc]:
+    """The nonzero entries of a vector, as {column: value}."""
+    return {j: c for j, c in enumerate(vec) if any(c.num)}
+
+
 def _sparse(vec, n: int) -> dict[int, Cyc]:
-    """The nonzero entries of a length-n vector, as {column: value}."""
+    """The nonzero entries of a vector that must have length n."""
     if len(vec) != n:
         raise ValueError(f"vector of length {len(vec)} where {n} is expected")
-    return {j: c for j, c in enumerate(vec) if not c.is_zero()}
+    return _nonzero(vec)
 
 
 class SpanBasis:
@@ -513,7 +516,7 @@ def _sub_multiple(v: dict[int, Cyc], c: Cyc, row: dict[int, Cyc]) -> None:
     for j, x in row.items():
         y = v.get(j)
         y = m * x if y is None else y + m * x
-        if y.is_zero():
+        if not any(y.num):
             del v[j]
         else:
             v[j] = y
