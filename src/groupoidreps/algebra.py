@@ -172,7 +172,7 @@ def phi_on_generators(x: WreathElem) -> AlgElem:
     from .perms import perm_to_word
 
     out = AlgElem.unit(ell, d)
-    #左 factor: diagonal D(c') with c'_j = colors[perm^{-1}(j)]
+    # left factor: diagonal D(c') with c'_j = colors[perm^{-1}(j)]
     inv = invert_perm(x.perm)
     for j in range(1, d + 1):
         e_j = x.colors[inv[j - 1] - 1]

@@ -112,6 +112,10 @@ class Cyc:
     def __setattr__(self, name, value):
         raise AttributeError("Cyc values are immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through _make, since __setattr__ blocks the slot restore
+        return _make, (self.ell, self.num, self.den)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The power-basis coordinates as Fractions."""

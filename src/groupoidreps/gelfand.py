@@ -21,9 +21,9 @@ from .perms import compose_perms
 from .simples import (
     ClassFunction,
     all_simples,
+    character_table,
     conjugacy_classes,
     inner_product,
-    simple_class_function,
 )
 from .wreath import WreathElem
 
@@ -123,14 +123,13 @@ def verify_gelfand(ell: int, d: int) -> dict:
         }
     )
 
-    # Each simple character is tabulated once: it feeds its multiplicity and
-    # a running per-class sum, which must equal the model's character.
+    # Each simple character feeds its multiplicity and a running per-class
+    # sum, which must equal the model's character.
     chi_model = model.class_function()
     chi_sum = {rep: Cyc.zero(ell) for rep, _size in conjugacy_classes(ell, d)}
     mult_table = []
     all_one = True
-    for m in simples:
-        chi = simple_class_function(m)
+    for m, chi in zip(simples, character_table(ell, d)):
         val = inner_product(ell, d, chi_model, chi)
         ok = val.is_rational() and val.rational_value() == 1
         all_one = all_one and ok

@@ -22,7 +22,7 @@ the scalar action xi_l^{(l/r) t m} on S_p itself.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial
 from typing import NamedTuple
@@ -635,7 +635,15 @@ class QuotientSimpleModule:
 
     def char_group(self, x: WreathElem) -> Cyc:
         """Character at x in G(l,k,d), via Psi^(-1) Phi."""
-        coords = self.Q.phi_to_quotient(x)
+        return self._trace_of(self.Q.phi_to_quotient(x))
+
+    @cached_property
+    def class_character(self) -> tuple[Cyc, ...]:
+        """The character on gkd_conjugacy_classes, in their order, computed once."""
+        return tuple(self._trace_of(coords) for coords in _class_coordinates(self.ell, self.k, self.d))
+
+    def _trace_of(self, coords: dict[QMorphism, Cyc]) -> Cyc:
+        """Trace of the quotient algebra element with these coordinates."""
         acc = Cyc.zero(self.ell)
         for q, coeff in coords.items():
             o1, o2 = self.Q.source_orbit(q), self.Q.target_orbit(q)
@@ -685,11 +693,19 @@ def gkd_conjugacy_classes(ell: int, k: int, d: int) -> tuple[tuple[WreathElem, i
     return conjugacy_classes_of(gkd_elements(ell, k, d), gkd_generators(ell, k, d) if d else [])
 
 
-def _gkd_inner_product(ell: int, k: int, d: int, alpha: dict, beta: dict) -> Cyc:
+@lru_cache(maxsize=None)
+def _class_coordinates(ell: int, k: int, d: int) -> tuple[dict[QMorphism, Cyc], ...]:
+    """Phi of each class representative of G(l,k,d), in the quotient basis."""
+    Q = quotient_groupoid(ell, k, d)
+    return tuple(Q.phi_to_quotient(rep) for rep, _size in gkd_conjugacy_classes(ell, k, d))
+
+
+def _gkd_inner_product(ell: int, k: int, d: int, alpha, beta_conj) -> Cyc:
+    """(1/|G|) sum_x alpha(x) beta_conj(x), both given per class, beta already conjugated."""
     order = ell**d * factorial(d) // k if d >= 1 else 1
     acc = Cyc.zero(ell)
-    for rep, size in gkd_conjugacy_classes(ell, k, d):
-        acc = acc + (alpha[rep] * beta[rep].conjugate()).scale(size)
+    for (_rep, size), a, b in zip(gkd_conjugacy_classes(ell, k, d), alpha, beta_conj):
+        acc = acc + (a * b).scale(size)
     return acc.scale(Fraction(1, order))
 
 
@@ -770,10 +786,7 @@ def quotient_simples_check(ell: int, k: int, d: int) -> dict:
         }
     )
 
-    reps = gkd_conjugacy_classes(ell, k, d)
-    char_vectors = []
-    for m in mods:
-        char_vectors.append(tuple((m.char_group(rep).coeffs for rep, _ in reps)))
+    char_vectors = [tuple(v.coeffs for v in m.class_character) for m in mods]
     distinct = len(set(char_vectors)) == len(mods)
     checks.append(
         {"name": "characters pairwise distinct", "status": "pass" if distinct else "fail"}
@@ -795,12 +808,10 @@ def restriction_check(ell: int, k: int, d: int) -> dict:
     labels = quotient_labels(ell, k, d)
     mods = {(_l, p, m): build_quotient_simple(ell, k, d, p, m) for (_l, p, m) in labels}
     reps = gkd_conjugacy_classes(ell, k, d)
-    lpm_chars = {
-        key: {rep: mod.char_group(rep) for rep, _ in reps} for key, mod in mods.items()
-    }
+    lpm_conj = {key: [v.conjugate() for v in mod.class_character] for key, mod in mods.items()}
     checks = []
     for simple in all_simples(ell, d):
-        chi_res = {rep: simple.char_wreath(rep) for rep, _ in reps}
+        chi_res = [simple.char_wreath(rep) for rep, _ in reps]
         # expected labels: transport the shape into Gamma, then take the orbit rep of p
         lam = simple.lam
         lam_star = min(theta_type(lam, t * Q.shift) for t in range(k))
@@ -820,7 +831,7 @@ def restriction_check(ell: int, k: int, d: int) -> dict:
         expected = {(lam_star, p_star, m) for m in range(1, s + 1)}
         got = {}
         for key in mods:
-            val = _gkd_inner_product(ell, k, d, chi_res, lpm_chars[key])
+            val = _gkd_inner_product(ell, k, d, chi_res, lpm_conj[key])
             if not val.is_rational() or val.rational_value().denominator != 1:
                 raise ValueError("non-integer multiplicity in restriction")
             mult = int(val.rational_value())
@@ -967,7 +978,7 @@ def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, reps_classes) -> tu
     expected_chars = {}
     for m in range(1, s + 1):
         mod = build_quotient_simple(ell, k, d, p, m)
-        expected_chars[m] = tuple(mod.char_group(rep).coeffs for rep, _ in reps_classes)
+        expected_chars[m] = tuple(v.coeffs for v in mod.class_character)
     hits = {m: 0 for m in expected_chars}
     dims = []
     for m in range(1, k + 1):

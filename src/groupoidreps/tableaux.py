@@ -275,6 +275,14 @@ class OuterRep:
             pos += li
         self._cache: dict[tuple[int, ...], Mat] = {}
 
+    def _local_perms(self, w: tuple[int, ...]):
+        """(Specht factor, the restriction of w to its block) for each block."""
+        for comp, start, size in zip(self.components, self.block_start, self.lam):
+            local = tuple(w[start + i] - start for i in range(size))
+            if any(not (1 <= x <= size) for x in local):
+                raise ValueError("permutation does not preserve the blocks")
+            yield comp, local
+
     def matrix_of_blockperm(self, w: tuple[int, ...]) -> Mat:
         """Matrix of a permutation of {1..d} preserving each block."""
         w = tuple(w)
@@ -282,10 +290,7 @@ class OuterRep:
         if cached is not None:
             return cached
         m = None
-        for comp, start, size in zip(self.components, self.block_start, self.lam):
-            local = tuple(w[start + i] - start for i in range(size))
-            if any(not (1 <= x <= size) for x in local):
-                raise ValueError("permutation does not preserve the blocks")
+        for comp, local in self._local_perms(w):
             factor = comp.matrix_of_perm(local)
             m = factor if m is None else m.kron(factor)
         if m is None:
@@ -293,8 +298,15 @@ class OuterRep:
         self._cache[w] = m
         return m
 
-    def trace_of_blockperm(self, w: tuple[int, ...]) -> Cyc:
-        return self.matrix_of_blockperm(w).trace()
+    def trace_of_blockperm(self, w: tuple[int, ...]) -> int:
+        """tr(A (x) B) = tr A * tr B, an integer: Young's natural representation is integral."""
+        t = 1
+        for comp, local in self._local_perms(w):
+            tr = comp.matrix_of_perm(local).trace().rational_value()
+            if tr.denominator != 1:
+                raise ArithmeticError(f"Specht matrix of {local} has the non-integral trace {tr}")
+            t *= tr.numerator
+        return t
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,8 @@
+import copy
 import math
+import multiprocessing
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -387,3 +391,15 @@ def test_engine_rejects_vectors_of_the_wrong_length():
         kernel_basis(1, [[one, one]], 3)
     with pytest.raises(ValueError):
         solve_system(1, [[one]], [one, one])
+
+
+def test_values_survive_pickle_deepcopy_and_a_process_pool():
+    values = [Cyc.one(3), Cyc.zero(1), root_of_unity(4, 3).scale(Fraction(-5, 6)), rand_cyc(random.Random(5), 5)]
+    mats = [Mat(3, [[Cyc.rational(3, Fraction(1, 2)), root_of_unity(3, 1)], [Cyc.zero(3), Cyc.one(3)]])]
+    for v in values + mats:
+        for back in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+            assert back == v and type(back) is type(v)
+    pairs = [(v, v) for v in values] + [(m, m) for m in mats]
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        products = pool.starmap_async(operator.mul, pairs).get(timeout=120)
+    assert products == [a * b for a, b in pairs]

@@ -18,6 +18,7 @@ from groupoidreps.gkd import (
     theta_type,
 )
 from groupoidreps.groupoid import canonical_morphism, identity_morphism, type_of
+from groupoidreps.wreath import wreath_identity
 
 GRID = [
     (2, 2, 1),
@@ -135,6 +136,39 @@ def test_restriction():
     for ell, k, d in GRID:
         rep = restriction_check(ell, k, d)
         assert rep["ok"], (ell, k, d, rep)
+
+
+def test_class_characters_match_a_fresh_computation():
+    # the shared per-class tables equal sum coeff * tr(action_block(q)) over
+    # the quotient coordinates of Phi(x), recomputed for every class representative
+    for ell, k, d in [(2, 2, 2), (3, 3, 2), (4, 2, 2)]:
+        Q = quotient_groupoid(ell, k, d)
+        for _lam, p, m in quotient_labels(ell, k, d):
+            mod = build_quotient_simple(ell, k, d, p, m)
+            fresh = []
+            for rep, _size in gkd_conjugacy_classes(ell, k, d):
+                acc = Cyc.zero(ell)
+                for q, coeff in Q.phi_to_quotient(rep).items():
+                    if Q.source_orbit(q) == Q.target_orbit(q) and Q.source_orbit(q) in mod.block_index:
+                        acc = acc + coeff * mod.action_block(q).trace()
+                fresh.append(acc)
+                assert mod.char_group(rep) == acc
+            assert mod.class_character == tuple(fresh), (ell, k, d, p, m)
+
+
+def test_restriction_check_reads_the_shared_table(monkeypatch):
+    ell, k, d = 2, 2, 2
+    _lam, p, m = quotient_labels(ell, k, d)[0]
+    mod = build_quotient_simple(ell, k, d, p, m)
+    table = list(mod.class_character)
+    # adding |G(2,2,2)| = 4 at the identity class shifts an integer multiplicity by dim L_p
+    reps = [rep for rep, _size in gkd_conjugacy_classes(ell, k, d)]
+    identity_class = reps.index(wreath_identity(ell, d))
+    table[identity_class] = table[identity_class] + Cyc.rational(ell, 4)
+    monkeypatch.setattr(mod, "class_character", tuple(table))
+    rep = restriction_check(ell, k, d)
+    assert not rep["ok"]
+    assert [c["status"] for c in rep["checks"]].count("fail") >= 1
 
 
 def test_rotation_eigenspaces():

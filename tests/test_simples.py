@@ -3,11 +3,14 @@ from math import factorial
 
 from groupoidreps.algebra import phi
 from groupoidreps.cyclo import Cyc, Mat
+from groupoidreps.gelfand import build_gelfand
 from groupoidreps.groupoid import canonical_morphism, compose, hom, identity_morphism, objects, type_of
 from groupoidreps.simples import (
+    ClassFunction,
     all_simples,
     branching_report,
     build_simple,
+    character_table,
     conjugacy_classes,
     removable_node_restrictions,
     restriction_multiplicities,
@@ -89,14 +92,37 @@ def test_characters_examples():
 
 
 def test_characters_constant_on_classes():
-    rnd = random.Random(2)
-    group = enum_group(2, 3)
-    for mod in all_simples(2, 3):
-        for _ in range(20):
-            x = rnd.choice(group)
-            g = rnd.choice(group)
-            conj = wreath_mul(wreath_mul(g, x), wreath_inv(g))
-            assert mod.char_wreath(x) == mod.char_wreath(conj)
+    # chi(s x s^-1) = chi(x) for every x and every generator s; the generators
+    # generate the group, so each character is constant on every class.
+    cases = [(mod.char_wreath, ell, d) for ell, d in [(2, 2), (2, 3), (3, 2)] for mod in all_simples(ell, d)]
+    cases += [(build_gelfand(ell, d).char_wreath, ell, d) for ell, d in [(2, 3), (3, 2)]]
+    for chi, ell, d in cases:
+        gens = generators(ell, d)
+        for x in enum_group(ell, d):
+            value = chi(x)
+            for s in gens:
+                assert chi(wreath_mul(wreath_mul(s, x), wreath_inv(s))) == value, (chi, x, s)
+
+
+def test_from_callable_evaluates_once_per_class_representative():
+    for ell, d in [(1, 3), (2, 2), (3, 2), (2, 3)]:
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return Cyc.rational(ell, len(calls))
+
+        cf = ClassFunction.from_callable(ell, d, fn)
+        reps = [rep for rep, _size in conjugacy_classes(ell, d)]
+        assert calls == reps
+        assert cf.values == {rep: Cyc.rational(ell, i + 1) for i, rep in enumerate(reps)}
+
+
+def test_character_table_follows_all_simples_order():
+    for ell, d in [(2, 2), (3, 2)]:
+        table = character_table(ell, d)
+        assert character_table(ell, d) is table
+        assert [cf.values for cf in table] == [simple_class_function(m).values for m in all_simples(ell, d)]
 
 
 def test_trivial_character():

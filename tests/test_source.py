@@ -27,3 +27,16 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"groupoidreps.{path.stem}")
         stale += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not stale
+
+
+def test_character_modules_do_not_sample():
+    # characters are tabulated once per class representative; nothing is drawn at random
+    for name in ("simples.py", "gelfand.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                imported.add(node.module.split(".")[0])
+        assert "random" not in imported, name

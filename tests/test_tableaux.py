@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from groupoidreps.cyclo import Cyc, Mat, SpanBasis
 from groupoidreps.perms import all_perms, compose_perms, perm_to_word
 from groupoidreps.tableaux import (
+    OuterRep,
     compositions,
     hook_length_count,
     multipartitions,
@@ -141,6 +143,25 @@ def test_outer_tensor():
     assert o3.dim == 4
     with pytest.raises(ValueError):
         outer_rep(((2,), (1,)), (1, 1))
+
+
+def test_block_traces_are_the_integer_matrix_traces():
+    for p, lam in [(((2, 1), (1,)), (3, 1)), (((2,), (1, 1), (1,)), (2, 2, 1)), (((2, 2), ()), (4, 0))]:
+        o = outer_rep(p, lam)
+        starts = [sum(lam[:i]) for i in range(len(lam))]
+        blocks = [set(range(a + 1, a + n + 1)) for a, n in zip(starts, lam)]
+        for w in all_perms(sum(lam)):
+            if all({w[i - 1] for i in b} == b for b in blocks):
+                t = o.trace_of_blockperm(w)
+                assert type(t) is int and Cyc.rational(1, t) == o.matrix_of_blockperm(w).trace()
+
+
+def test_non_integral_block_trace_raises(monkeypatch):
+    o = OuterRep(((2,), (1, 1)), (2, 2))
+    half = Mat(1, [[Cyc.rational(1, Fraction(1, 2))]])
+    monkeypatch.setattr(o.components[1], "matrix_of_perm", lambda w: half)
+    with pytest.raises(ArithmeticError):
+        o.trace_of_blockperm((1, 2, 4, 3))
 
 
 def test_perm_word():
