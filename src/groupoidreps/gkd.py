@@ -633,24 +633,18 @@ class QuotientSimpleModule:
         self._mat_cache[q] = mat
         return mat
 
-    def char_group(self, x: WreathElem) -> Cyc:
-        """Character at x in G(l,k,d), via Psi^(-1) Phi."""
-        return self._trace_of(self.Q.phi_to_quotient(x))
-
     @cached_property
     def class_character(self) -> tuple[Cyc, ...]:
-        """The character on gkd_conjugacy_classes, in their order, computed once."""
-        return tuple(self._trace_of(coords) for coords in _class_coordinates(self.ell, self.k, self.d))
-
-    def _trace_of(self, coords: dict[QMorphism, Cyc]) -> Cyc:
-        """Trace of the quotient algebra element with these coordinates."""
-        acc = Cyc.zero(self.ell)
-        for q, coeff in coords.items():
-            o1, o2 = self.Q.source_orbit(q), self.Q.target_orbit(q)
-            if o1 != o2 or o1 not in self.block_index:
-                continue
-            acc = acc + coeff * self.action_block(q).trace()
-        return acc
+        """The character on gkd_conjugacy_classes, in their order, via Psi^(-1) Phi."""
+        out = []
+        for coords in _class_coordinates(self.ell, self.k, self.d):
+            acc = Cyc.zero(self.ell)
+            for q, coeff in coords.items():
+                o1, o2 = self.Q.source_orbit(q), self.Q.target_orbit(q)
+                if o1 == o2 and o1 in self.block_index:
+                    acc = acc + coeff * self.action_block(q).trace()
+            out.append(acc)
+        return tuple(out)
 
     def label_json(self) -> dict:
         return {"lambda": list(self.lam), "p": [list(pi) for pi in self.p], "m": self.m}

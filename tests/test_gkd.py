@@ -152,7 +152,6 @@ def test_class_characters_match_a_fresh_computation():
                     if Q.source_orbit(q) == Q.target_orbit(q) and Q.source_orbit(q) in mod.block_index:
                         acc = acc + coeff * mod.action_block(q).trace()
                 fresh.append(acc)
-                assert mod.char_group(rep) == acc
             assert mod.class_character == tuple(fresh), (ell, k, d, p, m)
 
 
