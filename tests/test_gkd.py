@@ -166,8 +166,7 @@ def test_restriction_check_reads_the_shared_table(monkeypatch):
     table[identity_class] = table[identity_class] + Cyc.rational(ell, 4)
     monkeypatch.setattr(mod, "class_character", tuple(table))
     rep = restriction_check(ell, k, d)
-    assert not rep["ok"]
-    assert [c["status"] for c in rep["checks"]].count("fail") >= 1
+    assert any(c["status"] == "fail" for c in rep["checks"])
 
 
 def test_rotation_eigenspaces():
