@@ -11,7 +11,9 @@ appears anywhere in this module.
 All elimination runs on one sparse echelon engine, :class:`SpanBasis`, whose
 rows are {column: Cyc} in reduced row echelon form with pivots 1.
 :class:`LinSolver`, :func:`rref`, :func:`kernel_basis`, :func:`solve_system`
-and ``Mat.rank/kernel_basis/solve`` are thin layers over it.
+and ``Mat.rank/kernel_basis/solve`` are thin layers over it.  Every commutant
+and intertwiner space is solved by :func:`intertwiners`, and every matrix
+assembled from blocks or scattered entries is built by :meth:`Mat.from_entries`.
 
 All values are immutable; all operations are pure functions.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
 
 __all__ = [
@@ -31,6 +34,7 @@ __all__ = [
     "SpanBasis",
     "LinSolver",
     "kernel_basis",
+    "intertwiners",
 ]
 
 
@@ -361,6 +365,29 @@ class Mat:
     def from_fraction_rows(ell: int, rows) -> "Mat":
         return Mat(ell, [[Cyc.rational(ell, v) for v in r] for r in rows])
 
+    @staticmethod
+    def from_entries(ell: int, nrows: int, ncols: int, entries) -> "Mat":
+        """The nrows x ncols matrix whose (i, j) entry is the sum of the values given at (i, j).
+
+        ``entries`` yields ((i, j), value) pairs; zero values are skipped and
+        every position not given is zero.
+        """
+        z = Cyc.zero(ell)
+        rows = [[z] * ncols for _ in range(nrows)]
+        for (i, j), v in entries:
+            if any(v.num):
+                row = rows[i]
+                w = row[j]
+                row[j] = w + v if any(w.num) else v
+        return Mat(ell, rows)
+
+    def entries(self, r0: int = 0, c0: int = 0):
+        """The nonzero entries as ((r0 + i, c0 + j), value): the matrix placed at offset (r0, c0)."""
+        for i, row in enumerate(self.rows, r0):
+            for j, v in enumerate(row, c0):
+                if any(v.num):
+                    yield (i, j), v
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Mat)
@@ -513,6 +540,22 @@ class SpanBasis:
         """Insert vec; return True iff it enlarged the span."""
         return self._insert(_sparse(vec, self.n), self.n)
 
+    def kernel(self) -> list[list[Cyc]]:
+        """Basis of {x : r . x = 0 for every basis row r}, one vector per free column, in column order.
+
+        The vector of a free column c has 1 at c and -row_p[c] at each pivot p.
+        """
+        zero, one = Cyc.zero(self.ell), Cyc.one(self.ell)
+        free = [c for c in range(self.n) if c not in self._rows]
+        vecs = {}
+        for c in free:
+            vec = vecs[c] = [zero] * self.n
+            vec[c] = one
+        for p, row in self._rows.items():
+            for c, v in row.items():
+                vecs[c][p] = -v
+        return [vecs[c] for c in free]
+
 
 def _sub_multiple(v: dict[int, Cyc], c: Cyc, row: dict[int, Cyc]) -> None:
     """v -= c * row in place, dropping entries that cancel."""
@@ -573,18 +616,42 @@ def rref(ell: int, rows: list[list[Cyc]]) -> tuple[list[list[Cyc]], list[int]]:
 
 def kernel_basis(ell: int, rows: list[list[Cyc]], ncols: int) -> list[list[Cyc]]:
     """Exact basis of the right null space {x : A x = 0}."""
-    if rows and len(rows[0]) != ncols:
-        raise ValueError(f"rows of length {len(rows[0])} where {ncols} is expected")
-    red, pivots = rref(ell, rows)
-    zero, one = Cyc.zero(ell), Cyc.one(ell)
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
+    sb = SpanBasis(ell, ncols)
+    for r in rows:
+        sb._insert(_sparse(r, ncols), ncols)
+    return sb.kernel()
+
+
+def intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[list[Cyc]]:
+    """Basis of {X = (X_o : src_o -> tgt_o)} with X_t A = B X_s for every (s, t, A, B) in actions.
+
+    A maps src_s to src_t and B maps tgt_s to tgt_t.  A vector holds each
+    X_o row-major (tgt_o x src_o), the blocks concatenated in object order;
+    with A = B on every action the result is a commutant.  Entry (r, c) of
+    X_t A - B X_s enters the engine as one sparse row.
+    """
+    offsets = list(accumulate((m * n for m, n in zip(tgt_dims, src_dims)), initial=0))
+    n = offsets[-1]
+    sb = SpanBasis(ell, n)
+    for s, t, A, B in actions:
+        ns, nt = src_dims[s], src_dims[t]
+        a_bad = A.nrows != nt or A.rows and A.ncols != ns
+        if a_bad or B.nrows != tgt_dims[t] or B.rows and B.ncols != tgt_dims[s]:
+            raise ValueError(f"action {s} -> {t} does not match the block sizes")
+        xs, xt = offsets[s], offsets[t]
+        a_cols = [[(xt + u, row[c]) for u, row in enumerate(A.rows) if any(row[c].num)] for c in range(ns)]
+        b_rows = [[(xs + u * ns, v) for u, v in enumerate(row) if any(v.num)] for row in B.rows]
+        for r, b_row in enumerate(b_rows):
+            for c, a_col in enumerate(a_cols):
+                # (X_t A)[r][c] = sum_u X_t[r][u] A[u][c];  (B X_s)[r][c] = sum_u B[r][u] X_s[u][c]
+                v = {j + r * nt: a for j, a in a_col}
+                for j, b in b_row:
+                    y = v.pop(j + c, None)
+                    y = -b if y is None else y - b
+                    if any(y.num):
+                        v[j + c] = y
+                sb._insert(v, n)
+    return sb.kernel()
 
 
 def solve_system(ell: int, rows: list[list[Cyc]], rhs: list[Cyc]):

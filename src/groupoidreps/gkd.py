@@ -28,7 +28,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .algebra import AlgElem, phi
-from .cyclo import Cyc, LinSolver, Mat, SpanBasis, kernel_basis, root_of_unity
+from .cyclo import Cyc, LinSolver, Mat, SpanBasis, intertwiners, kernel_basis, root_of_unity
 from .groupoid import (
     GMorphism,
     canonical_morphism,
@@ -245,7 +245,7 @@ def endo_structure(Q: QuotientGroupoid, oi: int) -> dict:
     """Stabilizer order and the Lemma-51 cardinality for one quotient object."""
     f = Q.rep(oi)
     lam = type_of(f, Q.ell)
-    r = Q.type_stabilizer_order(lam) if Q.d >= 1 else 1
+    r = Q.type_stabilizer_order(lam)
     lam_fact = 1
     for li in lam:
         lam_fact *= factorial(li)
@@ -264,24 +264,16 @@ def quotient_structure_report(ell: int, k: int, d: int, check_composition: bool 
     Q = quotient_groupoid(ell, k, d)
     checks = []
 
-    if d >= 1:
-        free = all(len(orb) == k for orb in Q.orbits)
-        checks.append({"name": "H_k acts freely on objects", "status": "pass" if free else "fail"})
-        count_ok = len(Q.orbits) == ell**d // k
-        checks.append(
-            {
-                "name": "object count = l^d / k",
-                "status": "pass" if count_ok else "fail",
-                "details": {"objects": len(Q.orbits)},
-            }
-        )
-    else:
-        checks.append(
-            {
-                "name": "d = 0 trivial quotient",
-                "status": "pass" if len(Q.orbits) == 1 else "fail",
-            }
-        )
+    free = all(len(orb) == k for orb in Q.orbits)
+    checks.append({"name": "H_k acts freely on objects", "status": "pass" if free else "fail"})
+    count_ok = len(Q.orbits) == ell**d // k
+    checks.append(
+        {
+            "name": "object count = l^d / k",
+            "status": "pass" if count_ok else "fail",
+            "details": {"objects": len(Q.orbits)},
+        }
+    )
 
     endo_rows = []
     endo_ok = True
@@ -303,8 +295,8 @@ def quotient_structure_report(ell: int, k: int, d: int, check_composition: bool 
                 ok = False
                 break
         # the canonical rotation generates a cyclic complement of order r
-        if d >= 1 and r > 1:
-            hshift = (ell // r) if r else 0
+        if r > 1:
+            hshift = ell // r
             gen = Q.normalize(
                 canonical_morphism(f, theta_object(f, hshift, ell), ell)
             )
@@ -327,7 +319,7 @@ def quotient_structure_report(ell: int, k: int, d: int, check_composition: bool 
     )
 
     total = sum(len(Q.hom(o1, o2)) for o1 in range(len(Q.orbits)) for o2 in range(len(Q.orbits)))
-    expected = (ell**d * factorial(d)) // k if d >= 1 else 1
+    expected = ell**d * factorial(d) // k
     checks.append(
         {
             "name": "dim A_(l,k,d) = l^d d!/k",
@@ -336,7 +328,7 @@ def quotient_structure_report(ell: int, k: int, d: int, check_composition: bool 
         }
     )
 
-    if check_composition and d >= 1:
+    if check_composition:
         indep = True
         qms = Q.all_qmorphisms()
         for q1 in qms:
@@ -386,7 +378,7 @@ def reflection_span_check(ell: int, k: int, d: int) -> dict:
         if supports & sup:
             overlap = True
         supports |= sup
-    inj = (not overlap) and len(supports) == (ell**d * factorial(d) if d >= 1 else 1)
+    inj = (not overlap) and len(supports) == ell**d * factorial(d)
     checks.append({"name": "Psi injective (disjoint orbit supports)", "status": "pass" if inj else "fail"})
 
     # Psi multiplicative on all composable basis pairs (zero otherwise).
@@ -430,9 +422,7 @@ def reflection_span_check(ell: int, k: int, d: int) -> dict:
             ]
             sb.add(vec)
         rank += sb.rank
-    rank_ok = rank == dim_quotient and dim_quotient == (
-        ell**d * factorial(d) // k if d >= 1 else 1
-    )
+    rank_ok = rank == dim_quotient == ell**d * factorial(d) // k
     checks.append(
         {
             "name": "span Phi(G) = span Psi (exact rank and containment)",
@@ -486,8 +476,6 @@ def _slot_rotation(ell_field: int, dims_src: list[int], source_slot, scalar: Cyc
     total = 1
     for v in dims_src:
         total *= v
-    zero = Cyc.zero(ell_field)
-    rows = [[zero] * total for _ in range(total)]
 
     def flatten(idx, dims):
         out = 0
@@ -495,10 +483,11 @@ def _slot_rotation(ell_field: int, dims_src: list[int], source_slot, scalar: Cyc
             out = out * dim + b
         return out
 
+    entries = []
     for src_idx in product(*(range(v) for v in dims_src)):
-        tgt_idx = tuple(src_idx[source_slot(c)] for c in range(nslots))
-        rows[flatten(tgt_idx, dims_tgt)][flatten(src_idx, dims_src)] = scalar
-    return Mat(ell_field, rows)
+        tgt_idx = [src_idx[source_slot(c)] for c in range(nslots)]
+        entries.append(((flatten(tgt_idx, dims_tgt), flatten(src_idx, dims_src)), scalar))
+    return Mat.from_entries(ell_field, total, total, entries)
 
 
 class QuotientSimpleModule:
@@ -514,8 +503,7 @@ class QuotientSimpleModule:
         self.Q = quotient_groupoid(ell, k, d)
         self.p = tuple(tuple(pi) for pi in p)
         self.lam = tuple(sum(pi) for pi in self.p)
-        # the H_k action is free only for d >= 1; d = 0 is the trivial case
-        self.r = self.Q.type_stabilizer_order(self.lam) if d >= 1 else 1
+        self.r = self.Q.type_stabilizer_order(self.lam)
         self.s = _p_stabilizer_order(self.p, self.r, ell)
         if not 1 <= m <= self.s:
             raise ValueError("m must lie in {1..s} for the stabilizer order s of p")
@@ -563,42 +551,28 @@ class QuotientSimpleModule:
         for rep in self.reps:
             offsets.append(pos)
             pos += rep.dim
-        total = self.block_dim
-        zero = Cyc.zero(ell)
-        rows = [[zero] * total for _ in range(total)]
         hmap = lambda c: (c + self.u) % ell  # 0-based slot map
         omega = root_of_unity(ell, (ell // self.s) * self.m)
+        entries = []
         for j in range(self.copies):
             jn = (j + 1) % self.copies
             scalar = omega if jn != j + 1 else Cyc.one(ell)
             dims_src = [
                 self.reps[j].components[c].dim for c in range(ell)
             ]
-            blk = _slot_rotation(ell, dims_src, lambda c: hmap(c), scalar)
-            r0, c0 = offsets[jn], offsets[j]
-            for i in range(blk.nrows):
-                for jj in range(blk.ncols):
-                    v = blk.rows[i][jj]
-                    if not v.is_zero():
-                        rows[r0 + i][c0 + jj] = v
-        return Mat(ell, rows)
+            entries += _slot_rotation(ell, dims_src, hmap, scalar).entries(offsets[jn], offsets[j])
+        return Mat.from_entries(ell, self.block_dim, self.block_dim, entries)
 
     def _rho_pi(self, w: tuple[int, ...]) -> Mat:
         """Block-diagonal action of a color-preserving endomorphism of the base."""
         ell = self.ell
-        total = self.block_dim
-        zero = Cyc.zero(ell)
-        rows = [[zero] * total for _ in range(total)]
+        entries = []
         pos = 0
         for rep in self.reps:
             rat = rep.matrix_of_blockperm(w)
-            for i in range(rep.dim):
-                for j in range(rep.dim):
-                    v = rat.rows[i][j]
-                    if not v.rational_value() == 0:
-                        rows[pos + i][pos + j] = Cyc.rational(ell, v.rational_value())
+            entries += ((ij, Cyc.rational(ell, v.rational_value())) for ij, v in rat.entries(pos, pos))
             pos += rep.dim
-        return Mat(ell, rows)
+        return Mat.from_entries(ell, self.block_dim, self.block_dim, entries)
 
     def _endo_matrix(self, q: QMorphism) -> Mat:
         """rho~ of an endomorphism of the base orbit: M^t * rho(pi)."""
@@ -666,7 +640,7 @@ def quotient_labels(ell: int, k: int, d: int) -> list[tuple[tuple, tuple, int]]:
     Q = quotient_groupoid(ell, k, d)
     out = []
     for lam in gamma_cross_section(ell, k, d):
-        r = Q.type_stabilizer_order(lam) if d >= 1 else 1
+        r = Q.type_stabilizer_order(lam)
         u = ell // r
         seen = set()
         for p in multipartitions(lam):
@@ -684,7 +658,7 @@ def quotient_labels(ell: int, k: int, d: int) -> list[tuple[tuple, tuple, int]]:
 @lru_cache(maxsize=None)
 def gkd_conjugacy_classes(ell: int, k: int, d: int) -> tuple[tuple[WreathElem, int], ...]:
     """Conjugacy classes of G(l,k,d) by orbit partitioning under its generators."""
-    return conjugacy_classes_of(gkd_elements(ell, k, d), gkd_generators(ell, k, d) if d else [])
+    return conjugacy_classes_of(gkd_elements(ell, k, d), gkd_generators(ell, k, d))
 
 
 @lru_cache(maxsize=None)
@@ -696,7 +670,7 @@ def _class_coordinates(ell: int, k: int, d: int) -> tuple[dict[QMorphism, Cyc], 
 
 def _gkd_inner_product(ell: int, k: int, d: int, alpha, beta_conj) -> Cyc:
     """(1/|G|) sum_x alpha(x) beta_conj(x), both given per class, beta already conjugated."""
-    order = ell**d * factorial(d) // k if d >= 1 else 1
+    order = ell**d * factorial(d) // k
     acc = Cyc.zero(ell)
     for (_rep, size), a, b in zip(gkd_conjugacy_classes(ell, k, d), alpha, beta_conj):
         acc = acc + (a * b).scale(size)
@@ -704,32 +678,15 @@ def _gkd_inner_product(ell: int, k: int, d: int, alpha, beta_conj) -> Cyc:
 
 
 def _quotient_commutant_dim(mod: QuotientSimpleModule) -> int:
-    Q = mod.Q
-    ell = mod.ell
-    nobj = len(mod.component)
-    bd = mod.block_dim
-    nunk = nobj * bd * bd
-    sb = SpanBasis(ell, nunk)
-    zero = Cyc.zero(ell)
-    for o1 in mod.component:
-        for o2 in mod.component:
-            for q in Q.hom(o1, o2):
-                a = mod.action_block(q)
-                fi, gi = mod.block_index[o1], mod.block_index[o2]
-                for r in range(bd):
-                    for c in range(bd):
-                        row = [zero] * nunk
-                        for t in range(bd):
-                            v = a.rows[t][c]
-                            if not v.is_zero():
-                                idx = (gi * bd + r) * bd + t
-                                row[idx] = row[idx] + v
-                            w = a.rows[r][t]
-                            if not w.is_zero():
-                                idx = (fi * bd + t) * bd + c
-                                row[idx] = row[idx] - w
-                        sb.add(row)
-    return nunk - sb.rank
+    """Exact dimension of {X : X L(q) = L(q) X for all basis quotient morphisms q}."""
+    Q, comp, bd, index = mod.Q, mod.component, mod.block_dim, mod.block_index
+    actions = (
+        (index[o1], index[o2], a, a)
+        for o1 in comp
+        for o2 in comp
+        for a in map(mod.action_block, Q.hom(o1, o2))
+    )
+    return len(intertwiners(mod.ell, [bd] * len(comp), [bd] * len(comp), actions))
 
 
 def _quotient_functorial(mod: QuotientSimpleModule) -> bool:
@@ -762,7 +719,7 @@ def quotient_simples_check(ell: int, k: int, d: int) -> dict:
     checks.append({"name": "identity quotient morphisms act as identity", "status": "pass" if identity_ok else "fail"})
 
     total = sum(m.total_dim**2 for m in mods)
-    expected = ell**d * factorial(d) // k if d >= 1 else 1
+    expected = ell**d * factorial(d) // k
     checks.append(
         {
             "name": "wedderburn sum over (p,m) labels",
@@ -824,24 +781,27 @@ def restriction_check(ell: int, k: int, d: int) -> dict:
         s = _p_stabilizer_order(p_star, r, ell)
         expected = {(lam_star, p_star, m) for m in range(1, s + 1)}
         got = {}
+        non_integral = []
         for key in mods:
             val = _gkd_inner_product(ell, k, d, chi_res, lpm_conj[key])
             if not val.is_rational() or val.rational_value().denominator != 1:
-                raise ValueError("non-integer multiplicity in restriction")
-            mult = int(val.rational_value())
-            if mult:
-                got[key] = mult
-        ok = set(got.keys()) == expected and all(v == 1 for v in got.values())
+                non_integral.append(mods[key].label_json())
+            elif not val.is_zero():
+                got[key] = int(val.rational_value())
+        ok = not non_integral and set(got.keys()) == expected and all(v == 1 for v in got.values())
+        details = {
+            "constituents": [
+                {"label": mods[key].label_json(), "multiplicity": v}
+                for key, v in sorted(got.items())
+            ]
+        }
+        if non_integral:
+            details["non_integral"] = non_integral
         checks.append(
             {
                 "name": f"restriction of L_{simple.label_json()}",
                 "status": "pass" if ok else "fail",
-                "details": {
-                    "constituents": [
-                        {"label": mods[key].label_json(), "multiplicity": v}
-                        for key, v in sorted(got.items())
-                    ]
-                },
+                "details": details,
             }
         )
     return {
@@ -922,8 +882,7 @@ def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, reps_classes) -> tu
 
     # theta operator: object f (type of summand j) -> theta(f) in summand j+1,
     # with the tensor-slot rotation on coordinates.
-    zero = Cyc.zero(ell)
-    theta_rows = [[zero] * total for _ in range(total)]
+    theta_entries = []
     for j, simp in enumerate(summands):
         jn = (j + 1) % copies
         nxt = summands[jn]
@@ -933,24 +892,13 @@ def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, reps_classes) -> tu
             tf = theta_object(f, v, ell)
             r0 = offsets[jn] + nxt.block_index[tf] * nxt.block_dim
             c0 = offsets[j] + simp.block_index[f] * simp.block_dim
-            for a in range(slot.nrows):
-                for b in range(slot.ncols):
-                    val = slot.rows[a][b]
-                    if not val.is_zero():
-                        theta_rows[r0 + a][c0 + b] = val
-    theta_op = Mat(ell, theta_rows)
+            theta_entries += slot.entries(r0, c0)
+    theta_op = Mat.from_entries(ell, total, total, theta_entries)
 
     def act_total(x: WreathElem) -> Mat:
-        blocks = [simp.act_alg(phi(x, d)) for simp in summands]
-        rows = [[zero] * total for _ in range(total)]
-        for j, blk in enumerate(blocks):
-            o = offsets[j]
-            for a in range(blk.nrows):
-                for b in range(blk.ncols):
-                    val = blk.rows[a][b]
-                    if not val.is_zero():
-                        rows[o + a][o + b] = val
-        return Mat(ell, rows)
+        a = phi(x, d)
+        entries = (e for simp, o in zip(summands, offsets) for e in simp.act_alg(a).entries(o, o))
+        return Mat.from_entries(ell, total, total, entries)
 
     detail: dict = {}
 

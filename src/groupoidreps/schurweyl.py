@@ -18,8 +18,9 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import AlgElem, phi
-from .cyclo import Cyc, Mat, SpanBasis
+from .cyclo import Cyc, Mat, SpanBasis, intertwiners, kernel_basis
 from .groupoid import GMorphism, hom
+from .perms import invert_perm
 from .simples import all_simples
 from .wreath import enum_group, wreath_inv
 
@@ -72,37 +73,24 @@ class TensorSpace:
 
     def morphism_block_matrix(self, m: GMorphism) -> Mat:
         """0/1 matrix of m from block(source) to block(target)."""
-        ell = self.ell
         src = self.block_of[m.source]
         tgt_pos = self.block_pos[m.target]
-        nrows = len(self.block_of[m.target])
-        zero, one = Cyc.zero(ell), Cyc.one(ell)
-        rows = [[zero] * len(src) for _ in range(nrows)]
-        from .perms import invert_perm
-
+        one = Cyc.one(self.ell)
         inv = invert_perm(m.perm)
-        for j, b in enumerate(src):
-            moved = tuple(b[inv[i] - 1] for i in range(self.d))
-            rows[tgt_pos[moved]][j] = one
-        return Mat(ell, rows)
+        entries = (((tgt_pos[tuple(b[i - 1] for i in inv)], j), one) for j, b in enumerate(src))
+        return Mat.from_entries(self.ell, len(tgt_pos), len(src), entries)
 
     def act_full(self, a: AlgElem) -> Mat:
         """The matrix of an algebra element on the whole of V^(x d)."""
-        ell = self.ell
-        n = len(self.basis)
-        zero = Cyc.zero(ell)
-        rows = [[zero] * n for _ in range(n)]
+        entries = []
         for m, coeff in a.terms.items():
-            blk = self.morphism_block_matrix(m)
-            src = self.block_of[m.source]
-            tgt = self.block_of[m.target]
-            for i, bt in enumerate(tgt):
-                ri = self.index[bt]
-                for j, bs in enumerate(src):
-                    v = blk.rows[i][j]
-                    if not v.is_zero():
-                        rows[ri][self.index[bs]] = rows[ri][self.index[bs]] + coeff * v
-        return Mat(ell, rows)
+            src, tgt = self.block_of[m.source], self.block_of[m.target]
+            entries += (
+                ((self.index[tgt[i]], self.index[src[j]]), coeff * v)
+                for (i, j), v in self.morphism_block_matrix(m).entries()
+            )
+        n = len(self.basis)
+        return Mat.from_entries(self.ell, n, n, entries)
 
 
 def glk_generators(T: TensorSpace) -> list[dict]:
@@ -110,7 +98,7 @@ def glk_generators(T: TensorSpace) -> list[dict]:
 
     Each generator is returned as {f: Mat on block f}; the unit is implicit.
     """
-    ell = T.ell
+    one = Cyc.one(T.ell)
     gens = []
     offset = 0
     for size in T.kvec:
@@ -120,14 +108,13 @@ def glk_generators(T: TensorSpace) -> list[dict]:
                 blocks = {}
                 for f, bs in T.block_of.items():
                     pos = T.block_pos[f]
-                    zero = Cyc.zero(ell)
-                    mat = [[zero] * len(bs) for _ in range(len(bs))]
-                    for j, vec in enumerate(bs):
-                        for t in range(T.d):
-                            if vec[t] == b:
-                                moved = vec[:t] + (a,) + vec[t + 1 :]
-                                mat[pos[moved]][j] = mat[pos[moved]][j] + Cyc.one(ell)
-                    blocks[f] = Mat(ell, mat)
+                    entries = (
+                        ((pos[vec[:t] + (a,) + vec[t + 1 :]], j), one)
+                        for j, vec in enumerate(bs)
+                        for t in range(T.d)
+                        if vec[t] == b
+                    )
+                    blocks[f] = Mat.from_entries(T.ell, len(bs), len(bs), entries)
                 gens.append(blocks)
         offset += size
     return gens
@@ -183,34 +170,9 @@ def glk_generated_algebra(T: TensorSpace) -> list[dict]:
 
 def _intertwiners(T: TensorSpace, gens: list[dict], f, g) -> list[Mat]:
     """Basis of {X: block(f) -> block(g) with X D|_f = D|_g X for all generators}."""
-    ell = T.ell
     nf, ng = T.block_dim(f), T.block_dim(g)
-    if nf == 0 or ng == 0:
-        return []
-    nunk = nf * ng
-    rows = []
-    zero = Cyc.zero(ell)
-    for gen in gens:
-        Df, Dg = gen[f], gen[g]
-        for r in range(ng):
-            for c in range(nf):
-                row = [zero] * nunk
-                for t in range(nf):
-                    v = Df.rows[t][c]
-                    if not v.is_zero():
-                        row[r * nf + t] = row[r * nf + t] + v
-                for t in range(ng):
-                    w = Dg.rows[r][t]
-                    if not w.is_zero():
-                        row[t * nf + c] = row[t * nf + c] - w
-                rows.append(row)
-    from .cyclo import kernel_basis
-
-    basis = kernel_basis(ell, rows, nunk)
-    out = []
-    for vec in basis:
-        out.append(Mat(ell, [[vec[r * nf + c] for c in range(nf)] for r in range(ng)]))
-    return out
+    basis = intertwiners(T.ell, [nf], [ng], [(0, 0, gen[f], gen[g]) for gen in gens])
+    return [Mat(T.ell, [vec[r * nf : (r + 1) * nf] for r in range(ng)]) for vec in basis]
 
 
 def verify_commuting(T: TensorSpace) -> dict:
@@ -285,37 +247,17 @@ def verify_double_centralizer(T: TensorSpace) -> dict:
     )
 
     # (c): commutant of the A-image equals the GL-generated algebra.
-    # X commutes with every e_f, hence is block diagonal: solve blockwise.
-    from .cyclo import kernel_basis
-
-    nunk = sum(T.block_dim(f) ** 2 for f in objs)
-    offsets = {}
-    pos = 0
-    for f in objs:
-        offsets[f] = pos
-        pos += T.block_dim(f) ** 2
-    rows = []
-    zero = Cyc.zero(T.ell)
-    for f in objs:
-        for g in objs:
-            for m in hom(f, g, T.ell):
-                A = T.morphism_block_matrix(m)
-                nf, ng = T.block_dim(f), T.block_dim(g)
-                for r in range(ng):
-                    for c in range(nf):
-                        row = [zero] * nunk
-                        for t in range(nf):
-                            v = A.rows[r][t]
-                            if not v.is_zero():
-                                row[offsets[f] + t * nf + c] = row[offsets[f] + t * nf + c] + v
-                        for t in range(ng):
-                            w = A.rows[t][c]
-                            if not w.is_zero():
-                                row[offsets[g] + r * ng + t] = row[offsets[g] + r * ng + t] - w
-                        rows.append(row)
-    comm_A = kernel_basis(T.ell, rows, nunk)
+    # X commutes with every e_f, hence is block diagonal: the unknowns are the blocks X_f.
+    dims = [T.block_dim(f) for f in objs]
+    actions = (
+        (fi, gi, A, A)
+        for fi, f in enumerate(objs)
+        for gi, g in enumerate(objs)
+        for A in map(T.morphism_block_matrix, hom(f, g, T.ell))
+    )
+    comm_A = intertwiners(T.ell, dims, dims, actions)
     algebra = glk_generated_algebra(T)
-    sb_alg = SpanBasis(T.ell, nunk)
+    sb_alg = SpanBasis(T.ell, sum(n * n for n in dims))
     for x in algebra:
         sb_alg.add(_blockdiag_vector(T, x))
     ok_back = len(comm_A) == sb_alg.rank and all(sb_alg.contains(v) for v in comm_A)
@@ -368,15 +310,12 @@ def _group_tensor_spotcheck(T: TensorSpace, gens, samples: int = 3, seed: int = 
             dg_m = Mat.from_fraction_rows(ell, dg)
             blocks.append(up_m * dg_m * lo_m)
         # g acting on V, then on each tensor block
-        nfull = T.n
-        zero = Cyc.zero(ell)
-        gv = [[zero] * nfull for _ in range(nfull)]
+        entries = []
         off = 0
         for b, size in zip(blocks, T.kvec):
-            for i in range(size):
-                for j in range(size):
-                    gv[off + i][off + j] = b.rows[i][j]
+            entries += b.entries(off, off)
             off += size
+        gv = Mat.from_entries(ell, T.n, T.n, entries).rows
         for f, g, X in inters:
             src, tgt = T.block_of[f], T.block_of[g]
             # (g^(x d) X)[bt][bs] vs (X g^(x d))[bt][bs], computed blockwise
@@ -452,7 +391,6 @@ def kernel_check(T: TensorSpace) -> dict:
     killed_set = {m.p for m in killed}
     per_simple_ok = True
     for mod in all_simples(ell, d):
-        z = Cyc.zero(ell)
         n = len(T.basis)
         acc = Mat.zeros(ell, n, n)
         for x in group:
@@ -491,12 +429,10 @@ def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TEN
     checks = []
 
     shift = (ell // k) * m
-    zero, one = Cyc.zero(ell), Cyc.one(ell)
-    zt_rows = [[zero] * len(T.basis) for _ in range(len(T.basis))]
-    for b in T.basis:
-        moved = tuple((x - 1 + shift) % n + 1 for x in b)
-        zt_rows[T.index[moved]][T.index[b]] = one
-    Ztensor = Mat(ell, zt_rows)
+    one = Cyc.one(ell)
+    dim = len(T.basis)
+    moved = {b: tuple((x - 1 + shift) % n + 1 for x in b) for b in T.basis}
+    Ztensor = Mat.from_entries(ell, dim, dim, (((T.index[moved[b]], T.index[b]), one) for b in T.basis))
 
     psi_mats = [T.act_full(Q.psi(q)) for q in Q.all_qmorphisms()]
 
@@ -512,29 +448,21 @@ def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TEN
     cgl: list[Mat] = []
     for f in objs:
         for g in objs:
+            src, tgt = T.block_of[f], T.block_of[g]
             for X in _intertwiners(T, gens, f, g):
-                src = T.block_of[f]
-                tgt = T.block_of[g]
-                rows = [[zero] * len(T.basis) for _ in range(len(T.basis))]
-                for i, bt in enumerate(tgt):
-                    for j, bs in enumerate(src):
-                        v = X.rows[i][j]
-                        if not v.is_zero():
-                            rows[T.index[bt]][T.index[bs]] = v
-                cgl.append(Mat(ell, rows))
+                entries = (((T.index[tgt[i]], T.index[src[j]]), v) for (i, j), v in X.entries())
+                cgl.append(Mat.from_entries(ell, dim, dim, entries))
 
-    nsq = len(T.basis) ** 2
+    nsq = dim**2
     rows = []
     for X in cgl:
         Df = X * Ztensor - Ztensor * X
         rows.append([v for row in Df.rows for v in row])
-    from .cyclo import kernel_basis as _kb
-
     coeff_rows = list(map(list, zip(*rows))) if rows else []
-    coeffs = _kb(ell, coeff_rows, len(cgl))
+    coeffs = kernel_basis(ell, coeff_rows, len(cgl))
     sb_comm = SpanBasis(ell, nsq)
     for cvec in coeffs:
-        acc = Mat.zeros(ell, len(T.basis), len(T.basis))
+        acc = Mat.zeros(ell, dim, dim)
         for c, X in zip(cvec, cgl):
             if not c.is_zero():
                 acc = acc + X.scale_cyc(c)

@@ -17,6 +17,7 @@ from groupoidreps.cyclo import (
     SpanBasis,
     cyclotomic_poly,
     euler_phi,
+    intertwiners,
     kernel_basis,
     root_of_unity,
     rref,
@@ -326,6 +327,109 @@ def test_rref_matches_dense_gauss_jordan():
 def test_kernel_of_an_empty_system_is_the_whole_space():
     kb = kernel_basis(3, [], 2)
     assert kb == [[Cyc.one(3), Cyc.zero(3)], [Cyc.zero(3), Cyc.one(3)]]
+
+
+def dense_intertwiner_rows(ell, src_dims, tgt_dims, actions):
+    """One dense row per entry (r, c) of X_t A - B X_s, the unknowns X_o row-major in object order."""
+    offsets = [0]
+    for m, n in zip(tgt_dims, src_dims):
+        offsets.append(offsets[-1] + m * n)
+    zero = Cyc.zero(ell)
+    rows = []
+    for s, t, A, B in actions:
+        for r in range(tgt_dims[t]):
+            for c in range(src_dims[s]):
+                row = [zero] * offsets[-1]
+                for u in range(src_dims[t]):
+                    idx = offsets[t] + r * src_dims[t] + u
+                    row[idx] = row[idx] + A.rows[u][c]
+                for u in range(tgt_dims[s]):
+                    idx = offsets[s] + u * src_dims[s] + c
+                    row[idx] = row[idx] - B.rows[r][u]
+                rows.append(row)
+    return rows, offsets[-1]
+
+
+def blocks_of(vec, src_dims, tgt_dims):
+    """Split a solution vector into its blocks X_o (tgt_o x src_o)."""
+    out, pos = [], 0
+    for m, n in zip(tgt_dims, src_dims):
+        out.append([vec[pos + r * n : pos + (r + 1) * n] for r in range(m)])
+        pos += m * n
+    return out
+
+
+def test_intertwiners_match_the_kernel_of_dense_rows():
+    for ell in (1, 3, 4):
+        rng = random.Random(4000 + ell)
+        for _ in range(25):
+            nobj = rng.randint(1, 3)
+            src_dims = [rng.randint(1, 3) for _ in range(nobj)]
+            tgt_dims = [rng.randint(1, 3) for _ in range(nobj)]
+            actions = []
+            for _ in range(rng.randint(1, 3)):
+                s, t = rng.randrange(nobj), rng.randrange(nobj)
+                A = Mat(ell, rand_sparse_rows(rng, ell, src_dims[t], src_dims[s]))
+                B = Mat(ell, rand_sparse_rows(rng, ell, tgt_dims[t], tgt_dims[s]))
+                actions.append((s, t, A, B))
+            basis = intertwiners(ell, src_dims, tgt_dims, actions)
+            rows, n = dense_intertwiner_rows(ell, src_dims, tgt_dims, actions)
+            assert basis == kernel_basis(ell, rows, n)
+            for vec in basis:
+                X = [Mat(ell, b) for b in blocks_of(vec, src_dims, tgt_dims)]
+                assert all(X[t] * A == B * X[s] for s, t, A, B in actions)
+
+
+def test_intertwiners_with_equal_actions_give_the_commutant():
+    # the commutant of the swap on Q(xi_4)^2 is spanned by 1 and the swap
+    zero, one = Cyc.zero(4), Cyc.one(4)
+    swap = Mat(4, [[zero, one], [one, zero]])
+    basis = intertwiners(4, [2], [2], [(0, 0, swap, swap)])
+    assert basis == [[zero, one, one, zero], [one, zero, zero, one]]  # free columns c, d of [[a, b], [c, d]]
+
+
+def test_intertwiners_of_no_action_span_the_whole_space():
+    zero, one = Cyc.zero(3), Cyc.one(3)
+    basis = intertwiners(3, [2, 1], [1, 2], [])
+    assert basis == [[one if i == j else zero for j in range(4)] for i in range(4)]
+    assert intertwiners(3, [], [], []) == []
+
+
+def test_intertwiners_handle_a_zero_size_block():
+    ell = 3
+    rng = random.Random(4100)
+    src_dims, tgt_dims = [0, 2], [3, 2]
+    empty = Mat(ell, [])  # src_0 x src_1 has no rows
+    B = Mat(ell, rand_sparse_rows(rng, ell, 3, 2))
+    B = Mat(ell, [[root_of_unity(ell, 1), Cyc.zero(ell)]] + list(B.rows[1:]))  # B has rank >= 1
+    actions = [
+        (0, 1, Mat(ell, [[] for _ in range(2)]), Mat(ell, rand_sparse_rows(rng, ell, 2, 3))),
+        (1, 0, empty, B),
+    ]
+    basis = intertwiners(ell, src_dims, tgt_dims, actions)
+    rows, n = dense_intertwiner_rows(ell, src_dims, tgt_dims, actions)
+    assert n == 4
+    assert basis == kernel_basis(ell, rows, n)
+    assert len(basis) < 4  # B X_1 = 0 is a real condition although X_0 has no entries
+
+
+def test_intertwiners_reject_actions_of_the_wrong_shape():
+    one = Cyc.one(1)
+    with pytest.raises(ValueError):
+        intertwiners(1, [2], [2], [(0, 0, Mat.identity(1, 2), Mat.identity(1, 3))])
+    with pytest.raises(ValueError):
+        intertwiners(1, [2], [1], [(0, 0, Mat.identity(1, 2), Mat(1, [[one, one]]))])
+
+
+def test_from_entries_sums_repeats_and_skips_zeros():
+    zero, one, x = Cyc.zero(3), Cyc.one(3), root_of_unity(3, 1)
+    entries = [((0, 0), one), ((1, 2), zero), ((0, 1), x), ((0, 0), x), ((0, 1), -x), ((1, 2), x)]
+    m = Mat.from_entries(3, 2, 3, entries)
+    assert m == Mat(3, [[one + x, zero, zero], [zero, zero, x]])
+    assert list(m.entries()) == [((0, 0), one + x), ((1, 2), x)]
+    assert list(m.entries(2, 1)) == [((2, 1), one + x), ((3, 3), x)]
+    assert Mat.from_entries(3, 2, 2, []) == Mat.zeros(3, 2, 2)
+    assert Mat.from_entries(3, 0, 0, []) == Mat(3, [])
 
 
 def test_solve_and_express_round_trip():

@@ -1,6 +1,6 @@
 import pytest
 
-from groupoidreps.cyclo import Cyc
+from groupoidreps.cyclo import Cyc, Mat
 from groupoidreps.gkd import (
     build_quotient_simple,
     restriction_check,
@@ -18,6 +18,7 @@ from groupoidreps.gkd import (
     theta_type,
 )
 from groupoidreps.groupoid import canonical_morphism, identity_morphism, type_of
+from groupoidreps.simples import all_simples
 from groupoidreps.wreath import wreath_identity
 
 GRID = [
@@ -194,3 +195,33 @@ def test_off_grid_clifford_labels():
     labels = quotient_labels(2, 2, 4)
     assert len(labels) == 13
     assert len(gkd_conjugacy_classes(2, 2, 4)) == 13
+
+
+def test_restriction_check_reports_a_non_integral_multiplicity(monkeypatch):
+    ell, k, d = 2, 2, 2
+    _lam, p, m = quotient_labels(ell, k, d)[0]
+    mod = build_quotient_simple(ell, k, d, p, m)
+    table = list(mod.class_character)
+    # 2 is not a multiple of |G(2,2,2)| = 4: the multiplicity of this label moves by a half
+    reps = [rep for rep, _size in gkd_conjugacy_classes(ell, k, d)]
+    identity_class = reps.index(wreath_identity(ell, d))
+    table[identity_class] = table[identity_class] + Cyc.rational(ell, 2)
+    monkeypatch.setattr(mod, "class_character", tuple(table))
+    rep = restriction_check(ell, k, d)
+    # the shift is dim L_p / 2, so exactly the simples of odd dimension see a half
+    flagged = [c for c in rep["checks"] if "non_integral" in c["details"]]
+    odd = [f"restriction of L_{s.label_json()}" for s in all_simples(ell, d) if s.total_dim % 2]
+    assert [c["name"] for c in flagged] == odd
+    assert all(c["status"] == "fail" and c["details"]["non_integral"] == [mod.label_json()] for c in flagged)
+
+
+def test_quotient_commutant_check_fails_for_a_module_acting_trivially(monkeypatch):
+    ell, k, d = 2, 2, 3
+    mods = [build_quotient_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
+    mod = next(m for m in mods if m.block_dim > 1)
+    mod.class_character  # tabulated before the action is replaced, so the cache stays right
+    monkeypatch.setattr(mod, "action_block", lambda q: Mat.identity(ell, mod.block_dim))
+    rep = quotient_simples_check(ell, k, d)
+    check = next(c for c in rep["checks"] if c["name"] == "commutant of each L_(p,m) has dim 1")
+    assert check["status"] == "fail"
+    assert check["details"]["failures"] == [mod.label_json()]

@@ -1,5 +1,6 @@
 import pytest
 
+from groupoidreps import schurweyl
 from groupoidreps.cyclo import Mat
 from groupoidreps.groupoid import compose, hom
 from groupoidreps.schurweyl import (
@@ -125,3 +126,27 @@ def test_shift_duality_dims():
     assert detail["image_dim"] == 4 == detail["quotient_dim"]
     rep = shift_duality_check(2, 2, 1, 1)
     assert rep["checks"][1]["details"]["image_dim"] == 1
+
+
+def _status(rep, name):
+    return next(c["status"] for c in rep["checks"] if c["name"] == name)
+
+
+def test_forward_duality_fails_without_the_off_diagonal_generators(monkeypatch):
+    # Dropping one generator leaves the commutant unchanged: the others generate
+    # gl_k as a Lie algebra for k >= 3, and a Borel subalgebra of gl_2 has the same
+    # commutant on V^(x d).  Without both E_12 and E_21 only the torus is left.
+    real = schurweyl.glk_generators
+    monkeypatch.setattr(schurweyl, "glk_generators", lambda T: [g for i, g in enumerate(real(T)) if i not in (1, 2)])
+    rep = verify_double_centralizer(TensorSpace(1, (2,), 2))
+    assert _status(rep, "A-image = commutant(GL) on every block pair") == "fail"
+    assert (rep["image_dim"], rep["commutant_dim"]) == (2, 6)
+
+
+def test_backward_duality_fails_without_one_algebra_element(monkeypatch):
+    real = schurweyl.glk_generated_algebra
+    monkeypatch.setattr(schurweyl, "glk_generated_algebra", lambda T: real(T)[:-1])
+    for ell, kvec, d in [(1, (2,), 2), (2, (2, 1), 2)]:
+        rep = verify_double_centralizer(TensorSpace(ell, kvec, d))
+        assert _status(rep, "commutant(A-image) = GL-generated algebra") == "fail"
+        assert _status(rep, "A-image = commutant(GL) on every block pair") == "pass"

@@ -1,6 +1,7 @@
 import random
 from math import factorial
 
+from groupoidreps import simples
 from groupoidreps.algebra import phi
 from groupoidreps.cyclo import Cyc, Mat
 from groupoidreps.gelfand import build_gelfand
@@ -191,3 +192,36 @@ def test_transports_are_canonical_morphisms():
         for f in mod.objects:
             assert mod._from_base[f] == canonical_morphism(mod.base, f, ell).perm
             assert mod._to_base[f] == canonical_morphism(f, mod.base, ell).perm
+
+
+def _check(rep, name):
+    return next(c for c in rep["checks"] if c["name"] == name)
+
+
+def test_commutant_check_fails_for_a_module_acting_trivially(monkeypatch):
+    # with every morphism acting as the identity on blocks of dim 2, the commutant has dim 4
+    ell, d = 2, 3
+    mod = next(m for m in all_simples(ell, d) if m.block_dim > 1)
+    monkeypatch.setattr(mod, "action_block", lambda m: Mat.identity(ell, mod.block_dim))
+    check = _check(verify_complete(ell, d), "commutant of each simple has dim 1")
+    assert check["status"] == "fail"
+    assert check["details"]["failures"] == [mod.label_json()]
+
+
+def test_branching_reports_a_non_integral_multiplicity(monkeypatch):
+    # adding 1 at the identity class of one S(2,1) character shifts its inner
+    # product with a restricted character by dim / |S(2,1)| = 1/2 for a dim-1 simple
+    ell, d = 2, 2
+    table = character_table(ell, d - 1)
+    identity = wreath_identity(ell, d - 1)
+    bent = ClassFunction(ell, d - 1, dict(table[0].values))
+    bent.values[identity] = bent.values[identity] + Cyc.one(ell)
+    patched = {(ell, d - 1): (bent,) + table[1:]}
+    real = simples.character_table
+    monkeypatch.setattr(simples, "character_table", lambda e, n: patched.get((e, n)) or real(e, n))
+    rep = branching_report(ell, d)
+    flagged = [c for c in rep["checks"] if "non_integral" in c["details"]]
+    odd = [f"branching of {m.label_json()}" for m in all_simples(ell, d) if m.total_dim % 2]
+    assert [c["name"] for c in flagged] == odd
+    sub = [list(map(list, all_simples(ell, d - 1)[0].p))]
+    assert all(c["status"] == "fail" and c["details"]["non_integral"] == sub for c in flagged)

@@ -40,3 +40,22 @@ def test_character_modules_do_not_sample():
             elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
                 imported.add(node.module.split(".")[0])
         assert "random" not in imported, name
+
+
+def test_dense_scaffolds_live_only_in_cyclo():
+    # a list comprehension of [x] * n rows is a dense matrix scaffold; every
+    # matrix outside cyclo.py is built by Mat.from_entries or Mat.zeros
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cyclo.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            elt = node.elt if isinstance(node, ast.ListComp) else None
+            if (
+                isinstance(elt, ast.BinOp)
+                and isinstance(elt.op, ast.Mult)
+                and isinstance(elt.left, ast.List)
+                and len(elt.left.elts) == 1
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders
