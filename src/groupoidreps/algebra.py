@@ -28,6 +28,7 @@ from itertools import product
 from .cyclo import Cyc, SpanBasis, root_of_unity
 from .groupoid import GMorphism, identity_morphism, objects
 from .perms import all_perms, compose_perms, invert_perm
+from .reporting import suite_result
 from .wreath import DEFAULT_GROUP_CAP, WreathElem, enum_group, generators, wreath_identity, wreath_mul
 
 __all__ = [
@@ -83,9 +84,6 @@ class AlgElem:
                 terms[m] = new
         return AlgElem(self.ell, self.d, terms)
 
-    def __sub__(self, other: "AlgElem") -> "AlgElem":
-        return self + other.scale(Cyc.rational(self.ell, -1))
-
     def scale(self, c: Cyc) -> "AlgElem":
         if c.is_zero():
             return AlgElem.zero(self.ell, self.d)
@@ -121,9 +119,6 @@ class AlgElem:
             and self.d == other.d
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.ell, self.d, frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -302,9 +297,4 @@ def verify_iso(ell: int, d: int, cap: int = DEFAULT_GROUP_CAP) -> dict:
 
     unit_ok = phi(wreath_identity(ell, d)) == AlgElem.unit(ell, d)
     checks.append({"name": "phi preserves unit", "status": "pass" if unit_ok else "fail"})
-    return {
-        "ell": ell,
-        "d": d,
-        "checks": checks,
-        "ok": all(c["status"] == "pass" for c in checks),
-    }
+    return suite_result(checks, ell=ell, d=d)

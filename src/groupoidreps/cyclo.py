@@ -395,9 +395,6 @@ class Mat:
             and self.rows == other.rows
         )
 
-    def __hash__(self):
-        return hash((self.ell, self.rows))
-
     def __add__(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in addition")

@@ -18,6 +18,7 @@ from functools import lru_cache
 from .cyclo import Cyc
 from .groupoid import GMorphism, compose, hom, inverse, objects
 from .perms import compose_perms
+from .reporting import suite_result
 from .simples import (
     ClassFunction,
     all_simples,
@@ -149,10 +150,4 @@ def verify_gelfand(ell: int, d: int) -> dict:
         {"name": "gelfand character equals sum of simple characters", "status": "pass" if diff_zero else "fail"}
     )
 
-    return {
-        "ell": ell,
-        "d": d,
-        "total_dim": model.total_dim,
-        "checks": checks,
-        "ok": all(c["status"] == "pass" for c in checks),
-    }
+    return suite_result(checks, ell=ell, d=d, total_dim=model.total_dim)

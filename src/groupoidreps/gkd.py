@@ -33,6 +33,7 @@ from .groupoid import (
     GMorphism,
     canonical_morphism,
     canonical_object,
+    component_generators,
     compose,
     hom,
     identity_morphism,
@@ -40,6 +41,7 @@ from .groupoid import (
     objects,
     type_of,
 )
+from .reporting import suite_result
 from .simples import all_simples, build_simple
 from .tableaux import compositions, multipartitions, outer_rep
 from .wreath import (
@@ -259,7 +261,7 @@ def endo_structure(Q: QuotientGroupoid, oi: int) -> dict:
     }
 
 
-def quotient_structure_report(ell: int, k: int, d: int, check_composition: bool = True) -> dict:
+def quotient_structure_report(ell: int, k: int, d: int) -> dict:
     """Freeness, object count, endomorphism structure, representative independence."""
     Q = quotient_groupoid(ell, k, d)
     checks = []
@@ -328,35 +330,28 @@ def quotient_structure_report(ell: int, k: int, d: int, check_composition: bool 
         }
     )
 
-    if check_composition:
-        indep = True
-        qms = Q.all_qmorphisms()
-        for q1 in qms:
-            for q2 in qms:
-                if Q.target_orbit(q1) != Q.source_orbit(q2):
-                    continue
-                base = Q.compose(q2, q1)
-                # recompose from rotated representatives of both factors
-                for t1 in range(1, Q.k):
-                    m1 = Q.translate(q1.raw, t1)
-                    t = Q._translate_exponent(q2.raw.source, m1.target)
-                    m2 = Q.translate(q2.raw, t)
-                    if Q.normalize(compose(m2, m1)) != base:
-                        indep = False
-        checks.append(
-            {
-                "name": "quotient composition independent of representatives",
-                "status": "pass" if indep else "fail",
-            }
-        )
+    indep = True
+    qms = Q.all_qmorphisms()
+    for q1 in qms:
+        for q2 in qms:
+            if Q.target_orbit(q1) != Q.source_orbit(q2):
+                continue
+            base = Q.compose(q2, q1)
+            # recompose from rotated representatives of both factors
+            for t1 in range(1, Q.k):
+                m1 = Q.translate(q1.raw, t1)
+                t = Q._translate_exponent(q2.raw.source, m1.target)
+                m2 = Q.translate(q2.raw, t)
+                if Q.normalize(compose(m2, m1)) != base:
+                    indep = False
+    checks.append(
+        {
+            "name": "quotient composition independent of representatives",
+            "status": "pass" if indep else "fail",
+        }
+    )
 
-    return {
-        "ell": ell,
-        "k": k,
-        "d": d,
-        "checks": checks,
-        "ok": all(c["status"] == "pass" for c in checks),
-    }
+    return suite_result(checks, ell=ell, k=k, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -364,33 +359,66 @@ def quotient_structure_report(ell: int, k: int, d: int, check_composition: bool 
 # ---------------------------------------------------------------------------
 
 
+def _quotient_generators(Q: QuotientGroupoid, lams) -> list[QMorphism]:
+    """The normalized component generators of the types lams, without repeats."""
+    return list(dict.fromkeys(Q.normalize(m) for lam in lams for m in component_generators(Q.ell, lam)))
+
+
+def _closure(Q: QuotientGroupoid, gens: list[QMorphism], objs, holds) -> set | None:
+    """Compose gens onto the identities at objs until nothing new appears.
+
+    holds(s, x, s o x) is tested for every morphism x reached and every
+    identity or generator s composable with it.  Returns the morphisms
+    reached, or None at the first step where holds is false.  When every
+    basis morphism is reached, each one is a word in gens, so induction on
+    that word carries holds from the generators to all composable pairs.
+    """
+    by_source: dict[int, list[QMorphism]] = {o: [Q.identity(o)] for o in objs}
+    for s in gens:
+        by_source[Q.source_orbit(s)].append(s)
+    reached = {Q.identity(o) for o in objs}
+    frontier = list(reached)
+    while frontier:
+        x = frontier.pop()
+        for s in by_source[Q.target_orbit(x)]:
+            y = Q.compose(s, x)
+            if not holds(s, x, y):
+                return None
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached
+
+
 def reflection_span_check(ell: int, k: int, d: int) -> dict:
     Q = quotient_groupoid(ell, k, d)
     checks = []
     qms = Q.all_qmorphisms()
     dim_quotient = len(qms)
+    psi = {q: Q.psi(q) for q in qms}
 
     # Psi injectivity: orbit sums have pairwise disjoint supports.
     supports: set = set()
     overlap = False
-    for q in qms:
-        sup = set(Q.psi(q).terms.keys())
+    for image in psi.values():
+        sup = set(image.terms)
         if supports & sup:
             overlap = True
         supports |= sup
     inj = (not overlap) and len(supports) == ell**d * factorial(d)
     checks.append({"name": "Psi injective (disjoint orbit supports)", "status": "pass" if inj else "fail"})
 
-    # Psi multiplicative on all composable basis pairs (zero otherwise).
-    mult_ok = True
-    for q1 in qms:
-        for q2 in qms:
-            prod = Q.psi(q2) * Q.psi(q1)
-            if Q.target_orbit(q1) == Q.source_orbit(q2):
-                if prod != Q.psi(Q.compose(q2, q1)):
-                    mult_ok = False
-            elif not prod.is_zero():
-                mult_ok = False
+    # Psi multiplicative on the basis.  Psi(q) lies in e_target A e_source,
+    # which gives the zero products of the pairs that do not compose; on the
+    # pairs that do, Psi(s) Psi(q) = Psi(s o q) for the generators s suffices.
+    in_corner = all(
+        Q.orbit_of[m.source] == Q.source_orbit(q) and Q.orbit_of[m.target] == Q.target_orbit(q)
+        for q, image in psi.items()
+        for m in image.terms
+    )
+    gens = _quotient_generators(Q, gamma_cross_section(ell, k, d))
+    reached = _closure(Q, gens, range(len(Q.orbits)), lambda s, x, y: psi[s] * psi[x] == psi[y])
+    mult_ok = in_corner and reached == set(qms)
     checks.append({"name": "Psi multiplicative on the basis", "status": "pass" if mult_ok else "fail"})
 
     # Phi(G(l,k,d)) lies in the H_k-invariant span (coefficients orbit-constant)
@@ -431,13 +459,7 @@ def reflection_span_check(ell: int, k: int, d: int) -> dict:
         }
     )
 
-    return {
-        "ell": ell,
-        "k": k,
-        "d": d,
-        "checks": checks,
-        "ok": all(c["status"] == "pass" for c in checks),
-    }
+    return suite_result(checks, ell=ell, k=k, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -678,28 +700,24 @@ def _gkd_inner_product(ell: int, k: int, d: int, alpha, beta_conj) -> Cyc:
 
 
 def _quotient_commutant_dim(mod: QuotientSimpleModule) -> int:
-    """Exact dimension of {X : X L(q) = L(q) X for all basis quotient morphisms q}."""
-    Q, comp, bd, index = mod.Q, mod.component, mod.block_dim, mod.block_index
+    """Exact dimension of {X : X L(q) = L(q) X for all basis quotient morphisms q}.
+
+    Only the component generators are imposed, as in simples._commutant_dim.
+    """
+    Q, index, bd = mod.Q, mod.block_index, mod.block_dim
     actions = (
-        (index[o1], index[o2], a, a)
-        for o1 in comp
-        for o2 in comp
-        for a in map(mod.action_block, Q.hom(o1, o2))
+        (index[Q.source_orbit(q)], index[Q.target_orbit(q)], a, a)
+        for q in _quotient_generators(Q, [mod.lam])
+        for a in [mod.action_block(q)]
     )
-    return len(intertwiners(mod.ell, [bd] * len(comp), [bd] * len(comp), actions))
+    return len(intertwiners(mod.ell, [bd] * len(index), [bd] * len(index), actions))
 
 
 def _quotient_functorial(mod: QuotientSimpleModule) -> bool:
-    Q = mod.Q
-    for o1 in mod.component:
-        for o2 in mod.component:
-            for q1 in Q.hom(o1, o2):
-                a1 = mod.action_block(q1)
-                for o3 in mod.component:
-                    for q2 in Q.hom(o2, o3):
-                        if mod.action_block(Q.compose(q2, q1)) != mod.action_block(q2) * a1:
-                            return False
-    return True
+    """L(s o q) = L(s) L(q) for the generators s, and they reach every basis q of the component."""
+    Q, comp, act = mod.Q, mod.component, mod.action_block
+    reached = _closure(Q, _quotient_generators(Q, [mod.lam]), comp, lambda s, x, y: act(y) == act(s) * act(x))
+    return reached == {q for o1 in comp for o2 in comp for q in Q.hom(o1, o2)}
 
 
 def quotient_simples_check(ell: int, k: int, d: int) -> dict:
@@ -743,14 +761,7 @@ def quotient_simples_check(ell: int, k: int, d: int) -> dict:
         {"name": "characters pairwise distinct", "status": "pass" if distinct else "fail"}
     )
 
-    return {
-        "ell": ell,
-        "k": k,
-        "d": d,
-        "labels": [m.label_json() for m in mods],
-        "checks": checks,
-        "ok": all(c["status"] == "pass" for c in checks),
-    }
+    return suite_result(checks, ell=ell, k=k, d=d, labels=[m.label_json() for m in mods])
 
 
 def restriction_check(ell: int, k: int, d: int) -> dict:
@@ -804,13 +815,7 @@ def restriction_check(ell: int, k: int, d: int) -> dict:
                 "details": details,
             }
         )
-    return {
-        "ell": ell,
-        "k": k,
-        "d": d,
-        "checks": checks,
-        "ok": all(c["status"] == "pass" for c in checks),
-    }
+    return suite_result(checks, ell=ell, k=k, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +829,8 @@ def rotation_eigenspace_check(ell: int, k: int, d: int) -> dict:
     directly built quotient simple by exact characters.
 
     Runs for stabilizer-invariant p (h.p = p), which covers every label on
-    the tested grid; other p are reported as skipped (the blockwise rotation
-    operator needs h.p = p to close up).
+    the tested grid; other p are reported with status skip (the blockwise
+    rotation operator needs h.p = p to close up).
     """
     Q = quotient_groupoid(ell, k, d)
     checks = []
@@ -845,8 +850,8 @@ def rotation_eigenspace_check(ell: int, k: int, d: int) -> dict:
                 checks.append(
                     {
                         "name": f"rotation eigenspaces for p={[list(q) for q in p0]}",
-                        "status": "pass",
-                        "details": {"skipped": "p not stabilizer-invariant"},
+                        "status": "skip",
+                        "details": {"reason": "p not stabilizer-invariant"},
                     }
                 )
                 continue
@@ -858,13 +863,7 @@ def rotation_eigenspace_check(ell: int, k: int, d: int) -> dict:
                     "details": detail,
                 }
             )
-    return {
-        "ell": ell,
-        "k": k,
-        "d": d,
-        "checks": checks,
-        "ok": all(c["status"] == "pass" for c in checks),
-    }
+    return suite_result(checks, ell=ell, k=k, d=d)
 
 
 def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, reps_classes) -> tuple[bool, dict]:

@@ -26,6 +26,7 @@ __all__ = [
     "identity_morphism",
     "canonical_object",
     "canonical_morphism",
+    "component_generators",
     "all_morphisms",
 ]
 
@@ -147,6 +148,30 @@ def canonical_morphism(f: ColorFn, g: ColorFn, ell: int) -> GMorphism:
         for i, j in zip(fpos[c], gpos[c]):
             perm[i - 1] = j
     return GMorphism(f, g, tuple(perm))
+
+
+@lru_cache(maxsize=None)
+def component_generators(ell: int, lam: tuple[int, ...]) -> tuple[GMorphism, ...]:
+    """Morphisms that generate the component of type lam under composition.
+
+    With b = f_lam: the anchors sigma_(b,f) for the other objects f of type
+    lam, their inverses, and s_i at b wherever b_i = b_(i+1).  Every pi: f -> g
+    is sigma_(b,g) o w o sigma_(b,f)^(-1) with w in End(b) = S_lam, and the s_i
+    generate S_lam.
+    """
+    b = canonical_object(lam)
+    d = len(b)
+    out: list[GMorphism] = []
+    for f in objects(ell, d):
+        if f != b and type_of(f, ell) == lam:
+            anchor = canonical_morphism(b, f, ell)
+            out += (anchor, inverse(anchor))
+    for i in range(1, d):
+        if b[i - 1] == b[i]:
+            perm = list(range(1, d + 1))
+            perm[i - 1], perm[i] = i + 1, i
+            out.append(GMorphism(b, b, tuple(perm)))
+    return tuple(out)
 
 
 def all_morphisms(ell: int, d: int, cap: int = DEFAULT_OBJECT_CAP) -> list[GMorphism]:

@@ -1,15 +1,17 @@
 """Report assembly and emission shared by the CLI subcommands.
 
 A report carries its checks (name/status/details) separately from timings so
-that the check payload is byte-identical across runs with identical flags;
-a report with any failing check maps to a nonzero exit code.
+that the check payload is byte-identical across runs with identical flags.
+A check's status is pass, fail or skip (a case the check does not cover,
+with the reason in its details); a report with any failing check maps to a
+nonzero exit code.
 """
 
 from __future__ import annotations
 
 import json
 
-SCHEMA = "groupoid-reps/1"
+SCHEMA = "groupoid-reps/2"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -27,8 +29,18 @@ def make_report(command: str, parameters: dict, checks: list[dict], timings: dic
     }
 
 
+def all_ok(checks: list[dict]) -> bool:
+    """No check failed; a skipped check does not count as a failure."""
+    return all(c["status"] != "fail" for c in checks)
+
+
+def suite_result(checks: list[dict], **fields) -> dict:
+    """What a suite returns: its fields, its checks, and ok when no check failed."""
+    return {**fields, "checks": checks, "ok": all_ok(checks)}
+
+
 def report_ok(report: dict) -> bool:
-    return all(c.get("status") == "pass" for c in report["checks"])
+    return all_ok(report["checks"])
 
 
 def checks_payload(report: dict) -> str:
@@ -45,8 +57,8 @@ def emit(report: dict, out: str) -> None:
     for c in report["checks"]:
         line = f"[{c['status'].upper():4}] {c['name']}"
         print(line)
-    npass = sum(1 for c in report["checks"] if c["status"] == "pass")
-    print(f"-- {npass}/{len(report['checks'])} checks passed")
+    counts = {s: sum(1 for c in report["checks"] if c["status"] == s) for s in ("pass", "skip", "fail")}
+    print(f"-- {len(report['checks'])} checks: {counts['pass']} passed, {counts['skip']} skipped, {counts['fail']} failed")
 
 
 def exit_code(report: dict) -> int:

@@ -18,6 +18,7 @@ from itertools import combinations, permutations
 from math import comb, factorial
 
 from .perms import adjacent_transposition
+from .reporting import suite_result
 
 __all__ = [
     "RookElem",
@@ -120,9 +121,6 @@ class RookAlgebraElem:
     def __eq__(self, other):
         return isinstance(other, RookAlgebraElem) and self.d == other.d and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.d, frozenset(self.terms.items())))
-
 
 def rook_images(d: int) -> list[RookAlgebraElem]:
     """Images of s_0, s_1, ..., s_{d-1} in C[IS_d]."""
@@ -202,4 +200,4 @@ def rook_epimorphism_check(d: int) -> dict:
         frontier = new
     record(f"span of generated algebra = |IS_{d}| = {target}", sb.rank == target)
 
-    return {"d": d, "dim": sb.rank, "checks": checks, "ok": all(c["status"] == "pass" for c in checks)}
+    return suite_result(checks, d=d, dim=sb.rank)

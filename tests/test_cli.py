@@ -6,7 +6,7 @@ import time
 import pytest
 
 from groupoidreps.cli import main, run_task
-from groupoidreps.reporting import checks_payload
+from groupoidreps.reporting import checks_payload, emit, exit_code, make_report, report_ok
 
 
 def run_cli(argv):
@@ -20,7 +20,7 @@ def test_simples_json():
     code, out = run_cli(["simples", "--ell", "2", "--d", "2", "--out", "json"])
     assert code == 0
     rep = json.loads(out)
-    assert rep["schema"] == "groupoid-reps/1"
+    assert rep["schema"] == "groupoid-reps/2"
     assert rep["command"] == "simples"
     dims = next(c for c in rep["checks"] if c["name"] == "wedderburn sum of squares")
     assert sorted(dims["details"]["dims"]) == [1, 1, 1, 1, 2]
@@ -237,3 +237,23 @@ def test_all_task_reports_its_subcommand_checks(task, name, argv):
         sep = " " if task[0] in ("gkd", "schur-weyl") else ": "
         expected = [{**c, "name": f"{name}{sep}{c['name']}"} for c in shared]
     assert json.loads(json.dumps(checks)) == expected
+
+
+def test_a_skipped_check_is_not_a_failure(capsys):
+    checks = [{"name": "a", "status": "pass"}, {"name": "b", "status": "skip", "details": {"reason": "r"}}]
+    report = make_report("x", {}, checks)
+    assert report_ok(report) and exit_code(report) == 0
+    emit(report, "text")
+    assert capsys.readouterr().out.splitlines()[-1] == "-- 2 checks: 1 passed, 1 skipped, 0 failed"
+    report = make_report("x", {}, checks + [{"name": "c", "status": "fail"}])
+    assert not report_ok(report) and exit_code(report) == 1
+    emit(report, "text")
+    assert capsys.readouterr().out.splitlines()[-2:] == ["[FAIL] c", "-- 3 checks: 1 passed, 1 skipped, 1 failed"]
+
+
+def test_gkd_with_a_skipped_rotation_check_exits_zero():
+    # G(2,2,4) has a label whose p is not stabilizer-invariant
+    code, out = run_cli(["gkd", "--ell", "2", "--k", "2", "--d", "4"])
+    assert code == 0
+    assert "[SKIP] rotation-eigenspaces: rotation eigenspaces for p=[[1, 1], [2]]" in out
+    assert out.splitlines()[-1] == "-- 46 checks: 45 passed, 1 skipped, 0 failed"

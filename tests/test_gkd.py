@@ -1,5 +1,6 @@
 import pytest
 
+from groupoidreps import gkd
 from groupoidreps.cyclo import Cyc, Mat
 from groupoidreps.gkd import (
     build_quotient_simple,
@@ -225,3 +226,89 @@ def test_quotient_commutant_check_fails_for_a_module_acting_trivially(monkeypatc
     check = next(c for c in rep["checks"] if c["name"] == "commutant of each L_(p,m) has dim 1")
     assert check["status"] == "fail"
     assert check["details"]["failures"] == [mod.label_json()]
+
+
+def _status(rep, name):
+    return next(c["status"] for c in rep["checks"] if c["name"] == name)
+
+
+@pytest.mark.parametrize("ell,k,d", [(2, 2, 4), (3, 3, 3), (4, 2, 2), (4, 4, 2), (3, 1, 3)])
+def test_normalized_component_generators_generate_the_quotient(ell, k, d):
+    Q = quotient_groupoid(ell, k, d)
+    gens = gkd._quotient_generators(Q, gamma_cross_section(ell, k, d))
+    reached = gkd._closure(Q, gens, range(len(Q.orbits)), lambda s, x, y: True)
+    assert reached == set(Q.all_qmorphisms())
+
+
+def _non_generator(Q, morphisms, gens):
+    """A basis morphism that is neither an identity nor one of gens."""
+    ids = {Q.identity(o) for o in range(len(Q.orbits))}
+    return next(q for q in morphisms if q not in ids and q not in set(gens))
+
+
+def test_psi_check_catches_psi_wrong_off_generators(monkeypatch):
+    ell, k, d = 2, 2, 3
+    Q = quotient_groupoid(ell, k, d)
+    bad = _non_generator(Q, Q.all_qmorphisms(), gkd._quotient_generators(Q, gamma_cross_section(ell, k, d)))
+    real = gkd.QuotientGroupoid.psi
+    two = Cyc.rational(ell, 2)
+    monkeypatch.setattr(gkd.QuotientGroupoid, "psi", lambda self, q: real(self, q).scale(two) if q == bad else real(self, q))
+    rep = reflection_span_check(ell, k, d)
+    # the supports are untouched, so only the product check sees the fault
+    assert _status(rep, "Psi injective (disjoint orbit supports)") == "pass"
+    assert _status(rep, "Psi multiplicative on the basis") == "fail"
+
+
+@pytest.mark.parametrize("fault", ["outside its corner", "scaled"])
+def test_psi_check_catches_a_wrong_identity_image(monkeypatch, fault):
+    # At (2,1,1) the components are single objects with no generators, so no
+    # product reaches their identities.  Psi(e_0) + e_(2) is still idempotent
+    # and multiplies correctly with everything composable: only the support
+    # check sees it.  2 Psi(e_0) is seen only by the identity step, Psi(e_0)^2.
+    from groupoidreps.algebra import AlgElem
+
+    ell, k, d = 2, 1, 1
+    Q = quotient_groupoid(ell, k, d)
+    e0 = Q.identity(0)
+    real = gkd.QuotientGroupoid.psi
+    wrong = {
+        "outside its corner": lambda image: image + AlgElem.idempotent(ell, Q.rep(1)),
+        "scaled": lambda image: image.scale(Cyc.rational(ell, 2)),
+    }[fault]
+    monkeypatch.setattr(gkd.QuotientGroupoid, "psi", lambda self, q: wrong(real(self, q)) if q == e0 else real(self, q))
+    assert _status(reflection_span_check(ell, k, d), "Psi multiplicative on the basis") == "fail"
+
+
+def test_generator_checks_reject_a_non_generating_set(monkeypatch):
+    # without the s_i at the base objects the endomorphism groups are not reached
+    real = gkd.component_generators
+    monkeypatch.setattr(gkd, "component_generators", lambda ell, lam: [m for m in real(ell, lam) if m.source != m.target])
+    assert _status(reflection_span_check(2, 2, 3), "Psi multiplicative on the basis") == "fail"
+    assert _status(quotient_simples_check(2, 2, 3), "L_(p,m) functorial") == "fail"
+
+
+def test_functoriality_check_catches_action_wrong_off_generators(monkeypatch):
+    ell, k, d = 2, 2, 3
+    mods = [build_quotient_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
+    mod = next(m for m in mods if m.block_dim > 1)
+    mod.class_character  # tabulated before the action is replaced, so the cache stays right
+    Q, comp = mod.Q, mod.component
+    bad = _non_generator(Q, [q for o1 in comp for o2 in comp for q in Q.hom(o1, o2)], gkd._quotient_generators(Q, [mod.lam]))
+    real = mod.action_block
+    two = Cyc.rational(ell, 2)
+    monkeypatch.setattr(mod, "action_block", lambda q: real(q).scale_cyc(two) if q == bad else real(q))
+    rep = quotient_simples_check(ell, k, d)
+    # the generators and identities act as before, so only functoriality sees the fault
+    assert _status(rep, "L_(p,m) functorial") == "fail"
+    assert _status(rep, "commutant of each L_(p,m) has dim 1") == "pass"
+    assert _status(rep, "identity quotient morphisms act as identity") == "pass"
+
+
+def test_rotation_check_skips_a_p_that_is_not_stabilizer_invariant():
+    # at (2,2,4), p = ([1,1],[2]) has shape (2,2), fixed by the rotation, but p is not
+    rep = rotation_eigenspace_check(2, 2, 4)
+    skipped = [c for c in rep["checks"] if c["status"] == "skip"]
+    assert [c["name"] for c in skipped] == ["rotation eigenspaces for p=[[1, 1], [2]]"]
+    assert skipped[0]["details"] == {"reason": "p not stabilizer-invariant"}
+    assert rep["ok"]
+    assert all(c["status"] == "pass" for c in rep["checks"] if c not in skipped)

@@ -6,6 +6,7 @@ from groupoidreps.groupoid import (
     all_morphisms,
     canonical_morphism,
     canonical_object,
+    component_generators,
     compose,
     hom,
     identity_morphism,
@@ -121,3 +122,40 @@ def test_endos_form_group():
 def test_serialization():
     m = hom((1, 2), (2, 1), 2)[0]
     assert m.to_json() == {"source": [1, 2], "target": [2, 1], "perm": [2, 1]}
+
+
+def _reached(gens, objs):
+    """Every composite of gens onto the identities at objs."""
+    reached = {identity_morphism(f) for f in objs}
+    frontier = list(reached)
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            if s.source == x.target and compose(s, x) not in reached:
+                reached.add(compose(s, x))
+                frontier.append(compose(s, x))
+    return reached
+
+
+@pytest.mark.parametrize("ell,d", [(1, 3), (2, 3), (3, 2), (2, 4), (3, 3)])
+def test_component_generators_generate_each_component(ell, d):
+    from groupoidreps.tableaux import compositions
+
+    for lam in compositions(ell, d):
+        objs = [f for f in objects(ell, d) if type_of(f, ell) == lam]
+        gens = component_generators(ell, lam)
+        assert all(s.source in objs and s.target in objs for s in gens)
+        assert _reached(gens, objs) == {m for f in objs for g in objs for m in hom(f, g, ell)}
+
+
+def test_component_generators_example():
+    # b = (1, 1, 2): anchors to (1, 2, 1) and (2, 1, 1), their inverses, and s_1 at b
+    gens = component_generators(2, (2, 1))
+    b = (1, 1, 2)
+    assert [m.perm for m in gens if m.source == m.target == b] == [(2, 1, 3)]
+    anchors = [m for m in gens if m.source == b and m.target != b]
+    assert [m.target for m in anchors] == [(1, 2, 1), (2, 1, 1)]
+    assert all(inverse(m) in gens for m in anchors)
+    assert len(gens) == 5
+    # without s_1 the endomorphism group of b is not reached
+    assert len(_reached([m for m in gens if m.source != m.target], [b, (1, 2, 1), (2, 1, 1)])) == 9

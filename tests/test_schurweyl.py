@@ -1,8 +1,8 @@
 import pytest
 
 from groupoidreps import schurweyl
-from groupoidreps.cyclo import Mat
-from groupoidreps.groupoid import compose, hom
+from groupoidreps.cyclo import Cyc, Mat
+from groupoidreps.groupoid import component_generators, compose, hom, identity_morphism
 from groupoidreps.schurweyl import (
     TensorSpace,
     glk_generated_algebra,
@@ -150,3 +150,54 @@ def test_backward_duality_fails_without_one_algebra_element(monkeypatch):
         rep = verify_double_centralizer(TensorSpace(ell, kvec, d))
         assert _status(rep, "commutant(A-image) = GL-generated algebra") == "fail"
         assert _status(rep, "A-image = commutant(GL) on every block pair") == "pass"
+
+
+EXP_CHECK = "(I+E_ab)^(x d) = exp Delta(E_ab) for every off-diagonal unit"
+
+
+def test_exp_identity_counts_the_off_diagonal_units():
+    for kvec, units in [((2,), 2), ((1, 1), 0), ((2, 1), 2), ((2, 2), 4)]:
+        rep = verify_double_centralizer(TensorSpace(len(kvec), kvec, 2))
+        check = next(c for c in rep["checks"] if c["name"] == EXP_CHECK)
+        assert (check["status"], check["details"]) == ("pass", {"units": units})
+
+
+def test_exp_identity_fails_for_a_generator_missing_one_slot(monkeypatch):
+    # Delta(E_12) with the last tensor slot left out: right on vectors whose
+    # last coordinate is not 2, wrong on the others
+    T = TensorSpace(1, (2,), 2)
+    one = Cyc.one(T.ell)
+    short = {
+        f: Mat.from_entries(
+            T.ell,
+            len(bs),
+            len(bs),
+            (
+                ((T.block_pos[f][vec[:t] + (1,) + vec[t + 1 :]], j), one)
+                for j, vec in enumerate(bs)
+                for t in range(T.d - 1)
+                if vec[t] == 2
+            ),
+        )
+        for f, bs in T.block_of.items()
+    }
+    real = schurweyl.glk_generators
+    monkeypatch.setattr(schurweyl, "glk_generators", lambda T: [short if i == 1 else g for i, g in enumerate(real(T))])
+    rep = verify_double_centralizer(T)
+    assert _status(rep, EXP_CHECK) == "fail"
+    assert not rep["ok"]
+
+
+def test_commuting_check_catches_one_perturbed_morphism(monkeypatch):
+    # a 3-cycle is not among the component generators s_1, s_2 of the one object (1,1,1)
+    T = TensorSpace(1, (2,), 3)
+    gens = component_generators(1, (3,))
+    bad = next(m for m in hom((1, 1, 1), (1, 1, 1), 1) if m not in gens and m != identity_morphism((1, 1, 1)))
+    real = TensorSpace.morphism_block_matrix
+
+    def perturbed(self, m):
+        A = real(self, m)
+        return A + Mat.from_entries(self.ell, A.nrows, A.ncols, [((0, 0), Cyc.one(self.ell))]) if m == bad else A
+
+    monkeypatch.setattr(TensorSpace, "morphism_block_matrix", perturbed)
+    assert verify_commuting(T)["checks"][0]["status"] == "fail"
