@@ -27,7 +27,7 @@ from itertools import product
 
 from .cyclo import Cyc, SpanBasis, root_of_unity
 from .groupoid import GMorphism, identity_morphism, objects
-from .perms import all_perms, compose_perms, invert_perm
+from .perms import compose_perms, invert_perm
 from .reporting import suite_result
 from .wreath import DEFAULT_GROUP_CAP, WreathElem, enum_group, generators, wreath_identity, wreath_mul
 
@@ -214,21 +214,20 @@ def phi_inverse(a: AlgElem) -> list[tuple[WreathElem, Cyc]]:
     return out
 
 
-def _rank_of_phi_images(ell: int, d: int) -> int:
-    """Exact rank of {Phi(x)} in the morphism basis, blockwise by permutation."""
+def _rank_of_phi_images(ell: int, d: int, members) -> int:
+    """Exact rank of {Phi(x) : x in members} in the morphism basis, blockwise by permutation.
+
+    The images of the members with one permutation live in one block, with
+    the entry xi^(sum_j c_j g(perm(j))) at the morphism out of each object g.
+    """
     objs = objects(ell, d)
-    rank = 0
-    for perm in all_perms(d):
-        sb = SpanBasis(ell, len(objs))
-        for colors in product(range(ell), repeat=d):
-            x = WreathElem(ell, perm, colors)
-            vec = [Cyc.zero(ell)] * len(objs)
-            for i, g in enumerate(objs):
-                expo = sum(colors[j] * g[perm[j] - 1] for j in range(d))
-                vec[i] = root_of_unity(ell, expo)
-            sb.add(vec)
-        rank += sb.rank
-    return rank
+    blocks: dict[tuple, SpanBasis] = {}
+    for x in members:
+        sb = blocks.get(x.perm)
+        if sb is None:
+            sb = blocks[x.perm] = SpanBasis(ell, len(objs))
+        sb.add([root_of_unity(ell, sum(c * g[i - 1] for c, i in zip(x.colors, x.perm))) for g in objs])
+    return sum(sb.rank for sb in blocks.values())
 
 
 def _generates(gens: list[WreathElem], e: WreathElem, order: int) -> bool:
@@ -286,7 +285,7 @@ def verify_iso(ell: int, d: int, cap: int = DEFAULT_GROUP_CAP) -> dict:
     ]
 
     expected = ell**d * factorial(d)
-    rank = _rank_of_phi_images(ell, d)
+    rank = _rank_of_phi_images(ell, d, group)
     checks.append(
         {
             "name": "phi bijective (exact rank)",

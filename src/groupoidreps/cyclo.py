@@ -10,10 +10,10 @@ appears anywhere in this module.
 
 All elimination runs on one sparse echelon engine, :class:`SpanBasis`, whose
 rows are {column: Cyc} in reduced row echelon form with pivots 1.
-:class:`LinSolver`, :func:`rref`, :func:`kernel_basis`, :func:`solve_system`
-and ``Mat.rank/kernel_basis/solve`` are thin layers over it.  Every commutant
-and intertwiner space is solved by :func:`intertwiners`, and every matrix
-assembled from blocks or scattered entries is built by :meth:`Mat.from_entries`.
+:class:`LinSolver` and :func:`kernel_basis` are thin layers over it.  Every
+commutant and intertwiner space is solved by :func:`intertwiners`, and every
+matrix assembled from blocks or scattered entries is built by
+:meth:`Mat.from_entries`.
 
 All values are immutable; all operations are pure functions.
 """
@@ -202,7 +202,7 @@ class Cyc:
 
     def __pow__(self, n: int) -> "Cyc":
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("negative powers are not supported; use inverse()")
         result = Cyc.one(self.ell)
         base = self
         while n:
@@ -362,10 +362,6 @@ class Mat:
         return Mat(ell, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def from_fraction_rows(ell: int, rows) -> "Mat":
-        return Mat(ell, [[Cyc.rational(ell, v) for v in r] for r in rows])
-
-    @staticmethod
     def from_entries(ell: int, nrows: int, ncols: int, entries) -> "Mat":
         """The nrows x ncols matrix whose (i, j) entry is the sum of the values given at (i, j).
 
@@ -427,27 +423,6 @@ class Mat:
                 out.append([a * b for a in r for b in s])
         return Mat(self.ell, out)
 
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for r in self.rows for v in r)
-
-    def rank(self) -> int:
-        sb = SpanBasis(self.ell, self.ncols)
-        for r in self.rows:
-            sb.add(list(r))
-        return sb.rank
-
-    def kernel_basis(self) -> list[list[Cyc]]:
-        return kernel_basis(self.ell, [list(r) for r in self.rows], self.ncols)
-
-    def solve(self, rhs: list[Cyc]):
-        """One exact solution x of self @ x = rhs, or None if inconsistent."""
-        return solve_system(self.ell, [list(r) for r in self.rows], list(rhs))
-
-    def apply(self, vec: list[Cyc]) -> list[Cyc]:
-        z = Cyc.zero(self.ell)
-        v = _nonzero(vec)
-        return [_dot(z, _nonzero(r).items(), v) for r in self.rows]
-
     def commutes_with(self, other: "Mat") -> bool:
         return (self * other) == (other * self)
 
@@ -481,8 +456,9 @@ class SpanBasis:
     """Incrementally row-reduced basis of a subspace of Q(xi_l)^n.
 
     The one elimination engine, behind rank, span growth, membership,
-    LinSolver and rref.  Rows are sparse and in reduced row echelon form: a
-    row is stored without its pivot entry 1 and is 0 at every other pivot.
+    LinSolver, kernel_basis and intertwiners.  Rows are sparse and in reduced
+    row echelon form: a row is stored without its pivot entry 1 and is 0 at
+    every other pivot.
     """
 
     def __init__(self, ell: int, n: int):
@@ -602,15 +578,6 @@ class LinSolver:
         return coords
 
 
-def rref(ell: int, rows: list[list[Cyc]]) -> tuple[list[list[Cyc]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    ncols = len(rows[0]) if rows else 0
-    sb = SpanBasis(ell, ncols)
-    for r in rows:
-        sb._insert(_sparse(r, ncols), ncols)
-    return sb.rows, sorted(sb._rows)
-
-
 def kernel_basis(ell: int, rows: list[list[Cyc]], ncols: int) -> list[list[Cyc]]:
     """Exact basis of the right null space {x : A x = 0}."""
     sb = SpanBasis(ell, ncols)
@@ -649,17 +616,3 @@ def intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[list[Cyc]]:
                         v[j + c] = y
                 sb._insert(v, n)
     return sb.kernel()
-
-
-def solve_system(ell: int, rows: list[list[Cyc]], rhs: list[Cyc]):
-    """One solution of A x = rhs, or None when the system is inconsistent."""
-    if len(rhs) != len(rows):
-        raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} equations")
-    red, pivots = rref(ell, [list(r) + [b] for r, b in zip(rows, rhs)])
-    ncols = len(rows[0]) if rows else 0
-    if ncols in pivots:
-        return None
-    x = [Cyc.zero(ell)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x

@@ -23,12 +23,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import factorial
 from typing import NamedTuple
 
-from .algebra import AlgElem, phi
-from .cyclo import Cyc, LinSolver, Mat, SpanBasis, intertwiners, kernel_basis, root_of_unity
+from .algebra import AlgElem, _rank_of_phi_images, phi
+from .cyclo import (
+    Cyc,
+    LinSolver,  # noqa: F401  (unused here; perfbench/tests patch gkd.LinSolver)
+    Mat,
+    intertwiners,
+    root_of_unity,
+)
 from .groupoid import (
     GMorphism,
     canonical_morphism,
@@ -436,20 +442,7 @@ def reflection_span_check(ell: int, k: int, d: int) -> dict:
 
     # exact rank of {Phi(x) : x in G} equals dim A_(l,k,d); with the previous
     # containment this gives span equality.
-    objs = objects(ell, d)
-    rank = 0
-    by_perm: dict[tuple, list[WreathElem]] = {}
-    for x in members:
-        by_perm.setdefault(x.perm, []).append(x)
-    for perm, xs in by_perm.items():
-        sb = SpanBasis(ell, len(objs))
-        for x in xs:
-            vec = [
-                root_of_unity(ell, sum(x.colors[i] * g[perm[i] - 1] for i in range(d)))
-                for g in objs
-            ]
-            sb.add(vec)
-        rank += sb.rank
+    rank = _rank_of_phi_images(ell, d, members)
     rank_ok = rank == dim_quotient == ell**d * factorial(d) // k
     checks.append(
         {
@@ -825,8 +818,12 @@ def restriction_check(ell: int, k: int, d: int) -> dict:
 
 def rotation_eigenspace_check(ell: int, k: int, d: int) -> dict:
     """Assemble the direct sum of the rotated simple modules with its color-
-    rotation operator, split into eigenspaces, and match each eigenspace to a
-    directly built quotient simple by exact characters.
+    rotation operator theta, split into eigenspaces, and match each eigenspace
+    to a directly built quotient simple by exact characters.
+
+    theta commutes with the G(l,k,d)-action and theta^k = 1, so the
+    xi_k^m-eigenspace is the image of P_m = (1/k) sum_j xi_k^(-jm) theta^j:
+    its dimension is tr(P_m) and its character at x is tr(P_m x).
 
     Runs for stabilizer-invariant p (h.p = p), which covers every label on
     the tested grid; other p are reported with status skip (the blockwise
@@ -866,18 +863,15 @@ def rotation_eigenspace_check(ell: int, k: int, d: int) -> dict:
     return suite_result(checks, ell=ell, k=k, d=d)
 
 
-def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, reps_classes) -> tuple[bool, dict]:
+def _rotation_module(Q: QuotientGroupoid, lam, p):
+    """theta on the direct sum of the simples L_(z^j p) over the types of the
+    H_k-orbit of lam, and the matrix of the action of x on that sum."""
     ell, k, d = Q.ell, Q.k, Q.d
-    r = Q.type_stabilizer_order(lam)
-    copies = k // r  # number of distinct types in the H_k-orbit of lam
+    copies = k // Q.type_stabilizer_order(lam)  # number of distinct types in the orbit
     v = Q.shift
     summands = [build_simple(ell, d, _rotate_multipartition(p, j * v)) for j in range(copies)]
-    offsets = []
-    pos = 0
-    for simp in summands:
-        offsets.append(pos)
-        pos += simp.total_dim
-    total = pos
+    offsets = list(accumulate((simp.total_dim for simp in summands), initial=0))
+    total = offsets.pop()
 
     # theta operator: object f (type of summand j) -> theta(f) in summand j+1,
     # with the tensor-slot rotation on coordinates.
@@ -899,7 +893,38 @@ def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, reps_classes) -> tu
         entries = (e for simp, o in zip(summands, offsets) for e in simp.act_alg(a).entries(o, o))
         return Mat.from_entries(ell, total, total, entries)
 
-    detail: dict = {}
+    return theta_op, act_total
+
+
+def _eigenspace_traces(powers: list[Mat], mats: list[Mat]) -> list[tuple[int, tuple[Cyc, ...]]]:
+    """(dim E_m, the traces of mats on E_m) for the xi_k^m-eigenspaces E_m of theta, m = 1..k.
+
+    powers = [theta^0, ..., theta^(k-1)], with theta^k = 1 and theta commuting
+    with every matrix of mats.  Then E_m is the image of the idempotent
+    P_m = (1/k) sum_j xi_k^(-jm) theta^j, which commutes with each A in mats,
+    so dim E_m = tr(P_m) and the trace of A on E_m is tr(P_m A).  Each twisted
+    trace tr(theta^j A) is a sum over the nonzero entries of theta^j.
+    """
+    k, ell = len(powers), powers[0].ell
+    zero = Cyc.zero(ell)
+    theta_entries = [list(t.entries()) for t in powers]
+    unit = [t.trace() for t in powers]
+    twisted = [[sum((c * A.rows[b][a] for (a, b), c in ents), zero) for ents in theta_entries] for A in mats]
+    out = []
+    for m in range(1, k + 1):
+        weights = [root_of_unity(ell, -j * (ell // k) * m).scale(Fraction(1, k)) for j in range(k)]
+
+        def project(traces: list[Cyc]) -> Cyc:
+            return sum((w * t for w, t in zip(weights, traces)), zero)
+
+        out.append((int(project(unit).rational_value()), tuple(project(tr) for tr in twisted)))
+    return out
+
+
+def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, reps_classes) -> tuple[bool, dict]:
+    ell, k, d = Q.ell, Q.k, Q.d
+    r = Q.type_stabilizer_order(lam)
+    theta_op, act_total = _rotation_module(Q, lam, p)
 
     # twisted equivariance: theta(x . v) = theta(x) . theta(v) for generators,
     # hence theta commutes with the G(l,k,d)-action
@@ -907,48 +932,24 @@ def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, reps_classes) -> tu
         if not theta_op.commutes_with(act_total(g)):
             return False, {"failure": "theta does not commute with the invariant algebra"}
 
-    # theta^k = 1
-    power = Mat.identity(ell, total)
+    # theta^0 .. theta^k, and theta^k = 1
+    powers = [Mat.identity(ell, theta_op.nrows)]
     for _ in range(k):
-        power = theta_op * power
-    if power != Mat.identity(ell, total):
+        powers.append(theta_op * powers[-1])
+    if powers[k] != powers[0]:
         return False, {"failure": "theta_k does not have order k on the rotation module"}
 
-    # eigenspaces over the k-th roots of unity
-    s = r
-    expected_chars = {}
-    for m in range(1, s + 1):
-        mod = build_quotient_simple(ell, k, d, p, m)
-        expected_chars[m] = tuple(v.coeffs for v in mod.class_character)
-    hits = {m: 0 for m in expected_chars}
-    dims = []
-    for m in range(1, k + 1):
-        eig = root_of_unity(ell, v * m)
-        shifted = theta_op - Mat.identity(ell, total).scale_cyc(eig)
-        basis = kernel_basis(ell, [list(row) for row in shifted.rows], total)
-        dims.append(len(basis))
-        if not basis:
+    # eigenspaces over the k-th roots of unity, matched to the L_(p,m) by characters
+    expected = {m: build_quotient_simple(ell, k, d, p, m).class_character for m in range(1, r + 1)}
+    hits = dict.fromkeys(expected, 0)
+    eigenspaces = _eigenspace_traces(powers[:k], [act_total(rep) for rep, _size in reps_classes])
+    for m, (dim, char) in enumerate(eigenspaces, start=1):
+        if not dim:
             continue
-        solver = LinSolver(ell, basis)
-        char = []
-        for rep, _size in reps_classes:
-            mat = act_total(rep)
-            tr = Cyc.zero(ell)
-            for idx, bvec in enumerate(basis):
-                image = mat.apply(bvec)
-                coords = solver.express(image)
-                if coords is None:
-                    return False, {"failure": "eigenspace is not an invariant subspace"}
-                tr = tr + coords[idx]
-            char.append(tr.coeffs)
-        char = tuple(char)
-        matched = [mm for mm, exp in expected_chars.items() if exp == char]
+        matched = [mm for mm, exp in expected.items() if exp == char]
         if len(matched) != 1:
             return False, {"failure": f"eigenspace m={m} does not match a unique L_(p,m)"}
         hits[matched[0]] += 1
-    if sum(dims) != total:
-        return False, {"failure": "eigenspace dimensions do not fill the rotation module"}
     if any(h != k // r for h in hits.values()):
         return False, {"failure": "eigenspace multiplicities do not match k/r"}
-    detail["eigenspace_dims"] = dims
-    return True, detail
+    return True, {"eigenspace_dims": [dim for dim, _char in eigenspaces]}

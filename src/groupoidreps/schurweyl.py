@@ -16,6 +16,8 @@ Delta(E_ab); and a diagonal g acts by one scalar on each joint eigenspace of
 the Delta(E_aa).  The report checks the finite identity
 (I + E_ab)^(x d) = sum_(n<=d) Delta(E_ab)^n / n! on every block.
 All ranks, kernels and commutants are computed by exact Gaussian elimination.
+Whether the central idempotent of a simple p kills V^(x d) is read from
+characters: the algebra is semisimple, so it does iff <chi_V, chi_p> = 0.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .cyclo import Cyc, Mat, SpanBasis, intertwiners, kernel_basis
 from .groupoid import GMorphism, component_generators, hom, type_of
 from .perms import invert_perm
 from .reporting import suite_result
-from .simples import all_simples
-from .wreath import enum_group, wreath_inv
+from .simples import ClassFunction, all_simples, character_table, inner_product
 
 __all__ = [
     "TensorSpace",
@@ -364,23 +365,14 @@ def kernel_check(T: TensorSpace) -> dict:
         }
     )
 
-    # per-simple: the central idempotent of p acts by zero iff p is predicted killed
-    group = enum_group(ell, d)
-    order = len(group)
+    # per-simple: the algebra is semisimple, so the central idempotent of p
+    # kills V^(x d) iff <chi_V, chi_p> = 0, with chi_V one trace per class
+    chi_v = ClassFunction.from_callable(ell, d, lambda x: T.act_full(phi(x, d)).trace())
     killed_set = {m.p for m in killed}
-    per_simple_ok = True
-    for mod in all_simples(ell, d):
-        n = len(T.basis)
-        acc = Mat.zeros(ell, n, n)
-        for x in group:
-            chi = mod.char_wreath(wreath_inv(x))
-            if chi.is_zero():
-                continue
-            acc = acc + T.act_full(phi(x, d)).scale_cyc(chi)
-        acc = acc.scale_cyc(Cyc.rational(ell, Fraction(mod.total_dim, order)))
-        is_zero = acc.is_zero()
-        if is_zero != (mod.p in killed_set):
-            per_simple_ok = False
+    per_simple_ok = all(
+        inner_product(ell, d, chi_v, chi_p).is_zero() == (mod.p in killed_set)
+        for mod, chi_p in zip(all_simples(ell, d), character_table(ell, d))
+    )
     checks.append(
         {
             "name": "each predicted-killed simple acts by zero, others nonzero",

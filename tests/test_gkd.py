@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
 from groupoidreps import gkd
-from groupoidreps.cyclo import Cyc, Mat
+from groupoidreps.cyclo import Cyc, LinSolver, Mat, kernel_basis, root_of_unity
 from groupoidreps.gkd import (
     build_quotient_simple,
     restriction_check,
@@ -20,7 +22,8 @@ from groupoidreps.gkd import (
 )
 from groupoidreps.groupoid import canonical_morphism, identity_morphism, type_of
 from groupoidreps.simples import all_simples
-from groupoidreps.wreath import wreath_identity
+from groupoidreps.tableaux import multipartitions
+from groupoidreps.wreath import generators, wreath_identity
 
 GRID = [
     (2, 2, 1),
@@ -312,3 +315,105 @@ def test_rotation_check_skips_a_p_that_is_not_stabilizer_invariant():
     assert skipped[0]["details"] == {"reason": "p not stabilizer-invariant"}
     assert rep["ok"]
     assert all(c["status"] == "pass" for c in rep["checks"] if c not in skipped)
+
+
+def _rotation_failures(ell, k, d):
+    """{p: failure} for the rotation checks that fail."""
+    rep = rotation_eigenspace_check(ell, k, d)
+    return {c["name"]: c["details"]["failure"] for c in rep["checks"] if c["status"] == "fail"}
+
+
+def test_rotation_check_fails_for_generators_outside_gkd(monkeypatch):
+    # the color generator of S(2,2) lies outside G(2,2,2): theta turns its
+    # scalar xi^f(1) into xi^(f(1)+1) on every block, so it anticommutes with theta
+    rep = rotation_eigenspace_check(2, 2, 2)  # tabulates classes and simples before the patch
+    monkeypatch.setattr(gkd, "gkd_generators", lambda ell, k, d: generators(ell, d))
+    failures = _rotation_failures(2, 2, 2)
+    assert sorted(failures) == sorted(c["name"] for c in rep["checks"])
+    assert set(failures.values()) == {"theta does not commute with the invariant algebra"}
+
+
+def test_rotation_check_fails_for_theta_of_the_wrong_order(monkeypatch):
+    # 2 theta commutes with the action as theta does, but (2 theta)^3 = 8
+    rep = rotation_eigenspace_check(3, 3, 2)
+    real = gkd._slot_rotation
+    monkeypatch.setattr(gkd, "_slot_rotation", lambda ell, dims, slot, scalar: real(ell, dims, slot, scalar.scale(2)))
+    failures = _rotation_failures(3, 3, 2)
+    assert sorted(failures) == sorted(c["name"] for c in rep["checks"])
+    assert set(failures.values()) == {"theta_k does not have order k on the rotation module"}
+
+
+def test_rotation_check_fails_for_one_wrong_character_value(monkeypatch):
+    # L_(p,1) of every p gets one wrong class value: its eigenspace matches no label
+    ell, k, d = 2, 2, 2
+    rep = rotation_eigenspace_check(ell, k, d)
+    real = gkd.build_quotient_simple
+
+    def perturbed(ell, k, d, p, m):
+        table = list(real(ell, k, d, p, m).class_character)
+        if m == 1:
+            table[0] = table[0] + Cyc.one(ell)
+        return SimpleNamespace(class_character=tuple(table))
+
+    monkeypatch.setattr(gkd, "build_quotient_simple", perturbed)
+    failures = _rotation_failures(ell, k, d)
+    assert sorted(failures) == sorted(c["name"] for c in rep["checks"])
+    assert all(f.startswith("eigenspace m=") and f.endswith("does not match a unique L_(p,m)") for f in failures.values())
+
+
+def test_rotation_check_fails_for_wrong_multiplicities(monkeypatch):
+    # with the projector weights xi_2^(-2jm) = 1 both projectors are (1 + theta)/2:
+    # at p = ([1],[1]) the one eigenspace is counted twice for one L_(p,m) and
+    # never for the other; where r = 1 both eigenspaces match L_(p,1) anyway
+    rotation_eigenspace_check(2, 2, 2)  # builds the L_(p,m) with the true roots of unity
+    real = gkd.root_of_unity
+    monkeypatch.setattr(gkd, "root_of_unity", lambda ell, power: real(ell, 2 * power))
+    assert _rotation_failures(2, 2, 2) == {
+        "rotation eigenspaces for p=[[1], [1]]": "eigenspace multiplicities do not match k/r"
+    }
+
+
+def _invariant_labels(Q):
+    """(lambda, p) for lambda in Gamma and every p that the rotation check runs on."""
+    for lam in gamma_cross_section(Q.ell, Q.k, Q.d):
+        r = Q.type_stabilizer_order(lam)
+        for p in multipartitions(lam):
+            if gkd._p_stabilizer_order(p, r, Q.ell) == r:
+                yield lam, p
+
+
+def _eigenspaces_by_kernel_basis(theta, k, mats):
+    """The route the check replaced: a basis of each kernel of theta - xi_k^m, and each
+    A in mats expressed in it."""
+    ell, n = theta.ell, theta.nrows
+    out = []
+    for m in range(1, k + 1):
+        shifted = theta - Mat.identity(ell, n).scale_cyc(root_of_unity(ell, (ell // k) * m))
+        basis = kernel_basis(ell, [list(row) for row in shifted.rows], n)
+        solver = LinSolver(ell, basis)
+        traces = []
+        for A in mats:
+            tr = Cyc.zero(ell)
+            for i, vec in enumerate(basis):
+                image = [sum((a * b for a, b in zip(row, vec)), Cyc.zero(ell)) for row in A.rows]
+                tr = tr + solver.express(image)[i]
+            traces.append(tr)
+        out.append((len(basis), tuple(traces)))
+    return out
+
+
+# at (3,3,3), p = ([1],[1],[1]) has three eigenspaces with distinct characters,
+# which tells the xi_3-eigenspace from the xi_3^2 one
+@pytest.mark.parametrize("ell,k,d", [(2, 2, 2), (3, 3, 2), (4, 2, 2), (2, 2, 4), (3, 3, 3), (4, 4, 2)])
+def test_projector_traces_match_explicit_eigenspaces(ell, k, d):
+    Q = quotient_groupoid(ell, k, d)
+    classes = [rep for rep, _size in gkd_conjugacy_classes(ell, k, d)]
+    labels = list(_invariant_labels(Q))
+    assert labels
+    for lam, p in labels:
+        theta, act = gkd._rotation_module(Q, lam, p)
+        powers = [Mat.identity(ell, theta.nrows)]
+        for _ in range(k - 1):
+            powers.append(theta * powers[-1])
+        mats = [act(x) for x in classes]
+        assert gkd._eigenspace_traces(powers, mats) == _eigenspaces_by_kernel_basis(theta, k, mats)

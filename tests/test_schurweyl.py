@@ -1,6 +1,7 @@
 import pytest
 
 from groupoidreps import schurweyl
+from groupoidreps.algebra import phi
 from groupoidreps.cyclo import Cyc, Mat
 from groupoidreps.groupoid import component_generators, compose, hom, identity_morphism
 from groupoidreps.schurweyl import (
@@ -11,6 +12,8 @@ from groupoidreps.schurweyl import (
     verify_commuting,
     verify_double_centralizer,
 )
+from groupoidreps.simples import ClassFunction, all_simples, character_table, inner_product
+from groupoidreps.wreath import enum_group, wreath_identity, wreath_inv
 
 TENSOR_GRID = [
     (1, (2,), 2),
@@ -201,3 +204,46 @@ def test_commuting_check_catches_one_perturbed_morphism(monkeypatch):
 
     monkeypatch.setattr(TensorSpace, "morphism_block_matrix", perturbed)
     assert verify_commuting(T)["checks"][0]["status"] == "fail"
+
+
+PER_SIMPLE = "each predicted-killed simple acts by zero, others nonzero"
+
+
+def test_kernel_check_fails_for_one_wrong_character_value(monkeypatch):
+    # (2,(1,1),2) kills two simples; one more at the identity class of a killed
+    # character makes <chi_V, chi_p> = chi_V(1) / |G| nonzero
+    ell, d = 2, 2
+    T = TensorSpace(ell, (1, 1), d)
+    killed = {m.p for m in schurweyl._killed_labels(T)}
+    table = list(character_table(ell, d))
+    i = next(i for i, m in enumerate(all_simples(ell, d)) if m.p in killed)
+    values = dict(table[i].values)
+    e = wreath_identity(ell, d)
+    values[e] = values[e] + Cyc.one(ell)
+    table[i] = ClassFunction(ell, d, values)
+    monkeypatch.setattr(schurweyl, "character_table", lambda ell, d: tuple(table))
+    rep = kernel_check(T)
+    assert _status(rep, "kernel dim = sum of squares over killed labels") == "pass"
+    assert _status(rep, PER_SIMPLE) == "fail"
+
+
+def test_kernel_check_fails_for_one_wrong_killed_label(monkeypatch):
+    real = schurweyl._killed_labels
+    monkeypatch.setattr(schurweyl, "_killed_labels", lambda T: real(T)[1:])
+    assert _status(kernel_check(TensorSpace(2, (1, 1), 2)), PER_SIMPLE) == "fail"
+
+
+@pytest.mark.parametrize("ell,kvec,d", TENSOR_GRID)
+def test_idempotent_sum_is_zero_exactly_when_the_inner_product_is(ell, kvec, d):
+    # the route the check replaced: sum_x chi_p(x^-1) x, a multiple of the
+    # central idempotent of p, summed as matrices on V^(x d)
+    T = TensorSpace(ell, kvec, d)
+    group = enum_group(ell, d)
+    mats = {x: T.act_full(phi(x, d)) for x in group}
+    chi_v = ClassFunction.from_callable(ell, d, lambda x: mats[x].trace())
+    zero = Mat.zeros(ell, T.dim(), T.dim())
+    for mod, chi_p in zip(all_simples(ell, d), character_table(ell, d)):
+        acc = zero
+        for x in group:
+            acc = acc + mats[x].scale_cyc(mod.char_wreath(wreath_inv(x)))
+        assert (acc == zero) == inner_product(ell, d, chi_v, chi_p).is_zero()
