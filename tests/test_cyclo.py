@@ -159,7 +159,7 @@ def test_matrix_examples():
     rows = [[Cyc.one(3), root_of_unity(3, 1)]]
     kb = kernel_basis(3, rows, 2)
     assert len(kb) == 1
-    # the kernel vector is (-xi_3, 1) up to scale
+    # the kernel vector of the free column is (-xi_3, 1)
     v = kb[0]
     assert v == [-root_of_unity(3, 1), Cyc.one(3)]
     assert all(c.is_zero() for c in apply(3, rows, v))
