@@ -411,11 +411,31 @@ _DEFAULTS = {
 }
 
 
+def _check_config(config) -> None:
+    """The config holds a JSON object whose known keys have their flag's type."""
+    if not isinstance(config, dict):
+        raise UsageError(f"--config must hold a JSON object, got {type(config).__name__}")
+    for key in _DEFAULTS:
+        for name in dict.fromkeys((key, key.replace("_", "-"))):
+            if name not in config:
+                continue
+            value = config[name]
+            if key == "out":
+                ok, wanted = value in ("json", "text"), "json or text"
+            elif key == "kvec":
+                ok, wanted = isinstance(value, str), "a string"
+            else:
+                ok, wanted = isinstance(value, int) and not isinstance(value, bool), "an integer"
+            if not ok:
+                raise UsageError(f"config key {name!r} must be {wanted}, got {json.dumps(value)}")
+
+
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     config = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             config = json.load(fh)
+        _check_config(config)
     for key, hard_default in _DEFAULTS.items():
         if not hasattr(args, key):
             continue
@@ -435,11 +455,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         args = _apply_config(args)
+        _validate(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        _validate(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -472,12 +472,11 @@ def _p_stabilizer_order(p, lam_stab_order: int, ell: int) -> int:
     if r == 1:
         return 1
     u = ell // r
-    s = 1
     for j in range(1, r):
         if _rotate_multipartition(p, j * u) == p:
             # stabilizer is generated by the smallest such power
             return r // j
-    return s
+    return 1
 
 
 def _slot_rotation(ell_field: int, dims_src: list[int], source_slot, scalar: Cyc) -> Mat:
@@ -767,22 +766,11 @@ def restriction_check(ell: int, k: int, d: int) -> dict:
     checks = []
     for simple in all_simples(ell, d):
         chi_res = [simple.char_wreath(rep) for rep, _ in reps]
-        # expected labels: transport the shape into Gamma, then take the orbit rep of p
-        lam = simple.lam
-        lam_star = min(theta_type(lam, t * Q.shift) for t in range(k))
-        shifts = [
-            t * Q.shift
-            for t in range(k)
-            if theta_type(lam, t * Q.shift) == lam_star
-        ]
-        candidates = {_rotate_multipartition(simple.p, sh) for sh in shifts}
-        r = Q.type_stabilizer_order(lam_star)
-        u = ell // r
-        full_orbit = set()
-        for cand in candidates:
-            full_orbit |= {_rotate_multipartition(cand, j * u) for j in range(r)}
-        p_star = min(full_orbit)
-        s = _p_stabilizer_order(p_star, r, ell)
+        # expected labels: lambda* is the least shape in the H_k-orbit of p,
+        # p* the least orbit member of shape lambda*
+        orbit = {_rotate_multipartition(simple.p, t * Q.shift) for t in range(k)}
+        lam_star, p_star = min((tuple(map(sum, q)), q) for q in orbit)
+        s = _p_stabilizer_order(p_star, Q.type_stabilizer_order(lam_star), ell)
         expected = {(lam_star, p_star, m) for m in range(1, s + 1)}
         got = {}
         non_integral = []
@@ -832,34 +820,16 @@ def rotation_eigenspace_check(ell: int, k: int, d: int) -> dict:
     Q = quotient_groupoid(ell, k, d)
     checks = []
     reps_classes = gkd_conjugacy_classes(ell, k, d)
-    for lam in gamma_cross_section(ell, k, d):
+    for lam, p0, m in quotient_labels(ell, k, d):
+        if m != 1:
+            continue
         r = Q.type_stabilizer_order(lam)
-        u = ell // r
-        seen = set()
-        for p in multipartitions(lam):
-            if p in seen:
-                continue
-            orbit = {_rotate_multipartition(p, j * u) for j in range(r)}
-            seen |= orbit
-            p0 = min(orbit)
-            s = _p_stabilizer_order(p0, r, ell)
-            if s != r:
-                checks.append(
-                    {
-                        "name": f"rotation eigenspaces for p={[list(q) for q in p0]}",
-                        "status": "skip",
-                        "details": {"reason": "p not stabilizer-invariant"},
-                    }
-                )
-                continue
-            ok, detail = _rotation_eigenspace_single(Q, lam, p0, reps_classes)
-            checks.append(
-                {
-                    "name": f"rotation eigenspaces for p={[list(q) for q in p0]}",
-                    "status": "pass" if ok else "fail",
-                    "details": detail,
-                }
-            )
+        name = f"rotation eigenspaces for p={[list(q) for q in p0]}"
+        if _p_stabilizer_order(p0, r, ell) != r:
+            checks.append({"name": name, "status": "skip", "details": {"reason": "p not stabilizer-invariant"}})
+            continue
+        ok, detail = _rotation_eigenspace_single(Q, lam, p0, reps_classes)
+        checks.append({"name": name, "status": "pass" if ok else "fail", "details": detail})
     return suite_result(checks, ell=ell, k=k, d=d)
 
 

@@ -127,6 +127,28 @@ def test_config_file(tmp_path):
     assert rep["parameters"]["ell"] == 2
 
 
+@pytest.mark.parametrize(
+    "config,command",
+    [
+        ([1, 2], "verify-iso"),
+        ({"ell": "x"}, "verify-iso"),
+        ({"jobs": None}, "verify-iso"),
+        ({"kvec": 5}, "schur-weyl"),
+        ({"out": "xml"}, "verify-iso"),
+        ({"cap": 2.5}, "verify-iso"),
+        ({"ell": True}, "verify-iso"),
+    ],
+)
+def test_config_values_without_their_flag_type_are_usage_errors(tmp_path, capsys, config, command):
+    # argparse types the flags; a config value must pass the same check
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def test_all_small_grid_deterministic():
     code1, out1 = run_cli(["all", "--max-ell", "2", "--max-d", "1", "--out", "json"])
     code2, out2 = run_cli(["all", "--max-ell", "2", "--max-d", "1", "--out", "json"])

@@ -1,12 +1,14 @@
 import pytest
 
 from groupoidreps import schurweyl
-from groupoidreps.algebra import phi
-from groupoidreps.cyclo import Cyc, Mat
+from groupoidreps.algebra import AlgElem, phi
+from groupoidreps.cyclo import Cyc, Mat, SpanBasis, intertwiners, kernel_basis
+from groupoidreps.gkd import QuotientGroupoid
 from groupoidreps.groupoid import component_generators, compose, hom, identity_morphism
 from groupoidreps.schurweyl import (
     TensorSpace,
     glk_generated_algebra,
+    glk_generators,
     kernel_check,
     shift_duality_check,
     verify_commuting,
@@ -23,6 +25,7 @@ TENSOR_GRID = [
     (2, (2, 1), 2),
     (2, (2, 2), 2),
 ]
+SHIFT_DUALITY_GRID = [(2, 2, 1, 1), (2, 2, 2, 2), (4, 2, 1, 2)]
 
 
 def test_blocks_partition_basis():
@@ -118,7 +121,7 @@ def test_one_row_survivors_for_unit_blocks():
 
 
 def test_shift_duality():
-    for ell, k, m, d in [(2, 2, 1, 1), (2, 2, 2, 2), (4, 2, 1, 2)]:
+    for ell, k, m, d in SHIFT_DUALITY_GRID:
         rep = shift_duality_check(ell, k, m, d)
         assert rep["ok"], (ell, k, m, d, rep)
 
@@ -133,6 +136,78 @@ def test_shift_duality_dims():
 
 def _status(rep, name):
     return next(c["status"] for c in rep["checks"] if c["name"] == name)
+
+
+SHIFT_COMMUTES = "Z^(x d) commutes with the Psi-image"
+SHIFT_EQUAL = "Psi-image = commutant(GL generators + Z^(x d))"
+
+
+def _shift_commutant_in_two_stages(ell, k, m, d):
+    # the route the one-call commutant replaced: the per-pair GL commutant
+    # lifted to dim x dim matrices X, then the coefficients c with
+    # sum_i c_i (X_i Z - Z X_i) = 0 solved by kernel_basis
+    T = TensorSpace(ell, (m,) * ell, d)
+    n, dim, shift = ell * m, T.dim(), (ell // k) * m
+    one = Cyc.one(ell)
+    Z = Mat.from_entries(
+        ell, dim, dim, (((T.index[tuple((x - 1 + shift) % n + 1 for x in b)], T.index[b]), one) for b in T.basis)
+    )
+    gens = glk_generators(T)
+    cgl = []
+    for f, src in sorted(T.block_of.items()):
+        for g, tgt in sorted(T.block_of.items()):
+            actions = [(0, 0, gen[f], gen[g]) for gen in gens]
+            for vec in intertwiners(ell, [len(src)], [len(tgt)], actions):
+                entries = (
+                    ((T.index[tgt[r]], T.index[src[c]]), vec[r * len(src) + c])
+                    for r in range(len(tgt))
+                    for c in range(len(src))
+                )
+                cgl.append(Mat.from_entries(ell, dim, dim, entries))
+    rows = [[v for row in (X * Z - Z * X).rows for v in row] for X in cgl]
+    out = []
+    for cvec in kernel_basis(ell, [list(col) for col in zip(*rows)], len(cgl)):
+        acc = Mat.zeros(ell, dim, dim)
+        for c, X in zip(cvec, cgl):
+            acc = acc + X.scale_cyc(c)
+        out.append([v for row in acc.rows for v in row])
+    return out
+
+
+@pytest.mark.parametrize("ell,k,m,d", SHIFT_DUALITY_GRID + [(2, 1, 1, 2), (3, 3, 1, 2), (2, 2, 1, 3)])
+def test_shift_commutant_matches_the_two_stage_route(monkeypatch, ell, k, m, d):
+    solved = []
+    real = schurweyl.intertwiners
+    monkeypatch.setattr(schurweyl, "intertwiners", lambda *args: solved.append(real(*args)) or solved[-1])
+    rep = shift_duality_check(ell, k, m, d)
+    assert rep["ok"]
+    (comm,) = solved
+    reference = _shift_commutant_in_two_stages(ell, k, m, d)
+    sb = SpanBasis(ell, len(comm[0]))
+    for vec in reference:
+        assert sb.add(vec)
+    assert len(comm) == sb.rank == rep["checks"][1]["details"]["commutant_dim"]
+    assert all(sb.contains(vec) for vec in comm)
+
+
+@pytest.mark.parametrize("ell,k,m,d", SHIFT_DUALITY_GRID)
+def test_shift_duality_fails_when_psi_is_not_an_orbit_sum(monkeypatch, ell, k, m, d):
+    monkeypatch.setattr(QuotientGroupoid, "psi", lambda self, q: AlgElem.from_morphism(self.ell, q.raw))
+    rep = shift_duality_check(ell, k, m, d)
+    assert _status(rep, SHIFT_COMMUTES) == _status(rep, SHIFT_EQUAL) == "fail"
+
+
+@pytest.mark.parametrize("ell,k,m,d", SHIFT_DUALITY_GRID)
+def test_shift_duality_fails_without_the_shift(monkeypatch, ell, k, m, d):
+    # without Z^(x d) the commutant is that of GL alone: the whole A-image,
+    # k times the invariant part on every grid point (k = 2)
+    details = shift_duality_check(ell, k, m, d)["checks"][1]["details"]
+    real = schurweyl.intertwiners
+    monkeypatch.setattr(schurweyl, "intertwiners", lambda e, src, tgt, actions: real(e, src, tgt, actions[:-1]))
+    rep = shift_duality_check(ell, k, m, d)
+    assert _status(rep, SHIFT_COMMUTES) == "pass"
+    assert _status(rep, SHIFT_EQUAL) == "fail"
+    assert rep["checks"][1]["details"]["commutant_dim"] == k * details["commutant_dim"]
 
 
 def test_forward_duality_fails_without_the_off_diagonal_generators(monkeypatch):

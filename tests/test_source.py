@@ -45,7 +45,7 @@ def test_character_modules_do_not_sample():
 
 def test_dense_scaffolds_live_only_in_cyclo():
     # a list comprehension of [x] * n rows is a dense matrix scaffold; every
-    # matrix outside cyclo.py is built by Mat.from_entries or Mat.zeros
+    # matrix outside cyclo.py is built by Mat.from_entries or Mat.identity
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "cyclo.py":
@@ -59,4 +59,27 @@ def test_dense_scaffolds_live_only_in_cyclo():
                 and len(elt.left.elts) == 1
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders
+
+
+def test_commutants_are_solved_only_in_cyclo():
+    # every commutant and intertwiner space is one call to cyclo.intertwiners:
+    # outside cyclo.py nothing calls kernel_basis, SpanBasis.kernel or
+    # Mat.zeros, and no dense commutator X * Z - Z * X is formed
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cyclo.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("kernel_basis", "kernel") or (name == "zeros" and ast.unparse(func) == "Mat.zeros"):
+                    offenders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+                left, right = node.left, node.right
+                if all(isinstance(x, ast.BinOp) and isinstance(x.op, ast.Mult) for x in (left, right)) and (
+                    ast.dump(left.left) == ast.dump(right.right) and ast.dump(left.right) == ast.dump(right.left)
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders
