@@ -238,7 +238,8 @@ def verify_double_centralizer(T: TensorSpace) -> dict:
             _n_hom, sb_img = image.get((f, g), (0, None))
             img_rank = sb_img.rank if sb_img else 0
             image_dim += img_rank
-            if len(inter) != img_rank or sb_img and not all(sb_img.contains(v) for v in inter):
+            # without a span (no morphism f -> g) only an empty commutant reaches all()
+            if len(inter) != img_rank or not all(sb_img.contains(v) for v in inter):
                 ok_forward = False
     checks.append(
         {
