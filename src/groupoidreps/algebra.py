@@ -11,22 +11,37 @@ element written as D(c) * sigma this gives the closed form
 
     Phi(x) = sum_g xi^( sum_j c_j g(j) ) * sigma_(g o sigma, g).
 
-Phi is proved an algebra isomorphism by exact computation.  It is
-multiplicative because Phi(x g) = Phi(x) Phi(g) for every element x and every
-generator g of a generating set (induction on a word for the second factor).
-It preserves the unit, and the matrix of its images in the morphism basis has
-full rank l^d * d! (rank is computed blockwise: images of elements sharing an
-underlying permutation live in disjoint coordinate blocks).  Its inverse is
-the inverse DFT over C_l^d, one permutation block at a time.
+Each image is monomial: one term per object g, with the exponent
+e_x(g) = sum_j c_j g(j) mod l, which is linear in the colors of g.
+`phi_form` returns this data, (sigma, the exponent at each object), and
+`phi` builds its AlgElem from it, so the proof below checks the map that
+`phi` returns.
+
+Phi is proved an algebra isomorphism by exact integer computation on forms.
+It is multiplicative because Phi(x g) = Phi(x) Phi(g) for every element x and
+every generator g of a generating set (induction on a word for the second
+factor); the product of two monomial images is monomial, with permutation
+sigma_x o sigma_g and exponent e_x(g) + e_g(g o sigma_x) at g, so each pair
+costs one composition and one exponent addition mod l per object.  It
+preserves the unit, and its images have full rank l^d * d!.  Images of
+elements sharing an underlying permutation live in one coordinate block, and
+there Phi(x) is the function g -> xi^(e_x(g)), a character of C_l^d once its
+exponent is confirmed additive on every object.  Distinct characters are
+linearly independent (Artin-Dedekind; Lang, Algebra, ch. VI), so the rank is
+the number of distinct confirmed exponent vectors: no elimination.  The
+inverse of Phi is the inverse DFT over C_l^d, one permutation block at a
+time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from operator import mul
 
-from .cyclo import Cyc, SpanBasis, root_of_unity
-from .groupoid import GMorphism, identity_morphism, objects
+from .cyclo import Cyc, root_of_unity
+from .groupoid import GMorphism, _objects_tuple, identity_morphism, object_index, objects
 from .perms import compose_perms, invert_perm
 from .reporting import suite_result
 from .wreath import DEFAULT_GROUP_CAP, WreathElem, enum_group, generators, wreath_identity, wreath_mul
@@ -34,6 +49,7 @@ from .wreath import DEFAULT_GROUP_CAP, WreathElem, enum_group, generators, wreat
 __all__ = [
     "AlgElem",
     "phi",
+    "phi_form",
     "phi_on_generators",
     "phi_inverse",
     "verify_iso",
@@ -134,22 +150,58 @@ class AlgElem:
         return f"AlgElem(ell={self.ell}, d={self.d}, {len(self.terms)} terms)"
 
 
-def phi(x: WreathElem, d: int | None = None) -> AlgElem:
-    """The closed form Phi(x) = sum_g xi^(sum_i colors_i * g(perm(i))) sigma_(g o perm, g)."""
-    from .groupoid import _objects_tuple
+@lru_cache(maxsize=None)
+def _perm_table(ell: int, d: int, perm: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
+    """Over the objects g_i in order: the sources g_i o perm, the morphisms
+    g_i o perm -> g_i, and the index of each source."""
+    objs = _objects_tuple(ell, d)
+    sources = tuple(tuple(g[p - 1] for p in perm) for g in objs)
+    morphisms = tuple(GMorphism(s, g, perm) for s, g in zip(sources, objs))
+    return sources, morphisms, tuple(object_index(s, ell) for s in sources)
 
+
+@lru_cache(maxsize=None)
+def _roots(ell: int) -> tuple[Cyc, ...]:
+    return tuple(root_of_unity(ell, e) for e in range(ell))
+
+
+def phi_form(x: WreathElem, d: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Phi(x) as monomial data (perm, exps): exps[i] = sum_j colors_j * g_i(perm(j)) mod l.
+
+    Phi(x) = sum_i xi^(exps[i]) sigma_(g_i o perm, g_i) over the objects g_i in
+    `objects` order.
+    """
     ell = x.ell
     d = len(x.perm) if d is None else d
-    perm = x.perm
     colors = x.colors
-    terms: dict[GMorphism, Cyc] = {}
-    for g in _objects_tuple(ell, d):
-        source = tuple(g[p - 1] for p in perm)
-        expo = 0
-        for c, s in zip(colors, source):
-            expo += c * s
-        terms[GMorphism(source, g, perm)] = root_of_unity(ell, expo)
-    return AlgElem(ell, d, terms)
+    return x.perm, tuple([sum(map(mul, colors, s)) % ell for s in _perm_table(ell, d, x.perm)[0]])
+
+
+def _form_to_alg(ell: int, d: int, form: tuple) -> AlgElem:
+    """The AlgElem of a form; its terms are roots of unity, so none is zero."""
+    perm, exps = form
+    roots = _roots(ell)
+    out = AlgElem(ell, d)
+    out.terms = dict(zip(_perm_table(ell, d, perm)[1], [roots[e] for e in exps]))
+    return out
+
+
+def phi(x: WreathElem, d: int | None = None) -> AlgElem:
+    """The closed form Phi(x) = sum_g xi^(sum_i colors_i * g(perm(i))) sigma_(g o perm, g), from phi_form."""
+    d = len(x.perm) if d is None else d
+    return _form_to_alg(x.ell, d, phi_form(x, d))
+
+
+def _form_mul(ell: int, fx: tuple, fy: tuple) -> tuple:
+    """The form of Phi(x) Phi(y) from the forms of x and y.
+
+    The term of Phi(x) at g_i composes only with the term of Phi(y) whose
+    target is its source g_i o perm_x, so the product has permutation
+    perm_x o perm_y and exponent exps_x[i] + exps_y[index of g_i o perm_x].
+    """
+    (px, ex), (py, ey) = fx, fy
+    src = _perm_table(ell, len(px), px)[2]
+    return compose_perms(px, py), tuple([(e + ey[s]) % ell for e, s in zip(ex, src)])
 
 
 def phi_on_generators(x: WreathElem) -> AlgElem:
@@ -214,20 +266,34 @@ def phi_inverse(a: AlgElem) -> list[tuple[WreathElem, Cyc]]:
     return out
 
 
-def _rank_of_phi_images(ell: int, d: int, members) -> int:
-    """Exact rank of {Phi(x) : x in members} in the morphism basis, blockwise by permutation.
+def _rank_of_phi_images(ell: int, d: int, members, forms: dict | None = None) -> int:
+    """Exact rank of {Phi(x) : x in members} in the morphism basis, by counting characters.
 
-    The images of the members with one permutation live in one block, with
-    the entry xi^(sum_j c_j g(perm(j))) at the morphism out of each object g.
+    The images of the members with one permutation live in one block, where
+    Phi(x) is the function g -> xi^(e_x(g)) on the objects.  Read
+    a_j = e_x(u_j) at the unit objects u_j (color 1 at j, l elsewhere) and
+    confirm e_x(g) = sum_j a_j g_j mod l on every object g: the function is
+    then the character of C_l^d with exponent vector a.  Distinct characters
+    are linearly independent (Artin-Dedekind), so each block contributes the
+    number of distinct confirmed vectors.  A member that fails the
+    confirmation is not counted, so a faulty Phi can only lower the result,
+    which is a lower bound on the rank and equals it when every member is
+    confirmed.  `forms` maps the members to their phi_form when the caller
+    already has them.
     """
-    objs = objects(ell, d)
-    blocks: dict[tuple, SpanBasis] = {}
+    objs = _objects_tuple(ell, d)
+    units = [object_index(tuple(1 if k == j else ell for k in range(d)), ell) for j in range(d)]
+    characters: dict[tuple, tuple] = {}
+    blocks: dict[tuple, set] = {}
     for x in members:
-        sb = blocks.get(x.perm)
-        if sb is None:
-            sb = blocks[x.perm] = SpanBasis(ell, len(objs))
-        sb.add([root_of_unity(ell, sum(c * g[i - 1] for c, i in zip(x.colors, x.perm))) for g in objs])
-    return sum(sb.rank for sb in blocks.values())
+        perm, exps = forms[x] if forms is not None else phi_form(x, d)
+        a = tuple([exps[i] for i in units])
+        chi = characters.get(a)
+        if chi is None:
+            chi = characters[a] = tuple([sum(map(mul, a, g)) % ell for g in objs])
+        if exps == chi:
+            blocks.setdefault(perm, set()).add(a)
+    return sum(map(len, blocks.values()))
 
 
 def _generates(gens: list[WreathElem], e: WreathElem, order: int) -> bool:
@@ -245,31 +311,34 @@ def _generates(gens: list[WreathElem], e: WreathElem, order: int) -> bool:
 
 
 def _multiplicativity_counterexample(
-    group: list[WreathElem], gens: list[WreathElem]
+    group: list[WreathElem], gens: list[WreathElem], forms: dict
 ) -> dict | None:
-    """The first (x, g) in group x gens with Phi(x g) != Phi(x) Phi(g), or None."""
-    images = [(g, phi(g)) for g in gens]
+    """The first (x, g) in group x gens with Phi(x g) != Phi(x) Phi(g), or None, compared as forms."""
     for x in group:
-        px = phi(x)
-        for g, pg in images:
-            if phi(wreath_mul(x, g)) != px * pg:
+        fx = forms[x]
+        for g in gens:
+            if forms[wreath_mul(x, g)] != _form_mul(x.ell, fx, forms[g]):
                 return {"x": x.to_json(), "y": g.to_json()}
     return None
 
 
 def verify_iso(ell: int, d: int, cap: int = DEFAULT_GROUP_CAP) -> dict:
-    """Exact proof that Phi is an algebra isomorphism.
+    """Exact proof that Phi is an algebra isomorphism, on the forms of Phi.
 
     S = generators(l, d) generates G and Phi(x g) = Phi(x) Phi(g) for every
     x in G and g in S, so Phi(xy) = Phi(x) Phi(y) by induction on a word for
-    y; Phi(e) = 1 and the exact rank l^d * d! make it an isomorphism.
+    y; each side is a form, the product through _form_mul.  Phi(e) = 1, and
+    the rank l^d * d!, counted as distinct additive exponent vectors per
+    permutation block (Artin-Dedekind), makes it an isomorphism.  The form of
+    each element is computed once.
     """
     from math import factorial
 
     group = enum_group(ell, d, cap)
     gens = generators(ell, d) if d else []
     generated = _generates(gens, wreath_identity(ell, d), len(group))
-    counterexample = _multiplicativity_counterexample(group, gens)
+    forms = {x: phi_form(x, d) for x in group}
+    counterexample = _multiplicativity_counterexample(group, gens, forms)
     checks = [
         {
             "name": "phi multiplicative",
@@ -285,7 +354,7 @@ def verify_iso(ell: int, d: int, cap: int = DEFAULT_GROUP_CAP) -> dict:
     ]
 
     expected = ell**d * factorial(d)
-    rank = _rank_of_phi_images(ell, d, group)
+    rank = _rank_of_phi_images(ell, d, group, forms)
     checks.append(
         {
             "name": "phi bijective (exact rank)",

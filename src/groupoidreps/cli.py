@@ -412,9 +412,13 @@ _DEFAULTS = {
 
 
 def _check_config(config) -> None:
-    """The config holds a JSON object whose known keys have their flag's type."""
+    """The config holds a JSON object of known keys, each value of its flag's type."""
     if not isinstance(config, dict):
         raise UsageError(f"--config must hold a JSON object, got {type(config).__name__}")
+    known = {name for key in _DEFAULTS for name in (key, key.replace("_", "-"))}
+    for name in config:
+        if name not in known:
+            raise UsageError(f"unknown config key {name!r}")
     for key in _DEFAULTS:
         for name in dict.fromkeys((key, key.replace("_", "-"))):
             if name not in config:

@@ -440,8 +440,10 @@ def reflection_span_check(ell: int, k: int, d: int) -> dict:
         {"name": "Phi(G(l,k,d)) is H_k-invariant", "status": "pass" if invariant else "fail"}
     )
 
-    # exact rank of {Phi(x) : x in G} equals dim A_(l,k,d); with the previous
-    # containment this gives span equality.
+    # rank of {Phi(x) : x in G}, counted as distinct additive exponent vectors
+    # per permutation block (a lower bound, exact when every image is a
+    # character), equals dim A_(l,k,d); with the containment above this gives
+    # span equality.
     rank = _rank_of_phi_images(ell, d, members)
     rank_ok = rank == dim_quotient == ell**d * factorial(d) // k
     checks.append(

@@ -25,6 +25,7 @@ characters: the algebra is semisimple, so it does iff <chi_V, chi_p> = 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from itertools import product
 
 from .algebra import AlgElem, phi
@@ -72,6 +73,7 @@ class TensorSpace:
         self.block_pos: dict[tuple, dict[tuple, int]] = {
             f: {b: i for i, b in enumerate(bs)} for f, bs in self.block_of.items()
         }
+        self._memo: dict = {}
 
     def dim(self) -> int:
         return len(self.basis)
@@ -103,6 +105,18 @@ class TensorSpace:
         return Mat.from_entries(self.ell, n, n, entries)
 
 
+def _once_per_space(build):
+    """Memoise build(T) on T, so each TensorSpace builds it once; callers do not mutate it."""
+
+    @wraps(build)
+    def memoised(T: TensorSpace):
+        if build.__name__ not in T._memo:
+            T._memo[build.__name__] = build(T)
+        return T._memo[build.__name__]
+
+    return memoised
+
+
 def _block_units(T: TensorSpace) -> list[tuple[int, int]]:
     """(a, b) for every block matrix unit E_ab, in glk_generators order."""
     out: list[tuple[int, int]] = []
@@ -114,6 +128,7 @@ def _block_units(T: TensorSpace) -> list[tuple[int, int]]:
     return out
 
 
+@_once_per_space
 def glk_generators(T: TensorSpace) -> list[dict]:
     """Leibniz embeddings of all block matrix units, as block-diagonal maps.
 
@@ -202,6 +217,7 @@ def verify_commuting(T: TensorSpace) -> dict:
     return suite_result(checks)
 
 
+@_once_per_space
 def _image_pair_spans(T: TensorSpace) -> dict:
     """Per ordered object pair with a morphism, (|hom(f, g)|, the span of its action matrices)."""
     out = {}

@@ -135,11 +135,15 @@ def test_verify_iso_catches_map_wrong_off_generators(monkeypatch):
     bad = wreath_mul(wreath_mul(gens[0], gens[1]), gens[2])
     assert bad not in {wreath_mul(x, y) for x in gens for y in gens}
 
-    def fake_phi(x, d=None):
-        image = phi(x, d)
-        return image.scale(Cyc.rational(ell, 2)) if x == bad else image
+    # phi and both verify_iso checks read Phi through phi_form, so the fault
+    # goes there: one wrong exponent in the image of bad
+    real = algebra.phi_form
 
-    monkeypatch.setattr(algebra, "phi", fake_phi)
+    def fake_phi_form(x, d=None):
+        perm, exps = real(x, d)
+        return (perm, ((exps[0] + 1) % ell,) + exps[1:]) if x == bad else (perm, exps)
+
+    monkeypatch.setattr(algebra, "phi_form", fake_phi_form)
     mult = verify_iso(ell, d)["checks"][0]
     assert mult["name"] == "phi multiplicative"
     assert mult["status"] == "fail"
@@ -148,6 +152,46 @@ def test_verify_iso_catches_map_wrong_off_generators(monkeypatch):
     x, y = (WreathElem(ell, tuple(found[k]["perm"]), tuple(found[k]["colors"])) for k in ("x", "y"))
     assert y in gens
     assert bad in (x, wreath_mul(x, y))
+
+
+def test_verify_iso_fails_both_checks_for_one_wrong_exponent_off_the_units(monkeypatch):
+    # one exponent of one image is wrong at an object that is not a unit
+    # object (color 1 at j, l elsewhere): multiplicativity and the character
+    # count both see it
+    ell, d = 2, 3
+    objs = objects(ell, d)
+    units = {tuple(1 if k == j else ell for k in range(d)) for j in range(d)}
+    wrong = next(i for i, g in enumerate(objs) if g not in units)
+    bad = enum_group(ell, d)[13]
+    real = algebra.phi_form
+
+    def fake_phi_form(x, d=None):
+        perm, exps = real(x, d)
+        if x != bad:
+            return perm, exps
+        return perm, exps[:wrong] + ((exps[wrong] + 1) % ell,) + exps[wrong + 1 :]
+
+    monkeypatch.setattr(algebra, "phi_form", fake_phi_form)
+    rep = verify_iso(ell, d)
+    mult, rank = rep["checks"][0], rep["checks"][1]
+    assert (mult["name"], mult["status"]) == ("phi multiplicative", "fail")
+    assert rank["name"] == "phi bijective (exact rank)"
+    assert rank["status"] == "fail"
+    assert rank["details"] == {"rank": 47, "dim": 48}
+    assert phi(bad) != algebra._form_to_alg(ell, d, real(bad))
+    assert not rep["ok"]
+
+
+def test_form_product_is_the_algebra_product():
+    # _form_mul, which the multiplicativity check uses, against AlgElem.__mul__
+    for ell, d in [(1, 3), (2, 2), (3, 2), (2, 3)]:
+        group = enum_group(ell, d)
+        forms = {x: algebra.phi_form(x) for x in group}
+        for x in group:
+            for y in group:
+                product = algebra._form_mul(ell, forms[x], forms[y])
+                assert algebra._form_to_alg(ell, d, product) == phi(x) * phi(y)
+                assert product == forms[wreath_mul(x, y)]
 
 
 def test_verify_iso_rejects_non_generating_set(monkeypatch):

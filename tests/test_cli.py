@@ -149,6 +149,26 @@ def test_config_values_without_their_flag_type_are_usage_errors(tmp_path, capsys
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("config", [{"ell": 1, "dd": 3}, {"max_ell": 2, "max-dd": 1}, {"": 1}])
+def test_unknown_config_keys_are_usage_errors(tmp_path, capsys, config):
+    # a misspelt key must not run silently with the default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), "verify-iso"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bad = next(name for name in config if name not in ("ell", "max_ell"))
+    assert captured.err == f"error: unknown config key {bad!r}\n"
+
+
+def test_config_keys_in_either_spelling(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max-ell": 1, "max_d": 1}))
+    code, out = run_cli(["--config", str(cfg), "all", "--out", "json"])
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"max_ell": 1, "max_d": 1}
+
+
 def test_all_small_grid_deterministic():
     code1, out1 = run_cli(["all", "--max-ell", "2", "--max-d", "1", "--out", "json"])
     code2, out2 = run_cli(["all", "--max-ell", "2", "--max-d", "1", "--out", "json"])

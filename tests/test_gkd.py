@@ -235,6 +235,34 @@ def _status(rep, name):
     return next(c["status"] for c in rep["checks"] if c["name"] == name)
 
 
+SPAN_CHECK = "span Phi(G) = span Psi (exact rank and containment)"
+
+
+@pytest.mark.parametrize("ell,k,d", [(2, 2, 3), (3, 3, 2), (4, 4, 2)])
+def test_span_check_fails_for_an_exponent_vector_that_is_not_additive(monkeypatch, ell, k, d):
+    # Phi(e) becomes xi * Phi(e): the exponent 1 on every object is affine,
+    # not additive, in the colors.  Its span and its H_k-invariance are those
+    # of the true image, but the character count does not take it.  With k
+    # not dividing d, the vector read at the unit objects, (1, ..., 1), is
+    # not that of a member, so only the additivity test can reject it.
+    from groupoidreps import algebra
+
+    real = algebra.phi_form
+    unit = wreath_identity(ell, d)
+
+    def fake_phi_form(x, d=None):
+        perm, exps = real(x, d)
+        return (perm, tuple((e + 1) % ell for e in exps)) if x == unit else (perm, exps)
+
+    assert _status(reflection_span_check(ell, k, d), SPAN_CHECK) == "pass"
+    monkeypatch.setattr(algebra, "phi_form", fake_phi_form)
+    rep = reflection_span_check(ell, k, d)
+    assert _status(rep, "Phi(G(l,k,d)) is H_k-invariant") == "pass"
+    assert _status(rep, SPAN_CHECK) == "fail"
+    details = next(c["details"] for c in rep["checks"] if c["name"] == SPAN_CHECK)
+    assert details["rank"] == details["dim"] - 1
+
+
 @pytest.mark.parametrize("ell,k,d", [(2, 2, 4), (3, 3, 3), (4, 2, 2), (4, 4, 2), (3, 1, 3)])
 def test_normalized_component_generators_generate_the_quotient(ell, k, d):
     Q = quotient_groupoid(ell, k, d)

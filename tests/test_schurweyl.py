@@ -210,6 +210,16 @@ def test_shift_duality_fails_without_the_shift(monkeypatch, ell, k, m, d):
     assert rep["checks"][1]["details"]["commutant_dim"] == k * details["commutant_dim"]
 
 
+def test_generators_and_image_spans_are_built_once_per_space():
+    # the commuting, double-centralizer and kernel checks of one task share them
+    T = TensorSpace(2, (2, 1), 2)
+    assert glk_generators(T) is glk_generators(T)
+    assert schurweyl._image_pair_spans(T) is schurweyl._image_pair_spans(T)
+    other = TensorSpace(2, (2, 1), 2)
+    assert glk_generators(other) is not glk_generators(T)
+    assert schurweyl._image_pair_spans(other) is not schurweyl._image_pair_spans(T)
+
+
 def test_forward_duality_fails_without_the_off_diagonal_generators(monkeypatch):
     # Dropping one generator leaves the commutant unchanged: the others generate
     # gl_k as a Lie algebra for k >= 3, and a Borel subalgebra of gl_2 has the same

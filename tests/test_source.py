@@ -83,3 +83,19 @@ def test_commutants_are_solved_only_in_cyclo():
                 ):
                     offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders
+
+
+def test_algebra_uses_no_elimination():
+    # the rank of the Phi images is a count of distinct characters
+    # (Artin-Dedekind), so algebra.py neither imports nor names the
+    # elimination engine
+    engine = {"SpanBasis", "LinSolver", "kernel_basis", "intertwiners"}
+    used = set()
+    for node in ast.walk(ast.parse((SRC / "algebra.py").read_text(), filename="algebra.py")):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            used |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert not used & engine
