@@ -162,7 +162,7 @@ def test_verify_iso_fails_both_checks_for_one_wrong_exponent_off_the_units(monke
     objs = objects(ell, d)
     units = {tuple(1 if k == j else ell for k in range(d)) for j in range(d)}
     wrong = next(i for i, g in enumerate(objs) if g not in units)
-    bad = enum_group(ell, d)[13]
+    bad = enum_group(ell, d)[13]  # any element will do
     real = algebra.phi_form
 
     def fake_phi_form(x, d=None):

@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from groupoidreps import gkd
+from groupoidreps import algebra, gkd
 from groupoidreps.cyclo import Cyc, LinSolver, Mat, kernel_basis, root_of_unity
 from groupoidreps.gkd import (
     build_quotient_simple,
@@ -242,11 +242,9 @@ SPAN_CHECK = "span Phi(G) = span Psi (exact rank and containment)"
 def test_span_check_fails_for_an_exponent_vector_that_is_not_additive(monkeypatch, ell, k, d):
     # Phi(e) becomes xi * Phi(e): the exponent 1 on every object is affine,
     # not additive, in the colors.  Its span and its H_k-invariance are those
-    # of the true image, but the character count does not take it.  With k
+    # of the true image, but the character count leaves it out.  With k
     # not dividing d, the vector read at the unit objects, (1, ..., 1), is
     # not that of a member, so only the additivity test can reject it.
-    from groupoidreps import algebra
-
     real = algebra.phi_form
     unit = wreath_identity(ell, d)
 
