@@ -42,7 +42,7 @@ from operator import mul
 
 from .cyclo import Cyc, root_of_unity
 from .groupoid import GMorphism, _objects_tuple, identity_morphism, object_index, objects
-from .perms import compose_perms, invert_perm
+from .perms import compose_perms, invert_perm, reach
 from .reporting import suite_result
 from .wreath import DEFAULT_GROUP_CAP, WreathElem, enum_group, generators, wreath_identity, wreath_mul
 
@@ -266,7 +266,7 @@ def phi_inverse(a: AlgElem) -> list[tuple[WreathElem, Cyc]]:
     return out
 
 
-def _rank_of_phi_images(ell: int, d: int, members, forms: dict | None = None) -> int:
+def _rank_of_phi_images(ell: int, d: int, members, forms: list | None = None) -> int:
     """Exact rank of {Phi(x) : x in members} in the morphism basis, by counting characters.
 
     The images of the members with one permutation live in one block, where
@@ -278,15 +278,14 @@ def _rank_of_phi_images(ell: int, d: int, members, forms: dict | None = None) ->
     number of distinct confirmed vectors.  A member that fails the
     confirmation is not counted, so a faulty Phi can only lower the result,
     which is a lower bound on the rank and equals it when every member is
-    confirmed.  `forms` maps the members to their phi_form when the caller
-    already has them.
+    confirmed.  `forms` holds the phi_form of each member, in order, when
+    the caller already has them.
     """
     objs = _objects_tuple(ell, d)
     units = [object_index(tuple(1 if k == j else ell for k in range(d)), ell) for j in range(d)]
     characters: dict[tuple, tuple] = {}
     blocks: dict[tuple, set] = {}
-    for x in members:
-        perm, exps = forms[x] if forms is not None else phi_form(x, d)
+    for perm, exps in forms if forms is not None else (phi_form(x, d) for x in members):
         a = tuple([exps[i] for i in units])
         chi = characters.get(a)
         if chi is None:
@@ -296,28 +295,17 @@ def _rank_of_phi_images(ell: int, d: int, members, forms: dict | None = None) ->
     return sum(map(len, blocks.values()))
 
 
-def _generates(gens: list[WreathElem], e: WreathElem, order: int) -> bool:
-    """True when right multiplication by gens reaches all `order` elements from e."""
-    reached = {e}
-    frontier = [e]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = wreath_mul(x, g)
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    return len(reached) == order
-
-
 def _multiplicativity_counterexample(
-    group: list[WreathElem], gens: list[WreathElem], forms: dict
+    group: list[WreathElem], gens: list[WreathElem], forms: list, table: list
 ) -> dict | None:
-    """The first (x, g) in group x gens with Phi(x g) != Phi(x) Phi(g), or None, compared as forms."""
-    for x in group:
-        fx = forms[x]
-        for g in gens:
-            if forms[wreath_mul(x, g)] != _form_mul(x.ell, fx, forms[g]):
+    """The first (x, g) in group x gens with Phi(x g) != Phi(x) Phi(g), or None, compared as forms.
+
+    forms[i] is the form of group[i], and table[i][j] is the index of group[i] gens[j].
+    """
+    gen_forms = [phi_form(g) for g in gens]
+    for x, fx, row in zip(group, forms, table):
+        for g, fg, xg in zip(gens, gen_forms, row):
+            if forms[xg] != _form_mul(x.ell, fx, fg):
                 return {"x": x.to_json(), "y": g.to_json()}
     return None
 
@@ -330,15 +318,18 @@ def verify_iso(ell: int, d: int, cap: int = DEFAULT_GROUP_CAP) -> dict:
     y; each side is a form, the product through _form_mul.  Phi(e) = 1, and
     the rank l^d * d!, counted as distinct additive exponent vectors per
     permutation block (Artin-Dedekind), makes it an isomorphism.  The form of
-    each element is computed once.
+    each element and each product x g is computed once: the table of product
+    indices serves both the generation walk and the multiplicativity check.
     """
     from math import factorial
 
     group = enum_group(ell, d, cap)
     gens = generators(ell, d) if d else []
-    generated = _generates(gens, wreath_identity(ell, d), len(group))
-    forms = {x: phi_form(x, d) for x in group}
-    counterexample = _multiplicativity_counterexample(group, gens, forms)
+    index = {x: i for i, x in enumerate(group)}
+    table = [[index[wreath_mul(x, g)] for g in gens] for x in group]
+    generated = len(reach([index[wreath_identity(ell, d)]], table.__getitem__)) == len(group)
+    forms = [phi_form(x, d) for x in group]
+    counterexample = _multiplicativity_counterexample(group, gens, forms, table)
     checks = [
         {
             "name": "phi multiplicative",

@@ -47,6 +47,7 @@ from .groupoid import (
     objects,
     type_of,
 )
+from .perms import reach
 from .reporting import suite_result
 from .simples import all_simples, build_simple
 from .tableaux import compositions, multipartitions, outer_rep
@@ -371,29 +372,32 @@ def _quotient_generators(Q: QuotientGroupoid, lams) -> list[QMorphism]:
 
 
 def _closure(Q: QuotientGroupoid, gens: list[QMorphism], objs, holds) -> set | None:
-    """Compose gens onto the identities at objs until nothing new appears.
+    """The morphisms that composing gens onto the identities at objs reaches, or None.
 
-    holds(s, x, s o x) is tested for every morphism x reached and every
-    identity or generator s composable with it.  Returns the morphisms
-    reached, or None at the first step where holds is false.  When every
-    basis morphism is reached, each one is a word in gens, so induction on
-    that word carries holds from the generators to all composable pairs.
+    One `reach` walk: the successors of x are s o x for the identity at the
+    target of x and every generator s leaving it (the `by_source` table).
+    holds(s, x, s o x) is tested for every such step, and the result is None
+    once it is false.  When every basis morphism is reached, each one is a
+    word in gens, so induction on that word carries holds from the
+    generators to all composable pairs.
     """
     by_source: dict[int, list[QMorphism]] = {o: [Q.identity(o)] for o in objs}
     for s in gens:
         by_source[Q.source_orbit(s)].append(s)
-    reached = {Q.identity(o) for o in objs}
-    frontier = list(reached)
-    while frontier:
-        x = frontier.pop()
+    failed = []
+
+    def step(x):
+        if failed:
+            return
         for s in by_source[Q.target_orbit(x)]:
             y = Q.compose(s, x)
             if not holds(s, x, y):
-                return None
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    return reached
+                failed.append(s)
+                return
+            yield y
+
+    reached = reach([Q.identity(o) for o in objs], step)
+    return None if failed else reached
 
 
 def reflection_span_check(ell: int, k: int, d: int) -> dict:

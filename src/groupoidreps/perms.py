@@ -1,7 +1,8 @@
 """Permutations of {1..d} in one-line notation (1-based tuples).
 
 perm[i-1] is the image of i.  Composition is composition of maps:
-compose(a, b) applies b first, then a.
+compose(a, b) applies b first, then a.  `reach` is the one worklist walk
+that every orbit and closure computation of the package runs on.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ __all__ = [
     "perm_sign",
     "all_perms",
     "perm_to_word",
+    "reach",
 ]
 
 
@@ -79,3 +81,18 @@ def perm_to_word(a: tuple[int, ...]) -> list[int]:
                 rec.append(i + 1)
                 changed = True
     return rec[::-1]
+
+
+def reach(seeds, step) -> set:
+    """Every element reachable from seeds, where step(x) yields the successors of x.
+
+    The seeds are included.  The order of the walk is unspecified.
+    """
+    reached = set(seeds)
+    frontier = list(reached)
+    while frontier:
+        for y in step(frontier.pop()):
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached

@@ -170,32 +170,20 @@ def _blockdiag_vector(T: TensorSpace, x: dict) -> list[Cyc]:
 def glk_generated_algebra(T: TensorSpace) -> list[dict]:
     """Basis of the unital algebra generated by the Leibniz embeddings.
 
-    Closure by exact span growth inside the block-diagonal endomorphisms,
-    with early termination when the dimension stabilizes.
+    Exact span growth by right multiplication only.  The span W of the basis
+    holds 1, and x g is pushed for every basis element x and generator g, so
+    W g lies in W for each generator; hence W holds every word 1 g_1 ... g_r,
+    and W is the generated algebra.  This is the package's one span closure.
     """
     gens = glk_generators(T)
-    n_coords = sum(len(bs) ** 2 for bs in T.block_of.values())
-    sb = SpanBasis(T.ell, n_coords)
+    sb = SpanBasis(T.ell, sum(len(bs) ** 2 for bs in T.block_of.values()))
     basis: list[dict] = []
-
-    def push(x: dict) -> bool:
+    frontier = [_blockdiag_identity(T)]
+    while frontier:
+        x = frontier.pop()
         if sb.add(_blockdiag_vector(T, x)):
             basis.append(x)
-            return True
-        return False
-
-    push(_blockdiag_identity(T))
-    for g in gens:
-        push(g)
-    frontier = list(basis)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                for cand in (_blockdiag_mul(x, g), _blockdiag_mul(g, x)):
-                    if push(cand):
-                        new.append(cand)
-        frontier = new
+            frontier += (_blockdiag_mul(x, g) for g in gens)
     return basis
 
 

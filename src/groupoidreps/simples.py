@@ -104,15 +104,12 @@ class SimpleModule:
             self._mat_cache[w] = cached
         return cached
 
-    def supports(self, f) -> bool:
-        return type_of(f, self.ell) == self.lam
-
     def act_alg(self, a) -> Mat:
         """Total matrix of an algebra element on the direct sum of blocks."""
         bd = self.block_dim
         entries = []
         for m, coeff in a.terms.items():
-            if self.supports(m.source) and self.supports(m.target):
+            if m.source in self.block_index and m.target in self.block_index:
                 r0, c0 = self.block_index[m.target] * bd, self.block_index[m.source] * bd
                 entries += ((ij, coeff * v) for ij, v in self.action_block(m).entries(r0, c0))
         return Mat.from_entries(self.ell, self.total_dim, self.total_dim, entries)

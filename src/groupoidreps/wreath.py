@@ -21,6 +21,7 @@ from .perms import (
     identity_perm,
     invert_perm,
     perm_sign,
+    reach,
 )
 
 __all__ = [
@@ -210,27 +211,21 @@ def conjugacy_classes_of(members, gens) -> tuple[tuple[WreathElem, int], ...]:
     """(representative, class size) pairs of a group given by its members and generators.
 
     Each class is the orbit of its first member under conjugation by the
-    generators; classes come in the order of their representatives in members.
+    generators, one `reach` walk; classes come in the order of their
+    representatives in members.
     """
     gen_pairs = [(g, wreath_inv(g)) for g in gens]
+
+    def conjugates(y):
+        return (wreath_mul(wreath_mul(g, y), ginv) for g, ginv in gen_pairs)
+
     seen: set[WreathElem] = set()
     classes = []
     for x in members:
-        if x in seen:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            new = []
-            for y in frontier:
-                for g, ginv in gen_pairs:
-                    z = wreath_mul(wreath_mul(g, y), ginv)
-                    if z not in orbit:
-                        orbit.add(z)
-                        new.append(z)
-            frontier = new
-        seen |= orbit
-        classes.append((x, len(orbit)))
+        if x not in seen:
+            orbit = reach([x], conjugates)
+            seen |= orbit
+            classes.append((x, len(orbit)))
     return tuple(classes)
 
 

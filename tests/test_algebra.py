@@ -267,3 +267,20 @@ def test_serialization():
             "coeff": {"order": 2, "coeffs": ["1/1"]},
         }
     ]
+
+
+def test_verify_iso_forms_each_product_once(monkeypatch):
+    # the product table feeds both the generation walk and the
+    # multiplicativity check, so each x g is formed once
+    calls = []
+    real = algebra.wreath_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(algebra, "wreath_mul", counting)
+    for ell, d in [(2, 3), (3, 2)]:
+        calls.clear()
+        assert verify_iso(ell, d)["ok"]
+        assert len(calls) == len(enum_group(ell, d)) * d

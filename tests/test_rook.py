@@ -1,3 +1,6 @@
+import pytest
+
+from groupoidreps import rook
 from groupoidreps.rook import (
     RookAlgebraElem,
     eps1,
@@ -47,7 +50,58 @@ def test_key_proof_identity():
 
 
 def test_epimorphism_check():
-    for d in (1, 2, 3, 4):
+    for d in (1, 2, 3, 4, 5, 6):
         rep = rook_epimorphism_check(d)
         assert rep["ok"], (d, rep)
         assert rep["dim"] == rook_monoid_order(d)
+
+
+SPAN_CHECK = "span of generated algebra = |IS_{d}| = {n}"
+
+
+def _check(rep, name):
+    return next(c for c in rep["checks"] if c["name"] == name)
+
+
+def test_span_check_fails_without_raising_when_s0_maps_to_minus_e(monkeypatch):
+    # -e squares to e, so the relation check passes, but (image(s0) + e)/2 = 0
+    # is not a rook element, so eps_1 is not derived and the span check fails
+    real = rook.rook_images
+
+    def patched(d):
+        images = real(d)
+        return [RookAlgebraElem.basis(d, rook_identity(d)).scale(-1)] + images[1:]
+
+    monkeypatch.setattr(rook, "rook_images", patched)
+    for d in (1, 2, 3):
+        rep = rook_epimorphism_check(d)
+        assert _check(rep, "(2 eps1 - e)^2 = e")["status"] == "pass"
+        assert _check(rep, SPAN_CHECK.format(d=d, n=rook_monoid_order(d)))["status"] == "fail"
+        assert not rep["ok"]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_span_check_fails_when_the_last_transposition_maps_to_e(monkeypatch, d):
+    # e is a rook element with coefficient 1, but eps_1, s_1..s_(d-2) and e
+    # generate a proper submonoid
+    real = rook.rook_images
+    monkeypatch.setattr(
+        rook, "rook_images", lambda d: real(d)[:-1] + [RookAlgebraElem.basis(d, rook_identity(d))]
+    )
+    rep = rook_epimorphism_check(d)
+    assert _check(rep, SPAN_CHECK.format(d=d, n=rook_monoid_order(d)))["status"] == "fail"
+    assert rep["dim"] < rook_monoid_order(d)
+
+
+def test_span_check_rejects_a_generator_with_a_coefficient_other_than_one(monkeypatch):
+    # 2 s_1 spans the same line as s_1, but it is not a monoid element
+    real = rook.rook_images
+
+    def patched(d):
+        images = real(d)
+        return images[:1] + [images[1].scale(2)] + images[2:]
+
+    monkeypatch.setattr(rook, "rook_images", patched)
+    rep = rook_epimorphism_check(3)
+    assert _check(rep, SPAN_CHECK.format(d=3, n=34))["status"] == "fail"
+    assert rep["dim"] < 34

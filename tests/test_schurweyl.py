@@ -332,3 +332,50 @@ def test_idempotent_sum_is_zero_exactly_when_the_inner_product_is(ell, kvec, d):
         for x in group:
             acc = acc + mats[x].scale_cyc(mod.char_wreath(wreath_inv(x)))
         assert (acc == zero) == inner_product(ell, d, chi_v, chi_p).is_zero()
+
+
+def _two_sided_closure(T, gens):
+    """Reference span closure: push x g and g x for every new basis element x and generator g."""
+    sb = SpanBasis(T.ell, sum(len(bs) ** 2 for bs in T.block_of.values()))
+    frontier = [schurweyl._blockdiag_identity(T)] + list(gens)
+    basis = []
+    while frontier:
+        new = []
+        for x in frontier:
+            if sb.add(schurweyl._blockdiag_vector(T, x)):
+                basis.append(x)
+                new += [schurweyl._blockdiag_mul(x, g) for g in gens]
+                new += [schurweyl._blockdiag_mul(g, x) for g in gens]
+        frontier = new
+    return sb, basis
+
+
+def _same_span(T, one_sided, reference):
+    sb_ref, basis_ref = reference
+    sb = SpanBasis(T.ell, sb_ref.n)
+    for x in one_sided:
+        sb.add(schurweyl._blockdiag_vector(T, x))
+    assert len(one_sided) == sb.rank == sb_ref.rank == len(basis_ref)
+    assert all(sb_ref.contains(schurweyl._blockdiag_vector(T, x)) for x in one_sided)
+    assert all(sb.contains(schurweyl._blockdiag_vector(T, x)) for x in basis_ref)
+
+
+@pytest.mark.parametrize("ell,kvec,d", TENSOR_GRID)
+def test_one_sided_closure_matches_a_two_sided_reference(ell, kvec, d):
+    T = TensorSpace(ell, kvec, d)
+    _same_span(T, glk_generated_algebra(T), _two_sided_closure(T, glk_generators(T)))
+
+
+@pytest.mark.parametrize("dropped", [(1, 2), (2,)], ids=["torus", "borel"])
+@pytest.mark.parametrize("ell,kvec,d", [(1, (2,), 2), (1, (2,), 3), (2, (2, 1), 2)])
+def test_one_sided_closure_matches_the_reference_on_fewer_generators(monkeypatch, ell, kvec, d, dropped):
+    # the generator sets of the forward-duality fault test: E_12 and E_21 of
+    # the first block dropped (the torus), and E_21 alone dropped (a Borel
+    # set, where the generated algebra is not commutative)
+    T = TensorSpace(ell, kvec, d)
+    full = len(glk_generated_algebra(T))
+    gens = [g for i, g in enumerate(glk_generators(T)) if i not in dropped]
+    monkeypatch.setattr(schurweyl, "glk_generators", lambda T: gens)
+    algebra = glk_generated_algebra(TensorSpace(ell, kvec, d))
+    _same_span(T, algebra, _two_sided_closure(T, gens))
+    assert len(algebra) < full

@@ -2,6 +2,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import groupoidreps
 
 SRC = Path(groupoidreps.__file__).resolve().parent
@@ -85,13 +87,15 @@ def test_commutants_are_solved_only_in_cyclo():
     assert not offenders
 
 
-def test_algebra_uses_no_elimination():
+@pytest.mark.parametrize("module", ["algebra.py", "rook.py"])
+def test_algebra_uses_no_elimination(module):
     # the rank of the Phi images is a count of distinct characters
-    # (Artin-Dedekind), so algebra.py neither imports nor names the
-    # elimination engine
+    # (Artin-Dedekind), and the rook image is spanned by the monoid its
+    # generators reach, so neither module imports nor names the elimination
+    # engine
     engine = {"SpanBasis", "LinSolver", "kernel_basis", "intertwiners"}
     used = set()
-    for node in ast.walk(ast.parse((SRC / "algebra.py").read_text(), filename="algebra.py")):
+    for node in ast.walk(ast.parse((SRC / module).read_text(), filename=module)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             used |= {alias.name for alias in node.names}
         elif isinstance(node, ast.Name):
@@ -99,3 +103,81 @@ def test_algebra_uses_no_elimination():
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
     assert not used & engine
+
+
+def _worklist_loops(tree):
+    """(function name, line) of each while loop on a list that its body pops from or rebinds."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        lists = {
+            target.id
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+            and (
+                isinstance(node.value, (ast.List, ast.ListComp))
+                or (isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "list")
+            )
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        }
+        for loop in ast.walk(func):
+            if not isinstance(loop, ast.While):
+                continue
+            tested = {n.id for n in ast.walk(loop.test) if isinstance(n, ast.Name)} & lists
+            for node in (n for stmt in loop.body for n in ast.walk(stmt)):
+                popped = (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "pop"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in tested
+                )
+                rebound = isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id in tested for t in node.targets
+                )
+                if popped or rebound:
+                    found.append((func.name, loop.lineno))
+                    break
+    return found
+
+
+def test_worklist_loops_live_only_in_reach_and_the_span_closure():
+    # every orbit and closure walk runs on perms.reach; the one span closure
+    # (schurweyl.glk_generated_algebra) keeps its own loop over a SpanBasis
+    allowed = {("perms.py", "reach"), ("schurweyl.py", "glk_generated_algebra")}
+    found = {
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name, _line in _worklist_loops(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert found == allowed
+
+
+def test_the_worklist_detector_sees_both_loop_forms():
+    # a popping loop and a rebinding loop are found; a flag loop and a loop
+    # that only reads its list are not
+    source = """
+def pops(seeds):
+    frontier = list(seeds)
+    while frontier:
+        frontier.pop()
+
+def rebinds(seeds):
+    frontier = [seeds]
+    while frontier and len(frontier) < 9:
+        frontier = [x for x in frontier if x]
+
+def flag(a):
+    changed = True
+    while changed:
+        changed = False
+
+def reads(items):
+    items = [1, 2]
+    while items:
+        print(items[0])
+        break
+"""
+    assert [name for name, _line in _worklist_loops(ast.parse(source))] == ["pops", "rebinds"]

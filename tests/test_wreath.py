@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from groupoidreps.cyclo import Cyc
+from groupoidreps.perms import reach
 from groupoidreps.wreath import (
     WreathElem,
     check_presentation,
@@ -131,3 +132,25 @@ def test_embed_lower_rank():
 def test_serialization():
     x = WreathElem(2, (2, 1), (1, 0))
     assert x.to_json() == {"perm": [2, 1], "colors": [1, 0]}
+
+
+@pytest.mark.parametrize("ell,d", [(1, 3), (2, 2), (2, 3), (3, 2), (4, 2), (2, 4)])
+def test_reach_from_the_identity_is_the_whole_group(ell, d):
+    def right_multiples(gens):
+        return lambda x: (wreath_mul(x, g) for g in gens)
+
+    gens = generators(ell, d)
+    e = wreath_identity(ell, d)
+    reached = reach([e], right_multiples(gens))
+    assert reached == set(enum_group(ell, d))
+    assert len(reached) == ell**d * factorial(d)
+    # without s_1, position 1 never moves
+    fewer = reach([e], right_multiples(gens[:1] + gens[2:]))
+    assert len(fewer) < len(reached)
+    assert all(x.perm[0] == 1 for x in fewer)
+
+
+def test_reach_includes_the_seeds_and_stops_on_a_cycle():
+    assert reach([], lambda x: [x + 1]) == set()
+    assert reach([0], lambda x: [(x + 1) % 5]) == set(range(5))
+    assert reach([7, 8], lambda x: []) == {7, 8}
