@@ -19,13 +19,7 @@ from .cyclo import Cyc
 from .groupoid import GMorphism, compose, hom, inverse, objects
 from .perms import compose_perms
 from .reporting import suite_result
-from .simples import (
-    ClassFunction,
-    all_simples,
-    character_table,
-    conjugacy_classes,
-    inner_product,
-)
+from .simples import all_simples, character_table, conjugacy_classes, inner_product, phi_trace
 from .wreath import WreathElem
 
 __all__ = [
@@ -63,9 +57,6 @@ class GelfandModel:
         self.basis: dict[tuple, list[GMorphism]] = {
             f: involutions(f, ell) for f in self.objects
         }
-        self.index: dict[tuple, dict[GMorphism, int]] = {
-            f: {w: i for i, w in enumerate(ws)} for f, ws in self.basis.items()
-        }
         self.total_dim = sum(len(ws) for ws in self.basis.values())
 
     def act_on_involution(self, sigma: GMorphism, w: GMorphism) -> tuple[int, GMorphism]:
@@ -75,30 +66,22 @@ class GelfandModel:
         return sign, conj
 
     def char_wreath(self, x: WreathElem) -> Cyc:
-        """Trace of the action of Phi(x) on the model.
+        """Trace of the action of Phi(x) on the model, by phi_trace.
 
         At an object g fixed by x, sigma = perm(x) fixes the involution w
-        exactly when sigma w = w sigma; the signs are summed per exponent
-        e mod l and reduced once.
+        exactly when sigma w = w sigma, and contributes its sign.
         """
-        ell, d = self.ell, self.d
-        perm, colors = x.perm, x.colors
-        sums = [0] * ell
-        for g in self.objects:
-            if any(g[perm[i] - 1] != g[i] for i in range(d)):
-                continue
-            sigma = GMorphism(g, g, perm)
-            diag = 0
+        perm, d = x.perm, self.d
+
+        def block_trace(g) -> int:
+            sigma, tr = GMorphism(g, g, perm), 0
             for w in self.basis[g]:
                 wp = w.perm
                 if all(perm[wp[i] - 1] == wp[perm[i] - 1] for i in range(d)):
-                    diag += -1 if inv_statistic(sigma, w) % 2 else 1
-            if diag:
-                sums[sum(colors[i] * g[perm[i] - 1] for i in range(d)) % ell] += diag
-        return Cyc.from_exponent_sums(ell, sums)
+                    tr += -1 if inv_statistic(sigma, w) % 2 else 1
+            return tr
 
-    def class_function(self) -> ClassFunction:
-        return ClassFunction.from_callable(self.ell, self.d, self.char_wreath)
+        return phi_trace(x, self.objects, block_trace)
 
 
 @lru_cache(maxsize=None)
@@ -126,17 +109,17 @@ def verify_gelfand(ell: int, d: int) -> dict:
 
     # Each simple character feeds its multiplicity and a running per-class
     # sum, which must equal the model's character.
-    chi_model = model.class_function()
-    chi_sum = {rep: Cyc.zero(ell) for rep, _size in conjugacy_classes(ell, d)}
+    classes = conjugacy_classes(ell, d)
+    chi_model = [model.char_wreath(rep) for rep, _size in classes]
+    chi_sum = [Cyc.zero(ell)] * len(classes)
     mult_table = []
     all_one = True
     for m, chi in zip(simples, character_table(ell, d)):
-        val = inner_product(ell, d, chi_model, chi)
+        val = inner_product(classes, chi_model, [v.conjugate() for v in chi])
         ok = val.is_rational() and val.rational_value() == 1
         all_one = all_one and ok
         mult_table.append({"label": m.label_json(), "multiplicity": str(val.to_json()["coeffs"]) if not val.is_rational() else int(val.rational_value())})
-        for rep, total in chi_sum.items():
-            chi_sum[rep] = total + chi.values[rep]
+        chi_sum = [total + v for total, v in zip(chi_sum, chi)]
     checks.append(
         {
             "name": "every simple has multiplicity exactly 1",
@@ -145,7 +128,7 @@ def verify_gelfand(ell: int, d: int) -> dict:
         }
     )
 
-    diff_zero = all(chi_model.values[rep] == total for rep, total in chi_sum.items())
+    diff_zero = chi_model == chi_sum
     checks.append(
         {"name": "gelfand character equals sum of simple characters", "status": "pass" if diff_zero else "fail"}
     )

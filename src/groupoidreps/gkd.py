@@ -27,7 +27,7 @@ from itertools import accumulate, product
 from math import factorial
 from typing import NamedTuple
 
-from .algebra import AlgElem, _rank_of_phi_images, phi
+from .algebra import AlgElem, _perm_table, _rank_of_phi_images, phi, phi_form
 from .cyclo import (
     Cyc,
     LinSolver,  # noqa: F401  (unused here; perfbench/tests patch gkd.LinSolver)
@@ -44,12 +44,13 @@ from .groupoid import (
     hom,
     identity_morphism,
     inverse,
+    object_index,
     objects,
     type_of,
 )
 from .perms import reach
 from .reporting import suite_result
-from .simples import all_simples, build_simple
+from .simples import all_simples, build_simple, inner_product
 from .tableaux import compositions, multipartitions, outer_rep
 from .wreath import (
     WreathElem,
@@ -119,7 +120,8 @@ class QuotientGroupoid:
         self.shift = ell // k  # theta_k shifts colors by this amount
         self.orbits: list[tuple[tuple, ...]] = []
         self.orbit_of: dict[tuple, int] = {}
-        for f in objects(ell, d):
+        objs = objects(ell, d)
+        for f in objs:
             if f in self.orbit_of:
                 continue
             orbit = []
@@ -134,6 +136,10 @@ class QuotientGroupoid:
             self.orbits.append(orbit_sorted)
             for g in orbit_sorted:
                 self.orbit_of[g] = idx
+        # over the objects in order: the index of theta_k(g), and whether g
+        # represents its orbit
+        self.theta_index = tuple(object_index(theta_object(f, self.shift, ell), ell) for f in objs)
+        self.is_rep = tuple(f == self.rep(self.orbit_of[f]) for f in objs)
 
     # -- objects -----------------------------------------------------------
 
@@ -213,17 +219,21 @@ class QuotientGroupoid:
         return AlgElem(self.ell, self.d, terms)
 
     def phi_to_quotient(self, x: WreathElem) -> dict[QMorphism, Cyc]:
-        """Coordinates of Phi(x) in the quotient basis (x must lie in G(l,k,d))."""
-        a = phi(x, self.d)
-        coords: dict[QMorphism, Cyc] = {}
-        for m, c in a.terms.items():
-            q = self.normalize(m)
-            prev = coords.get(q)
-            if prev is None:
-                coords[q] = c
-            elif prev != c:
-                raise ValueError("Phi image is not H_k-invariant; x is outside G(l,k,d)")
-        return coords
+        """Coordinates of Phi(x) in the quotient basis (x must lie in G(l,k,d)).
+
+        Phi(x) is monomial, with exponent e_x(g) on its term with target g,
+        and theta_k moves that term to the one with target theta_k(g).  So
+        Phi(x) is H_k-invariant exactly when e_x(g) = e_x(theta_k g) for every
+        g, and its coordinates are then the terms whose source is an orbit
+        representative.
+        """
+        perm, exps = phi_form(x, self.d)
+        if any(e != exps[t] for e, t in zip(exps, self.theta_index)):
+            raise ValueError("Phi image is not H_k-invariant; x is outside G(l,k,d)")
+        _sources, terms, source_index = _perm_table(self.ell, self.d, perm)
+        return {
+            QMorphism(m): root_of_unity(self.ell, e) for m, e, i in zip(terms, exps, source_index) if self.is_rep[i]
+        }
 
 
 @lru_cache(maxsize=None)
@@ -688,15 +698,6 @@ def _class_coordinates(ell: int, k: int, d: int) -> tuple[dict[QMorphism, Cyc], 
     return tuple(Q.phi_to_quotient(rep) for rep, _size in gkd_conjugacy_classes(ell, k, d))
 
 
-def _gkd_inner_product(ell: int, k: int, d: int, alpha, beta_conj) -> Cyc:
-    """(1/|G|) sum_x alpha(x) beta_conj(x), both given per class, beta already conjugated."""
-    order = ell**d * factorial(d) // k
-    acc = Cyc.zero(ell)
-    for (_rep, size), a, b in zip(gkd_conjugacy_classes(ell, k, d), alpha, beta_conj):
-        acc = acc + (a * b).scale(size)
-    return acc.scale(Fraction(1, order))
-
-
 def _quotient_commutant_dim(mod: QuotientSimpleModule) -> int:
     """Exact dimension of {X : X L(q) = L(q) X for all basis quotient morphisms q}.
 
@@ -781,7 +782,7 @@ def restriction_check(ell: int, k: int, d: int) -> dict:
         got = {}
         non_integral = []
         for key in mods:
-            val = _gkd_inner_product(ell, k, d, chi_res, lpm_conj[key])
+            val = inner_product(reps, chi_res, lpm_conj[key])
             if not val.is_rational() or val.rational_value().denominator != 1:
                 non_integral.append(mods[key].label_json())
             elif not val.is_zero():

@@ -19,7 +19,8 @@ Every commutant, the one with the cyclic shift Z adjoined included, is one
 call to cyclo.intertwiners; ranks and span memberships use SpanBasis.  All
 elimination is exact.
 Whether the central idempotent of a simple p kills V^(x d) is read from
-characters: the algebra is semisimple, so it does iff <chi_V, chi_p> = 0.
+characters: the algebra is semisimple, so it does iff <chi_V, chi_p> = 0,
+and chi_V is read off the monomial form of Phi (TensorSpace.character).
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from fractions import Fraction
 from functools import wraps
 from itertools import product
 
-from .algebra import AlgElem, phi
+from .algebra import AlgElem
 from .cyclo import Cyc, Mat, SpanBasis, intertwiners
 from .groupoid import GMorphism, component_generators, hom, type_of
 from .perms import invert_perm
 from .reporting import suite_result
-from .simples import ClassFunction, all_simples, character_table, inner_product
+from .simples import all_simples, character_table, conjugacy_classes, inner_product, phi_trace
+from .wreath import WreathElem
 
 __all__ = [
     "TensorSpace",
@@ -103,6 +105,19 @@ class TensorSpace:
             )
         n = len(self.basis)
         return Mat.from_entries(self.ell, n, n, entries)
+
+    def character(self, x: WreathElem) -> Cyc:
+        """chi_V(x), the trace of Phi(x) on V^(x d), by phi_trace.
+
+        The permutation of sigma_(g, g) fixes exactly the basis tensors b of
+        block g with b o perm = b, so its block trace counts them.
+        """
+        perm = x.perm
+
+        def block_trace(g) -> int:
+            return sum(all(b[p - 1] == v for p, v in zip(perm, b)) for b in self.block_of[g])
+
+        return phi_trace(x, self.block_of, block_trace)
 
 
 def _once_per_space(build):
@@ -347,11 +362,13 @@ def kernel_check(T: TensorSpace) -> dict:
     )
 
     # per-simple: the algebra is semisimple, so the central idempotent of p
-    # kills V^(x d) iff <chi_V, chi_p> = 0, with chi_V one trace per class
-    chi_v = ClassFunction.from_callable(ell, d, lambda x: T.act_full(phi(x, d)).trace())
+    # kills V^(x d) iff <chi_p, chi_V> = 0, with chi_V one trace per class,
+    # conjugated once
+    classes = conjugacy_classes(ell, d)
+    chi_v_bar = [T.character(rep).conjugate() for rep, _size in classes]
     killed_set = {m.p for m in killed}
     per_simple_ok = all(
-        inner_product(ell, d, chi_v, chi_p).is_zero() == (mod.p in killed_set)
+        inner_product(classes, chi_p, chi_v_bar).is_zero() == (mod.p in killed_set)
         for mod, chi_p in zip(all_simples(ell, d), character_table(ell, d))
     )
     checks.append(

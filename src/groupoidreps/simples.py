@@ -11,9 +11,12 @@ is an endomorphism of b, i.e. an element of the block group S_lambda, and
 acts on S_p by its outer-Specht matrix.
 
 Characters are taken through the isomorphism with C[S(l,d)]: the character
-of x is the trace of the action of Phi(x), evaluated blockwise.  Conjugacy
-classes are found by brute-force orbit partitioning (conjugation by group
-generators); no class counting theory is used.
+of x is the trace of the action of Phi(x), read off its monomial form by
+`phi_trace`, the one trace routine (the Gelfand model and the tensor space
+use it too).  A class function is a tuple in the order of its class list, and
+`inner_product` is the one inner product.  Conjugacy classes are found by
+brute-force orbit partitioning (conjugation by group generators); no class
+counting theory is used.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from .cyclo import Cyc, Mat, intertwiners
 from .groupoid import (
@@ -53,7 +57,7 @@ __all__ = [
     "all_simples",
     "build_simple",
     "conjugacy_classes",
-    "ClassFunction",
+    "phi_trace",
     "character_table",
     "inner_product",
     "total_dim_check",
@@ -121,21 +125,9 @@ class SimpleModule:
         return t
 
     def char_wreath(self, x: WreathElem) -> Cyc:
-        """Character of x in C[S(l,d)], i.e. the trace of the action of Phi(x).
-
-        Each object g fixed by x contributes tr(transport of x at g) * xi^e;
-        the integer traces are summed per exponent e mod l and reduced once.
-        """
-        ell, d = self.ell, self.d
-        perm, colors = x.perm, x.colors
-        sums = [0] * ell
-        for g in self.objects:
-            if any(g[perm[i] - 1] != g[i] for i in range(d)):
-                continue
-            tr = self._block_trace(self.transported(GMorphism(g, g, perm)))
-            if tr:
-                sums[sum(colors[i] * g[perm[i] - 1] for i in range(d)) % ell] += tr
-        return Cyc.from_exponent_sums(ell, sums)
+        """Character of x in C[S(l,d)]: the trace of the action of Phi(x), by phi_trace."""
+        perm = x.perm
+        return phi_trace(x, self.objects, lambda g: self._block_trace(self.transported(GMorphism(g, g, perm))))
 
     def label_json(self) -> list:
         return [list(pi) for pi in self.p]
@@ -175,50 +167,48 @@ def conjugacy_classes(ell: int, d: int) -> tuple[tuple[WreathElem, int], ...]:
     return conjugacy_classes_of(enum_group(ell, d), generators(ell, d) if d else [])
 
 
-class ClassFunction:
-    """A function on conjugacy classes, stored on class representatives."""
+def phi_trace(x: WreathElem, objs, block_trace) -> Cyc:
+    """The trace of Phi(x) on a module with one block per object of objs.
 
-    def __init__(self, ell: int, d: int, values: dict[WreathElem, Cyc]):
-        self.ell = ell
-        self.d = d
-        self.values = dict(values)
-
-    @staticmethod
-    def from_callable(ell: int, d: int, fn) -> "ClassFunction":
-        """Tabulate fn once on each class representative.
-
-        fn must be a class function.  Every character here is the trace of a
-        representation, and tr(AB) = tr(BA) makes it one; the tests check
-        class constancy exhaustively at small (l, d).
-        """
-        return ClassFunction(ell, d, {rep: fn(rep) for rep, _size in conjugacy_classes(ell, d)})
-
-
-def inner_product(ell: int, d: int, alpha: ClassFunction, beta: ClassFunction) -> Cyc:
-    """(1/|G|) sum_x alpha(x) conj(beta(x)), conj = the automorphism xi -> xi^(-1)."""
-    order = ell**d * factorial(d)
-    acc = Cyc.zero(ell)
-    for rep, size in conjugacy_classes(ell, d):
-        acc = acc + (alpha.values[rep] * beta.values[rep].conjugate()).scale(size)
-    return acc.scale(Fraction(1, order))
+    The term of Phi(x) at g is xi^e sigma_(g o perm, g), a diagonal block
+    exactly when g o perm = g, and then e = sum_j c_j g(j).  block_trace(g)
+    is the integer trace of sigma_(g, g) with permutation perm on the block
+    at g; the traces are summed per exponent e mod l and reduced once.
+    """
+    ell, perm, colors = x.ell, x.perm, x.colors
+    sums = [0] * ell
+    for g in objs:
+        if all(g[p - 1] == c for p, c in zip(perm, g)):
+            tr = block_trace(g)
+            if tr:
+                sums[sum(map(mul, colors, g)) % ell] += tr
+    return Cyc.from_exponent_sums(ell, sums)
 
 
-def simple_class_function(mod: SimpleModule) -> ClassFunction:
-    return ClassFunction.from_callable(mod.ell, mod.d, mod.char_wreath)
+def inner_product(classes, alpha, beta_bar) -> Cyc:
+    """(1/|G|) sum_x alpha(x) beta_bar(x) over G, |G| the sum of the class sizes.
+
+    classes is a (representative, size) list, alpha and beta_bar are tuples in
+    its order, and beta_bar is beta already conjugated (xi -> xi^(-1)), so a
+    character paired with many others is conjugated once.
+    """
+    acc = Cyc.zero(classes[0][0].ell)
+    for (_rep, size), a, b in zip(classes, alpha, beta_bar):
+        acc = acc + (a * b).scale(size)
+    return acc.scale(Fraction(1, sum(size for _rep, size in classes)))
 
 
 @lru_cache(maxsize=None)
-def character_table(ell: int, d: int) -> tuple[ClassFunction, ...]:
-    """The simple characters at (l, d), in all_simples order, tabulated once.
+def character_table(ell: int, d: int) -> tuple[tuple[Cyc, ...], ...]:
+    """The simple characters at (l, d), in all_simples order, on conjugacy_classes(l, d).
 
-    Equal values share one Cyc, which keeps the cached table small: at (4, 4)
-    its 11025 entries take 63 distinct values.
+    Each character is evaluated once per class representative.  Equal values
+    share one Cyc, which keeps the cached table small: at (4, 4) its 11025
+    entries take 63 distinct values.
     """
     shared: dict[Cyc, Cyc] = {}
-    return tuple(
-        ClassFunction(ell, d, {rep: shared.setdefault(v, v) for rep, v in simple_class_function(m).values.items()})
-        for m in all_simples(ell, d)
-    )
+    reps = [rep for rep, _size in conjugacy_classes(ell, d)]
+    return tuple(tuple(shared.setdefault(v, v) for v in map(m.char_wreath, reps)) for m in all_simples(ell, d))
 
 
 def total_dim_check(mod: SimpleModule) -> bool:
@@ -286,7 +276,7 @@ def verify_complete(ell: int, d: int) -> dict:
     )
 
     chars = character_table(ell, d)
-    distinct = len({tuple(sorted(((k, v.coeffs) for k, v in c.values.items()))) for c in chars})
+    distinct = len({tuple(v.coeffs for v in c) for c in chars})
     checks.append(
         {
             "name": "characters pairwise distinct",
@@ -318,13 +308,11 @@ def restriction_multiplicities(mod: SimpleModule) -> dict:
     if d < 1:
         raise ValueError("branching needs d >= 1")
 
-    def restricted_char(y: WreathElem) -> Cyc:
-        return mod.char_wreath(embed_lower_rank(y, d))
-
-    chi_res = ClassFunction.from_callable(ell, d - 1, restricted_char)
+    classes = conjugacy_classes(ell, d - 1)
+    chi_res = [mod.char_wreath(embed_lower_rank(y, d)) for y, _size in classes]
     mults = {}
     for sub, chi_sub in zip(all_simples(ell, d - 1), character_table(ell, d - 1)):
-        val = inner_product(ell, d - 1, chi_res, chi_sub)
+        val = inner_product(classes, chi_res, [v.conjugate() for v in chi_sub])
         if not val.is_zero():
             integral = val.is_rational() and val.rational_value().denominator == 1
             mults[sub.p] = int(val.rational_value()) if integral else val

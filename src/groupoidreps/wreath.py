@@ -219,12 +219,12 @@ def conjugacy_classes_of(members, gens) -> tuple[tuple[WreathElem, int], ...]:
     def conjugates(y):
         return (wreath_mul(wreath_mul(g, y), ginv) for g, ginv in gen_pairs)
 
-    seen: set[WreathElem] = set()
+    unseen = set(members)
     classes = []
     for x in members:
-        if x not in seen:
+        if x in unseen:
             orbit = reach([x], conjugates)
-            seen |= orbit
+            unseen -= orbit
             classes.append((x, len(orbit)))
     return tuple(classes)
 

@@ -21,7 +21,7 @@ from groupoidreps.gkd import (
     theta_type,
 )
 from groupoidreps.groupoid import canonical_morphism, identity_morphism, type_of
-from groupoidreps.simples import all_simples
+from groupoidreps.simples import all_simples, inner_product
 from groupoidreps.tableaux import multipartitions
 from groupoidreps.wreath import generators, wreath_identity
 
@@ -107,6 +107,34 @@ def test_phi_to_quotient_rejects_nonmembers():
     s0 = generators(2, 2)[0]
     with pytest.raises(ValueError):
         Q.phi_to_quotient(s0)
+
+
+def test_span_check_fails_when_phi_form_is_patched_at_one_object(monkeypatch):
+    # one exponent moved at the object (1, 1), whose orbit is {(1, 1), (2, 2)}:
+    # every Phi(x) then differs on the two terms of one H_2-orbit
+    ell, k, d = 2, 2, 2
+    assert reflection_span_check(ell, k, d)["ok"]
+    real = gkd.phi_form
+
+    def patched(x, n=None):
+        perm, exps = real(x, n)
+        return perm, ((exps[0] + 1) % ell,) + exps[1:]
+
+    monkeypatch.setattr(gkd, "phi_form", patched)
+    statuses = {c["name"]: c["status"] for c in reflection_span_check(ell, k, d)["checks"]}
+    assert statuses["Phi(G(l,k,d)) is H_k-invariant"] == "fail"
+    assert statuses["span Phi(G) = span Psi (exact rank and containment)"] == "fail"
+    assert statuses["Psi multiplicative on the basis"] == "pass"
+
+
+@pytest.mark.parametrize("ell,k,d", [(2, 2, 3), (4, 2, 2)])
+def test_quotient_characters_are_orthonormal(ell, k, d):
+    classes = gkd_conjugacy_classes(ell, k, d)
+    chars = [build_quotient_simple(ell, k, d, p, m).class_character for _lam, p, m in quotient_labels(ell, k, d)]
+    for i, chi in enumerate(chars):
+        for j, psi in enumerate(chars):
+            val = inner_product(classes, chi, [v.conjugate() for v in psi])
+            assert val == Cyc.rational(ell, 1 if i == j else 0), (i, j)
 
 
 def test_labels_222():

@@ -14,7 +14,7 @@ from groupoidreps.schurweyl import (
     verify_commuting,
     verify_double_centralizer,
 )
-from groupoidreps.simples import ClassFunction, all_simples, character_table, inner_product
+from groupoidreps.simples import all_simples, character_table, conjugacy_classes, inner_product
 from groupoidreps.wreath import enum_group, wreath_identity, wreath_inv
 
 TENSOR_GRID = [
@@ -302,10 +302,10 @@ def test_kernel_check_fails_for_one_wrong_character_value(monkeypatch):
     killed = {m.p for m in schurweyl._killed_labels(T)}
     table = list(character_table(ell, d))
     i = next(i for i, m in enumerate(all_simples(ell, d)) if m.p in killed)
-    values = dict(table[i].values)
-    e = wreath_identity(ell, d)
+    values = list(table[i])
+    e = [rep for rep, _size in conjugacy_classes(ell, d)].index(wreath_identity(ell, d))
     values[e] = values[e] + Cyc.one(ell)
-    table[i] = ClassFunction(ell, d, values)
+    table[i] = tuple(values)
     monkeypatch.setattr(schurweyl, "character_table", lambda ell, d: tuple(table))
     rep = kernel_check(T)
     assert _status(rep, "kernel dim = sum of squares over killed labels") == "pass"
@@ -325,13 +325,30 @@ def test_idempotent_sum_is_zero_exactly_when_the_inner_product_is(ell, kvec, d):
     T = TensorSpace(ell, kvec, d)
     group = enum_group(ell, d)
     mats = {x: T.act_full(phi(x, d)) for x in group}
-    chi_v = ClassFunction.from_callable(ell, d, lambda x: mats[x].trace())
+    classes = conjugacy_classes(ell, d)
+    chi_v = [mats[rep].trace() for rep, _size in classes]
     zero = Mat.zeros(ell, T.dim(), T.dim())
     for mod, chi_p in zip(all_simples(ell, d), character_table(ell, d)):
         acc = zero
         for x in group:
             acc = acc + mats[x].scale_cyc(mod.char_wreath(wreath_inv(x)))
-        assert (acc == zero) == inner_product(ell, d, chi_v, chi_p).is_zero()
+        assert (acc == zero) == inner_product(classes, chi_v, [v.conjugate() for v in chi_p]).is_zero()
+
+
+@pytest.mark.parametrize("ell,kvec,d", TENSOR_GRID)
+def test_character_is_the_trace_of_the_phi_action(ell, kvec, d):
+    T = TensorSpace(ell, kvec, d)
+    for rep, _size in conjugacy_classes(ell, d):
+        assert T.character(rep) == T.act_full(phi(rep, d)).trace(), rep
+
+
+def test_kernel_check_builds_no_dense_matrix(monkeypatch):
+    # chi_V comes from TensorSpace.character; act_full is never called
+    def refuse(self, a):
+        raise AssertionError("act_full called")
+
+    monkeypatch.setattr(TensorSpace, "act_full", refuse)
+    assert kernel_check(TensorSpace(2, (2, 1), 2))["ok"]
 
 
 def _two_sided_closure(T, gens):

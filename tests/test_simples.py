@@ -1,21 +1,23 @@
 import random
 from math import factorial
 
+import pytest
+
 from groupoidreps import simples
 from groupoidreps.algebra import phi
 from groupoidreps.cyclo import Cyc, Mat
 from groupoidreps.gelfand import build_gelfand
 from groupoidreps.groupoid import canonical_morphism, compose, hom, identity_morphism, objects, type_of
 from groupoidreps.simples import (
-    ClassFunction,
+    SimpleModule,
     all_simples,
     branching_report,
     build_simple,
     character_table,
     conjugacy_classes,
+    inner_product,
     removable_node_restrictions,
     restriction_multiplicities,
-    simple_class_function,
     total_dim_check,
     verify_complete,
     young_induction_check,
@@ -105,31 +107,52 @@ def test_characters_constant_on_classes():
                 assert chi(wreath_mul(wreath_mul(s, x), wreath_inv(s))) == value, (chi, x, s)
 
 
-def test_from_callable_evaluates_once_per_class_representative():
+def test_character_table_calls_char_wreath_once_per_class_representative(monkeypatch):
+    real = SimpleModule.char_wreath
     for ell, d in [(1, 3), (2, 2), (3, 2), (2, 3)]:
         calls = []
 
-        def fn(x):
-            calls.append(x)
-            return Cyc.rational(ell, len(calls))
+        def recording(self, x):
+            calls.append((self.p, x))
+            return real(self, x)
 
-        cf = ClassFunction.from_callable(ell, d, fn)
+        monkeypatch.setattr(SimpleModule, "char_wreath", recording)
+        table = character_table.__wrapped__(ell, d)
+        monkeypatch.setattr(SimpleModule, "char_wreath", real)
         reps = [rep for rep, _size in conjugacy_classes(ell, d)]
-        assert calls == reps
-        assert cf.values == {rep: Cyc.rational(ell, i + 1) for i, rep in enumerate(reps)}
+        mods = all_simples(ell, d)
+        assert calls == [(m.p, rep) for m in mods for rep in reps]
+        assert table == tuple(tuple(m.char_wreath(rep) for rep in reps) for m in mods)
 
 
 def test_character_table_follows_all_simples_order():
     for ell, d in [(2, 2), (3, 2)]:
         table = character_table(ell, d)
         assert character_table(ell, d) is table
-        assert [cf.values for cf in table] == [simple_class_function(m).values for m in all_simples(ell, d)]
+        reps = [rep for rep, _size in conjugacy_classes(ell, d)]
+        assert table == tuple(tuple(m.char_wreath(x) for x in reps) for m in all_simples(ell, d))
+
+
+def test_character_table_shares_equal_values():
+    table = character_table(3, 2)
+    values = [v for chi in table for v in chi]
+    assert len({id(v) for v in values}) == len(set(values)) < len(values)
+
+
+@pytest.mark.parametrize("ell,d", [(2, 3), (3, 2)])
+def test_simple_characters_are_orthonormal(ell, d):
+    classes = conjugacy_classes(ell, d)
+    table = character_table(ell, d)
+    for i, chi in enumerate(table):
+        for j, psi in enumerate(table):
+            val = inner_product(classes, chi, [v.conjugate() for v in psi])
+            assert val == Cyc.rational(ell, 1 if i == j else 0), (i, j)
 
 
 def test_trivial_character():
     # the trivial module lives on the all-color-l component (xi^(l c) = 1)
-    cf = simple_class_function(build_simple(2, 2, ((), (2,))))
-    assert all(v.is_one() for v in cf.values.values())
+    mod = build_simple(2, 2, ((), (2,)))
+    assert all(mod.char_wreath(rep).is_one() for rep, _size in conjugacy_classes(2, 2))
     # on the all-color-1 component the diagonal part acts by its determinant
     from groupoidreps.wreath import generators
 
@@ -213,10 +236,11 @@ def test_branching_reports_a_non_integral_multiplicity(monkeypatch):
     # product with a restricted character by dim / |S(2,1)| = 1/2 for a dim-1 simple
     ell, d = 2, 2
     table = character_table(ell, d - 1)
-    identity = wreath_identity(ell, d - 1)
-    bent = ClassFunction(ell, d - 1, dict(table[0].values))
-    bent.values[identity] = bent.values[identity] + Cyc.one(ell)
-    patched = {(ell, d - 1): (bent,) + table[1:]}
+    reps = [rep for rep, _size in conjugacy_classes(ell, d - 1)]
+    bent = list(table[0])
+    i = reps.index(wreath_identity(ell, d - 1))
+    bent[i] = bent[i] + Cyc.one(ell)
+    patched = {(ell, d - 1): (tuple(bent),) + table[1:]}
     real = simples.character_table
     monkeypatch.setattr(simples, "character_table", lambda e, n: patched.get((e, n)) or real(e, n))
     rep = branching_report(ell, d)

@@ -181,3 +181,38 @@ def reads(items):
         break
 """
     assert [name for name, _line in _worklist_loops(ast.parse(source))] == ["pops", "rebinds"]
+
+
+def _calls_by_function(tree, attr):
+    """Names of the top-level functions and methods whose bodies call .attr."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == attr
+                for n in ast.walk(node)
+            ):
+                found.append(node.name)
+    return found
+
+
+def test_exponent_bins_are_reduced_only_in_phi_trace():
+    # every character value is one phi_trace call: the traces of Phi(x) are
+    # binned per exponent and reduced in that one place
+    found = {
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in _calls_by_function(ast.parse(path.read_text(), filename=str(path)), "from_exponent_sums")
+    }
+    assert found == {("simples.py", "phi_trace")}
+
+
+def test_inner_product_is_defined_once():
+    # one class-function format and one inner product for S(l,d) and G(l,k,d)
+    defined = [
+        (path.name, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and "inner_product" in node.name
+    ]
+    assert defined == [("simples.py", "inner_product")]

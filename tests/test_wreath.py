@@ -8,6 +8,7 @@ from groupoidreps.perms import reach
 from groupoidreps.wreath import (
     WreathElem,
     check_presentation,
+    conjugacy_classes_of,
     det,
     embed_lower_rank,
     enum_group,
@@ -154,3 +155,16 @@ def test_reach_includes_the_seeds_and_stops_on_a_cycle():
     assert reach([], lambda x: [x + 1]) == set()
     assert reach([0], lambda x: [(x + 1) % 5]) == set(range(5))
     assert reach([7, 8], lambda x: []) == {7, 8}
+
+
+@pytest.mark.parametrize("ell,d", [(2, 3), (3, 2)])
+def test_conjugacy_classes_match_a_partition_by_all_conjugates(ell, d):
+    # the reference conjugates by every group element, not by the generators
+    group = enum_group(ell, d)
+    expected, seen = [], set()
+    for x in group:
+        if x not in seen:
+            cls = {wreath_mul(wreath_mul(g, x), wreath_inv(g)) for g in group}
+            seen |= cls
+            expected.append((x, len(cls)))
+    assert conjugacy_classes_of(group, generators(ell, d)) == tuple(expected)
