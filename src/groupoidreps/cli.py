@@ -17,7 +17,7 @@ import json
 import sys
 import time
 from contextlib import nullcontext
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from math import factorial, prod
 from typing import Callable, NamedTuple
@@ -355,7 +355,9 @@ def _run_all(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing writes only to the namespace it returns."""
     parser = argparse.ArgumentParser(
         prog="groupoid-reps",
         description="Exact verification suite for colored-permutation groupoid representation theory.",

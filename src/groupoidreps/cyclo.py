@@ -13,7 +13,10 @@ rows are {column: Cyc} in reduced row echelon form with pivots 1.
 :class:`LinSolver` and :func:`kernel_basis` are thin layers over it.  Every
 commutant and intertwiner space is solved by :func:`intertwiners`, and every
 matrix assembled from blocks or scattered entries is built by
-:meth:`Mat.from_entries`.
+:meth:`Mat.from_entries`.  A permutation of the basis (the color rotation
+theta of gkd, the shift Z^(x d) of schurweyl) stays an index map: its
+powers compose as tuples, and :meth:`Mat.permuted` conjugates a matrix by
+it, so a commutation test forms no matrix product.
 
 All values are immutable; all operations are pure functions.
 """
@@ -423,8 +426,16 @@ class Mat:
                 out.append([a * b for a in r for b in s])
         return Mat(self.ell, out)
 
-    def commutes_with(self, other: "Mat") -> bool:
-        return (self * other) == (other * self)
+    def permuted(self, perm) -> "Mat":
+        """P A P^-1 for the permutation matrix P with P e_j = e_perm[j] (A square).
+
+        Entry (perm[i], perm[j]) of the result is A[i][j], so A commutes with
+        P exactly when A.permuted(perm) == A.
+        """
+        inv = [0] * len(perm)
+        for j, pj in enumerate(perm):
+            inv[pj] = j
+        return Mat(self.ell, [[row[j] for j in inv] for row in (self.rows[i] for i in inv)])
 
     def __repr__(self) -> str:
         return f"Mat({self.nrows}x{self.ncols} over Q(xi_{self.ell}))"

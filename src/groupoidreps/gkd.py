@@ -2,8 +2,10 @@
 
 For k | l the group H_k generated by the color rotation theta_k (shift by
 l/k) acts freely on the groupoid (d >= 1); the quotient groupoid has one
-object per H_k-orbit.  Each quotient morphism is stored by its unique
-representative whose source is the chosen orbit representative.
+object per H_k-orbit.  Each quotient morphism is stored as its unique
+representative GMorphism whose source is the chosen orbit representative,
+and every object g records the t with g = theta_k^t(rep of its orbit), so
+the power of theta_k that moves one object to another is a subtraction.
 
 The algebra of the quotient embeds into A_(l,d) by orbit sums (Psi); its
 image is the H_k-invariant subspace and coincides with the span of
@@ -17,6 +19,10 @@ W = V_0 + ... + V_{r/s-1} (V_j a rotated copy of S_p) and the canonical
 rotation acts by a tensor-slot rotation times the scalar xi_l^{(l/s) m}.
 On shapes whose stabilizer fixes p (every case with d <= 3) this reduces to
 the scalar action xi_l^{(l/r) t m} on S_p itself.
+
+The rotation check's theta permutes the basis of the direct sum of the
+rotated simples, so it is an index map: its powers are composed tuples and
+its commutation with a matrix A is A.permuted(theta) == A.
 """
 
 from __future__ import annotations
@@ -24,8 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
-from math import factorial
-from typing import NamedTuple
+from math import factorial, prod
 
 from .algebra import AlgElem, _perm_table, _rank_of_phi_images, phi, phi_form
 from .cyclo import (
@@ -102,14 +107,12 @@ def theta_morphism(m: GMorphism, shift: int, ell: int) -> GMorphism:
     )
 
 
-class QMorphism(NamedTuple):
-    """A quotient morphism, stored by the representative with normalized source."""
-
-    raw: GMorphism
-
-
 class QuotientGroupoid:
-    """The quotient of the (l,d) groupoid by the color-rotation group H_k."""
+    """The quotient of the (l,d) groupoid by the color-rotation group H_k.
+
+    A quotient morphism is its representative GMorphism whose source is the
+    representative of its orbit (see normalize).
+    """
 
     def __init__(self, ell: int, k: int, d: int):
         if k < 1 or ell % k != 0:
@@ -120,26 +123,24 @@ class QuotientGroupoid:
         self.shift = ell // k  # theta_k shifts colors by this amount
         self.orbits: list[tuple[tuple, ...]] = []
         self.orbit_of: dict[tuple, int] = {}
+        # exponent[g] = t with g = theta_k^t(rep of the orbit of g)
+        self.exponent: dict[tuple, int] = {}
         objs = objects(ell, d)
         for f in objs:
             if f in self.orbit_of:
                 continue
-            orbit = []
-            g = f
-            while True:
+            orbit = [f]
+            while (g := theta_object(orbit[-1], self.shift, ell)) != f:
                 orbit.append(g)
-                g = theta_object(g, self.shift, ell)
-                if g == f:
-                    break
-            orbit_sorted = tuple(sorted(orbit))
-            idx = len(self.orbits)
-            self.orbits.append(orbit_sorted)
-            for g in orbit_sorted:
-                self.orbit_of[g] = idx
+            start = orbit.index(min(orbit))
+            self.orbits.append(tuple(sorted(orbit)))
+            for t, g in enumerate(orbit):
+                self.orbit_of[g] = len(self.orbits) - 1
+                self.exponent[g] = (t - start) % len(orbit)
         # over the objects in order: the index of theta_k(g), and whether g
         # represents its orbit
         self.theta_index = tuple(object_index(theta_object(f, self.shift, ell), ell) for f in objs)
-        self.is_rep = tuple(f == self.rep(self.orbit_of[f]) for f in objs)
+        self.is_rep = tuple(self.exponent[f] == 0 for f in objs)
 
     # -- objects -----------------------------------------------------------
 
@@ -152,73 +153,54 @@ class QuotientGroupoid:
         )
 
     def _translate_exponent(self, src, dst) -> int:
-        """t with theta_k^t(src) = dst (unique for d >= 1; 0 for d = 0)."""
-        g = src
-        for t in range(self.k):
-            if g == dst:
-                return t
-            g = theta_object(g, self.shift, self.ell)
-        raise ValueError("objects are not in the same orbit")
+        """t with theta_k^t(src) = dst, for src and dst in one orbit."""
+        return (self.exponent[dst] - self.exponent[src]) % self.k
 
     def translate(self, m: GMorphism, t: int) -> GMorphism:
         return theta_morphism(m, t * self.shift, self.ell)
 
-    def normalize(self, m: GMorphism) -> QMorphism:
+    def normalize(self, m: GMorphism) -> GMorphism:
         """The orbit representative of m whose source is the orbit representative."""
-        oi = self.orbit_of[m.source]
-        t = self._translate_exponent(m.source, self.rep(oi))
-        return QMorphism(self.translate(m, t))
+        return self.translate(m, -self.exponent[m.source] % self.k)
 
-    def identity(self, oi: int) -> QMorphism:
-        return QMorphism(identity_morphism(self.rep(oi)))
+    def identity(self, oi: int) -> GMorphism:
+        return identity_morphism(self.rep(oi))
 
-    def source_orbit(self, q: QMorphism) -> int:
-        return self.orbit_of[q.raw.source]
+    def source_orbit(self, q: GMorphism) -> int:
+        return self.orbit_of[q.source]
 
-    def target_orbit(self, q: QMorphism) -> int:
-        return self.orbit_of[q.raw.target]
+    def target_orbit(self, q: GMorphism) -> int:
+        return self.orbit_of[q.target]
 
-    def hom(self, o1: int, o2: int) -> list[QMorphism]:
-        out = []
+    def hom(self, o1: int, o2: int) -> list[GMorphism]:
+        """The quotient morphisms o1 -> o2; distinct targets keep them distinct."""
         src = self.rep(o1)
-        seen = set()
-        for tgt in self.orbits[o2]:
-            for m in hom(src, tgt, self.ell):
-                q = QMorphism(m)
-                if q not in seen:
-                    seen.add(q)
-                    out.append(q)
-        out.sort(key=lambda q: (q.raw.target, q.raw.perm))
+        out = [m for tgt in self.orbits[o2] for m in hom(src, tgt, self.ell)]
+        out.sort(key=lambda q: (q.target, q.perm))
         return out
 
-    def all_qmorphisms(self) -> list[QMorphism]:
+    def all_qmorphisms(self) -> list[GMorphism]:
         out = []
         for o1 in range(len(self.orbits)):
             for o2 in range(len(self.orbits)):
                 out.extend(self.hom(o1, o2))
         return out
 
-    def compose(self, q2: QMorphism, q1: QMorphism) -> QMorphism:
+    def compose(self, q2: GMorphism, q1: GMorphism) -> GMorphism:
         """q2 o q1; the representative of q2 is translated to match q1's target."""
         if self.target_orbit(q1) != self.source_orbit(q2):
             raise ValueError("quotient morphisms are not composable")
-        t = self._translate_exponent(q2.raw.source, q1.raw.target)
-        moved = self.translate(q2.raw, t)
-        return QMorphism(compose(moved, q1.raw))
+        return compose(self.translate(q2, self._translate_exponent(q2.source, q1.target)), q1)
 
-    def inverse(self, q: QMorphism) -> QMorphism:
-        return self.normalize(inverse(q.raw))
+    def inverse(self, q: GMorphism) -> GMorphism:
+        return self.normalize(inverse(q))
 
-    def psi(self, q: QMorphism) -> AlgElem:
+    def psi(self, q: GMorphism) -> AlgElem:
         """Orbit sum in A_(l,d): the embedding of the quotient algebra."""
         one = Cyc.one(self.ell)
-        terms = {}
-        m = q.raw
-        for t in range(self.k):
-            terms[self.translate(m, t)] = one
-        return AlgElem(self.ell, self.d, terms)
+        return AlgElem(self.ell, self.d, {self.translate(q, t): one for t in range(self.k)})
 
-    def phi_to_quotient(self, x: WreathElem) -> dict[QMorphism, Cyc]:
+    def phi_to_quotient(self, x: WreathElem) -> dict[GMorphism, Cyc]:
         """Coordinates of Phi(x) in the quotient basis (x must lie in G(l,k,d)).
 
         Phi(x) is monomial, with exponent e_x(g) on its term with target g,
@@ -232,7 +214,7 @@ class QuotientGroupoid:
             raise ValueError("Phi image is not H_k-invariant; x is outside G(l,k,d)")
         _sources, terms, source_index = _perm_table(self.ell, self.d, perm)
         return {
-            QMorphism(m): root_of_unity(self.ell, e) for m, e, i in zip(terms, exps, source_index) if self.is_rep[i]
+            m: root_of_unity(self.ell, e) for m, e, i in zip(terms, exps, source_index) if self.is_rep[i]
         }
 
 
@@ -265,16 +247,13 @@ def endo_structure(Q: QuotientGroupoid, oi: int) -> dict:
     f = Q.rep(oi)
     lam = type_of(f, Q.ell)
     r = Q.type_stabilizer_order(lam)
-    lam_fact = 1
-    for li in lam:
-        lam_fact *= factorial(li)
     endos = Q.hom(oi, oi)
     return {
         "representative": list(f),
         "type": list(lam),
         "stabilizer_order": r,
         "endo_count": len(endos),
-        "cardinality_ok": len(endos) == r * lam_fact,
+        "cardinality_ok": len(endos) == r * prod(map(factorial, lam)),
     }
 
 
@@ -297,18 +276,12 @@ def quotient_structure_report(ell: int, k: int, d: int) -> dict:
     endo_rows = []
     endo_ok = True
     for oi in range(len(Q.orbits)):
-        f = Q.rep(oi)
-        lam = type_of(f, ell)
-        r = Q.type_stabilizer_order(lam)
-        lam_fact = 1
-        for li in lam:
-            lam_fact *= factorial(li)
-        endos = Q.hom(oi, oi)
-        ok = len(endos) == r * lam_fact
+        info = endo_structure(Q, oi)
+        f, r = Q.rep(oi), info["stabilizer_order"]
         # the color-preserving part embeds as a normal subgroup
-        inner = {QMorphism(m) for m in hom(f, f, ell)}
-        ok = ok and len(inner) == lam_fact
-        for q in endos:
+        inner = set(hom(f, f, ell))
+        ok = info["cardinality_ok"] and len(inner) == prod(map(factorial, info["type"]))
+        for q in Q.hom(oi, oi):
             qi = Q.inverse(q)
             if any(Q.compose(Q.compose(q, n), qi) not in inner for n in inner):
                 ok = False
@@ -327,7 +300,7 @@ def quotient_structure_report(ell: int, k: int, d: int) -> dict:
                 if power == Q.identity(oi):
                     break
             ok = ok and order == r and power == Q.identity(oi)
-        endo_rows.append({"orbit": list(f), "stabilizer": r, "endos": len(endos), "ok": ok})
+        endo_rows.append({"orbit": list(f), "stabilizer": r, "endos": info["endo_count"], "ok": ok})
         endo_ok = endo_ok and ok
     checks.append(
         {
@@ -356,9 +329,8 @@ def quotient_structure_report(ell: int, k: int, d: int) -> dict:
             base = Q.compose(q2, q1)
             # recompose from rotated representatives of both factors
             for t1 in range(1, Q.k):
-                m1 = Q.translate(q1.raw, t1)
-                t = Q._translate_exponent(q2.raw.source, m1.target)
-                m2 = Q.translate(q2.raw, t)
+                m1 = Q.translate(q1, t1)
+                m2 = Q.translate(q2, Q._translate_exponent(q2.source, m1.target))
                 if Q.normalize(compose(m2, m1)) != base:
                     indep = False
     checks.append(
@@ -376,12 +348,12 @@ def quotient_structure_report(ell: int, k: int, d: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _quotient_generators(Q: QuotientGroupoid, lams) -> list[QMorphism]:
+def _quotient_generators(Q: QuotientGroupoid, lams) -> list[GMorphism]:
     """The normalized component generators of the types lams, without repeats."""
     return list(dict.fromkeys(Q.normalize(m) for lam in lams for m in component_generators(Q.ell, lam)))
 
 
-def _closure(Q: QuotientGroupoid, gens: list[QMorphism], objs, holds) -> set | None:
+def _closure(Q: QuotientGroupoid, gens: list[GMorphism], objs, holds) -> set | None:
     """The morphisms that composing gens onto the identities at objs reaches, or None.
 
     One `reach` walk: the successors of x are s o x for the identity at the
@@ -391,7 +363,7 @@ def _closure(Q: QuotientGroupoid, gens: list[QMorphism], objs, holds) -> set | N
     word in gens, so induction on that word carries holds from the
     generators to all composable pairs.
     """
-    by_source: dict[int, list[QMorphism]] = {o: [Q.identity(o)] for o in objs}
+    by_source: dict[int, list[GMorphism]] = {o: [Q.identity(o)] for o in objs}
     for s in gens:
         by_source[Q.source_orbit(s)].append(s)
     failed = []
@@ -495,17 +467,14 @@ def _p_stabilizer_order(p, lam_stab_order: int, ell: int) -> int:
     return 1
 
 
-def _slot_rotation(ell_field: int, dims_src: list[int], source_slot, scalar: Cyc) -> Mat:
-    """Matrix of the tensor-basis map (target slot c) <- (source slot source_slot(c)).
+def _slot_rotation(dims_src: list[int], source_slot) -> tuple[int, ...]:
+    """The tensor-basis map (target slot c) <- (source slot source_slot(c)), as an index map.
 
     dims_src[c] is the dimension of source factor c (0-based slots); the first
-    factor is the slowest index in the Kronecker convention.
+    factor is the slowest index in the Kronecker convention.  Entry a is the
+    flat target index of the flat source index a.
     """
-    nslots = len(dims_src)
-    dims_tgt = [dims_src[source_slot(c)] for c in range(nslots)]
-    total = 1
-    for v in dims_src:
-        total *= v
+    dims_tgt = [dims_src[source_slot(c)] for c in range(len(dims_src))]
 
     def flatten(idx, dims):
         out = 0
@@ -513,11 +482,10 @@ def _slot_rotation(ell_field: int, dims_src: list[int], source_slot, scalar: Cyc
             out = out * dim + b
         return out
 
-    entries = []
-    for src_idx in product(*(range(v) for v in dims_src)):
-        tgt_idx = [src_idx[source_slot(c)] for c in range(nslots)]
-        entries.append(((flatten(tgt_idx, dims_tgt), flatten(src_idx, dims_src)), scalar))
-    return Mat.from_entries(ell_field, total, total, entries)
+    return tuple(
+        flatten([src_idx[source_slot(c)] for c in range(len(dims_src))], dims_tgt)
+        for src_idx in product(*(range(v) for v in dims_src))
+    )
 
 
 class QuotientSimpleModule:
@@ -562,7 +530,7 @@ class QuotientSimpleModule:
         self.block_index = {oi: i for i, oi in enumerate(self.component)}
         self.total_dim = self.block_dim * len(self.component)
         self._rotation = self._build_rotation()
-        self._mat_cache: dict[QMorphism, Mat] = {}
+        self._mat_cache: dict[GMorphism, Mat] = {}
         self._anchors = {
             oi: self.Q.normalize(
                 canonical_morphism(self.base, self.anchor_obj[oi], ell)
@@ -576,21 +544,15 @@ class QuotientSimpleModule:
     def _build_rotation(self) -> Mat:
         """Matrix M of the canonical rotation endomorphism of the base orbit."""
         ell = self.ell
-        offsets = []
-        pos = 0
-        for rep in self.reps:
-            offsets.append(pos)
-            pos += rep.dim
+        offsets = list(accumulate((rep.dim for rep in self.reps), initial=0))
         hmap = lambda c: (c + self.u) % ell  # 0-based slot map
         omega = root_of_unity(ell, (ell // self.s) * self.m)
         entries = []
-        for j in range(self.copies):
+        for j, rep in enumerate(self.reps):
             jn = (j + 1) % self.copies
             scalar = omega if jn != j + 1 else Cyc.one(ell)
-            dims_src = [
-                self.reps[j].components[c].dim for c in range(ell)
-            ]
-            entries += _slot_rotation(ell, dims_src, hmap, scalar).entries(offsets[jn], offsets[j])
+            slot = _slot_rotation([rep.components[c].dim for c in range(ell)], hmap)
+            entries += (((offsets[jn] + b, offsets[j] + a), scalar) for a, b in enumerate(slot))
         return Mat.from_entries(ell, self.block_dim, self.block_dim, entries)
 
     def _rho_pi(self, w: tuple[int, ...]) -> Mat:
@@ -604,20 +566,12 @@ class QuotientSimpleModule:
             pos += rep.dim
         return Mat.from_entries(ell, self.block_dim, self.block_dim, entries)
 
-    def _endo_matrix(self, q: QMorphism) -> Mat:
+    def _endo_matrix(self, q: GMorphism) -> Mat:
         """rho~ of an endomorphism of the base orbit: M^t * rho(pi)."""
-        raw = q.raw
-        t_to_base = self.Q._translate_exponent(raw.source, self.base)
-        at_base = self.Q.translate(raw, t_to_base)
-        # target is h^t(base) for a unique t in {0..r-1}
+        at_base = self.Q.translate(q, self.Q._translate_exponent(q.source, self.base))
+        # the target is h^t(base) = theta_k^(t k/r)(base) for a unique t in {0..r-1}
         tgt = at_base.target
-        t = None
-        for cand in range(self.r):
-            if theta_object(self.base, cand * self.u, self.ell) == tgt:
-                t = cand
-                break
-        if t is None:
-            raise ValueError("endomorphism target is not a stabilizer translate of the base")
+        t = self.Q._translate_exponent(self.base, tgt) // (self.k // self.r)
         pi = compose(canonical_morphism(tgt, self.base, self.ell), at_base)
         out = self._rho_pi(pi.perm)
         for _ in range(t):
@@ -626,7 +580,7 @@ class QuotientSimpleModule:
 
     # -- the module over the whole component --------------------------------
 
-    def action_block(self, q: QMorphism) -> Mat:
+    def action_block(self, q: GMorphism) -> Mat:
         """Matrix of a basis quotient morphism within the component."""
         cached = self._mat_cache.get(q)
         if cached is not None:
@@ -692,7 +646,7 @@ def gkd_conjugacy_classes(ell: int, k: int, d: int) -> tuple[tuple[WreathElem, i
 
 
 @lru_cache(maxsize=None)
-def _class_coordinates(ell: int, k: int, d: int) -> tuple[dict[QMorphism, Cyc], ...]:
+def _class_coordinates(ell: int, k: int, d: int) -> tuple[dict[GMorphism, Cyc], ...]:
     """Phi of each class representative of G(l,k,d), in the quotient basis."""
     Q = quotient_groupoid(ell, k, d)
     return tuple(Q.phi_to_quotient(rep) for rep, _size in gkd_conjugacy_classes(ell, k, d))
@@ -842,7 +796,8 @@ def rotation_eigenspace_check(ell: int, k: int, d: int) -> dict:
 
 def _rotation_module(Q: QuotientGroupoid, lam, p):
     """theta on the direct sum of the simples L_(z^j p) over the types of the
-    H_k-orbit of lam, and the matrix of the action of x on that sum."""
+    H_k-orbit of lam, as an index map (entry a is the basis index theta sends
+    basis index a to), and the matrix of the action of x on that sum."""
     ell, k, d = Q.ell, Q.k, Q.d
     copies = k // Q.type_stabilizer_order(lam)  # number of distinct types in the orbit
     v = Q.shift
@@ -850,71 +805,68 @@ def _rotation_module(Q: QuotientGroupoid, lam, p):
     offsets = list(accumulate((simp.total_dim for simp in summands), initial=0))
     total = offsets.pop()
 
-    # theta operator: object f (type of summand j) -> theta(f) in summand j+1,
-    # with the tensor-slot rotation on coordinates.
-    theta_entries = []
+    # theta: object f (type of summand j) -> theta(f) in summand j+1, with
+    # the tensor-slot rotation on coordinates
+    theta = [0] * total
     for j, simp in enumerate(summands):
         jn = (j + 1) % copies
         nxt = summands[jn]
         dims_src = [simp.outer.components[c].dim for c in range(ell)]
-        slot = _slot_rotation(ell, dims_src, lambda c: (c - v) % ell, Cyc.one(ell))
+        slot = _slot_rotation(dims_src, lambda c: (c - v) % ell)
         for f in simp.objects:
-            tf = theta_object(f, v, ell)
-            r0 = offsets[jn] + nxt.block_index[tf] * nxt.block_dim
+            r0 = offsets[jn] + nxt.block_index[theta_object(f, v, ell)] * nxt.block_dim
             c0 = offsets[j] + simp.block_index[f] * simp.block_dim
-            theta_entries += slot.entries(r0, c0)
-    theta_op = Mat.from_entries(ell, total, total, theta_entries)
+            for a, b in enumerate(slot):
+                theta[c0 + a] = r0 + b
 
     def act_total(x: WreathElem) -> Mat:
         a = phi(x, d)
         entries = (e for simp, o in zip(summands, offsets) for e in simp.act_alg(a).entries(o, o))
         return Mat.from_entries(ell, total, total, entries)
 
-    return theta_op, act_total
+    return tuple(theta), act_total
 
 
-def _eigenspace_traces(powers: list[Mat], mats: list[Mat]) -> list[tuple[int, tuple[Cyc, ...]]]:
+def _eigenspace_traces(powers: list[tuple[int, ...]], mats: list[Mat]) -> list[tuple[int, tuple[Cyc, ...]]]:
     """(dim E_m, the traces of mats on E_m) for the xi_k^m-eigenspaces E_m of theta, m = 1..k.
 
-    powers = [theta^0, ..., theta^(k-1)], with theta^k = 1 and theta commuting
-    with every matrix of mats.  Then E_m is the image of the idempotent
-    P_m = (1/k) sum_j xi_k^(-jm) theta^j, which commutes with each A in mats,
-    so dim E_m = tr(P_m) and the trace of A on E_m is tr(P_m A).  Each twisted
-    trace tr(theta^j A) is a sum over the nonzero entries of theta^j.
+    powers = [theta^0, ..., theta^(k-1)] as index maps, with theta^k = 1 and
+    theta commuting with every matrix of mats.  Then E_m is the image of the
+    idempotent P_m = (1/k) sum_j xi_k^(-jm) theta^j, which commutes with each
+    A in mats, so dim E_m = tr(P_m) and the trace of A on E_m is tr(P_m A).
+    tr(theta^j) counts the indices that theta^j fixes, and
+    tr(theta^j A) = sum_a A[a][theta^j(a)].
     """
-    k, ell = len(powers), powers[0].ell
+    k, ell = len(powers), mats[0].ell
     zero = Cyc.zero(ell)
-    theta_entries = [list(t.entries()) for t in powers]
-    unit = [t.trace() for t in powers]
-    twisted = [[sum((c * A.rows[b][a] for (a, b), c in ents), zero) for ents in theta_entries] for A in mats]
+    unit = [sum(a == b for a, b in enumerate(t)) for t in powers]
+    twisted = [[sum((A.rows[a][b] for a, b in enumerate(t)), zero) for t in powers] for A in mats]
     out = []
     for m in range(1, k + 1):
         weights = [root_of_unity(ell, -j * (ell // k) * m).scale(Fraction(1, k)) for j in range(k)]
-
-        def project(traces: list[Cyc]) -> Cyc:
-            return sum((w * t for w, t in zip(weights, traces)), zero)
-
-        out.append((int(project(unit).rational_value()), tuple(project(tr) for tr in twisted)))
+        dim = sum((w.scale(n) for w, n in zip(weights, unit)), zero)
+        out.append((int(dim.rational_value()), tuple(sum((w * t for w, t in zip(weights, tr)), zero) for tr in twisted)))
     return out
 
 
 def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, reps_classes) -> tuple[bool, dict]:
     ell, k, d = Q.ell, Q.k, Q.d
     r = Q.type_stabilizer_order(lam)
-    theta_op, act_total = _rotation_module(Q, lam, p)
+    theta, act_total = _rotation_module(Q, lam, p)
+
+    # theta^0 .. theta^k by composing index maps, and theta^k = 1
+    powers = [tuple(range(len(theta)))]
+    for _ in range(k):
+        powers.append(tuple(theta[a] for a in powers[-1]))
+    if powers[k] != powers[0]:
+        return False, {"failure": "theta_k does not have order k on the rotation module"}
 
     # twisted equivariance: theta(x . v) = theta(x) . theta(v) for generators,
     # hence theta commutes with the G(l,k,d)-action
     for g in gkd_generators(ell, k, d):
-        if not theta_op.commutes_with(act_total(g)):
+        A = act_total(g)
+        if A.permuted(theta) != A:
             return False, {"failure": "theta does not commute with the invariant algebra"}
-
-    # theta^0 .. theta^k, and theta^k = 1
-    powers = [Mat.identity(ell, theta_op.nrows)]
-    for _ in range(k):
-        powers.append(theta_op * powers[-1])
-    if powers[k] != powers[0]:
-        return False, {"failure": "theta_k does not have order k on the rotation module"}
 
     # eigenspaces over the k-th roots of unity, matched to the L_(p,m) by characters
     expected = {m: build_quotient_simple(ell, k, d, p, m).class_character for m in range(1, r + 1)}

@@ -384,9 +384,12 @@ def kernel_check(T: TensorSpace) -> dict:
 def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TENSOR_CAP) -> dict:
     """Duality for G(l,k,d): the invariant algebra versus GL x the shift Z.
 
-    Z maps v_i to v_{i + (l/k) m} (indices mod n = l m).  The commutant of the
-    GL generators and Z^(x d) on all of V^(x d) is solved in one call to
-    intertwiners and compared with the image of the quotient algebra under Psi.
+    Z maps v_i to v_{i + (l/k) m} (indices mod n = l m), so Z^(x d) permutes
+    the tensor basis: it is kept as an index map, and a matrix M commutes with
+    it when M.permuted(zmap) == M.  The commutant of the GL generators and
+    Z^(x d) on all of V^(x d) is solved in one call to intertwiners, with
+    Z^(x d) as a matrix action there, and compared with the image of the
+    quotient algebra under Psi.
     """
     from .gkd import quotient_groupoid
 
@@ -400,12 +403,13 @@ def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TEN
     shift = (ell // k) * m
     one = Cyc.one(ell)
     dim = len(T.basis)
-    moved = {b: tuple((x - 1 + shift) % n + 1 for x in b) for b in T.basis}
-    Ztensor = Mat.from_entries(ell, dim, dim, (((T.index[moved[b]], T.index[b]), one) for b in T.basis))
+    # Z^(x d) as an index map: entry a is the index of Z^(x d) applied to basis vector a
+    zmap = tuple(T.index[tuple((x - 1 + shift) % n + 1 for x in b)] for b in T.basis)
+    Ztensor = Mat.from_entries(ell, dim, dim, (((z, a), one) for a, z in enumerate(zmap)))
 
     psi_mats = [T.act_full(Q.psi(q)) for q in Q.all_qmorphisms()]
 
-    commutes = all(Ztensor.commutes_with(M) for M in psi_mats)
+    commutes = all(M.permuted(zmap) == M for M in psi_mats)
     checks.append(
         {"name": "Z^(x d) commutes with the Psi-image", "status": "pass" if commutes else "fail"}
     )

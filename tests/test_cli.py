@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from groupoidreps import cli
 from groupoidreps.cli import main, run_task
 from groupoidreps.reporting import checks_payload, emit, exit_code, make_report, report_ok
 
@@ -167,6 +168,19 @@ def test_config_keys_in_either_spelling(tmp_path):
     code, out = run_cli(["--config", str(cfg), "all", "--out", "json"])
     assert code == 0
     assert json.loads(out)["parameters"] == {"max_ell": 1, "max_d": 1}
+
+
+def test_the_parser_is_built_once_per_process(tmp_path):
+    cli._build_parser.cache_clear()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 1}))
+    assert run_cli(["--config", str(cfg), "verify-iso", "--ell", "2", "--out", "json"])[0] == 0
+    code, out = run_cli(["verify-iso", "--ell", "2", "--out", "json"])
+    assert code == 0
+    # the config default of the first call did not leak into the shared parser
+    assert json.loads(out)["parameters"] == {"ell": 2, "d": 2}
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_all_small_grid_deterministic():

@@ -435,6 +435,22 @@ def test_from_entries_sums_repeats_and_skips_zeros():
     assert Mat.from_entries(3, 0, 0, []) == Mat(3, [])
 
 
+@pytest.mark.parametrize("ell", [1, 3, 4])
+def test_permuted_is_conjugation_by_the_permutation_matrix(ell):
+    # A.permuted(perm) == P A P^-1 for P e_j = e_perm[j], formed with dense products
+    rng = random.Random(5000 + ell)
+    for n in (1, 2, 4, 5):
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            A = Mat(ell, [[rand_cyc(rng, ell) for _ in range(n)] for _ in range(n)])
+            P = Mat.from_entries(ell, n, n, (((pj, j), Cyc.one(ell)) for j, pj in enumerate(perm)))
+            P_inv = Mat.from_entries(ell, n, n, (((j, pj), Cyc.one(ell)) for j, pj in enumerate(perm)))
+            assert A.permuted(perm) == P * A * P_inv
+            assert (A.permuted(perm) == A) == (P * A == A * P)
+    assert Mat.identity(ell, 3).permuted((2, 0, 1)) == Mat.identity(ell, 3)
+
+
 def test_solve_and_express_round_trip():
     for ell in (1, 3, 4):
         rng = random.Random(4000 + ell)

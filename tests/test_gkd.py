@@ -388,10 +388,17 @@ def test_rotation_check_fails_for_generators_outside_gkd(monkeypatch):
 
 
 def test_rotation_check_fails_for_theta_of_the_wrong_order(monkeypatch):
-    # 2 theta commutes with the action as theta does, but (2 theta)^3 = 8
+    # theta composed with the transposition of indices 0 and 1: at (3,3,2) every
+    # cycle of theta is a 3-cycle, and the transposition either merges two of them
+    # into a 6-cycle or splits one into a 2-cycle and a fixed point, so theta^3 != 1
     rep = rotation_eigenspace_check(3, 3, 2)
-    real = gkd._slot_rotation
-    monkeypatch.setattr(gkd, "_slot_rotation", lambda ell, dims, slot, scalar: real(ell, dims, slot, scalar.scale(2)))
+    real = gkd._rotation_module
+
+    def transposed(Q, lam, p):
+        theta, act_total = real(Q, lam, p)
+        return (theta[1], theta[0], *theta[2:]), act_total
+
+    monkeypatch.setattr(gkd, "_rotation_module", transposed)
     failures = _rotation_failures(3, 3, 2)
     assert sorted(failures) == sorted(c["name"] for c in rep["checks"])
     assert set(failures.values()) == {"theta_k does not have order k on the rotation module"}
@@ -436,6 +443,21 @@ def _invariant_labels(Q):
                 yield lam, p
 
 
+def _permutation_matrix(ell, perm):
+    """The matrix P with P e_a = e_perm[a]."""
+    n = len(perm)
+    return Mat.from_entries(ell, n, n, (((b, a), Cyc.one(ell)) for a, b in enumerate(perm)))
+
+
+@pytest.mark.parametrize("ell,k,d", [(2, 2, 2), (3, 3, 2), (4, 2, 2), (2, 2, 4), (3, 3, 3), (4, 4, 2)])
+def test_rotation_theta_is_a_bijection_of_the_basis(ell, k, d):
+    Q = quotient_groupoid(ell, k, d)
+    for lam, p in _invariant_labels(Q):
+        theta, act = gkd._rotation_module(Q, lam, p)
+        assert sorted(theta) == list(range(len(theta)))
+        assert act(wreath_identity(ell, d)) == Mat.identity(ell, len(theta))
+
+
 def _eigenspaces_by_kernel_basis(theta, k, mats):
     """The route the check replaced: a basis of each kernel of theta - xi_k^m, and each
     A in mats expressed in it."""
@@ -466,8 +488,9 @@ def test_projector_traces_match_explicit_eigenspaces(ell, k, d):
     assert labels
     for lam, p in labels:
         theta, act = gkd._rotation_module(Q, lam, p)
-        powers = [Mat.identity(ell, theta.nrows)]
+        powers = [tuple(range(len(theta)))]
         for _ in range(k - 1):
-            powers.append(theta * powers[-1])
+            powers.append(tuple(theta[a] for a in powers[-1]))
         mats = [act(x) for x in classes]
-        assert gkd._eigenspace_traces(powers, mats) == _eigenspaces_by_kernel_basis(theta, k, mats)
+        reference = _eigenspaces_by_kernel_basis(_permutation_matrix(ell, theta), k, mats)
+        assert gkd._eigenspace_traces(powers, mats) == reference

@@ -192,7 +192,7 @@ def test_shift_commutant_matches_the_two_stage_route(monkeypatch, ell, k, m, d):
 
 @pytest.mark.parametrize("ell,k,m,d", SHIFT_DUALITY_GRID)
 def test_shift_duality_fails_when_psi_is_not_an_orbit_sum(monkeypatch, ell, k, m, d):
-    monkeypatch.setattr(QuotientGroupoid, "psi", lambda self, q: AlgElem.from_morphism(self.ell, q.raw))
+    monkeypatch.setattr(QuotientGroupoid, "psi", lambda self, q: AlgElem.from_morphism(self.ell, q))
     rep = shift_duality_check(ell, k, m, d)
     assert _status(rep, SHIFT_COMMUTES) == _status(rep, SHIFT_EQUAL) == "fail"
 
