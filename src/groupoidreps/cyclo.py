@@ -10,7 +10,10 @@ appears anywhere in this module.
 
 All elimination runs on one sparse echelon engine, :class:`SpanBasis`, whose
 rows are {column: Cyc} in reduced row echelon form with pivots 1.
-:class:`LinSolver` and :func:`kernel_basis` are thin layers over it.  Every
+:func:`kernel_basis` and :class:`LinSolver` are thin layers over it; no
+library path solves with :class:`LinSolver` any more (the Specht matrices
+are integral and straightened in tableaux), and the tests keep it as their
+reference for those matrices.  Every
 commutant and intertwiner space is solved by :func:`intertwiners`, and every
 matrix assembled from blocks or scattered entries is built by
 :meth:`Mat.from_entries`.  A permutation of the basis (the color rotation
@@ -418,13 +421,6 @@ class Mat:
         for i in range(min(self.nrows, self.ncols)):
             acc = acc + self.rows[i][i]
         return acc
-
-    def kron(self, other: "Mat") -> "Mat":
-        out = []
-        for r in self.rows:
-            for s in other.rows:
-                out.append([a * b for a in r for b in s])
-        return Mat(self.ell, out)
 
     def permuted(self, perm) -> "Mat":
         """P A P^-1 for the permutation matrix P with P e_j = e_perm[j] (A square).

@@ -111,11 +111,12 @@ def verify_gelfand(ell: int, d: int) -> dict:
     # sum, which must equal the model's character.
     classes = conjugacy_classes(ell, d)
     chi_model = [model.char_wreath(rep) for rep, _size in classes]
+    chi_model_bar = [v.conjugate() for v in chi_model]
     chi_sum = [Cyc.zero(ell)] * len(classes)
     mult_table = []
     all_one = True
     for m, chi in zip(simples, character_table(ell, d)):
-        val = inner_product(classes, chi_model, [v.conjugate() for v in chi])
+        val = inner_product(classes, chi, chi_model_bar).conjugate()  # <chi_M, chi_p> = conj <chi_p, chi_M>
         ok = val.is_rational() and val.rational_value() == 1
         all_one = all_one and ok
         mult_table.append({"label": m.label_json(), "multiplicity": str(val.to_json()["coeffs"]) if not val.is_rational() else int(val.rational_value())})

@@ -55,7 +55,7 @@ from .groupoid import (
 )
 from .perms import reach
 from .reporting import suite_result
-from .simples import all_simples, build_simple, inner_product
+from .simples import _lift, all_simples, build_simple, inner_product
 from .tableaux import compositions, multipartitions, outer_rep
 from .wreath import (
     WreathElem,
@@ -157,6 +157,9 @@ class QuotientGroupoid:
         return (self.exponent[dst] - self.exponent[src]) % self.k
 
     def translate(self, m: GMorphism, t: int) -> GMorphism:
+        """theta_k^t(m); m itself when t = 0 mod k."""
+        if t % self.k == 0:
+            return m
         return theta_morphism(m, t * self.shift, self.ell)
 
     def normalize(self, m: GMorphism) -> GMorphism:
@@ -243,12 +246,13 @@ def gamma_cross_section(ell: int, k: int, d: int) -> list[tuple]:
 
 
 def endo_structure(Q: QuotientGroupoid, oi: int) -> dict:
-    """Stabilizer order and the Lemma-51 cardinality for one quotient object."""
+    """Endomorphisms, stabilizer order and the Lemma-51 cardinality for one quotient object."""
     f = Q.rep(oi)
     lam = type_of(f, Q.ell)
     r = Q.type_stabilizer_order(lam)
     endos = Q.hom(oi, oi)
     return {
+        "endos": endos,
         "representative": list(f),
         "type": list(lam),
         "stabilizer_order": r,
@@ -281,7 +285,7 @@ def quotient_structure_report(ell: int, k: int, d: int) -> dict:
         # the color-preserving part embeds as a normal subgroup
         inner = set(hom(f, f, ell))
         ok = info["cardinality_ok"] and len(inner) == prod(map(factorial, info["type"]))
-        for q in Q.hom(oi, oi):
+        for q in info["endos"]:
             qi = Q.inverse(q)
             if any(Q.compose(Q.compose(q, n), qi) not in inner for n in inner):
                 ok = False
@@ -310,7 +314,8 @@ def quotient_structure_report(ell: int, k: int, d: int) -> dict:
         }
     )
 
-    total = sum(len(Q.hom(o1, o2)) for o1 in range(len(Q.orbits)) for o2 in range(len(Q.orbits)))
+    qms = Q.all_qmorphisms()
+    total = len(qms)
     expected = ell**d * factorial(d) // k
     checks.append(
         {
@@ -321,7 +326,6 @@ def quotient_structure_report(ell: int, k: int, d: int) -> dict:
     )
 
     indep = True
-    qms = Q.all_qmorphisms()
     for q1 in qms:
         for q2 in qms:
             if Q.target_orbit(q1) != Q.source_orbit(q2):
@@ -561,8 +565,7 @@ class QuotientSimpleModule:
         entries = []
         pos = 0
         for rep in self.reps:
-            rat = rep.matrix_of_blockperm(w)
-            entries += ((ij, Cyc.rational(ell, v.rational_value())) for ij, v in rat.entries(pos, pos))
+            entries += _lift(ell, rep.matrix_of_blockperm(w), pos, pos)
             pos += rep.dim
         return Mat.from_entries(ell, self.block_dim, self.block_dim, entries)
 

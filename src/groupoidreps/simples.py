@@ -68,6 +68,11 @@ __all__ = [
 ]
 
 
+def _lift(ell: int, ints, r0: int = 0, c0: int = 0):
+    """The nonzero entries of an integer matrix placed at (r0, c0), as ((i, j), Cyc) in Q(xi_l)."""
+    return (((i, j), Cyc.rational(ell, v)) for i, row in enumerate(ints, r0) for j, v in enumerate(row, c0) if v)
+
+
 class SimpleModule:
     """The simple module L_p, stored block-per-object (the functor view)."""
 
@@ -100,12 +105,8 @@ class SimpleModule:
         w = self.transported(m)
         cached = self._mat_cache.get(w)
         if cached is None:
-            rat = self.outer.matrix_of_blockperm(w)
-            cached = Mat(
-                self.ell,
-                [[Cyc.rational(self.ell, v.rational_value()) for v in row] for row in rat.rows],
-            )
-            self._mat_cache[w] = cached
+            lifted = _lift(self.ell, self.outer.matrix_of_blockperm(w))
+            cached = self._mat_cache[w] = Mat.from_entries(self.ell, self.block_dim, self.block_dim, lifted)
         return cached
 
     def act_alg(self, a) -> Mat:
@@ -309,10 +310,10 @@ def restriction_multiplicities(mod: SimpleModule) -> dict:
         raise ValueError("branching needs d >= 1")
 
     classes = conjugacy_classes(ell, d - 1)
-    chi_res = [mod.char_wreath(embed_lower_rank(y, d)) for y, _size in classes]
+    chi_res_bar = [mod.char_wreath(embed_lower_rank(y, d)).conjugate() for y, _size in classes]
     mults = {}
     for sub, chi_sub in zip(all_simples(ell, d - 1), character_table(ell, d - 1)):
-        val = inner_product(classes, chi_res, [v.conjugate() for v in chi_sub])
+        val = inner_product(classes, chi_sub, chi_res_bar).conjugate()  # <chi_res, chi_sub> = conj <chi_sub, chi_res>
         if not val.is_zero():
             integral = val.is_rational() and val.rational_value().denominator == 1
             mults[sub.p] = int(val.rational_value()) if integral else val

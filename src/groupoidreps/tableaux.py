@@ -1,10 +1,12 @@
 """Partitions, tableaux and Specht modules in the polytabloid basis.
 
-A Specht module S_mu is realized inside the permutation module spanned by
-row-tabloids; the basis consists of the polytabloids e_T of standard Young
-tableaux T.  Matrices of the adjacent transpositions s_1..s_{n-1} are
-computed by expanding s_i * e_T = e_{s_i T} in the tabloid space and solving
-exactly against the standard-polytabloid matrix.  Everything is exact over Q.
+A Specht module S_mu is spanned by the polytabloids e_T of the standard
+Young tableaux T inside the permutation module on row-tabloids.  Young's
+natural representation is integral (James, LNM 682): the matrices of the
+adjacent transpositions s_1..s_{n-1} are computed over the integers by
+straightening s_i * e_T = e_{s_i T} by leading tabloids (see SpechtRep), with
+no elimination.  Matrices are tuples of int tuples; a module lifts them into
+Q(xi_l) where it builds its action block.
 
 Outer tensor products realize the S_lambda-module S_p attached to a
 multi-partition p of a composition lambda: the i-th block of positions acts
@@ -15,10 +17,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
+from operator import mul
 
-from .cyclo import Cyc, LinSolver, Mat
-from .perms import adjacent_transposition, perm_sign, perm_to_word
+from .perms import perm_sign, perm_to_word
 
 __all__ = [
     "partitions",
@@ -137,111 +139,112 @@ def remove_cell(mu: Partition, cell: tuple[int, int]) -> Partition:
     return tuple(new)
 
 
-def _tabloid(tab) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sorted(row)) for row in tab)
+IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def _column_group(tab):
-    """All (sign, entry relabeling dict) for the column group of tab."""
-    cols = []
-    ncols = max((len(r) for r in tab), default=0)
-    for c in range(ncols):
-        col = [row[c] for row in tab if len(row) > c]
-        cols.append(col)
-    combos = [(1, {})]
-    for col in cols:
-        new_combos = []
-        for perm in permutations(range(len(col))):
-            sgn = perm_sign(tuple(q + 1 for q in perm))
-            mapping = {col[i]: col[perm[i]] for i in range(len(col))}
-            for s0, m0 in combos:
-                merged = dict(m0)
-                merged.update(mapping)
-                new_combos.append((s0 * sgn, merged))
-        combos = new_combos
-    return combos
+def _row_vector(tab) -> tuple[int, ...]:
+    """The tabloid {tab} as the row of each entry 1..n (0-based rows).
+
+    A lexicographically smaller row vector is the larger tabloid; this total
+    order refines the dominance order on tabloids.
+    """
+    rows = [0] * sum(len(row) for row in tab)
+    for r, row in enumerate(tab):
+        for x in row:
+            rows[x - 1] = r
+    return tuple(rows)
+
+
+def _polytabloid(tab) -> dict[tuple[int, ...], int]:
+    """e_tab = sum over the column group of sgn(sigma) {sigma tab}, as {row vector: coefficient}.
+
+    A column permutation that fixes the tabloid fixes every entry, so the
+    terms are distinct tabloids with coefficients +-1.
+    """
+    terms = [(1, list(_row_vector(tab)))]
+    for c in range(len(tab[0]) if tab else 0):
+        col = [row[c] for row in tab if len(row) > c]  # one entry in each of the rows 0..h-1
+        moved = []
+        for sigma in permutations(range(len(col))):
+            sgn = perm_sign(tuple(q + 1 for q in sigma))
+            for s0, rows in terms:
+                rows = list(rows)
+                for x, r in zip(col, sigma):
+                    rows[x - 1] = r
+                moved.append((s0 * sgn, rows))
+        terms = moved
+    return {tuple(rows): sgn for sgn, rows in terms}
+
+
+def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return tuple(tuple(x * y for x in r for y in s) for r in a for s in b)
 
 
 class SpechtRep:
-    """Exact matrices of S_n on the Specht module S_mu in the polytabloid basis."""
+    """Young's natural representation of S_n on S_mu: integer matrices in the polytabloid basis.
+
+    Straightening by leading tabloids: for a standard tableau T the largest
+    tabloid of e_T (in an order refining dominance) is {T}, with coefficient
+    1 (Sagan, The Symmetric Group, 2.5), and distinct standard tableaux have
+    distinct tabloids.  So the largest tabloid of v = sum_T c_T e_T is {T}
+    for the largest T with c_T != 0, and c_T is its coefficient: subtracting
+    c_T e_T and repeating yields every coordinate, each an integer.  A
+    largest tabloid that is {T} of no standard T means v is not in S_mu.
+    The constructor checks the leading tabloids once.
+    """
 
     def __init__(self, shape: Partition):
         self.shape = shape
         self.n = sum(shape)
         self.tableaux = standard_tableaux(shape)
         self.dim = len(self.tableaux)
-        self._tabloid_index: dict = {}
-        self._solver = None
-        self._basis_vectors = None
-        self.gen_matrices: dict[int, Mat] = {}
-        self._perm_cache: dict[tuple[int, ...], Mat] = {}
-        self._build()
-
-    # -- construction ------------------------------------------------------
-
-    def _poly_vector(self, tab) -> list[Cyc]:
-        """Coordinates of the polytabloid e_tab in the tabloid basis."""
-        vec = {}
-        for sgn, relabel in _column_group(tab):
-            moved = _tabloid(tuple(tuple(relabel.get(x, x) for x in row) for row in tab))
-            vec[moved] = vec.get(moved, 0) + sgn
-        out = [Cyc.zero(1)] * len(self._tabloid_index)
-        for tbl, coeff in vec.items():
-            if coeff:
-                out[self._tabloid_index[tbl]] = Cyc.rational(1, coeff)
-        return out
-
-    def _build(self):
-        # enumerate tabloids by letting S_n act on the canonical filling
-        seen = {}
-        base = []
-        pos = 1
-        for row_len in self.shape:
-            base.append(tuple(range(pos, pos + row_len)))
-            pos += row_len
-        from itertools import permutations as iperm
-
-        for p in iperm(range(1, self.n + 1)):
-            tab = []
-            idx = 0
-            for row_len in self.shape:
-                tab.append(tuple(p[idx : idx + row_len]))
-                idx += row_len
-            tbl = _tabloid(tab)
-            if tbl not in seen:
-                seen[tbl] = len(seen)
-        self._tabloid_index = seen
-        if self.n == 0:
-            self._tabloid_index = {(): 0}
-        self._basis_vectors = [self._poly_vector(t) for t in self.tableaux]
-        self._solver = LinSolver(1, self._basis_vectors)
-        if self._solver.rank != self.dim:
-            raise RuntimeError("standard polytabloids must be independent")
+        polys = [_polytabloid(tab) for tab in self.tableaux]
+        leading = {}
+        for j, (tab, poly) in enumerate(zip(self.tableaux, polys)):
+            top = min(poly)
+            if top != _row_vector(tab) or poly[top] != 1:
+                raise RuntimeError(f"the largest tabloid of e_T is not {{T}} for the standard tableau {tab}")
+            leading[top] = j
+        self.gen_matrices: dict[int, IntMatrix] = {}
         for i in range(1, self.n):
-            self.gen_matrices[i] = self._matrix_of(adjacent_transposition(self.n, i))
+            # s_i e_T: the entries i and i+1 swap rows in every tabloid
+            moved = ({t[: i - 1] + (t[i], t[i - 1]) + t[i + 1 :]: c for t, c in poly.items()} for poly in polys)
+            self.gen_matrices[i] = tuple(zip(*(self._straighten(v, polys, leading) for v in moved)))
+        self._perm_cache: dict[tuple[int, ...], IntMatrix] = {}
 
-    def _matrix_of(self, w: tuple[int, ...]) -> Mat:
-        """Column j holds the coordinates of w * e_{T_j}."""
-        cols = []
-        for tab in self.tableaux:
-            moved = tuple(tuple(w[x - 1] for x in row) for row in tab)
-            coords = self._solver.express(self._poly_vector(moved))
-            if coords is None:
+    def _straighten(self, vec: dict, polys, leading) -> list[int]:
+        """The integer coordinates of vec in the standard polytabloid basis."""
+        coords = [0] * self.dim
+        while vec:
+            top = min(vec)
+            j = leading.get(top)
+            if j is None:
                 raise RuntimeError("permuted polytabloid left the Specht module")
-            cols.append(coords)
-        return Mat(1, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
+            c = coords[j] = vec[top]
+            for tbl, a in polys[j].items():
+                v = vec.get(tbl, 0) - c * a
+                if v:
+                    vec[tbl] = v
+                else:
+                    del vec[tbl]
+        return coords
 
     # -- queries -----------------------------------------------------------
 
-    def matrix_of_perm(self, w: tuple[int, ...]) -> Mat:
+    def matrix_of_perm(self, w: tuple[int, ...]) -> IntMatrix:
         """Matrix of an arbitrary permutation, via its adjacent-transposition word."""
         w = tuple(w)
         cached = self._perm_cache.get(w)
         if cached is not None:
             return cached
-        m = Mat.identity(1, self.dim)
+        m = tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
         for i in perm_to_word(w):
-            m = m * self.gen_matrices[i]
+            m = _matmul(m, self.gen_matrices[i])
         self._perm_cache[w] = m
         return m
 
@@ -273,7 +276,7 @@ class OuterRep:
         for li in lam:
             self.block_start.append(pos)
             pos += li
-        self._cache: dict[tuple[int, ...], Mat] = {}
+        self._cache: dict[tuple[int, ...], IntMatrix] = {}
 
     def _local_perms(self, w: tuple[int, ...]):
         """(Specht factor, the restriction of w to its block) for each block."""
@@ -283,30 +286,22 @@ class OuterRep:
                 raise ValueError("permutation does not preserve the blocks")
             yield comp, local
 
-    def matrix_of_blockperm(self, w: tuple[int, ...]) -> Mat:
+    def matrix_of_blockperm(self, w: tuple[int, ...]) -> IntMatrix:
         """Matrix of a permutation of {1..d} preserving each block."""
         w = tuple(w)
         cached = self._cache.get(w)
         if cached is not None:
             return cached
-        m = None
-        for comp, local in self._local_perms(w):
-            factor = comp.matrix_of_perm(local)
-            m = factor if m is None else m.kron(factor)
-        if m is None:
-            m = Mat.identity(1, 1)
+        m, *rest = [comp.matrix_of_perm(local) for comp, local in self._local_perms(w)]
+        for factor in rest:
+            m = _kron(m, factor)
         self._cache[w] = m
         return m
 
     def trace_of_blockperm(self, w: tuple[int, ...]) -> int:
-        """tr(A (x) B) = tr A * tr B, an integer: Young's natural representation is integral."""
-        t = 1
-        for comp, local in self._local_perms(w):
-            tr = comp.matrix_of_perm(local).trace().rational_value()
-            if tr.denominator != 1:
-                raise ArithmeticError(f"Specht matrix of {local} has the non-integral trace {tr}")
-            t *= tr.numerator
-        return t
+        """tr(A (x) B) = tr A * tr B."""
+        traces = (sum(row[i] for i, row in enumerate(comp.matrix_of_perm(local))) for comp, local in self._local_perms(w))
+        return prod(traces)
 
 
 @lru_cache(maxsize=None)

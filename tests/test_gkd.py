@@ -53,6 +53,15 @@ def test_theta_examples():
     assert tm.perm == m.perm and tm.source == (2, 1) and tm.target == (1, 2)
 
 
+def test_translate_by_a_multiple_of_k_returns_its_argument():
+    Q = quotient_groupoid(4, 2, 2)
+    for q in Q.all_qmorphisms():
+        for t in (0, 2, -2, 4):
+            assert Q.translate(q, t) is q
+        moved = Q.translate(q, 1)
+        assert moved != q and Q.translate(moved, 1) == q
+
+
 def test_two_color_two_dot_quotient():
     Q = quotient_groupoid(2, 2, 2)
     assert len(Q.orbits) == 2
@@ -66,6 +75,7 @@ def test_two_color_two_dot_quotient():
     assert by_type[(2, 0)]["stabilizer_order"] == 1  # endos form S_2
     assert by_type[(1, 1)]["stabilizer_order"] == 2  # endos form H_2
     assert all(info["cardinality_ok"] for info in infos)
+    assert all(info["endos"] == Q.hom(i, i) and info["endo_count"] == 2 for i, info in enumerate(infos))
 
 
 def test_one_object_case():

@@ -216,3 +216,17 @@ def test_inner_product_is_defined_once():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and "inner_product" in node.name
     ]
     assert defined == [("simples.py", "inner_product")]
+
+
+def test_specht_layer_imports_nothing_from_cyclo():
+    # Young's natural representation is integral: tableaux straightens on
+    # ints, and each module lifts its action block into Q(xi_l) itself
+    tree = ast.parse((SRC / "tableaux.py").read_text(), filename="tableaux.py")
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert not {name for name in imported if name and name.split(".")[-1] == "cyclo"}
+    assert "perms" in imported

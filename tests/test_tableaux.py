@@ -1,12 +1,13 @@
-from fractions import Fraction
+from itertools import permutations, product
 from math import factorial
 
 import pytest
 
-from groupoidreps.cyclo import Cyc, Mat, SpanBasis
-from groupoidreps.perms import all_perms, compose_perms, perm_to_word
+from groupoidreps import tableaux
+from groupoidreps.cyclo import Cyc, LinSolver, Mat, intertwiners
+from groupoidreps.perms import adjacent_transposition, all_perms, compose_perms, perm_sign, perm_to_word
 from groupoidreps.tableaux import (
-    OuterRep,
+    SpechtRep,
     compositions,
     hook_length_count,
     multipartitions,
@@ -17,6 +18,23 @@ from groupoidreps.tableaux import (
     specht_rep,
     standard_tableaux,
 )
+
+
+def _mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def _eye(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _trace(a):
+    return sum(a[i][i] for i in range(len(a)))
+
+
+def _lift(ell, a):
+    n = len(a)
+    return Mat.from_entries(ell, n, n, (((i, j), Cyc.rational(ell, v)) for i, row in enumerate(a) for j, v in enumerate(row)))
 
 
 def test_partitions():
@@ -70,37 +88,44 @@ def test_removable_cells():
 
 def test_specht_small_examples():
     sign = specht_rep((1, 1))
-    assert sign.gen_matrices[1].rows[0][0] == Cyc.rational(1, -1)
+    assert sign.gen_matrices[1] == ((-1,),)
     triv = specht_rep((4,))
-    assert all(m.rows[0][0].is_one() for m in triv.gen_matrices.values())
+    assert all(m == ((1,),) for m in triv.gen_matrices.values())
     two_one = specht_rep((2, 1))
     assert two_one.dim == 2
-    assert two_one.gen_matrices[1].trace().is_zero()
+    assert _trace(two_one.gen_matrices[1]) == 0
+    assert specht_rep(()).matrix_of_perm(()) == ((1,),)
+
+
+def test_specht_matrices_are_integer_tuples():
+    for n in range(6):
+        for mu in partitions(n):
+            for m in specht_rep(mu).gen_matrices.values():
+                assert type(m) is tuple and all(type(row) is tuple for row in m)
+                assert all(type(v) is int for row in m for v in row)
 
 
 def test_specht_coxeter_relations():
     for n in range(6):
         for mu in partitions(n):
             rep = specht_rep(mu)
-            eye = Mat.identity(1, rep.dim)
+            eye = _eye(rep.dim)
             for i in range(1, n):
                 si = rep.gen_matrices[i]
-                assert si * si == eye
+                assert _mul(si, si) == eye
                 for j in range(i + 2, n):
                     sj = rep.gen_matrices[j]
-                    assert si * sj == sj * si
+                    assert _mul(si, sj) == _mul(sj, si)
             for i in range(1, n - 1):
                 a, b = rep.gen_matrices[i], rep.gen_matrices[i + 1]
-                assert a * b * a == b * a * b
+                assert _mul(_mul(a, b), a) == _mul(_mul(b, a), b)
 
 
 def test_specht_is_representation():
     rep = specht_rep((2, 2))
     for w1 in all_perms(4)[:8]:
         for w2 in all_perms(4)[-8:]:
-            assert rep.matrix_of_perm(compose_perms(w1, w2)) == rep.matrix_of_perm(
-                w1
-            ) * rep.matrix_of_perm(w2)
+            assert rep.matrix_of_perm(compose_perms(w1, w2)) == _mul(rep.matrix_of_perm(w1), rep.matrix_of_perm(w2))
 
 
 def test_sum_of_squares():
@@ -109,27 +134,82 @@ def test_sum_of_squares():
 
 
 def test_specht_irreducibility():
-    # commutant of the matrices has dimension exactly 1 for |mu| <= 5
+    # the commutant of the lifted generator matrices is one-dimensional for |mu| <= 5
     for n in range(1, 6):
         for mu in partitions(n):
             rep = specht_rep(mu)
-            dm = rep.dim
-            sb = SpanBasis(1, dm * dm)
-            zero = Cyc.zero(1)
-            for i in range(1, n):
-                g = rep.gen_matrices[i]
-                for r in range(dm):
-                    for c in range(dm):
-                        row = [zero] * (dm * dm)
-                        for t in range(dm):
-                            v = g.rows[t][c]
-                            if not v.is_zero():
-                                row[r * dm + t] = row[r * dm + t] + v
-                            w = g.rows[r][t]
-                            if not w.is_zero():
-                                row[t * dm + c] = row[t * dm + c] - w
-                        sb.add(row)
-            assert dm * dm - sb.rank == 1, mu
+            gens = [_lift(2, g) for g in rep.gen_matrices.values()]
+            assert len(intertwiners(2, [rep.dim], [rep.dim], [(0, 0, g, g) for g in gens])) == 1, mu
+
+
+def _reference_polytabloid(tab):
+    """e_tab by relabelling tab through its column group: {tabloid (rows as sets): coefficient}."""
+    cols = [[row[c] for row in tab if len(row) > c] for c in range(len(tab[0]) if tab else 0)]
+    vec = {}
+    for choice in product(*(permutations(range(len(col))) for col in cols)):
+        relabel, sgn = {}, 1
+        for col, sigma in zip(cols, choice):
+            relabel.update({x: col[s] for x, s in zip(col, sigma)})
+            sgn *= perm_sign(tuple(s + 1 for s in sigma))
+        tabloid = tuple(frozenset(relabel.get(x, x) for x in row) for row in tab)
+        vec[tabloid] = vec.get(tabloid, 0) + sgn
+    return vec
+
+
+def _reference_matrices(mu, ws):
+    """For each w, column j holds the LinSolver coordinates of w e_(T_j) = e_(w T_j) over the standard polytabloids."""
+    tabs = standard_tableaux(mu)
+    n = sum(mu)
+    index = {}
+    for p in all_perms(n):
+        cells = iter(p)
+        index.setdefault(tuple(frozenset(next(cells) for _ in range(r)) for r in mu), len(index))
+
+    def dense(vec):
+        out = [Cyc.zero(1)] * len(index)
+        for tbl, c in vec.items():
+            out[index[tbl]] = Cyc.rational(1, c)
+        return out
+
+    solver = LinSolver(1, [dense(_reference_polytabloid(t)) for t in tabs])
+    assert solver.rank == len(tabs)
+    out = []
+    for w in ws:
+        cols = []
+        for t in tabs:
+            coords = solver.express(dense(_reference_polytabloid(tuple(tuple(w[x - 1] for x in row) for row in t))))
+            assert coords is not None
+            cols.append([c.rational_value() for c in coords])
+        out.append(tuple(tuple(col[i] for col in cols) for i in range(len(tabs))))
+    return out
+
+
+def test_specht_matrices_match_the_linsolver_reference():
+    # straightening by leading tabloids gives the coordinates that exact
+    # elimination over the polytabloid vectors gives, for every shape of size <= 6
+    for n in range(7):
+        gens = [adjacent_transposition(n, i) for i in range(1, n)]
+        ws = all_perms(n)[:: max(1, factorial(n) // 6)]
+        for mu in partitions(n):
+            rep = specht_rep(mu)
+            got = [rep.gen_matrices[i] for i in range(1, n)] + [rep.matrix_of_perm(w) for w in ws]
+            assert got == _reference_matrices(mu, gens + ws), mu
+
+
+def test_wrong_leading_tabloid_raises(monkeypatch):
+    # a polytabloid whose largest tabloid has coefficient -1 fails the constructor's check
+    real = tableaux._polytabloid
+    monkeypatch.setattr(tableaux, "_polytabloid", lambda tab: {t: -c for t, c in real(tab).items()})
+    with pytest.raises(RuntimeError, match="largest tabloid"):
+        SpechtRep((2, 1))
+
+
+def test_vector_outside_the_specht_module_raises(monkeypatch):
+    # with e_T cut down to its leading tabloid {T}, s_1 moves {T} for T = 13/2
+    # to the tabloid with 1 in the second row, which is {T} of no standard T
+    monkeypatch.setattr(tableaux, "_polytabloid", lambda tab: {tableaux._row_vector(tab): 1})
+    with pytest.raises(RuntimeError, match="left the Specht module"):
+        SpechtRep((2, 1))
 
 
 def test_outer_tensor():
@@ -137,10 +217,16 @@ def test_outer_tensor():
     assert o.dim == 1
     o2 = outer_rep(((2,), (1, 1)), (2, 2))
     assert o2.dim == 1
-    m = o2.matrix_of_blockperm((1, 2, 4, 3))
-    assert m.rows[0][0] == Cyc.rational(1, -1)
+    assert o2.matrix_of_blockperm((1, 2, 4, 3)) == ((-1,),)
     o3 = outer_rep(((2, 1), (2, 1)), (3, 3))
     assert o3.dim == 4
+    s1 = specht_rep((2, 1)).gen_matrices[1]
+    kron = lambda a, b: tuple(tuple(x * y for x in r for y in s) for r in a for s in b)
+    assert o3.matrix_of_blockperm((2, 1, 3, 4, 5, 6)) == kron(s1, _eye(2))
+    assert o3.matrix_of_blockperm((1, 2, 3, 5, 4, 6)) == kron(_eye(2), s1)
+    # a single factor is that factor's cached matrix
+    one = outer_rep(((2, 1),), (3,))
+    assert one.matrix_of_blockperm((2, 3, 1)) is specht_rep((2, 1)).matrix_of_perm((2, 3, 1))
     with pytest.raises(ValueError):
         outer_rep(((2,), (1,)), (1, 1))
 
@@ -153,15 +239,7 @@ def test_block_traces_are_the_integer_matrix_traces():
         for w in all_perms(sum(lam)):
             if all({w[i - 1] for i in b} == b for b in blocks):
                 t = o.trace_of_blockperm(w)
-                assert type(t) is int and Cyc.rational(1, t) == o.matrix_of_blockperm(w).trace()
-
-
-def test_non_integral_block_trace_raises(monkeypatch):
-    o = OuterRep(((2,), (1, 1)), (2, 2))
-    half = Mat(1, [[Cyc.rational(1, Fraction(1, 2))]])
-    monkeypatch.setattr(o.components[1], "matrix_of_perm", lambda w: half)
-    with pytest.raises(ArithmeticError):
-        o.trace_of_blockperm((1, 2, 4, 3))
+                assert type(t) is int and t == _trace(o.matrix_of_blockperm(w))
 
 
 def test_perm_word():
