@@ -10,12 +10,11 @@ appears anywhere in this module.
 
 All elimination runs on one sparse echelon engine, :class:`SpanBasis`, whose
 rows are {column: Cyc} in reduced row echelon form with pivots 1.
-:func:`kernel_basis` and :class:`LinSolver` are thin layers over it; no
-library path solves with :class:`LinSolver` any more (the Specht matrices
-are integral and straightened in tableaux), and the tests keep it as their
-reference for those matrices.  Every
-commutant and intertwiner space is solved by :func:`intertwiners`, and every
-matrix assembled from blocks or scattered entries is built by
+:func:`kernel_basis` and :class:`LinSolver` are thin layers over it.  No
+library path calls either (the Specht matrices, LinSolver's last user, are
+integral and straightened in tableaux); the tests keep both as references.
+Every commutant and intertwiner space is solved by :func:`intertwiners`, and
+every matrix assembled from blocks or scattered entries is built by
 :meth:`Mat.from_entries`.  A permutation of the basis (the color rotation
 theta of gkd, the shift Z^(x d) of schurweyl) stays an index map: its
 powers compose as tuples, and :meth:`Mat.permuted` conjugates a matrix by
