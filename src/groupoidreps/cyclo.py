@@ -10,9 +10,9 @@ appears anywhere in this module.
 
 All elimination runs on one sparse echelon engine, :class:`SpanBasis`, whose
 rows are {column: Cyc} in reduced row echelon form with pivots 1.
-:func:`kernel_basis` and :class:`LinSolver` are thin layers over it.  No
-library path calls either (the Specht matrices, LinSolver's last user, are
-integral and straightened in tableaux); the tests keep both as references.
+:class:`LinSolver` is a thin layer over it that no library path calls (the
+Specht matrices, its last user, are integral and straightened in tableaux);
+the tests keep it as a reference, with their own null-space helper.
 Every commutant and intertwiner space is solved by :func:`intertwiners`, and
 every matrix assembled from blocks or scattered entries is built by
 :meth:`Mat.from_entries`.  A permutation of the basis (the color rotation
@@ -38,7 +38,6 @@ __all__ = [
     "Mat",
     "SpanBasis",
     "LinSolver",
-    "kernel_basis",
     "intertwiners",
 ]
 
@@ -462,7 +461,7 @@ class SpanBasis:
     """Incrementally row-reduced basis of a subspace of Q(xi_l)^n.
 
     The one elimination engine, behind rank, span growth, membership,
-    LinSolver, kernel_basis and intertwiners.  Rows are sparse and in reduced
+    LinSolver and intertwiners.  Rows are sparse and in reduced
     row echelon form: a row is stored without its pivot entry 1 and is 0 at
     every other pivot.
     """
@@ -582,14 +581,6 @@ class LinSolver:
         for j, c in v.items():
             coords[j - n] = -c
         return coords
-
-
-def kernel_basis(ell: int, rows: list[list[Cyc]], ncols: int) -> list[list[Cyc]]:
-    """Exact basis of the right null space {x : A x = 0}."""
-    sb = SpanBasis(ell, ncols)
-    for r in rows:
-        sb._insert(_sparse(r, ncols), ncols)
-    return sb.kernel()
 
 
 def intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[list[Cyc]]:

@@ -119,7 +119,9 @@ def verify_gelfand(ell: int, d: int) -> dict:
         val = inner_product(classes, chi, chi_model_bar).conjugate()  # <chi_M, chi_p> = conj <chi_p, chi_M>
         ok = val.is_rational() and val.rational_value() == 1
         all_one = all_one and ok
-        mult_table.append({"label": m.label_json(), "multiplicity": str(val.to_json()["coeffs"]) if not val.is_rational() else int(val.rational_value())})
+        # int() would truncate a rational: only an integer is reported as an int
+        exact = int(val.rational_value()) if val.is_rational() and val.den == 1 else str(val.to_json()["coeffs"])
+        mult_table.append({"label": m.label_json(), "multiplicity": exact})
         chi_sum = [total + v for total, v in zip(chi_sum, chi)]
     checks.append(
         {

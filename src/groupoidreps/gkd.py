@@ -262,7 +262,15 @@ def endo_structure(Q: QuotientGroupoid, oi: int) -> dict:
 
 
 def quotient_structure_report(ell: int, k: int, d: int) -> dict:
-    """Freeness, object count, endomorphism structure, representative independence."""
+    """Freeness, object count, endomorphism structure, representative independence.
+
+    N = hom(f, f) is normal in End(f): walks show that the s_i moved to f
+    generate N and, with the rotation h, End(f), and h n h^(-1) lies in N for
+    those s_i, so every word in h and N conjugates N into N.  Composition is
+    independent of representatives: theta_k^t(s) o theta_k^t(x) normalizes to
+    s o x for each generator s, reached x and t = 1..k-1, and every quotient
+    morphism is reached, so induction on words carries this to all pairs.
+    """
     Q = quotient_groupoid(ell, k, d)
     checks = []
 
@@ -281,29 +289,23 @@ def quotient_structure_report(ell: int, k: int, d: int) -> dict:
     endo_ok = True
     for oi in range(len(Q.orbits)):
         info = endo_structure(Q, oi)
-        f, r = Q.rep(oi), info["stabilizer_order"]
-        # the color-preserving part embeds as a normal subgroup
+        f, r, lam = Q.rep(oi), info["stabilizer_order"], tuple(info["type"])
+        # N is generated by the s_i at the canonical object, moved to f
         inner = set(hom(f, f, ell))
-        ok = info["cardinality_ok"] and len(inner) == prod(map(factorial, info["type"]))
-        for q in info["endos"]:
-            qi = Q.inverse(q)
-            if any(Q.compose(Q.compose(q, n), qi) not in inner for n in inner):
-                ok = False
-                break
+        a = canonical_morphism(canonical_object(lam), f, ell)
+        n_gens = [compose(a, compose(s, inverse(a))) for s in component_generators(ell, lam) if s.source == s.target]
+        ok = info["cardinality_ok"] and len(inner) == prod(map(factorial, lam))
+        reached = _closure(Q, n_gens, [oi], lambda s, x, y: True)
+        ok = ok and reached == inner
         # the canonical rotation generates a cyclic complement of order r
         if r > 1:
-            hshift = ell // r
-            gen = Q.normalize(
-                canonical_morphism(f, theta_object(f, hshift, ell), ell)
-            )
-            power = Q.identity(oi)
-            order = 0
-            for step in range(1, r + 1):
-                power = Q.compose(gen, power)
-                order = step
-                if power == Q.identity(oi):
-                    break
-            ok = ok and order == r and power == Q.identity(oi)
+            gen = Q.normalize(canonical_morphism(f, theta_object(f, ell // r, ell), ell))
+            power, order = gen, 1
+            while power != Q.identity(oi) and order <= r:
+                power, order = Q.compose(gen, power), order + 1
+            reached = _closure(Q, n_gens + [gen], [oi], lambda s, x, y: True)
+            ok = ok and order == r and all(Q.compose(Q.compose(gen, n), Q.inverse(gen)) in inner for n in n_gens)
+        ok = ok and reached == set(info["endos"])
         endo_rows.append({"orbit": list(f), "stabilizer": r, "endos": info["endo_count"], "ok": ok})
         endo_ok = endo_ok and ok
     checks.append(
@@ -325,18 +327,9 @@ def quotient_structure_report(ell: int, k: int, d: int) -> dict:
         }
     )
 
-    indep = True
-    for q1 in qms:
-        for q2 in qms:
-            if Q.target_orbit(q1) != Q.source_orbit(q2):
-                continue
-            base = Q.compose(q2, q1)
-            # recompose from rotated representatives of both factors
-            for t1 in range(1, Q.k):
-                m1 = Q.translate(q1, t1)
-                m2 = Q.translate(q2, Q._translate_exponent(q2.source, m1.target))
-                if Q.normalize(compose(m2, m1)) != base:
-                    indep = False
+    gens = _quotient_generators(Q, gamma_cross_section(ell, k, d))
+    moved = lambda s, x, y: all(Q.normalize(Q.compose(s, Q.translate(x, t))) == y for t in range(1, k))
+    indep = _closure(Q, gens, range(len(Q.orbits)), moved) == set(qms)
     checks.append(
         {
             "name": "quotient composition independent of representatives",

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -181,6 +182,19 @@ def test_the_parser_is_built_once_per_process(tmp_path):
     assert json.loads(out)["parameters"] == {"ell": 2, "d": 2}
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+# The checks payload of the default `all` grid.  A change that moves the
+# payload on purpose updates this digest and the check count, and says so in
+# CHANGES.md.
+ALL_PAYLOAD_SHA256 = "0746141e455994fd4b816ebc41219f0a1c6dec8735ba89890eac48d7c3a43468"
+
+
+def test_all_payload_is_pinned():
+    code, out = run_cli(["all", "--out", "json"])
+    rep = json.loads(out)
+    assert code == 0 and len(rep["checks"]) == 823
+    assert hashlib.sha256(checks_payload(rep).encode()).hexdigest() == ALL_PAYLOAD_SHA256
 
 
 def test_all_small_grid_deterministic():

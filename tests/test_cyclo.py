@@ -18,9 +18,9 @@ from groupoidreps.cyclo import (
     cyclotomic_poly,
     euler_phi,
     intertwiners,
-    kernel_basis,
     root_of_unity,
 )
+from reference import kernel_basis
 
 
 def rand_cyc(rng, ell):

@@ -1,10 +1,10 @@
 from groupoidreps.algebra import phi
 from groupoidreps.cyclo import Cyc
-from groupoidreps.gelfand import build_gelfand, inv_statistic, involutions, verify_gelfand
+from groupoidreps.gelfand import GelfandModel, build_gelfand, inv_statistic, involutions, verify_gelfand
 from groupoidreps.groupoid import compose, hom, identity_morphism
 from groupoidreps.perms import compose_perms, identity_perm
 from groupoidreps.simples import all_simples
-from groupoidreps.wreath import WreathElem, enum_group
+from groupoidreps.wreath import WreathElem, enum_group, wreath_identity
 
 
 def test_involutions():
@@ -89,3 +89,17 @@ def test_char_wreath_is_diagonal_count_of_phi_action():
                     if conj == w:
                         trace = trace + coeff.scale(sign)
             assert model.char_wreath(x) == trace, x
+
+
+def test_verify_gelfand_reports_a_rational_multiplicity_exactly(monkeypatch):
+    # one more at the identity of (2,2) adds chi_p(1) / |G| = dim_p / 8 to
+    # every multiplicity: 9/8 on the four one-dimensional simples and 5/4 on
+    # the two-dimensional one, which an int() would truncate to 1
+    ell, d = 2, 2
+    real = GelfandModel.char_wreath
+    unit = wreath_identity(ell, d)
+    monkeypatch.setattr(GelfandModel, "char_wreath", lambda self, x: real(self, x) + Cyc.one(ell) if x == unit else real(self, x))
+    check = next(c for c in verify_gelfand(ell, d)["checks"] if c["name"] == "every simple has multiplicity exactly 1")
+    assert check["status"] == "fail"
+    got = {tuple(map(tuple, row["label"])): row["multiplicity"] for row in check["details"]["multiplicities"]}
+    assert got == {tuple(map(tuple, m.label_json())): "['5/4']" if m.total_dim == 2 else "['9/8']" for m in all_simples(ell, d)}

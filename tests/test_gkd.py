@@ -1,9 +1,10 @@
+from math import factorial, prod
 from types import SimpleNamespace
 
 import pytest
 
 from groupoidreps import algebra, gkd
-from groupoidreps.cyclo import Cyc, LinSolver, Mat, kernel_basis, root_of_unity
+from groupoidreps.cyclo import Cyc, LinSolver, Mat, root_of_unity
 from groupoidreps.gkd import (
     build_quotient_simple,
     restriction_check,
@@ -20,10 +21,11 @@ from groupoidreps.gkd import (
     theta_object,
     theta_type,
 )
-from groupoidreps.groupoid import canonical_morphism, identity_morphism, type_of
+from groupoidreps.groupoid import canonical_morphism, compose, hom, identity_morphism, type_of
 from groupoidreps.simples import all_simples, inner_product
 from groupoidreps.tableaux import multipartitions
 from groupoidreps.wreath import generators, wreath_identity
+from reference import kernel_basis
 
 GRID = [
     (2, 2, 1),
@@ -108,6 +110,19 @@ def test_reflection_span():
     for ell, k, d in GRID + [(3, 1, 2)]:
         rep = reflection_span_check(ell, k, d)
         assert rep["ok"], (ell, k, d, rep)
+
+
+def test_invalid_quotient_inputs_raise():
+    for ell, k in [(4, 3), (2, 0)]:
+        with pytest.raises(ValueError, match="positive divisor"):
+            gkd.QuotientGroupoid(ell, k, 2)
+    # the two orbits of (2,2,2) have different types, so nothing composes across them
+    Q = quotient_groupoid(2, 2, 2)
+    with pytest.raises(ValueError, match="not composable"):
+        Q.compose(Q.identity(1), Q.identity(0))
+    _lam, p, m = quotient_labels(2, 2, 2)[0]
+    with pytest.raises(ValueError, match="stabilizer order"):
+        gkd.QuotientSimpleModule(2, 2, 2, p, build_quotient_simple(2, 2, 2, p, m).s + 1)
 
 
 def test_phi_to_quotient_rejects_nonmembers():
@@ -504,3 +519,120 @@ def test_projector_traces_match_explicit_eigenspaces(ell, k, d):
         mats = [act(x) for x in classes]
         reference = _eigenspaces_by_kernel_basis(_permutation_matrix(ell, theta), k, mats)
         assert gkd._eigenspace_traces(powers, mats) == reference
+
+
+# The all-pairs loops quotient_structure_report ran before its checks moved
+# onto generator walks, kept as references.
+
+
+def _all_pairs_independence(Q):
+    """Every composable pair of quotient morphisms, recomposed from each rotated representative."""
+    qms = Q.all_qmorphisms()
+    for q1 in qms:
+        for q2 in qms:
+            if Q.target_orbit(q1) != Q.source_orbit(q2):
+                continue
+            base = Q.compose(q2, q1)
+            for t1 in range(1, Q.k):
+                m1 = Q.translate(q1, t1)
+                m2 = Q.translate(q2, Q._translate_exponent(q2.source, m1.target))
+                if Q.normalize(compose(m2, m1)) != base:
+                    return False
+    return True
+
+
+def _all_pairs_endo_rows(Q):
+    """Per orbit, every endomorphism conjugating every color-preserving one, and the rotation's order."""
+    ell, rows = Q.ell, []
+    for oi in range(len(Q.orbits)):
+        info = endo_structure(Q, oi)
+        f, r = Q.rep(oi), info["stabilizer_order"]
+        inner = set(hom(f, f, ell))
+        ok = info["cardinality_ok"] and len(inner) == prod(map(factorial, info["type"]))
+        ok = ok and all(Q.compose(Q.compose(q, n), Q.inverse(q)) in inner for q in info["endos"] for n in inner)
+        if r > 1:
+            gen = Q.normalize(canonical_morphism(f, theta_object(f, ell // r, ell), ell))
+            powers = [gen]
+            while len(powers) < r:
+                powers.append(Q.compose(gen, powers[-1]))
+            ok = ok and powers[-1] == Q.identity(oi) and Q.identity(oi) not in powers[:-1]
+        rows.append({"orbit": list(f), "stabilizer": r, "endos": info["endo_count"], "ok": ok})
+    return rows
+
+
+ENDO_CHECK = "|endo| = |stabilizer| * lam! with normal color-preserving part"
+INDEPENDENCE_CHECK = "quotient composition independent of representatives"
+STRUCTURE_REFERENCE_POINTS = [(3, 1, 4), (2, 2, 4), (4, 2, 3), (3, 3, 3), (6, 3, 2)]
+
+
+@pytest.mark.parametrize("ell,k,d", STRUCTURE_REFERENCE_POINTS)
+def test_structure_walks_agree_with_the_all_pairs_loops(ell, k, d):
+    Q = quotient_groupoid(ell, k, d)
+    rep = quotient_structure_report(ell, k, d)
+    endo = next(c for c in rep["checks"] if c["name"] == ENDO_CHECK)
+    assert endo["details"]["orbits"] == _all_pairs_endo_rows(Q)
+    assert endo["status"] == "pass"
+    assert _all_pairs_independence(Q)
+    assert _status(rep, INDEPENDENCE_CHECK) == "pass"
+
+
+def test_independence_check_catches_theta_wrong_on_one_morphism(monkeypatch):
+    ell, k, d = 2, 2, 3
+    Q = quotient_groupoid(ell, k, d)
+    bad = _non_generator(Q, Q.all_qmorphisms(), gkd._quotient_generators(Q, gamma_cross_section(ell, k, d)))
+    real = gkd.QuotientGroupoid.translate
+
+    def translate(self, m, t):
+        out = real(self, m, t)
+        return out._replace(perm=out.perm[::-1]) if m == bad and t % self.k else out
+
+    monkeypatch.setattr(gkd.QuotientGroupoid, "translate", translate)
+    assert not _all_pairs_independence(Q)
+    assert _status(quotient_structure_report(ell, k, d), INDEPENDENCE_CHECK) == "fail"
+
+
+@pytest.mark.parametrize("ell,k,d,f", [(2, 1, 4, (1, 1, 1, 2)), (2, 2, 4, (1, 1, 2, 2))])
+def test_normality_check_catches_one_wrong_color_preserving_morphism(monkeypatch, ell, k, d, f):
+    # one element of hom(f, f) that is neither the identity nor a transposition,
+    # so not a generator of N, is replaced by a map that mixes colors
+    Q = quotient_groupoid(ell, k, d)
+    assert Q.exponent[f] == 0
+    real = gkd.hom
+    members = real(f, f, ell)
+    bad = next(m for m in members if sum(a != i for i, a in enumerate(m.perm, start=1)) > 2)
+    wrong = bad._replace(perm=bad.perm[::-1])
+    assert wrong not in members
+    monkeypatch.setattr(gkd, "hom", lambda g, h, ell: [wrong if m == bad else m for m in real(g, h, ell)])
+    assert _status(quotient_structure_report(ell, k, d), ENDO_CHECK) == "fail"
+
+
+@pytest.mark.parametrize("ell,k,d", STRUCTURE_REFERENCE_POINTS + [(1, 1, 3), (2, 2, 1), (4, 4, 2)])
+def test_structure_report_composes_within_the_walk_bounds(monkeypatch, ell, k, d):
+    # The representative-independence walk composes at most
+    # (generators + k) x morphisms times, and every walk at most (its
+    # generators + k) times per morphism it reaches.  Outside the walks only
+    # the s_i moved to each f, the rotation's powers and its conjugates of
+    # those s_i are composed.
+    count, walks = [0], []
+    real_compose, real_closure = gkd.compose, gkd._closure
+
+    def compose(second, first):
+        count[0] += 1
+        return real_compose(second, first)
+
+    def closure(Q, gens, objs, holds):
+        before = count[0]
+        reached = real_closure(Q, gens, objs, holds)
+        walks.append((len(gens), len(reached), count[0] - before))
+        return reached
+
+    monkeypatch.setattr(gkd, "compose", compose)
+    monkeypatch.setattr(gkd, "_closure", closure)
+    Q = quotient_groupoid(ell, k, d)
+    assert quotient_structure_report(ell, k, d)["ok"]
+    n_gens = len(gkd._quotient_generators(Q, gamma_cross_section(ell, k, d)))
+    morphisms = len(Q.all_qmorphisms())
+    assert walks[-1][:2] == (n_gens, morphisms)
+    assert walks[-1][2] <= (n_gens + k) * morphisms
+    assert all(composed <= (g + k) * reached for g, reached, composed in walks)
+    assert count[0] - sum(composed for *_, composed in walks) <= (4 * d + k) * len(Q.orbits)

@@ -2,9 +2,9 @@ import pytest
 
 from groupoidreps import schurweyl
 from groupoidreps.algebra import AlgElem, phi
-from groupoidreps.cyclo import Cyc, Mat, SpanBasis, intertwiners, kernel_basis
+from groupoidreps.cyclo import Cyc, Mat, SpanBasis, intertwiners
 from groupoidreps.gkd import QuotientGroupoid
-from groupoidreps.groupoid import component_generators, compose, hom, identity_morphism
+from groupoidreps.groupoid import component_generators, compose, hom, identity_morphism, type_of
 from groupoidreps.schurweyl import (
     TensorSpace,
     glk_generated_algebra,
@@ -16,6 +16,7 @@ from groupoidreps.schurweyl import (
 )
 from groupoidreps.simples import all_simples, character_table, conjugacy_classes, inner_product
 from groupoidreps.wreath import enum_group, wreath_identity, wreath_inv
+from reference import kernel_basis
 
 TENSOR_GRID = [
     (1, (2,), 2),
@@ -41,6 +42,14 @@ def test_cap():
     with pytest.raises(ResourceWarning):
         TensorSpace(1, (4,), 7, cap=4096)
     TensorSpace(1, (4,), 6, cap=4096)
+
+
+def test_invalid_tensor_inputs_raise():
+    for kvec in [(1, 0), (1,)]:
+        with pytest.raises(ValueError, match="strictly positive"):
+            TensorSpace(2, kvec, 2)
+    with pytest.raises(ValueError, match="k must divide ell"):
+        shift_duality_check(4, 3, 1, 2)
 
 
 def test_morphism_action_functorial():
@@ -289,6 +298,61 @@ def test_commuting_check_catches_one_perturbed_morphism(monkeypatch):
 
     monkeypatch.setattr(TensorSpace, "morphism_block_matrix", perturbed)
     assert verify_commuting(T)["checks"][0]["status"] == "fail"
+
+
+def _all_pairs_commuting(T):
+    """The loop verify_commuting ran before its walk: every morphism times every GL generator, two products each."""
+    objs = sorted(T.block_of)
+    return all(
+        A * gen[f] == gen[g] * A
+        for f in objs
+        for g in objs
+        for m in hom(f, g, T.ell)
+        for A in [T.morphism_block_matrix(m)]
+        for gen in glk_generators(T)
+    )
+
+
+COMMUTING_REFERENCE_POINTS = [(1, (2,), 3), (2, (1, 1), 3), (2, (2, 1), 2), (2, (2, 1), 3), (2, (2, 2), 3)]
+
+
+@pytest.mark.parametrize("ell,kvec,d", COMMUTING_REFERENCE_POINTS)
+def test_commuting_walk_agrees_with_the_all_pairs_loop(ell, kvec, d):
+    T = TensorSpace(ell, kvec, d)
+    assert _all_pairs_commuting(T)
+    assert verify_commuting(T)["ok"]
+
+
+def test_commuting_check_catches_a_perturbed_morphism_between_two_objects(monkeypatch):
+    # (1,2,1) -> (2,1,1) is neither an anchor out of the canonical object
+    # (1,1,2) nor the inverse of one, so only the walk's products reach it
+    ell, kvec, d = 2, (2, 1), 3
+    T = TensorSpace(ell, kvec, d)
+    bad = hom((1, 2, 1), (2, 1, 1), ell)[0]
+    assert bad not in component_generators(ell, (2, 1))
+    real = TensorSpace.morphism_block_matrix
+
+    def perturbed(self, m):
+        A = real(self, m)
+        return A + Mat.from_entries(self.ell, A.nrows, A.ncols, [((0, 0), Cyc.one(self.ell))]) if m == bad else A
+
+    monkeypatch.setattr(TensorSpace, "morphism_block_matrix", perturbed)
+    assert not _all_pairs_commuting(T)
+    assert verify_commuting(T)["checks"][0]["status"] == "fail"
+
+
+@pytest.mark.parametrize("ell,kvec,d", TENSOR_GRID + [(2, (2, 2), 3)])
+def test_commuting_check_multiplies_once_per_walk_step(monkeypatch, ell, kvec, d):
+    # one product A(s) A(x) per step of the walk, none per GL generator: at
+    # most (generators + 1) x morphisms products, the groupoid being the k = 1 quotient
+    T = TensorSpace(ell, kvec, d)
+    glk_generators(T)
+    products = []
+    real = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    assert verify_commuting(T)["ok"]
+    n_gens = sum(len(component_generators(ell, lam)) for lam in {type_of(f, ell) for f in T.block_of})
+    assert len(products) <= (n_gens + 1) * len(QuotientGroupoid(ell, 1, d).all_qmorphisms())
 
 
 PER_SIMPLE = "each predicted-killed simple acts by zero, others nonzero"
