@@ -60,10 +60,10 @@ class UsageError(ValueError):
 def _validate(args) -> None:
     """Reject invalid parameters before any work starts; parse --kvec into a list."""
     cmd = args.command
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    if hasattr(args, "ell") and args.ell < 1:
-        raise UsageError("--ell must be >= 1")
+    # the integer flags with a fixed least value; a subcommand without one skips it
+    for key, low in {"jobs": 1, "cap": 1, "ell": 1, "max_ell": 1, "max_d": 0}.items():
+        if getattr(args, key, low) < low:
+            raise UsageError(f"--{key.replace('_', '-')} must be >= {low}")
     if hasattr(args, "d"):
         needs_d1 = cmd in ("branching", "gkd", "rook-check") or (
             cmd == "schur-weyl" and not args.shift_duality

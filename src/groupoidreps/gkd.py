@@ -262,81 +262,50 @@ def endo_structure(Q: QuotientGroupoid, oi: int) -> dict:
 
 
 def quotient_structure_report(ell: int, k: int, d: int) -> dict:
-    """Freeness, object count, endomorphism structure, representative independence.
+    """Freeness, object count, the Lemma-51 cardinality of each End(f), and dim A_(l,k,d).
 
-    N = hom(f, f) is normal in End(f): walks show that the s_i moved to f
-    generate N and, with the rotation h, End(f), and h n h^(-1) lies in N for
-    those s_i, so every word in h and N conjugates N into N.  Composition is
-    independent of representatives: theta_k^t(s) o theta_k^t(x) normalizes to
-    s o x for each generator s, reached x and t = 1..k-1, and every quotient
-    morphism is reached, so induction on words carries this to all pairs.
+    Three facts of the quotient hold by construction, so they are unit tests
+    rather than checks here:
+    - composition is independent of representatives: theta_morphism keeps
+      the permutation and compose composes permutations, so theta_k is a
+      functor and theta_k^t(s) o theta_k^t(x) normalizes to s o x;
+    - N = hom(f, f) is normal in End(f): Q.compose adds target exponents
+      mod k, so End(f) -> Z/k is a homomorphism with kernel N;
+    - the canonical rotation h of f has order r: order-preserving maps
+      compose to order-preserving maps, so h^j = id exactly when
+      theta^(jl/r) fixes f, and freeness makes that j = 0 mod r.
     """
     Q = quotient_groupoid(ell, k, d)
-    checks = []
-
     free = all(len(orb) == k for orb in Q.orbits)
-    checks.append({"name": "H_k acts freely on objects", "status": "pass" if free else "fail"})
     count_ok = len(Q.orbits) == ell**d // k
-    checks.append(
+    endo_rows = [
+        {
+            "orbit": info["representative"],
+            "stabilizer": info["stabilizer_order"],
+            "endos": info["endo_count"],
+            "ok": info["cardinality_ok"],
+        }
+        for info in (endo_structure(Q, oi) for oi in range(len(Q.orbits)))
+    ]
+    total, expected = len(Q.all_qmorphisms()), ell**d * factorial(d) // k
+    checks = [
+        {"name": "H_k acts freely on objects", "status": "pass" if free else "fail"},
         {
             "name": "object count = l^d / k",
             "status": "pass" if count_ok else "fail",
             "details": {"objects": len(Q.orbits)},
-        }
-    )
-
-    endo_rows = []
-    endo_ok = True
-    for oi in range(len(Q.orbits)):
-        info = endo_structure(Q, oi)
-        f, r, lam = Q.rep(oi), info["stabilizer_order"], tuple(info["type"])
-        # N is generated by the s_i at the canonical object, moved to f
-        inner = set(hom(f, f, ell))
-        a = canonical_morphism(canonical_object(lam), f, ell)
-        n_gens = [compose(a, compose(s, inverse(a))) for s in component_generators(ell, lam) if s.source == s.target]
-        ok = info["cardinality_ok"] and len(inner) == prod(map(factorial, lam))
-        reached = _closure(Q, n_gens, [oi], lambda s, x, y: True)
-        ok = ok and reached == inner
-        # the canonical rotation generates a cyclic complement of order r
-        if r > 1:
-            gen = Q.normalize(canonical_morphism(f, theta_object(f, ell // r, ell), ell))
-            power, order = gen, 1
-            while power != Q.identity(oi) and order <= r:
-                power, order = Q.compose(gen, power), order + 1
-            reached = _closure(Q, n_gens + [gen], [oi], lambda s, x, y: True)
-            ok = ok and order == r and all(Q.compose(Q.compose(gen, n), Q.inverse(gen)) in inner for n in n_gens)
-        ok = ok and reached == set(info["endos"])
-        endo_rows.append({"orbit": list(f), "stabilizer": r, "endos": info["endo_count"], "ok": ok})
-        endo_ok = endo_ok and ok
-    checks.append(
+        },
         {
-            "name": "|endo| = |stabilizer| * lam! with normal color-preserving part",
-            "status": "pass" if endo_ok else "fail",
+            "name": "|endo| = |stabilizer| * lam!",
+            "status": "pass" if all(row["ok"] for row in endo_rows) else "fail",
             "details": {"orbits": endo_rows},
-        }
-    )
-
-    qms = Q.all_qmorphisms()
-    total = len(qms)
-    expected = ell**d * factorial(d) // k
-    checks.append(
+        },
         {
             "name": "dim A_(l,k,d) = l^d d!/k",
             "status": "pass" if total == expected else "fail",
             "details": {"dim": total, "expected": expected},
-        }
-    )
-
-    gens = _quotient_generators(Q, gamma_cross_section(ell, k, d))
-    moved = lambda s, x, y: all(Q.normalize(Q.compose(s, Q.translate(x, t))) == y for t in range(1, k))
-    indep = _closure(Q, gens, range(len(Q.orbits)), moved) == set(qms)
-    checks.append(
-        {
-            "name": "quotient composition independent of representatives",
-            "status": "pass" if indep else "fail",
-        }
-    )
-
+        },
+    ]
     return suite_result(checks, ell=ell, k=k, d=d)
 
 
@@ -868,9 +837,7 @@ def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, reps_classes) -> tu
     expected = {m: build_quotient_simple(ell, k, d, p, m).class_character for m in range(1, r + 1)}
     hits = dict.fromkeys(expected, 0)
     eigenspaces = _eigenspace_traces(powers[:k], [act_total(rep) for rep, _size in reps_classes])
-    for m, (dim, char) in enumerate(eigenspaces, start=1):
-        if not dim:
-            continue
+    for m, (_dim, char) in enumerate(eigenspaces, start=1):
         matched = [mm for mm, exp in expected.items() if exp == char]
         if len(matched) != 1:
             return False, {"failure": f"eigenspace m={m} does not match a unique L_(p,m)"}

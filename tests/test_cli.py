@@ -151,6 +151,23 @@ def test_config_values_without_their_flag_type_are_usage_errors(tmp_path, capsys
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "config,command,message",
+    [
+        ({"max-d": -1}, "all", "--max-d must be >= 0"),
+        ({"max_ell": 0}, "all", "--max-ell must be >= 1"),
+        ({"cap": -5}, "verify-iso", "--cap must be >= 1"),
+    ],
+)
+def test_out_of_range_config_values_are_usage_errors(tmp_path, capsys, config, command, message):
+    # a config value passes the same range check as its flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("config", [{"ell": 1, "dd": 3}, {"max_ell": 2, "max-dd": 1}, {"": 1}])
 def test_unknown_config_keys_are_usage_errors(tmp_path, capsys, config):
     # a misspelt key must not run silently with the default
@@ -187,13 +204,13 @@ def test_the_parser_is_built_once_per_process(tmp_path):
 # The checks payload of the default `all` grid.  A change that moves the
 # payload on purpose updates this digest and the check count, and says so in
 # CHANGES.md.
-ALL_PAYLOAD_SHA256 = "0746141e455994fd4b816ebc41219f0a1c6dec8735ba89890eac48d7c3a43468"
+ALL_PAYLOAD_SHA256 = "a6fc8d88bc2858d3e93bca147a509646ce985143ce6bdfa2130fc7c2cda34b26"
 
 
 def test_all_payload_is_pinned():
     code, out = run_cli(["all", "--out", "json"])
     rep = json.loads(out)
-    assert code == 0 and len(rep["checks"]) == 823
+    assert code == 0 and len(rep["checks"]) == 802
     assert hashlib.sha256(checks_payload(rep).encode()).hexdigest() == ALL_PAYLOAD_SHA256
 
 
@@ -215,6 +232,10 @@ def test_all_small_grid_deterministic():
         ["objects", "--ell", "0", "--d", "1"],
         ["simples", "--ell", "2", "--d", "-1"],
         ["schur-weyl", "--shift-duality", "--kvec", "x"],
+        ["all", "--max-d", "-1"],
+        ["all", "--max-ell", "0"],
+        ["objects", "--cap", "-5"],
+        ["all", "--cap", "0"],
     ],
 )
 def test_invalid_parameters_are_usage_errors(argv, capsys):
@@ -326,4 +347,4 @@ def test_gkd_with_a_skipped_rotation_check_exits_zero():
     code, out = run_cli(["gkd", "--ell", "2", "--k", "2", "--d", "4"])
     assert code == 0
     assert "[SKIP] rotation-eigenspaces: rotation eigenspaces for p=[[1, 1], [2]]" in out
-    assert out.splitlines()[-1] == "-- 46 checks: 45 passed, 1 skipped, 0 failed"
+    assert out.splitlines()[-1] == "-- 45 checks: 44 passed, 1 skipped, 0 failed"

@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import factorial, prod
 from types import SimpleNamespace
 
@@ -21,7 +22,17 @@ from groupoidreps.gkd import (
     theta_object,
     theta_type,
 )
-from groupoidreps.groupoid import canonical_morphism, compose, hom, identity_morphism, type_of
+from groupoidreps.groupoid import (
+    GMorphism,
+    canonical_morphism,
+    canonical_object,
+    component_generators,
+    compose,
+    hom,
+    identity_morphism,
+    inverse,
+    type_of,
+)
 from groupoidreps.simples import all_simples, inner_product
 from groupoidreps.tableaux import multipartitions
 from groupoidreps.wreath import generators, wreath_identity
@@ -176,6 +187,11 @@ def test_labels_222():
     rot = [q for q in Q.hom(oi, oi) if q != Q.identity(oi)][0]
     vals = sorted(str(m.action_block(rot).rows[0][0].coeffs) for m in pair)
     assert vals == [str((Cyc.rational(2, -1)).coeffs), str((Cyc.one(2)).coeffs)]
+
+
+def test_quotient_simple_repr_names_its_label_and_dimension():
+    mod = build_quotient_simple(2, 2, 2, ((1,), (1,)), 2)
+    assert repr(mod) == "QuotientSimpleModule(ell=2,k=2,d=2,p=((1,), (1,)),m=2,dim=1)"
 
 
 def test_quotient_simples():
@@ -459,6 +475,22 @@ def test_rotation_check_fails_for_wrong_multiplicities(monkeypatch):
     }
 
 
+def test_rotation_check_fails_for_a_zero_dimensional_eigenspace(monkeypatch):
+    # the first eigenspace is reported empty: its zero character matches no L_(p,m)
+    ell, k, d = 2, 2, 2
+    rep = rotation_eigenspace_check(ell, k, d)
+    real = gkd._eigenspace_traces
+
+    def emptied(powers, mats):
+        (_dim, char), *rest = real(powers, mats)
+        return [(0, tuple(Cyc.zero(ell) for _ in char))] + rest
+
+    monkeypatch.setattr(gkd, "_eigenspace_traces", emptied)
+    failures = _rotation_failures(ell, k, d)
+    assert sorted(failures) == sorted(c["name"] for c in rep["checks"])
+    assert set(failures.values()) == {"eigenspace m=1 does not match a unique L_(p,m)"}
+
+
 def _invariant_labels(Q):
     """(lambda, p) for lambda in Gamma and every p that the rotation check runs on."""
     for lam in gamma_cross_section(Q.ell, Q.k, Q.d):
@@ -521,59 +553,120 @@ def test_projector_traces_match_explicit_eigenspaces(ell, k, d):
         assert gkd._eigenspace_traces(powers, mats) == reference
 
 
-# The all-pairs loops quotient_structure_report ran before its checks moved
-# onto generator walks, kept as references.
+# Facts of the quotient that hold by construction, so quotient_structure_report
+# leaves them out: exhaustive unit tests of QuotientGroupoid.translate/compose,
+# hom and the canonical rotation.
 
 
 def _all_pairs_independence(Q):
     """Every composable pair of quotient morphisms, recomposed from each rotated representative."""
     qms = Q.all_qmorphisms()
+    by_source = {}
+    for q in qms:
+        by_source.setdefault(Q.source_orbit(q), []).append(q)
     for q1 in qms:
-        for q2 in qms:
-            if Q.target_orbit(q1) != Q.source_orbit(q2):
-                continue
-            base = Q.compose(q2, q1)
+        for q2 in by_source.get(Q.target_orbit(q1), []):
             for t1 in range(1, Q.k):
                 m1 = Q.translate(q1, t1)
                 m2 = Q.translate(q2, Q._translate_exponent(q2.source, m1.target))
-                if Q.normalize(compose(m2, m1)) != base:
+                if Q.normalize(compose(m2, m1)) != Q.compose(q2, q1):
                     return False
     return True
 
 
+def _canonical_rotation(Q, oi):
+    """The order-preserving endomorphism of orbit oi onto theta^(l/r) of its representative."""
+    f = Q.rep(oi)
+    r = Q.type_stabilizer_order(type_of(f, Q.ell))
+    return Q.normalize(canonical_morphism(f, theta_object(f, Q.ell // r, Q.ell), Q.ell))
+
+
+def _color_preserving(f, ell):
+    """hom(f, f) by brute force: the permutations sigma with f o sigma = f."""
+    return {
+        GMorphism(f, f, perm)
+        for perm in permutations(range(1, len(f) + 1))
+        if all(f[j - 1] == c for c, j in zip(f, perm))
+    }
+
+
 def _all_pairs_endo_rows(Q):
-    """Per orbit, every endomorphism conjugating every color-preserving one, and the rotation's order."""
+    """Per orbit, the Lemma-51 count and every endomorphism conjugating every color-preserving one."""
     ell, rows = Q.ell, []
     for oi in range(len(Q.orbits)):
         info = endo_structure(Q, oi)
-        f, r = Q.rep(oi), info["stabilizer_order"]
+        f = Q.rep(oi)
         inner = set(hom(f, f, ell))
         ok = info["cardinality_ok"] and len(inner) == prod(map(factorial, info["type"]))
         ok = ok and all(Q.compose(Q.compose(q, n), Q.inverse(q)) in inner for q in info["endos"] for n in inner)
-        if r > 1:
-            gen = Q.normalize(canonical_morphism(f, theta_object(f, ell // r, ell), ell))
-            powers = [gen]
-            while len(powers) < r:
-                powers.append(Q.compose(gen, powers[-1]))
-            ok = ok and powers[-1] == Q.identity(oi) and Q.identity(oi) not in powers[:-1]
-        rows.append({"orbit": list(f), "stabilizer": r, "endos": info["endo_count"], "ok": ok})
+        rows.append({"orbit": list(f), "stabilizer": info["stabilizer_order"], "endos": info["endo_count"], "ok": ok})
     return rows
 
 
-ENDO_CHECK = "|endo| = |stabilizer| * lam! with normal color-preserving part"
-INDEPENDENCE_CHECK = "quotient composition independent of representatives"
+ENDO_CHECK = "|endo| = |stabilizer| * lam!"
 STRUCTURE_REFERENCE_POINTS = [(3, 1, 4), (2, 2, 4), (4, 2, 3), (3, 3, 3), (6, 3, 2)]
+STRUCTURE_POINTS = STRUCTURE_REFERENCE_POINTS + [(1, 1, 3), (2, 2, 1), (4, 4, 2)]
+
+
+@pytest.mark.parametrize("ell,k,d", STRUCTURE_POINTS)
+def test_quotient_composition_is_independent_of_representatives(ell, k, d):
+    # theta_morphism keeps the permutation and compose composes permutations,
+    # so theta_k is a functor and theta_k^t(s) o theta_k^t(x) normalizes to s o x
+    assert _all_pairs_independence(quotient_groupoid(ell, k, d))
+
+
+@pytest.mark.parametrize("ell,k,d", STRUCTURE_POINTS)
+def test_color_preserving_endomorphisms_are_the_kernel_of_the_target_exponent(ell, k, d):
+    # Q.compose adds target exponents mod k, so End(f) -> Z/k is a homomorphism;
+    # its kernel is hom(f, f), which is therefore normal in End(f)
+    Q = quotient_groupoid(ell, k, d)
+    for oi in range(len(Q.orbits)):
+        f, endos = Q.rep(oi), set(Q.hom(oi, oi))
+        products = {(a, b): Q.compose(b, a) for a in endos for b in endos}
+        assert set(products.values()) == endos
+        exponent = {q: Q.exponent[q.target] for q in endos}
+        assert all(exponent[ba] == (exponent[a] + exponent[b]) % k for (a, b), ba in products.items())
+        inner = set(gkd.hom(f, f, ell))
+        assert inner == _color_preserving(f, ell)
+        assert {q for q in endos if exponent[q] == 0} == inner
+
+
+@pytest.mark.parametrize("ell,k,d", STRUCTURE_POINTS)
+def test_canonical_rotation_has_order_r(ell, k, d):
+    # order-preserving maps compose to order-preserving maps, so h^j = id exactly
+    # when theta^(j l/r) fixes f; freeness makes that j = 0 mod r
+    Q = quotient_groupoid(ell, k, d)
+    for oi in range(len(Q.orbits)):
+        r = Q.type_stabilizer_order(type_of(Q.rep(oi), ell))
+        h, power = _canonical_rotation(Q, oi), Q.identity(oi)
+        for j in range(1, r + 1):
+            power = Q.compose(h, power)
+            assert (power == Q.identity(oi)) == (j == r)
+
+
+def _endo_walks(Q, oi):
+    """What the s_i moved to the representative f reach in End(f), and what they reach with the canonical rotation."""
+    ell, f = Q.ell, Q.rep(oi)
+    lam = type_of(f, ell)
+    a = canonical_morphism(canonical_object(lam), f, ell)
+    n_gens = [compose(a, compose(s, inverse(a))) for s in component_generators(ell, lam) if s.source == s.target]
+    walk = lambda gens: gkd._closure(Q, gens, [oi], lambda s, x, y: True)
+    return walk(n_gens), walk(n_gens + [_canonical_rotation(Q, oi)])
 
 
 @pytest.mark.parametrize("ell,k,d", STRUCTURE_REFERENCE_POINTS)
 def test_structure_walks_agree_with_the_all_pairs_loops(ell, k, d):
+    # the report's rows hold only the Lemma-51 count; the all-pairs rows also
+    # need normality by conjugation.  The generator walks show that
+    # N = hom(f, f) and the canonical rotation together generate End(f).
     Q = quotient_groupoid(ell, k, d)
     rep = quotient_structure_report(ell, k, d)
     endo = next(c for c in rep["checks"] if c["name"] == ENDO_CHECK)
     assert endo["details"]["orbits"] == _all_pairs_endo_rows(Q)
     assert endo["status"] == "pass"
-    assert _all_pairs_independence(Q)
-    assert _status(rep, INDEPENDENCE_CHECK) == "pass"
+    for oi in range(len(Q.orbits)):
+        inner, endos = _endo_walks(Q, oi)
+        assert inner == set(hom(Q.rep(oi), Q.rep(oi), ell)) and endos == set(Q.hom(oi, oi))
 
 
 def test_independence_check_catches_theta_wrong_on_one_morphism(monkeypatch):
@@ -587,14 +680,15 @@ def test_independence_check_catches_theta_wrong_on_one_morphism(monkeypatch):
         return out._replace(perm=out.perm[::-1]) if m == bad and t % self.k else out
 
     monkeypatch.setattr(gkd.QuotientGroupoid, "translate", translate)
-    assert not _all_pairs_independence(Q)
-    assert _status(quotient_structure_report(ell, k, d), INDEPENDENCE_CHECK) == "fail"
+    with pytest.raises(AssertionError):
+        test_quotient_composition_is_independent_of_representatives(ell, k, d)
+    # the report composes nothing, so only the unit test sees the fault
+    assert quotient_structure_report(ell, k, d)["ok"]
 
 
 @pytest.mark.parametrize("ell,k,d,f", [(2, 1, 4, (1, 1, 1, 2)), (2, 2, 4, (1, 1, 2, 2))])
 def test_normality_check_catches_one_wrong_color_preserving_morphism(monkeypatch, ell, k, d, f):
-    # one element of hom(f, f) that is neither the identity nor a transposition,
-    # so not a generator of N, is replaced by a map that mixes colors
+    # one element of hom(f, f) other than a transposition is replaced by a map that mixes colors
     Q = quotient_groupoid(ell, k, d)
     assert Q.exponent[f] == 0
     real = gkd.hom
@@ -603,36 +697,30 @@ def test_normality_check_catches_one_wrong_color_preserving_morphism(monkeypatch
     wrong = bad._replace(perm=bad.perm[::-1])
     assert wrong not in members
     monkeypatch.setattr(gkd, "hom", lambda g, h, ell: [wrong if m == bad else m for m in real(g, h, ell)])
-    assert _status(quotient_structure_report(ell, k, d), ENDO_CHECK) == "fail"
+    with pytest.raises(AssertionError):
+        test_color_preserving_endomorphisms_are_the_kernel_of_the_target_exponent(ell, k, d)
 
 
-@pytest.mark.parametrize("ell,k,d", STRUCTURE_REFERENCE_POINTS + [(1, 1, 3), (2, 2, 1), (4, 4, 2)])
-def test_structure_report_composes_within_the_walk_bounds(monkeypatch, ell, k, d):
-    # The representative-independence walk composes at most
-    # (generators + k) x morphisms times, and every walk at most (its
-    # generators + k) times per morphism it reaches.  Outside the walks only
-    # the s_i moved to each f, the rotation's powers and its conjugates of
-    # those s_i are composed.
-    count, walks = [0], []
-    real_compose, real_closure = gkd.compose, gkd._closure
-
-    def compose(second, first):
-        count[0] += 1
-        return real_compose(second, first)
-
-    def closure(Q, gens, objs, holds):
-        before = count[0]
-        reached = real_closure(Q, gens, objs, holds)
-        walks.append((len(gens), len(reached), count[0] - before))
-        return reached
-
-    monkeypatch.setattr(gkd, "compose", compose)
-    monkeypatch.setattr(gkd, "_closure", closure)
+def test_endo_check_catches_a_dropped_morphism(monkeypatch):
+    ell, k, d = 2, 2, 4
     Q = quotient_groupoid(ell, k, d)
-    assert quotient_structure_report(ell, k, d)["ok"]
-    n_gens = len(gkd._quotient_generators(Q, gamma_cross_section(ell, k, d)))
-    morphisms = len(Q.all_qmorphisms())
-    assert walks[-1][:2] == (n_gens, morphisms)
-    assert walks[-1][2] <= (n_gens + k) * morphisms
-    assert all(composed <= (g + k) * reached for g, reached, composed in walks)
-    assert count[0] - sum(composed for *_, composed in walks) <= (4 * d + k) * len(Q.orbits)
+    f = (1, 1, 2, 2)
+    real = gkd.hom
+    monkeypatch.setattr(gkd, "hom", lambda g, h, ell: real(g, h, ell)[1:] if (g, h) == (f, f) else real(g, h, ell))
+    rep = quotient_structure_report(ell, k, d)
+    assert _status(rep, ENDO_CHECK) == "fail"
+    rows = next(c for c in rep["checks"] if c["name"] == ENDO_CHECK)["details"]["orbits"]
+    assert [row["orbit"] for row in rows if not row["ok"]] == [list(f)]
+
+
+@pytest.mark.parametrize("ell,k,d", STRUCTURE_POINTS)
+def test_structure_report_composes_within_the_walk_bounds(monkeypatch, ell, k, d):
+    # The report's checks count objects and morphisms: it walks nothing and
+    # composes nothing, so both bounds are zero.
+    def forbidden(*args):
+        raise AssertionError("quotient_structure_report composed a morphism or walked")
+
+    monkeypatch.setattr(gkd, "compose", forbidden)
+    monkeypatch.setattr(gkd, "_closure", forbidden)
+    rep = quotient_structure_report(ell, k, d)
+    assert rep["ok"] and len(rep["checks"]) == 4
