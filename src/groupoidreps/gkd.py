@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 from .algebra import AlgElem, _perm_table, _rank_of_phi_images, phi, phi_form
 from .cyclo import (
@@ -55,14 +55,9 @@ from .groupoid import (
 )
 from .perms import reach
 from .reporting import suite_result
-from .simples import _lift, all_simples, build_simple, inner_product
+from .simples import _lift, all_simples, build_simple, colored_classes, inner_product
 from .tableaux import compositions, multipartitions, outer_rep
-from .wreath import (
-    WreathElem,
-    conjugacy_classes_of,
-    gkd_elements,
-    gkd_generators,
-)
+from .wreath import WreathElem, gkd_elements, gkd_generators, s0_j, wreath_inv, wreath_mul
 
 __all__ = [
     "theta_color",
@@ -606,8 +601,31 @@ def quotient_labels(ell: int, k: int, d: int) -> list[tuple[tuple, tuple, int]]:
 
 @lru_cache(maxsize=None)
 def gkd_conjugacy_classes(ell: int, k: int, d: int) -> tuple[tuple[WreathElem, int], ...]:
-    """Conjugacy classes of G(l,k,d) by orbit partitioning under its generators."""
-    return conjugacy_classes_of(gkd_elements(ell, k, d), gkd_generators(ell, k, d))
+    """(representative, class size) pairs of G(l,k,d), from the classes of S(l,d).
+
+    An S(l,d) class lies in G(l,k,d) when its color sum is 0 mod k, and
+    there splits into g = gcd(k, every r_i, every c_i) classes of equal size
+    |class| / g, with representatives s_0^j x s_0^(-j) for 0 <= j < g.  The
+    number of pieces is the index of G(l,k,d) C(x) in S(l,d), and the color
+    sum mod k identifies that quotient with Z/k modulo the sums reached on
+    the centralizer C(x): x's cycles give c_i, one color step on every strand
+    of a single cycle gives r_i, and swaps of equal cycles give 0.
+    """
+    if k < 1 or ell % k:
+        raise ValueError("k must be a positive divisor of ell")
+    if d < 1:
+        raise ValueError("G(l,k,d) classes need d >= 1")
+    s0 = s0_j(ell, d, 1)
+    s0_inv = wreath_inv(s0)
+    out = []
+    for cycles, x, size in colored_classes(ell, d):
+        if sum(c for _r, c in cycles) % k:
+            continue
+        g = gcd(k, *(v for part in cycles for v in part))
+        for _j in range(g):
+            out.append((x, size // g))
+            x = wreath_mul(wreath_mul(s0, x), s0_inv)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -14,16 +14,22 @@ Characters are taken through the isomorphism with C[S(l,d)]: the character
 of x is the trace of the action of Phi(x), read off its monomial form by
 `phi_trace`, the one trace routine (the Gelfand model and the tensor space
 use it too).  A class function is a tuple in the order of its class list, and
-`inner_product` is the one inner product.  Conjugacy classes are found by
-brute-force orbit partitioning (conjugation by group generators); no class
-counting theory is used.
+`inner_product` is the one inner product; it reads each value's power-basis
+numerators as exponent bins and reduces once per product.
+
+Conjugacy classes come in closed form, with no group enumeration: the classes
+of C_l wr S_d are indexed by colored cycle types, the multisets of (cycle
+length r, color sum c mod l) with sum r = d, and the centralizer of a class
+has order prod (r l)^m m! over its parts (r, c) of multiplicity m (Macdonald,
+Symmetric Functions and Hall Polynomials, 2nd ed., ch. I, App. B).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from operator import mul
 
 from .cyclo import Cyc, Mat, intertwiners
@@ -45,10 +51,7 @@ from .tableaux import (
 )
 from .wreath import (
     WreathElem,
-    conjugacy_classes_of,
     embed_lower_rank,
-    enum_group,
-    generators,
     wreath_mul,  # noqa: F401  (unused here; perfbench/tests patch simples.wreath_mul)
 )
 
@@ -56,6 +59,7 @@ __all__ = [
     "SimpleModule",
     "all_simples",
     "build_simple",
+    "colored_classes",
     "conjugacy_classes",
     "phi_trace",
     "character_table",
@@ -162,10 +166,44 @@ def all_simples(ell: int, d: int) -> tuple[SimpleModule, ...]:
     return tuple(out)
 
 
+def _cycle_types(ell: int, d: int):
+    """The colored cycle types of S(l,d): tuples of parts (r, c), nondecreasing, with sum r = d."""
+    parts = [(r, c) for r in range(1, d + 1) for c in range(ell)]
+
+    def grow(remaining: int, start: int, prefix: tuple):
+        if not remaining:
+            yield prefix
+        for i in range(start, len(parts)):
+            if parts[i][0] > remaining:
+                break
+            yield from grow(remaining - parts[i][0], i, prefix + (parts[i],))
+
+    return grow(d, 0, ())
+
+
+def colored_classes(ell: int, d: int):
+    """(cycle type, representative, class size) for each conjugacy class of S(l,d).
+
+    The representative has consecutive cycles, position p -> p + 1 within
+    each and the last strand back to the first, with color c on the first
+    strand of each cycle.  The class size is l^d d! / prod (r l)^m m!, m the
+    multiplicity of the part (r, c).  The identity's class comes first.
+    """
+    order = ell**d * factorial(d)
+    for cycles in _cycle_types(ell, d):
+        perm, colors = [], []
+        for r, c in cycles:
+            start = len(perm) + 1
+            perm += [*range(start + 1, start + r), start]
+            colors += [c] + [0] * (r - 1)
+        centralizer = prod((r * ell) ** m * factorial(m) for (r, _c), m in Counter(cycles).items())
+        yield cycles, WreathElem(ell, tuple(perm), tuple(colors)), order // centralizer
+
+
 @lru_cache(maxsize=None)
 def conjugacy_classes(ell: int, d: int) -> tuple[tuple[WreathElem, int], ...]:
-    """(representative, class size) pairs via conjugation-orbit partitioning."""
-    return conjugacy_classes_of(enum_group(ell, d), generators(ell, d) if d else [])
+    """(representative, class size) pairs, one per colored cycle type (see colored_classes)."""
+    return tuple((rep, size) for _cycles, rep, size in colored_classes(ell, d))
 
 
 def phi_trace(x: WreathElem, objs, block_trace) -> Cyc:
@@ -192,11 +230,28 @@ def inner_product(classes, alpha, beta_bar) -> Cyc:
     classes is a (representative, size) list, alpha and beta_bar are tuples in
     its order, and beta_bar is beta already conjugated (xi -> xi^(-1)), so a
     character paired with many others is conjugated once.
+
+    A value's numerators are its coefficients at xi^0..xi^(phi(l)-1), so they
+    are exponent bins (Fractions over den when den != 1; the bins from
+    phi(l) to l - 1 are zero).  size * a_i * b_j goes into bin (i + j) mod l,
+    and the bins are reduced and scaled by 1/|G| once.
     """
-    acc = Cyc.zero(classes[0][0].ell)
+    ell = classes[0][0].ell
+    bins = [0] * ell
     for (_rep, size), a, b in zip(classes, alpha, beta_bar):
-        acc = acc + (a * b).scale(size)
-    return acc.scale(Fraction(1, sum(size for _rep, size in classes)))
+        b_bins = _exponent_bins(b)
+        for i, ai in enumerate(_exponent_bins(a)):
+            if ai:
+                ai *= size
+                for j, bj in enumerate(b_bins, i):
+                    if bj:
+                        bins[j % ell] += ai * bj
+    return Cyc.from_exponent_sums(ell, bins).scale(Fraction(1, sum(size for _rep, size in classes)))
+
+
+def _exponent_bins(v: Cyc):
+    """The numerators of v as rationals: ints when den = 1, else Fractions over den."""
+    return v.num if v.den == 1 else [Fraction(n, v.den) for n in v.num]
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,6 @@ from .perms import (
     identity_perm,
     invert_perm,
     perm_sign,
-    reach,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "gkd_member",
     "gkd_elements",
     "gkd_generators",
-    "conjugacy_classes_of",
     "embed_lower_rank",
 ]
 
@@ -205,28 +203,6 @@ def gkd_generators(ell: int, k: int, d: int) -> list[WreathElem]:
     if not out:
         out.append(e)
     return out
-
-
-def conjugacy_classes_of(members, gens) -> tuple[tuple[WreathElem, int], ...]:
-    """(representative, class size) pairs of a group given by its members and generators.
-
-    Each class is the orbit of its first member under conjugation by the
-    generators, one `reach` walk; classes come in the order of their
-    representatives in members.
-    """
-    gen_pairs = [(g, wreath_inv(g)) for g in gens]
-
-    def conjugates(y):
-        return (wreath_mul(wreath_mul(g, y), ginv) for g, ginv in gen_pairs)
-
-    unseen = set(members)
-    classes = []
-    for x in members:
-        if x in unseen:
-            orbit = reach([x], conjugates)
-            unseen -= orbit
-            classes.append((x, len(orbit)))
-    return tuple(classes)
 
 
 def embed_lower_rank(x: WreathElem, d: int) -> WreathElem:

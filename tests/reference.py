@@ -2,10 +2,17 @@
 
 kernel_basis is the null space read off the one elimination engine; no
 library path needs it, since every commutant is one call to
-cyclo.intertwiners.
+cyclo.intertwiners.  conjugation_orbits and conjugacy_classes_of partition
+a group into conjugation orbits by walking them, the route that the
+closed-form classes of simples and gkd replace.  cyc_inner_product is the inner product with one
+Cyc product and one scale per class.
 """
 
+from fractions import Fraction
+
 from groupoidreps.cyclo import Cyc, SpanBasis
+from groupoidreps.perms import reach
+from groupoidreps.wreath import WreathElem, wreath_inv, wreath_mul
 
 
 def kernel_basis(ell: int, rows: list[list[Cyc]], ncols: int) -> list[list[Cyc]]:
@@ -14,3 +21,37 @@ def kernel_basis(ell: int, rows: list[list[Cyc]], ncols: int) -> list[list[Cyc]]
     for row in rows:
         sb.add(row)
     return sb.kernel()
+
+
+def conjugation_orbits(members, gens) -> list[tuple[WreathElem, set]]:
+    """(first member, orbit) for each conjugation orbit of the group that gens generate.
+
+    Each orbit is one `reach` walk under conjugation by the generators;
+    orbits come in the order of their first members in members.
+    """
+    gen_pairs = [(g, wreath_inv(g)) for g in gens]
+
+    def conjugates(y):
+        return (wreath_mul(wreath_mul(g, y), ginv) for g, ginv in gen_pairs)
+
+    unseen = set(members)
+    out = []
+    for x in members:
+        if x in unseen:
+            orbit = reach([x], conjugates)
+            unseen -= orbit
+            out.append((x, orbit))
+    return out
+
+
+def conjugacy_classes_of(members, gens) -> tuple[tuple[WreathElem, int], ...]:
+    """(representative, class size) pairs by walking the conjugation orbits."""
+    return tuple((x, len(orbit)) for x, orbit in conjugation_orbits(members, gens))
+
+
+def cyc_inner_product(classes, alpha, beta_bar) -> Cyc:
+    """(1/|G|) sum over classes of size * alpha * beta_bar, one Cyc product and scale per class."""
+    acc = Cyc.zero(classes[0][0].ell)
+    for (_rep, size), a, b in zip(classes, alpha, beta_bar):
+        acc = acc + (a * b).scale(size)
+    return acc.scale(Fraction(1, sum(size for _rep, size in classes)))

@@ -247,6 +247,35 @@ def test_invalid_parameters_are_usage_errors(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("kk-not-a-divisor", "error: --kk must be a positive divisor of --ell (4)"),
+        ("m-zero", "error: --m must be >= 1"),
+        ("unreadable-config", "error: cannot read config: "),
+        ("malformed-config", "error: cannot read config: "),
+        ("jobs-zero", "error: --jobs must be >= 1"),
+    ],
+)
+def test_shift_duality_config_and_jobs_errors_are_usage_errors(tmp_path, capsys, case, message):
+    # each input ends with exit 2, one error line on stderr and nothing on stdout
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"ell": 2,')
+    argv = {
+        "kk-not-a-divisor": ["schur-weyl", "--shift-duality", "--ell", "4", "--kk", "3", "--m", "1", "--d", "2"],
+        "m-zero": ["schur-weyl", "--shift-duality", "--ell", "4", "--kk", "2", "--m", "0", "--d", "2"],
+        "unreadable-config": ["--config", str(tmp_path / "missing.json"), "verify-iso"],
+        "malformed-config": ["--config", str(malformed), "verify-iso"],
+        "jobs-zero": ["all", "--jobs", "0"],
+    }[case]
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith(message) and "Traceback" not in err
+
+
 def test_cap_is_checked_before_modules_are_built(capsys):
     t0 = time.perf_counter()
     code, _out = run_cli(["gelfand", "--ell", "5", "--d", "6"])

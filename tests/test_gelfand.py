@@ -1,5 +1,5 @@
 from groupoidreps.algebra import phi
-from groupoidreps.cyclo import Cyc
+from groupoidreps.cyclo import Cyc, root_of_unity
 from groupoidreps.gelfand import GelfandModel, build_gelfand, inv_statistic, involutions, verify_gelfand
 from groupoidreps.groupoid import compose, hom, identity_morphism
 from groupoidreps.perms import compose_perms, identity_perm
@@ -103,3 +103,16 @@ def test_verify_gelfand_reports_a_rational_multiplicity_exactly(monkeypatch):
     assert check["status"] == "fail"
     got = {tuple(map(tuple, row["label"])): row["multiplicity"] for row in check["details"]["multiplicities"]}
     assert got == {tuple(map(tuple, m.label_json())): "['5/4']" if m.total_dim == 2 else "['9/8']" for m in all_simples(ell, d)}
+
+
+def test_verify_gelfand_reports_a_non_rational_multiplicity_exactly(monkeypatch):
+    # xi_3 more at the identity of (3,1) adds xi * chi_p(1) / |G| = xi/3 to
+    # every multiplicity: 1 + xi/3, reported by its power-basis coordinates
+    ell, d = 3, 1
+    real = GelfandModel.char_wreath
+    unit = wreath_identity(ell, d)
+    xi = root_of_unity(ell, 1)
+    monkeypatch.setattr(GelfandModel, "char_wreath", lambda self, x: real(self, x) + xi if x == unit else real(self, x))
+    check = next(c for c in verify_gelfand(ell, d)["checks"] if c["name"] == "every simple has multiplicity exactly 1")
+    assert check["status"] == "fail"
+    assert [row["multiplicity"] for row in check["details"]["multiplicities"]] == ["['1/1', '1/3']"] * 3

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -23,6 +24,7 @@ from groupoidreps.simples import (
     young_induction_check,
 )
 from groupoidreps.wreath import enum_group, generators, wreath_identity, wreath_inv, wreath_mul
+from reference import cyc_inner_product
 
 
 def test_dimensions_by_example():
@@ -147,6 +149,56 @@ def test_simple_characters_are_orthonormal(ell, d):
         for j, psi in enumerate(table):
             val = inner_product(classes, chi, [v.conjugate() for v in psi])
             assert val == Cyc.rational(ell, 1 if i == j else 0), (i, j)
+
+
+@pytest.mark.parametrize("ell,d", [(2, 3), (3, 3), (4, 3), (5, 2), (6, 2)])
+def test_inner_product_matches_the_cyc_product_reference_on_every_table_pair(ell, d):
+    classes = conjugacy_classes(ell, d)
+    table = character_table(ell, d)
+    for chi in table:
+        for psi in table:
+            psi_bar = [v.conjugate() for v in psi]
+            assert inner_product(classes, chi, psi_bar) == cyc_inner_product(classes, chi, psi_bar)
+
+
+@pytest.mark.parametrize("ell,d", [(1, 2), (3, 2), (4, 2), (5, 1), (6, 2)])
+def test_inner_product_matches_the_reference_on_rational_denominators(ell, d):
+    # class functions whose values have den != 1 enter as Fraction bins; the
+    # 1/7 keeps every coefficient off the integers
+    rng = random.Random(ell * 10 + d)
+    classes = conjugacy_classes(ell, d)
+    n = len(Cyc.one(ell).num)
+
+    def value():
+        return Cyc(ell, [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) + Fraction(1, 7) for _ in range(n)])
+
+    for _ in range(5):
+        alpha = [value() for _ in classes]
+        beta_bar = [value() for _ in classes]
+        assert inner_product(classes, alpha, beta_bar) == cyc_inner_product(classes, alpha, beta_bar)
+
+
+def test_inner_product_forms_no_cyc_product_and_scales_once(monkeypatch):
+    ell, d = 4, 3
+    classes = conjugacy_classes(ell, d)
+    chi, psi = character_table(ell, d)[3:5]
+    psi_bar = [v.conjugate() for v in psi]
+    counts = {"mul": 0, "scale": 0}
+    real_mul, real_scale = Cyc.__mul__, Cyc.scale
+
+    def counted(name, real):
+        def wrapper(self, other):
+            counts[name] += 1
+            return real(self, other)
+
+        return wrapper
+
+    monkeypatch.setattr(Cyc, "__mul__", counted("mul", real_mul))
+    monkeypatch.setattr(Cyc, "scale", counted("scale", real_scale))
+    val = inner_product(classes, chi, psi_bar)
+    assert counts == {"mul": 0, "scale": 1}
+    monkeypatch.undo()
+    assert val == cyc_inner_product(classes, chi, psi_bar)
 
 
 def test_trivial_character():

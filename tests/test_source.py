@@ -198,13 +198,37 @@ def _calls_by_function(tree, attr):
 
 def test_exponent_bins_are_reduced_only_in_phi_trace():
     # every character value is one phi_trace call: the traces of Phi(x) are
-    # binned per exponent and reduced in that one place
+    # binned per exponent and reduced in that one place; the one other
+    # reduction is inner_product's, once per product
     found = {
         (path.name, name)
         for path in sorted(SRC.glob("*.py"))
         for name in _calls_by_function(ast.parse(path.read_text(), filename=str(path)), "from_exponent_sums")
     }
-    assert found == {("simples.py", "phi_trace")}
+    assert found == {("simples.py", "phi_trace"), ("simples.py", "inner_product")}
+
+
+def test_inner_product_loop_makes_no_cyc_product_or_scale():
+    # the loop accumulates integer (or Fraction) exponent bins: no .scale or
+    # Cyc call in it, and no product of the class-function values themselves
+    tree = ast.parse((SRC / "simples.py").read_text(), filename="simples.py")
+    (func,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "inner_product"]
+    (loop,) = [n for n in func.body if isinstance(n, ast.For)]
+    values = {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)} - {"_rep", "size"}
+    assert values == {"a", "b"}
+    offenders = []
+    for node in ast.walk(loop):
+        if isinstance(node, ast.Attribute) and node.attr in ("scale", "from_exponent_sums"):
+            offenders.append(ast.unparse(node))
+        elif isinstance(node, ast.Name) and node.id == "Cyc":
+            offenders.append("Cyc")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            if {side.id for side in (node.left, node.right) if isinstance(side, ast.Name)} & values:
+                offenders.append(ast.unparse(node))
+    assert not offenders
+    calls = [ast.unparse(n.func) for n in ast.walk(func) if isinstance(n, ast.Call)]
+    assert sum(c.endswith(".scale") for c in calls) == 1
+    assert sum(c.endswith("from_exponent_sums") for c in calls) == 1
 
 
 def test_inner_product_is_defined_once():

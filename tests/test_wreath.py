@@ -4,11 +4,12 @@ from math import factorial
 import pytest
 
 from groupoidreps.cyclo import Cyc
+from groupoidreps.gkd import gkd_conjugacy_classes
 from groupoidreps.perms import reach
+from groupoidreps.simples import conjugacy_classes
 from groupoidreps.wreath import (
     WreathElem,
     check_presentation,
-    conjugacy_classes_of,
     det,
     embed_lower_rank,
     enum_group,
@@ -22,6 +23,7 @@ from groupoidreps.wreath import (
     wreath_inv,
     wreath_mul,
 )
+from reference import conjugacy_classes_of, conjugation_orbits
 
 
 def test_generators():
@@ -168,3 +170,34 @@ def test_conjugacy_classes_match_a_partition_by_all_conjugates(ell, d):
             seen |= cls
             expected.append((x, len(cls)))
     assert conjugacy_classes_of(group, generators(ell, d)) == tuple(expected)
+
+
+def _assert_closed_form_matches_orbits(closed, members, gens):
+    # each representative lies in exactly one orbit, with that orbit's size,
+    # and every orbit is hit once
+    orbits = [orbit for _first, orbit in conjugation_orbits(members, gens)]
+    hits = [0] * len(orbits)
+    for rep, size in closed:
+        (i,) = [i for i, orbit in enumerate(orbits) if rep in orbit]
+        assert size == len(orbits[i]), rep
+        hits[i] += 1
+    assert hits == [1] * len(orbits)
+
+
+@pytest.mark.parametrize("ell,d", [(1, 0), (3, 0), (2, 1), (1, 4), (2, 4), (3, 4), (4, 4), (2, 5), (5, 2)])
+def test_closed_form_classes_match_the_orbit_route(ell, d):
+    _assert_closed_form_matches_orbits(conjugacy_classes(ell, d), enum_group(ell, d), generators(ell, d) if d else [])
+
+
+@pytest.mark.parametrize(
+    "ell,k,d", [(2, 2, 4), (4, 4, 4), (6, 2, 3), (6, 3, 2), (4, 2, 4), (6, 6, 3), (2, 2, 1), (1, 1, 3)]
+)
+def test_closed_form_gkd_classes_match_the_orbit_route(ell, k, d):
+    _assert_closed_form_matches_orbits(gkd_conjugacy_classes(ell, k, d), gkd_elements(ell, k, d), gkd_generators(ell, k, d))
+
+
+def test_gkd_classes_reject_bad_parameters():
+    with pytest.raises(ValueError, match="divisor"):
+        gkd_conjugacy_classes(4, 3, 2)
+    with pytest.raises(ValueError, match="d >= 1"):
+        gkd_conjugacy_classes(2, 2, 0)
