@@ -4,8 +4,8 @@ kernel_basis is the null space read off the one elimination engine; no
 library path needs it, since every commutant is one call to
 cyclo.intertwiners.  conjugation_orbits and conjugacy_classes_of partition
 a group into conjugation orbits by walking them, the route that the
-closed-form classes of simples and gkd replace.  cyc_inner_product is the inner product with one
-Cyc product and one scale per class.
+closed-form classes of simples and gkd replace.  cyc_inner_product is the
+inner product with one Cyc product and one scale per class.
 """
 
 from fractions import Fraction
