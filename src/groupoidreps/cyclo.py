@@ -149,7 +149,10 @@ class Cyc:
     @staticmethod
     def from_exponent_sums(ell: int, sums) -> "Cyc":
         """sum_e sums[e] * xi_l^e for rationals sums[0..l-1], reduced once."""
-        bins, den = _rationals(list(sums))
+        sums = list(sums)
+        if all(type(q) is int for q in sums):
+            return _fold(ell, sums, 1)
+        bins, den = _rationals(sums)
         return _fold(ell, bins, den)
 
     # -- ring/field structure ---------------------------------------------

@@ -65,23 +65,22 @@ class GelfandModel:
         sign = -1 if inv_statistic(sigma, w) % 2 else 1
         return sign, conj
 
-    def char_wreath(self, x: WreathElem) -> Cyc:
-        """Trace of the action of Phi(x) on the model, by phi_trace.
+    def block_trace(self, g, perm: tuple[int, ...]) -> int:
+        """The signed count of the involutions w of g that sigma = (g, g, perm) fixes.
 
-        At an object g fixed by x, sigma = perm(x) fixes the involution w
-        exactly when sigma w = w sigma, and contributes its sign.
+        sigma w sigma^(-1) = w exactly when sigma w = w sigma, and then w
+        contributes its sign.
         """
-        perm, d = x.perm, self.d
+        sigma, tr = GMorphism(g, g, perm), 0
+        for w in self.basis[g]:
+            wp = w.perm
+            if all(perm[wp[i] - 1] == wp[perm[i] - 1] for i in range(self.d)):
+                tr += -1 if inv_statistic(sigma, w) % 2 else 1
+        return tr
 
-        def block_trace(g) -> int:
-            sigma, tr = GMorphism(g, g, perm), 0
-            for w in self.basis[g]:
-                wp = w.perm
-                if all(perm[wp[i] - 1] == wp[perm[i] - 1] for i in range(d)):
-                    tr += -1 if inv_statistic(sigma, w) % 2 else 1
-            return tr
-
-        return phi_trace(x, self.objects, block_trace)
+    def char_wreath(self, x: WreathElem) -> Cyc:
+        """Trace of the action of Phi(x) on the model, by phi_trace."""
+        return phi_trace(x, self.block_trace)
 
 
 @lru_cache(maxsize=None)

@@ -708,8 +708,10 @@ def restriction_check(ell: int, k: int, d: int) -> dict:
     reps = gkd_conjugacy_classes(ell, k, d)
     lpm_conj = {key: [v.conjugate() for v in mod.class_character] for key, mod in mods.items()}
     checks = []
-    for simple in all_simples(ell, d):
-        chi_res = [simple.char_wreath(rep) for rep, _ in reps]
+    # class by class, so every simple at one representative reads the same fixed_objects groups
+    simples = all_simples(ell, d)
+    by_class = [[simple.char_wreath(rep) for simple in simples] for rep, _ in reps]
+    for simple, chi_res in zip(simples, zip(*by_class)):
         # expected labels: lambda* is the least shape in the H_k-orbit of p,
         # p* the least orbit member of shape lambda*
         orbit = {_rotate_multipartition(simple.p, t * Q.shift) for t in range(k)}

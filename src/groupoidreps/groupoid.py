@@ -9,6 +9,7 @@ have lambda! elements.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations, product
 from typing import NamedTuple
 
@@ -44,9 +45,6 @@ class GMorphism(NamedTuple):
 
     def to_json(self) -> dict:
         return {"source": list(self.source), "target": list(self.target), "perm": list(self.perm)}
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)

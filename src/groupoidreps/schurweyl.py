@@ -108,18 +108,17 @@ class TensorSpace:
         n = len(self.basis)
         return Mat.from_entries(self.ell, n, n, entries)
 
-    def character(self, x: WreathElem) -> Cyc:
-        """chi_V(x), the trace of Phi(x) on V^(x d), by phi_trace.
+    def block_trace(self, g, perm: tuple[int, ...]) -> int:
+        """The trace of sigma_(g, g) with permutation perm on block g.
 
-        The permutation of sigma_(g, g) fixes exactly the basis tensors b of
-        block g with b o perm = b, so its block trace counts them.
+        It fixes exactly the basis tensors b of block g with b o perm = b, so
+        the trace counts them.
         """
-        perm = x.perm
+        return sum(all(b[p - 1] == v for p, v in zip(perm, b)) for b in self.block_of[g])
 
-        def block_trace(g) -> int:
-            return sum(all(b[p - 1] == v for p, v in zip(perm, b)) for b in self.block_of[g])
-
-        return phi_trace(x, self.block_of, block_trace)
+    def character(self, x: WreathElem) -> Cyc:
+        """chi_V(x), the trace of Phi(x) on V^(x d), by phi_trace (every color function is a block)."""
+        return phi_trace(x, self.block_trace)
 
 
 def _once_per_space(build):

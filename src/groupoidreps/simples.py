@@ -13,9 +13,15 @@ acts on S_p by its outer-Specht matrix.
 Characters are taken through the isomorphism with C[S(l,d)]: the character
 of x is the trace of the action of Phi(x), read off its monomial form by
 `phi_trace`, the one trace routine (the Gelfand model and the tensor space
-use it too).  A class function is a tuple in the order of its class list, and
-`inner_product` is the one inner product; it reads each value's power-basis
-numerators as exponent bins and reduces once per product.
+use it too).  The diagonal blocks of Phi(x) sit at the objects g constant on
+each cycle of x, and there the block acts by sigma_(g, g), an element of
+End(g) = prod_c S_(lambda_c).  Its trace is a class function of that
+product, so it depends only on the cycle lengths of x in each color of g:
+`fixed_objects` lists the fixed objects by that End(g)-class, and each
+module takes one block trace per class.  A class function is a tuple in the
+order of its class list, and `inner_product` is the one inner product; it
+reads each value's power-basis numerators as exponent bins and reduces once
+per product.
 
 Conjugacy classes come in closed form, with no group enumeration: the classes
 of C_l wr S_d are indexed by colored cycle types, the multisets of (cycle
@@ -29,8 +35,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import factorial, prod
-from operator import mul
+from operator import add
 
 from .cyclo import Cyc, Mat, intertwiners
 from .groupoid import (
@@ -61,6 +68,7 @@ __all__ = [
     "build_simple",
     "colored_classes",
     "conjugacy_classes",
+    "fixed_objects",
     "phi_trace",
     "character_table",
     "inner_product",
@@ -123,7 +131,9 @@ class SimpleModule:
                 entries += ((ij, coeff * v) for ij, v in self.action_block(m).entries(r0, c0))
         return Mat.from_entries(self.ell, self.total_dim, self.total_dim, entries)
 
-    def _block_trace(self, w: tuple[int, ...]) -> int:
+    def block_trace(self, g, perm: tuple[int, ...]) -> int:
+        """The trace of the endomorphism of g with permutation perm on its block."""
+        w = self.transported(GMorphism(g, g, perm))
         t = self._trace_cache.get(w)
         if t is None:
             t = self._trace_cache[w] = self.outer.trace_of_blockperm(w)
@@ -131,8 +141,7 @@ class SimpleModule:
 
     def char_wreath(self, x: WreathElem) -> Cyc:
         """Character of x in C[S(l,d)]: the trace of the action of Phi(x), by phi_trace."""
-        perm = x.perm
-        return phi_trace(x, self.objects, lambda g: self._block_trace(self.transported(GMorphism(g, g, perm))))
+        return phi_trace(x, self.block_trace, self.lam)
 
     def label_json(self) -> list:
         return [list(pi) for pi in self.p]
@@ -206,21 +215,91 @@ def conjugacy_classes(ell: int, d: int) -> tuple[tuple[WreathElem, int], ...]:
     return tuple((rep, size) for _cycles, rep, size in colored_classes(ell, d))
 
 
-def phi_trace(x: WreathElem, objs, block_trace) -> Cyc:
-    """The trace of Phi(x) on a module with one block per object of objs.
+@lru_cache(maxsize=None)
+def _colorings(ell: int, m: int) -> tuple[tuple[tuple[int, ...], int, int, tuple[int, ...]], ...]:
+    """(n, m!/prod n_a!, sum a n_a, the colors a repeated n_a times) per composition n of m into l parts."""
+    out = []
+    for n in compositions(ell, m):
+        colors = tuple(a for a, na in enumerate(n, 1) for _ in range(na))
+        out.append((n, factorial(m) // prod(map(factorial, n)), sum(colors), colors))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1)
+def fixed_objects(x: WreathElem) -> dict[tuple[int, ...], tuple]:
+    """The objects g with g o perm = g, one representative per End(g)-class.
+
+    g is fixed exactly when it is constant on each cycle of perm.  Cycles of
+    one kind (length r, color sum c) are interchangeable, so the colorings
+    of a kind with m cycles come in groups, one per composition n of m into
+    l parts (n_a cycles of color a), each of m!/prod n_a! objects; a group
+    adds c * sum a n_a to the exponent sum_j c_j g(j).  Groups with equal
+    cycle lengths in every color give conjugate endomorphisms sigma_(g, g),
+    so they are merged: the result maps each type lambda to (g, counts)
+    pairs, one per such class, counts[e] being the number of its objects
+    with exponent e mod l.  The cache holds one element, since the modules
+    evaluated at one element share its groups.
+    """
+    ell, perm, colors = x
+    kinds: dict[tuple[int, int], list[list[int]]] = {}
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        cycle, c, p = [], 0, start
+        while not seen[p]:
+            seen[p] = True
+            cycle.append(p)
+            c += colors[p]
+            p = perm[p] - 1
+        if cycle:
+            kinds.setdefault((len(cycle), c % ell), []).append(cycle)
+    # per-color cycle lengths -> (colors of the cycles so far, counts per exponent);
+    # kinds come in increasing r, so appending keeps each color's lengths sorted
+    groups = {((),) * ell: ((), [1] + [0] * (ell - 1))}
+    for (r, c), cycles in sorted(kinds.items()):
+        merged = {}
+        for n, size, weight, coloring in _colorings(ell, len(cycles)):
+            added, shift = tuple((r,) * na for na in n), c * weight
+            for lengths, (assigned, counts) in groups.items():
+                key = tuple(map(add, lengths, added))
+                if key not in merged:
+                    merged[key] = (assigned + coloring, [0] * ell)
+                bins = merged[key][1]
+                for e, cnt in enumerate(counts):
+                    if cnt:
+                        bins[(e + shift) % ell] += size * cnt
+        groups = merged
+    order = [cycle for _kind, cycles in sorted(kinds.items()) for cycle in cycles]
+    out: dict[tuple[int, ...], list] = {}
+    for lengths, (assigned, counts) in groups.items():
+        g = [0] * len(perm)
+        for cycle, a in zip(order, assigned):
+            for p in cycle:
+                g[p] = a
+        out.setdefault(tuple(map(sum, lengths)), []).append((tuple(g), tuple(counts)))
+    return {lam: tuple(pairs) for lam, pairs in out.items()}
+
+
+def phi_trace(x: WreathElem, block_trace, lam=None) -> Cyc:
+    """The trace of Phi(x) on a module with one block per object of type lam (None: every object).
 
     The term of Phi(x) at g is xi^e sigma_(g o perm, g), a diagonal block
-    exactly when g o perm = g, and then e = sum_j c_j g(j).  block_trace(g)
-    is the integer trace of sigma_(g, g) with permutation perm on the block
-    at g; the traces are summed per exponent e mod l and reduced once.
+    exactly when g o perm = g, and then e = sum_j c_j g(j).  block_trace(g,
+    perm) is the integer trace of sigma_(g, g) on the block at g.  The
+    module is a functor, so that trace is a class function of End(g) =
+    prod_c S_(lambda_c): it depends only on the cycle lengths of perm in each
+    color of g.  It is taken once per such class of fixed objects
+    (`fixed_objects`), weighted by the class's count in each exponent bin,
+    and the bins are reduced once.
     """
-    ell, perm, colors = x.ell, x.perm, x.colors
+    ell, perm = x.ell, x.perm
+    groups = fixed_objects(x)
+    chosen = groups.get(lam, ()) if lam is not None else chain.from_iterable(groups.values())
     sums = [0] * ell
-    for g in objs:
-        if all(g[p - 1] == c for p, c in zip(perm, g)):
-            tr = block_trace(g)
-            if tr:
-                sums[sum(map(mul, colors, g)) % ell] += tr
+    for g, counts in chosen:
+        tr = block_trace(g, perm)
+        if tr:
+            for e, n in enumerate(counts):
+                sums[e] += tr * n
     return Cyc.from_exponent_sums(ell, sums)
 
 
@@ -258,13 +337,18 @@ def _exponent_bins(v: Cyc):
 def character_table(ell: int, d: int) -> tuple[tuple[Cyc, ...], ...]:
     """The simple characters at (l, d), in all_simples order, on conjugacy_classes(l, d).
 
-    Each character is evaluated once per class representative.  Equal values
-    share one Cyc, which keeps the cached table small: at (4, 4) its 11025
-    entries take 63 distinct values.
+    Each character is evaluated once per class representative, class by
+    class, so every module at one representative reads the same
+    fixed_objects groups.  Equal values share one Cyc, which keeps the
+    cached table small: at (4, 4) its 11025 entries take 63 distinct values.
     """
     shared: dict[Cyc, Cyc] = {}
-    reps = [rep for rep, _size in conjugacy_classes(ell, d)]
-    return tuple(tuple(shared.setdefault(v, v) for v in map(m.char_wreath, reps)) for m in all_simples(ell, d))
+    mods = all_simples(ell, d)
+    columns = [
+        [shared.setdefault(v, v) for v in (m.char_wreath(rep) for m in mods)]
+        for rep, _size in conjugacy_classes(ell, d)
+    ]
+    return tuple(zip(*columns))
 
 
 def total_dim_check(mod: SimpleModule) -> bool:

@@ -5,10 +5,13 @@ library path needs it, since every commutant is one call to
 cyclo.intertwiners.  conjugation_orbits and conjugacy_classes_of partition
 a group into conjugation orbits by walking them, the route that the
 closed-form classes of simples and gkd replace.  cyc_inner_product is the
-inner product with one Cyc product and one scale per class.
+inner product with one Cyc product and one scale per class.  scan_phi_trace
+is the trace of Phi(x) by a scan of every object, the route that the
+End(g)-class groups of simples.fixed_objects replace.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from groupoidreps.cyclo import Cyc, SpanBasis
 from groupoidreps.perms import reach
@@ -55,3 +58,15 @@ def cyc_inner_product(classes, alpha, beta_bar) -> Cyc:
     for (_rep, size), a, b in zip(classes, alpha, beta_bar):
         acc = acc + (a * b).scale(size)
     return acc.scale(Fraction(1, sum(size for _rep, size in classes)))
+
+
+def scan_phi_trace(x: WreathElem, objs, block_trace) -> Cyc:
+    """The trace of Phi(x) by testing g o perm = g at every object g of objs, one block trace each."""
+    ell, perm, colors = x.ell, x.perm, x.colors
+    sums = [0] * ell
+    for g in objs:
+        if all(g[p - 1] == c for p, c in zip(perm, g)):
+            tr = block_trace(g, perm)
+            if tr:
+                sums[sum(map(mul, colors, g)) % ell] += tr
+    return Cyc.from_exponent_sums(ell, sums)

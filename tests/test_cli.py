@@ -2,13 +2,19 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from groupoidreps import cli
 from groupoidreps.cli import main, run_task
 from groupoidreps.reporting import checks_payload, emit, exit_code, make_report, report_ok
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv):
@@ -211,6 +217,19 @@ def test_all_payload_is_pinned():
     code, out = run_cli(["all", "--out", "json"])
     rep = json.loads(out)
     assert code == 0 and len(rep["checks"]) == 802
+    assert hashlib.sha256(checks_payload(rep).encode()).hexdigest() == ALL_PAYLOAD_SHA256
+
+
+def test_all_payload_is_pinned_under_python_O():
+    # invariants hold without assert statements: the same payload under -O
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "groupoidreps", "all", "--out", "json"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert len(rep["checks"]) == 802
     assert hashlib.sha256(checks_payload(rep).encode()).hexdigest() == ALL_PAYLOAD_SHA256
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupoidreps import cyclo
 from groupoidreps.cyclo import (
     Cyc,
     LinSolver,
@@ -57,6 +58,27 @@ def test_from_exponent_sums_matches_scaled_root_sum():
             got = Cyc.from_exponent_sums(ell, sums)
             assert got == expected
             assert all(isinstance(c, Fraction) for c in got.coeffs)
+
+
+def test_from_exponent_sums_int_fast_path_matches_the_rational_route(monkeypatch):
+    # int bins skip _rationals and fold over den 1; the generic route gives the same value
+    rng = random.Random(5)
+    for ell in range(1, 7):
+        for _ in range(30):
+            sums = [rng.randint(-9, 9) for _ in range(ell)]
+            bins, den = cyclo._rationals(sums)
+            generic = cyclo._fold(ell, bins, den)
+            got = Cyc.from_exponent_sums(ell, sums)
+            assert (got.num, got.den) == (generic.num, generic.den)
+            assert all(type(v) is int for v in got.num)
+    expected = Cyc(3, [1, 0]) + root_of_unity(3, 1).scale(Fraction(1, 2))
+    calls = []
+    real = cyclo._rationals
+    monkeypatch.setattr(cyclo, "_rationals", lambda values: calls.append(list(values)) or real(values))
+    Cyc.from_exponent_sums(3, [1, -2, 0])
+    assert calls == []
+    assert Cyc.from_exponent_sums(3, [1, Fraction(1, 2), 0]) == expected
+    assert calls == [[1, Fraction(1, 2), 0]]
 
 
 def test_root_orders():

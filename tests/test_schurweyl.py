@@ -16,7 +16,7 @@ from groupoidreps.schurweyl import (
 )
 from groupoidreps.simples import all_simples, character_table, conjugacy_classes, inner_product
 from groupoidreps.wreath import enum_group, wreath_identity, wreath_inv
-from reference import kernel_basis
+from reference import kernel_basis, scan_phi_trace
 
 TENSOR_GRID = [
     (1, (2,), 2),
@@ -404,6 +404,13 @@ def test_character_is_the_trace_of_the_phi_action(ell, kvec, d):
     T = TensorSpace(ell, kvec, d)
     for rep, _size in conjugacy_classes(ell, d):
         assert T.character(rep) == T.act_full(phi(rep, d)).trace(), rep
+
+
+@pytest.mark.parametrize("ell,kvec,d", TENSOR_GRID + [(3, (1, 2, 1), 2)])
+def test_character_matches_the_object_scan_on_every_element(ell, kvec, d):
+    T = TensorSpace(ell, kvec, d)
+    for x in enum_group(ell, d):
+        assert T.character(x) == scan_phi_trace(x, T.block_of, T.block_trace), x
 
 
 def test_kernel_check_builds_no_dense_matrix(monkeypatch):

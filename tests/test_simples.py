@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -6,6 +7,7 @@ import pytest
 
 from groupoidreps import simples
 from groupoidreps.algebra import phi
+from groupoidreps.cli import BRANCHING_GRID, GELFAND_WINDOW, GKD_GRID, ISO_GRID
 from groupoidreps.cyclo import Cyc, Mat
 from groupoidreps.gelfand import build_gelfand
 from groupoidreps.groupoid import canonical_morphism, compose, hom, identity_morphism, objects, type_of
@@ -16,15 +18,21 @@ from groupoidreps.simples import (
     build_simple,
     character_table,
     conjugacy_classes,
+    fixed_objects,
     inner_product,
+    phi_trace,
     removable_node_restrictions,
     restriction_multiplicities,
     total_dim_check,
     verify_complete,
     young_induction_check,
 )
+from groupoidreps.gkd import gkd_conjugacy_classes
 from groupoidreps.wreath import enum_group, generators, wreath_identity, wreath_inv, wreath_mul
-from reference import cyc_inner_product
+from reference import cyc_inner_product, scan_phi_trace
+
+# the (l, d) points of the default simples, branching, gelfand and gkd grids
+GRID_POINTS = sorted(set(ISO_GRID + BRANCHING_GRID + GELFAND_WINDOW + [(ell, d) for ell, _k, d in GKD_GRID]))
 
 
 def test_dimensions_by_example():
@@ -123,7 +131,8 @@ def test_character_table_calls_char_wreath_once_per_class_representative(monkeyp
         monkeypatch.setattr(SimpleModule, "char_wreath", real)
         reps = [rep for rep, _size in conjugacy_classes(ell, d)]
         mods = all_simples(ell, d)
-        assert calls == [(m.p, rep) for m in mods for rep in reps]
+        # class-major: every module at one representative, then the next representative
+        assert calls == [(m.p, rep) for rep in reps for m in mods]
         assert table == tuple(tuple(m.char_wreath(rep) for rep in reps) for m in mods)
 
 
@@ -258,6 +267,92 @@ def test_char_wreath_is_trace_of_phi_action():
         for mod in all_simples(ell, d):
             for x in group:
                 assert mod.char_wreath(x) == mod.act_alg(phi(x)).trace(), (mod.p, x)
+
+
+def _grouped_and_scanned(ell, d, elements):
+    """(grouped, scanned) traces of every simple and the Gelfand model at each element."""
+    model = build_gelfand(ell, d)
+    for x in elements:
+        yield model.char_wreath(x), scan_phi_trace(x, model.objects, model.block_trace)
+        for mod in all_simples(ell, d):
+            yield mod.char_wreath(x), scan_phi_trace(x, mod.objects, mod.block_trace)
+
+
+@pytest.mark.parametrize("ell,d", GRID_POINTS)
+def test_grouped_traces_match_the_object_scan_on_the_grid(ell, d):
+    # at every class representative of S(l,d), and of each G(l,k,d) of the gkd grid
+    elements = [rep for rep, _size in conjugacy_classes(ell, d)]
+    elements += [rep for e, k, n in GKD_GRID if (e, n) == (ell, d) for rep, _size in gkd_conjugacy_classes(e, k, n)]
+    for grouped, scanned in _grouped_and_scanned(ell, d, elements):
+        assert grouped == scanned
+
+
+@pytest.mark.parametrize("ell,d", [(2, 3), (3, 2), (4, 2), (1, 0), (3, 0)])
+def test_grouped_traces_match_the_object_scan_on_every_element(ell, d):
+    for grouped, scanned in _grouped_and_scanned(ell, d, enum_group(ell, d)):
+        assert grouped == scanned
+
+
+def _cycles(perm):
+    """The cycles of a one-line permutation, as lists of 0-based positions."""
+    seen, out = set(), []
+    for start in range(len(perm)):
+        cycle, p = [], start
+        while p not in seen:
+            seen.add(p)
+            cycle.append(p)
+            p = perm[p] - 1
+        if cycle:
+            out.append(cycle)
+    return out
+
+
+def _color_cycle_lengths(perm, g, ell):
+    """For each color, the sorted lengths of the cycles of perm on which g takes that color."""
+    return tuple(tuple(sorted(len(c) for c in _cycles(perm) if g[c[0]] == a)) for a in range(1, ell + 1))
+
+
+FIXED_OBJECT_POINTS = [(1, 3), (2, 0), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (5, 2)]
+
+
+@pytest.mark.parametrize("ell,d", FIXED_OBJECT_POINTS)
+def test_fixed_objects_match_a_brute_force_grouping(ell, d):
+    for x in enum_group(ell, d):
+        groups = fixed_objects(x)
+        assert sum(map(sum, (counts for pairs in groups.values() for _g, counts in pairs))) == ell ** len(_cycles(x.perm))
+        got = Counter()
+        for lam, pairs in groups.items():
+            keys = [_color_cycle_lengths(x.perm, g, ell) for g, _counts in pairs]
+            assert len(set(keys)) == len(keys)  # merged: one representative per End(g)-class
+            for (g, counts), key in zip(pairs, keys):
+                assert all(g[p - 1] == c for p, c in zip(x.perm, g)) and type_of(g, ell) == lam
+                got.update({(lam, key, e): n for e, n in enumerate(counts) if n})
+        expected = Counter(
+            (type_of(g, ell), _color_cycle_lengths(x.perm, g, ell), sum(c * v for c, v in zip(x.colors, g)) % ell)
+            for g in objects(ell, d)
+            if all(g[p - 1] == c for p, c in zip(x.perm, g))
+        )
+        assert got == expected, x
+
+
+def test_phi_trace_takes_one_block_trace_per_group():
+    for ell, d in [(2, 3), (3, 2), (4, 2)]:
+        for x in enum_group(ell, d):
+            for lam in [None, *fixed_objects(x)]:
+                calls = []
+                phi_trace(x, lambda g, perm: calls.append((g, perm)) or 1, lam)
+                groups = fixed_objects(x)
+                chosen = groups[lam] if lam is not None else [pair for pairs in groups.values() for pair in pairs]
+                assert calls == [(g, x.perm) for g, _counts in chosen]
+
+
+def test_character_table_computes_fixed_objects_once_per_class():
+    mods = all_simples(4, 4)
+    fixed_objects.cache_clear()
+    character_table.__wrapped__(4, 4)
+    info = fixed_objects.cache_info()
+    assert info.misses == len(conjugacy_classes(4, 4))
+    assert info.hits == (len(mods) - 1) * info.misses
 
 
 def test_transports_are_canonical_morphisms():
