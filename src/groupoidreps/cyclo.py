@@ -150,9 +150,7 @@ class Cyc:
     def from_exponent_sums(ell: int, sums) -> "Cyc":
         """sum_e sums[e] * xi_l^e for rationals sums[0..l-1], reduced once."""
         sums = list(sums)
-        if all(type(q) is int for q in sums):
-            return _fold(ell, sums, 1)
-        bins, den = _rationals(sums)
+        bins, den = (sums, 1) if all(type(q) is int for q in sums) else _rationals(sums)
         return _fold(ell, bins, den)
 
     # -- ring/field structure ---------------------------------------------
