@@ -10,6 +10,7 @@ from groupoidreps.algebra import phi
 from groupoidreps.cli import BRANCHING_GRID, GELFAND_WINDOW, GKD_GRID, ISO_GRID
 from groupoidreps.cyclo import Cyc, Mat
 from groupoidreps.gelfand import build_gelfand
+from groupoidreps.gkd import gkd_conjugacy_classes
 from groupoidreps.groupoid import canonical_morphism, compose, hom, identity_morphism, objects, type_of
 from groupoidreps.simples import (
     SimpleModule,
@@ -27,7 +28,6 @@ from groupoidreps.simples import (
     verify_complete,
     young_induction_check,
 )
-from groupoidreps.gkd import gkd_conjugacy_classes
 from groupoidreps.wreath import enum_group, generators, wreath_identity, wreath_inv, wreath_mul
 from reference import cyc_inner_product, scan_phi_trace
 
