@@ -502,8 +502,9 @@ class SpanBasis:
         p = min(v, default=width)
         if p >= width:
             return False
-        inv = v.pop(p).inverse()
-        if not inv.is_one():
+        pivot = v.pop(p)
+        if not pivot.is_one():
+            inv = pivot.inverse()
             v = {j: c * inv for j, c in v.items()}
         for row in self._rows.values():
             c = row.pop(p, None)
@@ -602,14 +603,15 @@ def intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[list[Cyc]]:
             raise ValueError(f"action {s} -> {t} does not match the block sizes")
         xs, xt = offsets[s], offsets[t]
         a_cols = [[(xt + u, row[c]) for u, row in enumerate(A.rows) if any(row[c].num)] for c in range(ns)]
-        b_rows = [[(xs + u * ns, v) for u, v in enumerate(row) if any(v.num)] for row in B.rows]
+        # -B, negated once per action: entry (r, c) subtracts B X_s
+        b_rows = [[(xs + u * ns, -v) for u, v in enumerate(row) if any(v.num)] for row in B.rows]
         for r, b_row in enumerate(b_rows):
             for c, a_col in enumerate(a_cols):
                 # (X_t A)[r][c] = sum_u X_t[r][u] A[u][c];  (B X_s)[r][c] = sum_u B[r][u] X_s[u][c]
                 v = {j + r * nt: a for j, a in a_col}
-                for j, b in b_row:
+                for j, nb in b_row:
                     y = v.pop(j + c, None)
-                    y = -b if y is None else y - b
+                    y = nb if y is None else y + nb
                     if any(y.num):
                         v[j + c] = y
                 sb._insert(v, n)

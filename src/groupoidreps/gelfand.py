@@ -19,7 +19,7 @@ from .cyclo import Cyc
 from .groupoid import GMorphism, compose, hom, inverse, objects
 from .perms import compose_perms
 from .reporting import suite_result
-from .simples import all_simples, character_table, conjugacy_classes, inner_product, phi_trace
+from .simples import _exponent_bins, all_simples, character_table, conjugacy_classes, inner_product, phi_trace
 from .wreath import WreathElem
 
 __all__ = [
@@ -106,22 +106,21 @@ def verify_gelfand(ell: int, d: int) -> dict:
         }
     )
 
-    # Each simple character feeds its multiplicity and a running per-class
-    # sum, which must equal the model's character.
+    # Each simple character feeds its multiplicity; their per-class sum must
+    # equal the model's character.
     classes = conjugacy_classes(ell, d)
+    table = character_table(ell, d)
     chi_model = [model.char_wreath(rep) for rep, _size in classes]
     chi_model_bar = [v.conjugate() for v in chi_model]
-    chi_sum = [Cyc.zero(ell)] * len(classes)
     mult_table = []
     all_one = True
-    for m, chi in zip(simples, character_table(ell, d)):
+    for m, chi in zip(simples, table):
         val = inner_product(classes, chi, chi_model_bar).conjugate()  # <chi_M, chi_p> = conj <chi_p, chi_M>
         ok = val.is_rational() and val.rational_value() == 1
         all_one = all_one and ok
         # int() would truncate a rational: only an integer is reported as an int
         exact = int(val.rational_value()) if val.is_rational() and val.den == 1 else str(val.to_json()["coeffs"])
         mult_table.append({"label": m.label_json(), "multiplicity": exact})
-        chi_sum = [total + v for total, v in zip(chi_sum, chi)]
     checks.append(
         {
             "name": "every simple has multiplicity exactly 1",
@@ -130,6 +129,9 @@ def verify_gelfand(ell: int, d: int) -> dict:
         }
     )
 
+    # per class, the power-basis numerators of the simple characters summed
+    # as ints (Fractions where a denominator is not 1), then made one Cyc
+    chi_sum = [Cyc(ell, map(sum, zip(*map(_exponent_bins, values)))) for values in zip(*table)]
     diff_zero = chi_model == chi_sum
     checks.append(
         {"name": "gelfand character equals sum of simple characters", "status": "pass" if diff_zero else "fail"}

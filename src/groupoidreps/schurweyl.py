@@ -18,6 +18,12 @@ the Delta(E_aa).  The report checks the finite identity
 Every commutant, the one with the cyclic shift Z adjoined included, is one
 call to cyclo.intertwiners; ranks and span memberships use SpanBasis.  All
 elimination is exact.
+The large data stay sparse.  A morphism permutes the tensor basis, so it is
+kept as an index map: the commuting walk composes index maps, and each image
+span takes one entry per tensor.  The GL closure multiplies sparse vectors
+by the generators' nonzeros, read once per block.  Dense Mat products are
+left only in the exp identity, and dense Psi-matrices only in the shift
+duality (act_full).
 Whether the central idempotent of a simple p kills V^(x d) is read from
 characters: the algebra is semisimple, so it does iff <chi_V, chi_p> = 0,
 and chi_V is read off the monomial form of Phi (TensorSpace.character).
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, wraps
-from itertools import product
+from itertools import accumulate, product
 
 from .algebra import AlgElem
 from .cyclo import Cyc, Mat, SpanBasis, intertwiners
@@ -167,40 +173,61 @@ def glk_generators(T: TensorSpace) -> list[dict]:
     return gens
 
 
-def _blockdiag_identity(T: TensorSpace) -> dict:
-    return {f: Mat.identity(T.ell, len(bs)) for f, bs in T.block_of.items()}
+def glk_generated_algebra(T: TensorSpace) -> SpanBasis:
+    """The span of the unital algebra generated by the Leibniz embeddings.
 
+    A block-diagonal X is the vector of its blocks X_f, each row-major, in
+    sorted order of f: the layout of cyclo.intertwiners.  Exact span growth
+    by right multiplication only.  The span W holds 1, and x g is pushed for
+    every element x that enlarged W and every generator g, so W g lies in W
+    for each generator; hence W holds every word 1 g_1 ... g_r, and W is the
+    generated algebra.  This is the package's one span closure.
 
-def _blockdiag_mul(x: dict, y: dict) -> dict:
-    return {f: x[f] * y[f] for f in x}
-
-
-def _blockdiag_vector(T: TensorSpace, x: dict) -> list[Cyc]:
-    out = []
-    for f in sorted(x):
-        for row in x[f].rows:
-            out.extend(row)
-    return out
-
-
-def glk_generated_algebra(T: TensorSpace) -> list[dict]:
-    """Basis of the unital algebra generated by the Leibniz embeddings.
-
-    Exact span growth by right multiplication only.  The span W of the basis
-    holds 1, and x g is pushed for every basis element x and generator g, so
-    W g lies in W for each generator; hence W holds every word 1 g_1 ... g_r,
-    and W is the generated algebra.  This is the package's one span closure.
+    Each generator block is read once, as row maps j -> ((k, g_jk), ...) over
+    the rows of all blocks; x g sends the entry v of x at (f, i, j) to
+    v g_jk at (f, i, k), so no matrix product is formed.
     """
-    gens = glk_generators(T)
-    sb = SpanBasis(T.ell, sum(len(bs) ** 2 for bs in T.block_of.values()))
-    basis: list[dict] = []
-    frontier = [_blockdiag_identity(T)]
+    ell, one = T.ell, Cyc.one(T.ell)
+    objs = sorted(T.block_of)
+    starts = dict(zip(objs, accumulate((T.block_dim(f) for f in objs), initial=0)))
+    # vector position of (f, i, j) -> (position of (f, i, 0), row j of f among all blocks)
+    cells: list[tuple[int, int]] = []
+    identity = {}
+    for f in objs:
+        n, start = T.block_dim(f), starts[f]
+        for i in range(n):
+            base = len(cells)
+            identity[base + i] = one
+            cells += ((base, start + j) for j in range(n))
+    gens = []
+    for gen in glk_generators(T):
+        rows: dict[int, list[tuple[int, Cyc]]] = {}
+        for f in objs:
+            for (j, k), v in gen[f].entries():
+                rows.setdefault(starts[f] + j, []).append((k, v))
+        gens.append(rows)
+
+    def times(x: dict[int, Cyc], rows: dict) -> dict[int, Cyc]:
+        out: dict[int, Cyc] = {}
+        for p, v in x.items():
+            base, r = cells[p]
+            for k, w in rows.get(r, ()):
+                y, z = v * w, out.get(base + k)
+                out[base + k] = y if z is None else z + y
+        return {q: c for q, c in out.items() if any(c.num)}
+
+    sb = SpanBasis(ell, len(cells))
+    frontier = [identity]
     while frontier:
         x = frontier.pop()
-        if sb.add(_blockdiag_vector(T, x)):
-            basis.append(x)
-            frontier += (_blockdiag_mul(x, g) for g in gens)
-    return basis
+        if sb._insert(dict(x), sb.n):
+            frontier += (times(x, rows) for rows in gens)
+    return sb
+
+
+def _compose_index_maps(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
+    """The index map of A(outer) A(inner): j -> outer[inner[j]]."""
+    return tuple(outer[i] for i in inner)
 
 
 def verify_commuting(T: TensorSpace) -> dict:
@@ -208,14 +235,16 @@ def verify_commuting(T: TensorSpace) -> dict:
 
     A `gkd._closure` walk on the k = 1 quotient checks A(s o x) = A(s) A(x) on
     each step and reaches every morphism, so each A(m) is a word in the A(s)
-    and A(id).  Those permute the tensor basis: A(s) G_f = G_g A(s) says that
-    G_f relabelled along the index map of s is G_g.
+    and A(id).  Those permute the tensor basis, so each step compares index
+    maps (`morphism_index_map`), and A(s) G_f = G_g A(s) says that G_f
+    relabelled along the index map of s is G_g.
     """
-    Q, act = quotient_groupoid(T.ell, 1, T.d), cache(T.morphism_block_matrix)
+    Q, act = quotient_groupoid(T.ell, 1, T.d), cache(T.morphism_index_map)
     objs, gens = range(len(Q.orbits)), _quotient_generators(Q, sorted({type_of(f, T.ell) for f in T.block_of}))
-    walked = _closure(Q, gens, objs, lambda s, x, y: act(y) == act(s) * act(x)) == set(Q.all_qmorphisms())
+    reached = _closure(Q, gens, objs, lambda s, x, y: act(y) == _compose_index_maps(act(s), act(x)))
+    walked = reached == set(Q.all_qmorphisms())
     steps, gl = gens + [Q.identity(o) for o in objs], glk_generators(T)
-    relabelled = all(G[s.source].permuted(T.morphism_index_map(s)) == G[s.target] for s in steps for G in gl)
+    relabelled = all(G[s.source].permuted(act(s)) == G[s.target] for s in steps for G in gl)
     status = "pass" if walked and relabelled else "fail"
     return suite_result([{"name": "groupoid action commutes with GL generators", "status": status}])
 
@@ -223,16 +252,18 @@ def verify_commuting(T: TensorSpace) -> dict:
 @_once_per_space
 def _image_pair_spans(T: TensorSpace) -> dict:
     """Per ordered object pair with a morphism, (|hom(f, g)|, the span of its action matrices)."""
-    out = {}
+    out, one = {}, Cyc.one(T.ell)
     objs = sorted(T.block_of)
     for f in objs:
         for g in objs:
             ms = hom(f, g, T.ell)
             if not ms:
                 continue
-            sb = SpanBasis(T.ell, T.block_dim(f) * T.block_dim(g))
+            n_src = T.block_dim(f)
+            sb = SpanBasis(T.ell, n_src * T.block_dim(g))
             for m in ms:
-                sb.add([v for row in T.morphism_block_matrix(m).rows for v in row])
+                # the 0/1 matrix of m, row-major: entry (pi[j], j) is 1
+                sb._insert({i * n_src + j: one for j, i in enumerate(T.morphism_index_map(m))}, sb.n)
             out[(f, g)] = (len(ms), sb)
     return out
 
@@ -283,15 +314,12 @@ def verify_double_centralizer(T: TensorSpace) -> dict:
     )
     comm_A = intertwiners(T.ell, dims, dims, actions)
     algebra = glk_generated_algebra(T)
-    sb_alg = SpanBasis(T.ell, sum(n * n for n in dims))
-    for x in algebra:
-        sb_alg.add(_blockdiag_vector(T, x))
-    ok_back = len(comm_A) == sb_alg.rank and all(sb_alg.contains(v) for v in comm_A)
+    ok_back = len(comm_A) == algebra.rank and all(algebra.contains(v) for v in comm_A)
     checks.append(
         {
             "name": "commutant(A-image) = GL-generated algebra",
             "status": "pass" if ok_back else "fail",
-            "details": {"commutant_dim": len(comm_A), "algebra_dim": sb_alg.rank},
+            "details": {"commutant_dim": len(comm_A), "algebra_dim": algebra.rank},
         }
     )
 

@@ -444,12 +444,25 @@ def restriction_multiplicities(mod: SimpleModule) -> dict:
     Maps the label of each constituent to its multiplicity: an int, or the
     exact inner product when that is not an integer (a wrong character).
     """
-    ell, d = mod.ell, mod.d
+    (chi_res_bar,) = _restrictions_bar([mod], mod.ell, mod.d)
+    return _restriction_decomposition(mod.ell, mod.d, chi_res_bar)
+
+
+def _restrictions_bar(mods, ell: int, d: int) -> list[tuple[Cyc, ...]]:
+    """The conjugated restriction to S(l,d-1) of each character of mods, on its classes.
+
+    Evaluated class by class, so every module at one element reads the same
+    fixed_objects groups from the one-entry cache.
+    """
     if d < 1:
         raise ValueError("branching needs d >= 1")
+    xs = [embed_lower_rank(y, d) for y, _size in conjugacy_classes(ell, d - 1)]
+    return list(zip(*([m.char_wreath(x).conjugate() for m in mods] for x in xs)))
 
+
+def _restriction_decomposition(ell: int, d: int, chi_res_bar) -> dict:
+    """restriction_multiplicities from a conjugated restricted character."""
     classes = conjugacy_classes(ell, d - 1)
-    chi_res_bar = [mod.char_wreath(embed_lower_rank(y, d)).conjugate() for y, _size in classes]
     mults = {}
     for sub, chi_sub in zip(all_simples(ell, d - 1), character_table(ell, d - 1)):
         val = inner_product(classes, chi_sub, chi_res_bar).conjugate()  # <chi_res, chi_sub> = conj <chi_sub, chi_res>
@@ -462,8 +475,9 @@ def restriction_multiplicities(mod: SimpleModule) -> dict:
 def branching_report(ell: int, d: int) -> dict:
     """Restriction of every simple equals its removable-node multiset, multiplicity-free."""
     checks = []
-    for mod in all_simples(ell, d):
-        mults = restriction_multiplicities(mod)
+    mods = all_simples(ell, d)
+    for mod, chi_res_bar in zip(mods, _restrictions_bar(mods, ell, d)):
+        mults = _restriction_decomposition(ell, d, chi_res_bar)
         expected = removable_node_restrictions(mod.p)
         ok = (
             all(v == 1 for v in mults.values())

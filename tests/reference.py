@@ -7,13 +7,16 @@ a group into conjugation orbits by walking them, the route that the
 closed-form classes of simples and gkd replace.  cyc_inner_product is the
 inner product with one Cyc product and one scale per class.  scan_phi_trace
 is the trace of Phi(x) by a scan of every object, the route that the
-End(g)-class groups of simples.fixed_objects replace.
+End(g)-class groups of simples.fixed_objects replace.  two_sided_closure is
+the dense span closure of the GL generators: block-diagonal maps {f: Mat}
+multiplied block by block on both sides, the route that the sparse one-sided
+closure of schurweyl.glk_generated_algebra replaces.
 """
 
 from fractions import Fraction
 from operator import mul
 
-from groupoidreps.cyclo import Cyc, SpanBasis
+from groupoidreps.cyclo import Cyc, Mat, SpanBasis
 from groupoidreps.perms import reach
 from groupoidreps.wreath import WreathElem, wreath_inv, wreath_mul
 
@@ -70,3 +73,32 @@ def scan_phi_trace(x: WreathElem, objs, block_trace) -> Cyc:
             if tr:
                 sums[sum(map(mul, colors, g)) % ell] += tr
     return Cyc.from_exponent_sums(ell, sums)
+
+
+def blockdiag_identity(T) -> dict:
+    """The identity of V^(x d) as the block-diagonal map {f: identity Mat}."""
+    return {f: Mat.identity(T.ell, len(bs)) for f, bs in T.block_of.items()}
+
+
+def blockdiag_mul(x: dict, y: dict) -> dict:
+    """The product of two block-diagonal maps, one dense product per block."""
+    return {f: x[f] * y[f] for f in x}
+
+
+def blockdiag_vector(x: dict) -> list[Cyc]:
+    """The blocks of x row-major, in sorted order of f: the layout of glk_generated_algebra."""
+    return [v for f in sorted(x) for row in x[f].rows for v in row]
+
+
+def two_sided_closure(T, gens) -> SpanBasis:
+    """The span of the unital algebra that gens generate: x g and g x pushed for every new element x."""
+    sb = SpanBasis(T.ell, sum(len(bs) ** 2 for bs in T.block_of.values()))
+    frontier = [blockdiag_identity(T)] + list(gens)
+    while frontier:
+        new = []
+        for x in frontier:
+            if sb.add(blockdiag_vector(x)):
+                new += [blockdiag_mul(x, g) for g in gens]
+                new += [blockdiag_mul(g, x) for g in gens]
+        frontier = new
+    return sb

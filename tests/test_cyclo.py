@@ -405,6 +405,72 @@ def test_intertwiners_match_the_kernel_of_dense_rows():
                 assert all(X[t] * A == B * X[s] for s, t, A, B in actions)
 
 
+def _counting_inverse(monkeypatch):
+    calls = []
+    real = Cyc.inverse
+    monkeypatch.setattr(Cyc, "inverse", lambda self: calls.append(self) or real(self))
+    return calls
+
+
+def _assert_reduced_echelon(sb):
+    # each stored row reads 1 at its pivot and 0 at every other pivot
+    pivots = sorted(sb._rows)
+    for p, vec in zip(pivots, sb.rows):
+        assert vec[p].is_one()
+        assert all(vec[q].is_zero() for q in pivots if q != p)
+        assert all(c.is_zero() for c in vec[:p])
+
+
+def test_insert_scales_a_non_unit_rational_pivot(monkeypatch):
+    def r(q):
+        return Cyc.rational(1, q)
+
+    calls = _counting_inverse(monkeypatch)
+    sb = SpanBasis(1, 3)
+    assert sb._insert({0: r(2), 1: r(1)}, 3)
+    assert sb._insert({1: r(2), 2: r(6)}, 3)
+    assert calls == [r(2), r(2)]
+    _assert_reduced_echelon(sb)
+    assert sb.rows == [[r(1), r(0), r(Fraction(-3, 2))], [r(0), r(1), r(3)]]
+
+
+def test_insert_scales_a_root_of_unity_pivot(monkeypatch):
+    xi, one = root_of_unity(3, 1), Cyc.one(3)
+    calls = _counting_inverse(monkeypatch)
+    sb = SpanBasis(3, 3)
+    assert sb._insert({0: xi, 1: one}, 3)
+    assert sb._insert({0: one, 1: one, 2: xi}, 3)
+    assert calls == [xi, one - xi * xi]  # the second row reduces to pivot 1 - xi^2
+    _assert_reduced_echelon(sb)
+    assert sb.rows[0][:2] == [one, Cyc.zero(3)]
+    assert sb.contains([xi, one, Cyc.zero(3)]) and sb.contains([one, one, xi])
+
+
+def test_insert_takes_no_inverse_at_a_unit_pivot(monkeypatch):
+    xi, one, zero = root_of_unity(3, 1), Cyc.one(3), Cyc.zero(3)
+    calls = _counting_inverse(monkeypatch)
+    sb = SpanBasis(3, 2)
+    assert sb._insert({0: one, 1: xi}, 2)
+    assert sb._insert({1: one}, 2)
+    assert not sb._insert({0: one, 1: one}, 2)
+    assert calls == []
+    _assert_reduced_echelon(sb)
+    assert sb.rows == [[one, zero], [zero, one]]
+
+
+def test_intertwiners_give_dimension_one_at_the_commutant_points():
+    # the commutant checks of the simples and gkd suites, on their default grids
+    from groupoidreps import gkd, simples
+    from groupoidreps.cli import GKD_GRID, ISO_GRID
+
+    assert all(simples._commutant_dim(m) == 1 for ell, d in ISO_GRID for m in simples.all_simples(ell, d))
+    assert all(
+        gkd._quotient_commutant_dim(gkd.build_quotient_simple(ell, k, d, p, m)) == 1
+        for ell, k, d in GKD_GRID
+        for _lam, p, m in gkd.quotient_labels(ell, k, d)
+    )
+
+
 def test_intertwiners_with_equal_actions_give_the_commutant():
     # the commutant of the swap on Q(xi_4)^2 is spanned by 1 and the swap
     zero, one = Cyc.zero(4), Cyc.one(4)

@@ -1,9 +1,14 @@
+from fractions import Fraction
+
+import pytest
+
+from groupoidreps import gelfand
 from groupoidreps.algebra import phi
 from groupoidreps.cyclo import Cyc, root_of_unity
 from groupoidreps.gelfand import GelfandModel, build_gelfand, inv_statistic, involutions, verify_gelfand
 from groupoidreps.groupoid import compose, hom, identity_morphism
 from groupoidreps.perms import compose_perms, identity_perm
-from groupoidreps.simples import all_simples
+from groupoidreps.simples import all_simples, character_table
 from groupoidreps.wreath import WreathElem, enum_group, wreath_identity
 
 
@@ -116,3 +121,25 @@ def test_verify_gelfand_reports_a_non_rational_multiplicity_exactly(monkeypatch)
     check = next(c for c in verify_gelfand(ell, d)["checks"] if c["name"] == "every simple has multiplicity exactly 1")
     assert check["status"] == "fail"
     assert [row["multiplicity"] for row in check["details"]["multiplicities"]] == ["['1/1', '1/3']"] * 3
+
+
+SUM_CHECK = "gelfand character equals sum of simple characters"
+
+
+@pytest.mark.parametrize("ell,d", [(2, 2), (3, 2)])
+def test_character_sum_check_adds_the_simple_characters_exactly(monkeypatch, ell, d):
+    # xi/2 moved from one simple character to another at the first class keeps
+    # the sum (Fraction bins that cancel); xi/2 added to one alone breaks it
+    table = character_table(ell, d)
+    half = root_of_unity(ell, 1).scale(Fraction(1, 2))
+
+    def shifted(shifts):
+        rows = [list(chi) for chi in table]
+        for i, c in shifts:
+            rows[i][0] = rows[i][0] + c
+        return tuple(map(tuple, rows))
+
+    for shifts, status in [([(0, half), (1, -half)], "pass"), ([(0, half)], "fail")]:
+        monkeypatch.setattr(gelfand, "character_table", lambda e, n, t=shifted(shifts): t)
+        check = next(c for c in verify_gelfand(ell, d)["checks"] if c["name"] == SUM_CHECK)
+        assert check["status"] == status, shifts

@@ -16,7 +16,7 @@ from groupoidreps.schurweyl import (
 )
 from groupoidreps.simples import all_simples, character_table, conjugacy_classes, inner_product
 from groupoidreps.wreath import enum_group, wreath_identity, wreath_inv
-from reference import kernel_basis, scan_phi_trace
+from reference import kernel_basis, scan_phi_trace, two_sided_closure
 
 TENSOR_GRID = [
     (1, (2,), 2),
@@ -81,7 +81,7 @@ def test_swap_on_one_dim_blocks():
 
 def test_glk_algebra_d1_is_full_block_algebra():
     T = TensorSpace(2, (2, 1), 1)
-    assert len(glk_generated_algebra(T)) == 2 * 2 + 1 * 1
+    assert glk_generated_algebra(T).rank == 2 * 2 + 1 * 1
 
 
 def test_classical_commutant_dim():
@@ -229,6 +229,19 @@ def test_generators_and_image_spans_are_built_once_per_space():
     assert schurweyl._image_pair_spans(other) is not schurweyl._image_pair_spans(T)
 
 
+@pytest.mark.parametrize("ell,kvec,d", TENSOR_GRID + [(2, (2, 2), 3)])
+def test_image_spans_match_the_dense_morphism_matrices(ell, kvec, d):
+    # the spans are built from index maps; the rows of the 0/1 matrices give the same ones
+    T = TensorSpace(ell, kvec, d)
+    for (f, g), (n_hom, sb) in schurweyl._image_pair_spans(T).items():
+        ms = hom(f, g, ell)
+        dense = SpanBasis(ell, sb.n)
+        for m in ms:
+            dense.add([v for row in T.morphism_block_matrix(m).rows for v in row])
+        assert n_hom == len(ms) and sb.rank == dense.rank
+        assert all(dense.contains(row) for row in sb.rows)
+
+
 def test_forward_duality_fails_without_the_off_diagonal_generators(monkeypatch):
     # Dropping one generator leaves the commutant unchanged: the others generate
     # gl_k as a Lie algebra for k >= 3, and a Borel subalgebra of gl_2 has the same
@@ -240,9 +253,16 @@ def test_forward_duality_fails_without_the_off_diagonal_generators(monkeypatch):
     assert (rep["image_dim"], rep["commutant_dim"]) == (2, 6)
 
 
+def _without_last_row(sb):
+    out = SpanBasis(sb.ell, sb.n)
+    for row in sb.rows[:-1]:
+        assert out.add(row)
+    return out
+
+
 def test_backward_duality_fails_without_one_algebra_element(monkeypatch):
     real = schurweyl.glk_generated_algebra
-    monkeypatch.setattr(schurweyl, "glk_generated_algebra", lambda T: real(T)[:-1])
+    monkeypatch.setattr(schurweyl, "glk_generated_algebra", lambda T: _without_last_row(real(T)))
     for ell, kvec, d in [(1, (2,), 2), (2, (2, 1), 2)]:
         rep = verify_double_centralizer(TensorSpace(ell, kvec, d))
         assert _status(rep, "commutant(A-image) = GL-generated algebra") == "fail"
@@ -285,18 +305,24 @@ def test_exp_identity_fails_for_a_generator_missing_one_slot(monkeypatch):
     assert not rep["ok"]
 
 
+def _swap_two_images_of(monkeypatch, bad):
+    # A(bad) with the images of its first two tensors swapped: still a
+    # permutation, but no longer the action of bad
+    real = TensorSpace.morphism_index_map
+
+    def perturbed(self, m):
+        pi = real(self, m)
+        return (pi[1], pi[0]) + pi[2:] if m == bad else pi
+
+    monkeypatch.setattr(TensorSpace, "morphism_index_map", perturbed)
+
+
 def test_commuting_check_catches_one_perturbed_morphism(monkeypatch):
     # a 3-cycle is not among the component generators s_1, s_2 of the one object (1,1,1)
     T = TensorSpace(1, (2,), 3)
     gens = component_generators(1, (3,))
     bad = next(m for m in hom((1, 1, 1), (1, 1, 1), 1) if m not in gens and m != identity_morphism((1, 1, 1)))
-    real = TensorSpace.morphism_block_matrix
-
-    def perturbed(self, m):
-        A = real(self, m)
-        return A + Mat.from_entries(self.ell, A.nrows, A.ncols, [((0, 0), Cyc.one(self.ell))]) if m == bad else A
-
-    monkeypatch.setattr(TensorSpace, "morphism_block_matrix", perturbed)
+    _swap_two_images_of(monkeypatch, bad)
     assert verify_commuting(T)["checks"][0]["status"] == "fail"
 
 
@@ -330,27 +356,22 @@ def test_commuting_check_catches_a_perturbed_morphism_between_two_objects(monkey
     T = TensorSpace(ell, kvec, d)
     bad = hom((1, 2, 1), (2, 1, 1), ell)[0]
     assert bad not in component_generators(ell, (2, 1))
-    real = TensorSpace.morphism_block_matrix
-
-    def perturbed(self, m):
-        A = real(self, m)
-        return A + Mat.from_entries(self.ell, A.nrows, A.ncols, [((0, 0), Cyc.one(self.ell))]) if m == bad else A
-
-    monkeypatch.setattr(TensorSpace, "morphism_block_matrix", perturbed)
+    _swap_two_images_of(monkeypatch, bad)
     assert not _all_pairs_commuting(T)
     assert verify_commuting(T)["checks"][0]["status"] == "fail"
 
 
 @pytest.mark.parametrize("ell,kvec,d", TENSOR_GRID + [(2, (2, 2), 3)])
 def test_commuting_check_multiplies_once_per_walk_step(monkeypatch, ell, kvec, d):
-    # one product A(s) A(x) per step of the walk, none per GL generator: at
-    # most (generators + 1) x morphisms products, the groupoid being the k = 1 quotient
+    # one composition of index maps A(s) A(x) per step of the walk, none per
+    # GL generator: at most (generators + 1) x morphisms compositions, the
+    # groupoid being the k = 1 quotient
     T = TensorSpace(ell, kvec, d)
-    glk_generators(T)
     products = []
-    real = Mat.__mul__
-    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    real = schurweyl._compose_index_maps
+    monkeypatch.setattr(schurweyl, "_compose_index_maps", lambda a, b: products.append(1) or real(a, b))
     assert verify_commuting(T)["ok"]
+    assert products
     n_gens = sum(len(component_generators(ell, lam)) for lam in {type_of(f, ell) for f in T.block_of})
     assert len(products) <= (n_gens + 1) * len(QuotientGroupoid(ell, 1, d).all_qmorphisms())
 
@@ -422,48 +443,73 @@ def test_kernel_check_builds_no_dense_matrix(monkeypatch):
     assert kernel_check(TensorSpace(2, (2, 1), 2))["ok"]
 
 
-def _two_sided_closure(T, gens):
-    """Reference span closure: push x g and g x for every new basis element x and generator g."""
-    sb = SpanBasis(T.ell, sum(len(bs) ** 2 for bs in T.block_of.values()))
-    frontier = [schurweyl._blockdiag_identity(T)] + list(gens)
-    basis = []
-    while frontier:
-        new = []
-        for x in frontier:
-            if sb.add(schurweyl._blockdiag_vector(T, x)):
-                basis.append(x)
-                new += [schurweyl._blockdiag_mul(x, g) for g in gens]
-                new += [schurweyl._blockdiag_mul(g, x) for g in gens]
-        frontier = new
-    return sb, basis
+def _same_span(sb, reference):
+    assert sb.rank == reference.rank
+    assert all(reference.contains(row) for row in sb.rows)
+    assert all(sb.contains(row) for row in reference.rows)
 
 
-def _same_span(T, one_sided, reference):
-    sb_ref, basis_ref = reference
-    sb = SpanBasis(T.ell, sb_ref.n)
-    for x in one_sided:
-        sb.add(schurweyl._blockdiag_vector(T, x))
-    assert len(one_sided) == sb.rank == sb_ref.rank == len(basis_ref)
-    assert all(sb_ref.contains(schurweyl._blockdiag_vector(T, x)) for x in one_sided)
-    assert all(sb.contains(schurweyl._blockdiag_vector(T, x)) for x in basis_ref)
+CLOSURE_POINTS = TENSOR_GRID + [(2, (2, 2), 3), (1, (3,), 3)]
 
 
-@pytest.mark.parametrize("ell,kvec,d", TENSOR_GRID)
+@pytest.mark.parametrize("ell,kvec,d", CLOSURE_POINTS)
 def test_one_sided_closure_matches_a_two_sided_reference(ell, kvec, d):
     T = TensorSpace(ell, kvec, d)
-    _same_span(T, glk_generated_algebra(T), _two_sided_closure(T, glk_generators(T)))
+    _same_span(glk_generated_algebra(T), two_sided_closure(T, glk_generators(T)))
 
 
-@pytest.mark.parametrize("dropped", [(1, 2), (2,)], ids=["torus", "borel"])
-@pytest.mark.parametrize("ell,kvec,d", [(1, (2,), 2), (1, (2,), 3), (2, (2, 1), 2)])
+def _first_block_units(T, dropped):
+    """Positions in glk_generators of the off-diagonal units E_ab of the first block: all (torus) or a > b (borel)."""
+    first = range(1, T.kvec[0] + 1)
+    return {
+        i
+        for i, (a, b) in enumerate(schurweyl._block_units(T))
+        if a in first and a != b and (dropped == "torus" or a > b)
+    }
+
+
+@pytest.mark.parametrize("dropped", ["torus", "borel"])
+@pytest.mark.parametrize(
+    "ell,kvec,d",
+    # the three points of the first set, then the rest of CLOSURE_POINTS
+    [(1, (2,), 2), (1, (2,), 3), (2, (2, 1), 2), (2, (1, 1), 2), (2, (1, 1), 3), (2, (2, 2), 2)] + CLOSURE_POINTS[-2:],
+)
 def test_one_sided_closure_matches_the_reference_on_fewer_generators(monkeypatch, ell, kvec, d, dropped):
-    # the generator sets of the forward-duality fault test: E_12 and E_21 of
-    # the first block dropped (the torus), and E_21 alone dropped (a Borel
-    # set, where the generated algebra is not commutative)
+    # the generator sets of the forward-duality fault test: the off-diagonal
+    # units of the first block dropped (the torus), or its lower ones alone
+    # (a Borel set, where the generated algebra is not commutative); with
+    # k_1 = 1 nothing is dropped
     T = TensorSpace(ell, kvec, d)
-    full = len(glk_generated_algebra(T))
-    gens = [g for i, g in enumerate(glk_generators(T)) if i not in dropped]
+    full = glk_generated_algebra(T).rank
+    drop = _first_block_units(T, dropped)
+    gens = [g for i, g in enumerate(glk_generators(T)) if i not in drop]
     monkeypatch.setattr(schurweyl, "glk_generators", lambda T: gens)
     algebra = glk_generated_algebra(TensorSpace(ell, kvec, d))
-    _same_span(T, algebra, _two_sided_closure(T, gens))
-    assert len(algebra) < full
+    _same_span(algebra, two_sided_closure(T, gens))
+    assert (algebra.rank < full) == bool(drop)
+
+
+@pytest.mark.parametrize("ell,kvec,d", CLOSURE_POINTS)
+def test_closure_and_commuting_walk_make_no_matrix_product(monkeypatch, ell, kvec, d):
+    # the closure multiplies sparse vectors by the generators' row maps, and
+    # the walk composes index maps
+    T = TensorSpace(ell, kvec, d)
+
+    def refuse(a, b):
+        raise AssertionError("Mat product formed")
+
+    monkeypatch.setattr(Mat, "__mul__", refuse)
+    assert glk_generated_algebra(T).rank
+    assert verify_commuting(T)["ok"]
+
+
+@pytest.mark.parametrize("ell,kvec,d", CLOSURE_POINTS)
+def test_duality_checks_multiply_matrices_only_in_the_exp_identity(monkeypatch, ell, kvec, d):
+    # d block products per off-diagonal unit and block, the powers of Delta(E_ab)
+    T = TensorSpace(ell, kvec, d)
+    products = []
+    real = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    assert verify_commuting(T)["ok"] and verify_double_centralizer(T)["ok"] and kernel_check(T)["ok"]
+    units = sum(a != b for a, b in schurweyl._block_units(T))
+    assert len(products) == units * d * len(T.block_of)

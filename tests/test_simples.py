@@ -355,6 +355,19 @@ def test_character_table_computes_fixed_objects_once_per_class():
     assert info.hits == (len(mods) - 1) * info.misses
 
 
+def test_branching_report_computes_fixed_objects_once_per_class():
+    # every simple of S(2,3) is restricted class by class, so the one-entry
+    # cache serves all of them at each embedded representative
+    ell, d = 2, 3
+    mods = all_simples(ell, d)
+    character_table(ell, d - 1)
+    fixed_objects.cache_clear()
+    assert branching_report(ell, d)["ok"]
+    info = fixed_objects.cache_info()
+    assert info.misses == len(conjugacy_classes(ell, d - 1))
+    assert info.hits == (len(mods) - 1) * info.misses
+
+
 def test_transports_are_canonical_morphisms():
     ell, d = 3, 3
     for mod in all_simples(ell, d):
