@@ -42,7 +42,7 @@ from operator import mul
 
 from .cyclo import Cyc, root_of_unity
 from .groupoid import GMorphism, _objects_tuple, identity_morphism, object_index, objects
-from .perms import compose_perms, invert_perm, reach
+from .perms import compose_perms, reach
 from .reporting import suite_result
 from .wreath import DEFAULT_GROUP_CAP, WreathElem, enum_group, generators, wreath_identity, wreath_mul
 
@@ -50,7 +50,6 @@ __all__ = [
     "AlgElem",
     "phi",
     "phi_form",
-    "phi_on_generators",
     "phi_inverse",
     "verify_iso",
 ]
@@ -202,38 +201,6 @@ def _form_mul(ell: int, fx: tuple, fy: tuple) -> tuple:
     (px, ex), (py, ey) = fx, fy
     src = _perm_table(ell, len(px), px)[2]
     return compose_perms(px, py), tuple([(e + ey[s]) % ell for e, s in zip(ex, src)])
-
-
-def phi_on_generators(x: WreathElem) -> AlgElem:
-    """Phi(x) computed as a product of generator images (independent route).
-
-    x is factored as D(colors') * perm with perm a word in s_1..s_{d-1} and
-    the diagonal part a word in the s_0^(j); the generator images are then
-    multiplied in A_(l,d).
-    """
-    ell, d = x.ell, len(x.perm)
-    if d == 0:
-        return AlgElem.unit(ell, 0)
-    gens = generators(ell, d)
-    images = [phi(g) for g in gens]
-    from .perms import perm_to_word
-
-    out = AlgElem.unit(ell, d)
-    # left factor: diagonal D(c') with c'_j = colors[perm^{-1}(j)]
-    inv = invert_perm(x.perm)
-    for j in range(1, d + 1):
-        e_j = x.colors[inv[j - 1] - 1]
-        if e_j % ell == 0:
-            continue
-        word = list(range(j - 1, 0, -1)) + [0] + list(range(1, j))
-        s0j = AlgElem.unit(ell, d)
-        for i in word:
-            s0j = s0j * images[i]
-        for _ in range(e_j % ell):
-            out = out * s0j
-    for i in perm_to_word(x.perm):
-        out = out * images[i]
-    return out
 
 
 def phi_inverse(a: AlgElem) -> list[tuple[WreathElem, Cyc]]:

@@ -9,10 +9,11 @@ x^j mod Phi_l.  Constructors accept only int and Fraction: no floating point
 appears anywhere in this module.
 
 All elimination runs on one sparse echelon engine, :class:`SpanBasis`, whose
-rows are {column: Cyc} in reduced row echelon form with pivots 1.
-:class:`LinSolver` is a thin layer over it that no library path calls (the
-Specht matrices, its last user, are integral and straightened in tableaux);
-the tests keep it as a reference, with their own null-space helper.
+rows are {column: Cyc} in reduced row echelon form with pivots 1.  Such a
+dict is the engine's one vector format, in and out.  :class:`LinSolver` is a
+thin layer over it that no library path calls (the Specht matrices, its last
+user, are integral and straightened in tableaux); the tests keep it as a
+reference, with their own null-space helper.
 Every commutant and intertwiner space is solved by :func:`intertwiners`, and
 every matrix assembled from blocks or scattered entries is built by
 :meth:`Mat.from_entries`.  A permutation of the basis (the color rotation
@@ -451,20 +452,20 @@ def _nonzero(vec) -> dict[int, Cyc]:
     return {j: c for j, c in enumerate(vec) if any(c.num)}
 
 
-def _sparse(vec, n: int) -> dict[int, Cyc]:
-    """The nonzero entries of a vector that must have length n."""
-    if len(vec) != n:
-        raise ValueError(f"vector of length {len(vec)} where {n} is expected")
-    return _nonzero(vec)
+def _checked(vec: dict[int, Cyc], n: int) -> dict[int, Cyc]:
+    """A copy of the nonzero entries of vec; a column outside 0..n-1 raises ValueError."""
+    if vec and (min(vec) < 0 or max(vec) >= n):
+        raise ValueError(f"column outside 0..{n - 1} in a vector of length {n}")
+    return {j: c for j, c in vec.items() if any(c.num)}
 
 
 class SpanBasis:
     """Incrementally row-reduced basis of a subspace of Q(xi_l)^n.
 
     The one elimination engine, behind rank, span growth, membership,
-    LinSolver and intertwiners.  Rows are sparse and in reduced
-    row echelon form: a row is stored without its pivot entry 1 and is 0 at
-    every other pivot.
+    LinSolver and intertwiners.  Vectors in and out are sparse
+    {column: Cyc} dicts.  Rows are in reduced row echelon form: a row is
+    stored without its pivot entry 1 and is 0 at every other pivot.
     """
 
     def __init__(self, ell: int, n: int):
@@ -477,17 +478,10 @@ class SpanBasis:
         return len(self._rows)
 
     @property
-    def rows(self) -> list[list[Cyc]]:
-        """The basis rows as dense vectors, in pivot order."""
-        zero, one = Cyc.zero(self.ell), Cyc.one(self.ell)
-        out = []
-        for p in sorted(self._rows):
-            vec = [zero] * self.n
-            vec[p] = one
-            for j, c in self._rows[p].items():
-                vec[j] = c
-            out.append(vec)
-        return out
+    def rows(self) -> list[dict[int, Cyc]]:
+        """The basis rows, pivot entry 1 included, in pivot order."""
+        one = Cyc.one(self.ell)
+        return [{p: one, **row} for p, row in sorted(self._rows.items())]
 
     def _reduce(self, v: dict[int, Cyc]) -> dict[int, Cyc]:
         """Subtract from v (in place) its component along every pivot it touches."""
@@ -504,8 +498,11 @@ class SpanBasis:
             return False
         pivot = v.pop(p)
         if not pivot.is_one():
-            inv = pivot.inverse()
-            v = {j: c * inv for j, c in v.items()}
+            if (-pivot).is_one():
+                v = {j: -c for j, c in v.items()}
+            else:
+                inv = pivot.inverse()
+                v = {j: c * inv for j, c in v.items()}
         for row in self._rows.values():
             c = row.pop(p, None)
             if c is not None:
@@ -513,28 +510,24 @@ class SpanBasis:
         self._rows[p] = v
         return True
 
-    def contains(self, vec: list[Cyc]) -> bool:
-        return not self._reduce(_sparse(vec, self.n))
+    def contains(self, vec: dict[int, Cyc]) -> bool:
+        return not self._reduce(_checked(vec, self.n))
 
-    def add(self, vec: list[Cyc]) -> bool:
+    def add(self, vec: dict[int, Cyc]) -> bool:
         """Insert vec; return True iff it enlarged the span."""
-        return self._insert(_sparse(vec, self.n), self.n)
+        return self._insert(_checked(vec, self.n), self.n)
 
-    def kernel(self) -> list[list[Cyc]]:
+    def kernel(self) -> list[dict[int, Cyc]]:
         """Basis of {x : r . x = 0 for every basis row r}, one vector per free column, in column order.
 
         The vector of a free column c has 1 at c and -row_p[c] at each pivot p.
         """
-        zero, one = Cyc.zero(self.ell), Cyc.one(self.ell)
-        free = [c for c in range(self.n) if c not in self._rows]
-        vecs = {}
-        for c in free:
-            vec = vecs[c] = [zero] * self.n
-            vec[c] = one
+        one = Cyc.one(self.ell)
+        vecs = {c: {c: one} for c in range(self.n) if c not in self._rows}
         for p, row in self._rows.items():
             for c, v in row.items():
                 vecs[c][p] = -v
-        return [vecs[c] for c in free]
+        return list(vecs.values())
 
 
 def _sub_multiple(v: dict[int, Cyc], c: Cyc, row: dict[int, Cyc]) -> None:
@@ -550,42 +543,37 @@ def _sub_multiple(v: dict[int, Cyc], c: Cyc, row: dict[int, Cyc]) -> None:
 
 
 class LinSolver:
-    """Express vectors exactly in a fixed spanning list of vectors.
+    """Express vectors of Q(xi_l)^n exactly in a fixed spanning list of them.
 
-    Built once from `basis` (rows); :meth:`express` returns coordinates of a
-    vector in that list, or None if the vector lies outside the span.  Each
-    vector that enlarges the span of those before it is kept; the others get
+    :meth:`express` returns the coordinates {index in basis: Cyc} of a vector
+    in that list, or None if the vector lies outside the span.  Each vector
+    that enlarges the span of those before it is kept; the others get
     coordinate 0.  Columns n.. of an engine row record the combination of
     basis vectors that the row equals.
     """
 
-    def __init__(self, ell: int, basis: list[list[Cyc]]):
-        self.ell = ell
-        self.m = len(basis)
-        self.n = len(basis[0]) if basis else 0
-        self._span = SpanBasis(ell, self.n + self.m)
+    def __init__(self, ell: int, n: int, basis: list[dict[int, Cyc]]):
+        self.n = n
+        self._span = SpanBasis(ell, n + len(basis))
         one = Cyc.one(ell)
         for i, vec in enumerate(basis):
-            v = _sparse(vec, self.n)
-            v[self.n + i] = one
-            self._span._insert(v, self.n)
+            v = _checked(vec, n)
+            v[n + i] = one
+            self._span._insert(v, n)
 
     @property
     def rank(self) -> int:
         return self._span.rank
 
-    def express(self, vec: list[Cyc]):
+    def express(self, vec: dict[int, Cyc]) -> dict[int, Cyc] | None:
         n = self.n
-        v = self._span._reduce(_sparse(vec, n))
+        v = self._span._reduce(_checked(vec, n))
         if min(v, default=n) < n:
             return None
-        coords = [Cyc.zero(self.ell)] * self.m
-        for j, c in v.items():
-            coords[j - n] = -c
-        return coords
+        return {j - n: -c for j, c in v.items()}
 
 
-def intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[list[Cyc]]:
+def intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[dict[int, Cyc]]:
     """Basis of {X = (X_o : src_o -> tgt_o)} with X_t A = B X_s for every (s, t, A, B) in actions.
 
     A maps src_s to src_t and B maps tgt_s to tgt_t.  A vector holds each

@@ -16,14 +16,14 @@ Delta(E_ab); and a diagonal g acts by one scalar on each joint eigenspace of
 the Delta(E_aa).  The report checks the finite identity
 (I + E_ab)^(x d) = sum_(n<=d) Delta(E_ab)^n / n! on every block.
 Every commutant, the one with the cyclic shift Z adjoined included, is one
-call to cyclo.intertwiners; ranks and span memberships use SpanBasis.  All
-elimination is exact.
+call to cyclo.intertwiners; ranks and span memberships use the public
+SpanBasis API on sparse {position: Cyc} vectors.  All elimination is exact.
 The large data stay sparse.  A morphism permutes the tensor basis, so it is
 kept as an index map: the commuting walk composes index maps, and each image
-span takes one entry per tensor.  The GL closure multiplies sparse vectors
-by the generators' nonzeros, read once per block.  Dense Mat products are
-left only in the exp identity, and dense Psi-matrices only in the shift
-duality (act_full).
+span takes one entry per tensor; a Psi-image of the shift duality, a sum of
+k morphisms, is the set of the positions their index maps give.  The GL
+closure multiplies sparse vectors by the generators' nonzeros, read once per
+block.  Dense Mat products are left only in the exp identity.
 Whether the central idempotent of a simple p kills V^(x d) is read from
 characters: the algebra is semisimple, so it does iff <chi_V, chi_p> = 0,
 and chi_V is read off the monomial form of Phi (TensorSpace.character).
@@ -35,7 +35,6 @@ from fractions import Fraction
 from functools import cache, wraps
 from itertools import accumulate, product
 
-from .algebra import AlgElem
 from .cyclo import Cyc, Mat, SpanBasis, intertwiners
 from .gkd import _closure, _quotient_generators, quotient_groupoid
 from .groupoid import GMorphism, component_generators, hom, type_of
@@ -101,18 +100,6 @@ class TensorSpace:
         """0/1 matrix of m from block(source) to block(target), the matrix of its index map."""
         pi, one = self.morphism_index_map(m), Cyc.one(self.ell)
         return Mat.from_entries(self.ell, len(pi), len(pi), (((i, j), one) for j, i in enumerate(pi)))
-
-    def act_full(self, a: AlgElem) -> Mat:
-        """The matrix of an algebra element on the whole of V^(x d)."""
-        entries = []
-        for m, coeff in a.terms.items():
-            src, tgt = self.block_of[m.source], self.block_of[m.target]
-            entries += (
-                ((self.index[tgt[i]], self.index[src[j]]), coeff * v)
-                for (i, j), v in self.morphism_block_matrix(m).entries()
-            )
-        n = len(self.basis)
-        return Mat.from_entries(self.ell, n, n, entries)
 
     def block_trace(self, g, perm: tuple[int, ...]) -> int:
         """The trace of sigma_(g, g) with permutation perm on block g.
@@ -220,7 +207,7 @@ def glk_generated_algebra(T: TensorSpace) -> SpanBasis:
     frontier = [identity]
     while frontier:
         x = frontier.pop()
-        if sb._insert(dict(x), sb.n):
+        if sb.add(x):
             frontier += (times(x, rows) for rows in gens)
     return sb
 
@@ -263,7 +250,7 @@ def _image_pair_spans(T: TensorSpace) -> dict:
             sb = SpanBasis(T.ell, n_src * T.block_dim(g))
             for m in ms:
                 # the 0/1 matrix of m, row-major: entry (pi[j], j) is 1
-                sb._insert({i * n_src + j: one for j, i in enumerate(T.morphism_index_map(m))}, sb.n)
+                sb.add({i * n_src + j: one for j, i in enumerate(T.morphism_index_map(m))})
             out[(f, g)] = (len(ms), sb)
     return out
 
@@ -413,11 +400,13 @@ def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TEN
     """Duality for G(l,k,d): the invariant algebra versus GL x the shift Z.
 
     Z maps v_i to v_{i + (l/k) m} (indices mod n = l m), so Z^(x d) permutes
-    the tensor basis: it is kept as an index map, and a matrix M commutes with
-    it when M.permuted(zmap) == M.  The commutant of the GL generators and
-    Z^(x d) on all of V^(x d) is solved in one call to intertwiners, with
-    Z^(x d) as a matrix action there, and compared with the image of the
-    quotient algebra under Psi.
+    the tensor basis and is kept as an index map zmap.  Psi(q) sums the k
+    translates of q with coefficient 1, and they have distinct sources, so
+    it is the 0/1 matrix with ones at the (row, column) positions of their
+    index maps: it commutes with Z^(x d) when (zmap[r], zmap[c]) maps that
+    set onto itself.  The commutant of the GL generators and Z^(x d) on all
+    of V^(x d) is one intertwiners solve, with Z^(x d) as a matrix action
+    there, compared with the span of the Psi-images.
     """
     if ell % k != 0:
         raise ValueError("k must divide ell")
@@ -433,15 +422,19 @@ def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TEN
     zmap = tuple(T.index[tuple((x - 1 + shift) % n + 1 for x in b)] for b in T.basis)
     Ztensor = Mat.from_entries(ell, dim, dim, (((z, a), one) for a, z in enumerate(zmap)))
 
-    psi_mats = [T.act_full(Q.psi(q)) for q in Q.all_qmorphisms()]
+    def positions(t: GMorphism):
+        src, tgt = T.block_of[t.source], T.block_of[t.target]
+        return ((T.index[tgt[i]], T.index[src[j]]) for j, i in enumerate(T.morphism_index_map(t)))
 
-    commutes = all(M.permuted(zmap) == M for M in psi_mats)
+    psi_sets = [{rc for t in Q.psi(q).terms for rc in positions(t)} for q in Q.all_qmorphisms()]
+
+    commutes = all({(zmap[r], zmap[c]) for r, c in P} == P for P in psi_sets)
     checks.append(
         {"name": "Z^(x d) commutes with the Psi-image", "status": "pass" if commutes else "fail"}
     )
 
     # commutant of <GL generators, Z^(x d)> in one solve, each generator as a
-    # block-diagonal dim x dim matrix; the kernel vectors are row-major, as M.rows
+    # block-diagonal dim x dim matrix; the kernel vectors are row-major, r * dim + c
     gl = [
         Mat.from_entries(
             ell,
@@ -453,8 +446,8 @@ def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TEN
     ]
     comm = intertwiners(ell, [dim], [dim], [(0, 0, A, A) for A in gl + [Ztensor]])
     sb_img = SpanBasis(ell, dim * dim)
-    for M in psi_mats:
-        sb_img.add([v for row in M.rows for v in row])
+    for P in psi_sets:
+        sb_img.add({r * dim + c: one for r, c in P})
     equal = len(comm) == sb_img.rank and all(sb_img.contains(v) for v in comm)
     checks.append(
         {
@@ -463,7 +456,7 @@ def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TEN
             "details": {
                 "image_dim": sb_img.rank,
                 "commutant_dim": len(comm),
-                "quotient_dim": len(psi_mats),
+                "quotient_dim": len(psi_sets),
             },
         }
     )

@@ -10,23 +10,42 @@ is the trace of Phi(x) by a scan of every object, the route that the
 End(g)-class groups of simples.fixed_objects replace.  two_sided_closure is
 the dense span closure of the GL generators: block-diagonal maps {f: Mat}
 multiplied block by block on both sides, the route that the sparse one-sided
-closure of schurweyl.glk_generated_algebra replaces.
+closure of schurweyl.glk_generated_algebra replaces.  act_full is the dense
+matrix of an algebra element on V^(x d), the route that the index maps of
+schurweyl replace.  phi_on_generators is Phi as a product of generator
+images, an independent route to the closed form of algebra.phi.  to_sparse
+and to_dense convert between the tests' dense vectors and the engine's one
+vector format, {column: Cyc}.
 """
 
 from fractions import Fraction
 from operator import mul
 
+from groupoidreps.algebra import AlgElem, phi
 from groupoidreps.cyclo import Cyc, Mat, SpanBasis
-from groupoidreps.perms import reach
-from groupoidreps.wreath import WreathElem, wreath_inv, wreath_mul
+from groupoidreps.perms import invert_perm, perm_to_word, reach
+from groupoidreps.wreath import WreathElem, generators, wreath_inv, wreath_mul
+
+
+def to_sparse(vec: list[Cyc]) -> dict[int, Cyc]:
+    """The nonzero entries of a dense vector, as {column: value}."""
+    return {j: c for j, c in enumerate(vec) if not c.is_zero()}
+
+
+def to_dense(ell: int, n: int, vec: dict[int, Cyc]) -> list[Cyc]:
+    """The length-n dense vector with the entries of a sparse one."""
+    out = [Cyc.zero(ell)] * n
+    for j, c in vec.items():
+        out[j] = c
+    return out
 
 
 def kernel_basis(ell: int, rows: list[list[Cyc]], ncols: int) -> list[list[Cyc]]:
-    """Exact basis of the right null space {x : A x = 0}, one vector per free column."""
+    """Exact basis of the right null space {x : A x = 0} of dense rows, one dense vector per free column."""
     sb = SpanBasis(ell, ncols)
     for row in rows:
-        sb.add(row)
-    return sb.kernel()
+        sb.add(to_sparse(row))
+    return [to_dense(ell, ncols, v) for v in sb.kernel()]
 
 
 def conjugation_orbits(members, gens) -> list[tuple[WreathElem, set]]:
@@ -97,8 +116,50 @@ def two_sided_closure(T, gens) -> SpanBasis:
     while frontier:
         new = []
         for x in frontier:
-            if sb.add(blockdiag_vector(x)):
+            if sb.add(to_sparse(blockdiag_vector(x))):
                 new += [blockdiag_mul(x, g) for g in gens]
                 new += [blockdiag_mul(g, x) for g in gens]
         frontier = new
     return sb
+
+
+def act_full(T, a: AlgElem) -> Mat:
+    """The dense matrix of an algebra element on the whole of V^(x d)."""
+    entries = []
+    for m, coeff in a.terms.items():
+        src, tgt = T.block_of[m.source], T.block_of[m.target]
+        entries += (
+            ((T.index[tgt[i]], T.index[src[j]]), coeff * v)
+            for (i, j), v in T.morphism_block_matrix(m).entries()
+        )
+    n = len(T.basis)
+    return Mat.from_entries(T.ell, n, n, entries)
+
+
+def phi_on_generators(x: WreathElem) -> AlgElem:
+    """Phi(x) computed as a product of generator images (independent route).
+
+    x is factored as D(colors') * perm with perm a word in s_1..s_{d-1} and
+    the diagonal part a word in the s_0^(j); the generator images are then
+    multiplied in A_(l,d).
+    """
+    ell, d = x.ell, len(x.perm)
+    if d == 0:
+        return AlgElem.unit(ell, 0)
+    images = [phi(g) for g in generators(ell, d)]
+    out = AlgElem.unit(ell, d)
+    # left factor: diagonal D(c') with c'_j = colors[perm^{-1}(j)]
+    inv = invert_perm(x.perm)
+    for j in range(1, d + 1):
+        e_j = x.colors[inv[j - 1] - 1]
+        if e_j % ell == 0:
+            continue
+        word = list(range(j - 1, 0, -1)) + [0] + list(range(1, j))
+        s0j = AlgElem.unit(ell, d)
+        for i in word:
+            s0j = s0j * images[i]
+        for _ in range(e_j % ell):
+            out = out * s0j
+    for i in perm_to_word(x.perm):
+        out = out * images[i]
+    return out

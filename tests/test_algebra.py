@@ -1,10 +1,11 @@
 import random
 
 from groupoidreps import algebra
-from groupoidreps.algebra import AlgElem, phi, phi_inverse, phi_on_generators, verify_iso
+from groupoidreps.algebra import AlgElem, phi, phi_inverse, verify_iso
 from groupoidreps.cyclo import Cyc, root_of_unity
 from groupoidreps.groupoid import all_morphisms, hom, identity_morphism, objects
 from groupoidreps.wreath import WreathElem, enum_group, generators, wreath_identity, wreath_mul
+from reference import phi_on_generators
 
 
 def test_unit_and_idempotents():

@@ -21,7 +21,7 @@ from groupoidreps.cyclo import (
     intertwiners,
     root_of_unity,
 )
-from reference import kernel_basis
+from reference import kernel_basis, to_dense, to_sparse
 
 
 def rand_cyc(rng, ell):
@@ -171,7 +171,7 @@ def apply(ell, rows, vec):
 def span_rank(ell, rows, ncols):
     sb = SpanBasis(ell, ncols)
     for row in rows:
-        sb.add(list(row))
+        sb.add(to_sparse(row))
     return sb.rank
 
 
@@ -198,18 +198,18 @@ def test_rank_nullity(ell, seed):
 
 def test_span_basis_and_solver():
     sb = SpanBasis(1, 3)
-    assert sb.add([Cyc.one(1), Cyc.zero(1), Cyc.one(1)])
-    assert not sb.add([Cyc.rational(1, 2), Cyc.zero(1), Cyc.rational(1, 2)])
+    assert sb.add({0: Cyc.one(1), 2: Cyc.one(1)})
+    assert not sb.add({0: Cyc.rational(1, 2), 2: Cyc.rational(1, 2)})
     assert sb.rank == 1
     basis = [[Cyc.one(2), Cyc.zero(2)], [Cyc.one(2), Cyc.one(2)]]
-    solver = LinSolver(2, basis)
-    coords = solver.express([Cyc.rational(2, 3), Cyc.rational(2, 2)])
+    solver = LinSolver(2, 2, [to_sparse(vec) for vec in basis])
+    coords = solver.express({0: Cyc.rational(2, 3), 1: Cyc.rational(2, 2)})
     assert coords is not None
     acc = [Cyc.zero(2), Cyc.zero(2)]
-    for c, vec in zip(coords, basis):
+    for c, vec in zip(to_dense(2, 2, coords), basis):
         acc = [a + c * v for a, v in zip(acc, vec)]
     assert acc == [Cyc.rational(2, 3), Cyc.rational(2, 2)]
-    assert solver.express([Cyc.zero(2), Cyc.zero(2)]) == [Cyc.zero(2), Cyc.zero(2)]
+    assert solver.express({}) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +342,8 @@ def test_rref_matches_dense_gauss_jordan():
             expected, pivots = dense_rref(rows, Cyc.is_zero, Cyc.inverse)
             sb = SpanBasis(ell, ncols)
             for row in rows:
-                sb.add(row)
-            assert sb.rows == expected and sb.rank == len(pivots)
+                sb.add(to_sparse(row))
+            assert sb.rows == [to_sparse(row) for row in expected] and sb.rank == len(pivots)
             kb = kernel_basis(ell, rows, ncols)
             assert len(kb) == ncols - len(pivots)
             assert all(c.is_zero() for vec in kb for c in apply(ell, rows, vec))
@@ -397,8 +397,8 @@ def test_intertwiners_match_the_kernel_of_dense_rows():
                 A = Mat(ell, rand_sparse_rows(rng, ell, src_dims[t], src_dims[s]))
                 B = Mat(ell, rand_sparse_rows(rng, ell, tgt_dims[t], tgt_dims[s]))
                 actions.append((s, t, A, B))
-            basis = intertwiners(ell, src_dims, tgt_dims, actions)
             rows, n = dense_intertwiner_rows(ell, src_dims, tgt_dims, actions)
+            basis = [to_dense(ell, n, vec) for vec in intertwiners(ell, src_dims, tgt_dims, actions)]
             assert basis == kernel_basis(ell, rows, n)
             for vec in basis:
                 X = [Mat(ell, b) for b in blocks_of(vec, src_dims, tgt_dims)]
@@ -413,12 +413,14 @@ def _counting_inverse(monkeypatch):
 
 
 def _assert_reduced_echelon(sb):
-    # each stored row reads 1 at its pivot and 0 at every other pivot
+    # each stored row reads 1 at its pivot and 0 at every other pivot, and
+    # keeps only nonzero entries
     pivots = sorted(sb._rows)
     for p, vec in zip(pivots, sb.rows):
         assert vec[p].is_one()
-        assert all(vec[q].is_zero() for q in pivots if q != p)
-        assert all(c.is_zero() for c in vec[:p])
+        assert not any(q in vec for q in pivots if q != p)
+        assert min(vec) == p
+        assert not any(c.is_zero() for c in vec.values())
 
 
 def test_insert_scales_a_non_unit_rational_pivot(monkeypatch):
@@ -431,7 +433,7 @@ def test_insert_scales_a_non_unit_rational_pivot(monkeypatch):
     assert sb._insert({1: r(2), 2: r(6)}, 3)
     assert calls == [r(2), r(2)]
     _assert_reduced_echelon(sb)
-    assert sb.rows == [[r(1), r(0), r(Fraction(-3, 2))], [r(0), r(1), r(3)]]
+    assert sb.rows == [{0: r(1), 2: r(Fraction(-3, 2))}, {1: r(1), 2: r(3)}]
 
 
 def test_insert_scales_a_root_of_unity_pivot(monkeypatch):
@@ -442,12 +444,12 @@ def test_insert_scales_a_root_of_unity_pivot(monkeypatch):
     assert sb._insert({0: one, 1: one, 2: xi}, 3)
     assert calls == [xi, one - xi * xi]  # the second row reduces to pivot 1 - xi^2
     _assert_reduced_echelon(sb)
-    assert sb.rows[0][:2] == [one, Cyc.zero(3)]
-    assert sb.contains([xi, one, Cyc.zero(3)]) and sb.contains([one, one, xi])
+    assert sb.rows[0][0] == one and 1 not in sb.rows[0]
+    assert sb.contains({0: xi, 1: one}) and sb.contains({0: one, 1: one, 2: xi})
 
 
 def test_insert_takes_no_inverse_at_a_unit_pivot(monkeypatch):
-    xi, one, zero = root_of_unity(3, 1), Cyc.one(3), Cyc.zero(3)
+    xi, one = root_of_unity(3, 1), Cyc.one(3)
     calls = _counting_inverse(monkeypatch)
     sb = SpanBasis(3, 2)
     assert sb._insert({0: one, 1: xi}, 2)
@@ -455,7 +457,19 @@ def test_insert_takes_no_inverse_at_a_unit_pivot(monkeypatch):
     assert not sb._insert({0: one, 1: one}, 2)
     assert calls == []
     _assert_reduced_echelon(sb)
-    assert sb.rows == [[one, zero], [zero, one]]
+    assert sb.rows == [{0: one}, {1: one}]
+
+
+def test_insert_negates_a_minus_one_pivot(monkeypatch):
+    xi, one = root_of_unity(3, 1), Cyc.one(3)
+    calls = _counting_inverse(monkeypatch)
+    sb = SpanBasis(3, 3)
+    assert sb._insert({0: -one, 1: xi, 2: one}, 3)
+    assert calls == []
+    assert sb._rows == {0: {1: -xi, 2: -one}}
+    _assert_reduced_echelon(sb)
+    assert sb.rows == [{0: one, 1: -xi, 2: -one}]
+    assert sb.contains({0: -one, 1: xi, 2: one})
 
 
 def test_intertwiners_give_dimension_one_at_the_commutant_points():
@@ -476,13 +490,13 @@ def test_intertwiners_with_equal_actions_give_the_commutant():
     zero, one = Cyc.zero(4), Cyc.one(4)
     swap = Mat(4, [[zero, one], [one, zero]])
     basis = intertwiners(4, [2], [2], [(0, 0, swap, swap)])
-    assert basis == [[zero, one, one, zero], [one, zero, zero, one]]  # free columns c, d of [[a, b], [c, d]]
+    assert basis == [{1: one, 2: one}, {0: one, 3: one}]  # free columns c, d of [[a, b], [c, d]]
 
 
 def test_intertwiners_of_no_action_span_the_whole_space():
-    zero, one = Cyc.zero(3), Cyc.one(3)
+    one = Cyc.one(3)
     basis = intertwiners(3, [2, 1], [1, 2], [])
-    assert basis == [[one if i == j else zero for j in range(4)] for i in range(4)]
+    assert basis == [{j: one} for j in range(4)]
     assert intertwiners(3, [], [], []) == []
 
 
@@ -500,7 +514,7 @@ def test_intertwiners_handle_a_zero_size_block():
     basis = intertwiners(ell, src_dims, tgt_dims, actions)
     rows, n = dense_intertwiner_rows(ell, src_dims, tgt_dims, actions)
     assert n == 4
-    assert basis == kernel_basis(ell, rows, n)
+    assert [to_dense(ell, n, vec) for vec in basis] == kernel_basis(ell, rows, n)
     assert len(basis) < 4  # B X_1 = 0 is a real condition although X_0 has no entries
 
 
@@ -546,22 +560,22 @@ def test_solve_and_express_round_trip():
             nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
             rows = rand_sparse_rows(rng, ell, nrows, ncols)
             # the rows as a spanning list: express round-trips inside the span
-            solver = LinSolver(ell, rows)
+            solver = LinSolver(ell, ncols, [to_sparse(row) for row in rows])
             coeffs = [rand_cyc(rng, ell) for _ in range(nrows)]
             vec = [Cyc.zero(ell)] * ncols
             for c, row in zip(coeffs, rows):
                 vec = [a + c * b for a, b in zip(vec, row)]
-            coords = solver.express(vec)
+            coords = solver.express(to_sparse(vec))
             back = [Cyc.zero(ell)] * ncols
-            for c, row in zip(coords, rows):
+            for c, row in zip(to_dense(ell, nrows, coords), rows):
                 back = [a + c * b for a, b in zip(back, row)]
             assert back == vec
             # a vector outside the span is refused
             sb = SpanBasis(ell, ncols)
             for row in rows:
-                sb.add(row)
+                sb.add(to_sparse(row))
             for j in range(ncols):
-                unit = [Cyc.one(ell) if i == j else Cyc.zero(ell) for i in range(ncols)]
+                unit = {j: Cyc.one(ell)}
                 assert (solver.express(unit) is None) == (not sb.contains(unit))
 
 
@@ -569,29 +583,56 @@ def test_express_keeps_the_in_order_choice():
     one, zero, two = Cyc.one(3), Cyc.zero(3), Cyc.rational(3, 2)
     xi = root_of_unity(3, 1)
     u, w = [one, xi, zero], [zero, one, one]
-    solver = LinSolver(3, [[zero, zero, zero], u, [two * c for c in u], w, [a + b for a, b in zip(u, w)]])
+    basis = [[zero, zero, zero], u, [two * c for c in u], w, [a + b for a, b in zip(u, w)]]
+    solver = LinSolver(3, 3, [to_sparse(vec) for vec in basis])
     assert solver.rank == 2
-    assert solver.express([two * c for c in u]) == [zero, two, zero, zero, zero]
-    assert solver.express([a + b for a, b in zip(u, w)]) == [zero, one, zero, one, zero]
-    assert solver.express([one, zero, zero]) is None
+    assert solver.express(to_sparse([two * c for c in u])) == {1: two}
+    assert solver.express(to_sparse([a + b for a, b in zip(u, w)])) == {1: one, 3: one}
+    assert solver.express({0: one}) is None
 
 
-def test_engine_rejects_vectors_of_the_wrong_length():
+def test_engine_rejects_a_column_outside_the_range():
     one = Cyc.one(1)
+    for bad in ({2: one}, {0: one, 5: one}, {-1: one}):
+        with pytest.raises(ValueError):
+            SpanBasis(1, 2).add(bad)
+        with pytest.raises(ValueError):
+            SpanBasis(1, 2).contains(bad)
+        with pytest.raises(ValueError):
+            LinSolver(1, 2, [{0: one}, bad])
+        with pytest.raises(ValueError):
+            LinSolver(1, 2, [{0: one}]).express(bad)
     with pytest.raises(ValueError):
-        SpanBasis(1, 3).add([one, one])
-    with pytest.raises(ValueError):
-        SpanBasis(1, 2).add([one, one, one])
-    with pytest.raises(ValueError):
-        SpanBasis(1, 2).contains([one])
-    with pytest.raises(ValueError):
-        LinSolver(1, [[one, one], [one]])
-    with pytest.raises(ValueError):
-        LinSolver(1, [[one, one]]).express([one])
-    with pytest.raises(ValueError):
-        kernel_basis(1, [[one, one], [one]], 2)
-    with pytest.raises(ValueError):
-        kernel_basis(1, [[one, one]], 3)
+        kernel_basis(1, [[one, one, one]], 2)
+    # the last column is inside the range, and an empty vector is the zero vector
+    sb = SpanBasis(1, 2)
+    assert sb.add({1: one}) and not sb.add({}) and sb.contains({})
+
+
+def test_engine_does_not_mutate_its_arguments():
+    one, two = Cyc.one(1), Cyc.rational(1, 2)
+    sb = SpanBasis(1, 3)
+    first, second = {0: two, 1: one}, {0: one, 2: Cyc.zero(1)}
+    copies = [dict(first), dict(second)]
+    assert sb.add(first) and sb.add(second)
+    assert sb.contains(first) and not sb.contains({2: one})
+    assert [first, second] == copies
+    solver = LinSolver(1, 3, [first, second])
+    assert solver.express(second) == {1: one}
+    assert [first, second] == copies
+    # the rows handed out are copies, too
+    sb.rows[0].clear()
+    assert sb.rank == 2 and sb.contains(first)
+
+
+def test_kernel_vectors_are_sparse():
+    # 1 at the free column, -row_p[c] at each pivot p, nothing else
+    ell = 3
+    xi, one = root_of_unity(ell, 1), Cyc.one(ell)
+    sb = SpanBasis(ell, 5)
+    sb.add({0: one, 2: xi})
+    sb.add({1: one, 2: one, 4: -xi})
+    assert sb.kernel() == [{2: one, 0: -xi, 1: -one}, {3: one}, {4: one, 1: xi}]
 
 
 def test_values_survive_pickle_deepcopy_and_a_process_pool():

@@ -36,7 +36,7 @@ from groupoidreps.groupoid import (
 from groupoidreps.simples import all_simples, inner_product
 from groupoidreps.tableaux import multipartitions
 from groupoidreps.wreath import generators, wreath_identity
-from reference import kernel_basis
+from reference import kernel_basis, to_sparse
 
 GRID = [
     (2, 2, 1),
@@ -523,13 +523,13 @@ def _eigenspaces_by_kernel_basis(theta, k, mats):
     for m in range(1, k + 1):
         shifted = theta - Mat.identity(ell, n).scale_cyc(root_of_unity(ell, (ell // k) * m))
         basis = kernel_basis(ell, [list(row) for row in shifted.rows], n)
-        solver = LinSolver(ell, basis)
+        solver = LinSolver(ell, n, [to_sparse(vec) for vec in basis])
         traces = []
         for A in mats:
             tr = Cyc.zero(ell)
             for i, vec in enumerate(basis):
                 image = [sum((a * b for a, b in zip(row, vec)), Cyc.zero(ell)) for row in A.rows]
-                tr = tr + solver.express(image)[i]
+                tr = tr + solver.express(to_sparse(image)).get(i, Cyc.zero(ell))
             traces.append(tr)
         out.append((len(basis), tuple(traces)))
     return out

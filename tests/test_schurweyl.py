@@ -3,7 +3,7 @@ import pytest
 from groupoidreps import schurweyl
 from groupoidreps.algebra import AlgElem, phi
 from groupoidreps.cyclo import Cyc, Mat, SpanBasis, intertwiners
-from groupoidreps.gkd import QuotientGroupoid
+from groupoidreps.gkd import QuotientGroupoid, quotient_groupoid
 from groupoidreps.groupoid import component_generators, compose, hom, identity_morphism, type_of
 from groupoidreps.schurweyl import (
     TensorSpace,
@@ -16,7 +16,7 @@ from groupoidreps.schurweyl import (
 )
 from groupoidreps.simples import all_simples, character_table, conjugacy_classes, inner_product
 from groupoidreps.wreath import enum_group, wreath_identity, wreath_inv
-from reference import kernel_basis, scan_phi_trace, two_sided_closure
+from reference import act_full, kernel_basis, scan_phi_trace, to_sparse, two_sided_closure
 
 TENSOR_GRID = [
     (1, (2,), 2),
@@ -167,11 +167,8 @@ def _shift_commutant_in_two_stages(ell, k, m, d):
         for g, tgt in sorted(T.block_of.items()):
             actions = [(0, 0, gen[f], gen[g]) for gen in gens]
             for vec in intertwiners(ell, [len(src)], [len(tgt)], actions):
-                entries = (
-                    ((T.index[tgt[r]], T.index[src[c]]), vec[r * len(src) + c])
-                    for r in range(len(tgt))
-                    for c in range(len(src))
-                )
+                # the vector is X row-major: position r * len(src) + c holds X[r][c]
+                entries = (((T.index[tgt[p // len(src)]], T.index[src[p % len(src)]]), v) for p, v in vec.items())
                 cgl.append(Mat.from_entries(ell, dim, dim, entries))
     rows = [[v for row in (X * Z - Z * X).rows for v in row] for X in cgl]
     out = []
@@ -192,11 +189,34 @@ def test_shift_commutant_matches_the_two_stage_route(monkeypatch, ell, k, m, d):
     assert rep["ok"]
     (comm,) = solved
     reference = _shift_commutant_in_two_stages(ell, k, m, d)
-    sb = SpanBasis(ell, len(comm[0]))
+    sb = SpanBasis(ell, TensorSpace(ell, (m,) * ell, d).dim() ** 2)
     for vec in reference:
-        assert sb.add(vec)
+        assert sb.add(to_sparse(vec))
     assert len(comm) == sb.rank == rep["checks"][1]["details"]["commutant_dim"]
     assert all(sb.contains(vec) for vec in comm)
+
+
+@pytest.mark.parametrize("ell,k,m,d", SHIFT_DUALITY_GRID + [(2, 2, 2, 3), (3, 3, 1, 3)])
+def test_shift_image_span_matches_the_dense_psi_matrices(monkeypatch, ell, k, m, d):
+    # the image span is built from index maps; the flattened dense matrices of
+    # the Psi-images (reference.act_full) span the same space
+    made = []
+
+    class Recorded(SpanBasis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(schurweyl, "SpanBasis", Recorded)
+    rep = shift_duality_check(ell, k, m, d)
+    assert rep["ok"]
+    (sb_img,) = made
+    T, Q = TensorSpace(ell, (m,) * ell, d), quotient_groupoid(ell, k, d)
+    dense = SpanBasis(ell, T.dim() ** 2)
+    for q in Q.all_qmorphisms():
+        dense.add(to_sparse([v for row in act_full(T, Q.psi(q)).rows for v in row]))
+    _same_span(sb_img, dense)
+    assert sb_img.rank == rep["checks"][1]["details"]["image_dim"]
 
 
 @pytest.mark.parametrize("ell,k,m,d", SHIFT_DUALITY_GRID)
@@ -237,7 +257,7 @@ def test_image_spans_match_the_dense_morphism_matrices(ell, kvec, d):
         ms = hom(f, g, ell)
         dense = SpanBasis(ell, sb.n)
         for m in ms:
-            dense.add([v for row in T.morphism_block_matrix(m).rows for v in row])
+            dense.add(to_sparse([v for row in T.morphism_block_matrix(m).rows for v in row]))
         assert n_hom == len(ms) and sb.rank == dense.rank
         assert all(dense.contains(row) for row in sb.rows)
 
@@ -409,7 +429,7 @@ def test_idempotent_sum_is_zero_exactly_when_the_inner_product_is(ell, kvec, d):
     # central idempotent of p, summed as matrices on V^(x d)
     T = TensorSpace(ell, kvec, d)
     group = enum_group(ell, d)
-    mats = {x: T.act_full(phi(x, d)) for x in group}
+    mats = {x: act_full(T, phi(x, d)) for x in group}
     classes = conjugacy_classes(ell, d)
     chi_v = [mats[rep].trace() for rep, _size in classes]
     zero = Mat.zeros(ell, T.dim(), T.dim())
@@ -424,7 +444,7 @@ def test_idempotent_sum_is_zero_exactly_when_the_inner_product_is(ell, kvec, d):
 def test_character_is_the_trace_of_the_phi_action(ell, kvec, d):
     T = TensorSpace(ell, kvec, d)
     for rep, _size in conjugacy_classes(ell, d):
-        assert T.character(rep) == T.act_full(phi(rep, d)).trace(), rep
+        assert T.character(rep) == act_full(T, phi(rep, d)).trace(), rep
 
 
 @pytest.mark.parametrize("ell,kvec,d", TENSOR_GRID + [(3, (1, 2, 1), 2)])
@@ -435,12 +455,21 @@ def test_character_matches_the_object_scan_on_every_element(ell, kvec, d):
 
 
 def test_kernel_check_builds_no_dense_matrix(monkeypatch):
-    # chi_V comes from TensorSpace.character; act_full is never called
-    def refuse(self, a):
-        raise AssertionError("act_full called")
+    # chi_V comes from TensorSpace.character, and the kernel dimension from
+    # the index-map image spans: no dim x dim matrix on V^(x d) is built
+    T = TensorSpace(2, (2, 1), 2)
+    dim, real = T.dim(), Mat.from_entries
 
-    monkeypatch.setattr(TensorSpace, "act_full", refuse)
-    assert kernel_check(TensorSpace(2, (2, 1), 2))["ok"]
+    def refuse_total(ell, nrows, ncols, entries):
+        if (nrows, ncols) == (dim, dim):
+            raise AssertionError("dim x dim matrix built")
+        return real(ell, nrows, ncols, entries)
+
+    monkeypatch.setattr(Mat, "from_entries", staticmethod(refuse_total))
+    assert kernel_check(T)["ok"]
+    # the guard is live: the dense reference route builds the matrix and is refused
+    with pytest.raises(AssertionError, match="dim x dim"):
+        act_full(T, phi(wreath_identity(2, 2), 2))
 
 
 def _same_span(sb, reference):

@@ -87,6 +87,20 @@ def test_commutants_are_solved_only_in_cyclo():
     assert not offenders
 
 
+def test_engine_internals_are_touched_only_in_cyclo():
+    # one vector format: outside cyclo.py the engine is reached through
+    # SpanBasis.add/contains/kernel/rows, LinSolver and intertwiners only
+    private = {"_insert", "_reduce", "_rows"}
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "cyclo.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert not offenders
+
+
 @pytest.mark.parametrize("module", ["algebra.py", "rook.py"])
 def test_algebra_uses_no_elimination(module):
     # the rank of the Phi images is a count of distinct characters

@@ -165,21 +165,18 @@ def _reference_matrices(mu, ws):
         cells = iter(p)
         index.setdefault(tuple(frozenset(next(cells) for _ in range(r)) for r in mu), len(index))
 
-    def dense(vec):
-        out = [Cyc.zero(1)] * len(index)
-        for tbl, c in vec.items():
-            out[index[tbl]] = Cyc.rational(1, c)
-        return out
+    def sparse(vec):
+        return {index[tbl]: Cyc.rational(1, c) for tbl, c in vec.items() if c}
 
-    solver = LinSolver(1, [dense(_reference_polytabloid(t)) for t in tabs])
+    solver = LinSolver(1, len(index), [sparse(_reference_polytabloid(t)) for t in tabs])
     assert solver.rank == len(tabs)
     out = []
     for w in ws:
         cols = []
         for t in tabs:
-            coords = solver.express(dense(_reference_polytabloid(tuple(tuple(w[x - 1] for x in row) for row in t))))
+            coords = solver.express(sparse(_reference_polytabloid(tuple(tuple(w[x - 1] for x in row) for row in t))))
             assert coords is not None
-            cols.append([c.rational_value() for c in coords])
+            cols.append([coords.get(i, Cyc.zero(1)).rational_value() for i in range(len(tabs))])
         out.append(tuple(tuple(col[i] for col in cols) for i in range(len(tabs))))
     return out
 
