@@ -43,7 +43,7 @@ from operator import mul
 from .cyclo import Cyc, root_of_unity
 from .groupoid import GMorphism, _objects_tuple, identity_morphism, object_index, objects
 from .perms import compose_perms, reach
-from .reporting import suite_result
+from .reporting import record, suite_result
 from .wreath import DEFAULT_GROUP_CAP, WreathElem, enum_group, generators, wreath_identity, wreath_mul
 
 __all__ = [
@@ -298,29 +298,23 @@ def verify_iso(ell: int, d: int, cap: int = DEFAULT_GROUP_CAP) -> dict:
     forms = [phi_form(x, d) for x in group]
     counterexample = _multiplicativity_counterexample(group, gens, forms, table)
     checks = [
-        {
-            "name": "phi multiplicative",
-            "status": "pass" if generated and counterexample is None else "fail",
-            "details": {
+        record(
+            "phi multiplicative",
+            generated and counterexample is None,
+            {
                 "pairs": len(group) * len(gens),
                 "mode": "exhaustive",
                 "generators": len(gens),
                 "generated": generated,
                 **({"counterexample": counterexample} if counterexample else {}),
             },
-        }
+        )
     ]
 
     expected = ell**d * factorial(d)
     rank = _rank_of_phi_images(ell, d, group, forms)
-    checks.append(
-        {
-            "name": "phi bijective (exact rank)",
-            "status": "pass" if rank == expected else "fail",
-            "details": {"rank": rank, "dim": expected},
-        }
-    )
+    checks.append(record("phi bijective (exact rank)", rank == expected, {"rank": rank, "dim": expected}))
 
     unit_ok = phi(wreath_identity(ell, d)) == AlgElem.unit(ell, d)
-    checks.append({"name": "phi preserves unit", "status": "pass" if unit_ok else "fail"})
+    checks.append(record("phi preserves unit", unit_ok))
     return suite_result(checks, ell=ell, d=d)

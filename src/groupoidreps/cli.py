@@ -22,7 +22,7 @@ from itertools import product
 from math import factorial, prod
 from typing import Callable, NamedTuple
 
-from .reporting import EXIT_RESOURCE, EXIT_USAGE, emit, exit_code, make_report
+from .reporting import EXIT_RESOURCE, EXIT_USAGE, emit, exit_code, make_report, record
 
 DEFAULT_CAP = 10**6
 
@@ -87,11 +87,6 @@ def _validate(args) -> None:
             raise UsageError(f"--kvec must have --ell ({args.ell}) parts, each >= 1")
 
 
-def _detail(name: str, details) -> dict:
-    """A subcommand-only check that reports what was built."""
-    return {"name": name, "status": "pass", "details": details}
-
-
 def _name(prefix: str, section: str | None, check: str) -> str:
     """`[prefix ][section: ]check`; a nameless check takes the prefix alone."""
     head = " ".join(filter(None, (prefix, section)))
@@ -121,10 +116,10 @@ def _objects(p: dict, cap: int, detail: bool) -> Sections:
             total += n
             sizes_ok = sizes_ok and n == (aut if types[g] == types[f] else 0)
     expected = ell**d * factorial(d)
-    status = "pass" if sizes_ok and total == expected else "fail"
+    ok = sizes_ok and total == expected
     if not detail:
         # `all` names this check after its task and keeps only the total
-        return [(None, [{"name": "", "status": status, "details": {"total": total}}])]
+        return [(None, [record("", ok, {"total": total})])]
     per_type: dict = {}
     for f in objs:
         per_type.setdefault(types[f], []).append(f)
@@ -135,9 +130,8 @@ def _objects(p: dict, cap: int, detail: bool) -> Sections:
             for t, fs in sorted(per_type.items())
         ],
     }
-    count = {"name": "total morphism count = l^d d!", "status": status,
-             "details": {"total": total, "expected": expected}}
-    return [(None, [count, _detail("object table", table)])]
+    count = record("total morphism count = l^d d!", ok, {"total": total, "expected": expected})
+    return [(None, [count, record("object table", True, table)])]
 
 
 def _verify_iso(p: dict, cap: int, detail: bool) -> Sections:
@@ -155,7 +149,7 @@ def _simples(p: dict, cap: int, detail: bool) -> Sections:
             {"label": m.label_json(), "block_dim": m.block_dim, "total_dim": m.total_dim}
             for m in all_simples(p["ell"], p["d"])
         ]
-        sections.append((None, [_detail("simple modules", mods)]))
+        sections.append((None, [record("simple modules", True, mods)]))
     return sections
 
 
@@ -177,7 +171,7 @@ def _gelfand(p: dict, cap: int, detail: bool) -> Sections:
                 {"object": list(f), "involutions": len(ws)} for f, ws in sorted(model.basis.items())
             ],
         }
-        sections.append((None, [_detail("involution counts per object", counts)]))
+        sections.append((None, [record("involution counts per object", True, counts)]))
     return sections
 
 
@@ -198,7 +192,7 @@ def _gkd(p: dict, cap: int, detail: bool) -> Sections:
     qs = quotient_simples_check(ell, k, d)
     sections.append(("quotient-simples", qs["checks"]))
     if detail:
-        sections.append((None, [_detail("simple labels", qs["labels"])]))
+        sections.append((None, [record("simple labels", True, qs["labels"])]))
     sections.append(("restriction", restriction_check(ell, k, d)["checks"]))
     sections.append(("rotation-eigenspaces", rotation_eigenspace_check(ell, k, d)["checks"]))
     return sections
@@ -220,7 +214,7 @@ def _schur_weyl(p: dict, cap: int, detail: bool) -> Sections:
             "commutant_dim": dc["commutant_dim"],
             "kernel_dim": ker["kernel_dim"],
         }
-        sections.append((None, [_detail("dimensions", dims)]))
+        sections.append((None, [record("dimensions", True, dims)]))
     return sections
 
 
@@ -422,9 +416,11 @@ def _check_config(config) -> None:
         if name not in known:
             raise UsageError(f"unknown config key {name!r}")
     for key in _DEFAULTS:
-        for name in dict.fromkeys((key, key.replace("_", "-"))):
-            if name not in config:
-                continue
+        given = [name for name in dict.fromkeys((key, key.replace("_", "-"))) if name in config]
+        if len(given) > 1:
+            # one value would silently win over the other
+            raise UsageError(f"config key {key!r} is given twice, as {given[0]!r} and {given[1]!r}")
+        for name in given:
             value = config[name]
             if key == "out":
                 ok, wanted = value in ("json", "text"), "json or text"

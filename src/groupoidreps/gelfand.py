@@ -18,7 +18,7 @@ from functools import lru_cache
 from .cyclo import Cyc
 from .groupoid import GMorphism, compose, hom, inverse, objects
 from .perms import compose_perms
-from .reporting import suite_result
+from .reporting import record, suite_result
 from .simples import _exponent_bins, all_simples, character_table, conjugacy_classes, inner_product, phi_trace
 from .wreath import WreathElem
 
@@ -96,14 +96,11 @@ def verify_gelfand(ell: int, d: int) -> dict:
 
     dim_match = model.total_dim == sum(m.total_dim for m in simples)
     checks.append(
-        {
-            "name": "sum of involution counts = sum of simple dims",
-            "status": "pass" if dim_match else "fail",
-            "details": {
-                "involutions": model.total_dim,
-                "sum_simple_dims": sum(m.total_dim for m in simples),
-            },
-        }
+        record(
+            "sum of involution counts = sum of simple dims",
+            dim_match,
+            {"involutions": model.total_dim, "sum_simple_dims": sum(m.total_dim for m in simples)},
+        )
     )
 
     # Each simple character feeds its multiplicity; their per-class sum must
@@ -121,20 +118,12 @@ def verify_gelfand(ell: int, d: int) -> dict:
         # int() would truncate a rational: only an integer is reported as an int
         exact = int(val.rational_value()) if val.is_rational() and val.den == 1 else str(val.to_json()["coeffs"])
         mult_table.append({"label": m.label_json(), "multiplicity": exact})
-    checks.append(
-        {
-            "name": "every simple has multiplicity exactly 1",
-            "status": "pass" if all_one else "fail",
-            "details": {"multiplicities": mult_table},
-        }
-    )
+    checks.append(record("every simple has multiplicity exactly 1", all_one, {"multiplicities": mult_table}))
 
     # per class, the power-basis numerators of the simple characters summed
     # as ints (Fractions where a denominator is not 1), then made one Cyc
     chi_sum = [Cyc(ell, map(sum, zip(*map(_exponent_bins, values)))) for values in zip(*table)]
     diff_zero = chi_model == chi_sum
-    checks.append(
-        {"name": "gelfand character equals sum of simple characters", "status": "pass" if diff_zero else "fail"}
-    )
+    checks.append(record("gelfand character equals sum of simple characters", diff_zero))
 
     return suite_result(checks, ell=ell, d=d, total_dim=model.total_dim)

@@ -54,8 +54,8 @@ from .groupoid import (
     type_of,
 )
 from .perms import reach
-from .reporting import suite_result
-from .simples import _lift, all_simples, build_simple, colored_classes, inner_product
+from .reporting import record, skip, suite_result
+from .simples import all_simples, build_simple, colored_classes, inner_product
 from .tableaux import compositions, multipartitions, outer_rep
 from .wreath import WreathElem, gkd_elements, gkd_generators, s0_j, wreath_inv, wreath_mul
 
@@ -284,22 +284,10 @@ def quotient_structure_report(ell: int, k: int, d: int) -> dict:
     ]
     total, expected = len(Q.all_qmorphisms()), ell**d * factorial(d) // k
     checks = [
-        {"name": "H_k acts freely on objects", "status": "pass" if free else "fail"},
-        {
-            "name": "object count = l^d / k",
-            "status": "pass" if count_ok else "fail",
-            "details": {"objects": len(Q.orbits)},
-        },
-        {
-            "name": "|endo| = |stabilizer| * lam!",
-            "status": "pass" if all(row["ok"] for row in endo_rows) else "fail",
-            "details": {"orbits": endo_rows},
-        },
-        {
-            "name": "dim A_(l,k,d) = l^d d!/k",
-            "status": "pass" if total == expected else "fail",
-            "details": {"dim": total, "expected": expected},
-        },
+        record("H_k acts freely on objects", free),
+        record("object count = l^d / k", count_ok, {"objects": len(Q.orbits)}),
+        record("|endo| = |stabilizer| * lam!", all(row["ok"] for row in endo_rows), {"orbits": endo_rows}),
+        record("dim A_(l,k,d) = l^d d!/k", total == expected, {"dim": total, "expected": expected}),
     ]
     return suite_result(checks, ell=ell, k=k, d=d)
 
@@ -359,7 +347,7 @@ def reflection_span_check(ell: int, k: int, d: int) -> dict:
             overlap = True
         supports |= sup
     inj = (not overlap) and len(supports) == ell**d * factorial(d)
-    checks.append({"name": "Psi injective (disjoint orbit supports)", "status": "pass" if inj else "fail"})
+    checks.append(record("Psi injective (disjoint orbit supports)", inj))
 
     # Psi multiplicative on the basis.  Psi(q) lies in e_target A e_source,
     # which gives the zero products of the pairs that do not compose; on the
@@ -372,7 +360,7 @@ def reflection_span_check(ell: int, k: int, d: int) -> dict:
     gens = _quotient_generators(Q, gamma_cross_section(ell, k, d))
     reached = _closure(Q, gens, range(len(Q.orbits)), lambda s, x, y: psi[s] * psi[x] == psi[y])
     mult_ok = in_corner and reached == set(qms)
-    checks.append({"name": "Psi multiplicative on the basis", "status": "pass" if mult_ok else "fail"})
+    checks.append(record("Psi multiplicative on the basis", mult_ok))
 
     # Phi(G(l,k,d)) lies in the H_k-invariant span (coefficients orbit-constant)
     members = gkd_elements(ell, k, d)
@@ -383,9 +371,7 @@ def reflection_span_check(ell: int, k: int, d: int) -> dict:
         except ValueError:
             invariant = False
             break
-    checks.append(
-        {"name": "Phi(G(l,k,d)) is H_k-invariant", "status": "pass" if invariant else "fail"}
-    )
+    checks.append(record("Phi(G(l,k,d)) is H_k-invariant", invariant))
 
     # rank of {Phi(x) : x in G}, counted as distinct additive exponent vectors
     # per permutation block (a lower bound, exact when every image is a
@@ -394,11 +380,11 @@ def reflection_span_check(ell: int, k: int, d: int) -> dict:
     rank = _rank_of_phi_images(ell, d, members)
     rank_ok = rank == dim_quotient == ell**d * factorial(d) // k
     checks.append(
-        {
-            "name": "span Phi(G) = span Psi (exact rank and containment)",
-            "status": "pass" if (rank_ok and invariant) else "fail",
-            "details": {"rank": rank, "dim": dim_quotient},
-        }
+        record(
+            "span Phi(G) = span Psi (exact rank and containment)",
+            rank_ok and invariant,
+            {"rank": rank, "dim": dim_quotient},
+        )
     )
 
     return suite_result(checks, ell=ell, k=k, d=d)
@@ -487,10 +473,8 @@ class QuotientSimpleModule:
                 self.component.append(oi)
                 cands = [x for x in self.Q.orbits[oi] if type_of(x, ell) == self.lam]
                 self.anchor_obj[oi] = min(cands)
-        self.base_orbit = self.Q.orbit_of[self.base]
         self.block_index = {oi: i for i, oi in enumerate(self.component)}
         self.total_dim = self.block_dim * len(self.component)
-        self._rotation = self._build_rotation()
         self._mat_cache: dict[GMorphism, Mat] = {}
         self._anchors = {
             oi: self.Q.normalize(
@@ -502,41 +486,35 @@ class QuotientSimpleModule:
 
     # -- the endomorphism representation at the base object -----------------
 
-    def _build_rotation(self) -> Mat:
-        """Matrix M of the canonical rotation endomorphism of the base orbit."""
-        ell = self.ell
-        offsets = list(accumulate((rep.dim for rep in self.reps), initial=0))
-        hmap = lambda c: (c + self.u) % ell  # 0-based slot map
-        omega = root_of_unity(ell, (ell // self.s) * self.m)
-        entries = []
-        for j, rep in enumerate(self.reps):
-            jn = (j + 1) % self.copies
-            scalar = omega if jn != j + 1 else Cyc.one(ell)
-            slot = _slot_rotation([rep.components[c].dim for c in range(ell)], hmap)
-            entries += (((offsets[jn] + b, offsets[j] + a), scalar) for a, b in enumerate(slot))
-        return Mat.from_entries(ell, self.block_dim, self.block_dim, entries)
-
-    def _rho_pi(self, w: tuple[int, ...]) -> Mat:
-        """Block-diagonal action of a color-preserving endomorphism of the base."""
-        ell = self.ell
-        entries = []
-        pos = 0
-        for rep in self.reps:
-            entries += _lift(ell, rep.matrix_of_blockperm(w), pos, pos)
-            pos += rep.dim
-        return Mat.from_entries(ell, self.block_dim, self.block_dim, entries)
-
     def _endo_matrix(self, q: GMorphism) -> Mat:
-        """rho~ of an endomorphism of the base orbit: M^t * rho(pi)."""
+        """rho~ of an endomorphism of the base orbit: M^t * rho(pi), in one pass.
+
+        rho(pi) is block diagonal, one block per copy V_j.  M, the canonical
+        rotation endomorphism of the base orbit, sends copy j to copy j + 1
+        along the slot map c -> c + u and scales by omega = xi^((l/s) m) where
+        it wraps from the last copy to the first.  So M^t sends the block of
+        copy j to copy (j + t) mod copies, along the slot map c -> c + t u,
+        scaled by omega^((j + t) // copies).
+        """
+        ell, copies = self.ell, self.copies
         at_base = self.Q.translate(q, self.Q._translate_exponent(q.source, self.base))
         # the target is h^t(base) = theta_k^(t k/r)(base) for a unique t in {0..r-1}
         tgt = at_base.target
         t = self.Q._translate_exponent(self.base, tgt) // (self.k // self.r)
-        pi = compose(canonical_morphism(tgt, self.base, self.ell), at_base)
-        out = self._rho_pi(pi.perm)
-        for _ in range(t):
-            out = self._rotation * out
-        return out
+        pi = compose(canonical_morphism(tgt, self.base, ell), at_base)
+        offsets = list(accumulate((rep.dim for rep in self.reps), initial=0))
+        entries = []
+        for j, rep in enumerate(self.reps):
+            scalar = root_of_unity(ell, (ell // self.s) * self.m * ((j + t) // copies))
+            slot = _slot_rotation([rep.components[c].dim for c in range(ell)], lambda c: (c + t * self.u) % ell)
+            row0, col0 = offsets[(j + t) % copies], offsets[j]
+            entries += (
+                ((row0 + slot[i], col0 + a), scalar.scale(v))
+                for i, row in enumerate(rep.matrix_of_blockperm(pi.perm))
+                for a, v in enumerate(row)
+                if v
+            )
+        return Mat.from_entries(ell, self.block_dim, self.block_dim, entries)
 
     # -- the module over the whole component --------------------------------
 
@@ -663,39 +641,31 @@ def quotient_simples_check(ell: int, k: int, d: int) -> dict:
     checks = []
 
     functorial = all(_quotient_functorial(m) for m in mods)
-    checks.append({"name": "L_(p,m) functorial", "status": "pass" if functorial else "fail"})
+    checks.append(record("L_(p,m) functorial", functorial))
 
     identity_ok = all(
         m.action_block(m.Q.identity(oi)) == Mat.identity(ell, m.block_dim)
         for m in mods
         for oi in m.component
     )
-    checks.append({"name": "identity quotient morphisms act as identity", "status": "pass" if identity_ok else "fail"})
+    checks.append(record("identity quotient morphisms act as identity", identity_ok))
 
     total = sum(m.total_dim**2 for m in mods)
     expected = ell**d * factorial(d) // k
     checks.append(
-        {
-            "name": "wedderburn sum over (p,m) labels",
-            "status": "pass" if total == expected else "fail",
-            "details": {"sum": total, "order": expected, "dims": [m.total_dim for m in mods]},
-        }
+        record(
+            "wedderburn sum over (p,m) labels",
+            total == expected,
+            {"sum": total, "order": expected, "dims": [m.total_dim for m in mods]},
+        )
     )
 
     bad = [m.label_json() for m in mods if _quotient_commutant_dim(m) != 1]
-    checks.append(
-        {
-            "name": "commutant of each L_(p,m) has dim 1",
-            "status": "pass" if not bad else "fail",
-            "details": {"failures": bad},
-        }
-    )
+    checks.append(record("commutant of each L_(p,m) has dim 1", not bad, {"failures": bad}))
 
     char_vectors = [tuple(v.coeffs for v in m.class_character) for m in mods]
     distinct = len(set(char_vectors)) == len(mods)
-    checks.append(
-        {"name": "characters pairwise distinct", "status": "pass" if distinct else "fail"}
-    )
+    checks.append(record("characters pairwise distinct", distinct))
 
     return suite_result(checks, ell=ell, k=k, d=d, labels=[m.label_json() for m in mods])
 
@@ -735,13 +705,7 @@ def restriction_check(ell: int, k: int, d: int) -> dict:
         }
         if non_integral:
             details["non_integral"] = non_integral
-        checks.append(
-            {
-                "name": f"restriction of L_{simple.label_json()}",
-                "status": "pass" if ok else "fail",
-                "details": details,
-            }
-        )
+        checks.append(record(f"restriction of L_{simple.label_json()}", ok, details))
     return suite_result(checks, ell=ell, k=k, d=d)
 
 
@@ -772,10 +736,10 @@ def rotation_eigenspace_check(ell: int, k: int, d: int) -> dict:
         r = Q.type_stabilizer_order(lam)
         name = f"rotation eigenspaces for p={[list(q) for q in p0]}"
         if _p_stabilizer_order(p0, r, ell) != r:
-            checks.append({"name": name, "status": "skip", "details": {"reason": "p not stabilizer-invariant"}})
+            checks.append(skip(name, "p not stabilizer-invariant"))
             continue
         ok, detail = _rotation_eigenspace_single(Q, lam, p0, reps_classes)
-        checks.append({"name": name, "status": "pass" if ok else "fail", "details": detail})
+        checks.append(record(name, ok, detail))
     return suite_result(checks, ell=ell, k=k, d=d)
 
 

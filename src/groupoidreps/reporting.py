@@ -1,10 +1,12 @@
-"""Report assembly and emission shared by the CLI subcommands.
+"""Check records, and report assembly and emission shared by the CLI subcommands.
 
-A report carries its checks (name/status/details) separately from timings so
-that the check payload is byte-identical across runs with identical flags.
-A check's status is pass, fail or skip (a case the check does not cover,
-with the reason in its details); a report with any failing check maps to a
-nonzero exit code.
+Every check record is built here, by `record` or `skip`: a dict with a name,
+a status of pass, fail or skip, and details when there are any.  `record`
+takes the check's answer as a bool, so nothing passes on a truthy non-answer;
+`skip` marks a case the check does not cover and gives the reason in its
+details.  A report carries its checks separately from timings so that the
+check payload is byte-identical across runs with identical flags; a report
+with any failing check maps to a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -17,6 +19,23 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+
+def record(name: str, ok: bool, details=None) -> dict:
+    """The check `name`: pass when ok, else fail; details only when given."""
+    if not isinstance(ok, bool):
+        raise TypeError(f"check {name!r}: ok must be a bool, got {type(ok).__name__}")
+    check = {"name": name, "status": "pass" if ok else "fail"}
+    if details is not None:
+        check["details"] = details
+    return check
+
+
+def skip(name: str, reason: str) -> dict:
+    """The check `name` skipped, with the reason it does not apply."""
+    if not reason:
+        raise ValueError(f"check {name!r}: a skip needs a reason")
+    return {"name": name, "status": "skip", "details": {"reason": reason}}
 
 
 def make_report(command: str, parameters: dict, checks: list[dict], timings: dict | None = None) -> dict:

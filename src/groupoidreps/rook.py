@@ -24,7 +24,7 @@ from itertools import combinations, permutations
 from math import comb, factorial
 
 from .perms import adjacent_transposition, reach
-from .reporting import suite_result
+from .reporting import record, suite_result
 
 __all__ = [
     "RookElem",
@@ -148,34 +148,26 @@ def rook_epimorphism_check(d: int) -> dict:
     """
     images = rook_images(d)
     e = RookAlgebraElem.basis(d, rook_identity(d))
-    checks = []
-
-    def record(name, ok):
-        checks.append({"name": name, "status": "pass" if ok else "fail"})
-
     t0 = images[0]
-    record("(2 eps1 - e)^2 = e", t0 * t0 == e)
+    checks = [record("(2 eps1 - e)^2 = e", t0 * t0 == e)]
     for i in range(1, d):
-        record(f"s{i}^2 = e", images[i] * images[i] == e)
+        checks.append(record(f"s{i}^2 = e", images[i] * images[i] == e))
     if d >= 2:
         s1 = images[1]
-        record(
-            "s0 s1 s0 s1 = s1 s0 s1 s0",
-            t0 * s1 * t0 * s1 == s1 * t0 * s1 * t0,
-        )
+        checks.append(record("s0 s1 s0 s1 = s1 s0 s1 s0", t0 * s1 * t0 * s1 == s1 * t0 * s1 * t0))
         # key identity from the proof: eps1 s1 eps1 s1 = s1 eps1 s1 eps1 = identity on {3..d}
         ep = RookAlgebraElem.basis(d, eps1(d))
         lhs = ep * s1 * ep * s1
         rhs = s1 * ep * s1 * ep
         tail = RookAlgebraElem.basis(d, (0, 0) + tuple(range(3, d + 1)))
-        record("eps1 s1 eps1 s1 = s1 eps1 s1 eps1", lhs == rhs)
-        record("eps1 s1 eps1 s1 = identity on {3..d}", lhs == tail)
+        checks.append(record("eps1 s1 eps1 s1 = s1 eps1 s1 eps1", lhs == rhs))
+        checks.append(record("eps1 s1 eps1 s1 = identity on {3..d}", lhs == tail))
     for i in range(1, d - 1):
         a, b = images[i], images[i + 1]
-        record(f"s{i} s{i+1} s{i} = s{i+1} s{i} s{i+1}", a * b * a == b * a * b)
+        checks.append(record(f"s{i} s{i+1} s{i} = s{i+1} s{i} s{i+1}", a * b * a == b * a * b))
     for i in range(d):
         for j in range(i + 2, d):
-            record(f"s{i} s{j} = s{j} s{i}", images[i] * images[j] == images[j] * images[i])
+            checks.append(record(f"s{i} s{j} = s{j} s{i}", images[i] * images[j] == images[j] * images[i]))
 
     # surjectivity: the monoid that eps_1 and s_1..s_(d-1), derived from the
     # images, generate lies in the image; distinct rook elements are a basis
@@ -183,9 +175,11 @@ def rook_epimorphism_check(d: int) -> dict:
     monoid_gens = [r for x in derived for r, c in x.terms.items() if len(x.terms) == 1 and c == 1]
     reached = reach([rook_identity(d)], lambda x: (rook_compose(x, g) for g in monoid_gens))
     target = rook_monoid_order(d)
-    record(
-        f"span of generated algebra = |IS_{d}| = {target}",
-        len(monoid_gens) == len(derived) and len(reached) == target,
+    checks.append(
+        record(
+            f"span of generated algebra = |IS_{d}| = {target}",
+            len(monoid_gens) == len(derived) and len(reached) == target,
+        )
     )
 
     return suite_result(checks, d=d, dim=len(reached))

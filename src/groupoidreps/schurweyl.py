@@ -39,7 +39,7 @@ from .cyclo import Cyc, Mat, SpanBasis, intertwiners
 from .gkd import _closure, _quotient_generators, quotient_groupoid
 from .groupoid import GMorphism, component_generators, hom, type_of
 from .perms import invert_perm
-from .reporting import suite_result
+from .reporting import record, suite_result
 from .simples import all_simples, character_table, conjugacy_classes, inner_product, phi_trace
 from .wreath import WreathElem
 
@@ -232,8 +232,7 @@ def verify_commuting(T: TensorSpace) -> dict:
     walked = reached == set(Q.all_qmorphisms())
     steps, gl = gens + [Q.identity(o) for o in objs], glk_generators(T)
     relabelled = all(G[s.source].permuted(act(s)) == G[s.target] for s in steps for G in gl)
-    status = "pass" if walked and relabelled else "fail"
-    return suite_result([{"name": "groupoid action commutes with GL generators", "status": status}])
+    return suite_result([record("groupoid action commutes with GL generators", walked and relabelled)])
 
 
 @_once_per_space
@@ -279,11 +278,11 @@ def verify_double_centralizer(T: TensorSpace) -> dict:
             if len(inter) != img_rank or not all(sb_img.contains(v) for v in inter):
                 ok_forward = False
     checks.append(
-        {
-            "name": "A-image = commutant(GL) on every block pair",
-            "status": "pass" if ok_forward else "fail",
-            "details": {"image_dim": image_dim, "commutant_dim": commutant_dim},
-        }
+        record(
+            "A-image = commutant(GL) on every block pair",
+            ok_forward,
+            {"image_dim": image_dim, "commutant_dim": commutant_dim},
+        )
     )
 
     # (c): commutant of the A-image equals the GL-generated algebra.
@@ -303,20 +302,16 @@ def verify_double_centralizer(T: TensorSpace) -> dict:
     algebra = glk_generated_algebra(T)
     ok_back = len(comm_A) == algebra.rank and all(algebra.contains(v) for v in comm_A)
     checks.append(
-        {
-            "name": "commutant(A-image) = GL-generated algebra",
-            "status": "pass" if ok_back else "fail",
-            "details": {"commutant_dim": len(comm_A), "algebra_dim": algebra.rank},
-        }
+        record(
+            "commutant(A-image) = GL-generated algebra",
+            ok_back,
+            {"commutant_dim": len(comm_A), "algebra_dim": algebra.rank},
+        )
     )
 
     exp_ok, units = _transvections_are_exponentials(T, gens)
     checks.append(
-        {
-            "name": "(I+E_ab)^(x d) = exp Delta(E_ab) for every off-diagonal unit",
-            "status": "pass" if exp_ok else "fail",
-            "details": {"units": units},
-        }
+        record("(I+E_ab)^(x d) = exp Delta(E_ab) for every off-diagonal unit", exp_ok, {"units": units})
     )
 
     return suite_result(checks, image_dim=image_dim, commutant_dim=commutant_dim)
@@ -365,15 +360,15 @@ def kernel_check(T: TensorSpace) -> dict:
     killed = _killed_labels(T)
     predicted = sum(m.total_dim**2 for m in killed)
     checks.append(
-        {
-            "name": "kernel dim = sum of squares over killed labels",
-            "status": "pass" if kernel_dim == predicted else "fail",
-            "details": {
+        record(
+            "kernel dim = sum of squares over killed labels",
+            kernel_dim == predicted,
+            {
                 "kernel_dim": kernel_dim,
                 "predicted": predicted,
                 "killed": [m.label_json() for m in killed],
             },
-        }
+        )
     )
 
     # per-simple: the algebra is semisimple, so the central idempotent of p
@@ -386,12 +381,7 @@ def kernel_check(T: TensorSpace) -> dict:
         inner_product(classes, chi_p, chi_v_bar).is_zero() == (mod.p in killed_set)
         for mod, chi_p in zip(all_simples(ell, d), character_table(ell, d))
     )
-    checks.append(
-        {
-            "name": "each predicted-killed simple acts by zero, others nonzero",
-            "status": "pass" if per_simple_ok else "fail",
-        }
-    )
+    checks.append(record("each predicted-killed simple acts by zero, others nonzero", per_simple_ok))
 
     return suite_result(checks, kernel_dim=kernel_dim)
 
@@ -429,9 +419,7 @@ def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TEN
     psi_sets = [{rc for t in Q.psi(q).terms for rc in positions(t)} for q in Q.all_qmorphisms()]
 
     commutes = all({(zmap[r], zmap[c]) for r, c in P} == P for P in psi_sets)
-    checks.append(
-        {"name": "Z^(x d) commutes with the Psi-image", "status": "pass" if commutes else "fail"}
-    )
+    checks.append(record("Z^(x d) commutes with the Psi-image", commutes))
 
     # commutant of <GL generators, Z^(x d)> in one solve, each generator as a
     # block-diagonal dim x dim matrix; the kernel vectors are row-major, r * dim + c
@@ -450,15 +438,15 @@ def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TEN
         sb_img.add({r * dim + c: one for r, c in P})
     equal = len(comm) == sb_img.rank and all(sb_img.contains(v) for v in comm)
     checks.append(
-        {
-            "name": "Psi-image = commutant(GL generators + Z^(x d))",
-            "status": "pass" if equal else "fail",
-            "details": {
+        record(
+            "Psi-image = commutant(GL generators + Z^(x d))",
+            equal,
+            {
                 "image_dim": sb_img.rank,
                 "commutant_dim": len(comm),
                 "quotient_dim": len(psi_sets),
             },
-        }
+        )
     )
 
     return suite_result(checks, ell=ell, k=k, m=m, d=d)

@@ -48,7 +48,7 @@ from .groupoid import (
     objects,
     type_of,
 )
-from .reporting import suite_result
+from .reporting import record, suite_result
 from .tableaux import (
     compositions,
     multipartitions,
@@ -396,33 +396,27 @@ def verify_complete(ell: int, d: int) -> dict:
     total = sum(m.total_dim**2 for m in mods)
     expected = ell**d * factorial(d)
     checks.append(
-        {
-            "name": "wedderburn sum of squares",
-            "status": "pass" if total == expected else "fail",
-            "details": {"sum": total, "group_order": expected, "dims": [m.total_dim for m in mods]},
-        }
+        record(
+            "wedderburn sum of squares",
+            total == expected,
+            {"sum": total, "group_order": expected, "dims": [m.total_dim for m in mods]},
+        )
     )
 
     eq5 = all(total_dim_check(m) for m in mods)
-    checks.append({"name": "total dim = (d!/lam!) dim S_p", "status": "pass" if eq5 else "fail"})
+    checks.append(record("total dim = (d!/lam!) dim S_p", eq5))
 
     bad = [m.label_json() for m in mods if _commutant_dim(m) != 1]
-    checks.append(
-        {
-            "name": "commutant of each simple has dim 1",
-            "status": "pass" if not bad else "fail",
-            "details": {"failures": bad},
-        }
-    )
+    checks.append(record("commutant of each simple has dim 1", not bad, {"failures": bad}))
 
     chars = character_table(ell, d)
     distinct = len({tuple(v.coeffs for v in c) for c in chars})
     checks.append(
-        {
-            "name": "characters pairwise distinct",
-            "status": "pass" if distinct == len(mods) else "fail",
-            "details": {"distinct": distinct, "count": len(mods)},
-        }
+        record(
+            "characters pairwise distinct",
+            distinct == len(mods),
+            {"distinct": distinct, "count": len(mods)},
+        )
     )
     return suite_result(checks, ell=ell, d=d, simple_count=len(mods))
 
@@ -490,11 +484,5 @@ def branching_report(ell: int, d: int) -> dict:
         non_integral = sorted([list(map(list, q)) for q, v in mults.items() if not isinstance(v, int)])
         if non_integral:
             details["non_integral"] = non_integral
-        checks.append(
-            {
-                "name": f"branching of {mod.label_json()}",
-                "status": "pass" if ok else "fail",
-                "details": details,
-            }
-        )
+        checks.append(record(f"branching of {mod.label_json()}", ok, details))
     return suite_result(checks, ell=ell, d=d)

@@ -22,6 +22,7 @@ from .perms import (
     invert_perm,
     perm_sign,
 )
+from .reporting import record
 
 __all__ = [
     "WreathElem",
@@ -137,31 +138,28 @@ def check_presentation(ell: int, d: int) -> list[dict]:
             out = wreath_mul(out, x)
         return out
 
-    checks = []
-
-    def record(name, ok):
-        checks.append({"name": name, "status": "pass" if ok else "fail"})
-
-    record("s0^l = e", power(gens[0], ell) == e)
+    checks = [record("s0^l = e", power(gens[0], ell) == e)]
     for i in range(1, d):
-        record(f"s{i}^2 = e", wreath_mul(gens[i], gens[i]) == e)
+        checks.append(record(f"s{i}^2 = e", wreath_mul(gens[i], gens[i]) == e))
     if d >= 2:
         s0, s1 = gens[0], gens[1]
         lhs = wreath_mul(wreath_mul(wreath_mul(s0, s1), s0), s1)
         rhs = wreath_mul(wreath_mul(wreath_mul(s1, s0), s1), s0)
-        record("s0 s1 s0 s1 = s1 s0 s1 s0", lhs == rhs)
+        checks.append(record("s0 s1 s0 s1 = s1 s0 s1 s0", lhs == rhs))
     for i in range(1, d - 1):
         a, b = gens[i], gens[i + 1]
-        record(
-            f"s{i} s{i+1} s{i} = s{i+1} s{i} s{i+1}",
-            wreath_mul(wreath_mul(a, b), a) == wreath_mul(wreath_mul(b, a), b),
+        checks.append(
+            record(
+                f"s{i} s{i+1} s{i} = s{i+1} s{i} s{i+1}",
+                wreath_mul(wreath_mul(a, b), a) == wreath_mul(wreath_mul(b, a), b),
+            )
         )
     for i in range(d):
         for j in range(i + 2, d):
             if i == 0 and j == 1:
                 continue
             a, b = gens[i], gens[j]
-            record(f"s{i} s{j} = s{j} s{i}", wreath_mul(a, b) == wreath_mul(b, a))
+            checks.append(record(f"s{i} s{j} = s{j} s{i}", wreath_mul(a, b) == wreath_mul(b, a)))
     return checks
 
 

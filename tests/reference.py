@@ -15,14 +15,19 @@ matrix of an algebra element on V^(x d), the route that the index maps of
 schurweyl replace.  phi_on_generators is Phi as a product of generator
 images, an independent route to the closed form of algebra.phi.  to_sparse
 and to_dense convert between the tests' dense vectors and the engine's one
-vector format, {column: Cyc}.
+vector format, {column: Cyc}.  quotient_action_block is the action of a
+quotient morphism on a quotient simple as the dense product M^t rho(pi), the
+route that the one-pass blocks of gkd.QuotientSimpleModule replace.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 from groupoidreps.algebra import AlgElem, phi
-from groupoidreps.cyclo import Cyc, Mat, SpanBasis
+from groupoidreps.cyclo import Cyc, Mat, SpanBasis, root_of_unity
+from groupoidreps.gkd import _slot_rotation
+from groupoidreps.groupoid import canonical_morphism, compose
 from groupoidreps.perms import invert_perm, perm_to_word, reach
 from groupoidreps.wreath import WreathElem, generators, wreath_inv, wreath_mul
 
@@ -162,4 +167,39 @@ def phi_on_generators(x: WreathElem) -> AlgElem:
             out = out * s0j
     for i in perm_to_word(x.perm):
         out = out * images[i]
+    return out
+
+
+def quotient_action_block(mod, q) -> Mat:
+    """The matrix of the quotient morphism q on the quotient simple mod, as a
+    dense product: q is carried to an endomorphism of the base orbit, which
+    acts as M^t rho(pi) with M the rotation matrix multiplied in t times."""
+    ell, Q, copies = mod.ell, mod.Q, mod.copies
+    offsets = list(accumulate((rep.dim for rep in mod.reps), initial=0))
+    omega = root_of_unity(ell, (ell // mod.s) * mod.m)
+    rotation = []
+    for j, rep in enumerate(mod.reps):
+        jn = (j + 1) % copies
+        scalar = omega if jn != j + 1 else Cyc.one(ell)
+        slot = _slot_rotation([rep.components[c].dim for c in range(ell)], lambda c: (c + mod.u) % ell)
+        rotation += (((offsets[jn] + b, offsets[j] + a), scalar) for a, b in enumerate(slot))
+    M = Mat.from_entries(ell, mod.block_dim, mod.block_dim, rotation)
+
+    o1, o2 = Q.source_orbit(q), Q.target_orbit(q)
+    endo = Q.compose(Q.inverse(mod._anchors[o2]), Q.compose(q, mod._anchors[o1]))
+    at_base = Q.translate(endo, Q._translate_exponent(endo.source, mod.base))
+    tgt = at_base.target
+    t = Q._translate_exponent(mod.base, tgt) // (mod.k // mod.r)
+    pi = compose(canonical_morphism(tgt, mod.base, ell), at_base)
+    rho = []
+    for rep, pos in zip(mod.reps, offsets):
+        rho += (
+            ((pos + i, pos + j), Cyc.rational(ell, v))
+            for i, row in enumerate(rep.matrix_of_blockperm(pi.perm))
+            for j, v in enumerate(row)
+            if v
+        )
+    out = Mat.from_entries(ell, mod.block_dim, mod.block_dim, rho)
+    for _ in range(t):
+        out = M * out
     return out

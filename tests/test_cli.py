@@ -12,7 +12,7 @@ import pytest
 
 from groupoidreps import cli
 from groupoidreps.cli import main, run_task
-from groupoidreps.reporting import checks_payload, emit, exit_code, make_report, report_ok
+from groupoidreps.reporting import checks_payload, emit, exit_code, make_report, record, report_ok, skip
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -192,6 +192,22 @@ def test_config_keys_in_either_spelling(tmp_path):
     code, out = run_cli(["--config", str(cfg), "all", "--out", "json"])
     assert code == 0
     assert json.loads(out)["parameters"] == {"max_ell": 1, "max_d": 1}
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"max-d": 2, "max_d": 3}, "config key 'max_d' is given twice, as 'max_d' and 'max-d'"),
+        ({"max-ell": 1, "max_ell": 1}, "config key 'max_ell' is given twice, as 'max_ell' and 'max-ell'"),
+    ],
+)
+def test_config_keys_given_in_both_spellings_are_usage_errors(tmp_path, capsys, config, message):
+    # one spelling would silently win over the other, even where both agree
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_the_parser_is_built_once_per_process(tmp_path):
@@ -415,6 +431,26 @@ def test_a_skipped_check_is_not_a_failure(capsys):
     assert not report_ok(report) and exit_code(report) == 1
     emit(report, "text")
     assert capsys.readouterr().out.splitlines()[-2:] == ["[FAIL] c", "-- 3 checks: 1 passed, 1 skipped, 1 failed"]
+
+
+@pytest.mark.parametrize("ok", [None, 1, [1], 0])
+def test_record_takes_only_a_bool(ok):
+    # a truthy non-answer (a count, a list, a matrix) must not pass a check
+    with pytest.raises(TypeError, match="ok must be a bool"):
+        record("c", ok)
+
+
+def test_record_keeps_details_only_when_given():
+    assert record("c", True) == {"name": "c", "status": "pass"}
+    assert record("c", False, None) == {"name": "c", "status": "fail"}
+    assert record("c", True, {}) == {"name": "c", "status": "pass", "details": {}}
+    assert record("c", False, [1]) == {"name": "c", "status": "fail", "details": [1]}
+
+
+def test_skip_needs_a_reason():
+    assert skip("c", "r") == {"name": "c", "status": "skip", "details": {"reason": "r"}}
+    with pytest.raises(ValueError, match="needs a reason"):
+        skip("c", "")
 
 
 def test_gkd_with_a_skipped_rotation_check_exits_zero():

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from groupoidreps import algebra, gkd
+from groupoidreps.cli import GKD_GRID
 from groupoidreps.cyclo import Cyc, LinSolver, Mat, root_of_unity
 from groupoidreps.gkd import (
     build_quotient_simple,
@@ -36,7 +37,7 @@ from groupoidreps.groupoid import (
 from groupoidreps.simples import all_simples, inner_product
 from groupoidreps.tableaux import multipartitions
 from groupoidreps.wreath import generators, wreath_identity
-from reference import kernel_basis, to_sparse
+from reference import kernel_basis, quotient_action_block, to_sparse
 
 GRID = [
     (2, 2, 1),
@@ -724,3 +725,13 @@ def test_structure_report_composes_within_the_walk_bounds(monkeypatch, ell, k, d
     monkeypatch.setattr(gkd, "_closure", forbidden)
     rep = quotient_structure_report(ell, k, d)
     assert rep["ok"] and len(rep["checks"]) == 4
+
+
+@pytest.mark.parametrize("ell,k,d", [*GKD_GRID, (2, 2, 4), (4, 2, 3)])
+def test_quotient_action_blocks_match_the_dense_rotation_product(ell, k, d):
+    # every morphism of every component, including the labels with two copies V_j
+    for _lam, p, m in quotient_labels(ell, k, d):
+        mod = build_quotient_simple(ell, k, d, p, m)
+        comp = mod.component
+        for q in (q for o1 in comp for o2 in comp for q in mod.Q.hom(o1, o2)):
+            assert mod.action_block(q) == quotient_action_block(mod, q)

@@ -87,6 +87,20 @@ def test_commutants_are_solved_only_in_cyclo():
     assert not offenders
 
 
+def test_check_records_are_built_only_in_reporting():
+    # every check record comes from reporting.record or reporting.skip, so no
+    # other module writes a dict with a "status" key
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "reporting.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Dict) and any(isinstance(k, ast.Constant) and k.value == "status" for k in node.keys))
+        or (isinstance(node, ast.Call) and ast.unparse(node.func) == "dict" and any(kw.arg == "status" for kw in node.keywords))
+    ]
+    assert not offenders
+
+
 def test_engine_internals_are_touched_only_in_cyclo():
     # one vector format: outside cyclo.py the engine is reached through
     # SpanBasis.add/contains/kernel/rows, LinSolver and intertwiners only
