@@ -5,9 +5,9 @@ Every subcommand prints a report (text or a single JSON document) and exits
 cap is exceeded.  Reports are deterministic for identical flags: timings are
 kept outside the checks payload.
 
-Each suite is one entry of SUITES.  Its subcommand and the tasks of `all`
-run that entry, with the same cap check; only the check names and the
-subcommand's detail checks differ.
+Each suite is one entry of SUITES, run as a task by `run_task`.  A
+subcommand runs the one task of `all` at its parameters and reports the same
+checks under the same names, with the task's time under its timings.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class UsageError(ValueError):
 
 
 def _validate(args) -> None:
-    """Reject invalid parameters before any work starts; parse --kvec into a list."""
+    """Reject invalid parameters before any work starts; parse --kvec into a tuple."""
     cmd = args.command
     # the integer flags with a fixed least value; a subcommand without one skips it
     for key, low in {"jobs": 1, "cap": 1, "ell": 1, "max_ell": 1, "max_d": 0}.items():
@@ -75,7 +75,7 @@ def _validate(args) -> None:
         raise UsageError(f"--k must be a positive divisor of --ell ({args.ell})")
     if cmd == "schur-weyl":
         try:
-            args.kvec = [int(v) for v in args.kvec.split(",")]
+            args.kvec = tuple(int(v) for v in args.kvec.split(","))
         except ValueError:
             raise UsageError(f"--kvec must be comma-separated integers, got {args.kvec!r}") from None
         if args.shift_duality:
@@ -94,14 +94,13 @@ def _name(prefix: str, section: str | None, check: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the suites: each runs from a params dict and returns (section, checks)
-# pairs; `detail` adds the checks that only its subcommand reports
+# the suites: each runs from a params dict and returns (section, checks) pairs
 # ---------------------------------------------------------------------------
 
 Sections = list[tuple[str | None, list[dict]]]
 
 
-def _objects(p: dict, cap: int, detail: bool) -> Sections:
+def _objects(p: dict, cap: int) -> Sections:
     from .groupoid import hom, objects, type_of
 
     ell, d = p["ell"], p["d"]
@@ -115,67 +114,36 @@ def _objects(p: dict, cap: int, detail: bool) -> Sections:
             n = len(hom(f, g, ell))
             total += n
             sizes_ok = sizes_ok and n == (aut if types[g] == types[f] else 0)
-    expected = ell**d * factorial(d)
-    ok = sizes_ok and total == expected
-    if not detail:
-        # `all` names this check after its task and keeps only the total
-        return [(None, [record("", ok, {"total": total})])]
-    per_type: dict = {}
-    for f in objs:
-        per_type.setdefault(types[f], []).append(f)
-    table = {
-        "objects": len(objs),
-        "types": [
-            {"type": list(t), "objects": len(fs), "hom_size": len(hom(fs[0], fs[0], ell))}
-            for t, fs in sorted(per_type.items())
-        ],
-    }
-    count = record("total morphism count = l^d d!", ok, {"total": total, "expected": expected})
-    return [(None, [count, record("object table", True, table)])]
+    ok = sizes_ok and total == ell**d * factorial(d)
+    # the one check is named after its task
+    return [(None, [record("", ok, {"total": total})])]
 
 
-def _verify_iso(p: dict, cap: int, detail: bool) -> Sections:
+def _verify_iso(p: dict, cap: int) -> Sections:
     from .algebra import verify_iso
 
     return [(None, verify_iso(p["ell"], p["d"], cap=cap)["checks"])]
 
 
-def _simples(p: dict, cap: int, detail: bool) -> Sections:
-    from .simples import all_simples, verify_complete
+def _simples(p: dict, cap: int) -> Sections:
+    from .simples import verify_complete
 
-    sections = [(None, verify_complete(p["ell"], p["d"])["checks"])]
-    if detail:
-        mods = [
-            {"label": m.label_json(), "block_dim": m.block_dim, "total_dim": m.total_dim}
-            for m in all_simples(p["ell"], p["d"])
-        ]
-        sections.append((None, [record("simple modules", True, mods)]))
-    return sections
+    return [(None, verify_complete(p["ell"], p["d"])["checks"])]
 
 
-def _branching(p: dict, cap: int, detail: bool) -> Sections:
+def _branching(p: dict, cap: int) -> Sections:
     from .simples import branching_report
 
     return [(None, branching_report(p["ell"], p["d"])["checks"])]
 
 
-def _gelfand(p: dict, cap: int, detail: bool) -> Sections:
-    from .gelfand import build_gelfand, verify_gelfand
+def _gelfand(p: dict, cap: int) -> Sections:
+    from .gelfand import verify_gelfand
 
-    sections = [(None, verify_gelfand(p["ell"], p["d"])["checks"])]
-    if detail:
-        model = build_gelfand(p["ell"], p["d"])
-        counts = {
-            "total_dim": model.total_dim,
-            "objects": [
-                {"object": list(f), "involutions": len(ws)} for f, ws in sorted(model.basis.items())
-            ],
-        }
-        sections.append((None, [record("involution counts per object", True, counts)]))
-    return sections
+    return [(None, verify_gelfand(p["ell"], p["d"])["checks"])]
 
 
-def _gkd(p: dict, cap: int, detail: bool) -> Sections:
+def _gkd(p: dict, cap: int) -> Sections:
     from .gkd import (
         quotient_simples_check,
         quotient_structure_report,
@@ -185,46 +153,33 @@ def _gkd(p: dict, cap: int, detail: bool) -> Sections:
     )
 
     ell, k, d = p["ell"], p["k"], p["d"]
-    sections = [
+    return [
         ("structure", quotient_structure_report(ell, k, d)["checks"]),
         ("span-equality", reflection_span_check(ell, k, d)["checks"]),
+        ("quotient-simples", quotient_simples_check(ell, k, d)["checks"]),
+        ("restriction", restriction_check(ell, k, d)["checks"]),
+        ("rotation-eigenspaces", rotation_eigenspace_check(ell, k, d)["checks"]),
     ]
-    qs = quotient_simples_check(ell, k, d)
-    sections.append(("quotient-simples", qs["checks"]))
-    if detail:
-        sections.append((None, [record("simple labels", True, qs["labels"])]))
-    sections.append(("restriction", restriction_check(ell, k, d)["checks"]))
-    sections.append(("rotation-eigenspaces", rotation_eigenspace_check(ell, k, d)["checks"]))
-    return sections
 
 
-def _schur_weyl(p: dict, cap: int, detail: bool) -> Sections:
+def _schur_weyl(p: dict, cap: int) -> Sections:
     from .schurweyl import TensorSpace, kernel_check, verify_commuting, verify_double_centralizer
 
     T = TensorSpace(p["ell"], p["kvec"], p["d"], cap)
-    sections = [("commuting", verify_commuting(T)["checks"])]
-    dc = verify_double_centralizer(T)
-    sections.append(("double-centralizer", dc["checks"]))
-    ker = kernel_check(T)
-    sections.append(("action-kernel", ker["checks"]))
-    if detail:
-        dims = {
-            "tensor_dim": T.dim(),
-            "image_dim": dc["image_dim"],
-            "commutant_dim": dc["commutant_dim"],
-            "kernel_dim": ker["kernel_dim"],
-        }
-        sections.append((None, [record("dimensions", True, dims)]))
-    return sections
+    return [
+        ("commuting", verify_commuting(T)["checks"]),
+        ("double-centralizer", verify_double_centralizer(T)["checks"]),
+        ("action-kernel", kernel_check(T)["checks"]),
+    ]
 
 
-def _shift_duality(p: dict, cap: int, detail: bool) -> Sections:
+def _shift_duality(p: dict, cap: int) -> Sections:
     from .schurweyl import shift_duality_check
 
     return [(None, shift_duality_check(p["ell"], p["kk"], p["m"], p["d"], cap=cap)["checks"])]
 
 
-def _rook(p: dict, cap: int, detail: bool) -> Sections:
+def _rook(p: dict, cap: int) -> Sections:
     from .rook import rook_epimorphism_check
 
     return [(None, rook_epimorphism_check(p["d"])["checks"])]
@@ -250,9 +205,9 @@ class Suite(NamedTuple):
     """One verification suite, run by its subcommand and by the tasks of `all`."""
 
     flags: tuple[str, ...]  # its parameters, as its subcommand reports them
-    task: str  # format of its task name in `all`
+    task: str  # format of its task name, which prefixes its check names
     size: Callable[[dict], tuple[str, int]]  # what it enumerates, checked against --cap
-    run: Callable[[dict, int, bool], Sections]
+    run: Callable[[dict, int], Sections]
 
 
 SUITES = {
@@ -278,40 +233,37 @@ SUITES = {
 }
 
 
-def _checks(key: str, params: dict, cap: int, prefix: str, detail: bool) -> list[dict]:
-    """Run suite `key` on params after its cap check; name its checks after prefix."""
+# ---------------------------------------------------------------------------
+# tasks: a subcommand runs one, `all` runs its grid
+# ---------------------------------------------------------------------------
+
+
+def run_task(task: tuple[str, dict], cap: int = DEFAULT_CAP) -> tuple[str, list[dict], float]:
+    """Run one task (safe for process pools): (name, checks, seconds).
+
+    The suite's enumeration is checked against cap first; each check is
+    named `<task>[ <section>]: <check>`.
+    """
+    t0 = time.perf_counter()
+    key, params = task
     suite = SUITES[key]
     what, size = suite.size(params)
     if size > cap:
         raise ResourceWarning(f"{what} {size} exceeds cap {cap}")
-    return [
-        {**c, "name": _name(prefix, section, c["name"])}
-        for section, checks in suite.run(params, cap, detail)
+    name = suite.task.format(**params)
+    checks = [
+        {**c, "name": _name(name, section, c["name"])}
+        for section, checks in suite.run(params, cap)
         for c in checks
     ]
+    return name, checks, round(time.perf_counter() - t0, 3)
 
 
 def _run_subcommand(args) -> dict:
     key = "shift-duality" if getattr(args, "shift_duality", False) else args.command
     params = {flag: getattr(args, flag) for flag in SUITES[key].flags}
-    return make_report(args.command, params, _checks(key, params, args.cap, "", detail=True))
-
-
-# ---------------------------------------------------------------------------
-# the `all` suite
-# ---------------------------------------------------------------------------
-
-
-def run_task(task: tuple[str, dict], cap: int = DEFAULT_CAP) -> tuple[str, list[dict], float]:
-    """Run one task of `all` (safe for process pools): (name, checks, seconds).
-
-    Every task bounds its enumeration by cap, as the matching subcommand does.
-    """
-    t0 = time.perf_counter()
-    key, params = task
-    name = SUITES[key].task.format(**params)
-    checks = _checks(key, params, cap, name, detail=False)
-    return name, checks, round(time.perf_counter() - t0, 3)
+    name, checks, seconds = run_task((key, params), args.cap)
+    return make_report(args.command, params, checks, {name: seconds})
 
 
 def _all_tasks(args) -> list[tuple[str, dict]]:

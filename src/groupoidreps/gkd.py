@@ -88,7 +88,7 @@ def theta_object(f, shift: int, ell: int):
 
 
 def theta_type(lam, shift: int):
-    """Type of the rotated object: new[j] = old[j - shift]."""
+    """The color rotation of a type or a multi-partition: new[j] = old[j - shift]."""
     ell = len(lam)
     return tuple(lam[(j - shift) % ell] for j in range(ell))
 
@@ -143,9 +143,8 @@ class QuotientGroupoid:
         return self.orbits[oi][0]
 
     def type_stabilizer_order(self, lam) -> int:
-        return sum(
-            1 for t in range(self.k) if theta_type(lam, t * self.shift) == lam
-        )
+        # the order of H_k over the size of the orbit of lam
+        return self.k // len({theta_type(lam, t * self.shift) for t in range(self.k)})
 
     def _translate_exponent(self, src, dst) -> int:
         """t with theta_k^t(src) = dst, for src and dst in one orbit."""
@@ -395,23 +394,10 @@ def reflection_span_check(ell: int, k: int, d: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _rotate_multipartition(p, idx_shift: int):
-    """(z.p)_c = p_{z^{-1}(c)} for the color rotation z by idx_shift."""
-    ell = len(p)
-    return tuple(p[(c - idx_shift) % ell] for c in range(ell))
-
-
 def _p_stabilizer_order(p, lam_stab_order: int, ell: int) -> int:
-    """Order of the stabilizer of p inside H_k^lambda (cyclic, generated by shift l/r)."""
+    """Order of the stabilizer of p inside H_k^lambda (cyclic of order r, generated by shift l/r)."""
     r = lam_stab_order
-    if r == 1:
-        return 1
-    u = ell // r
-    for j in range(1, r):
-        if _rotate_multipartition(p, j * u) == p:
-            # stabilizer is generated by the smallest such power
-            return r // j
-    return 1
+    return r // len({theta_type(p, j * (ell // r)) for j in range(r)})
 
 
 def _slot_rotation(dims_src: list[int], source_slot) -> tuple[int, ...]:
@@ -457,11 +443,7 @@ class QuotientSimpleModule:
         self.u = ell // self.r  # color shift of the stabilizer generator h
         # V_j carries the multi-partition q_j with q_j[c] = p[c + j*u]
         self.copies = self.r // self.s
-        self.q_parts = [
-            tuple(self.p[(c + j * self.u) % ell] for c in range(ell))
-            for j in range(self.copies)
-        ]
-        self.reps = [outer_rep(qp, self.lam) for qp in self.q_parts]
+        self.reps = [outer_rep(theta_type(self.p, -j * self.u), self.lam) for j in range(self.copies)]
         self.block_dim = sum(rep.dim for rep in self.reps)
         # quotient objects of the component, each anchored at its lex-min
         # object of type lambda
@@ -568,11 +550,10 @@ def quotient_labels(ell: int, k: int, d: int) -> list[tuple[tuple, tuple, int]]:
         for p in multipartitions(lam):
             if p in seen:
                 continue
-            orbit = {_rotate_multipartition(p, j * u) for j in range(r)}
+            orbit = {theta_type(p, j * u) for j in range(r)}
             seen |= orbit
             rep = min(orbit)
-            s = _p_stabilizer_order(rep, r, ell)
-            for m in range(1, s + 1):
+            for m in range(1, r // len(orbit) + 1):
                 out.append((lam, rep, m))
     return out
 
@@ -667,7 +648,7 @@ def quotient_simples_check(ell: int, k: int, d: int) -> dict:
     distinct = len(set(char_vectors)) == len(mods)
     checks.append(record("characters pairwise distinct", distinct))
 
-    return suite_result(checks, ell=ell, k=k, d=d, labels=[m.label_json() for m in mods])
+    return suite_result(checks, ell=ell, k=k, d=d)
 
 
 def restriction_check(ell: int, k: int, d: int) -> dict:
@@ -684,7 +665,7 @@ def restriction_check(ell: int, k: int, d: int) -> dict:
     for simple, chi_res in zip(simples, zip(*by_class)):
         # expected labels: lambda* is the least shape in the H_k-orbit of p,
         # p* the least orbit member of shape lambda*
-        orbit = {_rotate_multipartition(simple.p, t * Q.shift) for t in range(k)}
+        orbit = {theta_type(simple.p, t * Q.shift) for t in range(k)}
         lam_star, p_star = min((tuple(map(sum, q)), q) for q in orbit)
         s = _p_stabilizer_order(p_star, Q.type_stabilizer_order(lam_star), ell)
         expected = {(lam_star, p_star, m) for m in range(1, s + 1)}
@@ -750,7 +731,7 @@ def _rotation_module(Q: QuotientGroupoid, lam, p):
     ell, k, d = Q.ell, Q.k, Q.d
     copies = k // Q.type_stabilizer_order(lam)  # number of distinct types in the orbit
     v = Q.shift
-    summands = [build_simple(ell, d, _rotate_multipartition(p, j * v)) for j in range(copies)]
+    summands = [build_simple(ell, d, theta_type(p, j * v)) for j in range(copies)]
     offsets = list(accumulate((simp.total_dim for simp in summands), initial=0))
     total = offsets.pop()
 

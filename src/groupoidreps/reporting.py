@@ -4,9 +4,10 @@ Every check record is built here, by `record` or `skip`: a dict with a name,
 a status of pass, fail or skip, and details when there are any.  `record`
 takes the check's answer as a bool, so nothing passes on a truthy non-answer;
 `skip` marks a case the check does not cover and gives the reason in its
-details.  A report carries its checks separately from timings so that the
-check payload is byte-identical across runs with identical flags; a report
-with any failing check maps to a nonzero exit code.
+details, which the text report prints on the check's line.  A report
+carries its checks separately from timings so that the check payload is
+byte-identical across runs with identical flags; a report with any failing
+check maps to a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ def emit(report: dict, out: str) -> None:
     print(f"# {report['command']} {report['parameters']}")
     for c in report["checks"]:
         line = f"[{c['status'].upper():4}] {c['name']}"
+        if c["status"] == "skip":
+            line += f" ({c['details']['reason']})"
         print(line)
     counts = {s: sum(1 for c in report["checks"] if c["status"] == s) for s in ("pass", "skip", "fail")}
     print(f"-- {len(report['checks'])} checks: {counts['pass']} passed, {counts['skip']} skipped, {counts['fail']} failed")

@@ -156,8 +156,6 @@ def check_presentation(ell: int, d: int) -> list[dict]:
         )
     for i in range(d):
         for j in range(i + 2, d):
-            if i == 0 and j == 1:
-                continue
             a, b = gens[i], gens[j]
             checks.append(record(f"s{i} s{j} = s{j} s{i}", wreath_mul(a, b) == wreath_mul(b, a)))
     return checks

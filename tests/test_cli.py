@@ -30,7 +30,7 @@ def test_simples_json():
     rep = json.loads(out)
     assert rep["schema"] == "groupoid-reps/2"
     assert rep["command"] == "simples"
-    dims = next(c for c in rep["checks"] if c["name"] == "wedderburn sum of squares")
+    dims = next(c for c in rep["checks"] if c["name"] == "simples (2,2): wedderburn sum of squares")
     assert sorted(dims["details"]["dims"]) == [1, 1, 1, 1, 2]
 
 
@@ -40,20 +40,30 @@ def test_verify_iso_text():
     assert "PASS" in out
 
 
+def jsonable(checks):
+    return json.loads(json.dumps(checks))
+
+
 def test_gkd_subcommand():
+    # the report is its task's: its checks under their names, its time under timings
     code, out = run_cli(["gkd", "--ell", "2", "--k", "2", "--d", "2", "--out", "json"])
     assert code == 0
     rep = json.loads(out)
-    labels = next(c for c in rep["checks"] if c["name"] == "simple labels")
-    assert len(labels["details"]) == 4
+    name, checks, _seconds = run_task(("gkd", {"ell": 2, "k": 2, "d": 2}))
+    assert rep["parameters"] == {"ell": 2, "k": 2, "d": 2} and rep["checks"] == jsonable(checks)
+    assert rep["timings"].keys() == {name, "total"}
+    wedderburn = "gkd (2,2,2) quotient-simples: wedderburn sum over (p,m) labels"
+    dims = next(c["details"]["dims"] for c in rep["checks"] if c["name"] == wedderburn)
+    assert len(dims) == 4  # one per (p,m) label
 
 
 def test_objects_subcommand():
     code, out = run_cli(["objects", "--ell", "2", "--d", "2", "--out", "json"])
     assert code == 0
     rep = json.loads(out)
-    table = next(c for c in rep["checks"] if c["name"] == "object table")
-    assert table["details"]["objects"] == 4
+    _name, checks, _seconds = run_task(("objects", {"ell": 2, "d": 2}))
+    assert rep["checks"] == jsonable(checks)
+    assert checks == [{"name": "cardinalities (2,2)", "status": "pass", "details": {"total": 8}}]
 
 
 def test_schur_weyl_subcommand():
@@ -380,46 +390,41 @@ def test_all_payload_and_timings_do_not_depend_on_jobs():
     assert len(reports[1]["timings"]) == 36  # 35 tasks and the total
 
 
-# checks that only a subcommand reports; `all` leaves them out
-DETAIL_CHECKS = {"simple modules", "involution counts per object", "simple labels", "dimensions", "object table"}
+# one task of each suite and the subcommand that runs it
+SUBCOMMAND_TASKS = [
+    (("objects", {"ell": 2, "d": 2}), "cardinalities (2,2)", ["objects", "--ell", "2", "--d", "2"]),
+    (("verify-iso", {"ell": 2, "d": 2}), "verify-iso (2,2)", ["verify-iso", "--ell", "2", "--d", "2"]),
+    (("simples", {"ell": 2, "d": 2}), "simples (2,2)", ["simples", "--ell", "2", "--d", "2"]),
+    (("branching", {"ell": 2, "d": 2}), "branching (2,2)", ["branching", "--ell", "2", "--d", "2"]),
+    (("gelfand", {"ell": 2, "d": 2}), "gelfand (2,2)", ["gelfand", "--ell", "2", "--d", "2"]),
+    (("gkd", {"ell": 2, "k": 2, "d": 2}), "gkd (2,2,2)", ["gkd", "--ell", "2", "--k", "2", "--d", "2"]),
+    (
+        ("schur-weyl", {"ell": 2, "kvec": (1, 1), "d": 2}),
+        "schur-weyl (2,(1, 1),2)",
+        ["schur-weyl", "--ell", "2", "--kvec", "1,1", "--d", "2"],
+    ),
+    (
+        ("shift-duality", {"ell": 2, "kk": 2, "m": 1, "d": 1}),
+        "shift-duality (2,2,1,1)",
+        ["schur-weyl", "--shift-duality", "--ell", "2", "--kk", "2", "--m", "1", "--d", "1"],
+    ),
+    (("rook-check", {"d": 2}), "rook d=2", ["rook-check", "--d", "2"]),
+]
 
 
-@pytest.mark.parametrize(
-    "task, name, argv",
-    [
-        (("objects", {"ell": 2, "d": 2}), "cardinalities (2,2)", ["objects", "--ell", "2", "--d", "2"]),
-        (("verify-iso", {"ell": 2, "d": 2}), "verify-iso (2,2)", ["verify-iso", "--ell", "2", "--d", "2"]),
-        (("simples", {"ell": 2, "d": 2}), "simples (2,2)", ["simples", "--ell", "2", "--d", "2"]),
-        (("branching", {"ell": 2, "d": 2}), "branching (2,2)", ["branching", "--ell", "2", "--d", "2"]),
-        (("gelfand", {"ell": 2, "d": 2}), "gelfand (2,2)", ["gelfand", "--ell", "2", "--d", "2"]),
-        (("gkd", {"ell": 2, "k": 2, "d": 2}), "gkd (2,2,2)", ["gkd", "--ell", "2", "--k", "2", "--d", "2"]),
-        (
-            ("schur-weyl", {"ell": 2, "kvec": (1, 1), "d": 2}),
-            "schur-weyl (2,(1, 1),2)",
-            ["schur-weyl", "--ell", "2", "--kvec", "1,1", "--d", "2"],
-        ),
-        (
-            ("shift-duality", {"ell": 2, "kk": 2, "m": 1, "d": 1}),
-            "shift-duality (2,2,1,1)",
-            ["schur-weyl", "--shift-duality", "--ell", "2", "--kk", "2", "--m", "1", "--d", "1"],
-        ),
-        (("rook-check", {"d": 2}), "rook d=2", ["rook-check", "--d", "2"]),
-    ],
-)
+def test_every_suite_has_a_subcommand_task():
+    assert sorted(task[0] for task, _name, _argv in SUBCOMMAND_TASKS) == sorted(cli.SUITES)
+
+
+@pytest.mark.parametrize("task, name, argv", SUBCOMMAND_TASKS)
 def test_all_task_reports_its_subcommand_checks(task, name, argv):
     task_name, checks, seconds = run_task(task)
     assert task_name == name and seconds >= 0
     code, out = run_cli([*argv, "--out", "json"])
     assert code == 0
-    shared = [c for c in json.loads(out)["checks"] if c["name"] not in DETAIL_CHECKS]
-    if task[0] == "objects":
-        # `all` names its one cardinality check after the task and keeps the total
-        expected = [{"name": name, "status": c["status"], "details": {"total": c["details"]["total"]}} for c in shared]
-    else:
-        # sectioned suites read "<task> <section>: <check>", the others "<task>: <check>"
-        sep = " " if task[0] in ("gkd", "schur-weyl") else ": "
-        expected = [{**c, "name": f"{name}{sep}{c['name']}"} for c in shared]
-    assert json.loads(json.dumps(checks)) == expected
+    rep = json.loads(out)
+    assert rep["checks"] == jsonable(checks)
+    assert rep["timings"].keys() == {name, "total"}
 
 
 def test_a_skipped_check_is_not_a_failure(capsys):
@@ -458,5 +463,7 @@ def test_gkd_with_a_skipped_rotation_check_exits_zero():
     # G(2,2,4) has a label whose p is not stabilizer-invariant
     code, out = run_cli(["gkd", "--ell", "2", "--k", "2", "--d", "4"])
     assert code == 0
-    assert "[SKIP] rotation-eigenspaces: rotation eigenspaces for p=[[1, 1], [2]]" in out
-    assert out.splitlines()[-1] == "-- 45 checks: 44 passed, 1 skipped, 0 failed"
+    # the text report gives the reason on the check's line
+    skipped = "gkd (2,2,4) rotation-eigenspaces: rotation eigenspaces for p=[[1, 1], [2]]"
+    assert f"[SKIP] {skipped} (p not stabilizer-invariant)\n" in out
+    assert out.splitlines()[-1] == "-- 44 checks: 43 passed, 1 skipped, 0 failed"

@@ -101,6 +101,19 @@ def test_check_records_are_built_only_in_reporting():
     assert not offenders
 
 
+def test_no_check_passes_by_construction():
+    # a record whose ok is the constant True or False checks nothing
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "record"):
+                continue
+            oks = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "ok"]
+            if any(isinstance(ok, ast.Constant) and isinstance(ok.value, bool) for ok in oks):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders
+
+
 def test_engine_internals_are_touched_only_in_cyclo():
     # one vector format: outside cyclo.py the engine is reached through
     # SpanBasis.add/contains/kernel/rows, LinSolver and intertwiners only
