@@ -45,13 +45,11 @@ def jsonable(checks):
 
 
 def test_gkd_subcommand():
-    # the report is its task's: its checks under their names, its time under timings
     code, out = run_cli(["gkd", "--ell", "2", "--k", "2", "--d", "2", "--out", "json"])
     assert code == 0
     rep = json.loads(out)
-    name, checks, _seconds = run_task(("gkd", {"ell": 2, "k": 2, "d": 2}))
-    assert rep["parameters"] == {"ell": 2, "k": 2, "d": 2} and rep["checks"] == jsonable(checks)
-    assert rep["timings"].keys() == {name, "total"}
+    _name, checks, _seconds = run_task(("gkd", {"ell": 2, "k": 2, "d": 2}))
+    assert rep["checks"] == jsonable(checks)
     wedderburn = "gkd (2,2,2) quotient-simples: wedderburn sum over (p,m) labels"
     dims = next(c["details"]["dims"] for c in rep["checks"] if c["name"] == wedderburn)
     assert len(dims) == 4  # one per (p,m) label
