@@ -510,8 +510,12 @@ class SpanBasis:
         self._rows[p] = v
         return True
 
+    def residue(self, vec: dict[int, Cyc]) -> dict[int, Cyc]:
+        """A copy of vec less its component along the span: 0 at every pivot, empty iff vec lies in the span."""
+        return self._reduce(_checked(vec, self.n))
+
     def contains(self, vec: dict[int, Cyc]) -> bool:
-        return not self._reduce(_checked(vec, self.n))
+        return not self.residue(vec)
 
     def add(self, vec: dict[int, Cyc]) -> bool:
         """Insert vec; return True iff it enlarged the span."""
@@ -580,10 +584,14 @@ def intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[dict[int, Cyc]]:
     X_o row-major (tgt_o x src_o), the blocks concatenated in object order;
     with A = B on every action the result is a commutant.  Entry (r, c) of
     X_t A - B X_s enters the engine as one sparse row.
+
+    An action with s = t and A, B both diagonal says only (A[c][c] - B[r][r])
+    X_s[r][c] = 0, a grading (the weights of the Delta(E_aa) on V^(x d)): only
+    the X_s[r][c] with B[r][r] = A[c][c] for every such action are kept, the
+    rows of the other actions are built over them, and the kernel is mapped back.
     """
     offsets = list(accumulate((m * n for m, n in zip(tgt_dims, src_dims)), initial=0))
-    n = offsets[-1]
-    sb = SpanBasis(ell, n)
+    zero, diagonals, rest = Cyc.zero(ell), {}, []
     for s, t, A, B in actions:
         ns, nt = src_dims[s], src_dims[t]
         a_bad = A.nrows != nt or A.rows and A.ncols != ns
@@ -593,14 +601,31 @@ def intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[dict[int, Cyc]]:
         a_cols = [[(xt + u, row[c]) for u, row in enumerate(A.rows) if any(row[c].num)] for c in range(ns)]
         # -B, negated once per action: entry (r, c) subtracts B X_s
         b_rows = [[(xs + u * ns, -v) for u, v in enumerate(row) if any(v.num)] for row in B.rows]
+        if s == t and all(j == xs + c for c, a_col in enumerate(a_cols) for j, _ in a_col) and all(
+            j == xs + r * ns for r, b_row in enumerate(b_rows) for j, _ in b_row
+        ):
+            b_diag = [-b_row[0][1] if b_row else zero for b_row in b_rows]
+            diagonals.setdefault(s, []).append((b_diag, [a_col[0][1] if a_col else zero for a_col in a_cols]))
+        else:
+            rest.append((nt, a_cols, b_rows))
+    kept = []  # the positions X_o[r][c] whose row and column weights agree, ascending
+    for o, (m, n) in enumerate(zip(tgt_dims, src_dims)):
+        diags, cols = diagonals.get(o, []), {}
+        for c in range(n):
+            cols.setdefault(tuple(a[c] for _b, a in diags), []).append(offsets[o] + c)
+        kept += (j + r * n for r in range(m) for j in cols.get(tuple(b[r] for b, _a in diags), ()))
+    col = {j: i for i, j in enumerate(kept)}  # position -> engine column
+    sb = SpanBasis(ell, len(kept))
+    for nt, a_cols, b_rows in rest:
         for r, b_row in enumerate(b_rows):
             for c, a_col in enumerate(a_cols):
                 # (X_t A)[r][c] = sum_u X_t[r][u] A[u][c];  (B X_s)[r][c] = sum_u B[r][u] X_s[u][c]
-                v = {j + r * nt: a for j, a in a_col}
-                for j, nb in b_row:
-                    y = v.pop(j + c, None)
+                v = {col[j + r * nt]: a for j, a in a_col if j + r * nt in col}
+                for k, nb in ((col[j + c], nb) for j, nb in b_row if j + c in col):
+                    y = v.pop(k, None)
                     y = nb if y is None else y + nb
                     if any(y.num):
-                        v[j + c] = y
-                sb._insert(v, n)
-    return sb.kernel()
+                        v[k] = y
+                if v:
+                    sb._insert(v, len(kept))
+    return [{kept[i]: c for i, c in vec.items()} for vec in sb.kernel()]

@@ -11,8 +11,11 @@ End(g)-class groups of simples.fixed_objects replace.  two_sided_closure is
 the dense span closure of the GL generators: block-diagonal maps {f: Mat}
 multiplied block by block on both sides, the route that the sparse one-sided
 closure of schurweyl.glk_generated_algebra replaces.  act_full is the dense
-matrix of an algebra element on V^(x d), the route that the index maps of
-schurweyl replace.  phi_on_generators is Phi as a product of generator
+matrix of an algebra element on V^(x d), and morphism_block_matrix the 0/1
+matrix of one morphism on its blocks: the routes that the index maps of
+schurweyl replace.  ungraded_intertwiners solves X_t A = B X_s with one
+engine row per entry of every action, the route that the weight grading of
+cyclo.intertwiners replaces.  phi_on_generators is Phi as a product of generator
 images, an independent route to the closed form of algebra.phi.  to_sparse
 and to_dense convert between the tests' dense vectors and the engine's one
 vector format, {column: Cyc}.  quotient_action_block is the action of a
@@ -21,7 +24,7 @@ route that the one-pass blocks of gkd.QuotientSimpleModule replace.
 """
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import mul
 
 from groupoidreps.algebra import AlgElem, phi
@@ -128,6 +131,12 @@ def two_sided_closure(T, gens) -> SpanBasis:
     return sb
 
 
+def morphism_block_matrix(T, m) -> Mat:
+    """0/1 matrix of m from block(source) to block(target), the matrix of its index map."""
+    pi, one = T.morphism_index_map(m), Cyc.one(T.ell)
+    return Mat.from_entries(T.ell, len(pi), len(pi), (((i, j), one) for j, i in enumerate(pi)))
+
+
 def act_full(T, a: AlgElem) -> Mat:
     """The dense matrix of an algebra element on the whole of V^(x d)."""
     entries = []
@@ -135,7 +144,7 @@ def act_full(T, a: AlgElem) -> Mat:
         src, tgt = T.block_of[m.source], T.block_of[m.target]
         entries += (
             ((T.index[tgt[i]], T.index[src[j]]), coeff * v)
-            for (i, j), v in T.morphism_block_matrix(m).entries()
+            for (i, j), v in morphism_block_matrix(T, m).entries()
         )
     n = len(T.basis)
     return Mat.from_entries(T.ell, n, n, entries)
@@ -203,3 +212,21 @@ def quotient_action_block(mod, q) -> Mat:
     for _ in range(t):
         out = M * out
     return out
+
+
+def ungraded_intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[dict[int, Cyc]]:
+    """The kernel of the system of cyclo.intertwiners with no unknown dropped: one row per entry (r, c) of X_t A - B X_s."""
+    offsets, zero = list(accumulate((m * n for m, n in zip(tgt_dims, src_dims)), initial=0)), Cyc.zero(ell)
+    sb = SpanBasis(ell, offsets[-1])
+    for s, t, A, B in actions:
+        ns, nt = src_dims[s], src_dims[t]
+        a_cols = [[(u, row[c]) for u, row in enumerate(A.rows) if not row[c].is_zero()] for c in range(ns)]
+        b_rows = [[(u, v) for u, v in enumerate(row) if not v.is_zero()] for row in B.rows]
+        for (r, b_row), (c, a_col) in product(enumerate(b_rows), enumerate(a_cols)):
+            # (X_t A)[r][c] = sum_u X_t[r][u] A[u][c];  (B X_s)[r][c] = sum_u B[r][u] X_s[u][c]
+            row = {offsets[t] + r * nt + u: a for u, a in a_col}
+            for u, b in b_row:
+                j = offsets[s] + u * ns + c
+                row[j] = row.get(j, zero) - b
+            sb.add(row)
+    return sb.kernel()

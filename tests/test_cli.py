@@ -271,6 +271,10 @@ SUBCOMMAND_PAYLOAD_SHA256 = {
     "schur-weyl --shift-duality --ell 4 --kk 2 --m 1 --d 2":
         "bb8cac2d27b2d3fc870292dab42aa0f4c6cb9fadaeba075be2456ab9f947d30c",
     "rook-check --d 3": "4135d3bffca5e16e2ca892c7380d6714192fa513dda1386983fcd69177105e40",
+    # two larger duality solves, off the all grid
+    "schur-weyl --ell 2 --kvec 2,2 --d 3": "f64544f4af30a9068c0fdfbc739ca6a79293c3017e593ada2fb2f607330718ef",
+    "schur-weyl --shift-duality --ell 2 --kk 2 --m 2 --d 3":
+        "3b0ba179a6704ccd45951893f9bb22a42a43ef9b4852527cb06a4304c2bce044",
 }
 
 

@@ -5,6 +5,7 @@ import operator
 import pickle
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from groupoidreps.cyclo import (
     intertwiners,
     root_of_unity,
 )
-from reference import kernel_basis, to_dense, to_sparse
+from reference import kernel_basis, to_dense, to_sparse, ungraded_intertwiners
 
 
 def rand_cyc(rng, ell):
@@ -384,25 +385,93 @@ def blocks_of(vec, src_dims, tgt_dims):
     return out
 
 
+GRADED_KINDS = [
+    "diagonal A and B on one object",
+    "diagonal A only",
+    "diagonal between two objects",
+    "one off-diagonal entry",
+    "diagonal only",
+]
+
+
+def graded_system(rng, ell, kind):
+    """A system holding diagonal actions of the given kind, plus random actions unless the kind is "diagonal only".
+
+    The diagonal entries come from a few values, zero among them, so some of
+    B[r][r] = A[c][c] hold and some do not.
+    """
+    zero = Cyc.zero(ell)
+    values = [zero, Cyc.one(ell), root_of_unity(ell, 1), Cyc.rational(ell, 2)]
+    n_src, n_tgt = rng.randint(2, 4), rng.randint(1, 4)
+    src_dims, tgt_dims = [n_src, n_src], [n_tgt, n_tgt]
+
+    def diagonal(n):
+        return [[rng.choice(values) if i == j else zero for j in range(n)] for i in range(n)]
+
+    s, t = (0, 1) if kind == "diagonal between two objects" else (0, 0)
+    actions = []
+    for _ in range(2):
+        A, B = diagonal(n_src), diagonal(n_tgt)
+        if kind == "diagonal A only":
+            B = rand_sparse_rows(rng, ell, n_tgt, n_tgt)
+        elif kind == "one off-diagonal entry":
+            i = rng.randrange(n_src)
+            A[i][(i + 1) % n_src] = values[1]
+        actions.append((s, t, Mat(ell, A), Mat(ell, B)))
+    if kind != "diagonal only":
+        for _ in range(rng.randint(1, 2)):
+            s, t = rng.randrange(2), rng.randrange(2)
+            A, B = rand_sparse_rows(rng, ell, n_src, n_src), rand_sparse_rows(rng, ell, n_tgt, n_tgt)
+            actions.append((s, t, Mat(ell, A), Mat(ell, B)))
+    rng.shuffle(actions)
+    return src_dims, tgt_dims, actions
+
+
+def random_system(rng, ell):
+    nobj = rng.randint(1, 3)
+    src_dims = [rng.randint(1, 3) for _ in range(nobj)]
+    tgt_dims = [rng.randint(1, 3) for _ in range(nobj)]
+    actions = []
+    for _ in range(rng.randint(1, 3)):
+        s, t = rng.randrange(nobj), rng.randrange(nobj)
+        A = Mat(ell, rand_sparse_rows(rng, ell, src_dims[t], src_dims[s]))
+        B = Mat(ell, rand_sparse_rows(rng, ell, tgt_dims[t], tgt_dims[s]))
+        actions.append((s, t, A, B))
+    return src_dims, tgt_dims, actions
+
+
 def test_intertwiners_match_the_kernel_of_dense_rows():
-    for ell in (1, 3, 4):
-        rng = random.Random(4000 + ell)
+    # the graded solve returns the very vectors of the ungraded one: the
+    # dropped unknowns are pivots whose reduced rows are unit vectors
+    for kind, ell in product(["random"] + GRADED_KINDS, (1, 3, 4)):
+        rng = random.Random(4000 + ell) if kind == "random" else random.Random(f"{kind} {ell}")
         for _ in range(25):
-            nobj = rng.randint(1, 3)
-            src_dims = [rng.randint(1, 3) for _ in range(nobj)]
-            tgt_dims = [rng.randint(1, 3) for _ in range(nobj)]
-            actions = []
-            for _ in range(rng.randint(1, 3)):
-                s, t = rng.randrange(nobj), rng.randrange(nobj)
-                A = Mat(ell, rand_sparse_rows(rng, ell, src_dims[t], src_dims[s]))
-                B = Mat(ell, rand_sparse_rows(rng, ell, tgt_dims[t], tgt_dims[s]))
-                actions.append((s, t, A, B))
+            if kind == "random":
+                src_dims, tgt_dims, actions = random_system(rng, ell)
+            else:
+                src_dims, tgt_dims, actions = graded_system(rng, ell, kind)
             rows, n = dense_intertwiner_rows(ell, src_dims, tgt_dims, actions)
-            basis = [to_dense(ell, n, vec) for vec in intertwiners(ell, src_dims, tgt_dims, actions)]
+            graded = intertwiners(ell, src_dims, tgt_dims, actions)
+            assert graded == ungraded_intertwiners(ell, src_dims, tgt_dims, actions)
+            basis = [to_dense(ell, n, vec) for vec in graded]
             assert basis == kernel_basis(ell, rows, n)
             for vec in basis:
                 X = [Mat(ell, b) for b in blocks_of(vec, src_dims, tgt_dims)]
                 assert all(X[t] * A == B * X[s] for s, t, A, B in actions)
+
+
+def test_intertwiners_of_diagonal_actions_alone_insert_no_row(monkeypatch):
+    # (A[c][c] - B[r][r]) X[r][c] = 0 for both actions: X[r][c] is free where
+    # both diagonals agree and 0 elsewhere, with no engine row
+    zero, one, two = Cyc.zero(3), Cyc.one(3), Cyc.rational(3, 2)
+    inserted = []
+    real = SpanBasis._insert
+    monkeypatch.setattr(SpanBasis, "_insert", lambda self, v, width: inserted.append(v) or real(self, v, width))
+    first = (0, 0, Mat(3, [[one, zero], [zero, two]]), Mat(3, [[two, zero], [zero, one]]))
+    second = (0, 0, Mat(3, [[zero, zero], [zero, one]]), Mat(3, [[zero, zero], [zero, zero]]))
+    assert intertwiners(3, [2], [2], [first]) == [{1: one}, {2: one}]  # X[0][1] and X[1][0]
+    assert intertwiners(3, [2], [2], [first, second]) == [{2: one}]  # X[1][0]
+    assert inserted == []
 
 
 def _counting_inverse(monkeypatch):

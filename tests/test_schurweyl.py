@@ -16,7 +16,15 @@ from groupoidreps.schurweyl import (
 )
 from groupoidreps.simples import all_simples, character_table, conjugacy_classes, inner_product
 from groupoidreps.wreath import enum_group, wreath_identity, wreath_inv
-from reference import act_full, kernel_basis, scan_phi_trace, to_sparse, two_sided_closure
+from reference import (
+    act_full,
+    kernel_basis,
+    morphism_block_matrix,
+    scan_phi_trace,
+    to_sparse,
+    two_sided_closure,
+    ungraded_intertwiners,
+)
 
 TENSOR_GRID = [
     (1, (2,), 2),
@@ -57,11 +65,11 @@ def test_morphism_action_functorial():
     for f in sorted(T.block_of):
         for g in sorted(T.block_of):
             for m1 in hom(f, g, 2):
-                a1 = T.morphism_block_matrix(m1)
+                a1 = morphism_block_matrix(T, m1)
                 for h in sorted(T.block_of):
                     for m2 in hom(g, h, 2):
-                        lhs = T.morphism_block_matrix(compose(m2, m1))
-                        assert lhs == T.morphism_block_matrix(m2) * a1
+                        lhs = morphism_block_matrix(T, compose(m2, m1))
+                        assert lhs == morphism_block_matrix(T, m2) * a1
 
 
 def test_identity_acts_as_identity():
@@ -69,13 +77,13 @@ def test_identity_acts_as_identity():
 
     T = TensorSpace(2, (2, 2), 2)
     for f in sorted(T.block_of):
-        assert T.morphism_block_matrix(identity_morphism(f)) == Mat.identity(2, T.block_dim(f))
+        assert morphism_block_matrix(T, identity_morphism(f)) == Mat.identity(2, T.block_dim(f))
 
 
 def test_swap_on_one_dim_blocks():
     T = TensorSpace(2, (1, 1), 2)
     m = hom((1, 2), (2, 1), 2)[0]
-    blk = T.morphism_block_matrix(m)
+    blk = morphism_block_matrix(T, m)
     assert blk.nrows == blk.ncols == 1 and blk.rows[0][0].is_one()
 
 
@@ -257,7 +265,7 @@ def test_image_spans_match_the_dense_morphism_matrices(ell, kvec, d):
         ms = hom(f, g, ell)
         dense = SpanBasis(ell, sb.n)
         for m in ms:
-            dense.add(to_sparse([v for row in T.morphism_block_matrix(m).rows for v in row]))
+            dense.add(to_sparse([v for row in morphism_block_matrix(T, m).rows for v in row]))
         assert n_hom == len(ms) and sb.rank == dense.rank
         assert all(dense.contains(row) for row in sb.rows)
 
@@ -285,8 +293,98 @@ def test_backward_duality_fails_without_one_algebra_element(monkeypatch):
     monkeypatch.setattr(schurweyl, "glk_generated_algebra", lambda T: _without_last_row(real(T)))
     for ell, kvec, d in [(1, (2,), 2), (2, (2, 1), 2)]:
         rep = verify_double_centralizer(TensorSpace(ell, kvec, d))
-        assert _status(rep, "commutant(A-image) = GL-generated algebra") == "fail"
+        assert _status(rep, BACKWARD) == "fail"
         assert _status(rep, "A-image = commutant(GL) on every block pair") == "pass"
+
+
+BACKWARD = "commutant(A-image) = GL-generated algebra"
+
+
+def _with_one_orbit_row_changed(sb, change):
+    # the first row over two or more positions (one orbit of the RREF of an
+    # orbit-constant span) changed at its last position: same rank, same pivots
+    out, rows = SpanBasis(sb.ell, sb.n), sb.rows
+    i = next(i for i, row in enumerate(rows) if len(row) > 1)
+    for j, row in enumerate(rows):
+        assert out.add(change(row, max(row)) if j == i else row)
+    return out
+
+
+ROW_CHANGES = {
+    "a position left out": lambda row, p: {q: c for q, c in row.items() if q != p},
+    "a second value": lambda row, p: {**row, p: row[p] + row[p]},
+}
+
+
+@pytest.mark.parametrize("change", ROW_CHANGES)
+def test_backward_duality_fails_for_a_row_not_constant_on_an_orbit(monkeypatch, change):
+    # the rank still equals the orbit count, so only the orbit test can fail
+    real = schurweyl.glk_generated_algebra
+    monkeypatch.setattr(
+        schurweyl, "glk_generated_algebra", lambda T: _with_one_orbit_row_changed(real(T), ROW_CHANGES[change])
+    )
+    for ell, kvec, d in [(1, (2,), 2), (2, (2, 1), 2), (2, (2, 2), 2)]:
+        rep = verify_double_centralizer(TensorSpace(ell, kvec, d))
+        check = next(c for c in rep["checks"] if c["name"] == BACKWARD)
+        assert check["status"] == "fail"
+        assert check["details"]["commutant_dim"] == check["details"]["algebra_dim"]
+
+
+GRADED_POINTS = TENSOR_GRID + [(2, (2, 2), 3), (1, (3,), 3)]
+
+
+def _recording_intertwiners(monkeypatch):
+    solved = []
+    real = schurweyl.intertwiners
+    monkeypatch.setattr(schurweyl, "intertwiners", lambda *args: solved.append((args, real(*args))) or solved[-1][1])
+    return solved
+
+
+@pytest.mark.parametrize("ell,kvec,d", GRADED_POINTS)
+def test_graded_solves_and_orbit_count_match_the_ungraded_reference(monkeypatch, ell, kvec, d):
+    # forward: each block pair's graded solve returns the ungraded kernel;
+    # backward: the orbit count is the dimension of the commutant of the
+    # component generators' 0/1 matrices, and that commutant is the algebra
+    solved = _recording_intertwiners(monkeypatch)
+    T = TensorSpace(ell, kvec, d)
+    rep = verify_double_centralizer(T)
+    assert rep["ok"]
+    objs = sorted(T.block_of)
+    assert len(solved) == len(objs) ** 2
+    assert all(graded == ungraded_intertwiners(*args) for args, graded in solved)
+    index, dims = {f: i for i, f in enumerate(objs)}, [T.block_dim(f) for f in objs]
+    actions = [
+        (index[m.source], index[m.target], A, A)
+        for lam in sorted({type_of(f, ell) for f in objs})
+        for m in component_generators(ell, lam)
+        for A in [morphism_block_matrix(T, m)]
+    ]
+    backward = ungraded_intertwiners(ell, dims, dims, actions)
+    check = next(c for c in rep["checks"] if c["name"] == BACKWARD)
+    assert check["details"]["commutant_dim"] == len(backward) == check["details"]["algebra_dim"]
+    algebra = glk_generated_algebra(T)
+    assert all(algebra.contains(v) for v in backward)
+
+
+@pytest.mark.parametrize("ell,k,m,d", SHIFT_DUALITY_GRID + [(2, 2, 2, 3)])
+def test_graded_shift_solve_matches_the_ungraded_reference(monkeypatch, ell, k, m, d):
+    solved = _recording_intertwiners(monkeypatch)
+    assert shift_duality_check(ell, k, m, d)["ok"]
+    ((args, graded),) = solved
+    assert graded == ungraded_intertwiners(*args)
+
+
+def test_duality_solves_insert_only_the_graded_rows(monkeypatch):
+    # rows reaching the engine, counted: one row per entry and action, with
+    # no unknown dropped, would be 69 648 and 34 673 here
+    inserted = []
+    real = SpanBasis._insert
+    monkeypatch.setattr(SpanBasis, "_insert", lambda self, v, width: inserted.append(1) or real(self, v, width))
+    assert shift_duality_check(4, 2, 2, 2)["ok"]
+    assert len(inserted) == 360
+    inserted.clear()
+    assert verify_double_centralizer(TensorSpace(2, (2, 2), 3))["ok"]
+    assert len(inserted) == 1573
 
 
 EXP_CHECK = "(I+E_ab)^(x d) = exp Delta(E_ab) for every off-diagonal unit"
@@ -354,7 +452,7 @@ def _all_pairs_commuting(T):
         for f in objs
         for g in objs
         for m in hom(f, g, T.ell)
-        for A in [T.morphism_block_matrix(m)]
+        for A in [morphism_block_matrix(T, m)]
         for gen in glk_generators(T)
     )
 
