@@ -14,9 +14,9 @@ dict is the engine's one vector format, in and out.  :class:`LinSolver` is a
 thin layer over it that no library path calls (the Specht matrices, its last
 user, are integral and straightened in tableaux); the tests keep it as a
 reference, with their own null-space helper.
-Every commutant and intertwiner space is solved by :func:`intertwiners`, and
-every matrix assembled from blocks or scattered entries is built by
-:meth:`Mat.from_entries`.  A permutation of the basis (the color rotation
+Every commutant or intertwiner space solved by elimination is solved by
+:func:`intertwiners`, and every matrix assembled from blocks or scattered
+entries is built by :meth:`Mat.from_entries`.  A permutation of the basis (the color rotation
 theta of gkd, the shift Z^(x d) of schurweyl) stays an index map: its
 powers compose as tuples, and :meth:`Mat.permuted` conjugates a matrix by
 it, so a commutation test forms no matrix product.
@@ -599,15 +599,14 @@ def intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[dict[int, Cyc]]:
             raise ValueError(f"action {s} -> {t} does not match the block sizes")
         xs, xt = offsets[s], offsets[t]
         a_cols = [[(xt + u, row[c]) for u, row in enumerate(A.rows) if any(row[c].num)] for c in range(ns)]
-        # -B, negated once per action: entry (r, c) subtracts B X_s
-        b_rows = [[(xs + u * ns, -v) for u, v in enumerate(row) if any(v.num)] for row in B.rows]
+        b_rows = [[(xs + u * ns, v) for u, v in enumerate(row) if any(v.num)] for row in B.rows]
         if s == t and all(j == xs + c for c, a_col in enumerate(a_cols) for j, _ in a_col) and all(
             j == xs + r * ns for r, b_row in enumerate(b_rows) for j, _ in b_row
         ):
-            b_diag = [-b_row[0][1] if b_row else zero for b_row in b_rows]
-            diagonals.setdefault(s, []).append((b_diag, [a_col[0][1] if a_col else zero for a_col in a_cols]))
-        else:
-            rest.append((nt, a_cols, b_rows))
+            diagonal = [[e[0][1] if e else zero for e in entries] for entries in (b_rows, a_cols)]
+            diagonals.setdefault(s, []).append(diagonal)
+        else:  # -B, negated once per action: entry (r, c) subtracts B X_s
+            rest.append((nt, a_cols, [[(j, -v) for j, v in b_row] for b_row in b_rows]))
     kept = []  # the positions X_o[r][c] whose row and column weights agree, ascending
     for o, (m, n) in enumerate(zip(tgt_dims, src_dims)):
         diags, cols = diagonals.get(o, []), {}
@@ -616,7 +615,7 @@ def intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[dict[int, Cyc]]:
         kept += (j + r * n for r in range(m) for j in cols.get(tuple(b[r] for b, _a in diags), ()))
     col = {j: i for i, j in enumerate(kept)}  # position -> engine column
     sb = SpanBasis(ell, len(kept))
-    for nt, a_cols, b_rows in rest:
+    for nt, a_cols, b_rows in rest if kept else ():
         for r, b_row in enumerate(b_rows):
             for c, a_col in enumerate(a_cols):
                 # (X_t A)[r][c] = sum_u X_t[r][u] A[u][c];  (B X_s)[r][c] = sum_u B[r][u] X_s[u][c]

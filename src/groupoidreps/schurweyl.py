@@ -15,9 +15,10 @@ act by (I + tE_ab)^(x d) = exp(t Delta(E_ab)), a polynomial in the nilpotent
 Delta(E_ab); and a diagonal g acts by one scalar on each joint eigenspace of
 the Delta(E_aa).  The report checks the finite identity
 (I + E_ab)^(x d) = sum_(n<=d) Delta(E_ab)^n / n! on every block.
-Every commutant, the one with the cyclic shift Z adjoined included, is one
-call to cyclo.intertwiners; ranks and span memberships use the public
-SpanBasis API on sparse {position: Cyc} vectors.  All elimination is exact.
+Every solved commutant, the one with the cyclic shift Z adjoined included,
+is one call to cyclo.intertwiners, graded by the weights of the Delta(E_aa);
+the commutant of the morphism images is counted by orbits instead.  Spans
+use the public SpanBasis API on sparse {position: Cyc} vectors, exactly.
 The large data stay sparse.  A morphism permutes the tensor basis, so it is
 kept as an index map: the commuting walk composes index maps, and each image
 span takes one entry per tensor; a Psi-image of the shift duality, a sum of
