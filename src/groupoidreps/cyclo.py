@@ -16,10 +16,10 @@ user, are integral and straightened in tableaux); the tests keep it as a
 reference, with their own null-space helper.
 Every commutant or intertwiner space solved by elimination is solved by
 :func:`intertwiners`, and every matrix assembled from blocks or scattered
-entries is built by :meth:`Mat.from_entries`.  A permutation of the basis (the color rotation
-theta of gkd, the shift Z^(x d) of schurweyl) stays an index map: its
-powers compose as tuples, and :meth:`Mat.permuted` conjugates a matrix by
-it, so a commutation test forms no matrix product.
+entries is built by :meth:`Mat.from_entries`.  A permutation of the basis
+(the color rotation theta of gkd, the shift Z^(x d) of schurweyl) stays an
+index map: its powers compose as tuples, and :meth:`Mat.permuted`
+conjugates a matrix by it, so a commutation test forms no matrix product.
 
 All values are immutable; all operations are pure functions.
 """

@@ -1,7 +1,7 @@
 """Reference routines that the tests compare the library against.
 
 kernel_basis is the null space read off the one elimination engine; no
-library path needs it, since every commutant is one call to
+library path needs it, since every solved commutant is one call to
 cyclo.intertwiners.  conjugation_orbits and conjugacy_classes_of partition
 a group into conjugation orbits by walking them, the route that the
 closed-form classes of simples and gkd replace.  cyc_inner_product is the
@@ -15,12 +15,13 @@ matrix of an algebra element on V^(x d), and morphism_block_matrix the 0/1
 matrix of one morphism on its blocks: the routes that the index maps of
 schurweyl replace.  ungraded_intertwiners solves X_t A = B X_s with one
 engine row per entry of every action, the route that the weight grading of
-cyclo.intertwiners replaces.  phi_on_generators is Phi as a product of generator
-images, an independent route to the closed form of algebra.phi.  to_sparse
-and to_dense convert between the tests' dense vectors and the engine's one
-vector format, {column: Cyc}.  quotient_action_block is the action of a
-quotient morphism on a quotient simple as the dense product M^t rho(pi), the
-route that the one-pass blocks of gkd.QuotientSimpleModule replace.
+cyclo.intertwiners replaces.  phi_on_generators is Phi as a product of
+generator images, an independent route to the closed form of algebra.phi.
+to_sparse and to_dense convert between the tests' dense vectors and the
+engine's one vector format, {column: Cyc}.  quotient_action_block is the
+action of a quotient morphism on a quotient simple as the dense product
+M^t rho(pi), the route that the one-pass blocks of gkd.QuotientSimpleModule
+replace.
 """
 
 from fractions import Fraction

@@ -375,8 +375,8 @@ def test_graded_shift_solve_matches_the_ungraded_reference(monkeypatch, ell, k, 
 
 
 def test_duality_solves_insert_only_the_graded_rows(monkeypatch):
-    # rows reaching the engine, counted: one row per entry and action, with
-    # no unknown dropped, would be 69 648 and 34 673 here
+    # rows reaching the engine, counted: the ungraded solves, with the backward
+    # solve that the orbit count replaced, inserted 69 648 and 34 673 here
     inserted = []
     real = SpanBasis._insert
     monkeypatch.setattr(SpanBasis, "_insert", lambda self, v, width: inserted.append(1) or real(self, v, width))
