@@ -261,10 +261,6 @@ class Cyc:
             "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "Cyc":
-        return Cyc(data["order"], tuple(Fraction(s) for s in data["coeffs"]))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Cyc)
@@ -356,11 +352,6 @@ class Mat:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
         self.rows = rows
-
-    @staticmethod
-    def zeros(ell: int, nrows: int, ncols: int) -> "Mat":
-        z = Cyc.zero(ell)
-        return Mat(ell, [[z] * ncols for _ in range(nrows)])
 
     @staticmethod
     def identity(ell: int, n: int) -> "Mat":

@@ -19,7 +19,7 @@ from .cyclo import Cyc
 from .groupoid import GMorphism, compose, hom, inverse, objects
 from .perms import compose_perms
 from .reporting import record, suite_result
-from .simples import _exponent_bins, all_simples, character_table, conjugacy_classes, inner_product, phi_trace
+from .simples import _exponent_bins, all_simples, conjugacy_classes, inner_product, phi_trace, simple_characters
 from .wreath import WreathElem
 
 __all__ = [
@@ -104,10 +104,15 @@ def verify_gelfand(ell: int, d: int) -> dict:
     )
 
     # Each simple character feeds its multiplicity; their per-class sum must
-    # equal the model's character.
+    # equal the model's character.  Class by class, so the model at a
+    # representative reads the fixed_objects groups its simples have just read.
     classes = conjugacy_classes(ell, d)
-    table = character_table(ell, d)
-    chi_model = [model.char_wreath(rep) for rep, _size in classes]
+    reps = [rep for rep, _size in classes]
+    rows, chi_model = [], []
+    for x, row in zip(reps, simple_characters(ell, d, reps)):
+        rows.append(row)
+        chi_model.append(model.char_wreath(x))
+    table = tuple(zip(*rows))
     chi_model_bar = [v.conjugate() for v in chi_model]
     mult_table = []
     all_one = True
@@ -122,7 +127,7 @@ def verify_gelfand(ell: int, d: int) -> dict:
 
     # per class, the power-basis numerators of the simple characters summed
     # as ints (Fractions where a denominator is not 1), then made one Cyc
-    chi_sum = [Cyc(ell, map(sum, zip(*map(_exponent_bins, values)))) for values in zip(*table)]
+    chi_sum = [Cyc(ell, map(sum, zip(*map(_exponent_bins, values)))) for values in rows]
     diff_zero = chi_model == chi_sum
     checks.append(record("gelfand character equals sum of simple characters", diff_zero))
 

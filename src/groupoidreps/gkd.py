@@ -18,11 +18,20 @@ L_(p,m): the color-preserving part acts by outer Specht matrices on
 W = V_0 + ... + V_{r/s-1} (V_j a rotated copy of S_p) and the canonical
 rotation acts by a tensor-slot rotation times the scalar xi_l^{(l/s) m}.
 On shapes whose stabilizer fixes p (every case with d <= 3) this reduces to
-the scalar action xi_l^{(l/r) t m} on S_p itself.
+the scalar action xi_l^{(l/r) t m} on S_p itself.  action_block(q) is
+rho~(a_2^-1 o q o a_1) for that action rho~ of End(base), a_o the anchor of
+o, so L is functorial exactly when rho~ is multiplicative on End(base), a
+group of order r prod lambda_c! (Curtis-Reiner, Methods of Representation
+Theory I, 11; Stembridge, Pacific J. Math. 140, 1989).
 
 The rotation check's theta permutes the basis of the direct sum of the
 rotated simples, so it is an index map: its powers are composed tuples and
-its commutation with a matrix A is A.permuted(theta) == A.
+its commutation with a matrix A is A.permuted(theta) == A.  The action A_x
+is block diagonal over the summands, and theta^j, j a multiple of their
+count, takes the block of g to that of theta^(jv)(g) along the slot map
+c -> c - jv.  So the term xi^e sigma_(s, g) of Phi(x) adds xi^e sum_a
+M[a][slot(a)] to tr(theta^j A_x), M its action_block, exactly when
+s = theta^(jv)(g); the dense A_x is built only for the generators.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from math import factorial, gcd, prod
 
-from .algebra import AlgElem, _perm_table, _rank_of_phi_images, phi, phi_form
+from .algebra import AlgElem, _perm_table, _rank_of_phi_images, _roots, phi, phi_form
 from .cyclo import (
     Cyc,
     LinSolver,  # noqa: F401  (unused here; perfbench/tests patch gkd.LinSolver)
@@ -55,7 +64,7 @@ from .groupoid import (
 )
 from .perms import reach
 from .reporting import record, skip, suite_result
-from .simples import all_simples, build_simple, colored_classes, inner_product
+from .simples import all_simples, build_simple, colored_classes, inner_product, simple_characters
 from .tableaux import compositions, multipartitions, outer_rep
 from .wreath import WreathElem, gkd_elements, gkd_generators, s0_j, wreath_inv, wreath_mul
 
@@ -518,8 +527,7 @@ class QuotientSimpleModule:
         for coords in _class_coordinates(self.ell, self.k, self.d):
             acc = Cyc.zero(self.ell)
             for q, coeff in coords.items():
-                o1, o2 = self.Q.source_orbit(q), self.Q.target_orbit(q)
-                if o1 == o2 and o1 in self.block_index:
+                if self.Q.source_orbit(q) in self.block_index:
                     acc = acc + coeff * self.action_block(q).trace()
             out.append(acc)
         return tuple(out)
@@ -589,9 +597,12 @@ def gkd_conjugacy_classes(ell: int, k: int, d: int) -> tuple[tuple[WreathElem, i
 
 @lru_cache(maxsize=None)
 def _class_coordinates(ell: int, k: int, d: int) -> tuple[dict[GMorphism, Cyc], ...]:
-    """Phi of each class representative of G(l,k,d), in the quotient basis."""
+    """Phi of each class representative of G(l,k,d) in the quotient basis, its endomorphism terms only."""
     Q = quotient_groupoid(ell, k, d)
-    return tuple(Q.phi_to_quotient(rep) for rep, _size in gkd_conjugacy_classes(ell, k, d))
+    return tuple(
+        {q: c for q, c in Q.phi_to_quotient(rep).items() if Q.source_orbit(q) == Q.target_orbit(q)}
+        for rep, _size in gkd_conjugacy_classes(ell, k, d)
+    )
 
 
 def _quotient_commutant_dim(mod: QuotientSimpleModule) -> int:
@@ -608,11 +619,22 @@ def _quotient_commutant_dim(mod: QuotientSimpleModule) -> int:
     return len(intertwiners(mod.ell, [bd] * len(index), [bd] * len(index), actions))
 
 
+def _endo_generators(mod: QuotientSimpleModule) -> list[GMorphism]:
+    """Generators of End(base): the s_i inside its color runs, and its canonical rotation onto theta^u(base)."""
+    ell, b = mod.ell, mod.base
+    gens = [s for s in component_generators(ell, mod.lam) if s.source == s.target]
+    return [mod.Q.normalize(s) for s in gens + [canonical_morphism(b, theta_object(b, mod.u, ell), ell)]]
+
+
 def _quotient_functorial(mod: QuotientSimpleModule) -> bool:
-    """L(s o q) = L(s) L(q) for the generators s, and they reach every basis q of the component."""
-    Q, comp, act = mod.Q, mod.component, mod.action_block
-    reached = _closure(Q, _quotient_generators(Q, [mod.lam]), comp, lambda s, x, y: act(y) == act(s) * act(x))
-    return reached == {q for o1 in comp for o2 in comp for q in Q.hom(o1, o2)}
+    """rho~(s o q) = rho~(s) rho~(q) for the generators s of End(base), and they reach all r prod lambda_c! of it.
+
+    The base's anchor is the identity, so action_block is rho~ on End(base);
+    this is functoriality on the component (module docstring).
+    """
+    Q, act = mod.Q, mod.action_block
+    reached = _closure(Q, _endo_generators(mod), [Q.orbit_of[mod.base]], lambda s, x, y: act(y) == act(s) * act(x))
+    return reached is not None and len(reached) == mod.r * prod(map(factorial, mod.lam))
 
 
 def quotient_simples_check(ell: int, k: int, d: int) -> dict:
@@ -659,10 +681,8 @@ def restriction_check(ell: int, k: int, d: int) -> dict:
     reps = gkd_conjugacy_classes(ell, k, d)
     lpm_conj = {key: [v.conjugate() for v in mod.class_character] for key, mod in mods.items()}
     checks = []
-    # class by class, so every simple at one representative reads the same fixed_objects groups
     simples = all_simples(ell, d)
-    by_class = [[simple.char_wreath(rep) for simple in simples] for rep, _ in reps]
-    for simple, chi_res in zip(simples, zip(*by_class)):
+    for simple, chi_res in zip(simples, zip(*simple_characters(ell, d, [rep for rep, _ in reps]))):
         # expected labels: lambda* is the least shape in the H_k-orbit of p,
         # p* the least orbit member of shape lambda*
         orbit = {theta_type(simple.p, t * Q.shift) for t in range(k)}
@@ -710,7 +730,7 @@ def rotation_eigenspace_check(ell: int, k: int, d: int) -> dict:
     """
     Q = quotient_groupoid(ell, k, d)
     checks = []
-    reps_classes = gkd_conjugacy_classes(ell, k, d)
+    rotated_terms = _rotated_terms(Q, [rep for rep, _size in gkd_conjugacy_classes(ell, k, d)])
     for lam, p0, m in quotient_labels(ell, k, d):
         if m != 1:
             continue
@@ -719,7 +739,7 @@ def rotation_eigenspace_check(ell: int, k: int, d: int) -> dict:
         if _p_stabilizer_order(p0, r, ell) != r:
             checks.append(skip(name, "p not stabilizer-invariant"))
             continue
-        ok, detail = _rotation_eigenspace_single(Q, lam, p0, reps_classes)
+        ok, detail = _rotation_eigenspace_single(Q, lam, p0, rotated_terms)
         checks.append(record(name, ok, detail))
     return suite_result(checks, ell=ell, k=k, d=d)
 
@@ -727,7 +747,8 @@ def rotation_eigenspace_check(ell: int, k: int, d: int) -> dict:
 def _rotation_module(Q: QuotientGroupoid, lam, p):
     """theta on the direct sum of the simples L_(z^j p) over the types of the
     H_k-orbit of lam, as an index map (entry a is the basis index theta sends
-    basis index a to), and the matrix of the action of x on that sum."""
+    basis index a to), the summands, and the dense matrix of the action of x
+    on that sum (act_total)."""
     ell, k, d = Q.ell, Q.k, Q.d
     copies = k // Q.type_stabilizer_order(lam)  # number of distinct types in the orbit
     v = Q.shift
@@ -741,8 +762,7 @@ def _rotation_module(Q: QuotientGroupoid, lam, p):
     for j, simp in enumerate(summands):
         jn = (j + 1) % copies
         nxt = summands[jn]
-        dims_src = [simp.outer.components[c].dim for c in range(ell)]
-        slot = _slot_rotation(dims_src, lambda c: (c - v) % ell)
+        slot = _slot_rotation([c.dim for c in simp.outer.components], lambda c: (c - v) % ell)
         for f in simp.objects:
             r0 = offsets[jn] + nxt.block_index[theta_object(f, v, ell)] * nxt.block_dim
             c0 = offsets[j] + simp.block_index[f] * simp.block_dim
@@ -754,23 +774,55 @@ def _rotation_module(Q: QuotientGroupoid, lam, p):
         entries = (e for simp, o in zip(summands, offsets) for e in simp.act_alg(a).entries(o, o))
         return Mat.from_entries(ell, total, total, entries)
 
-    return tuple(theta), act_total
+    return tuple(theta), summands, act_total
 
 
-def _eigenspace_traces(powers: list[tuple[int, ...]], mats: list[Mat]) -> list[tuple[int, tuple[Cyc, ...]]]:
-    """(dim E_m, the traces of mats on E_m) for the xi_k^m-eigenspaces E_m of theta, m = 1..k.
+def _rotated_terms(Q: QuotientGroupoid, xs) -> list[list[list[tuple[GMorphism, int]]]]:
+    """For each x of xs and j = 0..k-1, the terms xi^e sigma_(s, g) of Phi(x) with s = theta^(jv)(g), as (sigma, e)."""
+    out = []
+    for x in xs:
+        perm, exps = phi_form(x, Q.d)
+        _sources, terms, source_index = _perm_table(Q.ell, Q.d, perm)
+        per_power, rotated = [], range(len(terms))
+        for _j in range(Q.k):
+            per_power.append([(m, e) for m, e, i, s in zip(terms, exps, rotated, source_index) if i == s])
+            rotated = [Q.theta_index[i] for i in rotated]
+        out.append(per_power)
+    return out
+
+
+def _twisted_traces(Q: QuotientGroupoid, summands, rotated_terms) -> list[tuple[Cyc, ...]]:
+    """tr(theta^j A_x), j = 0..k-1, from the _rotated_terms of each x: zero unless the summand count divides j (module docstring)."""
+    ell, k, v = Q.ell, Q.k, Q.shift
+    roots, zero = _roots(ell), Cyc.zero(ell)
+    dims = [[c.dim for c in simp.outer.components] for simp in summands]
+    slots = {j: [_slot_rotation(dim, lambda c: (c - j * v) % ell) for dim in dims] for j in range(0, k, len(summands))}
+    out = []
+    for per_power in rotated_terms:
+        traces = [zero] * k
+        for j, slot_maps in slots.items():
+            for m, e in per_power[j]:
+                for simp, slot in zip(summands, slot_maps):
+                    if m.target in simp.block_index:
+                        rows = simp.action_block(m).rows
+                        traces[j] = traces[j] + roots[e] * sum((rows[a][b] for a, b in enumerate(slot)), zero)
+        out.append(tuple(traces))
+    return out
+
+
+def _eigenspace_traces(powers: list[tuple[int, ...]], twisted) -> list[tuple[int, tuple[Cyc, ...]]]:
+    """(dim E_m, the traces on E_m) for the xi_k^m-eigenspaces E_m of theta, m = 1..k.
 
     powers = [theta^0, ..., theta^(k-1)] as index maps, with theta^k = 1 and
-    theta commuting with every matrix of mats.  Then E_m is the image of the
-    idempotent P_m = (1/k) sum_j xi_k^(-jm) theta^j, which commutes with each
-    A in mats, so dim E_m = tr(P_m) and the trace of A on E_m is tr(P_m A).
-    tr(theta^j) counts the indices that theta^j fixes, and
-    tr(theta^j A) = sum_a A[a][theta^j(a)].
+    theta commuting with each matrix A, and twisted[i][j] = tr(theta^j A_i).
+    Then E_m is the image of the idempotent P_m = (1/k) sum_j xi_k^(-jm)
+    theta^j, which commutes with each A, so dim E_m = tr(P_m) and the trace
+    of A on E_m is tr(P_m A).  tr(theta^j) counts the indices that theta^j
+    fixes.
     """
-    k, ell = len(powers), mats[0].ell
+    k, ell = len(powers), twisted[0][0].ell
     zero = Cyc.zero(ell)
     unit = [sum(a == b for a, b in enumerate(t)) for t in powers]
-    twisted = [[sum((A.rows[a][b] for a, b in enumerate(t)), zero) for t in powers] for A in mats]
     out = []
     for m in range(1, k + 1):
         weights = [root_of_unity(ell, -j * (ell // k) * m).scale(Fraction(1, k)) for j in range(k)]
@@ -779,10 +831,10 @@ def _eigenspace_traces(powers: list[tuple[int, ...]], mats: list[Mat]) -> list[t
     return out
 
 
-def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, reps_classes) -> tuple[bool, dict]:
+def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, rotated_terms) -> tuple[bool, dict]:
     ell, k, d = Q.ell, Q.k, Q.d
     r = Q.type_stabilizer_order(lam)
-    theta, act_total = _rotation_module(Q, lam, p)
+    theta, summands, act_total = _rotation_module(Q, lam, p)
 
     # theta^0 .. theta^k by composing index maps, and theta^k = 1
     powers = [tuple(range(len(theta)))]
@@ -801,7 +853,7 @@ def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, reps_classes) -> tu
     # eigenspaces over the k-th roots of unity, matched to the L_(p,m) by characters
     expected = {m: build_quotient_simple(ell, k, d, p, m).class_character for m in range(1, r + 1)}
     hits = dict.fromkeys(expected, 0)
-    eigenspaces = _eigenspace_traces(powers[:k], [act_total(rep) for rep, _size in reps_classes])
+    eigenspaces = _eigenspace_traces(powers[:k], _twisted_traces(Q, summands, rotated_terms))
     for m, (_dim, char) in enumerate(eigenspaces, start=1):
         matched = [mm for mm, exp in expected.items() if exp == char]
         if len(matched) != 1:

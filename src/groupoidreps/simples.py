@@ -18,7 +18,10 @@ each cycle of x, and there the block acts by sigma_(g, g), an element of
 End(g) = prod_c S_(lambda_c).  Its trace is a class function of that
 product, so it depends only on the cycle lengths of x in each color of g:
 `fixed_objects` lists the fixed objects by that End(g)-class, and each
-module takes one block trace per class.  A class function is a tuple in the
+module takes one block trace per class.  `simple_characters` evaluates
+every simple at once, shape by shape: the modules of one shape share each
+class's transport to the base, and each exponent-sum vector is reduced once
+per walk.  A class function is a tuple in the
 order of its class list, and `inner_product` is the one inner product; it
 reads each value's power-basis numerators as exponent bins and reduces once
 per product.
@@ -70,6 +73,7 @@ __all__ = [
     "conjugacy_classes",
     "fixed_objects",
     "phi_trace",
+    "simple_characters",
     "character_table",
     "inner_product",
     "total_dim_check",
@@ -131,13 +135,16 @@ class SimpleModule:
                 entries += ((ij, coeff * v) for ij, v in self.action_block(m).entries(r0, c0))
         return Mat.from_entries(self.ell, self.total_dim, self.total_dim, entries)
 
-    def block_trace(self, g, perm: tuple[int, ...]) -> int:
-        """The trace of the endomorphism of g with permutation perm on its block."""
-        w = self.transported(GMorphism(g, g, perm))
+    def trace_of(self, w: tuple[int, ...]) -> int:
+        """The trace of the S_lambda element w on S_p."""
         t = self._trace_cache.get(w)
         if t is None:
             t = self._trace_cache[w] = self.outer.trace_of_blockperm(w)
         return t
+
+    def block_trace(self, g, perm: tuple[int, ...]) -> int:
+        """The trace of the endomorphism of g with permutation perm on its block."""
+        return self.trace_of(self.transported(GMorphism(g, g, perm)))
 
     def char_wreath(self, x: WreathElem) -> Cyc:
         """Character of x in C[S(l,d)]: the trace of the action of Phi(x), by phi_trace."""
@@ -333,22 +340,51 @@ def _exponent_bins(v: Cyc):
     return v.num if v.den == 1 else [Fraction(n, v.den) for n in v.num]
 
 
+def simple_characters(ell: int, d: int, xs):
+    """The simple characters of (l, d) at each element of xs, class-major: one tuple per element, in all_simples order.
+
+    Each value is its module's phi_trace.  Each End(g)-class of fixed objects
+    of type lambda is transported once, to w, for all modules of shape
+    lambda; equal exponent-sum vectors are reduced once and equal values
+    share one Cyc.
+    """
+    shapes: dict[tuple[int, ...], list[SimpleModule]] = {}
+    for m in all_simples(ell, d):
+        shapes.setdefault(m.lam, []).append(m)
+    reduced: dict[tuple[int, ...], Cyc] = {}
+    shared: dict[Cyc, Cyc] = {}
+    for x in xs:
+        groups, row = fixed_objects(x), []
+        for lam, mods in shapes.items():
+            transported = [
+                (mods[0].transported(GMorphism(g, g, x.perm)), [(e, n) for e, n in enumerate(counts) if n])
+                for g, counts in groups.get(lam, ())
+            ]
+            for m in mods:
+                bins = [0] * ell
+                for w, counts in transported:
+                    tr = m.trace_of(w)
+                    if tr:
+                        for e, n in counts:
+                            bins[e] += tr * n
+                bins = tuple(bins)
+                v = reduced.get(bins)
+                if v is None:
+                    v = Cyc.from_exponent_sums(ell, bins)
+                    v = reduced[bins] = shared.setdefault(v, v)
+                row.append(v)
+        yield tuple(row)
+
+
 @lru_cache(maxsize=None)
 def character_table(ell: int, d: int) -> tuple[tuple[Cyc, ...], ...]:
     """The simple characters at (l, d), in all_simples order, on conjugacy_classes(l, d).
 
-    Each character is evaluated once per class representative, class by
-    class, so every module at one representative reads the same
-    fixed_objects groups.  Equal values share one Cyc, which keeps the
-    cached table small: at (4, 4) its 11025 entries take 63 distinct values.
+    One simple_characters walk over the class representatives, so equal
+    values share one Cyc, which keeps the cached table small: at (4, 4) its
+    11025 entries take 63 distinct values.
     """
-    shared: dict[Cyc, Cyc] = {}
-    mods = all_simples(ell, d)
-    columns = [
-        [shared.setdefault(v, v) for v in (m.char_wreath(rep) for m in mods)]
-        for rep, _size in conjugacy_classes(ell, d)
-    ]
-    return tuple(zip(*columns))
+    return tuple(zip(*simple_characters(ell, d, [rep for rep, _size in conjugacy_classes(ell, d)])))
 
 
 def total_dim_check(mod: SimpleModule) -> bool:
@@ -438,20 +474,16 @@ def restriction_multiplicities(mod: SimpleModule) -> dict:
     Maps the label of each constituent to its multiplicity: an int, or the
     exact inner product when that is not an integer (a wrong character).
     """
-    (chi_res_bar,) = _restrictions_bar([mod], mod.ell, mod.d)
-    return _restriction_decomposition(mod.ell, mod.d, chi_res_bar)
+    labels = [m.p for m in all_simples(mod.ell, mod.d)]
+    return _restriction_decomposition(mod.ell, mod.d, _restrictions_bar(mod.ell, mod.d)[labels.index(mod.p)])
 
 
-def _restrictions_bar(mods, ell: int, d: int) -> list[tuple[Cyc, ...]]:
-    """The conjugated restriction to S(l,d-1) of each character of mods, on its classes.
-
-    Evaluated class by class, so every module at one element reads the same
-    fixed_objects groups from the one-entry cache.
-    """
+def _restrictions_bar(ell: int, d: int) -> list[tuple[Cyc, ...]]:
+    """The conjugated restriction to S(l,d-1) of every simple character of (l, d), in all_simples order, on the classes of S(l,d-1)."""
     if d < 1:
         raise ValueError("branching needs d >= 1")
     xs = [embed_lower_rank(y, d) for y, _size in conjugacy_classes(ell, d - 1)]
-    return list(zip(*([m.char_wreath(x).conjugate() for m in mods] for x in xs)))
+    return list(zip(*([v.conjugate() for v in row] for row in simple_characters(ell, d, xs))))
 
 
 def _restriction_decomposition(ell: int, d: int, chi_res_bar) -> dict:
@@ -470,7 +502,7 @@ def branching_report(ell: int, d: int) -> dict:
     """Restriction of every simple equals its removable-node multiset, multiplicity-free."""
     checks = []
     mods = all_simples(ell, d)
-    for mod, chi_res_bar in zip(mods, _restrictions_bar(mods, ell, d)):
+    for mod, chi_res_bar in zip(mods, _restrictions_bar(ell, d)):
         mults = _restriction_decomposition(ell, d, chi_res_bar)
         expected = removable_node_restrictions(mod.p)
         ok = (

@@ -21,7 +21,12 @@ to_sparse and to_dense convert between the tests' dense vectors and the
 engine's one vector format, {column: Cyc}.  quotient_action_block is the
 action of a quotient morphism on a quotient simple as the dense product
 M^t rho(pi), the route that the one-pass blocks of gkd.QuotientSimpleModule
-replace.
+replace.  component_functorial is the functoriality walk over every morphism
+of a quotient simple's component, the route that the End(base) walk of
+gkd._quotient_functorial replaces.  dense_twisted_traces reads tr(theta^j A_x)
+off the dense total x total matrix of x on the rotation module, the route
+that gkd._twisted_traces replaces.  cyc_from_json and mat_zeros are the JSON
+reader of Cyc and the zero matrix, which only tests use.
 """
 
 from fractions import Fraction
@@ -30,6 +35,7 @@ from operator import mul
 
 from groupoidreps.algebra import AlgElem, phi
 from groupoidreps.cyclo import Cyc, Mat, SpanBasis, root_of_unity
+from groupoidreps import gkd
 from groupoidreps.gkd import _slot_rotation
 from groupoidreps.groupoid import canonical_morphism, compose
 from groupoidreps.perms import invert_perm, perm_to_word, reach
@@ -231,3 +237,33 @@ def ungraded_intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[dict[in
                 row[j] = row.get(j, zero) - b
             sb.add(row)
     return sb.kernel()
+
+
+def component_functorial(mod) -> bool:
+    """L(s o q) = L(s) L(q) for the component generators s along a walk that reaches every basis morphism of the component."""
+    Q, comp, act = mod.Q, mod.component, mod.action_block
+    reached = gkd._closure(Q, gkd._quotient_generators(Q, [mod.lam]), comp, lambda s, x, y: act(y) == act(s) * act(x))
+    return reached == {q for o1 in comp for o2 in comp for q in Q.hom(o1, o2)}
+
+
+def dense_twisted_traces(theta, act_total, k: int, xs) -> list[tuple[Cyc, ...]]:
+    """tr(theta^j A) = sum_a A[a][theta^j(a)] for j = 0..k-1, A = act_total(x) the dense matrix of each x of xs."""
+    powers = [tuple(range(len(theta)))]
+    for _ in range(k - 1):
+        powers.append(tuple(theta[a] for a in powers[-1]))
+    out = []
+    for x in xs:
+        A = act_total(x)
+        out.append(tuple(sum((A.rows[a][b] for a, b in enumerate(t)), Cyc.zero(A.ell)) for t in powers))
+    return out
+
+
+def cyc_from_json(data: dict) -> Cyc:
+    """The Cyc of a to_json dict."""
+    return Cyc(data["order"], tuple(Fraction(s) for s in data["coeffs"]))
+
+
+def mat_zeros(ell: int, nrows: int, ncols: int) -> Mat:
+    """The nrows x ncols zero matrix over Q(xi_l), row by row."""
+    z = Cyc.zero(ell)
+    return Mat(ell, [[z] * ncols for _ in range(nrows)])

@@ -28,6 +28,26 @@ def test_noncomposable_terms_vanish():
     assert (e_other * a).is_zero()
 
 
+def test_product_drops_the_terms_that_cancel():
+    # with s the swap of (1, 1): (e + s)(e - s) = e - s + s - s^2, and s^2 = e,
+    # so both keys cancel on their second contribution and leave no term
+    e, s = hom((1, 1), (1, 1), 1)
+    one = Cyc.one(1)
+    a = AlgElem(1, 2, {e: one, s: one})
+    b = AlgElem(1, 2, {e: one, s: -one})
+    assert (a * b).terms == {}
+    # no cancellation: (e + s)(e + s) = 2e + 2s
+    assert a * a == a.scale(Cyc.rational(1, 2))
+
+
+def test_scale_by_zero_is_the_zero_element():
+    a = phi(generators(2, 2)[1])
+    zero = a.scale(Cyc.zero(2))
+    assert zero.terms == {} and zero.is_zero()
+    assert zero == AlgElem.zero(2, 2)
+    assert a.scale(Cyc.one(2)) == a
+
+
 def test_phi_s0_d1():
     s0 = generators(2, 1)[0]
     expected = AlgElem(

@@ -37,7 +37,7 @@ from groupoidreps.groupoid import (
 from groupoidreps.simples import all_simples, inner_product
 from groupoidreps.tableaux import multipartitions
 from groupoidreps.wreath import generators, wreath_identity
-from reference import kernel_basis, quotient_action_block, to_sparse
+from reference import component_functorial, dense_twisted_traces, kernel_basis, quotient_action_block, to_sparse
 
 GRID = [
     (2, 2, 1),
@@ -403,6 +403,71 @@ def test_functoriality_check_catches_action_wrong_off_generators(monkeypatch):
     assert _status(rep, "identity quotient morphisms act as identity") == "pass"
 
 
+@pytest.mark.parametrize("ell,k,d", [*GKD_GRID, (2, 2, 4), (4, 2, 3)])
+def test_end_base_walk_agrees_with_the_component_walk(ell, k, d):
+    # action_block(q) is rho~ of a2^-1 o q o a1, so functoriality on the
+    # component is multiplicativity of rho~ on End(base)
+    for _lam, p, m in quotient_labels(ell, k, d):
+        mod = build_quotient_simple(ell, k, d, p, m)
+        assert gkd._quotient_functorial(mod) and component_functorial(mod), mod
+
+
+def test_both_walks_reject_a_block_wrong_inside_end_base(monkeypatch):
+    ell, k, d = 2, 2, 4
+    mod = build_quotient_simple(ell, k, d, ((1,), (1, 1, 1)), 1)
+    Q, o = mod.Q, mod.Q.orbit_of[mod.base]
+    bad = _non_generator(Q, Q.hom(o, o), gkd._endo_generators(mod))
+    real, two = mod.action_block, Cyc.rational(ell, 2)
+    monkeypatch.setattr(mod, "action_block", lambda q: real(q).scale_cyc(two) if q == bad else real(q))
+    assert not gkd._quotient_functorial(mod)
+    assert not component_functorial(mod)
+
+
+@pytest.mark.parametrize("ell,k,d", [(2, 2, 2), (3, 3, 3), (2, 2, 4), (4, 4, 2)])
+def test_functoriality_walk_needs_the_canonical_rotation(monkeypatch, ell, k, d):
+    # without it the walk stays in hom(base, base) = prod S_(lambda_c), a
+    # proper subgroup of End(base) exactly where r > 1
+    real = gkd._endo_generators
+    monkeypatch.setattr(gkd, "_endo_generators", lambda mod: real(mod)[:-1])
+    mods = [build_quotient_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
+    assert [gkd._quotient_functorial(mod) for mod in mods] == [mod.r == 1 for mod in mods]
+    assert _status(quotient_simples_check(ell, k, d), "L_(p,m) functorial") == "fail"
+
+
+@pytest.mark.parametrize("ell,k,d", [(2, 2, 3), (3, 1, 3), (2, 1, 3)])
+def test_functoriality_walk_needs_every_transposition(monkeypatch, ell, k, d):
+    # here r = 1 on every shape, so End(base) = prod S_(lambda_c), and one
+    # adjacent transposition fewer generates a proper subgroup of it
+    real = gkd._endo_generators
+    mods = [build_quotient_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
+    assert all(mod.r == 1 for mod in mods)
+    dropped = 0
+    for mod in mods:
+        for i in range(len(real(mod)) - 1):
+            monkeypatch.setattr(gkd, "_endo_generators", lambda mod, i=i: real(mod)[:i] + real(mod)[i + 1 :])
+            assert not gkd._quotient_functorial(mod), (mod, i)
+            dropped += 1
+        monkeypatch.setattr(gkd, "_endo_generators", real)
+    assert dropped
+
+
+def test_end_base_blocks_pin_the_wrap_exponent_and_the_slot_map(monkeypatch):
+    # (4,4,8), p = ((2),(1,1),(2),(1,1)): r = 4, s = 2 and copies = 2, so the
+    # wrap from the last copy to the first scales by omega = xi^((l/s) m) = -1.
+    # (3,3,9), p = ((2,1),(2,1),(3)): r = 3 and copies = 3 with two factors of
+    # dimension 2, so the slot map c -> c + t u moves indices for t = 2.
+    # Each groupoid is built for this test alone, outside the lru cache.
+    monkeypatch.setattr(gkd, "quotient_groupoid", gkd.QuotientGroupoid)
+    for ell, k, d, p, copies in [(4, 4, 8, ((2,), (1, 1), (2,), (1, 1)), 2), (3, 3, 9, ((2, 1), (2, 1), (3,)), 3)]:
+        mod = gkd.QuotientSimpleModule(ell, k, d, p, 1)
+        assert (mod.copies, mod.block_dim) == (copies, sum(rep.dim for rep in mod.reps))
+        o = mod.Q.orbit_of[mod.base]
+        endos = mod.Q.hom(o, o)
+        assert len(endos) == mod.r * prod(map(factorial, mod.lam))
+        for q in endos:
+            assert mod._endo_matrix(q) == quotient_action_block(mod, q), q
+
+
 def test_rotation_check_skips_a_p_that_is_not_stabilizer_invariant():
     # at (2,2,4), p = ([1,1],[2]) has shape (2,2), fixed by the rotation, but p is not
     rep = rotation_eigenspace_check(2, 2, 4)
@@ -437,8 +502,8 @@ def test_rotation_check_fails_for_theta_of_the_wrong_order(monkeypatch):
     real = gkd._rotation_module
 
     def transposed(Q, lam, p):
-        theta, act_total = real(Q, lam, p)
-        return (theta[1], theta[0], *theta[2:]), act_total
+        theta, *rest = real(Q, lam, p)
+        return ((theta[1], theta[0], *theta[2:]), *rest)
 
     monkeypatch.setattr(gkd, "_rotation_module", transposed)
     failures = _rotation_failures(3, 3, 2)
@@ -511,7 +576,7 @@ def _permutation_matrix(ell, perm):
 def test_rotation_theta_is_a_bijection_of_the_basis(ell, k, d):
     Q = quotient_groupoid(ell, k, d)
     for lam, p in _invariant_labels(Q):
-        theta, act = gkd._rotation_module(Q, lam, p)
+        theta, _summands, act = gkd._rotation_module(Q, lam, p)
         assert sorted(theta) == list(range(len(theta)))
         assert act(wreath_identity(ell, d)) == Mat.identity(ell, len(theta))
 
@@ -545,13 +610,25 @@ def test_projector_traces_match_explicit_eigenspaces(ell, k, d):
     labels = list(_invariant_labels(Q))
     assert labels
     for lam, p in labels:
-        theta, act = gkd._rotation_module(Q, lam, p)
+        theta, summands, act = gkd._rotation_module(Q, lam, p)
         powers = [tuple(range(len(theta)))]
         for _ in range(k - 1):
             powers.append(tuple(theta[a] for a in powers[-1]))
-        mats = [act(x) for x in classes]
-        reference = _eigenspaces_by_kernel_basis(_permutation_matrix(ell, theta), k, mats)
-        assert gkd._eigenspace_traces(powers, mats) == reference
+        reference = _eigenspaces_by_kernel_basis(_permutation_matrix(ell, theta), k, [act(x) for x in classes])
+        twisted = gkd._twisted_traces(Q, summands, gkd._rotated_terms(Q, classes))
+        assert gkd._eigenspace_traces(powers, twisted) == reference
+
+
+@pytest.mark.parametrize("ell,k,d", [*GKD_GRID, (2, 2, 4), (4, 2, 3)])
+def test_twisted_traces_read_from_phi_match_the_dense_matrices(ell, k, d):
+    # tr(theta^j A_x) from the monomial terms of Phi(x) and the cached blocks
+    # equals sum_a A[a][theta^j(a)] on the dense total x total matrix of x
+    Q = quotient_groupoid(ell, k, d)
+    classes = [rep for rep, _size in gkd_conjugacy_classes(ell, k, d)]
+    rotated_terms = gkd._rotated_terms(Q, classes)
+    for lam, p in _invariant_labels(Q):
+        theta, summands, act = gkd._rotation_module(Q, lam, p)
+        assert gkd._twisted_traces(Q, summands, rotated_terms) == dense_twisted_traces(theta, act, k, classes), (lam, p)
 
 
 # Facts of the quotient that hold by construction, so quotient_structure_report

@@ -19,6 +19,7 @@ from groupoidreps.wreath import enum_group, wreath_identity, wreath_inv
 from reference import (
     act_full,
     kernel_basis,
+    mat_zeros,
     morphism_block_matrix,
     scan_phi_trace,
     to_sparse,
@@ -181,7 +182,7 @@ def _shift_commutant_in_two_stages(ell, k, m, d):
     rows = [[v for row in (X * Z - Z * X).rows for v in row] for X in cgl]
     out = []
     for cvec in kernel_basis(ell, [list(col) for col in zip(*rows)], len(cgl)):
-        acc = Mat.zeros(ell, dim, dim)
+        acc = mat_zeros(ell, dim, dim)
         for c, X in zip(cvec, cgl):
             acc = acc + X.scale_cyc(c)
         out.append([v for row in acc.rows for v in row])
@@ -530,7 +531,7 @@ def test_idempotent_sum_is_zero_exactly_when_the_inner_product_is(ell, kvec, d):
     mats = {x: act_full(T, phi(x, d)) for x in group}
     classes = conjugacy_classes(ell, d)
     chi_v = [mats[rep].trace() for rep, _size in classes]
-    zero = Mat.zeros(ell, T.dim(), T.dim())
+    zero = mat_zeros(ell, T.dim(), T.dim())
     for mod, chi_p in zip(all_simples(ell, d), character_table(ell, d)):
         acc = zero
         for x in group:

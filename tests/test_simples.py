@@ -9,7 +9,7 @@ from groupoidreps import simples
 from groupoidreps.algebra import phi
 from groupoidreps.cli import BRANCHING_GRID, GELFAND_WINDOW, GKD_GRID, ISO_GRID
 from groupoidreps.cyclo import Cyc, Mat
-from groupoidreps.gelfand import build_gelfand
+from groupoidreps.gelfand import build_gelfand, verify_gelfand
 from groupoidreps.gkd import gkd_conjugacy_classes
 from groupoidreps.groupoid import canonical_morphism, compose, hom, identity_morphism, objects, type_of
 from groupoidreps.simples import (
@@ -24,6 +24,7 @@ from groupoidreps.simples import (
     phi_trace,
     removable_node_restrictions,
     restriction_multiplicities,
+    simple_characters,
     total_dim_check,
     verify_complete,
     young_induction_check,
@@ -117,23 +118,35 @@ def test_characters_constant_on_classes():
                 assert chi(wreath_mul(wreath_mul(s, x), wreath_inv(s))) == value, (chi, x, s)
 
 
-def test_character_table_calls_char_wreath_once_per_class_representative(monkeypatch):
-    real = SimpleModule.char_wreath
-    for ell, d in [(1, 3), (2, 2), (3, 2), (2, 3)]:
+def test_character_table_transports_once_per_element_shape_and_group(monkeypatch):
+    # the modules of one shape share the transport of each End(g)-class of fixed
+    # objects: one transported w per (element, shape, group), read by all of them
+    real = SimpleModule.transported
+    for ell, d in [(1, 3), (2, 2), (3, 2), (2, 3), (3, 3)]:
         calls = []
 
-        def recording(self, x):
-            calls.append((self.p, x))
-            return real(self, x)
+        def recording(self, m):
+            calls.append((self.lam, m.source, m.target, m.perm))
+            return real(self, m)
 
-        monkeypatch.setattr(SimpleModule, "char_wreath", recording)
+        monkeypatch.setattr(SimpleModule, "transported", recording)
         table = character_table.__wrapped__(ell, d)
-        monkeypatch.setattr(SimpleModule, "char_wreath", real)
+        monkeypatch.setattr(SimpleModule, "transported", real)
         reps = [rep for rep, _size in conjugacy_classes(ell, d)]
-        mods = all_simples(ell, d)
-        # class-major: every module at one representative, then the next representative
-        assert calls == [(m.p, rep) for rep in reps for m in mods]
-        assert table == tuple(tuple(m.char_wreath(rep) for rep in reps) for m in mods)
+        shapes = list(dict.fromkeys(m.lam for m in all_simples(ell, d)))
+        assert calls == [
+            (lam, g, g, x.perm) for x in reps for lam in shapes for g, _counts in fixed_objects(x).get(lam, ())
+        ]
+        assert table == tuple(tuple(m.char_wreath(rep) for rep in reps) for m in all_simples(ell, d))
+
+
+@pytest.mark.parametrize("ell,d", [(1, 3), (2, 3), (3, 3), (4, 3), (2, 4)])
+def test_shape_grouped_characters_equal_char_wreath_at_every_class(ell, d):
+    reps = [rep for rep, _size in conjugacy_classes(ell, d)]
+    mods = all_simples(ell, d)
+    rows = list(simple_characters(ell, d, reps))
+    assert rows == [tuple(m.char_wreath(x) for m in mods) for x in reps]
+    assert character_table.__wrapped__(ell, d) == tuple(zip(*rows))
 
 
 def test_character_table_follows_all_simples_order():
@@ -347,25 +360,36 @@ def test_phi_trace_takes_one_block_trace_per_group():
 
 
 def test_character_table_computes_fixed_objects_once_per_class():
-    mods = all_simples(4, 4)
+    # one simple_characters walk: every module of every shape at one
+    # representative reads the groups of one fixed_objects call
     fixed_objects.cache_clear()
     character_table.__wrapped__(4, 4)
     info = fixed_objects.cache_info()
     assert info.misses == len(conjugacy_classes(4, 4))
-    assert info.hits == (len(mods) - 1) * info.misses
+    assert info.hits == 0
 
 
 def test_branching_report_computes_fixed_objects_once_per_class():
-    # every simple of S(2,3) is restricted class by class, so the one-entry
-    # cache serves all of them at each embedded representative
+    # every simple of S(2,3) is restricted in one walk, so each embedded
+    # representative is one fixed_objects call
     ell, d = 2, 3
-    mods = all_simples(ell, d)
     character_table(ell, d - 1)
     fixed_objects.cache_clear()
     assert branching_report(ell, d)["ok"]
     info = fixed_objects.cache_info()
     assert info.misses == len(conjugacy_classes(ell, d - 1))
-    assert info.hits == (len(mods) - 1) * info.misses
+    assert info.hits == 0
+
+
+@pytest.mark.parametrize("ell,d", [(2, 3), (3, 3)])
+def test_verify_gelfand_computes_fixed_objects_once_per_class(ell, d):
+    # the simple characters and the model's character are read class by class,
+    # so the model hits the one-entry cache that the simples have just filled
+    character_table.cache_clear()
+    fixed_objects.cache_clear()
+    assert verify_gelfand(ell, d)["ok"]
+    info = fixed_objects.cache_info()
+    assert info.misses == info.hits == len(conjugacy_classes(ell, d))
 
 
 def test_transports_are_canonical_morphisms():

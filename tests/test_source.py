@@ -237,16 +237,17 @@ def _calls_by_function(tree, attr):
     return found
 
 
-def test_exponent_bins_are_reduced_only_in_phi_trace():
-    # every character value is one phi_trace call: the traces of Phi(x) are
-    # binned per exponent and reduced in that one place; the one other
-    # reduction is inner_product's, once per product
+def test_exponent_bins_are_reduced_only_in_the_trace_routines():
+    # every character value is a trace of Phi(x), binned per exponent and
+    # reduced in phi_trace (one module) or simple_characters (every simple,
+    # shape by shape); the one other reduction is inner_product's, once per
+    # product
     found = {
         (path.name, name)
         for path in sorted(SRC.glob("*.py"))
         for name in _calls_by_function(ast.parse(path.read_text(), filename=str(path)), "from_exponent_sums")
     }
-    assert found == {("simples.py", "phi_trace"), ("simples.py", "inner_product")}
+    assert found == {("simples.py", "phi_trace"), ("simples.py", "simple_characters"), ("simples.py", "inner_product")}
 
 
 def test_inner_product_loop_makes_no_cyc_product_or_scale():
