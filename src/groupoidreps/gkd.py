@@ -22,7 +22,7 @@ the scalar action xi_l^{(l/r) t m} on S_p itself.  action_block(q) is
 rho~(a_2^-1 o q o a_1) for that action rho~ of End(base), a_o the anchor of
 o, so L is functorial exactly when rho~ is multiplicative on End(base), a
 group of order r prod lambda_c! (Curtis-Reiner, Methods of Representation
-Theory I, 11; Stembridge, Pacific J. Math. 140, 1989).
+Theory I, section 11; Stembridge, Pacific J. Math. 140, 1989).
 
 The rotation check's theta permutes the basis of the direct sum of the
 rotated simples, so it is an index map: its powers are composed tuples and
@@ -762,7 +762,8 @@ def _rotation_module(Q: QuotientGroupoid, lam, p):
     for j, simp in enumerate(summands):
         jn = (j + 1) % copies
         nxt = summands[jn]
-        slot = _slot_rotation([c.dim for c in simp.outer.components], lambda c: (c - v) % ell)
+        dims_src = [simp.outer.components[c].dim for c in range(ell)]
+        slot = _slot_rotation(dims_src, lambda c: (c - v) % ell)
         for f in simp.objects:
             r0 = offsets[jn] + nxt.block_index[theta_object(f, v, ell)] * nxt.block_dim
             c0 = offsets[j] + simp.block_index[f] * simp.block_dim
@@ -792,7 +793,7 @@ def _rotated_terms(Q: QuotientGroupoid, xs) -> list[list[list[tuple[GMorphism, i
 
 
 def _twisted_traces(Q: QuotientGroupoid, summands, rotated_terms) -> list[tuple[Cyc, ...]]:
-    """tr(theta^j A_x), j = 0..k-1, from the _rotated_terms of each x: zero unless the summand count divides j (module docstring)."""
+    """tr(theta^j A_x), j = 0..k-1, from the _rotated_terms of each x; zero unless the summand count divides j."""
     ell, k, v = Q.ell, Q.k, Q.shift
     roots, zero = _roots(ell), Cyc.zero(ell)
     dims = [[c.dim for c in simp.outer.components] for simp in summands]

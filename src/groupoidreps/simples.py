@@ -21,10 +21,9 @@ product, so it depends only on the cycle lengths of x in each color of g:
 module takes one block trace per class.  `simple_characters` evaluates
 every simple at once, shape by shape: the modules of one shape share each
 class's transport to the base, and each exponent-sum vector is reduced once
-per walk.  A class function is a tuple in the
-order of its class list, and `inner_product` is the one inner product; it
-reads each value's power-basis numerators as exponent bins and reduces once
-per product.
+per walk.  A class function is a tuple in the order of its class list, and
+`inner_product` is the one inner product; it reads each value's power-basis
+numerators as exponent bins and reduces once per product.
 
 Conjugacy classes come in closed form, with no group enumeration: the classes
 of C_l wr S_d are indexed by colored cycle types, the multisets of (cycle
@@ -479,7 +478,7 @@ def restriction_multiplicities(mod: SimpleModule) -> dict:
 
 
 def _restrictions_bar(ell: int, d: int) -> list[tuple[Cyc, ...]]:
-    """The conjugated restriction to S(l,d-1) of every simple character of (l, d), in all_simples order, on the classes of S(l,d-1)."""
+    """The conjugated restriction of every simple character of (l, d), in all_simples order, on the classes of S(l,d-1)."""
     if d < 1:
         raise ValueError("branching needs d >= 1")
     xs = [embed_lower_rank(y, d) for y, _size in conjugacy_classes(ell, d - 1)]

@@ -240,7 +240,7 @@ def ungraded_intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[dict[in
 
 
 def component_functorial(mod) -> bool:
-    """L(s o q) = L(s) L(q) for the component generators s along a walk that reaches every basis morphism of the component."""
+    """L(s o q) = L(s) L(q) for the component generators s, along a walk that reaches every morphism of the component."""
     Q, comp, act = mod.Q, mod.component, mod.action_block
     reached = gkd._closure(Q, gkd._quotient_generators(Q, [mod.lam]), comp, lambda s, x, y: act(y) == act(s) * act(x))
     return reached == {q for o1 in comp for o2 in comp for q in Q.hom(o1, o2)}
