@@ -455,7 +455,8 @@ def test_end_base_blocks_pin_the_wrap_exponent_and_the_slot_map(monkeypatch):
     # (4,4,8), p = ((2),(1,1),(2),(1,1)): r = 4, s = 2 and copies = 2, so the
     # wrap from the last copy to the first scales by omega = xi^((l/s) m) = -1.
     # (3,3,9), p = ((2,1),(2,1),(3)): r = 3 and copies = 3 with two factors of
-    # dimension 2, so the slot map c -> c + t u moves indices for t = 2.
+    # dimension 2, so at t = 2 the slot map c -> c + 2u moves indices other
+    # than c -> c + u does.
     # Each groupoid is built for this test alone, outside the lru cache.
     monkeypatch.setattr(gkd, "quotient_groupoid", gkd.QuotientGroupoid)
     for ell, k, d, p, copies in [(4, 4, 8, ((2,), (1, 1), (2,), (1, 1)), 2), (3, 3, 9, ((2, 1), (2, 1), (3,)), 3)]:
