@@ -388,17 +388,6 @@ class Mat:
             and self.rows == other.rows
         )
 
-    def __add__(self, other: "Mat") -> "Mat":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in addition")
-        return Mat(self.ell, [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + other.scale_cyc(Cyc.rational(self.ell, -1))
-
-    def scale_cyc(self, c: Cyc) -> "Mat":
-        return Mat(self.ell, [[c * v for v in r] for r in self.rows])
-
     def __mul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in multiplication")

@@ -9,7 +9,9 @@ the power of theta_k that moves one object to another is a subtraction.
 
 The algebra of the quotient embeds into A_(l,d) by orbit sums (Psi); its
 image is the H_k-invariant subspace and coincides with the span of
-Phi(G(l,k,d)), realizing C[G(l,k,d)] inside the groupoid algebra.
+Phi(G(l,k,d)), realizing C[G(l,k,d)] inside the groupoid algebra.  Psi(q)
+is the multiset of its k translates theta_k^t(q), a multiplicity being a
+coefficient, so a product of orbit sums composes translates, as index data.
 
 Simple modules of the quotient sit over a cross-section Gamma of type
 orbits.  Over a shape lambda with stabilizer H_k^lambda of order r, a
@@ -36,12 +38,13 @@ s = theta^(jv)(g); the dense A_x is built only for the generators.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from math import factorial, gcd, prod
 
-from .algebra import AlgElem, _perm_table, _rank_of_phi_images, _roots, phi, phi_form
+from .algebra import _perm_table, _rank_of_phi_images, _roots, phi, phi_form
 from .cyclo import (
     Cyc,
     LinSolver,  # noqa: F401  (unused here; perfbench/tests patch gkd.LinSolver)
@@ -201,22 +204,26 @@ class QuotientGroupoid:
     def inverse(self, q: GMorphism) -> GMorphism:
         return self.normalize(inverse(q))
 
-    def psi(self, q: GMorphism) -> AlgElem:
-        """Orbit sum in A_(l,d): the embedding of the quotient algebra."""
-        one = Cyc.one(self.ell)
-        return AlgElem(self.ell, self.d, {self.translate(q, t): one for t in range(self.k)})
+    def psi(self, q: GMorphism) -> tuple[GMorphism, ...]:
+        """Orbit sum in A_(l,d), the embedding of the quotient algebra, as the multiset of the translates of q."""
+        return tuple(self.translate(q, t) for t in range(self.k))
+
+    def is_invariant(self, exps: tuple[int, ...]) -> bool:
+        """Whether the monomial form with exponent exps[i] on its term with target object i is H_k-invariant.
+
+        theta_k moves the term with target g to the one with target theta_k(g).
+        """
+        return all(e == exps[t] for e, t in zip(exps, self.theta_index))
 
     def phi_to_quotient(self, x: WreathElem) -> dict[GMorphism, Cyc]:
         """Coordinates of Phi(x) in the quotient basis (x must lie in G(l,k,d)).
 
-        Phi(x) is monomial, with exponent e_x(g) on its term with target g,
-        and theta_k moves that term to the one with target theta_k(g).  So
-        Phi(x) is H_k-invariant exactly when e_x(g) = e_x(theta_k g) for every
-        g, and its coordinates are then the terms whose source is an orbit
-        representative.
+        Phi(x) is monomial, with exponent e_x(g) on its term with target g;
+        when it is H_k-invariant (is_invariant), its coordinates are the terms
+        whose source is an orbit representative.
         """
         perm, exps = phi_form(x, self.d)
-        if any(e != exps[t] for e, t in zip(exps, self.theta_index)):
+        if not self.is_invariant(exps):
             raise ValueError("Phi image is not H_k-invariant; x is outside G(l,k,d)")
         _sources, terms, source_index = _perm_table(self.ell, self.d, perm)
         return {
@@ -347,14 +354,8 @@ def reflection_span_check(ell: int, k: int, d: int) -> dict:
     psi = {q: Q.psi(q) for q in qms}
 
     # Psi injectivity: orbit sums have pairwise disjoint supports.
-    supports: set = set()
-    overlap = False
-    for image in psi.values():
-        sup = set(image.terms)
-        if supports & sup:
-            overlap = True
-        supports |= sup
-    inj = (not overlap) and len(supports) == ell**d * factorial(d)
+    supports = [m for image in psi.values() for m in set(image)]
+    inj = len(set(supports)) == len(supports) == ell**d * factorial(d)
     checks.append(record("Psi injective (disjoint orbit supports)", inj))
 
     # Psi multiplicative on the basis.  Psi(q) lies in e_target A e_source,
@@ -363,22 +364,21 @@ def reflection_span_check(ell: int, k: int, d: int) -> dict:
     in_corner = all(
         Q.orbit_of[m.source] == Q.source_orbit(q) and Q.orbit_of[m.target] == Q.target_orbit(q)
         for q, image in psi.items()
-        for m in image.terms
+        for m in image
     )
+
+    def product_is_psi(s, x, y) -> bool:
+        # the product of two multisets of morphisms is that of their composable compositions
+        return Counter(compose(a, b) for a in psi[s] for b in psi[x] if a.source == b.target) == Counter(psi[y])
+
     gens = _quotient_generators(Q, gamma_cross_section(ell, k, d))
-    reached = _closure(Q, gens, range(len(Q.orbits)), lambda s, x, y: psi[s] * psi[x] == psi[y])
+    reached = _closure(Q, gens, range(len(Q.orbits)), product_is_psi)
     mult_ok = in_corner and reached == set(qms)
     checks.append(record("Psi multiplicative on the basis", mult_ok))
 
     # Phi(G(l,k,d)) lies in the H_k-invariant span (coefficients orbit-constant)
     members = gkd_elements(ell, k, d)
-    invariant = True
-    for x in members:
-        try:
-            Q.phi_to_quotient(x)
-        except ValueError:
-            invariant = False
-            break
+    invariant = all(Q.is_invariant(phi_form(x, d)[1]) for x in members)
     checks.append(record("Phi(G(l,k,d)) is H_k-invariant", invariant))
 
     # rank of {Phi(x) : x in G}, counted as distinct additive exponent vectors

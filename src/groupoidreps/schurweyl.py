@@ -22,9 +22,9 @@ use the public SpanBasis API on sparse {position: Cyc} vectors, exactly.
 The large data stay sparse.  A morphism permutes the tensor basis, so it is
 kept as an index map: the commuting walk composes index maps, and each image
 span takes one entry per tensor; a Psi-image of the shift duality, a sum of
-k morphisms, is the set of the positions their index maps give.  The GL
-closure multiplies sparse vectors by the generators' nonzeros, read once per
-block.  Dense Mat products are left only in the exp identity.
+k morphisms, is the set of the positions their index maps give.  Generator
+rows are read once, as maps j -> ((k, g_jk), ...); the GL closure and the exp
+identity multiply sparse vectors by them, so no dense Mat product is left.
 Whether the central idempotent of a simple p kills V^(x d) is read from
 characters: the algebra is semisimple, so it does iff <chi_V, chi_p> = 0,
 and chi_V is read off the monomial form of Phi (TensorSpace.character).
@@ -157,6 +157,19 @@ def glk_generators(T: TensorSpace) -> list[dict]:
     return gens
 
 
+@_once_per_space
+def _generator_rows(T: TensorSpace) -> list[dict[int, list[tuple[int, Cyc]]]]:
+    """The row maps of each generator: rows[T.index[b]] lists the (k, g_jk) of row j of block f, for b = block_of[f][j]."""
+    table = []
+    for gen in glk_generators(T):
+        rows: dict[int, list[tuple[int, Cyc]]] = {}
+        for f, bs in T.block_of.items():
+            for (j, k), v in gen[f].entries():
+                rows.setdefault(T.index[bs[j]], []).append((k, v))
+        table.append(rows)
+    return table
+
+
 def glk_generated_algebra(T: TensorSpace) -> SpanBasis:
     """The span of the unital algebra generated by the Leibniz embeddings.
 
@@ -169,46 +182,38 @@ def glk_generated_algebra(T: TensorSpace) -> SpanBasis:
     the residue along W of a pushed element: the part removed lies in W, so
     its products do too once the closure ends, and the residue is sparser.
 
-    Each generator block is read once, as row maps j -> ((k, g_jk), ...) over
-    the rows of all blocks; x g sends the entry v of x at (f, i, j) to
-    v g_jk at (f, i, k), so no matrix product is formed.
+    x g sends the entry v of x at (f, i, j) to v g_jk at (f, i, k), read from
+    the generators' row maps (_generator_rows), so no matrix product is formed.
     """
-    ell, one = T.ell, Cyc.one(T.ell)
-    objs = sorted(T.block_of)
-    starts = dict(zip(objs, accumulate((T.block_dim(f) for f in objs), initial=0)))
-    # vector position of (f, i, j) -> (position of (f, i, 0), row j of f among all blocks)
+    one = Cyc.one(T.ell)
+    gens = _generator_rows(T)
+    # vector position of (f, i, j) -> (position of (f, i, 0), index of the row tensor j of f)
     cells: list[tuple[int, int]] = []
     identity = {}
-    for f in objs:
-        n, start = T.block_dim(f), starts[f]
-        for i in range(n):
+    for f in sorted(T.block_of):
+        bs = T.block_of[f]
+        for i in range(len(bs)):
             base = len(cells)
             identity[base + i] = one
-            cells += ((base, start + j) for j in range(n))
-    gens = []
-    for gen in glk_generators(T):
-        rows: dict[int, list[tuple[int, Cyc]]] = {}
-        for f in objs:
-            for (j, k), v in gen[f].entries():
-                rows.setdefault(starts[f] + j, []).append((k, v))
-        gens.append(rows)
-
-    def times(x: dict[int, Cyc], rows: dict) -> dict[int, Cyc]:
-        out: dict[int, Cyc] = {}
-        for p, v in x.items():
-            base, r = cells[p]
-            for k, w in rows.get(r, ()):
-                y, z = v * w, out.get(base + k)
-                out[base + k] = y if z is None else z + y
-        return {q: c for q, c in out.items() if any(c.num)}
-
-    sb = SpanBasis(ell, len(cells))
+            cells += ((base, T.index[b]) for b in bs)
+    sb = SpanBasis(T.ell, len(cells))
     frontier = [identity]
     while frontier:
         x = sb.residue(frontier.pop())
         if sb.add(x):
-            frontier += (times(x, rows) for rows in gens)
+            frontier += (_times(x, rows, cells) for rows in gens)
     return sb
+
+
+def _times(x: dict[int, Cyc], rows: dict, cells: list[tuple[int, int]]) -> dict[int, Cyc]:
+    """x times a generator's row maps: the entry v of x at p, cells[p] = (base, r), adds v g_rk at base + k."""
+    out: dict[int, Cyc] = {}
+    for p, v in x.items():
+        base, r = cells[p]
+        for k, w in rows.get(r, ()):
+            y, z = v * w, out.get(base + k)
+            out[base + k] = y if z is None else z + y
+    return {q: c for q, c in out.items() if any(c.num)}
 
 
 def _compose_index_maps(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
@@ -323,7 +328,7 @@ def verify_double_centralizer(T: TensorSpace) -> dict:
         )
     )
 
-    exp_ok, units = _transvections_are_exponentials(T, gens)
+    exp_ok, units = _transvections_are_exponentials(T)
     checks.append(
         record("(I+E_ab)^(x d) = exp Delta(E_ab) for every off-diagonal unit", exp_ok, {"units": units})
     )
@@ -331,28 +336,32 @@ def verify_double_centralizer(T: TensorSpace) -> dict:
     return suite_result(checks, image_dim=image_dim, commutant_dim=commutant_dim)
 
 
-def _transvections_are_exponentials(T: TensorSpace, gens: list[dict]) -> tuple[bool, int]:
-    """(I+E_ab)^(x d) = sum_(n<=d) Delta(E_ab)^n / n! on every block, for every a != b.
+def _transvections_are_exponentials(T: TensorSpace) -> tuple[bool, int]:
+    """(I+E_ab)^(x d) = sum_(n<=d) Delta(E_ab)^n / n! on every block, for every a != b; and the unit count.
 
-    Delta(E_ab) is the generator of gens at the position of E_ab.  Returns
-    whether the identity holds and the number of units checked.
+    Delta(E_ab)^n / n! sends a basis tensor to the tensors that turn n of its
+    b-slots into a, one per subset, so the series is (I+E_ab)^(x d).  Row r
+    of the series is e_r times the row maps of Delta(E_ab), d times with the
+    1/n factors; row r of (I+E_ab)^(x d) has a 1 at each tensor that turns a
+    subset of the a-slots of r into b, the product of (x, or b when x = a).
     """
-    ell, one = T.ell, Cyc.one(T.ell)
+    one = Cyc.one(T.ell)
+    gens = _generator_rows(T)
     ok, units = True, 0
-    for (a, b), gen in zip(_block_units(T), gens):
+    for (a, b), rows in zip(_block_units(T), gens):
         if a == b:
             continue
         units += 1
         for f, bs in T.block_of.items():
-            pos, n = T.block_pos[f], len(bs)
-            # (I+E_ab) fixes e_x for x != b and sends e_b to e_b + e_a, slot by slot
-            images = (product(*((x, a) if x == b else (x,) for x in v)) for v in bs)
-            tensor = Mat.from_entries(ell, n, n, (((pos[u], j), one) for j, us in enumerate(images) for u in us))
-            term = series = Mat.identity(ell, n)
-            for power in range(1, T.d + 1):
-                term = (term * gen[f]).scale_cyc(Cyc.rational(ell, Fraction(1, power)))
-                series = series + term
-            ok = ok and tensor == series
+            pos, cells = T.block_pos[f], [(0, T.index[b]) for b in bs]
+            for r, v in enumerate(bs):
+                term, series = {r: one}, {r: one}
+                for n in range(1, T.d + 1):
+                    term = {p: c.scale(Fraction(1, n)) for p, c in _times(term, rows, cells).items()}
+                    for p, c in term.items():
+                        series[p] = series[p] + c if p in series else c
+                subsets = product(*((x, b) if x == a else (x,) for x in v))
+                ok = ok and {p: c for p, c in series.items() if any(c.num)} == {pos[u]: one for u in subsets}
     return ok, units
 
 
@@ -430,7 +439,7 @@ def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TEN
         src, tgt = T.block_of[t.source], T.block_of[t.target]
         return ((T.index[tgt[i]], T.index[src[j]]) for j, i in enumerate(T.morphism_index_map(t)))
 
-    psi_sets = [{rc for t in Q.psi(q).terms for rc in positions(t)} for q in Q.all_qmorphisms()]
+    psi_sets = [{rc for t in Q.psi(q) for rc in positions(t)} for q in Q.all_qmorphisms()]
 
     commutes = all({(zmap[r], zmap[c]) for r, c in P} == P for P in psi_sets)
     checks.append(record("Z^(x d) commutes with the Psi-image", commutes))

@@ -25,8 +25,11 @@ replace.  component_functorial is the functoriality walk over every morphism
 of a quotient simple's component, the route that the End(base) walk of
 gkd._quotient_functorial replaces.  dense_twisted_traces reads tr(theta^j A_x)
 off the dense total x total matrix of x on the rotation module, the route
-that gkd._twisted_traces replaces.  cyc_from_json and mat_zeros are the JSON
-reader of Cyc and the zero matrix, which only tests use.
+that gkd._twisted_traces replaces.  dense_exp_identity checks the exp
+identity with dense Mat powers, the route that the row maps of
+schurweyl._transvections_are_exponentials replace.  cyc_from_json, mat_zeros,
+mat_add, mat_sub and mat_scale are the JSON reader of Cyc, the zero matrix and
+Mat arithmetic, which only tests use.
 """
 
 from fractions import Fraction
@@ -35,7 +38,7 @@ from operator import mul
 
 from groupoidreps.algebra import AlgElem, phi
 from groupoidreps.cyclo import Cyc, Mat, SpanBasis, root_of_unity
-from groupoidreps import gkd
+from groupoidreps import gkd, schurweyl
 from groupoidreps.gkd import _slot_rotation
 from groupoidreps.groupoid import canonical_morphism, compose
 from groupoidreps.perms import invert_perm, perm_to_word, reach
@@ -267,3 +270,39 @@ def mat_zeros(ell: int, nrows: int, ncols: int) -> Mat:
     """The nrows x ncols zero matrix over Q(xi_l), row by row."""
     z = Cyc.zero(ell)
     return Mat(ell, [[z] * ncols for _ in range(nrows)])
+
+
+def mat_add(a: Mat, b: Mat) -> Mat:
+    """a + b, entry by entry."""
+    return Mat(a.ell, [[x + y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])
+
+
+def mat_sub(a: Mat, b: Mat) -> Mat:
+    """a - b, entry by entry."""
+    return Mat(a.ell, [[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])
+
+
+def mat_scale(a: Mat, c: Cyc) -> Mat:
+    """c a, entry by entry."""
+    return Mat(a.ell, [[c * v for v in r] for r in a.rows])
+
+
+def dense_exp_identity(T, gens) -> tuple[bool, int]:
+    """Whether (I+E_ab)^(x d) = sum_(n<=d) Delta(E_ab)^n / n! for each a != b, by dense powers; and the unit count."""
+    ell, one = T.ell, Cyc.one(T.ell)
+    ok, units = True, 0
+    for (a, b), gen in zip(schurweyl._block_units(T), gens):
+        if a == b:
+            continue
+        units += 1
+        for f, bs in T.block_of.items():
+            pos, n = T.block_pos[f], len(bs)
+            # (I+E_ab) fixes e_x for x != b and sends e_b to e_b + e_a, slot by slot
+            images = (product(*((x, a) if x == b else (x,) for x in v)) for v in bs)
+            tensor = Mat.from_entries(ell, n, n, (((pos[u], j), one) for j, us in enumerate(images) for u in us))
+            term = series = Mat.identity(ell, n)
+            for power in range(1, T.d + 1):
+                term = mat_scale(term * gen[f], Cyc.rational(ell, Fraction(1, power)))
+                series = mat_add(series, term)
+            ok = ok and tensor == series
+    return ok, units

@@ -37,7 +37,15 @@ from groupoidreps.groupoid import (
 from groupoidreps.simples import all_simples, inner_product
 from groupoidreps.tableaux import multipartitions
 from groupoidreps.wreath import generators, wreath_identity
-from reference import component_functorial, dense_twisted_traces, kernel_basis, quotient_action_block, to_sparse
+from reference import (
+    component_functorial,
+    dense_twisted_traces,
+    kernel_basis,
+    mat_scale,
+    mat_sub,
+    quotient_action_block,
+    to_sparse,
+)
 
 GRID = [
     (2, 2, 1),
@@ -105,11 +113,7 @@ def test_total_quotient_dimension():
 
 def test_psi_unit_and_example():
     Q = quotient_groupoid(2, 2, 1)
-    ps = Q.psi(Q.identity(0))
-    assert ps.terms == {
-        identity_morphism((1,)): Cyc.one(2),
-        identity_morphism((2,)): Cyc.one(2),
-    }
+    assert Q.psi(Q.identity(0)) == (identity_morphism((1,)), identity_morphism((2,)))
 
 
 def test_structure_reports():
@@ -350,8 +354,8 @@ def test_psi_check_catches_psi_wrong_off_generators(monkeypatch):
     Q = quotient_groupoid(ell, k, d)
     bad = _non_generator(Q, Q.all_qmorphisms(), gkd._quotient_generators(Q, gamma_cross_section(ell, k, d)))
     real = gkd.QuotientGroupoid.psi
-    two = Cyc.rational(ell, 2)
-    monkeypatch.setattr(gkd.QuotientGroupoid, "psi", lambda self, q: real(self, q).scale(two) if q == bad else real(self, q))
+    # each translate listed twice: Psi(bad) scaled by 2
+    monkeypatch.setattr(gkd.QuotientGroupoid, "psi", lambda self, q: real(self, q) * 2 if q == bad else real(self, q))
     rep = reflection_span_check(ell, k, d)
     # the supports are untouched, so only the product check sees the fault
     assert _status(rep, "Psi injective (disjoint orbit supports)") == "pass"
@@ -361,21 +365,24 @@ def test_psi_check_catches_psi_wrong_off_generators(monkeypatch):
 @pytest.mark.parametrize("fault", ["outside its corner", "scaled"])
 def test_psi_check_catches_a_wrong_identity_image(monkeypatch, fault):
     # At (2,1,1) the components are single objects with no generators, so no
-    # product reaches their identities.  Psi(e_0) + e_(2) is still idempotent
-    # and multiplies correctly with everything composable: only the support
-    # check sees it.  2 Psi(e_0) is seen only by the identity step, Psi(e_0)^2.
-    from groupoidreps.algebra import AlgElem
-
+    # product reaches their identities.  Psi(e_0) + e_(2), an extra identity
+    # at Q.rep(1), is still idempotent and multiplies correctly with
+    # everything composable: only the support check sees it.  2 Psi(e_0),
+    # each translate listed twice, is seen only by the identity step, Psi(e_0)^2.
     ell, k, d = 2, 1, 1
     Q = quotient_groupoid(ell, k, d)
     e0 = Q.identity(0)
     real = gkd.QuotientGroupoid.psi
     wrong = {
-        "outside its corner": lambda image: image + AlgElem.idempotent(ell, Q.rep(1)),
-        "scaled": lambda image: image.scale(Cyc.rational(ell, 2)),
+        "outside its corner": lambda image: image + (identity_morphism(Q.rep(1)),),
+        "scaled": lambda image: image * 2,
     }[fault]
     monkeypatch.setattr(gkd.QuotientGroupoid, "psi", lambda self, q: wrong(real(self, q)) if q == e0 else real(self, q))
-    assert _status(reflection_span_check(ell, k, d), "Psi multiplicative on the basis") == "fail"
+    rep = reflection_span_check(ell, k, d)
+    assert _status(rep, "Psi multiplicative on the basis") == "fail"
+    # the extra identity lies in the support of Psi(e_1) too
+    expected = "fail" if fault == "outside its corner" else "pass"
+    assert _status(rep, "Psi injective (disjoint orbit supports)") == expected
 
 
 def test_generator_checks_reject_a_non_generating_set(monkeypatch):
@@ -395,7 +402,7 @@ def test_functoriality_check_catches_action_wrong_off_generators(monkeypatch):
     bad = _non_generator(Q, [q for o1 in comp for o2 in comp for q in Q.hom(o1, o2)], gkd._quotient_generators(Q, [mod.lam]))
     real = mod.action_block
     two = Cyc.rational(ell, 2)
-    monkeypatch.setattr(mod, "action_block", lambda q: real(q).scale_cyc(two) if q == bad else real(q))
+    monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), two) if q == bad else real(q))
     rep = quotient_simples_check(ell, k, d)
     # the generators and identities act as before, so only functoriality sees the fault
     assert _status(rep, "L_(p,m) functorial") == "fail"
@@ -418,7 +425,7 @@ def test_both_walks_reject_a_block_wrong_inside_end_base(monkeypatch):
     Q, o = mod.Q, mod.Q.orbit_of[mod.base]
     bad = _non_generator(Q, Q.hom(o, o), gkd._endo_generators(mod))
     real, two = mod.action_block, Cyc.rational(ell, 2)
-    monkeypatch.setattr(mod, "action_block", lambda q: real(q).scale_cyc(two) if q == bad else real(q))
+    monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), two) if q == bad else real(q))
     assert not gkd._quotient_functorial(mod)
     assert not component_functorial(mod)
 
@@ -588,7 +595,7 @@ def _eigenspaces_by_kernel_basis(theta, k, mats):
     ell, n = theta.ell, theta.nrows
     out = []
     for m in range(1, k + 1):
-        shifted = theta - Mat.identity(ell, n).scale_cyc(root_of_unity(ell, (ell // k) * m))
+        shifted = mat_sub(theta, mat_scale(Mat.identity(ell, n), root_of_unity(ell, (ell // k) * m)))
         basis = kernel_basis(ell, [list(row) for row in shifted.rows], n)
         solver = LinSolver(ell, n, [to_sparse(vec) for vec in basis])
         traces = []

@@ -18,7 +18,11 @@ from groupoidreps.simples import all_simples, character_table, conjugacy_classes
 from groupoidreps.wreath import enum_group, wreath_identity, wreath_inv
 from reference import (
     act_full,
+    dense_exp_identity,
     kernel_basis,
+    mat_add,
+    mat_scale,
+    mat_sub,
     mat_zeros,
     morphism_block_matrix,
     scan_phi_trace,
@@ -179,12 +183,12 @@ def _shift_commutant_in_two_stages(ell, k, m, d):
                 # the vector is X row-major: position r * len(src) + c holds X[r][c]
                 entries = (((T.index[tgt[p // len(src)]], T.index[src[p % len(src)]]), v) for p, v in vec.items())
                 cgl.append(Mat.from_entries(ell, dim, dim, entries))
-    rows = [[v for row in (X * Z - Z * X).rows for v in row] for X in cgl]
+    rows = [[v for row in mat_sub(X * Z, Z * X).rows for v in row] for X in cgl]
     out = []
     for cvec in kernel_basis(ell, [list(col) for col in zip(*rows)], len(cgl)):
         acc = mat_zeros(ell, dim, dim)
         for c, X in zip(cvec, cgl):
-            acc = acc + X.scale_cyc(c)
+            acc = mat_add(acc, mat_scale(X, c))
         out.append([v for row in acc.rows for v in row])
     return out
 
@@ -223,14 +227,15 @@ def test_shift_image_span_matches_the_dense_psi_matrices(monkeypatch, ell, k, m,
     T, Q = TensorSpace(ell, (m,) * ell, d), quotient_groupoid(ell, k, d)
     dense = SpanBasis(ell, T.dim() ** 2)
     for q in Q.all_qmorphisms():
-        dense.add(to_sparse([v for row in act_full(T, Q.psi(q)).rows for v in row]))
+        psi = AlgElem(ell, d, {t: Cyc.one(ell) for t in Q.psi(q)})
+        dense.add(to_sparse([v for row in act_full(T, psi).rows for v in row]))
     _same_span(sb_img, dense)
     assert sb_img.rank == rep["checks"][1]["details"]["image_dim"]
 
 
 @pytest.mark.parametrize("ell,k,m,d", SHIFT_DUALITY_GRID)
 def test_shift_duality_fails_when_psi_is_not_an_orbit_sum(monkeypatch, ell, k, m, d):
-    monkeypatch.setattr(QuotientGroupoid, "psi", lambda self, q: AlgElem.from_morphism(self.ell, q))
+    monkeypatch.setattr(QuotientGroupoid, "psi", lambda self, q: (q,))
     rep = shift_duality_check(ell, k, m, d)
     assert _status(rep, SHIFT_COMMUTES) == _status(rep, SHIFT_EQUAL) == "fail"
 
@@ -424,6 +429,29 @@ def test_exp_identity_fails_for_a_generator_missing_one_slot(monkeypatch):
     assert not rep["ok"]
 
 
+@pytest.mark.parametrize("ell,kvec,d", TENSOR_GRID + [(1, (3,), 3), (2, (2, 2), 3)])
+def test_exp_identity_on_row_maps_matches_the_dense_powers(ell, kvec, d):
+    T = TensorSpace(ell, kvec, d)
+    assert schurweyl._transvections_are_exponentials(T) == dense_exp_identity(T, glk_generators(T))
+    assert schurweyl._transvections_are_exponentials(T)[0]
+
+
+def test_exp_identity_fails_for_a_generator_entry_of_two(monkeypatch):
+    # Delta(E_12) with the entry that sends (2, 2) to (1, 2) doubled
+    T = TensorSpace(1, (2,), 2)
+    real = schurweyl.glk_generators(T)
+    f, bs = next(iter(T.block_of.items()))
+    i, j = T.block_pos[f][(1, 2)], T.block_pos[f][(2, 2)]
+    bent = [((r, c), v + v if (r, c) == (i, j) else v) for (r, c), v in real[1][f].entries()]
+    assert len(bent) == 4 and any((r, c) == (i, j) for (r, c), _v in bent)
+    doubled = {f: Mat.from_entries(T.ell, len(bs), len(bs), bent)}
+    monkeypatch.setattr(schurweyl, "glk_generators", lambda T: [doubled if n == 1 else g for n, g in enumerate(real)])
+    T = TensorSpace(1, (2,), 2)
+    assert schurweyl._block_units(T)[1] == (1, 2)
+    assert _status(verify_double_centralizer(T), EXP_CHECK) == "fail"
+    assert not dense_exp_identity(T, schurweyl.glk_generators(T))[0]
+
+
 def _swap_two_images_of(monkeypatch, bad):
     # A(bad) with the images of its first two tensors swapped: still a
     # permutation, but no longer the action of bad
@@ -535,7 +563,7 @@ def test_idempotent_sum_is_zero_exactly_when_the_inner_product_is(ell, kvec, d):
     for mod, chi_p in zip(all_simples(ell, d), character_table(ell, d)):
         acc = zero
         for x in group:
-            acc = acc + mats[x].scale_cyc(mod.char_wreath(wreath_inv(x)))
+            acc = mat_add(acc, mat_scale(mats[x], mod.char_wreath(wreath_inv(x))))
         assert (acc == zero) == inner_product(classes, chi_v, [v.conjugate() for v in chi_p]).is_zero()
 
 
@@ -634,11 +662,11 @@ def test_closure_and_commuting_walk_make_no_matrix_product(monkeypatch, ell, kve
 
 @pytest.mark.parametrize("ell,kvec,d", CLOSURE_POINTS)
 def test_duality_checks_multiply_matrices_only_in_the_exp_identity(monkeypatch, ell, kvec, d):
-    # d block products per off-diagonal unit and block, the powers of Delta(E_ab)
+    # the exp identity, the last dense product, now applies the row maps of
+    # Delta(E_ab) to sparse vectors: the three checks form no Mat product
     T = TensorSpace(ell, kvec, d)
     products = []
     real = Mat.__mul__
     monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or real(a, b))
     assert verify_commuting(T)["ok"] and verify_double_centralizer(T)["ok"] and kernel_check(T)["ok"]
-    units = sum(a != b for a, b in schurweyl._block_units(T))
-    assert len(products) == units * d * len(T.block_of)
+    assert products == []

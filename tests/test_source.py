@@ -87,6 +87,20 @@ def test_commutants_are_solved_only_in_cyclo():
     assert not offenders
 
 
+def test_orbit_sums_and_the_exp_identity_stay_index_data():
+    # Psi(q) is a multiset of morphisms and Delta(E_ab) a table of row maps:
+    # gkd.py and schurweyl.py form no AlgElem and scale no Mat
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name in ("gkd.py", "schurweyl.py")
+        for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name))
+        if (isinstance(node, ast.Name) and node.id in ("AlgElem", "scale_cyc"))
+        or (isinstance(node, ast.Attribute) and node.attr in ("AlgElem", "scale_cyc"))
+        or (isinstance(node, ast.alias) and node.name == "AlgElem")
+    ]
+    assert not offenders
+
+
 def test_check_records_are_built_only_in_reporting():
     # every check record comes from reporting.record or reporting.skip, so no
     # other module writes a dict with a "status" key

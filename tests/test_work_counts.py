@@ -40,14 +40,13 @@ print(json.dumps({"code": code, "counts": counts}))
 """
 
 PINNED_COUNTS = {
-    "cyclo.cyc_mul.calls": 11776,
-    "cyclo.cyc_addsub.calls": 13280,
-    "cyclo.cyc_scale.calls": 2141,
+    "cyclo.cyc_mul.calls": 9355,
+    "cyclo.cyc_addsub.calls": 12122,
+    "cyclo.cyc_scale.calls": 2239,
     "cyclo.cyc_inverse.calls": 47,
     "cyclo.spanbasis_add.calls": 588,
-    "cyclo.mat_mul.calls": 916,
+    "cyclo.mat_mul.calls": 858,
     "algebra.phi.calls": 250,
-    "algebra.algelem_mul.calls": 912,
     "algebra.verify_iso.calls": 8,
     "wreath.wreath_mul.calls": 637,
     "wreath.enum_group.calls": 23,
