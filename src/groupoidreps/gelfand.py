@@ -9,17 +9,26 @@ endomorphism group of f; a morphism sigma: f -> g sends an involution w to
 counts the 2-cycles of w that sigma inverts.  The resulting module is a
 multiplicity-free direct sum of all simple modules; multiplicities are
 verified by exact character inner products.
+
+An involution of End(g) = prod_c S_(lambda_c) is one involution per color,
+and both the commutation with sigma and inv(sigma, w) split by color, so
+the block at g is the outer tensor product of the involution models of the
+S_(lambda_c) (Adin-Postnikov-Roichman, J. Algebra 320, 2008).  Its trace at
+sigma_(g, g) is the product over colors of the signed count of the
+involutions of S_n that commute with one permutation of cycle type mu_c,
+enumerated once per mu_c (`_model_trace`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
 from .cyclo import Cyc
 from .groupoid import GMorphism, compose, hom, inverse, objects
-from .perms import compose_perms
+from .perms import compose_perms, cycle_type_perm
 from .reporting import record, suite_result
-from .simples import _exponent_bins, all_simples, conjugacy_classes, inner_product, phi_trace, simple_characters
+from .simples import _exponent_bins, all_simples, conjugacy_classes, inner_products, phi_trace, simple_characters
 from .wreath import WreathElem
 
 __all__ = [
@@ -65,22 +74,28 @@ class GelfandModel:
         sign = -1 if inv_statistic(sigma, w) % 2 else 1
         return sign, conj
 
-    def block_trace(self, g, perm: tuple[int, ...]) -> int:
-        """The signed count of the involutions w of g that sigma = (g, g, perm) fixes.
-
-        sigma w sigma^(-1) = w exactly when sigma w = w sigma, and then w
-        contributes its sign.
-        """
-        sigma, tr = GMorphism(g, g, perm), 0
-        for w in self.basis[g]:
-            wp = w.perm
-            if all(perm[wp[i] - 1] == wp[perm[i] - 1] for i in range(self.d)):
-                tr += -1 if inv_statistic(sigma, w) % 2 else 1
-        return tr
+    def block_trace(self, cycle_types) -> int:
+        """The trace on a block of an endomorphism with cycle type cycle_types[c] in color c: prod_c _model_trace."""
+        return prod(map(_model_trace, cycle_types))
 
     def char_wreath(self, x: WreathElem) -> Cyc:
         """Trace of the action of Phi(x) on the model, by phi_trace."""
         return phi_trace(x, self.block_trace)
+
+
+@lru_cache(maxsize=None)
+def _model_trace(cycle_type: tuple[int, ...]) -> int:
+    """The trace of a permutation sigma of the given cycle lengths on the involution model of S_n.
+
+    sigma w sigma^(-1) = w exactly when sigma w = w sigma, and then w
+    contributes its sign (-1)^inv(sigma, w).
+    """
+    f = (1,) * sum(cycle_type)
+    sigma, tr = GMorphism(f, f, cycle_type_perm(cycle_type)), 0
+    for w in involutions(f, 1):
+        if compose_perms(sigma.perm, w.perm) == compose_perms(w.perm, sigma.perm):
+            tr += -1 if inv_statistic(sigma, w) % 2 else 1
+    return tr
 
 
 @lru_cache(maxsize=None)
@@ -112,12 +127,11 @@ def verify_gelfand(ell: int, d: int) -> dict:
     for x, row in zip(reps, simple_characters(ell, d, reps)):
         rows.append(row)
         chi_model.append(model.char_wreath(x))
-    table = tuple(zip(*rows))
     chi_model_bar = [v.conjugate() for v in chi_model]
     mult_table = []
     all_one = True
-    for m, chi in zip(simples, table):
-        val = inner_product(classes, chi, chi_model_bar).conjugate()  # <chi_M, chi_p> = conj <chi_p, chi_M>
+    for m, (val,) in zip(simples, inner_products(classes, list(zip(*rows)), [chi_model_bar])):
+        val = val.conjugate()  # <chi_M, chi_p> = conj <chi_p, chi_M>
         ok = val.is_rational() and val.rational_value() == 1
         all_one = all_one and ok
         # int() would truncate a rational: only an integer is reported as an int

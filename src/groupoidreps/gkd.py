@@ -31,9 +31,11 @@ rotated simples, so it is an index map: its powers are composed tuples and
 its commutation with a matrix A is A.permuted(theta) == A.  The action A_x
 is block diagonal over the summands, and theta^j, j a multiple of their
 count, takes the block of g to that of theta^(jv)(g) along the slot map
-c -> c - jv.  So the term xi^e sigma_(s, g) of Phi(x) adds xi^e sum_a
-M[a][slot(a)] to tr(theta^j A_x), M its action_block, exactly when
-s = theta^(jv)(g); the dense A_x is built only for the generators.
+c -> c - jv.  So the term xi^e sigma_(s, g) of Phi(x) adds the integer
+sum_a M[a][slot(a)] to exponent bin e of tr(theta^j A_x), M the integer
+outer-Specht matrix of its transport, exactly when s = theta^(jv)(g); the
+dense A_x is built only for the generators.  The eigenspace traces weight
+tr(theta^j A_x) by xi_k^(-jm), a rotation of its bins, and reduce once.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from math import factorial, gcd, prod
+from operator import add
 
-from .algebra import _perm_table, _rank_of_phi_images, _roots, phi, phi_form
+from .algebra import _perm_table, _rank_of_phi_images, phi, phi_form
 from .cyclo import (
     Cyc,
     LinSolver,  # noqa: F401  (unused here; perfbench/tests patch gkd.LinSolver)
@@ -67,7 +70,7 @@ from .groupoid import (
 )
 from .perms import reach
 from .reporting import record, skip, suite_result
-from .simples import all_simples, build_simple, colored_classes, inner_product, simple_characters
+from .simples import all_simples, build_simple, colored_classes, inner_products, simple_characters
 from .tableaux import compositions, multipartitions, outer_rep
 from .wreath import WreathElem, gkd_elements, gkd_generators, s0_j, wreath_inv, wreath_mul
 
@@ -627,13 +630,17 @@ def _endo_generators(mod: QuotientSimpleModule) -> list[GMorphism]:
 
 
 def _quotient_functorial(mod: QuotientSimpleModule) -> bool:
-    """rho~(s o q) = rho~(s) rho~(q) for the generators s of End(base), and they reach all r prod lambda_c! of it.
+    """rho~(id) = I, rho~(s o q) = rho~(s) rho~(q) for the generators s of End(base), and they reach all r prod lambda_c! of it.
 
     The base's anchor is the identity, so action_block is rho~ on End(base);
-    this is functoriality on the component (module docstring).
+    this is functoriality on the component (module docstring).  Once
+    rho~(id) = I, a walk step s o q with s = id holds with no product.
     """
-    Q, act = mod.Q, mod.action_block
-    reached = _closure(Q, _endo_generators(mod), [Q.orbit_of[mod.base]], lambda s, x, y: act(y) == act(s) * act(x))
+    Q, act, o = mod.Q, mod.action_block, mod.Q.orbit_of[mod.base]
+    unit = Q.identity(o)
+    if act(unit) != Mat.identity(mod.ell, mod.block_dim):
+        return False
+    reached = _closure(Q, _endo_generators(mod), [o], lambda s, x, y: s == unit or act(y) == act(s) * act(x))
     return reached is not None and len(reached) == mod.r * prod(map(factorial, mod.lam))
 
 
@@ -679,10 +686,10 @@ def restriction_check(ell: int, k: int, d: int) -> dict:
     labels = quotient_labels(ell, k, d)
     mods = {(_l, p, m): build_quotient_simple(ell, k, d, p, m) for (_l, p, m) in labels}
     reps = gkd_conjugacy_classes(ell, k, d)
-    lpm_conj = {key: [v.conjugate() for v in mod.class_character] for key, mod in mods.items()}
+    lpm_conj = [[v.conjugate() for v in mod.class_character] for mod in mods.values()]
+    restricted = list(zip(*simple_characters(ell, d, [rep for rep, _ in reps])))
     checks = []
-    simples = all_simples(ell, d)
-    for simple, chi_res in zip(simples, zip(*simple_characters(ell, d, [rep for rep, _ in reps]))):
+    for simple, row in zip(all_simples(ell, d), inner_products(reps, restricted, lpm_conj)):
         # expected labels: lambda* is the least shape in the H_k-orbit of p,
         # p* the least orbit member of shape lambda*
         orbit = {theta_type(simple.p, t * Q.shift) for t in range(k)}
@@ -691,8 +698,7 @@ def restriction_check(ell: int, k: int, d: int) -> dict:
         expected = {(lam_star, p_star, m) for m in range(1, s + 1)}
         got = {}
         non_integral = []
-        for key in mods:
-            val = inner_product(reps, chi_res, lpm_conj[key])
+        for key, val in zip(mods, row):
             if not val.is_rational() or val.rational_value().denominator != 1:
                 non_integral.append(mods[key].label_json())
             elif not val.is_zero():
@@ -792,21 +798,25 @@ def _rotated_terms(Q: QuotientGroupoid, xs) -> list[list[list[tuple[GMorphism, i
     return out
 
 
-def _twisted_traces(Q: QuotientGroupoid, summands, rotated_terms) -> list[tuple[Cyc, ...]]:
-    """tr(theta^j A_x), j = 0..k-1, from the _rotated_terms of each x; zero unless the summand count divides j."""
+def _twisted_traces(Q: QuotientGroupoid, summands, rotated_terms) -> list[tuple[tuple[int, ...], ...]]:
+    """tr(theta^j A_x), j = 0..k-1, as integer exponent bins (entry e the coefficient of xi^e), from the _rotated_terms of each x.
+
+    The trace is zero unless the summand count divides j.
+    """
     ell, k, v = Q.ell, Q.k, Q.shift
-    roots, zero = _roots(ell), Cyc.zero(ell)
     dims = [[c.dim for c in simp.outer.components] for simp in summands]
     slots = {j: [_slot_rotation(dim, lambda c: (c - j * v) % ell) for dim in dims] for j in range(0, k, len(summands))}
     out = []
     for per_power in rotated_terms:
-        traces = [zero] * k
+        traces = [(0,) * ell] * k
         for j, slot_maps in slots.items():
+            bins = [0] * ell
             for m, e in per_power[j]:
                 for simp, slot in zip(summands, slot_maps):
                     if m.target in simp.block_index:
-                        rows = simp.action_block(m).rows
-                        traces[j] = traces[j] + roots[e] * sum((rows[a][b] for a, b in enumerate(slot)), zero)
+                        rows = simp.outer.matrix_of_blockperm(simp.transported(m))
+                        bins[e] += sum(rows[a][b] for a, b in enumerate(slot))
+            traces[j] = tuple(bins)
         out.append(tuple(traces))
     return out
 
@@ -815,20 +825,30 @@ def _eigenspace_traces(powers: list[tuple[int, ...]], twisted) -> list[tuple[int
     """(dim E_m, the traces on E_m) for the xi_k^m-eigenspaces E_m of theta, m = 1..k.
 
     powers = [theta^0, ..., theta^(k-1)] as index maps, with theta^k = 1 and
-    theta commuting with each matrix A, and twisted[i][j] = tr(theta^j A_i).
-    Then E_m is the image of the idempotent P_m = (1/k) sum_j xi_k^(-jm)
-    theta^j, which commutes with each A, so dim E_m = tr(P_m) and the trace
-    of A on E_m is tr(P_m A).  tr(theta^j) counts the indices that theta^j
-    fixes.
+    theta commuting with each matrix A, and twisted[i][j] = tr(theta^j A_i)
+    as exponent bins.  Then E_m is the image of the idempotent
+    P_m = (1/k) sum_j xi_k^(-jm) theta^j, which commutes with each A, so
+    dim E_m = tr(P_m) and the trace of A on E_m is tr(P_m A).  tr(theta^j)
+    counts the indices that theta^j fixes.  The weight xi_k^(-jm) =
+    xi_l^(-jm l/k) rotates the bins of the j-th trace, and the rotated bins
+    are reduced and scaled by 1/k once per (m, A).
     """
-    k, ell = len(powers), twisted[0][0].ell
-    zero = Cyc.zero(ell)
-    unit = [sum(a == b for a, b in enumerate(t)) for t in powers]
+    k, ell = len(powers), len(twisted[0][0])
+    weight = Fraction(1, k)
+    unit = [(sum(a == b for a, b in enumerate(t)),) + (0,) * (ell - 1) for t in powers]  # tr(theta^j), in bin 0
+    # the nonzero traces of each A as (j, bins), the first A being the identity
+    nonzero = [[(j, tr) for j, tr in enumerate(traces) if any(tr)] for traces in [unit, *twisted]]
     out = []
     for m in range(1, k + 1):
-        weights = [root_of_unity(ell, -j * (ell // k) * m).scale(Fraction(1, k)) for j in range(k)]
-        dim = sum((w.scale(n) for w, n in zip(weights, unit)), zero)
-        out.append((int(dim.rational_value()), tuple(sum((w * t for w, t in zip(weights, tr)), zero) for tr in twisted)))
+        values = []
+        for traces in nonzero:
+            bins = [0] * ell
+            for j, tr in traces:
+                shift = j * (ell // k) * m % ell  # xi^(-shift) moves bin e to bin e - shift
+                bins = list(map(add, bins, tr[shift:] + tr[:shift]))
+            values.append(Cyc.from_exponent_sums(ell, bins).scale(weight))
+        dim, *chars = values
+        out.append((int(dim.rational_value()), tuple(chars)))
     return out
 
 

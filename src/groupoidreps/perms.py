@@ -16,6 +16,7 @@ __all__ = [
     "perm_sign",
     "all_perms",
     "perm_to_word",
+    "cycle_type_perm",
     "reach",
 ]
 
@@ -81,6 +82,15 @@ def perm_to_word(a: tuple[int, ...]) -> list[int]:
                 rec.append(i + 1)
                 changed = True
     return rec[::-1]
+
+
+def cycle_type_perm(lengths) -> tuple[int, ...]:
+    """The permutation with consecutive cycles of the given lengths, p -> p + 1 within each and its last point back to its first."""
+    perm: list[int] = []
+    for r in lengths:
+        start = len(perm) + 1
+        perm += [*range(start + 1, start + r), start]
+    return tuple(perm)
 
 
 def reach(seeds, step) -> set:

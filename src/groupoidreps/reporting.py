@@ -71,7 +71,7 @@ def checks_payload(report: dict) -> str:
 
 def emit(report: dict, out: str) -> None:
     if out == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True))
         return
     print(f"# {report['command']} {report['parameters']}")
     for c in report["checks"]:

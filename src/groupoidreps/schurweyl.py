@@ -27,7 +27,9 @@ rows are read once, as maps j -> ((k, g_jk), ...); the GL closure and the exp
 identity multiply sparse vectors by them, so no dense Mat product is left.
 Whether the central idempotent of a simple p kills V^(x d) is read from
 characters: the algebra is semisimple, so it does iff <chi_V, chi_p> = 0,
-and chi_V is read off the monomial form of Phi (TensorSpace.character).
+and chi_V is read off the monomial form of Phi (TensorSpace.character): at
+a fixed object g, sigma_(g, g) fixes the basis tensors constant on each of
+its cycles, so its trace is prod_c k_c^(number of cycles in color c).
 """
 
 from __future__ import annotations
@@ -36,13 +38,14 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, wraps
 from itertools import accumulate, product
+from math import prod
 
 from .cyclo import Cyc, Mat, SpanBasis, intertwiners
 from .gkd import _closure, _quotient_generators, quotient_groupoid
 from .groupoid import GMorphism, component_generators, hom, type_of
 from .perms import invert_perm
 from .reporting import record, suite_result
-from .simples import all_simples, character_table, conjugacy_classes, inner_product, phi_trace
+from .simples import all_simples, character_table, conjugacy_classes, inner_products, phi_trace
 from .wreath import WreathElem
 
 __all__ = [
@@ -98,13 +101,13 @@ class TensorSpace:
         tgt_pos, inv = self.block_pos[m.target], invert_perm(m.perm)
         return tuple(tgt_pos[tuple(b[i - 1] for i in inv)] for b in self.block_of[m.source])
 
-    def block_trace(self, g, perm: tuple[int, ...]) -> int:
-        """The trace of sigma_(g, g) with permutation perm on block g.
+    def block_trace(self, cycle_types) -> int:
+        """The trace on a block of an endomorphism with cycle type cycle_types[c] in color c.
 
-        It fixes exactly the basis tensors b of block g with b o perm = b, so
-        the trace counts them.
+        It fixes exactly the basis tensors constant on each of its cycles, and
+        a cycle in color c takes any of the k_c coordinates of V_c.
         """
-        return sum(all(b[p - 1] == v for p, v in zip(perm, b)) for b in self.block_of[g])
+        return prod(k ** len(mu) for k, mu in zip(self.kvec, cycle_types))
 
     def character(self, x: WreathElem) -> Cyc:
         """chi_V(x), the trace of Phi(x) on V^(x d), by phi_trace (every color function is a block)."""
@@ -401,8 +404,8 @@ def kernel_check(T: TensorSpace) -> dict:
     chi_v_bar = [T.character(rep).conjugate() for rep, _size in classes]
     killed_set = {m.p for m in killed}
     per_simple_ok = all(
-        inner_product(classes, chi_p, chi_v_bar).is_zero() == (mod.p in killed_set)
-        for mod, chi_p in zip(all_simples(ell, d), character_table(ell, d))
+        val.is_zero() == (mod.p in killed_set)
+        for mod, (val,) in zip(all_simples(ell, d), inner_products(classes, character_table(ell, d), [chi_v_bar]))
     )
     checks.append(record("each predicted-killed simple acts by zero, others nonzero", per_simple_ok))
 

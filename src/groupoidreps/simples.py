@@ -15,21 +15,31 @@ of x is the trace of the action of Phi(x), read off its monomial form by
 `phi_trace`, the one trace routine (the Gelfand model and the tensor space
 use it too).  The diagonal blocks of Phi(x) sit at the objects g constant on
 each cycle of x, and there the block acts by sigma_(g, g), an element of
-End(g) = prod_c S_(lambda_c).  Its trace is a class function of that
-product, so it depends only on the cycle lengths of x in each color of g:
-`fixed_objects` lists the fixed objects by that End(g)-class, and each
-module takes one block trace per class.  `simple_characters` evaluates
-every simple at once, shape by shape: the modules of one shape share each
-class's transport to the base, and each exponent-sum vector is reduced once
-per walk.  A class function is a tuple in the order of its class list, and
-`inner_product` is the one inner product; it reads each value's power-basis
-numerators as exponent bins and reduces once per product.
+End(g) = prod_c S_(lambda_c) whose restriction to color c has the cycle
+type mu_c of the cycles of x on which g takes color c.  The module is a
+functor, so the block trace is a class function of that product:
+
+    tr sigma_(g, g) = prod_c chi_c(mu_c),
+
+chi_c a class function of S_(lambda_c) (Macdonald, Symmetric Functions and
+Hall Polynomials, 2nd ed., App. B).  On L_p it is the Specht character
+chi^(p_c), read once per (p_c, mu_c) from the integer matrix of one
+permutation of type mu_c (`tableaux.specht_character`).  `fixed_objects`
+lists, per type lambda, the per-color cycle types (mu_c) of the fixed
+objects with their counts per exponent, without building an object, and
+each module takes one block trace per entry.  `simple_characters` evaluates
+every simple at once, shape by shape: one trace vector per (lambda, cycle
+types), shared by all modules of that shape, and each exponent-sum vector
+is reduced once per walk.  A class function is a tuple in the order of its
+class list, and `inner_products` is the one inner product; it pairs whole
+tables, reading each value's power-basis numerators as exponent bins once,
+and reduces once per pair.
 
 Conjugacy classes come in closed form, with no group enumeration: the classes
 of C_l wr S_d are indexed by colored cycle types, the multisets of (cycle
 length r, color sum c mod l) with sum r = d, and the centralizer of a class
 has order prod (r l)^m m! over its parts (r, c) of multiplicity m (Macdonald,
-Symmetric Functions and Hall Polynomials, 2nd ed., ch. I, App. B).
+ch. I, App. B).
 """
 
 from __future__ import annotations
@@ -37,9 +47,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product, repeat
 from math import factorial, prod
-from operator import add
+from operator import add, mul
 
 from .cyclo import Cyc, Mat, intertwiners
 from .groupoid import (
@@ -50,13 +60,16 @@ from .groupoid import (
     objects,
     type_of,
 )
+from .perms import cycle_type_perm
 from .reporting import record, suite_result
 from .tableaux import (
     compositions,
     multipartitions,
     outer_rep,
+    partitions,
     removable_cells,
     remove_cell,
+    specht_character,
 )
 from .wreath import (
     WreathElem,
@@ -74,7 +87,7 @@ __all__ = [
     "phi_trace",
     "simple_characters",
     "character_table",
-    "inner_product",
+    "inner_products",
     "total_dim_check",
     "young_induction_check",
     "verify_complete",
@@ -101,19 +114,18 @@ class SimpleModule:
         self.outer = outer_rep(self.p, self.lam)
         self.block_dim = self.outer.dim
         self.base = canonical_object(self.lam)
-        objs, self._from_base, self._to_base = _shape_transports(ell, self.lam)
-        self.objects = list(objs)
+        self.objects = list(_objects_by_type(ell, d)[self.lam])
         self.block_index = {f: i for i, f in enumerate(self.objects)}
         self.total_dim = self.block_dim * len(self.objects)
         self._mat_cache: dict[tuple[int, ...], Mat] = {}
-        self._trace_cache: dict[tuple[int, ...], int] = {}
 
     # -- the action --------------------------------------------------------
 
     def transported(self, m: GMorphism) -> tuple[int, ...]:
         """The S_lambda element sigma_(g,b) o pi o sigma_(b,f) for pi = m."""
-        to_base, from_base, perm = self._to_base[m.target], self._from_base[m.source], m.perm
-        return tuple(to_base[perm[j - 1] - 1] for j in from_base)
+        from_base, to_base = _shape_transports(self.ell, self.lam)
+        to_b, from_b, perm = to_base[m.target], from_base[m.source], m.perm
+        return tuple(to_b[perm[j - 1] - 1] for j in from_b)
 
     def action_block(self, m: GMorphism) -> Mat:
         """The block matrix of a basis morphism (source and target of type lambda)."""
@@ -134,16 +146,9 @@ class SimpleModule:
                 entries += ((ij, coeff * v) for ij, v in self.action_block(m).entries(r0, c0))
         return Mat.from_entries(self.ell, self.total_dim, self.total_dim, entries)
 
-    def trace_of(self, w: tuple[int, ...]) -> int:
-        """The trace of the S_lambda element w on S_p."""
-        t = self._trace_cache.get(w)
-        if t is None:
-            t = self._trace_cache[w] = self.outer.trace_of_blockperm(w)
-        return t
-
-    def block_trace(self, g, perm: tuple[int, ...]) -> int:
-        """The trace of the endomorphism of g with permutation perm on its block."""
-        return self.trace_of(self.transported(GMorphism(g, g, perm)))
+    def block_trace(self, cycle_types) -> int:
+        """The trace on a block of an endomorphism with cycle type cycle_types[c] in color c: prod_c chi^(p_c)."""
+        return prod(map(specht_character, self.p, cycle_types))
 
     def char_wreath(self, x: WreathElem) -> Cyc:
         """Character of x in C[S(l,d)]: the trace of the action of Phi(x), by phi_trace."""
@@ -157,13 +162,26 @@ class SimpleModule:
 
 
 @lru_cache(maxsize=None)
-def _shape_transports(ell: int, lam: tuple[int, ...]) -> tuple[tuple, dict, dict]:
-    """Objects of type lam, with the perms of sigma_(b,f) and sigma_(f,b), b = f_lam."""
+def _objects_by_type(ell: int, d: int) -> dict[tuple[int, ...], tuple]:
+    """The objects of (l, d) by type, each in lexicographic order."""
+    out: dict[tuple[int, ...], list] = {}
+    for f in objects(ell, d):
+        out.setdefault(type_of(f, ell), []).append(f)
+    return {lam: tuple(fs) for lam, fs in out.items()}
+
+
+@lru_cache(maxsize=None)
+def _shape_transports(ell: int, lam: tuple[int, ...]) -> tuple[dict, dict]:
+    """The perms of sigma_(b,f) and sigma_(f,b), b = f_lam, for the objects f of type lam.
+
+    Only the action needs them, so a module whose characters alone are read
+    never builds them.
+    """
     base = canonical_object(lam)
-    objs = tuple(f for f in objects(ell, sum(lam)) if type_of(f, ell) == lam)
+    objs = _objects_by_type(ell, sum(lam))[lam]
     from_base = {f: canonical_morphism(base, f, ell).perm for f in objs}
     to_base = {f: canonical_morphism(f, base, ell).perm for f in objs}
-    return objs, from_base, to_base
+    return from_base, to_base
 
 
 @lru_cache(maxsize=None)
@@ -206,13 +224,9 @@ def colored_classes(ell: int, d: int):
     """
     order = ell**d * factorial(d)
     for cycles in _cycle_types(ell, d):
-        perm, colors = [], []
-        for r, c in cycles:
-            start = len(perm) + 1
-            perm += [*range(start + 1, start + r), start]
-            colors += [c] + [0] * (r - 1)
+        colors = [v for r, c in cycles for v in (c, *repeat(0, r - 1))]
         centralizer = prod((r * ell) ** m * factorial(m) for (r, _c), m in Counter(cycles).items())
-        yield cycles, WreathElem(ell, tuple(perm), tuple(colors)), order // centralizer
+        yield cycles, WreathElem(ell, cycle_type_perm(r for r, _c in cycles), tuple(colors)), order // centralizer
 
 
 @lru_cache(maxsize=None)
@@ -222,66 +236,59 @@ def conjugacy_classes(ell: int, d: int) -> tuple[tuple[WreathElem, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _colorings(ell: int, m: int) -> tuple[tuple[tuple[int, ...], int, int, tuple[int, ...]], ...]:
-    """(n, m!/prod n_a!, sum a n_a, the colors a repeated n_a times) per composition n of m into l parts."""
-    out = []
-    for n in compositions(ell, m):
-        colors = tuple(a for a, na in enumerate(n, 1) for _ in range(na))
-        out.append((n, factorial(m) // prod(map(factorial, n)), sum(colors), colors))
-    return tuple(out)
+def _colorings(ell: int, m: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """(n, m!/prod n_a!, sum a n_a) per composition n of m into l parts."""
+    return tuple(
+        (n, factorial(m) // prod(map(factorial, n)), sum(map(mul, n, range(1, ell + 1)))) for n in compositions(ell, m)
+    )
 
 
 @lru_cache(maxsize=1)
 def fixed_objects(x: WreathElem) -> dict[tuple[int, ...], tuple]:
-    """The objects g with g o perm = g, one representative per End(g)-class.
+    """The objects g with g o perm = g, by type and per-color cycle types.
 
-    g is fixed exactly when it is constant on each cycle of perm.  Cycles of
-    one kind (length r, color sum c) are interchangeable, so the colorings
-    of a kind with m cycles come in groups, one per composition n of m into
-    l parts (n_a cycles of color a), each of m!/prod n_a! objects; a group
-    adds c * sum a n_a to the exponent sum_j c_j g(j).  Groups with equal
-    cycle lengths in every color give conjugate endomorphisms sigma_(g, g),
-    so they are merged: the result maps each type lambda to (g, counts)
-    pairs, one per such class, counts[e] being the number of its objects
-    with exponent e mod l.  The cache holds one element, since the modules
-    evaluated at one element share its groups.
+    g is fixed exactly when it is constant on each cycle of perm, and then
+    sigma_(g, g) has, in each color c, the cycle type of the cycles of perm
+    on which g takes color c.  Cycles of one kind (length r, color sum c)
+    are interchangeable, so the colorings of a kind with m cycles come in
+    groups, one per composition n of m into l parts (n_a cycles of color a),
+    each of m!/prod n_a! objects; a group adds c * sum a n_a to the exponent
+    sum_j c_j g(j).  Groups with equal cycle types in every color are
+    merged, and no object is built: the result maps each type lambda to
+    (cycle types, counts) pairs, cycle_types[c] the nondecreasing lengths
+    in color c + 1 and counts[e] the number of such objects with exponent
+    e mod l.  The cache holds one element, since the modules evaluated at
+    one element share its groups.
     """
     ell, perm, colors = x
-    kinds: dict[tuple[int, int], list[list[int]]] = {}
+    kinds: Counter[tuple[int, int]] = Counter()
     seen = [False] * len(perm)
     for start in range(len(perm)):
-        cycle, c, p = [], 0, start
+        r, c, p = 0, 0, start
         while not seen[p]:
             seen[p] = True
-            cycle.append(p)
+            r += 1
             c += colors[p]
             p = perm[p] - 1
-        if cycle:
-            kinds.setdefault((len(cycle), c % ell), []).append(cycle)
-    # per-color cycle lengths -> (colors of the cycles so far, counts per exponent);
-    # kinds come in increasing r, so appending keeps each color's lengths sorted
-    groups = {((),) * ell: ((), [1] + [0] * (ell - 1))}
-    for (r, c), cycles in sorted(kinds.items()):
-        merged = {}
-        for n, size, weight, coloring in _colorings(ell, len(cycles)):
-            added, shift = tuple((r,) * na for na in n), c * weight
-            for lengths, (assigned, counts) in groups.items():
+        if r:
+            kinds[r, c % ell] += 1
+    # per-color cycle lengths -> counts per exponent; kinds come in
+    # increasing r, so appending keeps each color's lengths sorted
+    groups = {((),) * ell: [1] + [0] * (ell - 1)}
+    for (r, c), m in sorted(kinds.items()):
+        merged: dict[tuple, list[int]] = {}
+        for n, size, weight in _colorings(ell, m):
+            added, shift = tuple((r,) * na for na in n), c * weight % ell
+            for lengths, counts in groups.items():
                 key = tuple(map(add, lengths, added))
-                if key not in merged:
-                    merged[key] = (assigned + coloring, [0] * ell)
-                bins = merged[key][1]
-                for e, cnt in enumerate(counts):
-                    if cnt:
-                        bins[(e + shift) % ell] += size * cnt
+                # the counts moved up by shift exponents, times size
+                moved = [size * cnt for cnt in counts[-shift:] + counts[:-shift]]
+                bins = merged.get(key)
+                merged[key] = moved if bins is None else list(map(add, bins, moved))
         groups = merged
-    order = [cycle for _kind, cycles in sorted(kinds.items()) for cycle in cycles]
     out: dict[tuple[int, ...], list] = {}
-    for lengths, (assigned, counts) in groups.items():
-        g = [0] * len(perm)
-        for cycle, a in zip(order, assigned):
-            for p in cycle:
-                g[p] = a
-        out.setdefault(tuple(map(sum, lengths)), []).append((tuple(g), tuple(counts)))
+    for lengths, counts in groups.items():
+        out.setdefault(tuple(map(sum, lengths)), []).append((lengths, tuple(counts)))
     return {lam: tuple(pairs) for lam, pairs in out.items()}
 
 
@@ -289,49 +296,64 @@ def phi_trace(x: WreathElem, block_trace, lam=None) -> Cyc:
     """The trace of Phi(x) on a module with one block per object of type lam (None: every object).
 
     The term of Phi(x) at g is xi^e sigma_(g o perm, g), a diagonal block
-    exactly when g o perm = g, and then e = sum_j c_j g(j).  block_trace(g,
-    perm) is the integer trace of sigma_(g, g) on the block at g.  The
-    module is a functor, so that trace is a class function of End(g) =
-    prod_c S_(lambda_c): it depends only on the cycle lengths of perm in each
-    color of g.  It is taken once per such class of fixed objects
-    (`fixed_objects`), weighted by the class's count in each exponent bin,
-    and the bins are reduced once.
+    exactly when g o perm = g, and then e = sum_j c_j g(j).  The module is a
+    functor, so the integer trace of sigma_(g, g) on the block at g is a
+    class function of End(g) = prod_c S_(lambda_c): block_trace(cycle_types)
+    takes the per-color cycle types of sigma_(g, g).  It is taken once per
+    entry of `fixed_objects`, weighted by the entry's count in each exponent
+    bin, and the bins are reduced once.
     """
-    ell, perm = x.ell, x.perm
+    ell = x.ell
     groups = fixed_objects(x)
     chosen = groups.get(lam, ()) if lam is not None else chain.from_iterable(groups.values())
     sums = [0] * ell
-    for g, counts in chosen:
-        tr = block_trace(g, perm)
+    for cycle_types, counts in chosen:
+        tr = block_trace(cycle_types)
         if tr:
             for e, n in enumerate(counts):
                 sums[e] += tr * n
     return Cyc.from_exponent_sums(ell, sums)
 
 
-def inner_product(classes, alpha, beta_bar) -> Cyc:
-    """(1/|G|) sum_x alpha(x) beta_bar(x) over G, |G| the sum of the class sizes.
+def inner_products(classes, alphas, betas_bar) -> list[tuple[Cyc, ...]]:
+    """<alpha, beta> = (1/|G|) sum_x alpha(x) beta_bar(x) over G for every alpha of alphas and beta_bar of betas_bar.
 
-    classes is a (representative, size) list, alpha and beta_bar are tuples in
-    its order, and beta_bar is beta already conjugated (xi -> xi^(-1)), so a
-    character paired with many others is conjugated once.
+    classes is a (representative, size) list, |G| the sum of the sizes,
+    and each class function a tuple in its order; each beta_bar is beta
+    already conjugated (xi -> xi^(-1)), so a character paired with many
+    others is conjugated once.  Row i of the result pairs alphas[i] with
+    every beta_bar, in order.
 
     A value's numerators are its coefficients at xi^0..xi^(phi(l)-1), so they
-    are exponent bins (Fractions over den when den != 1; the bins from
-    phi(l) to l - 1 are zero).  size * a_i * b_j goes into bin (i + j) mod l,
-    and the bins are reduced and scaled by 1/|G| once.
+    are exponent bins (Fractions over den when den != 1).  Each class
+    function is read once, as one column over the classes per bin (times
+    the class size on the alpha side); a pair adds the dot product of
+    column i of alpha and column j of beta_bar into bin (i + j) mod l, and
+    its bins are reduced and scaled by 1/|G| once.
     """
     ell = classes[0][0].ell
-    bins = [0] * ell
-    for (_rep, size), a, b in zip(classes, alpha, beta_bar):
-        b_bins = _exponent_bins(b)
-        for i, ai in enumerate(_exponent_bins(a)):
-            if ai:
-                ai *= size
-                for j, bj in enumerate(b_bins, i):
-                    if bj:
-                        bins[j % ell] += ai * bj
-    return Cyc.from_exponent_sums(ell, bins).scale(Fraction(1, sum(size for _rep, size in classes)))
+    sizes = [size for _rep, size in classes]
+    weight = Fraction(1, sum(sizes))
+
+    def columns(f, weights=None):
+        cols = zip(*map(_exponent_bins, f))
+        if weights is not None:
+            cols = (tuple(map(mul, col, weights)) for col in cols)
+        return [(i, col) for i, col in enumerate(cols) if any(col)]
+
+    alpha_cols = [columns(alpha, sizes) for alpha in alphas]
+    beta_cols = [columns(beta_bar) for beta_bar in betas_bar]
+    out = []
+    for a_cols in alpha_cols:
+        row = []
+        for b_cols in beta_cols:
+            bins = [0] * ell
+            for i, a in a_cols:
+                for j, b in b_cols:
+                    bins[(i + j) % ell] += sum(map(mul, a, b))
+            row.append(Cyc.from_exponent_sums(ell, bins).scale(weight))
+        out.append(tuple(row))
+    return out
 
 
 def _exponent_bins(v: Cyc):
@@ -339,30 +361,35 @@ def _exponent_bins(v: Cyc):
     return v.num if v.den == 1 else [Fraction(n, v.den) for n in v.num]
 
 
+@lru_cache(maxsize=None)
+def _shape_traces(lam: tuple[int, ...], cycle_types) -> tuple[int, ...]:
+    """The block_trace(cycle_types) of every simple of shape lam, in multipartitions(lam) order: products of one Specht character per color."""
+    per_color = [[specht_character(mu, t) for mu in partitions(n)] for n, t in zip(lam, cycle_types)]
+    return tuple(map(prod, product(*per_color)))
+
+
 def simple_characters(ell: int, d: int, xs):
     """The simple characters of (l, d) at each element of xs, class-major: one tuple per element, in all_simples order.
 
-    Each value is its module's phi_trace.  Each End(g)-class of fixed objects
-    of type lambda is transported once, to w, for all modules of shape
-    lambda; equal exponent-sum vectors are reduced once and equal values
-    share one Cyc.
+    Each value is its module's phi_trace.  The modules of one shape lambda
+    read one trace vector per (lambda, cycle types) entry of fixed_objects;
+    equal exponent-sum vectors are reduced once and equal values share one
+    Cyc.
     """
-    shapes: dict[tuple[int, ...], list[SimpleModule]] = {}
-    for m in all_simples(ell, d):
-        shapes.setdefault(m.lam, []).append(m)
+    shapes = Counter(m.lam for m in all_simples(ell, d))
     reduced: dict[tuple[int, ...], Cyc] = {}
     shared: dict[Cyc, Cyc] = {}
     for x in xs:
         groups, row = fixed_objects(x), []
-        for lam, mods in shapes.items():
-            transported = [
-                (mods[0].transported(GMorphism(g, g, x.perm)), [(e, n) for e, n in enumerate(counts) if n])
-                for g, counts in groups.get(lam, ())
+        for lam, count in shapes.items():
+            traced = [
+                (_shape_traces(lam, cycle_types), [(e, n) for e, n in enumerate(counts) if n])
+                for cycle_types, counts in groups.get(lam, ())
             ]
-            for m in mods:
+            for i in range(count):
                 bins = [0] * ell
-                for w, counts in transported:
-                    tr = m.trace_of(w)
+                for traces, counts in traced:
+                    tr = traces[i]
                     if tr:
                         for e, n in counts:
                             bins[e] += tr * n
@@ -474,35 +501,37 @@ def restriction_multiplicities(mod: SimpleModule) -> dict:
     exact inner product when that is not an integer (a wrong character).
     """
     labels = [m.p for m in all_simples(mod.ell, mod.d)]
-    return _restriction_decomposition(mod.ell, mod.d, _restrictions_bar(mod.ell, mod.d)[labels.index(mod.p)])
+    return _restriction_multiplicities(mod.ell, mod.d)[labels.index(mod.p)]
 
 
-def _restrictions_bar(ell: int, d: int) -> list[tuple[Cyc, ...]]:
-    """The conjugated restriction of every simple character of (l, d), in all_simples order, on the classes of S(l,d-1)."""
+def _restriction_multiplicities(ell: int, d: int) -> list[dict]:
+    """restriction_multiplicities of every simple of (l, d), in all_simples order, from one inner_products table.
+
+    The restricted characters are read in one simple_characters walk over
+    the classes of S(l,d-1), embedded, and paired with the conjugated
+    characters of S(l,d-1).
+    """
     if d < 1:
         raise ValueError("branching needs d >= 1")
-    xs = [embed_lower_rank(y, d) for y, _size in conjugacy_classes(ell, d - 1)]
-    return list(zip(*([v.conjugate() for v in row] for row in simple_characters(ell, d, xs))))
-
-
-def _restriction_decomposition(ell: int, d: int, chi_res_bar) -> dict:
-    """restriction_multiplicities from a conjugated restricted character."""
     classes = conjugacy_classes(ell, d - 1)
-    mults = {}
-    for sub, chi_sub in zip(all_simples(ell, d - 1), character_table(ell, d - 1)):
-        val = inner_product(classes, chi_sub, chi_res_bar).conjugate()  # <chi_res, chi_sub> = conj <chi_sub, chi_res>
-        if not val.is_zero():
-            integral = val.is_rational() and val.rational_value().denominator == 1
-            mults[sub.p] = int(val.rational_value()) if integral else val
-    return mults
+    restricted = list(zip(*simple_characters(ell, d, [embed_lower_rank(y, d) for y, _size in classes])))
+    subs_bar = [[v.conjugate() for v in chi] for chi in character_table(ell, d - 1)]
+    out = []
+    for row in inner_products(classes, restricted, subs_bar):
+        mults = {}
+        for sub, val in zip(all_simples(ell, d - 1), row):
+            if not val.is_zero():
+                integral = val.is_rational() and val.rational_value().denominator == 1
+                mults[sub.p] = int(val.rational_value()) if integral else val
+        out.append(mults)
+    return out
 
 
 def branching_report(ell: int, d: int) -> dict:
     """Restriction of every simple equals its removable-node multiset, multiplicity-free."""
     checks = []
     mods = all_simples(ell, d)
-    for mod, chi_res_bar in zip(mods, _restrictions_bar(ell, d)):
-        mults = _restriction_decomposition(ell, d, chi_res_bar)
+    for mod, mults in zip(mods, _restriction_multiplicities(ell, d)):
         expected = removable_node_restrictions(mod.p)
         ok = (
             all(v == 1 for v in mults.values())

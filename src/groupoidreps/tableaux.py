@@ -8,6 +8,9 @@ straightening s_i * e_T = e_{s_i T} by leading tabloids (see SpechtRep), with
 no elimination.  Matrices are tuples of int tuples; a module lifts them into
 Q(xi_l) where it builds its action block.
 
+The character of S_mu at a cycle type is the trace of the integer matrix of
+one permutation of that type (`specht_character`), cached per pair.
+
 Outer tensor products realize the S_lambda-module S_p attached to a
 multi-partition p of a composition lambda: the i-th block of positions acts
 on the i-th tensor factor.
@@ -17,10 +20,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial, prod
+from math import factorial
 from operator import mul
 
-from .perms import perm_sign, perm_to_word
+from .perms import cycle_type_perm, perm_sign, perm_to_word
 
 __all__ = [
     "partitions",
@@ -32,6 +35,7 @@ __all__ = [
     "remove_cell",
     "SpechtRep",
     "specht_rep",
+    "specht_character",
     "OuterRep",
     "outer_rep",
 ]
@@ -254,6 +258,13 @@ def specht_rep(mu: Partition) -> SpechtRep:
     return SpechtRep(tuple(mu))
 
 
+@lru_cache(maxsize=None)
+def specht_character(mu: Partition, cycle_type: tuple[int, ...]) -> int:
+    """chi^mu at the permutations of the given cycle lengths: the trace of the matrix of one of them."""
+    m = specht_rep(mu).matrix_of_perm(cycle_type_perm(cycle_type))
+    return sum(row[i] for i, row in enumerate(m))
+
+
 class OuterRep:
     """The S_lambda-module S_p for a multi-partition p of shape lambda.
 
@@ -297,11 +308,6 @@ class OuterRep:
             m = _kron(m, factor)
         self._cache[w] = m
         return m
-
-    def trace_of_blockperm(self, w: tuple[int, ...]) -> int:
-        """tr(A (x) B) = tr A * tr B."""
-        traces = (sum(row[i] for i, row in enumerate(comp.matrix_of_perm(local))) for comp, local in self._local_perms(w))
-        return prod(traces)
 
 
 @lru_cache(maxsize=None)

@@ -5,9 +5,16 @@ library path needs it, since every solved commutant is one call to
 cyclo.intertwiners.  conjugation_orbits and conjugacy_classes_of partition
 a group into conjugation orbits by walking them, the route that the
 closed-form classes of simples and gkd replace.  cyc_inner_product is the
-inner product with one Cyc product and one scale per class.  scan_phi_trace
+inner product with one Cyc product and one scale per class, the route that
+the batched dot products of simples.inner_products replace.  scan_phi_trace
 is the trace of Phi(x) by a scan of every object, the route that the
-End(g)-class groups of simples.fixed_objects replace.  two_sided_closure is
+cycle-type groups of simples.fixed_objects replace; its per-object block
+traces are simple_object_trace (sigma_(g, g) transported to the base and
+traced on the outer Specht module by outer_block_trace),
+model_object_trace (the involutions of g that sigma_(g, g) fixes, signed)
+and tensor_object_trace (the basis tensors of block g that it fixes), the
+routes that the per-color class functions of simples, gelfand and
+schurweyl replace.  two_sided_closure is
 the dense span closure of the GL generators: block-diagonal maps {f: Mat}
 multiplied block by block on both sides, the route that the sparse one-sided
 closure of schurweyl.glk_generated_algebra replaces.  act_full is the dense
@@ -34,13 +41,15 @@ Mat arithmetic, which only tests use.
 
 from fractions import Fraction
 from itertools import accumulate, product
+from math import prod
 from operator import mul
 
 from groupoidreps.algebra import AlgElem, phi
 from groupoidreps.cyclo import Cyc, Mat, SpanBasis, root_of_unity
 from groupoidreps import gkd, schurweyl
 from groupoidreps.gkd import _slot_rotation
-from groupoidreps.groupoid import canonical_morphism, compose
+from groupoidreps.gelfand import inv_statistic
+from groupoidreps.groupoid import GMorphism, canonical_morphism, compose
 from groupoidreps.perms import invert_perm, perm_to_word, reach
 from groupoidreps.wreath import WreathElem, generators, wreath_inv, wreath_mul
 
@@ -110,6 +119,35 @@ def scan_phi_trace(x: WreathElem, objs, block_trace) -> Cyc:
             if tr:
                 sums[sum(map(mul, colors, g)) % ell] += tr
     return Cyc.from_exponent_sums(ell, sums)
+
+
+def outer_block_trace(outer, w: tuple[int, ...]) -> int:
+    """The trace of the block permutation w on the outer Specht module: tr(A (x) B) = tr A * tr B."""
+    return prod(sum(row[i] for i, row in enumerate(comp.matrix_of_perm(local))) for comp, local in outer._local_perms(w))
+
+
+def simple_object_trace(mod):
+    """block_trace(g, perm) of a simple module: sigma_(g, g) with permutation perm, transported to the base and traced."""
+    return lambda g, perm: outer_block_trace(mod.outer, mod.transported(GMorphism(g, g, perm)))
+
+
+def model_object_trace(model):
+    """block_trace(g, perm) of the Gelfand model: the signed count of the involutions w of g that sigma = (g, g, perm) fixes."""
+
+    def block_trace(g, perm):
+        sigma, tr = GMorphism(g, g, perm), 0
+        for w in model.basis[g]:
+            wp = w.perm
+            if all(perm[wp[i] - 1] == wp[perm[i] - 1] for i in range(model.d)):
+                tr += -1 if inv_statistic(sigma, w) % 2 else 1
+        return tr
+
+    return block_trace
+
+
+def tensor_object_trace(T):
+    """block_trace(g, perm) on V^(x d): the number of basis tensors b of block g with b o perm = b."""
+    return lambda g, perm: sum(all(b[p - 1] == v for p, v in zip(perm, b)) for b in T.block_of[g])
 
 
 def blockdiag_identity(T) -> dict:

@@ -34,7 +34,7 @@ from groupoidreps.groupoid import (
     inverse,
     type_of,
 )
-from groupoidreps.simples import all_simples, inner_product
+from groupoidreps.simples import all_simples, inner_products
 from groupoidreps.tableaux import multipartitions
 from groupoidreps.wreath import generators, wreath_identity
 from reference import (
@@ -172,10 +172,9 @@ def test_span_check_fails_when_phi_form_is_patched_at_one_object(monkeypatch):
 def test_quotient_characters_are_orthonormal(ell, k, d):
     classes = gkd_conjugacy_classes(ell, k, d)
     chars = [build_quotient_simple(ell, k, d, p, m).class_character for _lam, p, m in quotient_labels(ell, k, d)]
-    for i, chi in enumerate(chars):
-        for j, psi in enumerate(chars):
-            val = inner_product(classes, chi, [v.conjugate() for v in psi])
-            assert val == Cyc.rational(ell, 1 if i == j else 0), (i, j)
+    gram = inner_products(classes, chars, [[v.conjugate() for v in psi] for psi in chars])
+    for i, row in enumerate(gram):
+        assert row == tuple(Cyc.rational(ell, 1 if i == j else 0) for j in range(len(chars))), i
 
 
 def test_labels_222():
@@ -410,6 +409,38 @@ def test_functoriality_check_catches_action_wrong_off_generators(monkeypatch):
     assert _status(rep, "identity quotient morphisms act as identity") == "pass"
 
 
+@pytest.mark.parametrize("ell,k,d", [(2, 2, 2), (3, 3, 2), (2, 1, 3)])
+def test_functoriality_fails_when_the_identity_does_not_act_as_identity(monkeypatch, ell, k, d):
+    # the walk takes a step s o q with s = id as holding, so rho~(id) = I is
+    # tested on its own; here rho~(id) = -I and every other block is unchanged
+    mods = [build_quotient_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
+    mod = mods[-1]
+    unit = mod.Q.identity(mod.Q.orbit_of[mod.base])
+    real, minus = mod.action_block, Cyc.rational(ell, -1)
+    monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), minus) if q == unit else real(q))
+    assert not gkd._quotient_functorial(mod)
+    assert _status(quotient_simples_check(ell, k, d), "L_(p,m) functorial") == "fail"
+    monkeypatch.undo()
+    assert gkd._quotient_functorial(mod)
+
+
+@pytest.mark.parametrize("ell,k,d", [(2, 2, 3), (3, 3, 2), (3, 1, 3)])
+def test_functoriality_walk_multiplies_only_on_non_identity_steps(monkeypatch, ell, k, d):
+    steps, products = [], []
+    walk, mul = gkd._closure, Mat.__mul__
+    monkeypatch.setattr(
+        gkd, "_closure", lambda Q, gens, objs, holds: walk(Q, gens, objs, lambda s, x, y: steps.append(s) or holds(s, x, y))
+    )
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for _lam, p, m in quotient_labels(ell, k, d):
+        mod = build_quotient_simple(ell, k, d, p, m)
+        unit = mod.Q.identity(mod.Q.orbit_of[mod.base])
+        steps.clear()
+        products.clear()
+        assert gkd._quotient_functorial(mod)
+        assert unit in steps and len(products) == sum(s != unit for s in steps) < len(steps)
+
+
 @pytest.mark.parametrize("ell,k,d", [*GKD_GRID, (2, 2, 4), (4, 2, 3)])
 def test_end_base_walk_agrees_with_the_component_walk(ell, k, d):
     # action_block(q) is rho~ of a2^-1 o q o a1, so functoriality on the
@@ -540,10 +571,17 @@ def test_rotation_check_fails_for_one_wrong_character_value(monkeypatch):
 def test_rotation_check_fails_for_wrong_multiplicities(monkeypatch):
     # with the projector weights xi_2^(-2jm) = 1 both projectors are (1 + theta)/2:
     # at p = ([1],[1]) the one eigenspace is counted twice for one L_(p,m) and
-    # never for the other; where r = 1 both eigenspaces match L_(p,1) anyway
+    # never for the other; where r = 1 both eigenspaces match L_(p,1) anyway.
+    # The weight xi_k^(-2jm) is the weight of eigenspace 2m, so the fault
+    # reports E_(2m mod k) in place of each E_m.
     rotation_eigenspace_check(2, 2, 2)  # builds the L_(p,m) with the true roots of unity
-    real = gkd.root_of_unity
-    monkeypatch.setattr(gkd, "root_of_unity", lambda ell, power: real(ell, 2 * power))
+    real = gkd._eigenspace_traces
+
+    def doubled(powers, twisted):
+        out, k = real(powers, twisted), len(powers)
+        return [out[(2 * m - 1) % k] for m in range(1, k + 1)]
+
+    monkeypatch.setattr(gkd, "_eigenspace_traces", doubled)
     assert _rotation_failures(2, 2, 2) == {
         "rotation eigenspaces for p=[[1], [1]]": "eigenspace multiplicities do not match k/r"
     }
@@ -636,7 +674,8 @@ def test_twisted_traces_read_from_phi_match_the_dense_matrices(ell, k, d):
     rotated_terms = gkd._rotated_terms(Q, classes)
     for lam, p in _invariant_labels(Q):
         theta, summands, act = gkd._rotation_module(Q, lam, p)
-        assert gkd._twisted_traces(Q, summands, rotated_terms) == dense_twisted_traces(theta, act, k, classes), (lam, p)
+        twisted = [tuple(Cyc.from_exponent_sums(ell, bins) for bins in tr) for tr in gkd._twisted_traces(Q, summands, rotated_terms)]
+        assert twisted == dense_twisted_traces(theta, act, k, classes), (lam, p)
 
 
 # Facts of the quotient that hold by construction, so quotient_structure_report

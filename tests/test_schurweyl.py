@@ -14,7 +14,7 @@ from groupoidreps.schurweyl import (
     verify_commuting,
     verify_double_centralizer,
 )
-from groupoidreps.simples import all_simples, character_table, conjugacy_classes, inner_product
+from groupoidreps.simples import all_simples, character_table, conjugacy_classes, inner_products
 from groupoidreps.wreath import enum_group, wreath_identity, wreath_inv
 from reference import (
     act_full,
@@ -26,6 +26,7 @@ from reference import (
     mat_zeros,
     morphism_block_matrix,
     scan_phi_trace,
+    tensor_object_trace,
     to_sparse,
     two_sided_closure,
     ungraded_intertwiners,
@@ -560,11 +561,12 @@ def test_idempotent_sum_is_zero_exactly_when_the_inner_product_is(ell, kvec, d):
     classes = conjugacy_classes(ell, d)
     chi_v = [mats[rep].trace() for rep, _size in classes]
     zero = mat_zeros(ell, T.dim(), T.dim())
-    for mod, chi_p in zip(all_simples(ell, d), character_table(ell, d)):
+    table = character_table(ell, d)
+    for mod, (val,) in zip(all_simples(ell, d), inner_products(classes, table, [[v.conjugate() for v in chi_v]])):
         acc = zero
         for x in group:
             acc = mat_add(acc, mat_scale(mats[x], mod.char_wreath(wreath_inv(x))))
-        assert (acc == zero) == inner_product(classes, chi_v, [v.conjugate() for v in chi_p]).is_zero()
+        assert (acc == zero) == val.is_zero()
 
 
 @pytest.mark.parametrize("ell,kvec,d", TENSOR_GRID)
@@ -574,11 +576,14 @@ def test_character_is_the_trace_of_the_phi_action(ell, kvec, d):
         assert T.character(rep) == act_full(T, phi(rep, d)).trace(), rep
 
 
-@pytest.mark.parametrize("ell,kvec,d", TENSOR_GRID + [(3, (1, 2, 1), 2)])
+@pytest.mark.parametrize(
+    "ell,kvec,d", TENSOR_GRID + [(3, (1, 2, 1), 2), (2, (2, 1), 3), (3, (1, 1, 2), 3), (2, (1, 2), 4)]
+)
 def test_character_matches_the_object_scan_on_every_element(ell, kvec, d):
+    # prod_c k_c^(cycles in color c) against the fixed tensors counted block by block
     T = TensorSpace(ell, kvec, d)
     for x in enum_group(ell, d):
-        assert T.character(x) == scan_phi_trace(x, T.block_of, T.block_trace), x
+        assert T.character(x) == scan_phi_trace(x, T.block_of, tensor_object_trace(T)), x
 
 
 def test_kernel_check_builds_no_dense_matrix(monkeypatch):
@@ -661,7 +666,7 @@ def test_closure_and_commuting_walk_make_no_matrix_product(monkeypatch, ell, kve
 
 
 @pytest.mark.parametrize("ell,kvec,d", CLOSURE_POINTS)
-def test_duality_checks_multiply_matrices_only_in_the_exp_identity(monkeypatch, ell, kvec, d):
+def test_duality_checks_multiply_no_matrices(monkeypatch, ell, kvec, d):
     # the exp identity applies the row maps of Delta(E_ab) to sparse vectors,
     # as the GL closure does, so the three checks form no Mat product
     T = TensorSpace(ell, kvec, d)

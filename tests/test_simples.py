@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from groupoidreps import simples
+from groupoidreps import simples, tableaux
 from groupoidreps.algebra import phi
 from groupoidreps.cli import BRANCHING_GRID, GELFAND_WINDOW, GKD_GRID, ISO_GRID
 from groupoidreps.cyclo import Cyc, Mat
@@ -20,7 +20,7 @@ from groupoidreps.simples import (
     character_table,
     conjugacy_classes,
     fixed_objects,
-    inner_product,
+    inner_products,
     phi_trace,
     removable_node_restrictions,
     restriction_multiplicities,
@@ -30,7 +30,7 @@ from groupoidreps.simples import (
     young_induction_check,
 )
 from groupoidreps.wreath import enum_group, generators, wreath_identity, wreath_inv, wreath_mul
-from reference import cyc_inner_product, scan_phi_trace
+from reference import cyc_inner_product, model_object_trace, scan_phi_trace, simple_object_trace
 
 # the (l, d) points of the default simples, branching, gelfand and gkd grids
 GRID_POINTS = sorted(set(ISO_GRID + BRANCHING_GRID + GELFAND_WINDOW + [(ell, d) for ell, _k, d in GKD_GRID]))
@@ -118,26 +118,19 @@ def test_characters_constant_on_classes():
                 assert chi(wreath_mul(wreath_mul(s, x), wreath_inv(s))) == value, (chi, x, s)
 
 
-def test_character_table_transports_once_per_element_shape_and_group(monkeypatch):
-    # the modules of one shape share the transport of each End(g)-class of fixed
-    # objects: one transported w per (element, shape, group), read by all of them
-    real = SimpleModule.transported
+def test_character_table_makes_no_transport(monkeypatch):
+    # the block traces are class functions of the per-color cycle types, so
+    # no fixed object is transported to the base; the per-object transports
+    # of the reference scan give the same table
+    def refuse(self, m):
+        raise AssertionError("transported")
+
     for ell, d in [(1, 3), (2, 2), (3, 2), (2, 3), (3, 3)]:
-        calls = []
-
-        def recording(self, m):
-            calls.append((self.lam, m.source, m.target, m.perm))
-            return real(self, m)
-
-        monkeypatch.setattr(SimpleModule, "transported", recording)
+        monkeypatch.setattr(SimpleModule, "transported", refuse)
         table = character_table.__wrapped__(ell, d)
-        monkeypatch.setattr(SimpleModule, "transported", real)
+        monkeypatch.undo()
         reps = [rep for rep, _size in conjugacy_classes(ell, d)]
-        shapes = list(dict.fromkeys(m.lam for m in all_simples(ell, d)))
-        assert calls == [
-            (lam, g, g, x.perm) for x in reps for lam in shapes for g, _counts in fixed_objects(x).get(lam, ())
-        ]
-        assert table == tuple(tuple(m.char_wreath(rep) for rep in reps) for m in all_simples(ell, d))
+        assert table == tuple(tuple(scan_phi_trace(x, m.objects, simple_object_trace(m)) for x in reps) for m in all_simples(ell, d))
 
 
 @pytest.mark.parametrize("ell,d", [(1, 3), (2, 3), (3, 3), (4, 3), (2, 4)])
@@ -167,20 +160,18 @@ def test_character_table_shares_equal_values():
 def test_simple_characters_are_orthonormal(ell, d):
     classes = conjugacy_classes(ell, d)
     table = character_table(ell, d)
-    for i, chi in enumerate(table):
-        for j, psi in enumerate(table):
-            val = inner_product(classes, chi, [v.conjugate() for v in psi])
-            assert val == Cyc.rational(ell, 1 if i == j else 0), (i, j)
+    gram = inner_products(classes, table, [[v.conjugate() for v in psi] for psi in table])
+    for i, row in enumerate(gram):
+        assert row == tuple(Cyc.rational(ell, 1 if i == j else 0) for j in range(len(table))), i
 
 
 @pytest.mark.parametrize("ell,d", [(2, 3), (3, 3), (4, 3), (5, 2), (6, 2)])
 def test_inner_product_matches_the_cyc_product_reference_on_every_table_pair(ell, d):
     classes = conjugacy_classes(ell, d)
     table = character_table(ell, d)
-    for chi in table:
-        for psi in table:
-            psi_bar = [v.conjugate() for v in psi]
-            assert inner_product(classes, chi, psi_bar) == cyc_inner_product(classes, chi, psi_bar)
+    table_bar = [[v.conjugate() for v in psi] for psi in table]
+    gram = inner_products(classes, table, table_bar)
+    assert gram == [tuple(cyc_inner_product(classes, chi, psi_bar) for psi_bar in table_bar) for chi in table]
 
 
 @pytest.mark.parametrize("ell,d", [(1, 2), (3, 2), (4, 2), (5, 1), (6, 2)])
@@ -194,10 +185,10 @@ def test_inner_product_matches_the_reference_on_rational_denominators(ell, d):
     def value():
         return Cyc(ell, [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) + Fraction(1, 7) for _ in range(n)])
 
-    for _ in range(5):
-        alpha = [value() for _ in classes]
-        beta_bar = [value() for _ in classes]
-        assert inner_product(classes, alpha, beta_bar) == cyc_inner_product(classes, alpha, beta_bar)
+    alphas = [[value() for _ in classes] for _ in range(5)]
+    betas_bar = [[value() for _ in classes] for _ in range(4)]
+    got = inner_products(classes, alphas, betas_bar)
+    assert got == [tuple(cyc_inner_product(classes, alpha, beta_bar) for beta_bar in betas_bar) for alpha in alphas]
 
 
 def test_inner_product_forms_no_cyc_product_and_scales_once(monkeypatch):
@@ -217,10 +208,13 @@ def test_inner_product_forms_no_cyc_product_and_scales_once(monkeypatch):
 
     monkeypatch.setattr(Cyc, "__mul__", counted("mul", real_mul))
     monkeypatch.setattr(Cyc, "scale", counted("scale", real_scale))
-    val = inner_product(classes, chi, psi_bar)
+    ((val,),) = inner_products(classes, [chi], [psi_bar])
     assert counts == {"mul": 0, "scale": 1}
+    gram = inner_products(classes, [chi, psi], [psi_bar, psi_bar, psi_bar])
+    assert counts == {"mul": 0, "scale": 7}  # one per value
     monkeypatch.undo()
     assert val == cyc_inner_product(classes, chi, psi_bar)
+    assert gram[0] == (val,) * 3
 
 
 def test_trivial_character():
@@ -286,9 +280,9 @@ def _grouped_and_scanned(ell, d, elements):
     """(grouped, scanned) traces of every simple and the Gelfand model at each element."""
     model = build_gelfand(ell, d)
     for x in elements:
-        yield model.char_wreath(x), scan_phi_trace(x, model.objects, model.block_trace)
+        yield model.char_wreath(x), scan_phi_trace(x, model.objects, model_object_trace(model))
         for mod in all_simples(ell, d):
-            yield mod.char_wreath(x), scan_phi_trace(x, mod.objects, mod.block_trace)
+            yield mod.char_wreath(x), scan_phi_trace(x, mod.objects, simple_object_trace(mod))
 
 
 @pytest.mark.parametrize("ell,d", GRID_POINTS)
@@ -300,8 +294,11 @@ def test_grouped_traces_match_the_object_scan_on_the_grid(ell, d):
         assert grouped == scanned
 
 
-@pytest.mark.parametrize("ell,d", [(2, 3), (3, 2), (4, 2), (1, 0), (3, 0)])
+@pytest.mark.parametrize("ell,d", [(2, 3), (3, 2), (4, 2), (1, 0), (3, 0), (3, 3), (2, 4)])
 def test_grouped_traces_match_the_object_scan_on_every_element(ell, d):
+    # the per-color class functions against the per-object traces: the
+    # transport to the base for the simples, the commuting involutions for
+    # the model
     for grouped, scanned in _grouped_and_scanned(ell, d, enum_group(ell, d)):
         assert grouped == scanned
 
@@ -335,11 +332,11 @@ def test_fixed_objects_match_a_brute_force_grouping(ell, d):
         assert sum(map(sum, (counts for pairs in groups.values() for _g, counts in pairs))) == ell ** len(_cycles(x.perm))
         got = Counter()
         for lam, pairs in groups.items():
-            keys = [_color_cycle_lengths(x.perm, g, ell) for g, _counts in pairs]
-            assert len(set(keys)) == len(keys)  # merged: one representative per End(g)-class
-            for (g, counts), key in zip(pairs, keys):
-                assert all(g[p - 1] == c for p, c in zip(x.perm, g)) and type_of(g, ell) == lam
-                got.update({(lam, key, e): n for e, n in enumerate(counts) if n})
+            keys = [cycle_types for cycle_types, _counts in pairs]
+            assert len(set(keys)) == len(keys)  # merged: one entry per End(g)-class
+            for cycle_types, counts in pairs:
+                assert tuple(map(sum, cycle_types)) == lam
+                got.update({(lam, cycle_types, e): n for e, n in enumerate(counts) if n})
         expected = Counter(
             (type_of(g, ell), _color_cycle_lengths(x.perm, g, ell), sum(c * v for c, v in zip(x.colors, g)) % ell)
             for g in objects(ell, d)
@@ -353,10 +350,10 @@ def test_phi_trace_takes_one_block_trace_per_group():
         for x in enum_group(ell, d):
             for lam in [None, *fixed_objects(x)]:
                 calls = []
-                phi_trace(x, lambda g, perm: calls.append((g, perm)) or 1, lam)
+                phi_trace(x, lambda cycle_types: calls.append(cycle_types) or 1, lam)
                 groups = fixed_objects(x)
                 chosen = groups[lam] if lam is not None else [pair for pairs in groups.values() for pair in pairs]
-                assert calls == [(g, x.perm) for g, _counts in chosen]
+                assert calls == [cycle_types for cycle_types, _counts in chosen]
 
 
 def test_character_table_computes_fixed_objects_once_per_class():
@@ -396,9 +393,10 @@ def test_transports_are_canonical_morphisms():
     ell, d = 3, 3
     for mod in all_simples(ell, d):
         assert mod.objects == [f for f in objects(ell, d) if type_of(f, ell) == mod.lam]
+        from_base, to_base = simples._shape_transports(ell, mod.lam)
         for f in mod.objects:
-            assert mod._from_base[f] == canonical_morphism(mod.base, f, ell).perm
-            assert mod._to_base[f] == canonical_morphism(f, mod.base, ell).perm
+            assert from_base[f] == canonical_morphism(mod.base, f, ell).perm
+            assert to_base[f] == canonical_morphism(f, mod.base, ell).perm
 
 
 def _check(rep, name):
@@ -433,3 +431,28 @@ def test_branching_reports_a_non_integral_multiplicity(monkeypatch):
     assert [c["name"] for c in flagged] == odd
     sub = [list(map(list, all_simples(ell, d - 1)[0].p))]
     assert all(c["status"] == "fail" and c["details"]["non_integral"] == sub for c in flagged)
+
+
+@pytest.fixture
+def fresh_character_caches():
+    """Empty the caches that hold character values before and after a test that bends one."""
+    caches = [simples.character_table, simples._shape_traces, tableaux.specht_character]
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_a_wrong_specht_character_value_fails_the_branching_and_gelfand_checks(monkeypatch, fresh_character_caches):
+    # chi^(2,1) is -1 at a 3-cycle; reading 0 there at the one cycle type
+    # (3,) bends every simple character of S(l,3) with a (2,1) color part
+    real = simples.specht_character
+    assert real((2, 1), (3,)) == -1
+    monkeypatch.setattr(simples, "specht_character", lambda mu, t: 0 if (mu, t) == ((2, 1), (3,)) else real(mu, t))
+    failed = [c["name"] for c in branching_report(1, 4)["checks"] if c["status"] == "fail"]
+    assert failed == ["branching of [[4]]", "branching of [[2, 2]]", "branching of [[1, 1, 1, 1]]"]
+    for ell in (1, 2, 3):
+        statuses = {c["name"]: c["status"] for c in verify_gelfand(ell, 3)["checks"]}
+        assert statuses["every simple has multiplicity exactly 1"] == "fail"
+        assert statuses["gelfand character equals sum of simple characters"] == "fail"

@@ -254,23 +254,42 @@ def _calls_by_function(tree, attr):
 def test_exponent_bins_are_reduced_only_in_the_trace_routines():
     # every character value is a trace of Phi(x), binned per exponent and
     # reduced in phi_trace (one module) or simple_characters (every simple,
-    # shape by shape); the one other reduction is inner_product's, once per
-    # product
+    # shape by shape); the other reductions are inner_products', once per
+    # pair, and the rotation check's, once per eigenspace and class
     found = {
         (path.name, name)
         for path in sorted(SRC.glob("*.py"))
         for name in _calls_by_function(ast.parse(path.read_text(), filename=str(path)), "from_exponent_sums")
     }
-    assert found == {("simples.py", "phi_trace"), ("simples.py", "simple_characters"), ("simples.py", "inner_product")}
+    assert found == {
+        ("simples.py", "phi_trace"),
+        ("simples.py", "simple_characters"),
+        ("simples.py", "inner_products"),
+        ("gkd.py", "_eigenspace_traces"),
+    }
+
+
+def _calls_ending(node, suffix):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call) and ast.unparse(n.func).endswith(suffix)]
 
 
 def test_inner_product_loop_makes_no_cyc_product_or_scale():
-    # the loop accumulates integer (or Fraction) exponent bins: no .scale or
-    # Cyc call in it, and no product of the class-function values themselves
+    # one loop pair per pair of class functions: its bin loop accumulates
+    # integer (or Fraction) dot products of bin columns, with no .scale or Cyc
+    # call and no product of the columns themselves, and the pair's bins are
+    # reduced and scaled once, after it
     tree = ast.parse((SRC / "simples.py").read_text(), filename="simples.py")
-    (func,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "inner_product"]
-    (loop,) = [n for n in func.body if isinstance(n, ast.For)]
-    values = {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)} - {"_rep", "size"}
+    (func,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "inner_products"]
+    (pair_loop,) = [
+        n
+        for n in ast.walk(func)
+        if isinstance(n, ast.For)
+        and any(isinstance(s, ast.For) for s in n.body)
+        and any(_calls_ending(s, "from_exponent_sums") for s in n.body if not isinstance(s, ast.For))
+    ]
+    (loop,) = [s for s in pair_loop.body if isinstance(s, ast.For)]
+    targets = [n.target for n in ast.walk(loop) if isinstance(n, ast.For)]
+    values = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)} - {"i", "j"}
     assert values == {"a", "b"}
     offenders = []
     for node in ast.walk(loop):
@@ -282,9 +301,10 @@ def test_inner_product_loop_makes_no_cyc_product_or_scale():
             if {side.id for side in (node.left, node.right) if isinstance(side, ast.Name)} & values:
                 offenders.append(ast.unparse(node))
     assert not offenders
-    calls = [ast.unparse(n.func) for n in ast.walk(func) if isinstance(n, ast.Call)]
-    assert sum(c.endswith(".scale") for c in calls) == 1
-    assert sum(c.endswith("from_exponent_sums") for c in calls) == 1
+    # each class function is read into bin columns once, before the pairs
+    assert not _calls_ending(pair_loop, "_exponent_bins") and not _calls_ending(pair_loop, "columns")
+    assert len(_calls_ending(func, ".scale")) == len(_calls_ending(pair_loop, ".scale")) == 1
+    assert len(_calls_ending(func, "from_exponent_sums")) == len(_calls_ending(pair_loop, "from_exponent_sums")) == 1
 
 
 def test_inner_product_is_defined_once():
@@ -295,7 +315,7 @@ def test_inner_product_is_defined_once():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and "inner_product" in node.name
     ]
-    assert defined == [("simples.py", "inner_product")]
+    assert defined == [("simples.py", "inner_products")]
 
 
 def test_specht_layer_imports_nothing_from_cyclo():

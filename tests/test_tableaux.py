@@ -1,5 +1,5 @@
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -15,9 +15,11 @@ from groupoidreps.tableaux import (
     partitions,
     removable_cells,
     remove_cell,
+    specht_character,
     specht_rep,
     standard_tableaux,
 )
+from reference import outer_block_trace
 
 
 def _mul(a, b):
@@ -30,6 +32,20 @@ def _eye(n):
 
 def _trace(a):
     return sum(a[i][i] for i in range(len(a)))
+
+
+def _cycle_type(w):
+    """The nondecreasing cycle lengths of a one-line permutation."""
+    seen, lengths = set(), []
+    for start in range(1, len(w) + 1):
+        n, p = 0, start
+        while p not in seen:
+            seen.add(p)
+            n += 1
+            p = w[p - 1]
+        if n:
+            lengths.append(n)
+    return tuple(sorted(lengths))
 
 
 def _lift(ell, a):
@@ -229,14 +245,26 @@ def test_outer_tensor():
 
 
 def test_block_traces_are_the_integer_matrix_traces():
+    # the trace of a block permutation on S_p is prod_c chi^(p_c) at the cycle
+    # type of its c-th block
     for p, lam in [(((2, 1), (1,)), (3, 1)), (((2,), (1, 1), (1,)), (2, 2, 1)), (((2, 2), ()), (4, 0))]:
         o = outer_rep(p, lam)
         starts = [sum(lam[:i]) for i in range(len(lam))]
         blocks = [set(range(a + 1, a + n + 1)) for a, n in zip(starts, lam)]
         for w in all_perms(sum(lam)):
             if all({w[i - 1] for i in b} == b for b in blocks):
-                t = o.trace_of_blockperm(w)
-                assert type(t) is int and t == _trace(o.matrix_of_blockperm(w))
+                local = [tuple(w[a + i] - a for i in range(n)) for a, n in zip(starts, lam)]
+                t = prod(specht_character(pi, _cycle_type(v)) for pi, v in zip(p, local))
+                assert type(t) is int and t == _trace(o.matrix_of_blockperm(w)) == outer_block_trace(o, w)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_specht_character_is_the_trace_at_every_permutation_of_its_cycle_type(n):
+    for mu in partitions(n):
+        rep = specht_rep(mu)
+        for w in all_perms(n):
+            assert specht_character(mu, _cycle_type(w)) == _trace(rep.matrix_of_perm(w)), (mu, w)
+    assert specht_character((2, 1), (3,)) == -1 and specht_character((3, 1), (1, 1, 2)) == 1
 
 
 def test_perm_word():

@@ -40,23 +40,23 @@ print(json.dumps({"code": code, "counts": counts}))
 """
 
 PINNED_COUNTS = {
-    "cyclo.cyc_mul.calls": 9355,
-    "cyclo.cyc_addsub.calls": 12122,
-    "cyclo.cyc_scale.calls": 2239,
+    "cyclo.cyc_mul.calls": 5609,
+    "cyclo.cyc_addsub.calls": 6620,
+    "cyclo.cyc_scale.calls": 3011,
     "cyclo.cyc_inverse.calls": 47,
     "cyclo.spanbasis_add.calls": 588,
-    "cyclo.mat_mul.calls": 858,
+    "cyclo.mat_mul.calls": 377,
     "algebra.phi.calls": 250,
     "algebra.verify_iso.calls": 8,
     "wreath.wreath_mul.calls": 637,
     "wreath.enum_group.calls": 23,
-    "perms.compose_perms.calls": 5642,
-    "groupoid.canonical_morphism.calls": 805,
-    "groupoid.hom.calls": 3757,
+    "perms.compose_perms.calls": 5702,
+    "groupoid.canonical_morphism.calls": 799,
+    "groupoid.hom.calls": 3764,
     "tableaux.specht_build.calls": 7,
-    "tableaux.outer_matrix.calls": 582,
-    "simples.action_block.calls": 2081,
-    "simples.conjugacy_classes.calls": 53,
+    "tableaux.outer_matrix.calls": 1985,
+    "simples.action_block.calls": 655,
+    "simples.conjugacy_classes.calls": 29,
     "simples.commutant.calls": 35,
     "simples.verify_complete.calls": 8,
     "simples.branching.calls": 3,
