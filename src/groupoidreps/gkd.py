@@ -806,16 +806,22 @@ def _twisted_traces(Q: QuotientGroupoid, summands, rotated_terms) -> list[tuple[
     ell, k, v = Q.ell, Q.k, Q.shift
     dims = [[c.dim for c in simp.outer.components] for simp in summands]
     slots = {j: [_slot_rotation(dim, lambda c: (c - j * v) % ell) for dim in dims] for j in range(0, k, len(summands))}
+    slot_traces: dict[tuple[int, GMorphism], int] = {}  # (j, term) -> its integer trace; terms recur across the xs
     out = []
     for per_power in rotated_terms:
         traces = [(0,) * ell] * k
         for j, slot_maps in slots.items():
             bins = [0] * ell
             for m, e in per_power[j]:
-                for simp, slot in zip(summands, slot_maps):
-                    if m.target in simp.block_index:
-                        rows = simp.outer.matrix_of_blockperm(simp.transported(m))
-                        bins[e] += sum(rows[a][b] for a, b in enumerate(slot))
+                t = slot_traces.get((j, m))
+                if t is None:
+                    t = 0
+                    for simp, slot in zip(summands, slot_maps):
+                        if m.target in simp.block_index:
+                            rows = simp.outer.matrix_of_blockperm(simp.transported(m))
+                            t += sum(rows[a][b] for a, b in enumerate(slot))
+                    slot_traces[j, m] = t
+                bins[e] += t
             traces[j] = tuple(bins)
         out.append(tuple(traces))
     return out

@@ -54,7 +54,7 @@ PINNED_COUNTS = {
     "groupoid.canonical_morphism.calls": 799,
     "groupoid.hom.calls": 3764,
     "tableaux.specht_build.calls": 7,
-    "tableaux.outer_matrix.calls": 1985,
+    "tableaux.outer_matrix.calls": 877,
     "simples.action_block.calls": 655,
     "simples.conjugacy_classes.calls": 29,
     "simples.commutant.calls": 35,
