@@ -30,7 +30,8 @@ exponent is confirmed additive on every object.  Distinct characters are
 linearly independent (Artin-Dedekind; Lang, Algebra, ch. VI), so the rank is
 the number of distinct confirmed exponent vectors: no elimination.  The
 inverse of Phi is the inverse DFT over C_l^d, one permutation block at a
-time.
+time; it runs on integer exponent bins over one denominator per block, with
+one reduction per group coefficient.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 from operator import mul
 
 from .cyclo import Cyc, root_of_unity
@@ -209,24 +211,27 @@ def phi_inverse(a: AlgElem) -> list[tuple[WreathElem, Cyc]]:
     Inverse DFT over C_l^d: the term of Phi(sigma, c) at the morphism
     h -> g with permutation sigma is xi^<c, h>, so by character orthogonality
     y_(sigma, c) = l^(-d) sum a_(h -> g) xi^(-<c, h>) over those morphisms.
+    The sum runs on integer exponent bins, over one denominator D per
+    permutation block (the lcm of its coefficients' denominators): the
+    numerator of a_(h -> g) at power i adds into bin (i - <c, h>) mod l, and
+    each y is reduced once, by from_exponent_sums, and scaled by 1/(l^d D).
     """
     ell, d = a.ell, a.d
     by_perm: dict[tuple, list[tuple[tuple, Cyc]]] = {}
     for m, coeff in a.terms.items():
         by_perm.setdefault(m.perm, []).append((m.source, coeff))
-    inverse_roots = [root_of_unity(ell, -e) for e in range(ell)]
-    norm = Fraction(1, ell**d)
     out: list[tuple[WreathElem, Cyc]] = []
     for perm, terms in by_perm.items():
+        den = lcm(*(coeff.den for _source, coeff in terms))
+        nums = [(source, [n * (den // coeff.den) for n in coeff.num]) for source, coeff in terms]
+        norm = Fraction(1, ell**d * den)
         for colors in product(range(ell), repeat=d):
-            buckets: dict[int, Cyc] = {}
-            for source, coeff in terms:
-                e = sum(c * s for c, s in zip(colors, source)) % ell
-                acc = buckets.get(e)
-                buckets[e] = coeff if acc is None else acc + coeff
-            y = Cyc.zero(ell)
-            for e, total in buckets.items():
-                y = y + inverse_roots[e] * total
+            bins = [0] * ell
+            for source, num in nums:
+                e = sum(map(mul, colors, source))
+                for i, n in enumerate(num):
+                    bins[(i - e) % ell] += n
+            y = Cyc.from_exponent_sums(ell, bins)
             if not y.is_zero():
                 out.append((WreathElem(ell, perm, colors), y.scale(norm)))
     out.sort(key=lambda t: (t[0].perm, t[0].colors))

@@ -24,6 +24,9 @@ schurweyl replace.  ungraded_intertwiners solves X_t A = B X_s with one
 engine row per entry of every action, the route that the weight grading of
 cyclo.intertwiners replaces.  phi_on_generators is Phi as a product of
 generator images, an independent route to the closed form of algebra.phi.
+cyc_phi_inverse is the inverse DFT of Phi with one Cyc addition per
+(color vector, source) and one Cyc product per exponent bucket, the route
+that the integer exponent bins of algebra.phi_inverse replace.
 to_sparse and to_dense convert between the tests' dense vectors and the
 engine's one vector format, {column: Cyc}.  quotient_action_block is the
 action of a quotient morphism on a quotient simple as the dense product
@@ -224,6 +227,31 @@ def phi_on_generators(x: WreathElem) -> AlgElem:
             out = out * s0j
     for i in perm_to_word(x.perm):
         out = out * images[i]
+    return out
+
+
+def cyc_phi_inverse(a: AlgElem) -> list[tuple[WreathElem, Cyc]]:
+    """The terms of Phi^(-1)(a), sorted by (perm, colors), summed as Cyc values per exponent bucket."""
+    ell, d = a.ell, a.d
+    by_perm: dict[tuple, list[tuple[tuple, Cyc]]] = {}
+    for m, coeff in a.terms.items():
+        by_perm.setdefault(m.perm, []).append((m.source, coeff))
+    inverse_roots = [root_of_unity(ell, -e) for e in range(ell)]
+    norm = Fraction(1, ell**d)
+    out: list[tuple[WreathElem, Cyc]] = []
+    for perm, terms in by_perm.items():
+        for colors in product(range(ell), repeat=d):
+            buckets: dict[int, Cyc] = {}
+            for source, coeff in terms:
+                e = sum(c * s for c, s in zip(colors, source)) % ell
+                acc = buckets.get(e)
+                buckets[e] = coeff if acc is None else acc + coeff
+            y = Cyc.zero(ell)
+            for e, total in buckets.items():
+                y = y + inverse_roots[e] * total
+            if not y.is_zero():
+                out.append((WreathElem(ell, perm, colors), y.scale(norm)))
+    out.sort(key=lambda t: (t[0].perm, t[0].colors))
     return out
 
 

@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
+from itertools import permutations
 
 from groupoidreps import algebra
 from groupoidreps.algebra import AlgElem, phi, phi_inverse, verify_iso
-from groupoidreps.cyclo import Cyc, root_of_unity
+from groupoidreps.cyclo import Cyc, euler_phi, root_of_unity
 from groupoidreps.groupoid import all_morphisms, hom, identity_morphism, objects
 from groupoidreps.wreath import WreathElem, enum_group, generators, wreath_identity, wreath_mul
-from reference import phi_on_generators
+from reference import cyc_phi_inverse, phi_on_generators
 
 
 def test_unit_and_idempotents():
@@ -254,7 +256,7 @@ def _convolve(a: dict, b: dict) -> dict:
 
 def test_phi_inverse_of_products_is_convolution():
     rnd = random.Random(5)
-    for ell, d in [(4, 2), (5, 2)]:
+    for ell, d in [(4, 2), (5, 2), (3, 3), (6, 2)]:
         group = enum_group(ell, d)
         for _ in range(3):
             a = {x: root_of_unity(ell, rnd.randrange(ell)).scale(rnd.randint(1, 3))
@@ -270,6 +272,61 @@ def test_phi_inverse_of_products_is_convolution():
             assert dict(got) == _convolve(a, b)
             keys = [(z.perm, z.colors) for z, _c in got]
             assert keys == sorted(keys)
+
+
+def _random_cyc(rnd, ell):
+    return Cyc(ell, [Fraction(rnd.randint(-3, 3), rnd.choice((1, 2, 3, 7))) for _ in range(euler_phi(ell))])
+
+
+def _random_element(rnd, ell, d, full):
+    """An arbitrary element on up to two permutation blocks, each full or of at most three terms."""
+    perms = list(permutations(range(1, d + 1)))
+    terms = {}
+    for perm in rnd.sample(perms, min(2, len(perms))):
+        block = algebra._perm_table(ell, d, perm)[1]
+        chosen = block if full else rnd.sample(block, min(3, len(block)))
+        terms.update((m, _random_cyc(rnd, ell)) for m in chosen)
+    return AlgElem(ell, d, terms)
+
+
+def test_phi_inverse_matches_the_cyc_route_on_arbitrary_elements():
+    # arbitrary elements, not only Phi-images, with Fraction coefficients over
+    # denominators 1, 2, 3 and 7; sparse blocks everywhere, and full blocks
+    # too wherever l^d <= 64
+    rnd = random.Random(29)
+    sizes = [(ell, d) for ell in (1, 2, 3, 4, 5, 6, 8, 12) for d in range(4)] + [(2, 4)]
+    for ell, d in sizes:
+        assert phi_inverse(AlgElem.zero(ell, d)) == cyc_phi_inverse(AlgElem.zero(ell, d)) == []
+        for full in (False, True, True) if ell**d <= 64 else (False,):
+            a = _random_element(rnd, ell, d, full)
+            assert phi_inverse(a) == cyc_phi_inverse(a), (ell, d)
+
+
+def test_phi_inverse_reduces_once_per_color_vector_without_cyc_arithmetic(monkeypatch):
+    # the inverse DFT sums integer exponent bins: no Cyc addition or product,
+    # and one reduction per (block, color vector), each of nonzero bins
+    def refuse(*_args):
+        raise AssertionError("Cyc arithmetic in phi_inverse")
+
+    reduced = []
+    real = Cyc.from_exponent_sums
+
+    def recording(ell, sums):
+        reduced.append(list(sums))
+        return real(ell, sums)
+
+    a = _random_element(random.Random(3), 4, 2, full=True)
+    expected = cyc_phi_inverse(a)
+    monkeypatch.setattr(Cyc, "__add__", refuse)
+    monkeypatch.setattr(Cyc, "__mul__", refuse)
+    monkeypatch.setattr(Cyc, "from_exponent_sums", staticmethod(recording))
+    assert phi_inverse(a) == expected
+    assert len(reduced) == 2 * 4**2 and all(any(bins) for bins in reduced)
+    # the unit of A_(3,1): at colors 1 and 2 the bins are [1, 1, 1], which is
+    # 1 + xi + xi^2 = 0, so only the identity is returned
+    reduced.clear()
+    assert phi_inverse(AlgElem.unit(3, 1)) == [(wreath_identity(3, 1), Cyc.one(3))]
+    assert reduced == [[3, 0, 0], [1, 1, 1], [1, 1, 1]]
 
 
 def test_dim_of_algebra():

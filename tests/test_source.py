@@ -251,11 +251,12 @@ def _calls_by_function(tree, attr):
     return found
 
 
-def test_exponent_bins_are_reduced_only_in_the_trace_routines():
+def test_exponent_bins_are_reduced_only_in_the_trace_routines_and_the_inverse_dft():
     # every character value is a trace of Phi(x), binned per exponent and
     # reduced in phi_trace (one module) or simple_characters (every simple,
     # shape by shape); the other reductions are inner_products', once per
-    # pair, and the rotation check's, once per eigenspace and class
+    # pair, the rotation check's, once per eigenspace and class, and
+    # phi_inverse's, once per group coefficient
     found = {
         (path.name, name)
         for path in sorted(SRC.glob("*.py"))
@@ -266,6 +267,7 @@ def test_exponent_bins_are_reduced_only_in_the_trace_routines():
         ("simples.py", "simple_characters"),
         ("simples.py", "inner_products"),
         ("gkd.py", "_eigenspace_traces"),
+        ("algebra.py", "phi_inverse"),
     }
 
 
