@@ -220,13 +220,13 @@ SUITES = {
     "schur-weyl": Suite(
         ("ell", "d", "kvec"),
         "schur-weyl ({ell},{kvec},{d})",
-        lambda p: ("tensor dimension", sum(p["kvec"]) ** p["d"]),
+        lambda p: ("GL generator cells", sum(k * k for k in p["kvec"]) ** (p["d"] + 1)),
         _schur_weyl,
     ),
     "shift-duality": Suite(
         ("ell", "d", "kk", "m"),
         "shift-duality ({ell},{kk},{m},{d})",
-        lambda p: ("tensor dimension", (p["ell"] * p["m"]) ** p["d"]),
+        lambda p: ("GL generator cells", p["ell"] * p["m"] ** 2 * (p["ell"] * p["m"]) ** (2 * p["d"])),
         _shift_duality,
     ),
     "rook-check": Suite(("d",), "rook d={d}", _rook_order, _rook),

@@ -17,9 +17,7 @@ reference, with their own null-space helper.
 Every commutant or intertwiner space solved by elimination is solved by
 :func:`intertwiners`, and every matrix assembled from blocks or scattered
 entries is built by :meth:`Mat.from_entries`.  A permutation of the basis
-(the color rotation theta of gkd, the shift Z^(x d) of schurweyl) stays an
-index map: its powers compose as tuples, and :meth:`Mat.permuted`
-conjugates a matrix by it, so a commutation test forms no matrix product.
+(gkd's theta, schurweyl's shift) stays an index map with its caller.
 
 All values are immutable; all operations are pure functions.
 """
@@ -401,17 +399,6 @@ class Mat:
         for i in range(min(self.nrows, self.ncols)):
             acc = acc + self.rows[i][i]
         return acc
-
-    def permuted(self, perm) -> "Mat":
-        """P A P^-1 for the permutation matrix P with P e_j = e_perm[j] (A square).
-
-        Entry (perm[i], perm[j]) of the result is A[i][j], so A commutes with
-        P exactly when A.permuted(perm) == A.
-        """
-        inv = [0] * len(perm)
-        for j, pj in enumerate(perm):
-            inv[pj] = j
-        return Mat(self.ell, [[row[j] for j in inv] for row in (self.rows[i] for i in inv)])
 
     def __repr__(self) -> str:
         return f"Mat({self.nrows}x{self.ncols} over Q(xi_{self.ell}))"

@@ -27,15 +27,20 @@ group of order r prod lambda_c! (Curtis-Reiner, Methods of Representation
 Theory I, section 11; Stembridge, Pacific J. Math. 140, 1989).
 
 The rotation check's theta permutes the basis of the direct sum of the
-rotated simples, so it is an index map: its powers are composed tuples and
-its commutation with a matrix A is A.permuted(theta) == A.  The action A_x
-is block diagonal over the summands, and theta^j, j a multiple of their
-count, takes the block of g to that of theta^(jv)(g) along the slot map
-c -> c - jv.  So the term xi^e sigma_(s, g) of Phi(x) adds the integer
-sum_a M[a][slot(a)] to exponent bin e of tr(theta^j A_x), M the integer
-outer-Specht matrix of its transport, exactly when s = theta^(jv)(g); the
-dense A_x is built only for the generators.  The eigenspace traces weight
-tr(theta^j A_x) by xi_k^(-jm), a rotation of its bins, and reduce once.
+rotated simples: it takes the block of g in summand j to that of theta^v(g)
+in summand j + 1 along one slot map per summand, and is carried as those
+slot maps, so theta^k = 1 is a tuple equality of the composed slot maps.
+The action A_x is block diagonal over the summands, and theta keeps the
+permutation of Phi(x), so the theta-image of its term xi^e sigma with target
+g is its term at theta^v(g) (Q.theta_index): theta commutes with A_x exactly
+when each term and its image carry equal exponents and blocks equal along
+the slot map.  theta^j, j a multiple of the summand count, takes the block
+of g to that of theta^(jv)(g) along the composed slot map, so the term xi^e
+sigma_(s, g) of Phi(x) adds the integer sum_a M[a][slot(a)] to exponent bin
+e of tr(theta^j A_x), M the integer outer-Specht matrix of its transport,
+exactly when s = theta^(jv)(g).  No matrix of A_x is built.  The eigenspace
+traces weight tr(theta^j A_x) by xi_k^(-jm), a rotation of its bins, and
+reduce once.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ from itertools import accumulate, product
 from math import factorial, gcd, prod
 from operator import add
 
-from .algebra import _perm_table, _rank_of_phi_images, phi, phi_form
+from .algebra import _perm_table, _rank_of_phi_images, phi_form
+from .algebra import phi  # noqa: F401  (unused here; perfbench/tests patch gkd.phi)
 from .cyclo import (
     Cyc,
     LinSolver,  # noqa: F401  (unused here; perfbench/tests patch gkd.LinSolver)
@@ -751,37 +757,33 @@ def rotation_eigenspace_check(ell: int, k: int, d: int) -> dict:
 
 
 def _rotation_module(Q: QuotientGroupoid, lam, p):
-    """theta on the direct sum of the simples L_(z^j p) over the types of the
-    H_k-orbit of lam, as an index map (entry a is the basis index theta sends
-    basis index a to), the summands, and the dense matrix of the action of x
-    on that sum (act_total)."""
-    ell, k, d = Q.ell, Q.k, Q.d
-    copies = k // Q.type_stabilizer_order(lam)  # number of distinct types in the orbit
-    v = Q.shift
+    """The simples L_(z^j p) over the types of the H_k-orbit of lam, and theta's
+    slot map on the blocks of each: entry a of slots[j] is the index that theta
+    sends index a of a block of summand j to, in summand j + 1 (cyclically)."""
+    ell, d, v = Q.ell, Q.d, Q.shift
+    copies = Q.k // Q.type_stabilizer_order(lam)  # number of distinct types in the orbit
     summands = [build_simple(ell, d, theta_type(p, j * v)) for j in range(copies)]
-    offsets = list(accumulate((simp.total_dim for simp in summands), initial=0))
-    total = offsets.pop()
+    slots = [_slot_rotation([c.dim for c in simp.outer.components], lambda c: (c - v) % ell) for simp in summands]
+    return summands, slots
 
-    # theta: object f (type of summand j) -> theta(f) in summand j+1, with
-    # the tensor-slot rotation on coordinates
-    theta = [0] * total
-    for j, simp in enumerate(summands):
-        jn = (j + 1) % copies
-        nxt = summands[jn]
-        dims_src = [simp.outer.components[c].dim for c in range(ell)]
-        slot = _slot_rotation(dims_src, lambda c: (c - v) % ell)
-        for f in simp.objects:
-            r0 = offsets[jn] + nxt.block_index[theta_object(f, v, ell)] * nxt.block_dim
-            c0 = offsets[j] + simp.block_index[f] * simp.block_dim
-            for a, b in enumerate(slot):
-                theta[c0 + a] = r0 + b
 
-    def act_total(x: WreathElem) -> Mat:
-        a = phi(x, d)
-        entries = (e for simp, o in zip(summands, offsets) for e in simp.act_alg(a).entries(o, o))
-        return Mat.from_entries(ell, total, total, entries)
-
-    return tuple(theta), summands, act_total
+def _commutes_with_theta(Q: QuotientGroupoid, summands, slots, x: WreathElem) -> bool:
+    """theta A_x = A_x theta, term by term: each term of Phi(x) on a summand and
+    its theta-image carry equal exponents and blocks equal along the slot map."""
+    perm, exps = phi_form(x, Q.d)
+    terms = _perm_table(Q.ell, Q.d, perm)[1]
+    # per summand, the integer block of the term with target object i, by i
+    blocks = [
+        {i: simp.outer.matrix_of_blockperm(simp.transported(terms[i])) for i in (object_index(f, Q.ell) for f in simp.objects)}
+        for simp in summands
+    ]
+    for j, slot in enumerate(slots):
+        image = blocks[(j + 1) % len(blocks)]
+        for i, rows in blocks[j].items():
+            t = Q.theta_index[i]
+            if exps[i] != exps[t] or any(image[t][slot[a]][slot[b]] != w for a, row in enumerate(rows) for b, w in enumerate(row)):
+                return False
+    return True
 
 
 def _rotated_terms(Q: QuotientGroupoid, xs) -> list[list[list[tuple[GMorphism, int]]]]:
@@ -798,25 +800,24 @@ def _rotated_terms(Q: QuotientGroupoid, xs) -> list[list[list[tuple[GMorphism, i
     return out
 
 
-def _twisted_traces(Q: QuotientGroupoid, summands, rotated_terms) -> list[tuple[tuple[int, ...], ...]]:
+def _twisted_traces(Q: QuotientGroupoid, summands, powers, rotated_terms) -> list[tuple[tuple[int, ...], ...]]:
     """tr(theta^j A_x), j = 0..k-1, as integer exponent bins (entry e the coefficient of xi^e), from the _rotated_terms of each x.
 
-    The trace is zero unless the summand count divides j.
+    powers[j][i] is theta^j's slot map on the blocks of summand i.  The
+    trace is zero unless the summand count divides j.
     """
-    ell, k, v = Q.ell, Q.k, Q.shift
-    dims = [[c.dim for c in simp.outer.components] for simp in summands]
-    slots = {j: [_slot_rotation(dim, lambda c: (c - j * v) % ell) for dim in dims] for j in range(0, k, len(summands))}
+    ell, k = Q.ell, Q.k
     slot_traces: dict[tuple[int, GMorphism], int] = {}  # (j, term) -> its integer trace; terms recur across the xs
     out = []
     for per_power in rotated_terms:
         traces = [(0,) * ell] * k
-        for j, slot_maps in slots.items():
+        for j in range(0, k, len(summands)):
             bins = [0] * ell
             for m, e in per_power[j]:
                 t = slot_traces.get((j, m))
                 if t is None:
                     t = 0
-                    for simp, slot in zip(summands, slot_maps):
+                    for simp, slot in zip(summands, powers[j]):
                         if m.target in simp.block_index:
                             rows = simp.outer.matrix_of_blockperm(simp.transported(m))
                             t += sum(rows[a][b] for a, b in enumerate(slot))
@@ -827,60 +828,56 @@ def _twisted_traces(Q: QuotientGroupoid, summands, rotated_terms) -> list[tuple[
     return out
 
 
-def _eigenspace_traces(powers: list[tuple[int, ...]], twisted) -> list[tuple[int, tuple[Cyc, ...]]]:
+def _eigenspace_traces(twisted) -> list[tuple[int, tuple[Cyc, ...]]]:
     """(dim E_m, the traces on E_m) for the xi_k^m-eigenspaces E_m of theta, m = 1..k.
 
-    powers = [theta^0, ..., theta^(k-1)] as index maps, with theta^k = 1 and
-    theta commuting with each matrix A, and twisted[i][j] = tr(theta^j A_i)
-    as exponent bins.  Then E_m is the image of the idempotent
-    P_m = (1/k) sum_j xi_k^(-jm) theta^j, which commutes with each A, so
-    dim E_m = tr(P_m) and the trace of A on E_m is tr(P_m A).  tr(theta^j)
-    counts the indices that theta^j fixes.  The weight xi_k^(-jm) =
-    xi_l^(-jm l/k) rotates the bins of the j-th trace, and the rotated bins
-    are reduced and scaled by 1/k once per (m, A).
+    twisted[i][j] = tr(theta^j A_i), j = 0..k-1, as exponent bins, for the
+    classes of gkd_conjugacy_classes in order, with theta^k = 1 and theta
+    commuting with each A_i.  Then E_m is the image of the idempotent
+    P_m = (1/k) sum_j xi_k^(-jm) theta^j, which commutes with each A, so the
+    trace of A on E_m is tr(P_m A); at the identity class, which comes
+    first, that is dim E_m.  The weight xi_k^(-jm) = xi_l^(-jm l/k) rotates
+    the bins of the j-th trace, and the rotated bins are reduced and scaled
+    by 1/k once per (m, A).
     """
-    k, ell = len(powers), len(twisted[0][0])
+    k, ell = len(twisted[0]), len(twisted[0][0])
     weight = Fraction(1, k)
-    unit = [(sum(a == b for a, b in enumerate(t)),) + (0,) * (ell - 1) for t in powers]  # tr(theta^j), in bin 0
-    # the nonzero traces of each A as (j, bins), the first A being the identity
-    nonzero = [[(j, tr) for j, tr in enumerate(traces) if any(tr)] for traces in [unit, *twisted]]
     out = []
     for m in range(1, k + 1):
-        values = []
-        for traces in nonzero:
+        chars = []
+        for traces in twisted:
             bins = [0] * ell
-            for j, tr in traces:
+            for j, tr in enumerate(traces):
                 shift = j * (ell // k) * m % ell  # xi^(-shift) moves bin e to bin e - shift
                 bins = list(map(add, bins, tr[shift:] + tr[:shift]))
-            values.append(Cyc.from_exponent_sums(ell, bins).scale(weight))
-        dim, *chars = values
-        out.append((int(dim.rational_value()), tuple(chars)))
+            chars.append(Cyc.from_exponent_sums(ell, bins).scale(weight))
+        out.append((int(chars[0].rational_value()), tuple(chars)))
     return out
 
 
 def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, rotated_terms) -> tuple[bool, dict]:
     ell, k, d = Q.ell, Q.k, Q.d
     r = Q.type_stabilizer_order(lam)
-    theta, summands, act_total = _rotation_module(Q, lam, p)
+    summands, slots = _rotation_module(Q, lam, p)
 
-    # theta^0 .. theta^k by composing index maps, and theta^k = 1
-    powers = [tuple(range(len(theta)))]
-    for _ in range(k):
-        powers.append(tuple(theta[a] for a in powers[-1]))
+    # theta^0 .. theta^k on the blocks of each summand i, the slot maps of
+    # summands i, ..., i + j - 1 composed, and theta^k = 1 (theta^k fixes
+    # every object, so only the slot maps can fail it)
+    powers = [[tuple(range(len(slot))) for slot in slots]]
+    for j in range(k):
+        powers.append([tuple(slots[(i + j) % len(slots)][a] for a in t) for i, t in enumerate(powers[-1])])
     if powers[k] != powers[0]:
         return False, {"failure": "theta_k does not have order k on the rotation module"}
 
     # twisted equivariance: theta(x . v) = theta(x) . theta(v) for generators,
     # hence theta commutes with the G(l,k,d)-action
-    for g in gkd_generators(ell, k, d):
-        A = act_total(g)
-        if A.permuted(theta) != A:
-            return False, {"failure": "theta does not commute with the invariant algebra"}
+    if not all(_commutes_with_theta(Q, summands, slots, g) for g in gkd_generators(ell, k, d)):
+        return False, {"failure": "theta does not commute with the invariant algebra"}
 
     # eigenspaces over the k-th roots of unity, matched to the L_(p,m) by characters
     expected = {m: build_quotient_simple(ell, k, d, p, m).class_character for m in range(1, r + 1)}
     hits = dict.fromkeys(expected, 0)
-    eigenspaces = _eigenspace_traces(powers[:k], _twisted_traces(Q, summands, rotated_terms))
+    eigenspaces = _eigenspace_traces(_twisted_traces(Q, summands, powers, rotated_terms))
     for m, (_dim, char) in enumerate(eigenspaces, start=1):
         matched = [mm for mm, exp in expected.items() if exp == char]
         if len(matched) != 1:

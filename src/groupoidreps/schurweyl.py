@@ -20,11 +20,13 @@ is one call to cyclo.intertwiners, graded by the weights of the Delta(E_aa);
 the commutant of the morphism images is counted by orbits instead.  Spans
 use the public SpanBasis API on sparse {position: Cyc} vectors, exactly.
 The large data stay sparse.  A morphism permutes the tensor basis, so it is
-kept as an index map: the commuting walk composes index maps, and each image
-span takes one entry per tensor; a Psi-image of the shift duality, a sum of
-k morphisms, is the set of the positions their index maps give.  Generator
-rows are read once, as maps j -> ((k, g_jk), ...); the GL closure and the exp
-identity multiply sparse vectors by them, so no dense Mat product is left.
+kept as an index map: the commuting walk composes index maps, a GL generator
+commutes with it when its entries relabelled along it are those of the
+target block, and each image span takes one entry per tensor; a Psi-image
+of the shift duality, a sum of k morphisms, is the set of the positions
+their index maps give.  Generator rows are read once, as maps
+j -> ((k, g_jk), ...); the GL closure and the exp identity multiply sparse
+vectors by them, so no dense Mat product is left.
 Whether the central idempotent of a simple p kills V^(x d) is read from
 characters: the algebra is semisimple, so it does iff <chi_V, chi_p> = 0,
 and chi_V is read off the monomial form of Phi (TensorSpace.character): at
@@ -230,15 +232,19 @@ def verify_commuting(T: TensorSpace) -> dict:
     A `gkd._closure` walk on the k = 1 quotient checks A(s o x) = A(s) A(x) on
     each step and reaches every morphism, so each A(m) is a word in the A(s)
     and A(id).  Those permute the tensor basis, so each step compares index
-    maps (`morphism_index_map`), and A(s) G_f = G_g A(s) says that G_f
-    relabelled along the index map of s is G_g.
+    maps (`morphism_index_map`), and A(s) G_f = G_g A(s) says that the entry
+    map of G_f relabelled along the index map pi of s, {(pi[i], pi[j]): v},
+    is that of G_g.
     """
     Q, act = quotient_groupoid(T.ell, 1, T.d), cache(T.morphism_index_map)
     objs, gens = range(len(Q.orbits)), _quotient_generators(Q, sorted({type_of(f, T.ell) for f in T.block_of}))
     reached = _closure(Q, gens, objs, lambda s, x, y: act(y) == _compose_index_maps(act(s), act(x)))
     walked = reached == set(Q.all_qmorphisms())
     steps, gl = gens + [Q.identity(o) for o in objs], glk_generators(T)
-    relabelled = all(G[s.source].permuted(act(s)) == G[s.target] for s in steps for G in gl)
+    relabelled = all(
+        {(pi[i], pi[j]): v for (i, j), v in G[s.source].entries()} == dict(G[s.target].entries())
+        for s in steps for pi in [act(s)] for G in gl
+    )
     return suite_result([record("groupoid action commutes with GL generators", walked and relabelled)])
 
 

@@ -136,16 +136,6 @@ class SimpleModule:
             cached = self._mat_cache[w] = Mat.from_entries(self.ell, self.block_dim, self.block_dim, lifted)
         return cached
 
-    def act_alg(self, a) -> Mat:
-        """Total matrix of an algebra element on the direct sum of blocks."""
-        bd = self.block_dim
-        entries = []
-        for m, coeff in a.terms.items():
-            if m.source in self.block_index and m.target in self.block_index:
-                r0, c0 = self.block_index[m.target] * bd, self.block_index[m.source] * bd
-                entries += ((ij, coeff * v) for ij, v in self.action_block(m).entries(r0, c0))
-        return Mat.from_entries(self.ell, self.total_dim, self.total_dim, entries)
-
     def block_trace(self, cycle_types) -> int:
         """The trace on a block of an endomorphism with cycle type cycle_types[c] in color c: prod_c chi^(p_c)."""
         return prod(map(specht_character, self.p, cycle_types))

@@ -33,9 +33,15 @@ action of a quotient morphism on a quotient simple as the dense product
 M^t rho(pi), the route that the one-pass blocks of gkd.QuotientSimpleModule
 replace.  component_functorial is the functoriality walk over every morphism
 of a quotient simple's component, the route that the End(base) walk of
-gkd._quotient_functorial replaces.  dense_twisted_traces reads tr(theta^j A_x)
-off the dense total x total matrix of x on the rotation module, the route
-that gkd._twisted_traces replaces.  dense_exp_identity checks the exp
+gkd._quotient_functorial replaces.  The dense rotation module is
+rotation_theta, theta as one index map on the whole direct sum of the
+rotated simples, and act_total, the dense total x total matrix of x on it,
+built from act_alg, the matrix of an algebra element on one simple;
+dense_commutes tests theta A = A theta as permuted(A, theta) == A, the
+route that gkd._commutes_with_theta replaces, and slot_powers are the slot
+maps of theta^j read directly, c -> c - jv, where the rotation check
+composes theta's slot maps.  dense_twisted_traces reads tr(theta^j A_x)
+off the dense matrix of x, the route that gkd._twisted_traces replaces.  dense_exp_identity checks the exp
 identity with dense Mat powers, the route that the row maps of
 schurweyl._transvections_are_exponentials replace.  cyc_from_json, mat_zeros,
 mat_add, mat_sub and mat_scale are the JSON reader of Cyc, the zero matrix and
@@ -50,7 +56,7 @@ from operator import mul
 from groupoidreps.algebra import AlgElem, phi
 from groupoidreps.cyclo import Cyc, Mat, SpanBasis, root_of_unity
 from groupoidreps import gkd, schurweyl
-from groupoidreps.gkd import _slot_rotation
+from groupoidreps.gkd import _slot_rotation, theta_object
 from groupoidreps.gelfand import inv_statistic
 from groupoidreps.groupoid import GMorphism, canonical_morphism, compose
 from groupoidreps.perms import invert_perm, perm_to_word, reach
@@ -315,14 +321,81 @@ def component_functorial(mod) -> bool:
     return reached == {q for o1 in comp for o2 in comp for q in Q.hom(o1, o2)}
 
 
-def dense_twisted_traces(theta, act_total, k: int, xs) -> list[tuple[Cyc, ...]]:
-    """tr(theta^j A) = sum_a A[a][theta^j(a)] for j = 0..k-1, A = act_total(x) the dense matrix of each x of xs."""
+def permuted(A: Mat, perm) -> Mat:
+    """P A P^-1 for the permutation matrix P with P e_j = e_perm[j] (A square).
+
+    Entry (perm[i], perm[j]) of the result is A[i][j], so A commutes with P
+    exactly when permuted(A, perm) == A.
+    """
+    inv = [0] * len(perm)
+    for j, pj in enumerate(perm):
+        inv[pj] = j
+    return Mat(A.ell, [[row[j] for j in inv] for row in (A.rows[i] for i in inv)])
+
+
+def act_alg(mod, a) -> Mat:
+    """The total matrix of an algebra element on the direct sum of the blocks of a simples.SimpleModule."""
+    bd = mod.block_dim
+    entries = []
+    for m, coeff in a.terms.items():
+        if m.source in mod.block_index and m.target in mod.block_index:
+            r0, c0 = mod.block_index[m.target] * bd, mod.block_index[m.source] * bd
+            entries += ((ij, coeff * v) for ij, v in mod.action_block(m).entries(r0, c0))
+    return Mat.from_entries(mod.ell, mod.total_dim, mod.total_dim, entries)
+
+
+def rotation_theta(Q, summands) -> tuple[int, ...]:
+    """theta on the direct sum of the summands of gkd._rotation_module as one index map.
+
+    Entry a is the basis index that theta sends basis index a to: object f
+    of summand j goes to theta(f) in summand j + 1, along the tensor-slot
+    rotation c -> c - v of summand j's factors.
+    """
+    ell, v = Q.ell, Q.shift
+    offsets = list(accumulate((simp.total_dim for simp in summands), initial=0))
+    theta = [0] * offsets[-1]
+    for j, simp in enumerate(summands):
+        jn = (j + 1) % len(summands)
+        nxt = summands[jn]
+        slot = _slot_rotation([c.dim for c in simp.outer.components], lambda c: (c - v) % ell)
+        for f in simp.objects:
+            r0 = offsets[jn] + nxt.block_index[theta_object(f, v, ell)] * nxt.block_dim
+            c0 = offsets[j] + simp.block_index[f] * simp.block_dim
+            for a, b in enumerate(slot):
+                theta[c0 + a] = r0 + b
+    return tuple(theta)
+
+
+def act_total(summands, x: WreathElem) -> Mat:
+    """The dense total x total matrix of x on the direct sum of the summands, from act_alg of Phi(x)."""
+    ell, d = summands[0].ell, summands[0].d
+    offsets = list(accumulate((simp.total_dim for simp in summands), initial=0))
+    a = phi(x, d)
+    entries = (e for simp, o in zip(summands, offsets) for e in act_alg(simp, a).entries(o, o))
+    return Mat.from_entries(ell, offsets[-1], offsets[-1], entries)
+
+
+def dense_commutes(Q, summands, x: WreathElem) -> bool:
+    """Whether theta commutes with the dense matrix of x on the rotation module."""
+    A = act_total(summands, x)
+    return permuted(A, rotation_theta(Q, summands)) == A
+
+
+def slot_powers(Q, summands) -> list[list[tuple[int, ...]]]:
+    """The slot map of theta^j on the blocks of each summand, j = 0..k-1: the rotation c -> c - jv of its factors."""
+    ell, v = Q.ell, Q.shift
+    dims = [[c.dim for c in simp.outer.components] for simp in summands]
+    return [[_slot_rotation(dim, lambda c: (c - j * v) % ell) for dim in dims] for j in range(Q.k)]
+
+
+def dense_twisted_traces(theta, act, k: int, xs) -> list[tuple[Cyc, ...]]:
+    """tr(theta^j A) = sum_a A[a][theta^j(a)] for j = 0..k-1, A = act(x) the dense matrix of each x of xs."""
     powers = [tuple(range(len(theta)))]
     for _ in range(k - 1):
         powers.append(tuple(theta[a] for a in powers[-1]))
     out = []
     for x in xs:
-        A = act_total(x)
+        A = act(x)
         out.append(tuple(sum((A.rows[a][b] for a, b in enumerate(t)), Cyc.zero(A.ell)) for t in powers))
     return out
 

@@ -382,6 +382,37 @@ def test_objects_cap_bounds_the_hom_enumeration(capsys):
     assert "hom-set enumeration 531441 exceeds cap 1000" in capsys.readouterr().err
 
 
+def test_tensor_caps_bound_the_gl_generator_cells(capsys):
+    # tensor dimension 5000 fits the cap, but the 5000^2 GL generators, each
+    # over 5000^2 cells, do not: the cap counts (sum k_c^2)^(d+1) cells.  The
+    # size is asserted first, so a cap that lets this input through fails here
+    # instead of building the generators
+    assert cli.SUITES["schur-weyl"].size({"ell": 1, "kvec": (5000,), "d": 1})[1] > cli.DEFAULT_CAP
+    t0 = time.perf_counter()
+    code, out = run_cli(["schur-weyl", "--ell", "1", "--d", "1", "--kvec", "5000"])
+    assert code == 3 and out == ""
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == "error: resource cap exceeded: GL generator cells 625000000000000 exceeds cap 1000000\n"
+    # the shift duality's l m^2 generators are dense over (l m)^(2d) cells:
+    # 2 * 4^2 * 8^6 at (2,2,4,3), whose tensor dimension is 8^3 = 512
+    assert cli.SUITES["shift-duality"].size({"ell": 2, "kk": 2, "m": 4, "d": 3})[1] > cli.DEFAULT_CAP
+    code, out = run_cli(["schur-weyl", "--shift-duality", "--ell", "2", "--kk", "2", "--m", "4", "--d", "3"])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == "error: resource cap exceeded: GL generator cells 8388608 exceeds cap 1000000\n"
+
+
+def test_tensor_caps_admit_the_grids_and_the_d4_points():
+    # the default grids and the larger points the ROADMAP lists stay under the default cap
+    schur_weyl = cli.TENSOR_GRID + [
+        (3, (1, 1, 1), 3), (2, (2, 2), 3), (2, (2, 1), 3), (1, (3,), 3), (2, (2, 2), 4), (1, (3,), 4),
+    ]
+    shift = cli.SHIFT_DUALITY_GRID + [(2, 2, 1, 3), (3, 3, 1, 3), (4, 2, 2, 2), (2, 2, 2, 3)]
+    sizes = [cli.SUITES["schur-weyl"].size({"ell": ell, "kvec": kvec, "d": d})[1] for ell, kvec, d in schur_weyl]
+    sizes += [cli.SUITES["shift-duality"].size({"ell": ell, "kk": kk, "m": m, "d": d})[1] for ell, kk, m, d in shift]
+    assert max(sizes) == 65536 < cli.DEFAULT_CAP
+    assert cli.SUITES["shift-duality"].size({"ell": 4, "kk": 2, "m": 2, "d": 2}) == ("GL generator cells", 65536)
+
+
 def test_all_payload_and_timings_do_not_depend_on_jobs():
     reports = [
         json.loads(run_cli(["all", "--max-ell", "2", "--max-d", "2", "--jobs", jobs, "--out", "json"])[1])

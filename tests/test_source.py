@@ -332,3 +332,38 @@ def test_specht_layer_imports_nothing_from_cyclo():
             imported.add(node.module)
     assert not {name for name in imported if name and name.split(".")[-1] == "cyclo"}
     assert "perms" in imported
+
+
+ROTATION_CHECK = (
+    "rotation_eigenspace_check",
+    "_rotation_module",
+    "_commutes_with_theta",
+    "_rotated_terms",
+    "_twisted_traces",
+    "_eigenspace_traces",
+    "_rotation_eigenspace_single",
+)
+
+
+def test_the_rotation_check_builds_no_matrix():
+    # theta is carried as slot maps and Phi(x) is read as monomial terms: the
+    # rotation-check functions name no Mat and call neither phi nor .permuted
+    # (nor action_block, which lifts a Mat), gkd.py calls phi nowhere, and
+    # neither Mat.permuted nor SimpleModule.act_alg is left in the library
+    from groupoidreps.cyclo import Mat
+    from groupoidreps.simples import SimpleModule
+
+    tree = ast.parse((SRC / "gkd.py").read_text(), filename="gkd.py")
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(ROTATION_CHECK) <= set(funcs)
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name in ROTATION_CHECK
+        for node in ast.walk(funcs[name])
+        if (isinstance(node, ast.Name) and node.id in ("Mat", "phi"))
+        or (isinstance(node, ast.Attribute) and node.attr in ("Mat", "phi", "permuted", "action_block", "act_alg"))
+    ]
+    assert not offenders
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "phi"]
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "act_total"]
+    assert not hasattr(Mat, "permuted") and not hasattr(SimpleModule, "act_alg")

@@ -40,13 +40,13 @@ print(json.dumps({"code": code, "counts": counts}))
 """
 
 PINNED_COUNTS = {
-    "cyclo.cyc_mul.calls": 5609,
+    "cyclo.cyc_mul.calls": 4952,
     "cyclo.cyc_addsub.calls": 6620,
-    "cyclo.cyc_scale.calls": 3011,
+    "cyclo.cyc_scale.calls": 2900,
     "cyclo.cyc_inverse.calls": 47,
     "cyclo.spanbasis_add.calls": 588,
     "cyclo.mat_mul.calls": 377,
-    "algebra.phi.calls": 250,
+    "algebra.phi.calls": 8,
     "algebra.verify_iso.calls": 8,
     "wreath.wreath_mul.calls": 637,
     "wreath.enum_group.calls": 23,
@@ -54,8 +54,8 @@ PINNED_COUNTS = {
     "groupoid.canonical_morphism.calls": 799,
     "groupoid.hom.calls": 3764,
     "tableaux.specht_build.calls": 7,
-    "tableaux.outer_matrix.calls": 877,
-    "simples.action_block.calls": 655,
+    "tableaux.outer_matrix.calls": 1400,
+    "simples.action_block.calls": 58,
     "simples.conjugacy_classes.calls": 29,
     "simples.commutant.calls": 35,
     "simples.verify_complete.calls": 8,
