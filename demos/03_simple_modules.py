@@ -32,7 +32,7 @@ print(
     f" = group order {ELL**D * factorial(D)}"
 )
 
-mod = build_simple(ELL, D, ((2,), (1,)))
+mod = build_simple(ELL, 1, D, ((2,), (1,)), 1)
 f, g = mod.objects[0], mod.objects[1]
 m = hom(f, g, ELL)[0]
 print(f"\naction of ({f} -> {g}, perm {m.perm}) on L_{mod.label_json()}:")

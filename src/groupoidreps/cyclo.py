@@ -372,10 +372,10 @@ class Mat:
                 row[j] = w + v if any(w.num) else v
         return Mat(ell, rows)
 
-    def entries(self, r0: int = 0, c0: int = 0):
-        """The nonzero entries as ((r0 + i, c0 + j), value): the matrix placed at offset (r0, c0)."""
-        for i, row in enumerate(self.rows, r0):
-            for j, v in enumerate(row, c0):
+    def entries(self):
+        """The nonzero entries as ((i, j), value)."""
+        for i, row in enumerate(self.rows):
+            for j, v in enumerate(row):
                 if any(v.num):
                     yield (i, j), v
 

@@ -1,30 +1,12 @@
-"""Color rotation, the quotient groupoid, and the complex reflection groups G(l,k,d).
+"""The complex reflection groups G(l,k,d) through the quotient groupoid.
 
-For k | l the group H_k generated by the color rotation theta_k (shift by
-l/k) acts freely on the groupoid (d >= 1); the quotient groupoid has one
-object per H_k-orbit.  Each quotient morphism is stored as its unique
-representative GMorphism whose source is the chosen orbit representative,
-and every object g records the t with g = theta_k^t(rep of its orbit), so
-the power of theta_k that moves one object to another is a subtraction.
-
-The algebra of the quotient embeds into A_(l,d) by orbit sums (Psi); its
-image is the H_k-invariant subspace and coincides with the span of
-Phi(G(l,k,d)), realizing C[G(l,k,d)] inside the groupoid algebra.  Psi(q)
-is the multiset of its k translates theta_k^t(q), a multiplicity being a
-coefficient, so a product of orbit sums composes translates, as index data.
-
-Simple modules of the quotient sit over a cross-section Gamma of type
-orbits.  Over a shape lambda with stabilizer H_k^lambda of order r, a
-multi-partition p with stabilizer of order s carries s simple modules
-L_(p,m): the color-preserving part acts by outer Specht matrices on
-W = V_0 + ... + V_{r/s-1} (V_j a rotated copy of S_p) and the canonical
-rotation acts by a tensor-slot rotation times the scalar xi_l^{(l/s) m}.
-On shapes whose stabilizer fixes p (every case with d <= 3) this reduces to
-the scalar action xi_l^{(l/r) t m} on S_p itself.  action_block(q) is
-rho~(a_2^-1 o q o a_1) for that action rho~ of End(base), a_o the anchor of
-o, so L is functorial exactly when rho~ is multiplicative on End(base), a
-group of order r prod lambda_c! (Curtis-Reiner, Methods of Representation
-Theory I, section 11; Stembridge, Pacific J. Math. 140, 1989).
+The quotient of the groupoid by the color-rotation group H_k lives in
+groupoid (QuotientGroupoid) and its simples L_(p,m) in simples
+(SimpleModule); this module holds the checks of G(l,k,d).  The algebra of
+the quotient embeds into A_(l,d) by orbit sums (Psi); its image is the
+H_k-invariant subspace and coincides with the span of Phi(G(l,k,d)),
+realizing C[G(l,k,d)] inside the groupoid algebra.  The simples sit over a
+cross-section Gamma of type orbits, labelled (lambda, p, m).
 
 The rotation check's theta permutes the basis of the direct sum of the
 rotated simples: it takes the block of g in summand j to that of theta^v(g)
@@ -47,8 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import accumulate, product
+from functools import lru_cache
 from math import factorial, gcd, prod
 from operator import add
 
@@ -58,38 +39,40 @@ from .cyclo import (
     Cyc,
     LinSolver,  # noqa: F401  (unused here; perfbench/tests patch gkd.LinSolver)
     Mat,
-    intertwiners,
     root_of_unity,
 )
 from .groupoid import (
     GMorphism,
-    canonical_morphism,
-    canonical_object,
+    QuotientGroupoid,
     component_generators,
     compose,
-    hom,
     identity_morphism,
-    inverse,
     object_index,
-    objects,
+    quotient_groupoid,
+    stabilizer_order,
+    theta_type,
     type_of,
 )
 from .perms import reach
 from .reporting import record, skip, suite_result
-from .simples import all_simples, build_simple, colored_classes, inner_products, simple_characters
-from .tableaux import compositions, multipartitions, outer_rep
+from .simples import (
+    SimpleModule,
+    _commutant_dim,
+    _endo_generators,
+    _slot_rotation,
+    all_simples,
+    build_simple,
+    colored_classes,
+    inner_products,
+    simple_characters,
+)
+from .tableaux import compositions, multipartitions
 from .wreath import WreathElem, gkd_elements, gkd_generators, s0_j, wreath_inv, wreath_mul
 
 __all__ = [
-    "theta_color",
-    "theta_object",
-    "theta_type",
-    "theta_morphism",
-    "QuotientGroupoid",
-    "quotient_groupoid",
     "gamma_cross_section",
-    "QuotientSimpleModule",
-    "build_quotient_simple",
+    "phi_to_quotient",
+    "class_character",
     "quotient_labels",
     "quotient_structure_report",
     "reflection_span_check",
@@ -98,151 +81,6 @@ __all__ = [
     "rotation_eigenspace_check",
     "gkd_conjugacy_classes",
 ]
-
-
-def theta_color(c: int, shift: int, ell: int) -> int:
-    return (c - 1 + shift) % ell + 1
-
-
-def theta_object(f, shift: int, ell: int):
-    return tuple(theta_color(c, shift, ell) for c in f)
-
-
-def theta_type(lam, shift: int):
-    """The color rotation of a type or a multi-partition: new[j] = old[j - shift]."""
-    ell = len(lam)
-    return tuple(lam[(j - shift) % ell] for j in range(ell))
-
-
-def theta_morphism(m: GMorphism, shift: int, ell: int) -> GMorphism:
-    """Rotation fixes the underlying permutation and moves the endpoints."""
-    return GMorphism(
-        theta_object(m.source, shift, ell),
-        theta_object(m.target, shift, ell),
-        m.perm,
-    )
-
-
-class QuotientGroupoid:
-    """The quotient of the (l,d) groupoid by the color-rotation group H_k.
-
-    A quotient morphism is its representative GMorphism whose source is the
-    representative of its orbit (see normalize).
-    """
-
-    def __init__(self, ell: int, k: int, d: int):
-        if k < 1 or ell % k != 0:
-            raise ValueError("k must be a positive divisor of ell")
-        self.ell = ell
-        self.k = k
-        self.d = d
-        self.shift = ell // k  # theta_k shifts colors by this amount
-        self.orbits: list[tuple[tuple, ...]] = []
-        self.orbit_of: dict[tuple, int] = {}
-        # exponent[g] = t with g = theta_k^t(rep of the orbit of g)
-        self.exponent: dict[tuple, int] = {}
-        objs = objects(ell, d)
-        for f in objs:
-            if f in self.orbit_of:
-                continue
-            orbit = [f]
-            while (g := theta_object(orbit[-1], self.shift, ell)) != f:
-                orbit.append(g)
-            start = orbit.index(min(orbit))
-            self.orbits.append(tuple(sorted(orbit)))
-            for t, g in enumerate(orbit):
-                self.orbit_of[g] = len(self.orbits) - 1
-                self.exponent[g] = (t - start) % len(orbit)
-        # over the objects in order: the index of theta_k(g), and whether g
-        # represents its orbit
-        self.theta_index = tuple(object_index(theta_object(f, self.shift, ell), ell) for f in objs)
-        self.is_rep = tuple(self.exponent[f] == 0 for f in objs)
-
-    # -- objects -----------------------------------------------------------
-
-    def rep(self, oi: int):
-        return self.orbits[oi][0]
-
-    def type_stabilizer_order(self, lam) -> int:
-        # the order of H_k over the size of the orbit of lam
-        return self.k // len({theta_type(lam, t * self.shift) for t in range(self.k)})
-
-    def _translate_exponent(self, src, dst) -> int:
-        """t with theta_k^t(src) = dst, for src and dst in one orbit."""
-        return (self.exponent[dst] - self.exponent[src]) % self.k
-
-    def translate(self, m: GMorphism, t: int) -> GMorphism:
-        """theta_k^t(m); m itself when t = 0 mod k."""
-        if t % self.k == 0:
-            return m
-        return theta_morphism(m, t * self.shift, self.ell)
-
-    def normalize(self, m: GMorphism) -> GMorphism:
-        """The orbit representative of m whose source is the orbit representative."""
-        return self.translate(m, -self.exponent[m.source] % self.k)
-
-    def identity(self, oi: int) -> GMorphism:
-        return identity_morphism(self.rep(oi))
-
-    def source_orbit(self, q: GMorphism) -> int:
-        return self.orbit_of[q.source]
-
-    def target_orbit(self, q: GMorphism) -> int:
-        return self.orbit_of[q.target]
-
-    def hom(self, o1: int, o2: int) -> list[GMorphism]:
-        """The quotient morphisms o1 -> o2; distinct targets keep them distinct."""
-        src = self.rep(o1)
-        out = [m for tgt in self.orbits[o2] for m in hom(src, tgt, self.ell)]
-        out.sort(key=lambda q: (q.target, q.perm))
-        return out
-
-    def all_qmorphisms(self) -> list[GMorphism]:
-        out = []
-        for o1 in range(len(self.orbits)):
-            for o2 in range(len(self.orbits)):
-                out.extend(self.hom(o1, o2))
-        return out
-
-    def compose(self, q2: GMorphism, q1: GMorphism) -> GMorphism:
-        """q2 o q1; the representative of q2 is translated to match q1's target."""
-        if self.target_orbit(q1) != self.source_orbit(q2):
-            raise ValueError("quotient morphisms are not composable")
-        return compose(self.translate(q2, self._translate_exponent(q2.source, q1.target)), q1)
-
-    def inverse(self, q: GMorphism) -> GMorphism:
-        return self.normalize(inverse(q))
-
-    def psi(self, q: GMorphism) -> tuple[GMorphism, ...]:
-        """Orbit sum in A_(l,d), the embedding of the quotient algebra, as the multiset of the translates of q."""
-        return tuple(self.translate(q, t) for t in range(self.k))
-
-    def is_invariant(self, exps: tuple[int, ...]) -> bool:
-        """Whether the monomial form with exponent exps[i] on its term with target object i is H_k-invariant.
-
-        theta_k moves the term with target g to the one with target theta_k(g).
-        """
-        return all(e == exps[t] for e, t in zip(exps, self.theta_index))
-
-    def phi_to_quotient(self, x: WreathElem) -> dict[GMorphism, Cyc]:
-        """Coordinates of Phi(x) in the quotient basis (x must lie in G(l,k,d)).
-
-        Phi(x) is monomial, with exponent e_x(g) on its term with target g;
-        when it is H_k-invariant (is_invariant), its coordinates are the terms
-        whose source is an orbit representative.
-        """
-        perm, exps = phi_form(x, self.d)
-        if not self.is_invariant(exps):
-            raise ValueError("Phi image is not H_k-invariant; x is outside G(l,k,d)")
-        _sources, terms, source_index = _perm_table(self.ell, self.d, perm)
-        return {
-            m: root_of_unity(self.ell, e) for m, e, i in zip(terms, exps, source_index) if self.is_rep[i]
-        }
-
-
-@lru_cache(maxsize=None)
-def quotient_groupoid(ell: int, k: int, d: int) -> QuotientGroupoid:
-    return QuotientGroupoid(ell, k, d)
 
 
 def gamma_cross_section(ell: int, k: int, d: int) -> list[tuple]:
@@ -268,7 +106,7 @@ def endo_structure(Q: QuotientGroupoid, oi: int) -> dict:
     """Endomorphisms, stabilizer order and the Lemma-51 cardinality for one quotient object."""
     f = Q.rep(oi)
     lam = type_of(f, Q.ell)
-    r = Q.type_stabilizer_order(lam)
+    r = stabilizer_order(lam, Q.k)
     endos = Q.hom(oi, oi)
     return {
         "endos": endos,
@@ -408,160 +246,46 @@ def reflection_span_check(ell: int, k: int, d: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Simple modules L_(p,m) of the quotient
+# Labels and characters of the simples L_(p,m)
 # ---------------------------------------------------------------------------
 
 
-def _p_stabilizer_order(p, lam_stab_order: int, ell: int) -> int:
-    """Order of the stabilizer of p inside H_k^lambda (cyclic of order r, generated by shift l/r)."""
-    r = lam_stab_order
-    return r // len({theta_type(p, j * (ell // r)) for j in range(r)})
+def phi_to_quotient(Q: QuotientGroupoid, x: WreathElem) -> dict[GMorphism, Cyc]:
+    """Coordinates of Phi(x) in the quotient basis of Q (x must lie in G(l,k,d)).
 
-
-def _slot_rotation(dims_src: list[int], source_slot) -> tuple[int, ...]:
-    """The tensor-basis map (target slot c) <- (source slot source_slot(c)), as an index map.
-
-    dims_src[c] is the dimension of source factor c (0-based slots); the first
-    factor is the slowest index in the Kronecker convention.  Entry a is the
-    flat target index of the flat source index a.
+    Phi(x) is monomial, with exponent e_x(g) on its term with target g;
+    when it is H_k-invariant (Q.is_invariant), its coordinates are the terms
+    whose source is an orbit representative.
     """
-    dims_tgt = [dims_src[source_slot(c)] for c in range(len(dims_src))]
-
-    def flatten(idx, dims):
-        out = 0
-        for b, dim in zip(idx, dims):
-            out = out * dim + b
-        return out
-
-    return tuple(
-        flatten([src_idx[source_slot(c)] for c in range(len(dims_src))], dims_tgt)
-        for src_idx in product(*(range(v) for v in dims_src))
-    )
-
-
-class QuotientSimpleModule:
-    """A simple module of the quotient algebra, labelled (lambda, p, m).
-
-    lambda is the Gamma representative of its type orbit, p the chosen
-    representative of its H_k^lambda-orbit of multi-partitions, and
-    m in {1..s} indexes a character of the stabilizer of p.
-    """
-
-    def __init__(self, ell: int, k: int, d: int, p, m: int):
-        self.ell, self.k, self.d = ell, k, d
-        self.Q = quotient_groupoid(ell, k, d)
-        self.p = tuple(tuple(pi) for pi in p)
-        self.lam = tuple(sum(pi) for pi in self.p)
-        self.r = self.Q.type_stabilizer_order(self.lam)
-        self.s = _p_stabilizer_order(self.p, self.r, ell)
-        if not 1 <= m <= self.s:
-            raise ValueError("m must lie in {1..s} for the stabilizer order s of p")
-        self.m = m
-        self.base = canonical_object(self.lam)
-        self.u = ell // self.r  # color shift of the stabilizer generator h
-        # V_j carries the multi-partition q_j with q_j[c] = p[c + j*u]
-        self.copies = self.r // self.s
-        self.reps = [outer_rep(theta_type(self.p, -j * self.u), self.lam) for j in range(self.copies)]
-        self.block_dim = sum(rep.dim for rep in self.reps)
-        # quotient objects of the component, each anchored at its lex-min
-        # object of type lambda
-        self.component: list[int] = []
-        self.anchor_obj: dict[int, tuple] = {}
-        lam_orbit = {theta_type(self.lam, t * self.Q.shift) for t in range(k)}
-        for oi in range(len(self.Q.orbits)):
-            if type_of(self.Q.rep(oi), ell) in lam_orbit:
-                self.component.append(oi)
-                cands = [x for x in self.Q.orbits[oi] if type_of(x, ell) == self.lam]
-                self.anchor_obj[oi] = min(cands)
-        self.block_index = {oi: i for i, oi in enumerate(self.component)}
-        self.total_dim = self.block_dim * len(self.component)
-        self._mat_cache: dict[GMorphism, Mat] = {}
-        self._anchors = {
-            oi: self.Q.normalize(
-                canonical_morphism(self.base, self.anchor_obj[oi], ell)
-            )
-            for oi in self.component
-        }
-        self._anchor_inv = {oi: self.Q.inverse(a) for oi, a in self._anchors.items()}
-
-    # -- the endomorphism representation at the base object -----------------
-
-    def _endo_matrix(self, q: GMorphism) -> Mat:
-        """rho~ of an endomorphism of the base orbit: M^t * rho(pi), in one pass.
-
-        rho(pi) is block diagonal, one block per copy V_j.  M, the canonical
-        rotation endomorphism of the base orbit, sends copy j to copy j + 1
-        along the slot map c -> c + u and scales by omega = xi^((l/s) m) where
-        it wraps from the last copy to the first.  So M^t sends the block of
-        copy j to copy (j + t) mod copies, along the slot map c -> c + t u,
-        scaled by omega^((j + t) // copies).
-        """
-        ell, copies = self.ell, self.copies
-        at_base = self.Q.translate(q, self.Q._translate_exponent(q.source, self.base))
-        # the target is h^t(base) = theta_k^(t k/r)(base) for a unique t in {0..r-1}
-        tgt = at_base.target
-        t = self.Q._translate_exponent(self.base, tgt) // (self.k // self.r)
-        pi = compose(canonical_morphism(tgt, self.base, ell), at_base)
-        offsets = list(accumulate((rep.dim for rep in self.reps), initial=0))
-        entries = []
-        for j, rep in enumerate(self.reps):
-            scalar = root_of_unity(ell, (ell // self.s) * self.m * ((j + t) // copies))
-            slot = _slot_rotation([rep.components[c].dim for c in range(ell)], lambda c: (c + t * self.u) % ell)
-            row0, col0 = offsets[(j + t) % copies], offsets[j]
-            entries += (
-                ((row0 + slot[i], col0 + a), scalar.scale(v))
-                for i, row in enumerate(rep.matrix_of_blockperm(pi.perm))
-                for a, v in enumerate(row)
-                if v
-            )
-        return Mat.from_entries(ell, self.block_dim, self.block_dim, entries)
-
-    # -- the module over the whole component --------------------------------
-
-    def action_block(self, q: GMorphism) -> Mat:
-        """Matrix of a basis quotient morphism within the component."""
-        cached = self._mat_cache.get(q)
-        if cached is not None:
-            return cached
-        o1, o2 = self.Q.source_orbit(q), self.Q.target_orbit(q)
-        endo = self.Q.compose(self._anchor_inv[o2], self.Q.compose(q, self._anchors[o1]))
-        mat = self._endo_matrix(endo)
-        self._mat_cache[q] = mat
-        return mat
-
-    @cached_property
-    def class_character(self) -> tuple[Cyc, ...]:
-        """The character on gkd_conjugacy_classes, in their order, via Psi^(-1) Phi."""
-        out = []
-        for coords in _class_coordinates(self.ell, self.k, self.d):
-            acc = Cyc.zero(self.ell)
-            for q, coeff in coords.items():
-                if self.Q.source_orbit(q) in self.block_index:
-                    acc = acc + coeff * self.action_block(q).trace()
-            out.append(acc)
-        return tuple(out)
-
-    def label_json(self) -> dict:
-        return {"lambda": list(self.lam), "p": [list(pi) for pi in self.p], "m": self.m}
-
-    def __repr__(self) -> str:
-        return f"QuotientSimpleModule(ell={self.ell},k={self.k},d={self.d},p={self.p},m={self.m},dim={self.total_dim})"
+    perm, exps = phi_form(x, Q.d)
+    if not Q.is_invariant(exps):
+        raise ValueError("Phi image is not H_k-invariant; x is outside G(l,k,d)")
+    _sources, terms, source_index = _perm_table(Q.ell, Q.d, perm)
+    return {m: root_of_unity(Q.ell, e) for m, e, i in zip(terms, exps, source_index) if Q.is_rep[i]}
 
 
 @lru_cache(maxsize=None)
-def build_quotient_simple(ell: int, k: int, d: int, p, m: int) -> QuotientSimpleModule:
-    return QuotientSimpleModule(ell, k, d, p, m)
+def class_character(mod: SimpleModule) -> tuple[Cyc, ...]:
+    """The character of mod on gkd_conjugacy_classes, in their order, via Psi^(-1) Phi."""
+    out = []
+    for coords in _class_coordinates(mod.ell, mod.k, mod.d):
+        acc = Cyc.zero(mod.ell)
+        for q, coeff in coords.items():
+            if q.source in mod.to_anchor:
+                acc = acc + coeff * mod.action_block(q).trace()
+        out.append(acc)
+    return tuple(out)
+
+
+def _label_json(mod: SimpleModule) -> dict:
+    return {"lambda": list(mod.lam), "p": [list(pi) for pi in mod.p], "m": mod.m}
 
 
 def quotient_labels(ell: int, k: int, d: int) -> list[tuple[tuple, tuple, int]]:
-    """All labels (lambda, p, m): lambda in Gamma, p an H_k^lambda-orbit
-
-    representative on multi-partitions of shape lambda, m in {1..s_p}.
-    """
-    Q = quotient_groupoid(ell, k, d)
+    """All labels (lambda, p, m): lambda in Gamma, p an H_k^lambda-orbit representative on multi-partitions of shape lambda, m in {1..s_p}."""
     out = []
     for lam in gamma_cross_section(ell, k, d):
-        r = Q.type_stabilizer_order(lam)
+        r = stabilizer_order(lam, k)
         u = ell // r
         seen = set()
         for p in multipartitions(lam):
@@ -609,60 +333,39 @@ def _class_coordinates(ell: int, k: int, d: int) -> tuple[dict[GMorphism, Cyc], 
     """Phi of each class representative of G(l,k,d) in the quotient basis, its endomorphism terms only."""
     Q = quotient_groupoid(ell, k, d)
     return tuple(
-        {q: c for q, c in Q.phi_to_quotient(rep).items() if Q.source_orbit(q) == Q.target_orbit(q)}
+        {q: c for q, c in phi_to_quotient(Q, rep).items() if Q.source_orbit(q) == Q.target_orbit(q)}
         for rep, _size in gkd_conjugacy_classes(ell, k, d)
     )
 
 
-def _quotient_commutant_dim(mod: QuotientSimpleModule) -> int:
-    """Exact dimension of {X : X L(q) = L(q) X for all basis quotient morphisms q}.
-
-    Only the component generators are imposed, as in simples._commutant_dim.
-    """
-    Q, index, bd = mod.Q, mod.block_index, mod.block_dim
-    actions = (
-        (index[Q.source_orbit(q)], index[Q.target_orbit(q)], a, a)
-        for q in _quotient_generators(Q, [mod.lam])
-        for a in [mod.action_block(q)]
-    )
-    return len(intertwiners(mod.ell, [bd] * len(index), [bd] * len(index), actions))
-
-
-def _endo_generators(mod: QuotientSimpleModule) -> list[GMorphism]:
-    """Generators of End(base): the s_i inside its color runs, and its canonical rotation onto theta^u(base)."""
-    ell, b = mod.ell, mod.base
-    gens = [s for s in component_generators(ell, mod.lam) if s.source == s.target]
-    return [mod.Q.normalize(s) for s in gens + [canonical_morphism(b, theta_object(b, mod.u, ell), ell)]]
-
-
-def _quotient_functorial(mod: QuotientSimpleModule) -> bool:
+def _quotient_functorial(mod: SimpleModule) -> bool:
     """rho~(id) = I, rho~(s o q) = rho~(s) rho~(q) for the generators s of End(base), and they reach all r prod lambda_c! of it.
 
     The base's anchor is the identity, so action_block is rho~ on End(base);
-    this is functoriality on the component (module docstring).  Once
+    this is functoriality on the component (simples.SimpleModule).  Once
     rho~(id) = I, a walk step s o q with s = id holds with no product.
     """
-    Q, act, o = mod.Q, mod.action_block, mod.Q.orbit_of[mod.base]
+    Q, act = quotient_groupoid(mod.ell, mod.k, mod.d), mod.action_block
+    o = Q.orbit_of[mod.base]
     unit = Q.identity(o)
     if act(unit) != Mat.identity(mod.ell, mod.block_dim):
         return False
-    reached = _closure(Q, _endo_generators(mod), [o], lambda s, x, y: s == unit or act(y) == act(s) * act(x))
+    gens = [Q.normalize(s) for s in _endo_generators(mod)]
+    reached = _closure(Q, gens, [o], lambda s, x, y: s == unit or act(y) == act(s) * act(x))
     return reached is not None and len(reached) == mod.r * prod(map(factorial, mod.lam))
 
 
 def quotient_simples_check(ell: int, k: int, d: int) -> dict:
     """Cross-section property of the L_(p,m): Wedderburn, irreducibility, distinctness."""
     labels = quotient_labels(ell, k, d)
-    mods = [build_quotient_simple(ell, k, d, p, m) for (_lam, p, m) in labels]
+    mods = [build_simple(ell, k, d, p, m) for (_lam, p, m) in labels]
     checks = []
 
     functorial = all(_quotient_functorial(m) for m in mods)
     checks.append(record("L_(p,m) functorial", functorial))
 
     identity_ok = all(
-        m.action_block(m.Q.identity(oi)) == Mat.identity(ell, m.block_dim)
-        for m in mods
-        for oi in m.component
+        m.action_block(identity_morphism(f)) == Mat.identity(ell, m.block_dim) for m in mods for f in m.objects
     )
     checks.append(record("identity quotient morphisms act as identity", identity_ok))
 
@@ -676,10 +379,10 @@ def quotient_simples_check(ell: int, k: int, d: int) -> dict:
         )
     )
 
-    bad = [m.label_json() for m in mods if _quotient_commutant_dim(m) != 1]
+    bad = [_label_json(m) for m in mods if _commutant_dim(m) != 1]
     checks.append(record("commutant of each L_(p,m) has dim 1", not bad, {"failures": bad}))
 
-    char_vectors = [tuple(v.coeffs for v in m.class_character) for m in mods]
+    char_vectors = [tuple(v.coeffs for v in class_character(m)) for m in mods]
     distinct = len(set(char_vectors)) == len(mods)
     checks.append(record("characters pairwise distinct", distinct))
 
@@ -690,9 +393,9 @@ def restriction_check(ell: int, k: int, d: int) -> dict:
     """Restriction of every simple L_p decomposes multiplicity-free into the L_(p,m)."""
     Q = quotient_groupoid(ell, k, d)
     labels = quotient_labels(ell, k, d)
-    mods = {(_l, p, m): build_quotient_simple(ell, k, d, p, m) for (_l, p, m) in labels}
+    mods = {(_l, p, m): build_simple(ell, k, d, p, m) for (_l, p, m) in labels}
     reps = gkd_conjugacy_classes(ell, k, d)
-    lpm_conj = [[v.conjugate() for v in mod.class_character] for mod in mods.values()]
+    lpm_conj = [[v.conjugate() for v in class_character(mod)] for mod in mods.values()]
     restricted = list(zip(*simple_characters(ell, d, [rep for rep, _ in reps])))
     checks = []
     for simple, row in zip(all_simples(ell, d), inner_products(reps, restricted, lpm_conj)):
@@ -700,19 +403,19 @@ def restriction_check(ell: int, k: int, d: int) -> dict:
         # p* the least orbit member of shape lambda*
         orbit = {theta_type(simple.p, t * Q.shift) for t in range(k)}
         lam_star, p_star = min((tuple(map(sum, q)), q) for q in orbit)
-        s = _p_stabilizer_order(p_star, Q.type_stabilizer_order(lam_star), ell)
+        s = stabilizer_order(p_star, stabilizer_order(lam_star, k))
         expected = {(lam_star, p_star, m) for m in range(1, s + 1)}
         got = {}
         non_integral = []
         for key, val in zip(mods, row):
             if not val.is_rational() or val.rational_value().denominator != 1:
-                non_integral.append(mods[key].label_json())
+                non_integral.append(_label_json(mods[key]))
             elif not val.is_zero():
                 got[key] = int(val.rational_value())
         ok = not non_integral and set(got.keys()) == expected and all(v == 1 for v in got.values())
         details = {
             "constituents": [
-                {"label": mods[key].label_json(), "multiplicity": v}
+                {"label": _label_json(mods[key]), "multiplicity": v}
                 for key, v in sorted(got.items())
             ]
         }
@@ -746,9 +449,9 @@ def rotation_eigenspace_check(ell: int, k: int, d: int) -> dict:
     for lam, p0, m in quotient_labels(ell, k, d):
         if m != 1:
             continue
-        r = Q.type_stabilizer_order(lam)
+        r = stabilizer_order(lam, k)
         name = f"rotation eigenspaces for p={[list(q) for q in p0]}"
-        if _p_stabilizer_order(p0, r, ell) != r:
+        if stabilizer_order(p0, r) != r:
             checks.append(skip(name, "p not stabilizer-invariant"))
             continue
         ok, detail = _rotation_eigenspace_single(Q, lam, p0, rotated_terms)
@@ -761,8 +464,8 @@ def _rotation_module(Q: QuotientGroupoid, lam, p):
     slot map on the blocks of each: entry a of slots[j] is the index that theta
     sends index a of a block of summand j to, in summand j + 1 (cyclically)."""
     ell, d, v = Q.ell, Q.d, Q.shift
-    copies = Q.k // Q.type_stabilizer_order(lam)  # number of distinct types in the orbit
-    summands = [build_simple(ell, d, theta_type(p, j * v)) for j in range(copies)]
+    copies = Q.k // stabilizer_order(lam, Q.k)  # number of distinct types in the orbit
+    summands = [build_simple(ell, 1, d, theta_type(p, j * v), 1) for j in range(copies)]
     slots = [_slot_rotation([c.dim for c in simp.outer.components], lambda c: (c - v) % ell) for simp in summands]
     return summands, slots
 
@@ -857,7 +560,7 @@ def _eigenspace_traces(twisted) -> list[tuple[int, tuple[Cyc, ...]]]:
 
 def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, rotated_terms) -> tuple[bool, dict]:
     ell, k, d = Q.ell, Q.k, Q.d
-    r = Q.type_stabilizer_order(lam)
+    r = stabilizer_order(lam, k)
     summands, slots = _rotation_module(Q, lam, p)
 
     # theta^0 .. theta^k on the blocks of each summand i, the slot maps of
@@ -875,7 +578,7 @@ def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, rotated_terms) -> t
         return False, {"failure": "theta does not commute with the invariant algebra"}
 
     # eigenspaces over the k-th roots of unity, matched to the L_(p,m) by characters
-    expected = {m: build_quotient_simple(ell, k, d, p, m).class_character for m in range(1, r + 1)}
+    expected = {m: class_character(build_simple(ell, k, d, p, m)) for m in range(1, r + 1)}
     hits = dict.fromkeys(expected, 0)
     eigenspaces = _eigenspace_traces(_twisted_traces(Q, summands, powers, rotated_terms))
     for m, (_dim, char) in enumerate(eigenspaces, start=1):

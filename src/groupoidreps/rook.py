@@ -20,7 +20,6 @@ image, with no linear algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
 from math import comb, factorial
 
 from .perms import adjacent_transposition, reach
@@ -28,7 +27,6 @@ from .reporting import record, suite_result
 
 __all__ = [
     "RookElem",
-    "rook_elements",
     "rook_compose",
     "rook_identity",
     "eps1",
@@ -57,21 +55,6 @@ def rook_compose(f: RookElem, g: RookElem) -> RookElem:
 def eps1(d: int) -> RookElem:
     """The identity transformation on {2..d}, undefined at 1."""
     return (0,) + tuple(range(2, d + 1))
-
-
-def rook_elements(d: int) -> list[RookElem]:
-    """All injective partial maps of {1..d}."""
-    out = []
-    points = range(1, d + 1)
-    for size in range(d + 1):
-        for dom in combinations(points, size):
-            for img in permutations(points, size):
-                elem = [0] * d
-                for x, y in zip(dom, img):
-                    elem[x - 1] = y
-                out.append(tuple(elem))
-    out.sort()
-    return out
 
 
 def rook_monoid_order(d: int) -> int:

@@ -43,8 +43,8 @@ from itertools import accumulate, product
 from math import prod
 
 from .cyclo import Cyc, Mat, SpanBasis, intertwiners
-from .gkd import _closure, _quotient_generators, quotient_groupoid
-from .groupoid import GMorphism, component_generators, hom, type_of
+from .gkd import _closure, _quotient_generators
+from .groupoid import GMorphism, component_generators, hom, quotient_groupoid, type_of
 from .perms import invert_perm
 from .reporting import record, suite_result
 from .simples import all_simples, character_table, conjugacy_classes, inner_products, phi_trace

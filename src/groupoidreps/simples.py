@@ -1,4 +1,4 @@
-"""Simple modules of the groupoid algebra and their characters.
+"""Simple modules of the groupoid algebra and of its color-rotation quotients, and their characters.
 
 For a multi-partition p of shape lambda, the module L_p assigns the outer
 Specht module S_p to every object of type lambda and zero to every other
@@ -8,7 +8,10 @@ to the canonical object b = f_lambda: the composite
     sigma_(g, b) o pi o sigma_(b, f)
 
 is an endomorphism of b, i.e. an element of the block group S_lambda, and
-acts on S_p by its outer-Specht matrix.
+acts on S_p by its outer-Specht matrix.  SimpleModule also carries the
+simples L_(p,m) of the quotient by H_k, whose base endomorphisms add a
+rotation (see the class); k = m = 1 gives L_p.  Irreducibility is one
+commutant solve on the base block (_commutant_dim), for every k.
 
 Characters are taken through the isomorphism with C[S(l,d)]: the character
 of x is the trace of the action of Phi(x), read off its monomial form by
@@ -46,18 +49,22 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, product, repeat
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, product, repeat
 from math import factorial, prod
 from operator import add, mul
 
-from .cyclo import Cyc, Mat, intertwiners
+from .cyclo import Cyc, Mat, intertwiners, root_of_unity
 from .groupoid import (
     GMorphism,
     canonical_morphism,
     canonical_object,
     component_generators,
     objects,
+    stabilizer_order,
+    theta_morphism,
+    theta_object,
+    theta_type,
     type_of,
 )
 from .perms import cycle_type_perm
@@ -89,66 +96,167 @@ __all__ = [
     "character_table",
     "inner_products",
     "total_dim_check",
-    "young_induction_check",
     "verify_complete",
     "branching_report",
     "removable_node_restrictions",
 ]
 
 
-def _lift(ell: int, ints, r0: int = 0, c0: int = 0):
-    """The nonzero entries of an integer matrix placed at (r0, c0), as ((i, j), Cyc) in Q(xi_l)."""
-    return (((i, j), Cyc.rational(ell, v)) for i, row in enumerate(ints, r0) for j, v in enumerate(row, c0) if v)
-
-
 class SimpleModule:
-    """The simple module L_p, stored block-per-object (the functor view)."""
+    """The simple module L_(p,m) of the quotient of A_(l,d) by H_k, stored block per quotient object.
 
-    def __init__(self, ell: int, d: int, p):
-        self.ell = ell
-        self.d = d
+    At k = m = 1 the quotient is the groupoid and L_(p,1) is L_p.  p has
+    shape lambda; r is the order of the stabilizer H_k^lambda of lambda
+    (generated by the color shift u = l/r, the canonical rotation h of the
+    base b = f_lambda), s the order of the stabilizer of p inside it, and
+    m in {1..s} indexes a character of that stabilizer.  The blocks sit on
+    the quotient objects of the component of lambda, one per anchor object:
+    the least object of type lambda in its H_k-orbit, with anchor a_f the
+    canonical morphism b -> f.
+
+    The color-preserving part End(b) = S_lambda acts by outer Specht
+    matrices on W = V_0 + ... + V_(r/s - 1), V_j a copy of S_(q_j) with
+    q_j[c] = p[c + j u], and h by a tensor-slot rotation times the scalar
+    xi_l^((l/s) m) where it wraps from the last copy to the first (M below).
+    On shapes whose stabilizer fixes p (every case with d <= 3) this reduces
+    to the scalar action xi_l^((l/r) t m) on S_p itself.  action_block(q) is
+    rho~(a_2^-1 o q o a_1) for that action rho~ of End(b), a group of order
+    r prod lambda_c!, so L is functorial exactly when rho~ is multiplicative
+    there (Curtis-Reiner, Methods of Representation Theory I, section 11;
+    Stembridge, Pacific J. Math. 140, 1989).  At k = 1, rho~ of the
+    transported permutation sigma_(g,b) o pi o sigma_(b,f) is its outer
+    Specht matrix.
+    """
+
+    def __init__(self, ell: int, k: int, d: int, p, m: int):
+        if k < 1 or ell % k:
+            raise ValueError("k must be a positive divisor of ell")
+        self.ell, self.k, self.d = ell, k, d
         self.p = tuple(tuple(pi) for pi in p)
         self.lam = tuple(sum(pi) for pi in self.p)
         if len(self.lam) != ell or sum(self.lam) != d:
             raise ValueError("multi-partition does not match (ell, d)")
-        self.outer = outer_rep(self.p, self.lam)
-        self.block_dim = self.outer.dim
+        self.r = stabilizer_order(self.lam, k)
+        self.s = stabilizer_order(self.p, self.r)
+        if not 1 <= m <= self.s:
+            raise ValueError("m must lie in {1..s} for the stabilizer order s of p")
+        self.m = m
+        self.u = ell // self.r
+        self.copies = self.r // self.s
+        self.reps = [outer_rep(theta_type(self.p, -j * self.u), self.lam) for j in range(self.copies)]
+        self.outer = self.reps[0]
+        self.block_dim = sum(rep.dim for rep in self.reps)
         self.base = canonical_object(self.lam)
-        self.objects = list(_objects_by_type(ell, d)[self.lam])
+        objs = _objects_by_type(ell, d)[self.lam]
+        if self.r > 1:
+            objs = [f for f in objs if all(f <= theta_object(f, j * self.u, ell) for j in range(1, self.r))]
+        self.objects = list(objs)
         self.block_index = {f: i for i, f in enumerate(self.objects)}
         self.total_dim = self.block_dim * len(self.objects)
-        self._mat_cache: dict[tuple[int, ...], Mat] = {}
+        self._mat_cache: dict[tuple, Mat] = {}
 
     # -- the action --------------------------------------------------------
 
+    @cached_property
+    def to_anchor(self) -> dict[tuple, int]:
+        """For each object g of the component's orbits, the e with theta_k^e(g) an anchor object."""
+        out: dict[tuple, int] = {}
+        for f in self.objects:
+            for t in range(self.k):
+                out.setdefault(theta_object(f, t * (self.ell // self.k), self.ell), -t % self.k)
+        return out
+
+    @cached_property
+    def anchors(self) -> list[GMorphism]:
+        """The anchor a_f: b -> f of each block, in block order."""
+        from_base = _shape_transports(self.ell, self.lam)[0]
+        return [GMorphism(self.base, f, from_base[f]) for f in self.objects]
+
     def transported(self, m: GMorphism) -> tuple[int, ...]:
-        """The S_lambda element sigma_(g,b) o pi o sigma_(b,f) for pi = m."""
+        """The S_lambda element sigma_(g,b) o pi o sigma_(b,f) for pi = m (source and target of type lambda)."""
         from_base, to_base = _shape_transports(self.ell, self.lam)
         to_b, from_b, perm = to_base[m.target], from_base[m.source], m.perm
         return tuple(to_b[perm[j - 1] - 1] for j in from_b)
 
-    def action_block(self, m: GMorphism) -> Mat:
-        """The block matrix of a basis morphism (source and target of type lambda)."""
-        w = self.transported(m)
-        cached = self._mat_cache.get(w)
+    def action_block(self, q: GMorphism) -> Mat:
+        """The block of a morphism of the component; any representative of a quotient morphism.
+
+        q is translated to leave an anchor a_1; its target is then
+        h^t(a_2) for the anchor a_2 of its orbit, so a_2^-1 o q o a_1 is the
+        endomorphism h^t o pi of b, pi = transported(q).  One block per (t, pi).
+        """
+        e = self.to_anchor[q.source]
+        if e:
+            q = theta_morphism(q, e * (self.ell // self.k), self.ell)
+        key = (-self.to_anchor[q.target] % self.k // (self.k // self.r), self.transported(q))
+        cached = self._mat_cache.get(key)
         if cached is None:
-            lifted = _lift(self.ell, self.outer.matrix_of_blockperm(w))
-            cached = self._mat_cache[w] = Mat.from_entries(self.ell, self.block_dim, self.block_dim, lifted)
+            cached = self._mat_cache[key] = self._endo_block(*key)
         return cached
+
+    def _endo_block(self, t: int, w: tuple[int, ...]) -> Mat:
+        """rho~(h^t o w) = M^t rho(w), in one pass.
+
+        rho(w) is block diagonal, one integer outer-Specht block per copy
+        V_j.  M sends copy j to copy j + 1 along the slot map c -> c + u and
+        scales by omega = xi^((l/s) m) where it wraps from the last copy to
+        the first.  So M^t sends the block of copy j to copy (j + t) mod
+        copies, along the slot map c -> c + t u, scaled by
+        omega^((j + t) // copies).
+        """
+        ell, copies = self.ell, self.copies
+        offsets = list(accumulate((rep.dim for rep in self.reps), initial=0))
+        entries = []
+        for j, rep in enumerate(self.reps):
+            scalar = root_of_unity(ell, (ell // self.s) * self.m * ((j + t) // copies))
+            slot = _slot_rotation([c.dim for c in rep.components], lambda c: (c + t * self.u) % ell)
+            row0, col0 = offsets[(j + t) % copies], offsets[j]
+            entries += (
+                ((row0 + slot[i], col0 + a), scalar.scale(v))
+                for i, row in enumerate(rep.matrix_of_blockperm(w))
+                for a, v in enumerate(row)
+                if v
+            )
+        return Mat.from_entries(ell, self.block_dim, self.block_dim, entries)
+
+    # -- characters of S(l, d) ----------------------------------------------
 
     def block_trace(self, cycle_types) -> int:
         """The trace on a block of an endomorphism with cycle type cycle_types[c] in color c: prod_c chi^(p_c)."""
         return prod(map(specht_character, self.p, cycle_types))
 
     def char_wreath(self, x: WreathElem) -> Cyc:
-        """Character of x in C[S(l,d)]: the trace of the action of Phi(x), by phi_trace."""
+        """Character of x in C[S(l,d)]: the trace of the action of Phi(x), by phi_trace (k = 1 only)."""
+        if self.k != 1:
+            raise ValueError("char_wreath reads S(l,d) characters; use gkd.class_character for k > 1")
         return phi_trace(x, self.block_trace, self.lam)
 
     def label_json(self) -> list:
         return [list(pi) for pi in self.p]
 
     def __repr__(self) -> str:
-        return f"SimpleModule(ell={self.ell}, d={self.d}, p={self.p}, dim={self.total_dim})"
+        return f"SimpleModule(ell={self.ell}, k={self.k}, d={self.d}, p={self.p}, m={self.m}, dim={self.total_dim})"
+
+
+def _slot_rotation(dims_src: list[int], source_slot) -> tuple[int, ...]:
+    """The tensor-basis map (target slot c) <- (source slot source_slot(c)), as an index map.
+
+    dims_src[c] is the dimension of source factor c (0-based slots); the first
+    factor is the slowest index in the Kronecker convention.  Entry a is the
+    flat target index of the flat source index a.
+    """
+    dims_tgt = [dims_src[source_slot(c)] for c in range(len(dims_src))]
+
+    def flatten(idx, dims):
+        out = 0
+        for b, dim in zip(idx, dims):
+            out = out * dim + b
+        return out
+
+    return tuple(
+        flatten([src_idx[source_slot(c)] for c in range(len(dims_src))], dims_tgt)
+        for src_idx in product(*(range(v) for v in dims_src))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -175,8 +283,8 @@ def _shape_transports(ell: int, lam: tuple[int, ...]) -> tuple[dict, dict]:
 
 
 @lru_cache(maxsize=None)
-def build_simple(ell: int, d: int, p) -> SimpleModule:
-    return SimpleModule(ell, d, p)
+def build_simple(ell: int, k: int, d: int, p, m: int) -> SimpleModule:
+    return SimpleModule(ell, k, d, p, m)
 
 
 @lru_cache(maxsize=None)
@@ -185,7 +293,7 @@ def all_simples(ell: int, d: int) -> tuple[SimpleModule, ...]:
     out = []
     for lam in compositions(ell, d):
         for p in multipartitions(lam):
-            out.append(build_simple(ell, d, p))
+            out.append(build_simple(ell, 1, d, p, 1))
     return tuple(out)
 
 
@@ -411,33 +519,31 @@ def total_dim_check(mod: SimpleModule) -> bool:
     return mod.total_dim == factorial(mod.d) // lam_fact * mod.block_dim
 
 
-def young_induction_check(mod: SimpleModule, f) -> bool:
-    """|S(l,d)| / |G^f| * dim L_p(f) = total dim, G^f the generalized Young subgroup."""
-    f = tuple(f)
-    if type_of(f, mod.ell) != mod.lam:
-        raise ValueError("object type does not match the module's shape")
-    gf_order = 1
-    for li in mod.lam:
-        gf_order *= mod.ell**li * factorial(li)
-    group_order = mod.ell**mod.d * factorial(mod.d)
-    return group_order // gf_order * mod.block_dim == mod.total_dim
+def _endo_generators(mod: SimpleModule) -> list[GMorphism]:
+    """Generators of End(b): the s_i inside the color runs of b, and the canonical rotation b -> theta^u(b) (the identity when r = 1)."""
+    ell, b = mod.ell, mod.base
+    gens = [s for s in component_generators(ell, mod.lam) if s.source == s.target]
+    return gens + [canonical_morphism(b, theta_object(b, mod.u, ell), ell)]
 
 
-def _commutant_dim(mod: SimpleModule) -> int:
-    """Exact dimension of {X : X L(m) = L(m) X for all basis morphisms m}.
+def _commutant_dim(mod: SimpleModule) -> int | None:
+    """Dimension of the commutant {X : X L(q) = L(q) X for all morphisms q of the component}, solved on the base block.
 
-    X commutes with every e_f, hence is block diagonal; the unknowns are the
-    per-object blocks X_f.  Only the component generators are imposed: they
-    generate every morphism, and in any case the commutant of a subset
-    contains the full one, so dimension 1 on them proves dimension 1.
+    Two steps.  First every anchor a_f: b -> f must act as I; else None.
+    Then the commutant of the End(b) generators (_endo_generators) on the
+    one block at b is solved.  Proof that this bounds the full commutant:
+    X commutes with every identity e_f, so it is block diagonal, X = (X_f).
+    X_f L(a_f) = L(a_f) X_b with L(a_f) = I forces X_f = X_b, so X -> X_b is
+    injective on the commutant, and X_b commutes with L(End(b)).  So the
+    dimension is at most the one on the base block, and the identity makes
+    it at least 1: a result of 1 proves dimension 1.
     """
-    index, bd = mod.block_index, mod.block_dim
-    actions = (
-        (index[m.source], index[m.target], a, a)
-        for m in component_generators(mod.ell, mod.lam)
-        for a in [mod.action_block(m)]
-    )
-    return len(intertwiners(mod.ell, [bd] * len(index), [bd] * len(index), actions))
+    ell, bd = mod.ell, mod.block_dim
+    one = Mat.identity(ell, bd)
+    if any(mod.action_block(a) != one for a in mod.anchors):
+        return None
+    actions = ((0, 0, a, a) for a in map(mod.action_block, _endo_generators(mod)))
+    return len(intertwiners(ell, [bd], [bd], actions))
 
 
 def verify_complete(ell: int, d: int) -> dict:

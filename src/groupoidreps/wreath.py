@@ -13,14 +13,12 @@ from itertools import product
 from math import factorial
 from typing import NamedTuple
 
-from .cyclo import Cyc, root_of_unity
 from .perms import (
     adjacent_transposition,
     all_perms,
     compose_perms,
     identity_perm,
     invert_perm,
-    perm_sign,
 )
 from .reporting import record
 
@@ -31,11 +29,9 @@ __all__ = [
     "wreath_inv",
     "generators",
     "s0_j",
-    "s0_j_word",
     "check_group_order",
     "enum_group",
     "check_presentation",
-    "det",
     "gkd_member",
     "gkd_elements",
     "gkd_generators",
@@ -93,18 +89,6 @@ def s0_j(ell: int, d: int, j: int) -> WreathElem:
     return WreathElem(ell, identity_perm(d), tuple(colors))
 
 
-def s0_j_word(ell: int, d: int, j: int) -> WreathElem:
-    """The same element as the word s_{j-1}...s_1 s_0 s_1...s_{j-1}."""
-    if not 1 <= j <= d:
-        raise ValueError("position out of range")
-    gens = generators(ell, d)
-    word = list(range(j - 1, 0, -1)) + [0] + list(range(1, j))
-    out = wreath_identity(ell, d)
-    for i in word:
-        out = wreath_mul(out, gens[i])
-    return out
-
-
 def check_group_order(ell: int, d: int, cap: int = DEFAULT_GROUP_CAP) -> None:
     """Raise ResourceWarning when |S(l,d)| = l^d * d! exceeds cap."""
     order = ell**d * factorial(d)
@@ -159,12 +143,6 @@ def check_presentation(ell: int, d: int) -> list[dict]:
             a, b = gens[i], gens[j]
             checks.append(record(f"s{i} s{j} = s{j} s{i}", wreath_mul(a, b) == wreath_mul(b, a)))
     return checks
-
-
-def det(x: WreathElem) -> Cyc:
-    """Exact determinant of the monomial matrix: sign(perm) * xi^(sum of colors)."""
-    value = root_of_unity(x.ell, sum(x.colors))
-    return value if perm_sign(x.perm) == 1 else -value
 
 
 def gkd_member(x: WreathElem, k: int) -> bool:

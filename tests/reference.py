@@ -28,12 +28,19 @@ cyc_phi_inverse is the inverse DFT of Phi with one Cyc addition per
 (color vector, source) and one Cyc product per exponent bucket, the route
 that the integer exponent bins of algebra.phi_inverse replace.
 to_sparse and to_dense convert between the tests' dense vectors and the
-engine's one vector format, {column: Cyc}.  quotient_action_block is the
-action of a quotient morphism on a quotient simple as the dense product
-M^t rho(pi), the route that the one-pass blocks of gkd.QuotientSimpleModule
-replace.  component_functorial is the functoriality walk over every morphism
-of a quotient simple's component, the route that the End(base) walk of
-gkd._quotient_functorial replaces.  The dense rotation module is
+engine's one vector format, {column: Cyc}.  outer_specht_block is the block
+of a morphism on a k = 1 simple as the lifted outer-Specht matrix of its
+transport to the base, composed from canonical morphisms.
+quotient_action_block is the action of a quotient morphism on a quotient
+simple as the dense product M^t rho(pi), carried to the base orbit by
+Q.compose with the normalized anchors: the routes that the (t, pi)-keyed
+blocks of simples.SimpleModule replace.  component_functorial is the
+functoriality walk over every morphism of a quotient simple's component,
+the route that the End(base) walk of gkd._quotient_functorial replaces, and
+component_commutant_dim the commutant solved over the whole component from
+its generators, the route that the base-block solve of
+simples._commutant_dim replaces.  all_morphisms lists every morphism of the
+groupoid.  The dense rotation module is
 rotation_theta, theta as one index map on the whole direct sum of the
 rotated simples, and act_total, the dense total x total matrix of x on it,
 built from act_alg, the matrix of an algebra element on one simple;
@@ -56,9 +63,19 @@ from operator import mul
 from groupoidreps.algebra import AlgElem, phi
 from groupoidreps.cyclo import Cyc, Mat, SpanBasis, root_of_unity
 from groupoidreps import gkd, schurweyl
-from groupoidreps.gkd import _slot_rotation, theta_object
+from groupoidreps.cyclo import intertwiners
 from groupoidreps.gelfand import inv_statistic
-from groupoidreps.groupoid import GMorphism, canonical_morphism, compose
+from groupoidreps.groupoid import (
+    GMorphism,
+    canonical_morphism,
+    compose,
+    hom,
+    object_index,
+    objects,
+    quotient_groupoid,
+    theta_object,
+)
+from groupoidreps.simples import _slot_rotation
 from groupoidreps.perms import invert_perm, perm_to_word, reach
 from groupoidreps.wreath import WreathElem, generators, wreath_inv, wreath_mul
 
@@ -261,11 +278,35 @@ def cyc_phi_inverse(a: AlgElem) -> list[tuple[WreathElem, Cyc]]:
     return out
 
 
+def all_morphisms(ell: int, d: int) -> list[GMorphism]:
+    """Every morphism, ordered by (source index, target index, perm)."""
+    objs = objects(ell, d)
+    out = [m for f in objs for g in objs for m in hom(f, g, ell)]
+    out.sort(key=lambda m: (object_index(m.source, ell), object_index(m.target, ell), m.perm))
+    return out
+
+
+def outer_specht_block(mod, m) -> Mat:
+    """The block of m: f -> g on a k = 1 simple: the outer-Specht matrix of sigma_(g,b) o m o sigma_(b,f), lifted into Q(xi_l)."""
+    ell, b = mod.ell, mod.base
+    w = compose(canonical_morphism(m.target, b, ell), compose(m, canonical_morphism(b, m.source, ell))).perm
+    ints = mod.outer.matrix_of_blockperm(w)
+    return Mat.from_entries(ell, mod.block_dim, mod.block_dim, (((i, j), Cyc.rational(ell, v)) for i, row in enumerate(ints) for j, v in enumerate(row) if v))
+
+
+def _component(mod):
+    """The quotient groupoid of mod and the orbits of its component, with the normalized anchor of each."""
+    Q = quotient_groupoid(mod.ell, mod.k, mod.d)
+    anchors = {Q.orbit_of[f]: Q.normalize(canonical_morphism(mod.base, f, mod.ell)) for f in mod.objects}
+    return Q, anchors
+
+
 def quotient_action_block(mod, q) -> Mat:
     """The matrix of the quotient morphism q on the quotient simple mod, as a
     dense product: q is carried to an endomorphism of the base orbit, which
     acts as M^t rho(pi) with M the rotation matrix multiplied in t times."""
-    ell, Q, copies = mod.ell, mod.Q, mod.copies
+    ell, copies = mod.ell, mod.copies
+    Q, anchors = _component(mod)
     offsets = list(accumulate((rep.dim for rep in mod.reps), initial=0))
     omega = root_of_unity(ell, (ell // mod.s) * mod.m)
     rotation = []
@@ -277,7 +318,7 @@ def quotient_action_block(mod, q) -> Mat:
     M = Mat.from_entries(ell, mod.block_dim, mod.block_dim, rotation)
 
     o1, o2 = Q.source_orbit(q), Q.target_orbit(q)
-    endo = Q.compose(Q.inverse(mod._anchors[o2]), Q.compose(q, mod._anchors[o1]))
+    endo = Q.compose(Q.inverse(anchors[o2]), Q.compose(q, anchors[o1]))
     at_base = Q.translate(endo, Q._translate_exponent(endo.source, mod.base))
     tgt = at_base.target
     t = Q._translate_exponent(mod.base, tgt) // (mod.k // mod.r)
@@ -294,6 +335,25 @@ def quotient_action_block(mod, q) -> Mat:
     for _ in range(t):
         out = M * out
     return out
+
+
+def component_morphisms(mod) -> list[GMorphism]:
+    """Every quotient morphism between two quotient objects of mod's component."""
+    Q, anchors = _component(mod)
+    return [q for o1 in anchors for o2 in anchors for q in Q.hom(o1, o2)]
+
+
+def component_commutant_dim(mod) -> int:
+    """The commutant of mod's action over its whole component, imposed on the normalized component generators."""
+    Q, anchors = _component(mod)
+    index = {o: i for i, o in enumerate(anchors)}
+    dims = [mod.block_dim] * len(index)
+    actions = (
+        (index[Q.source_orbit(q)], index[Q.target_orbit(q)], a, a)
+        for q in gkd._quotient_generators(Q, [mod.lam])
+        for a in [mod.action_block(q)]
+    )
+    return len(intertwiners(mod.ell, dims, dims, actions))
 
 
 def ungraded_intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[dict[int, Cyc]]:
@@ -316,9 +376,10 @@ def ungraded_intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[dict[in
 
 def component_functorial(mod) -> bool:
     """L(s o q) = L(s) L(q) for the component generators s, along a walk that reaches every morphism of the component."""
-    Q, comp, act = mod.Q, mod.component, mod.action_block
-    reached = gkd._closure(Q, gkd._quotient_generators(Q, [mod.lam]), comp, lambda s, x, y: act(y) == act(s) * act(x))
-    return reached == {q for o1 in comp for o2 in comp for q in Q.hom(o1, o2)}
+    Q, anchors = _component(mod)
+    act = mod.action_block
+    reached = gkd._closure(Q, gkd._quotient_generators(Q, [mod.lam]), list(anchors), lambda s, x, y: act(y) == act(s) * act(x))
+    return reached == set(component_morphisms(mod))
 
 
 def permuted(A: Mat, perm) -> Mat:
@@ -340,7 +401,7 @@ def act_alg(mod, a) -> Mat:
     for m, coeff in a.terms.items():
         if m.source in mod.block_index and m.target in mod.block_index:
             r0, c0 = mod.block_index[m.target] * bd, mod.block_index[m.source] * bd
-            entries += ((ij, coeff * v) for ij, v in mod.action_block(m).entries(r0, c0))
+            entries += (((r0 + i, c0 + j), coeff * v) for (i, j), v in mod.action_block(m).entries())
     return Mat.from_entries(mod.ell, mod.total_dim, mod.total_dim, entries)
 
 
@@ -371,7 +432,7 @@ def act_total(summands, x: WreathElem) -> Mat:
     ell, d = summands[0].ell, summands[0].d
     offsets = list(accumulate((simp.total_dim for simp in summands), initial=0))
     a = phi(x, d)
-    entries = (e for simp, o in zip(summands, offsets) for e in act_alg(simp, a).entries(o, o))
+    entries = (((o + i, o + j), v) for simp, o in zip(summands, offsets) for (i, j), v in act_alg(simp, a).entries())
     return Mat.from_entries(ell, offsets[-1], offsets[-1], entries)
 
 

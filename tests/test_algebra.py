@@ -5,9 +5,9 @@ from itertools import permutations
 from groupoidreps import algebra
 from groupoidreps.algebra import AlgElem, phi, phi_inverse, verify_iso
 from groupoidreps.cyclo import Cyc, euler_phi, root_of_unity
-from groupoidreps.groupoid import all_morphisms, hom, identity_morphism, objects
+from groupoidreps.groupoid import hom, identity_morphism, objects
 from groupoidreps.wreath import WreathElem, enum_group, generators, wreath_identity, wreath_mul
-from reference import cyc_phi_inverse, phi_on_generators
+from reference import all_morphisms, cyc_phi_inverse, phi_on_generators
 
 
 def test_unit_and_idempotents():

@@ -1,30 +1,26 @@
 from itertools import permutations
 from math import factorial, prod
-from types import SimpleNamespace
 
 import pytest
 
-from groupoidreps import algebra, gkd
-from groupoidreps.cli import GKD_GRID
+from groupoidreps import algebra, gkd, groupoid, simples
+from groupoidreps.cli import GKD_GRID, ISO_GRID
 from groupoidreps.cyclo import Cyc, LinSolver, Mat, root_of_unity
 from groupoidreps.gkd import (
-    build_quotient_simple,
+    class_character,
     restriction_check,
     endo_structure,
     gamma_cross_section,
     gkd_conjugacy_classes,
     rotation_eigenspace_check,
-    quotient_groupoid,
     quotient_labels,
     quotient_structure_report,
     reflection_span_check,
     quotient_simples_check,
-    theta_morphism,
-    theta_object,
-    theta_type,
 )
 from groupoidreps.groupoid import (
     GMorphism,
+    QuotientGroupoid,
     canonical_morphism,
     canonical_object,
     component_generators,
@@ -32,14 +28,22 @@ from groupoidreps.groupoid import (
     hom,
     identity_morphism,
     inverse,
+    quotient_groupoid,
+    stabilizer_order,
+    theta_morphism,
+    theta_object,
+    theta_type,
     type_of,
 )
-from groupoidreps.simples import all_simples, inner_products
+from groupoidreps.simples import SimpleModule, _commutant_dim, all_simples, build_simple, inner_products
 from groupoidreps.tableaux import multipartitions
 from groupoidreps.wreath import generators, wreath_identity
+import reference
 from reference import (
     act_total,
+    component_commutant_dim,
     component_functorial,
+    component_morphisms,
     dense_commutes,
     dense_twisted_traces,
     kernel_basis,
@@ -135,14 +139,14 @@ def test_reflection_span():
 def test_invalid_quotient_inputs_raise():
     for ell, k in [(4, 3), (2, 0)]:
         with pytest.raises(ValueError, match="positive divisor"):
-            gkd.QuotientGroupoid(ell, k, 2)
+            QuotientGroupoid(ell, k, 2)
     # the two orbits of (2,2,2) have different types, so nothing composes across them
     Q = quotient_groupoid(2, 2, 2)
     with pytest.raises(ValueError, match="not composable"):
         Q.compose(Q.identity(1), Q.identity(0))
     _lam, p, m = quotient_labels(2, 2, 2)[0]
     with pytest.raises(ValueError, match="stabilizer order"):
-        gkd.QuotientSimpleModule(2, 2, 2, p, build_quotient_simple(2, 2, 2, p, m).s + 1)
+        SimpleModule(2, 2, 2, p, build_simple(2, 2, 2, p, m).s + 1)
 
 
 def test_phi_to_quotient_rejects_nonmembers():
@@ -151,7 +155,7 @@ def test_phi_to_quotient_rejects_nonmembers():
     Q = quotient_groupoid(2, 2, 2)
     s0 = generators(2, 2)[0]
     with pytest.raises(ValueError):
-        Q.phi_to_quotient(s0)
+        gkd.phi_to_quotient(Q, s0)
 
 
 def test_span_check_fails_when_phi_form_is_patched_at_one_object(monkeypatch):
@@ -175,7 +179,7 @@ def test_span_check_fails_when_phi_form_is_patched_at_one_object(monkeypatch):
 @pytest.mark.parametrize("ell,k,d", [(2, 2, 3), (4, 2, 2)])
 def test_quotient_characters_are_orthonormal(ell, k, d):
     classes = gkd_conjugacy_classes(ell, k, d)
-    chars = [build_quotient_simple(ell, k, d, p, m).class_character for _lam, p, m in quotient_labels(ell, k, d)]
+    chars = [class_character(build_simple(ell, k, d, p, m)) for _lam, p, m in quotient_labels(ell, k, d)]
     gram = inner_products(classes, chars, [[v.conjugate() for v in psi] for psi in chars])
     for i, row in enumerate(gram):
         assert row == tuple(Cyc.rational(ell, 1 if i == j else 0) for j in range(len(chars))), i
@@ -184,22 +188,22 @@ def test_quotient_characters_are_orthonormal(ell, k, d):
 def test_labels_222():
     labels = quotient_labels(2, 2, 2)
     assert len(labels) == 4
-    mods = [build_quotient_simple(2, 2, 2, p, m) for (_l, p, m) in labels]
+    mods = [build_simple(2, 2, 2, p, m) for (_l, p, m) in labels]
     assert [m.total_dim for m in mods] == [1, 1, 1, 1]
     # the two labels over ((1),(1)) are distinguished by the sign of the
     # color-swapping endomorphism
     pair = [m for m in mods if m.p == ((1,), (1,))]
     assert len(pair) == 2
-    Q = pair[0].Q
-    oi = pair[0].component[0]
+    Q = quotient_groupoid(2, 2, 2)
+    oi = Q.orbit_of[pair[0].objects[0]]
     rot = [q for q in Q.hom(oi, oi) if q != Q.identity(oi)][0]
     vals = sorted(str(m.action_block(rot).rows[0][0].coeffs) for m in pair)
     assert vals == [str((Cyc.rational(2, -1)).coeffs), str((Cyc.one(2)).coeffs)]
 
 
 def test_quotient_simple_repr_names_its_label_and_dimension():
-    mod = build_quotient_simple(2, 2, 2, ((1,), (1,)), 2)
-    assert repr(mod) == "QuotientSimpleModule(ell=2,k=2,d=2,p=((1,), (1,)),m=2,dim=1)"
+    mod = build_simple(2, 2, 2, ((1,), (1,)), 2)
+    assert repr(mod) == "SimpleModule(ell=2, k=2, d=2, p=((1,), (1,)), m=2, dim=1)"
 
 
 def test_quotient_simples():
@@ -226,27 +230,28 @@ def test_class_characters_match_a_fresh_computation():
     for ell, k, d in [(2, 2, 2), (3, 3, 2), (4, 2, 2)]:
         Q = quotient_groupoid(ell, k, d)
         for _lam, p, m in quotient_labels(ell, k, d):
-            mod = build_quotient_simple(ell, k, d, p, m)
+            mod = build_simple(ell, k, d, p, m)
+            component = {Q.orbit_of[f] for f in mod.objects}
             fresh = []
             for rep, _size in gkd_conjugacy_classes(ell, k, d):
                 acc = Cyc.zero(ell)
-                for q, coeff in Q.phi_to_quotient(rep).items():
-                    if Q.source_orbit(q) == Q.target_orbit(q) and Q.source_orbit(q) in mod.block_index:
+                for q, coeff in gkd.phi_to_quotient(Q, rep).items():
+                    if Q.source_orbit(q) == Q.target_orbit(q) and Q.source_orbit(q) in component:
                         acc = acc + coeff * mod.action_block(q).trace()
                 fresh.append(acc)
-            assert mod.class_character == tuple(fresh), (ell, k, d, p, m)
+            assert class_character(mod) == tuple(fresh), (ell, k, d, p, m)
 
 
 def test_restriction_check_reads_the_shared_table(monkeypatch):
     ell, k, d = 2, 2, 2
     _lam, p, m = quotient_labels(ell, k, d)[0]
-    mod = build_quotient_simple(ell, k, d, p, m)
-    table = list(mod.class_character)
+    mod = build_simple(ell, k, d, p, m)
+    table = list(class_character(mod))
     # adding |G(2,2,2)| = 4 at the identity class shifts an integer multiplicity by dim L_p
     reps = [rep for rep, _size in gkd_conjugacy_classes(ell, k, d)]
     identity_class = reps.index(wreath_identity(ell, d))
     table[identity_class] = table[identity_class] + Cyc.rational(ell, 4)
-    monkeypatch.setattr(mod, "class_character", tuple(table))
+    _patch_class_character(monkeypatch, mod, tuple(table))
     rep = restriction_check(ell, k, d)
     assert any(c["status"] == "fail" for c in rep["checks"])
 
@@ -281,31 +286,37 @@ def test_off_grid_clifford_labels():
 def test_restriction_check_reports_a_non_integral_multiplicity(monkeypatch):
     ell, k, d = 2, 2, 2
     _lam, p, m = quotient_labels(ell, k, d)[0]
-    mod = build_quotient_simple(ell, k, d, p, m)
-    table = list(mod.class_character)
+    mod = build_simple(ell, k, d, p, m)
+    table = list(class_character(mod))
     # 2 is not a multiple of |G(2,2,2)| = 4: the multiplicity of this label moves by a half
     reps = [rep for rep, _size in gkd_conjugacy_classes(ell, k, d)]
     identity_class = reps.index(wreath_identity(ell, d))
     table[identity_class] = table[identity_class] + Cyc.rational(ell, 2)
-    monkeypatch.setattr(mod, "class_character", tuple(table))
+    _patch_class_character(monkeypatch, mod, tuple(table))
     rep = restriction_check(ell, k, d)
     # the shift is dim L_p / 2, so exactly the simples of odd dimension see a half
     flagged = [c for c in rep["checks"] if "non_integral" in c["details"]]
     odd = [f"restriction of L_{s.label_json()}" for s in all_simples(ell, d) if s.total_dim % 2]
     assert [c["name"] for c in flagged] == odd
-    assert all(c["status"] == "fail" and c["details"]["non_integral"] == [mod.label_json()] for c in flagged)
+    assert all(c["status"] == "fail" and c["details"]["non_integral"] == [gkd._label_json(mod)] for c in flagged)
 
 
 def test_quotient_commutant_check_fails_for_a_module_acting_trivially(monkeypatch):
     ell, k, d = 2, 2, 3
-    mods = [build_quotient_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
+    mods = [build_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
     mod = next(m for m in mods if m.block_dim > 1)
-    mod.class_character  # tabulated before the action is replaced, so the cache stays right
+    class_character(mod)  # tabulated before the action is replaced, so the cache stays right
     monkeypatch.setattr(mod, "action_block", lambda q: Mat.identity(ell, mod.block_dim))
     rep = quotient_simples_check(ell, k, d)
     check = next(c for c in rep["checks"] if c["name"] == "commutant of each L_(p,m) has dim 1")
     assert check["status"] == "fail"
-    assert check["details"]["failures"] == [mod.label_json()]
+    assert check["details"]["failures"] == [gkd._label_json(mod)]
+
+
+def _patch_class_character(monkeypatch, mod, table):
+    """class_character reads table for mod and the true character for every other module."""
+    real = gkd.class_character
+    monkeypatch.setattr(gkd, "class_character", lambda other: table if other is mod else real(other))
 
 
 def _status(rep, name):
@@ -356,9 +367,9 @@ def test_psi_check_catches_psi_wrong_off_generators(monkeypatch):
     ell, k, d = 2, 2, 3
     Q = quotient_groupoid(ell, k, d)
     bad = _non_generator(Q, Q.all_qmorphisms(), gkd._quotient_generators(Q, gamma_cross_section(ell, k, d)))
-    real = gkd.QuotientGroupoid.psi
+    real = QuotientGroupoid.psi
     # each translate listed twice: Psi(bad) scaled by 2
-    monkeypatch.setattr(gkd.QuotientGroupoid, "psi", lambda self, q: real(self, q) * 2 if q == bad else real(self, q))
+    monkeypatch.setattr(QuotientGroupoid, "psi", lambda self, q: real(self, q) * 2 if q == bad else real(self, q))
     rep = reflection_span_check(ell, k, d)
     # the supports are untouched, so only the product check sees the fault
     assert _status(rep, "Psi injective (disjoint orbit supports)") == "pass"
@@ -375,12 +386,12 @@ def test_psi_check_catches_a_wrong_identity_image(monkeypatch, fault):
     ell, k, d = 2, 1, 1
     Q = quotient_groupoid(ell, k, d)
     e0 = Q.identity(0)
-    real = gkd.QuotientGroupoid.psi
+    real = QuotientGroupoid.psi
     wrong = {
         "outside its corner": lambda image: image + (identity_morphism(Q.rep(1)),),
         "scaled": lambda image: image * 2,
     }[fault]
-    monkeypatch.setattr(gkd.QuotientGroupoid, "psi", lambda self, q: wrong(real(self, q)) if q == e0 else real(self, q))
+    monkeypatch.setattr(QuotientGroupoid, "psi", lambda self, q: wrong(real(self, q)) if q == e0 else real(self, q))
     rep = reflection_span_check(ell, k, d)
     assert _status(rep, "Psi multiplicative on the basis") == "fail"
     # the extra identity lies in the support of Psi(e_1) too
@@ -391,18 +402,19 @@ def test_psi_check_catches_a_wrong_identity_image(monkeypatch, fault):
 def test_generator_checks_reject_a_non_generating_set(monkeypatch):
     # without the s_i at the base objects the endomorphism groups are not reached
     real = gkd.component_generators
-    monkeypatch.setattr(gkd, "component_generators", lambda ell, lam: [m for m in real(ell, lam) if m.source != m.target])
+    for module in (gkd, simples):
+        monkeypatch.setattr(module, "component_generators", lambda ell, lam: [m for m in real(ell, lam) if m.source != m.target])
     assert _status(reflection_span_check(2, 2, 3), "Psi multiplicative on the basis") == "fail"
     assert _status(quotient_simples_check(2, 2, 3), "L_(p,m) functorial") == "fail"
 
 
 def test_functoriality_check_catches_action_wrong_off_generators(monkeypatch):
     ell, k, d = 2, 2, 3
-    mods = [build_quotient_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
+    mods = [build_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
     mod = next(m for m in mods if m.block_dim > 1)
-    mod.class_character  # tabulated before the action is replaced, so the cache stays right
-    Q, comp = mod.Q, mod.component
-    bad = _non_generator(Q, [q for o1 in comp for o2 in comp for q in Q.hom(o1, o2)], gkd._quotient_generators(Q, [mod.lam]))
+    class_character(mod)  # tabulated before the action is replaced, so the cache stays right
+    Q = quotient_groupoid(ell, k, d)
+    bad = _non_generator(Q, component_morphisms(mod), gkd._quotient_generators(Q, [mod.lam]))
     real = mod.action_block
     two = Cyc.rational(ell, 2)
     monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), two) if q == bad else real(q))
@@ -417,10 +429,11 @@ def test_functoriality_check_catches_action_wrong_off_generators(monkeypatch):
 def test_functoriality_fails_when_the_identity_does_not_act_as_identity(monkeypatch, ell, k, d):
     # the walk takes a step s o q with s = id as holding, so rho~(id) = I is
     # tested on its own; here rho~(id) = -I and every other block is unchanged
-    mods = [build_quotient_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
+    mods = [build_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
     mod = mods[-1]
-    mod.class_character  # tabulated before the action is replaced, so the cache stays right
-    unit = mod.Q.identity(mod.Q.orbit_of[mod.base])
+    class_character(mod)  # tabulated before the action is replaced, so the cache stays right
+    Q = quotient_groupoid(ell, k, d)
+    unit = Q.identity(Q.orbit_of[mod.base])
     real, minus = mod.action_block, Cyc.rational(ell, -1)
     monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), minus) if q == unit else real(q))
     assert not gkd._quotient_functorial(mod)
@@ -438,8 +451,9 @@ def test_functoriality_walk_multiplies_only_on_non_identity_steps(monkeypatch, e
     )
     monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or mul(a, b))
     for _lam, p, m in quotient_labels(ell, k, d):
-        mod = build_quotient_simple(ell, k, d, p, m)
-        unit = mod.Q.identity(mod.Q.orbit_of[mod.base])
+        mod = build_simple(ell, k, d, p, m)
+        Q = quotient_groupoid(ell, k, d)
+        unit = Q.identity(Q.orbit_of[mod.base])
         steps.clear()
         products.clear()
         assert gkd._quotient_functorial(mod)
@@ -451,15 +465,16 @@ def test_end_base_walk_agrees_with_the_component_walk(ell, k, d):
     # action_block(q) is rho~ of a2^-1 o q o a1, so functoriality on the
     # component is multiplicativity of rho~ on End(base)
     for _lam, p, m in quotient_labels(ell, k, d):
-        mod = build_quotient_simple(ell, k, d, p, m)
+        mod = build_simple(ell, k, d, p, m)
         assert gkd._quotient_functorial(mod) and component_functorial(mod), mod
 
 
 def test_both_walks_reject_a_block_wrong_inside_end_base(monkeypatch):
     ell, k, d = 2, 2, 4
-    mod = build_quotient_simple(ell, k, d, ((1,), (1, 1, 1)), 1)
-    Q, o = mod.Q, mod.Q.orbit_of[mod.base]
-    bad = _non_generator(Q, Q.hom(o, o), gkd._endo_generators(mod))
+    mod = build_simple(ell, k, d, ((1,), (1, 1, 1)), 1)
+    Q = quotient_groupoid(ell, k, d)
+    o = Q.orbit_of[mod.base]
+    bad = _non_generator(Q, Q.hom(o, o), [Q.normalize(s) for s in gkd._endo_generators(mod)])
     real, two = mod.action_block, Cyc.rational(ell, 2)
     monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), two) if q == bad else real(q))
     assert not gkd._quotient_functorial(mod)
@@ -472,7 +487,7 @@ def test_functoriality_walk_needs_the_canonical_rotation(monkeypatch, ell, k, d)
     # proper subgroup of End(base) exactly where r > 1
     real = gkd._endo_generators
     monkeypatch.setattr(gkd, "_endo_generators", lambda mod: real(mod)[:-1])
-    mods = [build_quotient_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
+    mods = [build_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
     assert [gkd._quotient_functorial(mod) for mod in mods] == [mod.r == 1 for mod in mods]
     assert _status(quotient_simples_check(ell, k, d), "L_(p,m) functorial") == "fail"
 
@@ -482,7 +497,7 @@ def test_functoriality_walk_needs_every_transposition(monkeypatch, ell, k, d):
     # here r = 1 on every shape, so End(base) = prod S_(lambda_c), and one
     # adjacent transposition fewer generates a proper subgroup of it
     real = gkd._endo_generators
-    mods = [build_quotient_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
+    mods = [build_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
     assert all(mod.r == 1 for mod in mods)
     dropped = 0
     for mod in mods:
@@ -501,15 +516,16 @@ def test_end_base_blocks_pin_the_wrap_exponent_and_the_slot_map(monkeypatch):
     # dimension 2, so at t = 2 the slot map c -> c + 2u moves indices other
     # than c -> c + u does.
     # Each groupoid is built for this test alone, outside the lru cache.
-    monkeypatch.setattr(gkd, "quotient_groupoid", gkd.QuotientGroupoid)
     for ell, k, d, p, copies in [(4, 4, 8, ((2,), (1, 1), (2,), (1, 1)), 2), (3, 3, 9, ((2, 1), (2, 1), (3,)), 3)]:
-        mod = gkd.QuotientSimpleModule(ell, k, d, p, 1)
+        Q = QuotientGroupoid(ell, k, d)
+        monkeypatch.setattr(reference, "quotient_groupoid", lambda *_args, Q=Q: Q)
+        mod = SimpleModule(ell, k, d, p, 1)
         assert (mod.copies, mod.block_dim) == (copies, sum(rep.dim for rep in mod.reps))
-        o = mod.Q.orbit_of[mod.base]
-        endos = mod.Q.hom(o, o)
+        o = Q.orbit_of[mod.base]
+        endos = Q.hom(o, o)
         assert len(endos) == mod.r * prod(map(factorial, mod.lam))
         for q in endos:
-            assert mod._endo_matrix(q) == quotient_action_block(mod, q), q
+            assert mod.action_block(q) == quotient_action_block(mod, q), q
 
 
 def test_rotation_check_skips_a_p_that_is_not_stabilizer_invariant():
@@ -569,15 +585,15 @@ def test_rotation_check_fails_for_one_wrong_character_value(monkeypatch):
     # L_(p,1) of every p gets one wrong class value: its eigenspace matches no label
     ell, k, d = 2, 2, 2
     rep = rotation_eigenspace_check(ell, k, d)
-    real = gkd.build_quotient_simple
+    real = gkd.class_character
 
-    def perturbed(ell, k, d, p, m):
-        table = list(real(ell, k, d, p, m).class_character)
-        if m == 1:
+    def perturbed(mod):
+        table = list(real(mod))
+        if mod.m == 1:
             table[0] = table[0] + Cyc.one(ell)
-        return SimpleNamespace(class_character=tuple(table))
+        return tuple(table)
 
-    monkeypatch.setattr(gkd, "build_quotient_simple", perturbed)
+    monkeypatch.setattr(gkd, "class_character", perturbed)
     failures = _rotation_failures(ell, k, d)
     assert sorted(failures) == sorted(c["name"] for c in rep["checks"])
     assert all(f.startswith("eigenspace m=") and f.endswith("does not match a unique L_(p,m)") for f in failures.values())
@@ -621,9 +637,9 @@ def test_rotation_check_fails_for_a_zero_dimensional_eigenspace(monkeypatch):
 def _invariant_labels(Q):
     """(lambda, p) for lambda in Gamma and every p that the rotation check runs on."""
     for lam in gamma_cross_section(Q.ell, Q.k, Q.d):
-        r = Q.type_stabilizer_order(lam)
+        r = stabilizer_order(lam, Q.k)
         for p in multipartitions(lam):
-            if gkd._p_stabilizer_order(p, r, Q.ell) == r:
+            if stabilizer_order(p, r) == r:
                 yield lam, p
 
 
@@ -760,7 +776,7 @@ def _all_pairs_independence(Q):
 def _canonical_rotation(Q, oi):
     """The order-preserving endomorphism of orbit oi onto theta^(l/r) of its representative."""
     f = Q.rep(oi)
-    r = Q.type_stabilizer_order(type_of(f, Q.ell))
+    r = stabilizer_order(type_of(f, Q.ell), Q.k)
     return Q.normalize(canonical_morphism(f, theta_object(f, Q.ell // r, Q.ell), Q.ell))
 
 
@@ -809,7 +825,7 @@ def test_color_preserving_endomorphisms_are_the_kernel_of_the_target_exponent(el
         assert set(products.values()) == endos
         exponent = {q: Q.exponent[q.target] for q in endos}
         assert all(exponent[ba] == (exponent[a] + exponent[b]) % k for (a, b), ba in products.items())
-        inner = set(gkd.hom(f, f, ell))
+        inner = set(groupoid.hom(f, f, ell))
         assert inner == _color_preserving(f, ell)
         assert {q for q in endos if exponent[q] == 0} == inner
 
@@ -820,7 +836,7 @@ def test_canonical_rotation_has_order_r(ell, k, d):
     # when theta^(j l/r) fixes f; freeness makes that j = 0 mod r
     Q = quotient_groupoid(ell, k, d)
     for oi in range(len(Q.orbits)):
-        r = Q.type_stabilizer_order(type_of(Q.rep(oi), ell))
+        r = stabilizer_order(type_of(Q.rep(oi), ell), k)
         h, power = _canonical_rotation(Q, oi), Q.identity(oi)
         for j in range(1, r + 1):
             power = Q.compose(h, power)
@@ -856,13 +872,13 @@ def test_independence_check_catches_theta_wrong_on_one_morphism(monkeypatch):
     ell, k, d = 2, 2, 3
     Q = quotient_groupoid(ell, k, d)
     bad = _non_generator(Q, Q.all_qmorphisms(), gkd._quotient_generators(Q, gamma_cross_section(ell, k, d)))
-    real = gkd.QuotientGroupoid.translate
+    real = QuotientGroupoid.translate
 
     def translate(self, m, t):
         out = real(self, m, t)
         return out._replace(perm=out.perm[::-1]) if m == bad and t % self.k else out
 
-    monkeypatch.setattr(gkd.QuotientGroupoid, "translate", translate)
+    monkeypatch.setattr(QuotientGroupoid, "translate", translate)
     with pytest.raises(AssertionError):
         test_quotient_composition_is_independent_of_representatives(ell, k, d)
     # the report composes nothing, so only the unit test sees the fault
@@ -874,12 +890,12 @@ def test_normality_check_catches_one_wrong_color_preserving_morphism(monkeypatch
     # one element of hom(f, f) other than a transposition is replaced by a map that mixes colors
     Q = quotient_groupoid(ell, k, d)
     assert Q.exponent[f] == 0
-    real = gkd.hom
+    real = groupoid.hom
     members = real(f, f, ell)
     bad = next(m for m in members if sum(a != i for i, a in enumerate(m.perm, start=1)) > 2)
     wrong = bad._replace(perm=bad.perm[::-1])
     assert wrong not in members
-    monkeypatch.setattr(gkd, "hom", lambda g, h, ell: [wrong if m == bad else m for m in real(g, h, ell)])
+    monkeypatch.setattr(groupoid, "hom", lambda g, h, ell: [wrong if m == bad else m for m in real(g, h, ell)])
     with pytest.raises(AssertionError):
         test_color_preserving_endomorphisms_are_the_kernel_of_the_target_exponent(ell, k, d)
 
@@ -888,8 +904,8 @@ def test_endo_check_catches_a_dropped_morphism(monkeypatch):
     ell, k, d = 2, 2, 4
     Q = quotient_groupoid(ell, k, d)
     f = (1, 1, 2, 2)
-    real = gkd.hom
-    monkeypatch.setattr(gkd, "hom", lambda g, h, ell: real(g, h, ell)[1:] if (g, h) == (f, f) else real(g, h, ell))
+    real = groupoid.hom
+    monkeypatch.setattr(groupoid, "hom", lambda g, h, ell: real(g, h, ell)[1:] if (g, h) == (f, f) else real(g, h, ell))
     rep = quotient_structure_report(ell, k, d)
     assert _status(rep, ENDO_CHECK) == "fail"
     rows = next(c for c in rep["checks"] if c["name"] == ENDO_CHECK)["details"]["orbits"]
@@ -903,7 +919,8 @@ def test_structure_report_composes_within_the_walk_bounds(monkeypatch, ell, k, d
     def forbidden(*args):
         raise AssertionError("quotient_structure_report composed a morphism or walked")
 
-    monkeypatch.setattr(gkd, "compose", forbidden)
+    for module in (gkd, groupoid):
+        monkeypatch.setattr(module, "compose", forbidden)
     monkeypatch.setattr(gkd, "_closure", forbidden)
     rep = quotient_structure_report(ell, k, d)
     assert rep["ok"] and len(rep["checks"]) == 4
@@ -913,7 +930,50 @@ def test_structure_report_composes_within_the_walk_bounds(monkeypatch, ell, k, d
 def test_quotient_action_blocks_match_the_dense_rotation_product(ell, k, d):
     # every morphism of every component, including the labels with two copies V_j
     for _lam, p, m in quotient_labels(ell, k, d):
-        mod = build_quotient_simple(ell, k, d, p, m)
-        comp = mod.component
-        for q in (q for o1 in comp for o2 in comp for q in mod.Q.hom(o1, o2)):
+        mod = build_simple(ell, k, d, p, m)
+        for q in component_morphisms(mod):
             assert mod.action_block(q) == quotient_action_block(mod, q)
+
+
+COMMUTANT = "commutant of each L_(p,m) has dim 1"
+
+
+def test_every_anchor_acts_as_identity_and_the_base_commutant_is_one():
+    # on every module of the simples and gkd grids; the full component solve agrees
+    mods = [m for ell, d in ISO_GRID for m in all_simples(ell, d)]
+    mods += [build_simple(ell, k, d, p, m) for ell, k, d in GKD_GRID for _lam, p, m in quotient_labels(ell, k, d)]
+    assert len(mods) == 195
+    for mod in mods:
+        one = Mat.identity(mod.ell, mod.block_dim)
+        assert all(mod.action_block(a) == one for a in mod.anchors), mod
+        assert _commutant_dim(mod) == component_commutant_dim(mod) == 1, mod
+
+
+def test_commutant_check_fails_for_one_anchor_scaled_by_two(monkeypatch):
+    # a k = 2 module with two blocks: the full component solve still finds
+    # dimension 1, the anchor step of the base-block routine does not pass it
+    ell, k, d = 2, 2, 3
+    mod = build_simple(ell, k, d, ((1,), (2,)), 1)
+    assert len(mod.anchors) == 3
+    class_character(mod)  # tabulated before the action is replaced, so the cache stays right
+    anchor = mod.anchors[1]
+    real, two = mod.action_block, Cyc.rational(ell, 2)
+    monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), two) if q == anchor else real(q))
+    assert component_commutant_dim(mod) == 1
+    assert _commutant_dim(mod) is None
+    check = next(c for c in quotient_simples_check(ell, k, d)["checks"] if c["name"] == COMMUTANT)
+    assert check["status"] == "fail"
+    assert check["details"]["failures"] == [gkd._label_json(mod)]
+
+
+def test_commutant_check_fails_for_end_base_generators_acting_trivially(monkeypatch):
+    # (2,2,4), p = ((1,), (2, 1)): four blocks of dim 2, anchors untouched
+    ell, k, d = 2, 2, 4
+    mod = build_simple(ell, k, d, ((1,), (2, 1)), 1)
+    class_character(mod)  # tabulated before the action is replaced, so the cache stays right
+    gens = set(simples._endo_generators(mod))
+    real = mod.action_block
+    monkeypatch.setattr(mod, "action_block", lambda q: Mat.identity(ell, mod.block_dim) if q in gens else real(q))
+    assert _commutant_dim(mod) == mod.block_dim**2 == 4
+    check = next(c for c in quotient_simples_check(ell, k, d)["checks"] if c["name"] == COMMUTANT)
+    assert check["details"]["failures"] == [gkd._label_json(mod)]

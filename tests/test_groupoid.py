@@ -3,7 +3,6 @@ from math import factorial
 import pytest
 
 from groupoidreps.groupoid import (
-    all_morphisms,
     canonical_morphism,
     canonical_object,
     component_generators,
@@ -14,6 +13,7 @@ from groupoidreps.groupoid import (
     objects,
     type_of,
 )
+from reference import all_morphisms
 
 
 def test_objects():

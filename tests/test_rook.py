@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import pytest
 
 from groupoidreps import rook
@@ -5,12 +7,26 @@ from groupoidreps.rook import (
     RookAlgebraElem,
     eps1,
     rook_compose,
-    rook_elements,
     rook_epimorphism_check,
     rook_identity,
     rook_images,
     rook_monoid_order,
 )
+
+
+def rook_elements(d: int) -> list[tuple[int, ...]]:
+    """All injective partial maps of {1..d}, sorted."""
+    out = []
+    points = range(1, d + 1)
+    for size in range(d + 1):
+        for dom in combinations(points, size):
+            for img in permutations(points, size):
+                elem = [0] * d
+                for x, y in zip(dom, img):
+                    elem[x - 1] = y
+                out.append(tuple(elem))
+    out.sort()
+    return out
 
 
 def test_orders():

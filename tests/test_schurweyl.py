@@ -3,7 +3,7 @@ import pytest
 from groupoidreps import schurweyl
 from groupoidreps.algebra import AlgElem, phi
 from groupoidreps.cyclo import Cyc, Mat, SpanBasis, intertwiners
-from groupoidreps.gkd import QuotientGroupoid, quotient_groupoid
+from groupoidreps.groupoid import QuotientGroupoid, quotient_groupoid
 from groupoidreps.groupoid import component_generators, compose, hom, identity_morphism, type_of
 from groupoidreps.schurweyl import (
     TensorSpace,

@@ -27,10 +27,18 @@ from groupoidreps.simples import (
     simple_characters,
     total_dim_check,
     verify_complete,
-    young_induction_check,
 )
 from groupoidreps.wreath import enum_group, generators, wreath_identity, wreath_inv, wreath_mul
-from reference import act_alg, cyc_inner_product, model_object_trace, scan_phi_trace, simple_object_trace
+from reference import (
+    act_alg,
+    cyc_inner_product,
+    component_commutant_dim,
+    mat_scale,
+    model_object_trace,
+    outer_specht_block,
+    scan_phi_trace,
+    simple_object_trace,
+)
 
 # the (l, d) points of the default simples, branching, gelfand and gkd grids
 GRID_POINTS = sorted(set(ISO_GRID + BRANCHING_GRID + GELFAND_WINDOW + [(ell, d) for ell, _k, d in GKD_GRID]))
@@ -43,7 +51,7 @@ def test_dimensions_by_example():
 
 
 def test_trivial_component_module():
-    mod = build_simple(2, 3, ((3,), ()))
+    mod = build_simple(2, 1, 3, ((3,), ()), 1)
     assert mod.total_dim == 1
     f = mod.objects[0]
     for m in hom(f, f, 2):
@@ -51,7 +59,7 @@ def test_trivial_component_module():
 
 
 def test_mixed_color_module():
-    mod = build_simple(2, 2, ((1,), (1,)))
+    mod = build_simple(2, 1, 2, ((1,), (1,)), 1)
     assert mod.block_dim == 1 and mod.total_dim == 2
     assert len(mod.objects) == 2
 
@@ -83,23 +91,35 @@ def test_eq5_total_dims():
 
 
 def test_total_dim_example_d4():
-    mod = build_simple(2, 4, ((2, 1), (1,)))
+    mod = build_simple(2, 1, 4, ((2, 1), (1,)), 1)
     assert mod.block_dim == 2 and mod.total_dim == 8  # (4!/(3! 1!)) * 2
+
+
+def young_induction_check(mod: SimpleModule, f) -> bool:
+    """|S(l,d)| / |G^f| * dim L_p(f) = total dim, G^f the generalized Young subgroup."""
+    f = tuple(f)
+    if type_of(f, mod.ell) != mod.lam:
+        raise ValueError("object type does not match the module's shape")
+    gf_order = 1
+    for li in mod.lam:
+        gf_order *= mod.ell**li * factorial(li)
+    group_order = mod.ell**mod.d * factorial(mod.d)
+    return group_order // gf_order * mod.block_dim == mod.total_dim
 
 
 def test_young_induction_index():
     for mod in all_simples(2, 3):
         for f in mod.objects:
             assert young_induction_check(mod, f)
-    mod = build_simple(2, 2, ((1,), (1,)))
+    mod = build_simple(2, 1, 2, ((1,), (1,)), 1)
     assert young_induction_check(mod, (1, 2))
 
 
 def test_characters_examples():
     s0, s1 = generators(2, 2)
-    m11 = build_simple(2, 2, ((1,), (1,)))
+    m11 = build_simple(2, 1, 2, ((1,), (1,)), 1)
     assert m11.char_wreath(s0).is_zero()
-    msign = build_simple(2, 2, ((1, 1), ()))
+    msign = build_simple(2, 1, 2, ((1, 1), ()), 1)
     assert msign.char_wreath(s1) == Cyc.rational(2, -1)
     for mod in all_simples(2, 2):
         assert mod.char_wreath(wreath_identity(2, 2)) == Cyc.rational(2, mod.total_dim)
@@ -219,12 +239,12 @@ def test_inner_product_forms_no_cyc_product_and_scales_once(monkeypatch):
 
 def test_trivial_character():
     # the trivial module lives on the all-color-l component (xi^(l c) = 1)
-    mod = build_simple(2, 2, ((), (2,)))
+    mod = build_simple(2, 1, 2, ((), (2,)), 1)
     assert all(mod.char_wreath(rep).is_one() for rep, _size in conjugacy_classes(2, 2))
     # on the all-color-1 component the diagonal part acts by its determinant
     from groupoidreps.wreath import generators
 
-    mod = build_simple(2, 2, ((2,), ()))
+    mod = build_simple(2, 1, 2, ((2,), ()), 1)
     assert mod.char_wreath(generators(2, 2)[0]) == Cyc.rational(2, -1)
 
 
@@ -256,9 +276,9 @@ def test_removable_nodes():
 
 
 def test_branching_examples():
-    mults = restriction_multiplicities(build_simple(2, 2, ((1,), (1,))))
+    mults = restriction_multiplicities(build_simple(2, 1, 2, ((1,), (1,)), 1))
     assert mults == {((1,), ()): 1, ((), (1,)): 1}
-    mults = restriction_multiplicities(build_simple(2, 3, ((3,), ())))
+    mults = restriction_multiplicities(build_simple(2, 1, 3, ((3,), ()), 1))
     assert mults == {((2,), ()): 1}
 
 
@@ -456,3 +476,67 @@ def test_a_wrong_specht_character_value_fails_the_branching_and_gelfand_checks(m
         statuses = {c["name"]: c["status"] for c in verify_gelfand(ell, 3)["checks"]}
         assert statuses["every simple has multiplicity exactly 1"] == "fail"
         assert statuses["gelfand character equals sum of simple characters"] == "fail"
+
+
+@pytest.mark.parametrize("ell,d", [(2, 3), (3, 2), (1, 3), (3, 3), (2, 4)])
+def test_k1_blocks_are_the_lifted_outer_specht_matrices_of_the_transport(ell, d):
+    # every morphism between two objects of each module's shape
+    for mod in all_simples(ell, d):
+        assert (mod.k, mod.m, mod.copies) == (1, 1, 1)
+        assert mod.objects == [f for f in objects(ell, d) if type_of(f, ell) == mod.lam]
+        for f in mod.objects:
+            for g in mod.objects:
+                for m in hom(f, g, ell):
+                    assert mod.action_block(m) == outer_specht_block(mod, m), (mod, m)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2, 2, 2, ((1,),), 1),  # one part for two colors
+        (2, 1, 2, ((3,), ()), 1),  # three dots, not two
+        (2, 1, 2, ((1,), (1,)), 2),  # s = 1 at k = 1
+        (2, 2, 2, ((1,), (1,)), 3),  # s = 2 here
+        (2, 2, 2, ((1,), (1,)), 0),
+        (3, 3, 3, ((1,), (1,), (1,)), 4),
+        (4, 3, 2, ((1,), (1,), (), ()), 1),  # 3 does not divide 4
+    ],
+)
+def test_labels_are_validated_at_every_k(args):
+    with pytest.raises(ValueError, match="does not match|stabilizer order|positive divisor"):
+        SimpleModule(*args)
+
+
+def test_char_wreath_is_only_for_k_1():
+    mod = build_simple(2, 2, 2, ((1,), (1,)), 1)
+    with pytest.raises(ValueError):
+        mod.char_wreath(wreath_identity(2, 2))
+
+
+def test_commutant_check_fails_for_one_anchor_scaled_by_two(monkeypatch):
+    # a scaled anchor is a change of basis at its block: the full component
+    # solve still finds dimension 1, the anchor step of the base-block
+    # routine does not pass it
+    ell, d = 2, 3
+    mod = build_simple(ell, 1, d, ((2,), (1,)), 1)
+    anchor = mod.anchors[-1]
+    real, two = mod.action_block, Cyc.rational(ell, 2)
+    monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), two) if q == anchor else real(q))
+    assert component_commutant_dim(mod) == 1
+    assert simples._commutant_dim(mod) is None
+    check = _check(verify_complete(ell, d), "commutant of each simple has dim 1")
+    assert check["status"] == "fail"
+    assert check["details"]["failures"] == [mod.label_json()]
+
+
+def test_commutant_check_fails_for_end_base_generators_acting_trivially(monkeypatch):
+    # the anchors still act as I; the End(b) generators acting as I leave a
+    # commutant of dimension block_dim^2 on the base block
+    ell, d = 2, 4
+    mod = build_simple(ell, 1, d, ((2, 1), (1,)), 1)
+    gens = set(simples._endo_generators(mod))
+    real = mod.action_block
+    monkeypatch.setattr(mod, "action_block", lambda q: Mat.identity(ell, mod.block_dim) if q in gens else real(q))
+    assert simples._commutant_dim(mod) == mod.block_dim**2 == 4
+    check = _check(verify_complete(ell, d), "commutant of each simple has dim 1")
+    assert check["details"]["failures"] == [mod.label_json()]

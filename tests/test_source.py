@@ -1,5 +1,6 @@
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -367,3 +368,43 @@ def test_the_rotation_check_builds_no_matrix():
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "phi"]
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "act_total"]
     assert not hasattr(Mat, "permuted") and not hasattr(SimpleModule, "act_alg")
+
+
+def test_one_class_defines_action_block():
+    # one simple-module class for S(l,d) and G(l,k,d)
+    owners = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "action_block" for item in node.body)
+    ]
+    assert owners == ["simples.py:SimpleModule"]
+
+
+def _names_used(tree) -> Counter:
+    """How often a tree reads, imports or reaches as an attribute each name."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used[(node.asname or node.name).split(".")[0]] += 1
+    return used
+
+
+def test_every_library_function_and_class_is_used_outside_the_tests():
+    # a module-level function or class of src/ that only tests call belongs
+    # in the tests; its own def (a recursive call) and __all__ do not count
+    root = SRC.parent.parent
+    used, defs = Counter(), []
+    for folder in ("src", "demos", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            used += _names_used(tree)
+            if path.parent == SRC:
+                defs += [(path.stem, node) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unused = [f"{stem}.{node.name}" for stem, node in defs if used[node.name] == _names_used(node)[node.name]]
+    assert not unused

@@ -40,9 +40,9 @@ print(json.dumps({"code": code, "counts": counts}))
 """
 
 PINNED_COUNTS = {
-    "cyclo.cyc_mul.calls": 4952,
-    "cyclo.cyc_addsub.calls": 6620,
-    "cyclo.cyc_scale.calls": 2900,
+    "cyclo.cyc_mul.calls": 4809,
+    "cyclo.cyc_addsub.calls": 6051,
+    "cyclo.cyc_scale.calls": 2704,
     "cyclo.cyc_inverse.calls": 47,
     "cyclo.spanbasis_add.calls": 588,
     "cyclo.mat_mul.calls": 377,
@@ -50,14 +50,14 @@ PINNED_COUNTS = {
     "algebra.verify_iso.calls": 8,
     "wreath.wreath_mul.calls": 637,
     "wreath.enum_group.calls": 23,
-    "perms.compose_perms.calls": 5702,
-    "groupoid.canonical_morphism.calls": 799,
+    "perms.compose_perms.calls": 4373,
+    "groupoid.canonical_morphism.calls": 334,
     "groupoid.hom.calls": 3764,
     "tableaux.specht_build.calls": 7,
-    "tableaux.outer_matrix.calls": 1400,
-    "simples.action_block.calls": 58,
+    "tableaux.outer_matrix.calls": 1162,
+    "simples.action_block.calls": 2955,
     "simples.conjugacy_classes.calls": 29,
-    "simples.commutant.calls": 35,
+    "simples.commutant.calls": 116,
     "simples.verify_complete.calls": 8,
     "simples.branching.calls": 3,
     "gelfand.char_wreath.calls": 60,
@@ -68,7 +68,6 @@ PINNED_COUNTS = {
     "gkd.restriction.calls": 15,
     "gkd.rotation.calls": 15,
     "gkd.functorial.calls": 81,
-    "gkd.commutant.calls": 81,
     "gkd.conjugacy_classes.calls": 45,
     "schurweyl.commuting.calls": 6,
     "schurweyl.double_centralizer.calls": 6,
@@ -77,7 +76,7 @@ PINNED_COUNTS = {
     "rook.epimorphism.calls": 3,
     "reporting.emit.calls": 1,
     "cli.main.calls": 1,
-    "cyclo.spanbasis_insert.rows": 1006,
+    "cyclo.spanbasis_insert.rows": 856,
 }
 
 

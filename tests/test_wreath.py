@@ -3,14 +3,13 @@ from math import factorial
 
 import pytest
 
-from groupoidreps.cyclo import Cyc
+from groupoidreps.cyclo import Cyc, root_of_unity
 from groupoidreps.gkd import gkd_conjugacy_classes
-from groupoidreps.perms import reach
+from groupoidreps.perms import perm_sign, reach
 from groupoidreps.simples import conjugacy_classes
 from groupoidreps.wreath import (
     WreathElem,
     check_presentation,
-    det,
     embed_lower_rank,
     enum_group,
     generators,
@@ -18,7 +17,6 @@ from groupoidreps.wreath import (
     gkd_generators,
     gkd_member,
     s0_j,
-    s0_j_word,
     wreath_identity,
     wreath_inv,
     wreath_mul,
@@ -63,6 +61,22 @@ def test_braid_example():
     lhs = wreath_mul(wreath_mul(g[1], g[2]), g[1])
     rhs = wreath_mul(wreath_mul(g[2], g[1]), g[2])
     assert lhs == rhs
+
+
+def s0_j_word(ell: int, d: int, j: int) -> WreathElem:
+    """The same element as s0_j, as the word s_{j-1}...s_1 s_0 s_1...s_{j-1}."""
+    gens = generators(ell, d)
+    word = list(range(j - 1, 0, -1)) + [0] + list(range(1, j))
+    out = wreath_identity(ell, d)
+    for i in word:
+        out = wreath_mul(out, gens[i])
+    return out
+
+
+def det(x: WreathElem) -> Cyc:
+    """Exact determinant of the monomial matrix: sign(perm) * xi^(sum of colors)."""
+    value = root_of_unity(x.ell, sum(x.colors))
+    return value if perm_sign(x.perm) == 1 else -value
 
 
 def test_s0_j():
