@@ -76,18 +76,9 @@ class AlgElem:
         return AlgElem(ell, d)
 
     @staticmethod
-    def from_morphism(ell: int, m: GMorphism, coeff: Cyc | None = None) -> "AlgElem":
-        c = coeff if coeff is not None else Cyc.one(ell)
-        return AlgElem(ell, len(m.perm), {m: c})
-
-    @staticmethod
     def unit(ell: int, d: int) -> "AlgElem":
         one = Cyc.one(ell)
         return AlgElem(ell, d, {identity_morphism(f): one for f in objects(ell, d)})
-
-    @staticmethod
-    def idempotent(ell: int, f) -> "AlgElem":
-        return AlgElem.from_morphism(ell, identity_morphism(tuple(f)))
 
     def __add__(self, other: "AlgElem") -> "AlgElem":
         self._check(other)

@@ -16,8 +16,10 @@ user, are integral and straightened in tableaux); the tests keep it as a
 reference, with their own null-space helper.
 Every commutant or intertwiner space solved by elimination is solved by
 :func:`intertwiners`, and every matrix assembled from blocks or scattered
-entries is built by :meth:`Mat.from_entries`.  A permutation of the basis
-(gkd's theta, schurweyl's shift) stays an index map with its caller.
+entries is built by :meth:`Mat.from_entries`.  Mat has no product: no library
+path multiplies two matrices (functoriality is read from relations on integer
+Specht data), so the dense product lives with the tests.  A permutation of
+the basis (gkd's theta, schurweyl's shift) stays an index map with its caller.
 
 All values are immutable; all operations are pure functions.
 """
@@ -102,8 +104,7 @@ class Cyc:
     """An element of Q(xi_l): integer numerators ``num`` over the denominator ``den``.
 
     ``num`` has length phi(l), ``den > 0`` and gcd(den, *num) = 1.  Different
-    cyclotomic orders never mix implicitly; use :meth:`embed` to move into
-    Q(xi_L) for l | L.
+    cyclotomic orders never mix implicitly.
     """
 
     __slots__ = ("ell", "num", "den")
@@ -201,41 +202,16 @@ class Cyc:
         norm = self * others
         return others.scale(Fraction(norm.den, norm.num[0]))
 
-    def __truediv__(self, other: "Cyc") -> "Cyc":
-        return self * other.inverse()
-
-    def __pow__(self, n: int) -> "Cyc":
-        if n < 0:
-            raise ValueError("negative powers are not supported; use inverse()")
-        result = Cyc.one(self.ell)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def _power_map(self, big_ell: int, t: int) -> "Cyc":
-        """The image in Q(xi_L) of the ring map xi_l -> xi_L^t."""
-        bins = [0] * big_ell
-        for a, c in enumerate(self.num):
-            bins[a * t % big_ell] += c
-        return _fold(big_ell, bins, self.den)
-
     def galois(self, t: int) -> "Cyc":
         """The field automorphism xi_l -> xi_l^t (requires gcd(t, l) = 1)."""
-        return self._power_map(self.ell, t)
+        bins = [0] * self.ell
+        for a, c in enumerate(self.num):
+            bins[a * t % self.ell] += c
+        return _fold(self.ell, bins, self.den)
 
     def conjugate(self) -> "Cyc":
         """Complex conjugation, as the automorphism xi_l -> xi_l^(-1)."""
         return self.galois(self.ell - 1) if self.ell > 2 else self
-
-    def embed(self, big_ell: int) -> "Cyc":
-        """Explicit embedding Q(xi_l) -> Q(xi_L) for l | L (power map p -> p*L/l)."""
-        if big_ell % self.ell != 0:
-            raise ValueError("embedding requires the source order to divide the target order")
-        return self._power_map(big_ell, big_ell // self.ell)
 
     # -- predicates & conversions -----------------------------------------
 
@@ -386,14 +362,6 @@ class Mat:
             and self.rows == other.rows
         )
 
-    def __mul__(self, other: "Mat") -> "Mat":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in multiplication")
-        z = Cyc.zero(self.ell)
-        cols = [_nonzero(col) for col in zip(*other.rows)]
-        rows = [_nonzero(r).items() for r in self.rows]
-        return Mat(self.ell, [[_dot(z, r, col) for col in cols] for r in rows])
-
     def trace(self) -> Cyc:
         acc = Cyc.zero(self.ell)
         for i in range(min(self.nrows, self.ncols)):
@@ -402,21 +370,6 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self.nrows}x{self.ncols} over Q(xi_{self.ell}))"
-
-
-def _dot(zero: Cyc, items, col: dict[int, Cyc]) -> Cyc:
-    """sum_k a * col[k] over the (k, a) in items."""
-    acc = zero
-    for k, a in items:
-        b = col.get(k)
-        if b is not None:
-            acc = acc + a * b
-    return acc
-
-
-def _nonzero(vec) -> dict[int, Cyc]:
-    """The nonzero entries of a vector, as {column: value}."""
-    return {j: c for j, c in enumerate(vec) if any(c.num)}
 
 
 def _checked(vec: dict[int, Cyc], n: int) -> dict[int, Cyc]:

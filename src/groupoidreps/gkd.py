@@ -59,6 +59,9 @@ from .simples import (
     SimpleModule,
     _commutant_dim,
     _endo_generators,
+    _equal_along,
+    _presentation_holds,
+    _slot_powers,
     _slot_rotation,
     all_simples,
     build_simple,
@@ -339,20 +342,8 @@ def _class_coordinates(ell: int, k: int, d: int) -> tuple[dict[GMorphism, Cyc], 
 
 
 def _quotient_functorial(mod: SimpleModule) -> bool:
-    """rho~(id) = I, rho~(s o q) = rho~(s) rho~(q) for the generators s of End(base), and they reach all r prod lambda_c! of it.
-
-    The base's anchor is the identity, so action_block is rho~ on End(base);
-    this is functoriality on the component (simples.SimpleModule).  Once
-    rho~(id) = I, a walk step s o q with s = id holds with no product.
-    """
-    Q, act = quotient_groupoid(mod.ell, mod.k, mod.d), mod.action_block
-    o = Q.orbit_of[mod.base]
-    unit = Q.identity(o)
-    if act(unit) != Mat.identity(mod.ell, mod.block_dim):
-        return False
-    gens = [Q.normalize(s) for s in _endo_generators(mod)]
-    reached = _closure(Q, gens, [o], lambda s, x, y: s == unit or act(y) == act(s) * act(x))
-    return reached is not None and len(reached) == mod.r * prod(map(factorial, mod.lam))
+    """Functoriality of L_(p,m): the relations of End(base) on its generators (simples._presentation_holds)."""
+    return _presentation_holds(mod, _endo_generators(mod))
 
 
 def quotient_simples_check(ell: int, k: int, d: int) -> dict:
@@ -484,7 +475,7 @@ def _commutes_with_theta(Q: QuotientGroupoid, summands, slots, x: WreathElem) ->
         image = blocks[(j + 1) % len(blocks)]
         for i, rows in blocks[j].items():
             t = Q.theta_index[i]
-            if exps[i] != exps[t] or any(image[t][slot[a]][slot[b]] != w for a, row in enumerate(rows) for b, w in enumerate(row)):
+            if exps[i] != exps[t] or not _equal_along(rows, image[t], slot):
                 return False
     return True
 
@@ -566,9 +557,7 @@ def _rotation_eigenspace_single(Q: QuotientGroupoid, lam, p, rotated_terms) -> t
     # theta^0 .. theta^k on the blocks of each summand i, the slot maps of
     # summands i, ..., i + j - 1 composed, and theta^k = 1 (theta^k fixes
     # every object, so only the slot maps can fail it)
-    powers = [[tuple(range(len(slot))) for slot in slots]]
-    for j in range(k):
-        powers.append([tuple(slots[(i + j) % len(slots)][a] for a in t) for i, t in enumerate(powers[-1])])
+    powers = _slot_powers(slots, k)
     if powers[k] != powers[0]:
         return False, {"failure": "theta_k does not have order k on the rotation module"}
 

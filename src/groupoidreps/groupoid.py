@@ -305,9 +305,6 @@ class QuotientGroupoid:
             raise ValueError("quotient morphisms are not composable")
         return compose(self.translate(q2, self._translate_exponent(q2.source, q1.target)), q1)
 
-    def inverse(self, q: GMorphism) -> GMorphism:
-        return self.normalize(inverse(q))
-
     def psi(self, q: GMorphism) -> tuple[GMorphism, ...]:
         """Orbit sum in A_(l,d), the embedding of the quotient algebra, as the multiset of the translates of q."""
         return tuple(self.translate(q, t) for t in range(self.k))

@@ -11,7 +11,8 @@ is an endomorphism of b, i.e. an element of the block group S_lambda, and
 acts on S_p by its outer-Specht matrix.  SimpleModule also carries the
 simples L_(p,m) of the quotient by H_k, whose base endomorphisms add a
 rotation (see the class); k = m = 1 gives L_p.  Irreducibility is one
-commutant solve on the base block (_commutant_dim), for every k.
+commutant solve on the base block (_commutant_dim), and functoriality the
+defining relations of End(b) on the block data (_presentation_holds).
 
 Characters are taken through the isomorphism with C[S(l,d)]: the character
 of x is the trace of the action of Phi(x), read off its monomial form by
@@ -60,6 +61,7 @@ from .groupoid import (
     canonical_morphism,
     canonical_object,
     component_generators,
+    identity_morphism,
     objects,
     stabilizer_order,
     theta_morphism,
@@ -67,7 +69,7 @@ from .groupoid import (
     theta_type,
     type_of,
 )
-from .perms import cycle_type_perm
+from .perms import adjacent_transposition, cycle_type_perm
 from .reporting import record, suite_result
 from .tableaux import (
     compositions,
@@ -117,15 +119,15 @@ class SimpleModule:
     The color-preserving part End(b) = S_lambda acts by outer Specht
     matrices on W = V_0 + ... + V_(r/s - 1), V_j a copy of S_(q_j) with
     q_j[c] = p[c + j u], and h by a tensor-slot rotation times the scalar
-    xi_l^((l/s) m) where it wraps from the last copy to the first (M below).
-    On shapes whose stabilizer fixes p (every case with d <= 3) this reduces
-    to the scalar action xi_l^((l/r) t m) on S_p itself.  action_block(q) is
-    rho~(a_2^-1 o q o a_1) for that action rho~ of End(b), a group of order
-    r prod lambda_c!, so L is functorial exactly when rho~ is multiplicative
-    there (Curtis-Reiner, Methods of Representation Theory I, section 11;
-    Stembridge, Pacific J. Math. 140, 1989).  At k = 1, rho~ of the
-    transported permutation sigma_(g,b) o pi o sigma_(b,f) is its outer
-    Specht matrix.
+    omega = xi_l^wrap, wrap = (l/s) m, where it wraps from the last copy to
+    the first (M below).  On shapes whose stabilizer fixes p (every case with
+    d <= 3) this reduces to the scalar action xi_l^((l/r) t m) on S_p itself.
+    action_block(q) is rho~(a_2^-1 o q o a_1) for that action rho~ of End(b),
+    so L is functorial exactly when rho~ is a homomorphism (Curtis-Reiner,
+    Methods of Representation Theory I, section 11; Stembridge, Pacific J.
+    Math. 140, 1989); _presentation_holds reads that from the defining
+    relations of End(b).  At k = 1, rho~ of sigma_(g,b) o pi o sigma_(b,f) is
+    its outer Specht matrix.
     """
 
     def __init__(self, ell: int, k: int, d: int, p, m: int):
@@ -143,6 +145,7 @@ class SimpleModule:
         self.m = m
         self.u = ell // self.r
         self.copies = self.r // self.s
+        self.wrap = (ell // self.s) * m  # omega = xi^wrap
         self.reps = [outer_rep(theta_type(self.p, -j * self.u), self.lam) for j in range(self.copies)]
         self.outer = self.reps[0]
         self.block_dim = sum(rep.dim for rep in self.reps)
@@ -208,7 +211,7 @@ class SimpleModule:
         offsets = list(accumulate((rep.dim for rep in self.reps), initial=0))
         entries = []
         for j, rep in enumerate(self.reps):
-            scalar = root_of_unity(ell, (ell // self.s) * self.m * ((j + t) // copies))
+            scalar = root_of_unity(ell, self.wrap * ((j + t) // copies))
             slot = _slot_rotation([c.dim for c in rep.components], lambda c: (c + t * self.u) % ell)
             row0, col0 = offsets[(j + t) % copies], offsets[j]
             entries += (
@@ -257,6 +260,26 @@ def _slot_rotation(dims_src: list[int], source_slot) -> tuple[int, ...]:
         flatten([src_idx[source_slot(c)] for c in range(len(dims_src))], dims_tgt)
         for src_idx in product(*(range(v) for v in dims_src))
     )
+
+
+def _slot_powers(slots, n: int) -> list[list[tuple[int, ...]]]:
+    """Powers 0..n of the rotation with slot map slots[i] from summand i to i + 1 (cyclically): [j][i] composes those of i..i + j - 1."""
+    powers = [[tuple(range(len(slot))) for slot in slots]]
+    for j in range(n):
+        powers.append([tuple(slots[(i + j) % len(slots)][a] for a in t) for i, t in enumerate(powers[-1])])
+    return powers
+
+
+def _equal_along(rows, image, slot) -> bool:
+    """Whether the integer block image equals rows carried along the index map slot: image[slot[a]][slot[b]] = rows[a][b]."""
+    return all(image[slot[a]][slot[b]] == w for a, row in enumerate(rows) for b, w in enumerate(row))
+
+
+def _run_shift(lam: tuple[int, ...], i: int, shift: int) -> int:
+    """The position of b = f_lam that has position i's offset in the run of color c + shift, c the color of i."""
+    starts = list(accumulate(lam, initial=0))
+    c = canonical_object(lam)[i - 1] - 1
+    return starts[(c + shift) % len(lam)] + i - starts[c]
 
 
 @lru_cache(maxsize=None)
@@ -513,10 +536,7 @@ def character_table(ell: int, d: int) -> tuple[tuple[Cyc, ...], ...]:
 
 def total_dim_check(mod: SimpleModule) -> bool:
     """Total dimension equals (d!/lambda!) * dim S_p exactly."""
-    lam_fact = 1
-    for li in mod.lam:
-        lam_fact *= factorial(li)
-    return mod.total_dim == factorial(mod.d) // lam_fact * mod.block_dim
+    return mod.total_dim == factorial(mod.d) // prod(map(factorial, mod.lam)) * mod.block_dim
 
 
 def _endo_generators(mod: SimpleModule) -> list[GMorphism]:
@@ -546,36 +566,74 @@ def _commutant_dim(mod: SimpleModule) -> int | None:
     return len(intertwiners(ell, [bd], [bd], actions))
 
 
+def _presentation_holds(mod: SimpleModule, gens) -> bool:
+    """Whether mod is a functor, from the defining relations of End(b) on the data its blocks are built from.
+
+    End(b) = S_lambda x| <h>: S_lambda is generated by the s_i with
+    b_i = b_(i+1), and h = canonical_morphism(b, theta^u(b)) has order r and
+    sends position i of color c to the position i' with i's offset in the run
+    of color c - u (theta^u(b) has color c where b has c - u), so
+    h s_i h^-1 = s_i'.  The Coxeter relations of each S_(lambda_c), s_i s_j =
+    s_j s_i across colors, h^r = 1 and h s_i h^-1 = s_i' present End(b)
+    (Coxeter-Moser, Generators and Relations for Discrete Groups, 1957;
+    Matsumoto, C. R. Acad. Sci. Paris 258, 1964; for the semidirect product,
+    D. L. Johnson, Presentations of Groups).  The blocks are built from:
+    matrix_of_perm(w), the product of gen_matrices along perm_to_word(w);
+    matrix_of_blockperm, the Kronecker product of those over the colors; and
+    _endo_block(t, w) = M^t rho(w), rho(w) those blocks over the copies and M^t
+    t steps of the slot map c -> c + u (they compose to c -> c + tu) with
+    omega = xi^wrap at each wrap.  The check:
+    - gens, less identities, are the s_i, and h when r > 1;
+    - the identity of b's orbit acts as I;
+    - each Specht factor's gen_matrices satisfy the Coxeter relations, so all
+      words of a permutation give one product: matrix_of_perm is a
+      homomorphism, and so is rho, the Kronecker product over the colors;
+    - M^r = I: r steps of M's slot maps compose to the identity, and the
+      r / copies wraps give wrap r / copies = 0 mod l;
+    - M rho(s_i) M^-1 = rho(s_i'): on each copy the block of s_i, carried
+      along M's slot map to the next copy, is the block of s_i' there.
+    The images then define a homomorphism of End(b) (von Dyck) whose value at
+    h^t w is M^t rho(w), the block action_block returns, so rho~ is
+    multiplicative and L is functorial (SimpleModule).  Nothing is walked and
+    no Mat is multiplied.
+    """
+    ell, b, r = mod.ell, mod.base, mod.r
+    runs = [i for i in range(1, mod.d) if b[i - 1] == b[i]]
+    s = {i: GMorphism(b, b, adjacent_transposition(mod.d, i)) for i in runs}
+    h = canonical_morphism(b, theta_object(b, mod.u, ell), ell)
+    if {g for g in gens if g != identity_morphism(b)} != {*s.values(), *([h] if r > 1 else [])}:
+        return False
+    unit = identity_morphism(min(theta_object(b, t * (ell // mod.k), ell) for t in range(mod.k)))
+    if mod.action_block(unit) != Mat.identity(ell, mod.block_dim):
+        return False
+    if not all(spec.coxeter_relations_hold for rep in mod.reps for spec in rep.components):
+        return False
+    if r == 1:
+        return True
+    slots = [_slot_rotation([c.dim for c in rep.components], lambda c: (c + mod.u) % ell) for rep in mod.reps]
+    powers = _slot_powers(slots, r)
+    if powers[r] != powers[0] or mod.wrap * (r // mod.copies) % ell:
+        return False
+    return all(
+        _equal_along(rep.matrix_of_blockperm(s[i].perm), image.matrix_of_blockperm(s[_run_shift(mod.lam, i, -mod.u)].perm), slot)
+        for rep, image, slot in zip(mod.reps, mod.reps[1:] + mod.reps[:1], slots)
+        for i in runs
+    )
+
+
 def verify_complete(ell: int, d: int) -> dict:
-    """Completeness: Wedderburn count, irreducibility, pairwise distinctness."""
+    """Completeness: functoriality, Wedderburn count, irreducibility, pairwise distinctness."""
     mods = all_simples(ell, d)
-    checks = []
-
-    total = sum(m.total_dim**2 for m in mods)
-    expected = ell**d * factorial(d)
-    checks.append(
-        record(
-            "wedderburn sum of squares",
-            total == expected,
-            {"sum": total, "group_order": expected, "dims": [m.total_dim for m in mods]},
-        )
-    )
-
-    eq5 = all(total_dim_check(m) for m in mods)
-    checks.append(record("total dim = (d!/lam!) dim S_p", eq5))
-
+    total, order = sum(m.total_dim**2 for m in mods), ell**d * factorial(d)
     bad = [m.label_json() for m in mods if _commutant_dim(m) != 1]
-    checks.append(record("commutant of each simple has dim 1", not bad, {"failures": bad}))
-
-    chars = character_table(ell, d)
-    distinct = len({tuple(v.coeffs for v in c) for c in chars})
-    checks.append(
-        record(
-            "characters pairwise distinct",
-            distinct == len(mods),
-            {"distinct": distinct, "count": len(mods)},
-        )
-    )
+    distinct = len({tuple(v.coeffs for v in c) for c in character_table(ell, d)})
+    checks = [
+        record("L_p functorial", all(_presentation_holds(m, _endo_generators(m)) for m in mods)),
+        record("wedderburn sum of squares", total == order, {"sum": total, "group_order": order, "dims": [m.total_dim for m in mods]}),
+        record("total dim = (d!/lam!) dim S_p", all(map(total_dim_check, mods))),
+        record("commutant of each simple has dim 1", not bad, {"failures": bad}),
+        record("characters pairwise distinct", distinct == len(mods), {"distinct": distinct, "count": len(mods)}),
+    ]
     return suite_result(checks, ell=ell, d=d, simple_count=len(mods))
 
 

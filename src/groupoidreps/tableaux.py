@@ -18,7 +18,7 @@ on the i-th tensor factor.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
 from math import factorial
 from operator import mul
@@ -189,6 +189,10 @@ def _kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(tuple(x * y for x in r for y in s) for r in a for s in b)
 
 
+def _identity(n: int) -> IntMatrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 class SpechtRep:
     """Young's natural representation of S_n on S_mu: integer matrices in the polytabloid basis.
 
@@ -246,11 +250,18 @@ class SpechtRep:
         cached = self._perm_cache.get(w)
         if cached is not None:
             return cached
-        m = tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
+        m = _identity(self.dim)
         for i in perm_to_word(w):
             m = _matmul(m, self.gen_matrices[i])
         self._perm_cache[w] = m
         return m
+
+    @cached_property
+    def coxeter_relations_hold(self) -> bool:
+        """Whether gen_matrices satisfy the Coxeter relations of S_n: (s_i s_j)^m = 1, m = 1 if i = j, 3 if |i - j| = 1, else 2."""
+        g, one = self.gen_matrices, _identity(self.dim)
+        orders = {(i, j): 1 if i == j else 3 if j == i + 1 else 2 for i in g for j in g if i <= j}
+        return all(reduce(_matmul, [_matmul(g[i], g[j])] * m) == one for (i, j), m in orders.items())
 
 
 @lru_cache(maxsize=None)

@@ -36,8 +36,9 @@ simple as the dense product M^t rho(pi), carried to the base orbit by
 Q.compose with the normalized anchors: the routes that the (t, pi)-keyed
 blocks of simples.SimpleModule replace.  component_functorial is the
 functoriality walk over every morphism of a quotient simple's component,
-the route that the End(base) walk of gkd._quotient_functorial replaces, and
-component_commutant_dim the commutant solved over the whole component from
+and end_base_functorial the walk over End(base) alone, with one dense
+product per step off the identity: the routes that the relations of
+simples._presentation_holds replace.  component_commutant_dim the commutant solved over the whole component from
 its generators, the route that the base-block solve of
 simples._commutant_dim replaces.  all_morphisms lists every morphism of the
 groupoid.  The dense rotation module is
@@ -51,13 +52,15 @@ composes theta's slot maps.  dense_twisted_traces reads tr(theta^j A_x)
 off the dense matrix of x, the route that gkd._twisted_traces replaces.  dense_exp_identity checks the exp
 identity with dense Mat powers, the route that the row maps of
 schurweyl._transvections_are_exponentials replace.  cyc_from_json, mat_zeros,
-mat_add, mat_sub and mat_scale are the JSON reader of Cyc, the zero matrix and
-Mat arithmetic, which only tests use.
+mat_add, mat_sub, mat_scale and mat_mul are the JSON reader of Cyc, the zero
+matrix and Mat arithmetic, and cyc_pow, embed, morphism_element and
+idempotent the powers of a Cyc, the field embedding Q(xi_l) -> Q(xi_L) and
+single-morphism algebra elements, which only tests use.
 """
 
 from fractions import Fraction
 from itertools import accumulate, product
-from math import prod
+from math import factorial, prod
 from operator import mul
 
 from groupoidreps.algebra import AlgElem, phi
@@ -70,6 +73,8 @@ from groupoidreps.groupoid import (
     canonical_morphism,
     compose,
     hom,
+    identity_morphism,
+    inverse,
     object_index,
     objects,
     quotient_groupoid,
@@ -183,7 +188,7 @@ def blockdiag_identity(T) -> dict:
 
 def blockdiag_mul(x: dict, y: dict) -> dict:
     """The product of two block-diagonal maps, one dense product per block."""
-    return {f: x[f] * y[f] for f in x}
+    return {f: mat_mul(x[f], y[f]) for f in x}
 
 
 def blockdiag_vector(x: dict) -> list[Cyc]:
@@ -318,7 +323,7 @@ def quotient_action_block(mod, q) -> Mat:
     M = Mat.from_entries(ell, mod.block_dim, mod.block_dim, rotation)
 
     o1, o2 = Q.source_orbit(q), Q.target_orbit(q)
-    endo = Q.compose(Q.inverse(anchors[o2]), Q.compose(q, anchors[o1]))
+    endo = Q.compose(Q.normalize(inverse(anchors[o2])), Q.compose(q, anchors[o1]))
     at_base = Q.translate(endo, Q._translate_exponent(endo.source, mod.base))
     tgt = at_base.target
     t = Q._translate_exponent(mod.base, tgt) // (mod.k // mod.r)
@@ -333,7 +338,7 @@ def quotient_action_block(mod, q) -> Mat:
         )
     out = Mat.from_entries(ell, mod.block_dim, mod.block_dim, rho)
     for _ in range(t):
-        out = M * out
+        out = mat_mul(M, out)
     return out
 
 
@@ -378,8 +383,24 @@ def component_functorial(mod) -> bool:
     """L(s o q) = L(s) L(q) for the component generators s, along a walk that reaches every morphism of the component."""
     Q, anchors = _component(mod)
     act = mod.action_block
-    reached = gkd._closure(Q, gkd._quotient_generators(Q, [mod.lam]), list(anchors), lambda s, x, y: act(y) == act(s) * act(x))
+    reached = gkd._closure(Q, gkd._quotient_generators(Q, [mod.lam]), list(anchors), lambda s, x, y: act(y) == mat_mul(act(s), act(x)))
     return reached == set(component_morphisms(mod))
+
+
+def end_base_functorial(mod) -> bool:
+    """rho~(id) = I, rho~(s o q) = rho~(s) rho~(q) for the generators s of End(base), and they reach all r prod lambda_c! of it.
+
+    The base's anchor is the identity, so action_block is rho~ on End(base).
+    Once rho~(id) = I, a walk step s o q with s = id holds with no product.
+    """
+    Q, act = quotient_groupoid(mod.ell, mod.k, mod.d), mod.action_block
+    o = Q.orbit_of[mod.base]
+    unit = Q.identity(o)
+    if act(unit) != Mat.identity(mod.ell, mod.block_dim):
+        return False
+    gens = [Q.normalize(s) for s in gkd._endo_generators(mod)]
+    reached = gkd._closure(Q, gens, [o], lambda s, x, y: s == unit or act(y) == mat_mul(act(s), act(x)))
+    return reached is not None and len(reached) == mod.r * prod(map(factorial, mod.lam))
 
 
 def permuted(A: Mat, perm) -> Mat:
@@ -487,6 +508,43 @@ def mat_scale(a: Mat, c: Cyc) -> Mat:
     return Mat(a.ell, [[c * v for v in r] for r in a.rows])
 
 
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    """a b, each entry a dot product over the nonzero entries of a row of a and a column of b."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch in multiplication")
+    z = Cyc.zero(a.ell)
+    cols = [to_sparse(col) for col in zip(*b.rows)]
+    rows = [to_sparse(r).items() for r in a.rows]
+    return Mat(a.ell, [[sum((x * col[j] for j, x in r if j in col), z) for col in cols] for r in rows])
+
+
+def cyc_pow(x: Cyc, n: int) -> Cyc:
+    """x^n for n >= 0, by n products."""
+    if n < 0:
+        raise ValueError("negative powers are not supported; use inverse()")
+    out = Cyc.one(x.ell)
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def embed(x: Cyc, big_ell: int) -> Cyc:
+    """The image of x under the field embedding Q(xi_l) -> Q(xi_L), xi_l -> xi_L^(L/l), for l | L."""
+    if big_ell % x.ell:
+        raise ValueError("embedding requires the source order to divide the target order")
+    return sum((root_of_unity(big_ell, a * (big_ell // x.ell)).scale(c) for a, c in enumerate(x.coeffs)), Cyc.zero(big_ell))
+
+
+def morphism_element(ell: int, m: GMorphism, coeff: Cyc | None = None) -> AlgElem:
+    """The algebra element coeff m (coeff 1 by default)."""
+    return AlgElem(ell, len(m.perm), {m: Cyc.one(ell) if coeff is None else coeff})
+
+
+def idempotent(ell: int, f) -> AlgElem:
+    """The identity morphism of the object f as an algebra element."""
+    return morphism_element(ell, identity_morphism(tuple(f)))
+
+
 def dense_exp_identity(T, gens) -> tuple[bool, int]:
     """Whether (I+E_ab)^(x d) = sum_(n<=d) Delta(E_ab)^n / n! for each a != b, by dense powers; and the unit count."""
     ell, one = T.ell, Cyc.one(T.ell)
@@ -502,7 +560,7 @@ def dense_exp_identity(T, gens) -> tuple[bool, int]:
             tensor = Mat.from_entries(ell, n, n, (((pos[u], j), one) for j, us in enumerate(images) for u in us))
             term = series = Mat.identity(ell, n)
             for power in range(1, T.d + 1):
-                term = mat_scale(term * gen[f], Cyc.rational(ell, Fraction(1, power)))
+                term = mat_scale(mat_mul(term, gen[f]), Cyc.rational(ell, Fraction(1, power)))
                 series = mat_add(series, term)
             ok = ok and tensor == series
     return ok, units

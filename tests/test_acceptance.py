@@ -94,6 +94,7 @@ def test_criterion_2_phi_isomorphism():
 def test_criterion_3_simple_modules():
     from groupoidreps.groupoid import compose, hom
     from groupoidreps.simples import all_simples, total_dim_check, verify_complete
+    from reference import mat_mul
 
     t0 = time.perf_counter()
     ok = True
@@ -108,7 +109,7 @@ def test_criterion_3_simple_modules():
                         a1 = mod.action_block(m1)
                         for h in mod.objects:
                             for m2 in hom(g, h, ell):
-                                if mod.action_block(compose(m2, m1)) != mod.action_block(m2) * a1:
+                                if mod.action_block(compose(m2, m1)) != mat_mul(mod.action_block(m2), a1):
                                     ok = False
     _report(3, "simple modules: dims, commutants, characters", ok, time.perf_counter() - t0, 60)
 

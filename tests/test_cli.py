@@ -234,13 +234,13 @@ def test_the_parser_is_built_once_per_process(tmp_path):
 # The checks payload of the default `all` grid.  A change that moves the
 # payload on purpose updates this digest and the check count, and says so in
 # CHANGES.md.
-ALL_PAYLOAD_SHA256 = "a6fc8d88bc2858d3e93bca147a509646ce985143ce6bdfa2130fc7c2cda34b26"
+ALL_PAYLOAD_SHA256 = "91800a75d72bb8110bfdf92061a7a58ca909370c005122d5be55fd2ebc73ae93"
 
 
 def test_all_payload_is_pinned():
     code, out = run_cli(["all", "--out", "json"])
     rep = json.loads(out)
-    assert code == 0 and len(rep["checks"]) == 802
+    assert code == 0 and len(rep["checks"]) == 814
     assert hashlib.sha256(checks_payload(rep).encode()).hexdigest() == ALL_PAYLOAD_SHA256
 
 
@@ -253,7 +253,7 @@ def test_all_payload_is_pinned_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
-    assert len(rep["checks"]) == 802
+    assert len(rep["checks"]) == 814
     assert hashlib.sha256(checks_payload(rep).encode()).hexdigest() == ALL_PAYLOAD_SHA256
 
 
@@ -263,7 +263,7 @@ def test_all_payload_is_pinned_under_python_O():
 SUBCOMMAND_PAYLOAD_SHA256 = {
     "objects --ell 2 --d 3": "5334d3dd0436b368f07fb678651e7156f74c9235fbd403a21a786dcd5a2643dc",
     "verify-iso --ell 2 --d 3": "cc0c0cd195377496637d4374ac98132f164c60c39a8dac0d94fe12ebb90e031b",
-    "simples --ell 2 --d 3": "c5060fe16d19b56ee3f7222c16193294cf0695f27d0976497fa259b5c8d02a27",
+    "simples --ell 2 --d 3": "833dfef4bed302785462e268f6e5a3b478e577ab43c8b8c08eeb21f4d81724b1",
     "branching --ell 2 --d 3": "fae43986abf454508772a8d742566ea32680cc7c2af130a07152990a93edbcab",
     "gelfand --ell 2 --d 3": "1778eb45eee157ea51bd91b6ec937ba54bf2a0cb6c1245dd20f1d139dffbef11",
     "gkd --ell 2 --k 2 --d 4": "b7aeeda42dbe373cae8b5e87b0914e69b1cf96bf8aa38b7f332609d8efa3c716",

@@ -36,7 +36,7 @@ from groupoidreps.groupoid import (
     type_of,
 )
 from groupoidreps.simples import SimpleModule, _commutant_dim, all_simples, build_simple, inner_products
-from groupoidreps.tableaux import multipartitions
+from groupoidreps.tableaux import OuterRep, SpechtRep, _matmul, multipartitions
 from groupoidreps.wreath import generators, wreath_identity
 import reference
 from reference import (
@@ -46,6 +46,7 @@ from reference import (
     component_morphisms,
     dense_commutes,
     dense_twisted_traces,
+    end_base_functorial,
     kernel_basis,
     mat_scale,
     mat_sub,
@@ -408,7 +409,7 @@ def test_generator_checks_reject_a_non_generating_set(monkeypatch):
     assert _status(quotient_simples_check(2, 2, 3), "L_(p,m) functorial") == "fail"
 
 
-def test_functoriality_check_catches_action_wrong_off_generators(monkeypatch):
+def test_reference_walk_catches_action_wrong_off_generators(monkeypatch):
     ell, k, d = 2, 2, 3
     mods = [build_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
     mod = next(m for m in mods if m.block_dim > 1)
@@ -418,9 +419,12 @@ def test_functoriality_check_catches_action_wrong_off_generators(monkeypatch):
     real = mod.action_block
     two = Cyc.rational(ell, 2)
     monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), two) if q == bad else real(q))
+    assert not end_base_functorial(mod) and not component_functorial(mod)
+    # the report reads the action at the identity alone: the relations are
+    # checked on the data the blocks are built from, and action_block builds
+    # every block from that data, which this fault bypasses
     rep = quotient_simples_check(ell, k, d)
-    # the generators and identities act as before, so only functoriality sees the fault
-    assert _status(rep, "L_(p,m) functorial") == "fail"
+    assert _status(rep, "L_(p,m) functorial") == "pass"
     assert _status(rep, "commutant of each L_(p,m) has dim 1") == "pass"
     assert _status(rep, "identity quotient morphisms act as identity") == "pass"
 
@@ -444,29 +448,86 @@ def test_functoriality_fails_when_the_identity_does_not_act_as_identity(monkeypa
 
 @pytest.mark.parametrize("ell,k,d", [(2, 2, 3), (3, 3, 2), (3, 1, 3)])
 def test_functoriality_walk_multiplies_only_on_non_identity_steps(monkeypatch, ell, k, d):
+    # the reference End(base) walk: rho~(id) = I is read once, so a step from the identity needs no product
     steps, products = [], []
-    walk, mul = gkd._closure, Mat.__mul__
+    walk, mul = gkd._closure, reference.mat_mul
     monkeypatch.setattr(
         gkd, "_closure", lambda Q, gens, objs, holds: walk(Q, gens, objs, lambda s, x, y: steps.append(s) or holds(s, x, y))
     )
-    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(reference, "mat_mul", lambda a, b: products.append(1) or mul(a, b))
     for _lam, p, m in quotient_labels(ell, k, d):
         mod = build_simple(ell, k, d, p, m)
         Q = quotient_groupoid(ell, k, d)
         unit = Q.identity(Q.orbit_of[mod.base])
         steps.clear()
         products.clear()
-        assert gkd._quotient_functorial(mod)
+        assert end_base_functorial(mod)
         assert unit in steps and len(products) == sum(s != unit for s in steps) < len(steps)
 
 
-@pytest.mark.parametrize("ell,k,d", [*GKD_GRID, (2, 2, 4), (4, 2, 3)])
+def _fresh_copy(mod) -> SimpleModule:
+    """mod built again outside every cache: its own blocks, outer reps and Specht reps (one per partition)."""
+    fresh = SimpleModule(mod.ell, mod.k, mod.d, mod.p, mod.m)
+    specs = {}
+    fresh.reps = [OuterRep(rep.p, rep.lam) for rep in mod.reps]
+    for rep in fresh.reps:
+        rep.components = [specs.setdefault(c.shape, SpechtRep(c.shape)) for c in rep.components]
+    fresh.outer = fresh.reps[0]
+    return fresh
+
+
+def _with_generator(mod, change):
+    """A fresh copy of mod whose first Specht factor on 2 or more points has s_1 replaced by change(s_1); None if there is none."""
+    fresh = _fresh_copy(mod)
+    spec = next((c for rep in fresh.reps for c in rep.components if c.n >= 2), None)
+    if spec is None:
+        return None
+    spec.gen_matrices[1] = change(spec.gen_matrices[1])
+    return fresh
+
+
+def _entry_changed(mod):
+    return _with_generator(mod, lambda g: ((g[0][0] + 1, *g[0][1:]), *g[1:]))
+
+
+def _generator_negated(mod):
+    return _with_generator(mod, lambda g: tuple(tuple(-v for v in row) for row in g))
+
+
+def _omega_changed(mod):
+    fresh = _fresh_copy(mod)
+    fresh.wrap += 1
+    return fresh
+
+
+MUTANTS = [_entry_changed, _generator_negated, _omega_changed]
+
+
+@pytest.mark.parametrize("ell,k,d", [*GKD_GRID, (2, 2, 4), (4, 2, 3), (3, 3, 4)])
 def test_end_base_walk_agrees_with_the_component_walk(ell, k, d):
     # action_block(q) is rho~ of a2^-1 o q o a1, so functoriality on the
-    # component is multiplicativity of rho~ on End(base)
+    # component is multiplicativity of rho~ on End(base); the relations of
+    # End(base) give the same verdict as the walk, on the true modules and
+    # on each fault in the data their blocks are built from
     for _lam, p, m in quotient_labels(ell, k, d):
         mod = build_simple(ell, k, d, p, m)
-        assert gkd._quotient_functorial(mod) and component_functorial(mod), mod
+        assert gkd._quotient_functorial(mod) and end_base_functorial(mod) and component_functorial(mod), mod
+        for mutant in filter(None, (fault(mod) for fault in MUTANTS)):
+            assert gkd._quotient_functorial(mutant) == end_base_functorial(mutant), (mutant, mutant.reps, mutant.wrap)
+
+
+@pytest.mark.parametrize("ell,k,d", [(2, 1, 4), (2, 2, 4), (3, 3, 4)])
+def test_presentation_check_reads_only_the_identity_block(monkeypatch, ell, k, d):
+    # no walk and no Mat product: action_block is read once, at the identity of the base's orbit
+    def refuse(a, b):
+        raise AssertionError("Mat product formed")
+
+    monkeypatch.setattr(Mat, "__mul__", refuse, raising=False)
+    Q = quotient_groupoid(ell, k, d)
+    for _lam, p, m in quotient_labels(ell, k, d):
+        mod, read = _fresh_copy(build_simple(ell, k, d, p, m)), []
+        monkeypatch.setattr(mod, "action_block", lambda q, real=mod.action_block, read=read: read.append(q) or real(q))
+        assert gkd._quotient_functorial(mod) and read == [Q.identity(Q.orbit_of[mod.base])]
 
 
 def test_both_walks_reject_a_block_wrong_inside_end_base(monkeypatch):
@@ -477,8 +538,48 @@ def test_both_walks_reject_a_block_wrong_inside_end_base(monkeypatch):
     bad = _non_generator(Q, Q.hom(o, o), [Q.normalize(s) for s in gkd._endo_generators(mod)])
     real, two = mod.action_block, Cyc.rational(ell, 2)
     monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), two) if q == bad else real(q))
-    assert not gkd._quotient_functorial(mod)
+    assert not end_base_functorial(mod)
     assert not component_functorial(mod)
+
+
+@pytest.mark.parametrize(
+    "fault,p", [(_entry_changed, ((2, 1), (1,))), (_generator_negated, ((2, 1), (1,))), (_omega_changed, ((2,), (1, 1)))]
+)
+def test_presentation_check_rejects_each_fault_in_the_block_data(fault, p):
+    # at (2,2,4), p = ((2,1),(1)) has a Specht factor on 3 points, where s_1
+    # is in a braid relation; p = ((2),(1,1)) has r = 2 and s = 1, so
+    # omega = 1 and omega xi has omega^r != 1
+    mod = build_simple(2, 2, 4, p, 1)
+    assert gkd._quotient_functorial(_fresh_copy(mod))
+    mutant = fault(mod)
+    assert not gkd._quotient_functorial(mutant) and not end_base_functorial(mutant)
+
+
+def test_a_negated_generator_breaks_only_the_braid_relation():
+    # S_(3,1): of the relations (s_i s_j)^m_ij = 1, only (s_1 s_2)^3 = 1 involves s_1 an odd number of times
+    mod = build_simple(2, 1, 4, ((3, 1), ()), 1)
+    spec = _generator_negated(mod).outer.components[0]
+    g, one = spec.gen_matrices, _matmul(spec.gen_matrices[1], spec.gen_matrices[1])
+
+    def power(a, n):
+        return a if n == 1 else _matmul(power(a, n - 1), a)
+
+    broken = [(i, j) for i in g for j in g if i <= j and power(_matmul(g[i], g[j]), 1 if i == j else 3 if j == i + 1 else 2) != one]
+    assert one == tuple(tuple(int(a == b) for b in range(spec.dim)) for a in range(spec.dim))
+    assert broken == [(1, 2)] and not spec.coxeter_relations_hold
+    assert not gkd._quotient_functorial(_generator_negated(mod))
+
+
+def test_presentation_check_needs_the_conjugation_shift_c_minus_u(monkeypatch):
+    # h maps position i of color c to the run of color c - u; at r = 2 the
+    # shifts c - u and c + u agree, at r = 3 they do not
+    real = simples._run_shift
+    at_r3 = [build_simple(3, 3, 6, p, m) for _lam, p, m in quotient_labels(3, 3, 6)]
+    at_r2 = [build_simple(2, 2, 4, p, m) for _lam, p, m in quotient_labels(2, 2, 4)]
+    assert all(map(gkd._quotient_functorial, at_r3 + at_r2))
+    monkeypatch.setattr(simples, "_run_shift", lambda lam, i, shift: real(lam, i, -shift))
+    assert not all(map(gkd._quotient_functorial, at_r3))
+    assert all(map(gkd._quotient_functorial, at_r2))
 
 
 @pytest.mark.parametrize("ell,k,d", [(2, 2, 2), (3, 3, 3), (2, 2, 4), (4, 4, 2)])
@@ -797,7 +898,7 @@ def _all_pairs_endo_rows(Q):
         f = Q.rep(oi)
         inner = set(hom(f, f, ell))
         ok = info["cardinality_ok"] and len(inner) == prod(map(factorial, info["type"]))
-        ok = ok and all(Q.compose(Q.compose(q, n), Q.inverse(q)) in inner for q in info["endos"] for n in inner)
+        ok = ok and all(Q.compose(Q.compose(q, n), Q.normalize(inverse(q))) in inner for q in info["endos"] for n in inner)
         rows.append({"orbit": list(f), "stabilizer": info["stabilizer_order"], "endos": info["endo_count"], "ok": ok})
     return rows
 

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -13,6 +14,7 @@ from groupoidreps.gelfand import build_gelfand, verify_gelfand
 from groupoidreps.gkd import gkd_conjugacy_classes
 from groupoidreps.groupoid import canonical_morphism, compose, hom, identity_morphism, objects, type_of
 from groupoidreps.simples import (
+    _slot_rotation,
     SimpleModule,
     all_simples,
     branching_report,
@@ -33,6 +35,7 @@ from reference import (
     act_alg,
     cyc_inner_product,
     component_commutant_dim,
+    mat_mul,
     mat_scale,
     model_object_trace,
     outer_specht_block,
@@ -81,7 +84,7 @@ def test_functoriality_exhaustive():
                         for h in objs:
                             for m2 in hom(g, h, ell):
                                 lhs = mod.action_block(compose(m2, m1))
-                                assert lhs == mod.action_block(m2) * a1
+                                assert lhs == mat_mul(mod.action_block(m2), a1)
 
 
 def test_eq5_total_dims():
@@ -260,7 +263,7 @@ def test_phi_action_representation():
     for mod in all_simples(2, 2):
         for _ in range(10):
             x, y = rnd.choice(group), rnd.choice(group)
-            lhs = act_alg(mod, phi(x)) * act_alg(mod, phi(y))
+            lhs = mat_mul(act_alg(mod, phi(x)), act_alg(mod, phi(y)))
             assert lhs == act_alg(mod, phi(wreath_mul(x, y)))
 
 
@@ -540,3 +543,26 @@ def test_commutant_check_fails_for_end_base_generators_acting_trivially(monkeypa
     assert simples._commutant_dim(mod) == mod.block_dim**2 == 4
     check = _check(verify_complete(ell, d), "commutant of each simple has dim 1")
     assert check["details"]["failures"] == [mod.label_json()]
+
+
+def test_slot_rotations_compose_additively():
+    # _endo_block reads M^t as one rotation by t u: a rotation by a, then one
+    # by b of the rotated factors, is the rotation by a + b
+    for ell in range(1, 5):
+        for dims in product(range(1, 4), repeat=ell):
+            for a in range(ell):
+                first = _slot_rotation(list(dims), lambda c: (c + a) % ell)
+                rotated = [dims[(c + a) % ell] for c in range(ell)]
+                for b in range(ell):
+                    then = _slot_rotation(rotated, lambda c: (c + b) % ell)
+                    assert tuple(then[x] for x in first) == _slot_rotation(list(dims), lambda c: (c + a + b) % ell)
+
+
+def test_simples_report_checks_functoriality(monkeypatch):
+    # the relations of End(b) hold on every module; without one s_i the
+    # generators are not End(b)'s and the check fails
+    ell, d = 2, 3
+    assert _check(verify_complete(ell, d), "L_p functorial")["status"] == "pass"
+    real = simples._endo_generators
+    monkeypatch.setattr(simples, "_endo_generators", lambda mod: real(mod)[1:])
+    assert _check(verify_complete(ell, d), "L_p functorial")["status"] == "fail"

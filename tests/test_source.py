@@ -396,8 +396,10 @@ def _names_used(tree) -> Counter:
 
 
 def test_every_library_function_and_class_is_used_outside_the_tests():
-    # a module-level function or class of src/ that only tests call belongs
-    # in the tests; its own def (a recursive call) and __all__ do not count
+    # a module-level function, class or class method of src/ that only tests
+    # call belongs in the tests; its own def (a recursive call) and __all__ do
+    # not count.  Dunders are called by syntax, and perfbench's tracer names
+    # LinSolver.express as a string.
     root = SRC.parent.parent
     used, defs = Counter(), []
     for folder in ("src", "demos", "perfbench"):
@@ -405,6 +407,65 @@ def test_every_library_function_and_class_is_used_outside_the_tests():
             tree = ast.parse(path.read_text(), filename=str(path))
             used += _names_used(tree)
             if path.parent == SRC:
-                defs += [(path.stem, node) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    unused = [f"{stem}.{node.name}" for stem, node in defs if used[node.name] == _names_used(node)[node.name]]
-    assert not unused
+                for node in tree.body:
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                        defs.append((path.stem, node))
+                    if isinstance(node, ast.ClassDef):
+                        defs += [
+                            (f"{path.stem}.{node.name}", item)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                        ]
+    unused = [f"{owner}.{node.name}" for owner, node in defs if used[node.name] == _names_used(node)[node.name]]
+    assert unused == ["cyclo.LinSolver.express"]
+
+
+def test_specht_and_outer_matrices_are_products_of_the_generator_matrices():
+    # the premises of simples._presentation_holds: matrix_of_perm multiplies
+    # gen_matrices along perm_to_word, a word of w, from the identity, and
+    # matrix_of_blockperm is the Kronecker product of the per-color matrices
+    from itertools import permutations
+
+    from groupoidreps.perms import adjacent_transposition, compose_perms, identity_perm, perm_to_word
+    from groupoidreps.tableaux import outer_rep, partitions, specht_rep
+
+    tree = ast.parse((SRC / "tableaux.py").read_text(), filename="tableaux.py")
+    methods = {
+        node.name: node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    (loop,) = [n for n in ast.walk(methods["matrix_of_perm"]) if isinstance(n, ast.For)]
+    assert ast.unparse(loop.iter) == "perm_to_word(w)"
+    assert [ast.unparse(stmt) for stmt in loop.body] == ["m = _matmul(m, self.gen_matrices[i])"]
+    assigned = [ast.unparse(n) for n in ast.walk(methods["matrix_of_perm"]) if isinstance(n, ast.Assign)]
+    assert "m = _identity(self.dim)" in assigned
+    (loop,) = [n for n in ast.walk(methods["matrix_of_blockperm"]) if isinstance(n, ast.For)]
+    assert [ast.unparse(stmt) for stmt in loop.body] == ["m = _kron(m, factor)"]
+    assert "m, *rest = [comp.matrix_of_perm(local) for comp, local in self._local_perms(w)]" in [
+        ast.unparse(n) for n in ast.walk(methods["matrix_of_blockperm"]) if isinstance(n, ast.Assign)
+    ]
+
+    def matmul(a, b):
+        return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+    for n in range(1, 5):
+        for w in permutations(range(1, n + 1)):
+            word = perm_to_word(w)
+            composed = identity_perm(n)
+            for i in word:
+                composed = compose_perms(composed, adjacent_transposition(n, i))
+            assert composed == w
+            for mu in partitions(n):
+                rep = specht_rep(mu)
+                m = tuple(tuple(int(i == j) for j in range(rep.dim)) for i in range(rep.dim))
+                for i in word:
+                    m = matmul(m, rep.gen_matrices[i])
+                assert rep.matrix_of_perm(w) == m
+    outer = outer_rep(((2, 1), (), (1,)), (3, 0, 1))
+    for w in permutations(range(1, 4)):
+        a, b = specht_rep((2, 1)).matrix_of_perm(w), specht_rep((1,)).matrix_of_perm((1,))
+        kron = tuple(tuple(x * y for x in r for y in t) for r in a for t in b)
+        assert outer.matrix_of_blockperm((*w, 4)) == kron

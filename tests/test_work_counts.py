@@ -40,22 +40,21 @@ print(json.dumps({"code": code, "counts": counts}))
 """
 
 PINNED_COUNTS = {
-    "cyclo.cyc_mul.calls": 4809,
-    "cyclo.cyc_addsub.calls": 6051,
-    "cyclo.cyc_scale.calls": 2704,
+    "cyclo.cyc_mul.calls": 4208,
+    "cyclo.cyc_addsub.calls": 5450,
+    "cyclo.cyc_scale.calls": 2624,
     "cyclo.cyc_inverse.calls": 47,
     "cyclo.spanbasis_add.calls": 588,
-    "cyclo.mat_mul.calls": 377,
     "algebra.phi.calls": 8,
     "algebra.verify_iso.calls": 8,
     "wreath.wreath_mul.calls": 637,
     "wreath.enum_group.calls": 23,
-    "perms.compose_perms.calls": 4373,
-    "groupoid.canonical_morphism.calls": 334,
+    "perms.compose_perms.calls": 3515,
+    "groupoid.canonical_morphism.calls": 485,
     "groupoid.hom.calls": 3764,
     "tableaux.specht_build.calls": 7,
-    "tableaux.outer_matrix.calls": 1162,
-    "simples.action_block.calls": 2955,
+    "tableaux.outer_matrix.calls": 1114,
+    "simples.action_block.calls": 1859,
     "simples.conjugacy_classes.calls": 29,
     "simples.commutant.calls": 116,
     "simples.verify_complete.calls": 8,
