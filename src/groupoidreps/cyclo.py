@@ -15,11 +15,12 @@ thin layer over it that no library path calls (the Specht matrices, its last
 user, are integral and straightened in tableaux); the tests keep it as a
 reference, with their own null-space helper.
 Every commutant or intertwiner space solved by elimination is solved by
-:func:`intertwiners`, and every matrix assembled from blocks or scattered
-entries is built by :meth:`Mat.from_entries`.  Mat has no product: no library
-path multiplies two matrices (functoriality is read from relations on integer
-Specht data), so the dense product lives with the tests.  A permutation of
-the basis (gkd's theta, schurweyl's shift) stays an index map with its caller.
+:func:`intertwiners`, one source and one target block per call, and every
+matrix assembled from blocks or scattered entries is built by
+:meth:`Mat.from_entries`.  Mat has no product: no library path multiplies two
+matrices (functoriality is read from relations on integer Specht data), so the
+dense product lives with the tests.  A permutation of the basis (gkd's theta,
+schurweyl's shift) stays an index map with its caller.
 
 All values are immutable; all operations are pure functions.
 """
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import gcd, lcm
 
 __all__ = [
@@ -497,49 +497,43 @@ class LinSolver:
         return {j - n: -c for j, c in v.items()}
 
 
-def intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[dict[int, Cyc]]:
-    """Basis of {X = (X_o : src_o -> tgt_o)} with X_t A = B X_s for every (s, t, A, B) in actions.
+def intertwiners(ell: int, n_src: int, n_tgt: int, actions) -> list[dict[int, Cyc]]:
+    """Basis of {X : src -> tgt} with X A = B X for every (A, B) in actions.
 
-    A maps src_s to src_t and B maps tgt_s to tgt_t.  A vector holds each
-    X_o row-major (tgt_o x src_o), the blocks concatenated in object order;
-    with A = B on every action the result is a commutant.  Entry (r, c) of
-    X_t A - B X_s enters the engine as one sparse row.
+    A acts on the n_src-dimensional source and B on the n_tgt-dimensional
+    target.  A vector holds X row-major (n_tgt x n_src); with A = B on every
+    action the result is a commutant.  Entry (r, c) of X A - B X enters the
+    engine as one sparse row.
 
-    An action with s = t and A, B both diagonal says only (A[c][c] - B[r][r])
-    X_s[r][c] = 0, a grading (the weights of the Delta(E_aa) on V^(x d)): only
-    the X_s[r][c] with B[r][r] = A[c][c] for every such action are kept, the
-    rows of the other actions are built over them, and the kernel is mapped back.
+    An action with A and B both diagonal says only (A[c][c] - B[r][r]) X[r][c]
+    = 0, a grading (the weights of the Delta(E_aa) on V^(x d)): only the
+    X[r][c] with B[r][r] = A[c][c] for every such action are kept, the rows of
+    the other actions are built over them, and the kernel is mapped back.
     """
-    offsets = list(accumulate((m * n for m, n in zip(tgt_dims, src_dims)), initial=0))
-    zero, diagonals, rest = Cyc.zero(ell), {}, []
-    for s, t, A, B in actions:
-        ns, nt = src_dims[s], src_dims[t]
-        a_bad = A.nrows != nt or A.rows and A.ncols != ns
-        if a_bad or B.nrows != tgt_dims[t] or B.rows and B.ncols != tgt_dims[s]:
-            raise ValueError(f"action {s} -> {t} does not match the block sizes")
-        xs, xt = offsets[s], offsets[t]
-        a_cols = [[(xt + u, row[c]) for u, row in enumerate(A.rows) if any(row[c].num)] for c in range(ns)]
-        b_rows = [[(xs + u * ns, v) for u, v in enumerate(row) if any(v.num)] for row in B.rows]
-        if s == t and all(j == xs + c for c, a_col in enumerate(a_cols) for j, _ in a_col) and all(
-            j == xs + r * ns for r, b_row in enumerate(b_rows) for j, _ in b_row
+    zero, diagonals, rest = Cyc.zero(ell), [], []
+    for A, B in actions:
+        if A.nrows != n_src or A.rows and A.ncols != n_src or B.nrows != n_tgt or B.rows and B.ncols != n_tgt:
+            raise ValueError("action does not match the block sizes")
+        a_cols = [[(u, row[c]) for u, row in enumerate(A.rows) if any(row[c].num)] for c in range(n_src)]
+        b_rows = [[(u * n_src, v) for u, v in enumerate(row) if any(v.num)] for row in B.rows]
+        if all(j == c for c, a_col in enumerate(a_cols) for j, _ in a_col) and all(
+            j == r * n_src for r, b_row in enumerate(b_rows) for j, _ in b_row
         ):
-            diagonal = [[e[0][1] if e else zero for e in entries] for entries in (b_rows, a_cols)]
-            diagonals.setdefault(s, []).append(diagonal)
-        else:  # -B, negated once per action: entry (r, c) subtracts B X_s
-            rest.append((nt, a_cols, [[(j, -v) for j, v in b_row] for b_row in b_rows]))
-    kept = []  # the positions X_o[r][c] whose row and column weights agree, ascending
-    for o, (m, n) in enumerate(zip(tgt_dims, src_dims)):
-        diags, cols = diagonals.get(o, []), {}
-        for c in range(n):
-            cols.setdefault(tuple(a[c] for _b, a in diags), []).append(offsets[o] + c)
-        kept += (j + r * n for r in range(m) for j in cols.get(tuple(b[r] for b, _a in diags), ()))
+            diagonals.append([[e[0][1] if e else zero for e in entries] for entries in (b_rows, a_cols)])
+        else:  # -B, negated once per action: entry (r, c) subtracts B X
+            rest.append((a_cols, [[(j, -v) for j, v in b_row] for b_row in b_rows]))
+    cols = {}  # the columns c of X by their weights A[c][c] over the diagonal actions
+    for c in range(n_src):
+        cols.setdefault(tuple(a[c] for _b, a in diagonals), []).append(c)
+    # the positions X[r][c] whose row and column weights agree, ascending
+    kept = [j + r * n_src for r in range(n_tgt) for j in cols.get(tuple(b[r] for b, _a in diagonals), ())]
     col = {j: i for i, j in enumerate(kept)}  # position -> engine column
     sb = SpanBasis(ell, len(kept))
-    for nt, a_cols, b_rows in rest if kept else ():
+    for a_cols, b_rows in rest if kept else ():
         for r, b_row in enumerate(b_rows):
             for c, a_col in enumerate(a_cols):
-                # (X_t A)[r][c] = sum_u X_t[r][u] A[u][c];  (B X_s)[r][c] = sum_u B[r][u] X_s[u][c]
-                v = {col[j + r * nt]: a for j, a in a_col if j + r * nt in col}
+                # (X A)[r][c] = sum_u X[r][u] A[u][c];  (B X)[r][c] = sum_u B[r][u] X[u][c]
+                v = {col[j + r * n_src]: a for j, a in a_col if j + r * n_src in col}
                 for k, nb in ((col[j + c], nb) for j, nb in b_row if j + c in col):
                     y = v.pop(k, None)
                     y = nb if y is None else y + nb

@@ -2,10 +2,12 @@
 
 The quotient of the groupoid by the color-rotation group H_k lives in
 groupoid (QuotientGroupoid) and its simples L_(p,m) in simples
-(SimpleModule); this module holds the checks of G(l,k,d).  The algebra of
-the quotient embeds into A_(l,d) by orbit sums (Psi); its image is the
-H_k-invariant subspace and coincides with the span of Phi(G(l,k,d)),
-realizing C[G(l,k,d)] inside the groupoid algebra.  The simples sit over a
+(SimpleModule); this module holds the checks of G(l,k,d), and hands its
+simples, the order l^d d!/k and the characters class_character to
+simples.completeness_checks.  The algebra of the quotient embeds into
+A_(l,d) by orbit sums (Psi); its image is the H_k-invariant subspace and
+coincides with the span of Phi(G(l,k,d)), realizing C[G(l,k,d)] inside the
+groupoid algebra.  The simples sit over a
 cross-section Gamma of type orbits, labelled (lambda, p, m).
 
 The rotation check's theta permutes the basis of the direct sum of the
@@ -38,7 +40,6 @@ from .algebra import phi  # noqa: F401  (unused here; perfbench/tests patch gkd.
 from .cyclo import (
     Cyc,
     LinSolver,  # noqa: F401  (unused here; perfbench/tests patch gkd.LinSolver)
-    Mat,
     root_of_unity,
 )
 from .groupoid import (
@@ -46,7 +47,6 @@ from .groupoid import (
     QuotientGroupoid,
     component_generators,
     compose,
-    identity_morphism,
     object_index,
     quotient_groupoid,
     stabilizer_order,
@@ -57,16 +57,15 @@ from .perms import reach
 from .reporting import record, skip, suite_result
 from .simples import (
     SimpleModule,
-    _commutant_dim,
-    _endo_generators,
     _equal_along,
-    _presentation_holds,
+    _label_json,
     _slot_powers,
     _slot_rotation,
     all_simples,
     build_simple,
     colored_classes,
-    inner_products,
+    completeness_checks,
+    decompose,
     simple_characters,
 )
 from .tableaux import compositions, multipartitions
@@ -280,10 +279,6 @@ def class_character(mod: SimpleModule) -> tuple[Cyc, ...]:
     return tuple(out)
 
 
-def _label_json(mod: SimpleModule) -> dict:
-    return {"lambda": list(mod.lam), "p": [list(pi) for pi in mod.p], "m": mod.m}
-
-
 def quotient_labels(ell: int, k: int, d: int) -> list[tuple[tuple, tuple, int]]:
     """All labels (lambda, p, m): lambda in Gamma, p an H_k^lambda-orbit representative on multi-partitions of shape lambda, m in {1..s_p}."""
     out = []
@@ -341,68 +336,30 @@ def _class_coordinates(ell: int, k: int, d: int) -> tuple[dict[GMorphism, Cyc], 
     )
 
 
-def _quotient_functorial(mod: SimpleModule) -> bool:
-    """Functoriality of L_(p,m): the relations of End(base) on its generators (simples._presentation_holds)."""
-    return _presentation_holds(mod, _endo_generators(mod))
-
-
 def quotient_simples_check(ell: int, k: int, d: int) -> dict:
-    """Cross-section property of the L_(p,m): Wedderburn, irreducibility, distinctness."""
-    labels = quotient_labels(ell, k, d)
-    mods = [build_simple(ell, k, d, p, m) for (_lam, p, m) in labels]
-    checks = []
-
-    functorial = all(_quotient_functorial(m) for m in mods)
-    checks.append(record("L_(p,m) functorial", functorial))
-
-    identity_ok = all(
-        m.action_block(identity_morphism(f)) == Mat.identity(ell, m.block_dim) for m in mods for f in m.objects
-    )
-    checks.append(record("identity quotient morphisms act as identity", identity_ok))
-
-    total = sum(m.total_dim**2 for m in mods)
-    expected = ell**d * factorial(d) // k
-    checks.append(
-        record(
-            "wedderburn sum over (p,m) labels",
-            total == expected,
-            {"sum": total, "order": expected, "dims": [m.total_dim for m in mods]},
-        )
-    )
-
-    bad = [_label_json(m) for m in mods if _commutant_dim(m) != 1]
-    checks.append(record("commutant of each L_(p,m) has dim 1", not bad, {"failures": bad}))
-
-    char_vectors = [tuple(v.coeffs for v in class_character(m)) for m in mods]
-    distinct = len(set(char_vectors)) == len(mods)
-    checks.append(record("characters pairwise distinct", distinct))
-
+    """The completeness checks of the simples L_(p,m) of G(l,k,d), one per label."""
+    mods = [build_simple(ell, k, d, p, m) for (_lam, p, m) in quotient_labels(ell, k, d)]
+    checks = completeness_checks(mods, ell**d * factorial(d) // k, [class_character(m) for m in mods])
     return suite_result(checks, ell=ell, k=k, d=d)
 
 
 def restriction_check(ell: int, k: int, d: int) -> dict:
     """Restriction of every simple L_p decomposes multiplicity-free into the L_(p,m)."""
     Q = quotient_groupoid(ell, k, d)
-    labels = quotient_labels(ell, k, d)
-    mods = {(_l, p, m): build_simple(ell, k, d, p, m) for (_l, p, m) in labels}
+    mods = {(_l, p, m): build_simple(ell, k, d, p, m) for (_l, p, m) in quotient_labels(ell, k, d)}
     reps = gkd_conjugacy_classes(ell, k, d)
-    lpm_conj = [[v.conjugate() for v in class_character(mod)] for mod in mods.values()]
     restricted = list(zip(*simple_characters(ell, d, [rep for rep, _ in reps])))
+    decomposed = decompose(reps, restricted, {key: class_character(mod) for key, mod in mods.items()})
     checks = []
-    for simple, row in zip(all_simples(ell, d), inner_products(reps, restricted, lpm_conj)):
+    for simple, mults in zip(all_simples(ell, d), decomposed):
         # expected labels: lambda* is the least shape in the H_k-orbit of p,
         # p* the least orbit member of shape lambda*
         orbit = {theta_type(simple.p, t * Q.shift) for t in range(k)}
         lam_star, p_star = min((tuple(map(sum, q)), q) for q in orbit)
         s = stabilizer_order(p_star, stabilizer_order(lam_star, k))
         expected = {(lam_star, p_star, m) for m in range(1, s + 1)}
-        got = {}
-        non_integral = []
-        for key, val in zip(mods, row):
-            if not val.is_rational() or val.rational_value().denominator != 1:
-                non_integral.append(_label_json(mods[key]))
-            elif not val.is_zero():
-                got[key] = int(val.rational_value())
+        got = {key: v for key, v in mults.items() if isinstance(v, int)}
+        non_integral = [_label_json(mods[key]) for key, v in mults.items() if not isinstance(v, int)]
         ok = not non_integral and set(got.keys()) == expected and all(v == 1 for v in got.values())
         details = {
             "constituents": [

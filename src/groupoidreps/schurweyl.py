@@ -179,7 +179,7 @@ def glk_generated_algebra(T: TensorSpace) -> SpanBasis:
     """The span of the unital algebra generated by the Leibniz embeddings.
 
     A block-diagonal X is the vector of its blocks X_f, each row-major, in
-    sorted order of f: the layout of cyclo.intertwiners.  Exact span growth
+    sorted order of f, as in verify_double_centralizer.  Exact span growth
     by right multiplication only.  The span W holds 1, and x g is pushed for
     every element x that enlarged W and every generator g, so W g lies in W
     for each generator; hence W holds every word 1 g_1 ... g_r, and W is the
@@ -281,8 +281,8 @@ def verify_double_centralizer(T: TensorSpace) -> dict:
     image_dim = 0
     for f in objs:
         for g in objs:
-            actions = [(0, 0, gen[f], gen[g]) for gen in gens]
-            inter = intertwiners(T.ell, [T.block_dim(f)], [T.block_dim(g)], actions)
+            actions = [(gen[f], gen[g]) for gen in gens]
+            inter = intertwiners(T.ell, T.block_dim(f), T.block_dim(g), actions)
             commutant_dim += len(inter)
             _n_hom, sb_img = image.get((f, g), (0, None))
             img_rank = sb_img.rank if sb_img else 0
@@ -464,7 +464,7 @@ def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TEN
         )
         for gen in glk_generators(T)
     ]
-    comm = intertwiners(ell, [dim], [dim], [(0, 0, A, A) for A in gl + [Ztensor]])
+    comm = intertwiners(ell, dim, dim, [(A, A) for A in gl + [Ztensor]])
     sb_img = SpanBasis(ell, dim * dim)
     for P in psi_sets:
         sb_img.add({r * dim + c: one for r, c in P})

@@ -12,7 +12,11 @@ acts on S_p by its outer-Specht matrix.  SimpleModule also carries the
 simples L_(p,m) of the quotient by H_k, whose base endomorphisms add a
 rotation (see the class); k = m = 1 gives L_p.  Irreducibility is one
 commutant solve on the base block (_commutant_dim), and functoriality the
-defining relations of End(b) on the block data (_presentation_holds).
+defining relations of End(b) on the block data (_presentation_holds).  One
+routine, completeness_checks, reports these and the Wedderburn, dimension
+and distinctness checks for both families, from the modules, the group
+order and the characters its caller gives; one routine, decompose, splits
+restricted characters for branching and for gkd's restriction check.
 
 Characters are taken through the isomorphism with C[S(l,d)]: the character
 of x is the trace of the action of Phi(x), read off its monomial form by
@@ -98,7 +102,9 @@ __all__ = [
     "character_table",
     "inner_products",
     "total_dim_check",
+    "completeness_checks",
     "verify_complete",
+    "decompose",
     "branching_report",
     "removable_node_restrictions",
 ]
@@ -155,8 +161,11 @@ class SimpleModule:
             objs = [f for f in objs if all(f <= theta_object(f, j * self.u, ell) for j in range(1, self.r))]
         self.objects = list(objs)
         self.block_index = {f: i for i, f in enumerate(self.objects)}
-        self.total_dim = self.block_dim * len(self.objects)
         self._mat_cache: dict[tuple, Mat] = {}
+
+    @property
+    def total_dim(self) -> int:
+        return self.block_dim * len(self.objects)
 
     # -- the action --------------------------------------------------------
 
@@ -535,8 +544,8 @@ def character_table(ell: int, d: int) -> tuple[tuple[Cyc, ...], ...]:
 
 
 def total_dim_check(mod: SimpleModule) -> bool:
-    """Total dimension equals (d!/lambda!) * dim S_p exactly."""
-    return mod.total_dim == factorial(mod.d) // prod(map(factorial, mod.lam)) * mod.block_dim
+    """total_dim * s = (d!/lambda!) dim S_p: the d!/lambda! objects of type lambda fall into free H_k^lambda-orbits of r, one block each, of r/s copies of dim S_p."""
+    return mod.total_dim * mod.s == factorial(mod.d) // prod(map(factorial, mod.lam)) * mod.outer.dim
 
 
 def _endo_generators(mod: SimpleModule) -> list[GMorphism]:
@@ -562,8 +571,8 @@ def _commutant_dim(mod: SimpleModule) -> int | None:
     one = Mat.identity(ell, bd)
     if any(mod.action_block(a) != one for a in mod.anchors):
         return None
-    actions = ((0, 0, a, a) for a in map(mod.action_block, _endo_generators(mod)))
-    return len(intertwiners(ell, [bd], [bd], actions))
+    actions = ((a, a) for a in map(mod.action_block, _endo_generators(mod)))
+    return len(intertwiners(ell, bd, bd, actions))
 
 
 def _presentation_holds(mod: SimpleModule, gens) -> bool:
@@ -621,19 +630,38 @@ def _presentation_holds(mod: SimpleModule, gens) -> bool:
     )
 
 
-def verify_complete(ell: int, d: int) -> dict:
-    """Completeness: functoriality, Wedderburn count, irreducibility, pairwise distinctness."""
-    mods = all_simples(ell, d)
-    total, order = sum(m.total_dim**2 for m in mods), ell**d * factorial(d)
-    bad = [m.label_json() for m in mods if _commutant_dim(m) != 1]
-    distinct = len({tuple(v.coeffs for v in c) for c in character_table(ell, d)})
-    checks = [
-        record("L_p functorial", all(_presentation_holds(m, _endo_generators(m)) for m in mods)),
+def _label_json(mod: SimpleModule) -> dict:
+    return {"lambda": list(mod.lam), "p": mod.label_json(), "m": mod.m}
+
+
+def completeness_checks(mods, order: int, chars) -> list[dict]:
+    """The checks that mods are all the simples of a group algebra of dimension order, chars[i] the character of mods[i].
+
+    Each module is functorial (_presentation_holds), the squares of the
+    dimensions sum to order (Wedderburn), each total dimension is the one
+    total_dim_check predicts, each commutant has dimension 1 (_commutant_dim),
+    so each module is simple, and the characters are pairwise distinct, so no
+    two are isomorphic.  Simple, pairwise non-isomorphic and summing to
+    order in squares, they are all the simples.  The caller gives order
+    (l^d d! for S(l,d), l^d d!/k for G(l,k,d)) and the characters on its
+    classes, so nothing here depends on the family.
+    """
+    total = sum(m.total_dim**2 for m in mods)
+    bad = [_label_json(m) for m in mods if _commutant_dim(m) != 1]
+    distinct = len(set(chars))
+    return [
+        record("each simple is functorial", all(_presentation_holds(m, _endo_generators(m)) for m in mods)),
         record("wedderburn sum of squares", total == order, {"sum": total, "group_order": order, "dims": [m.total_dim for m in mods]}),
-        record("total dim = (d!/lam!) dim S_p", all(map(total_dim_check, mods))),
+        record("total dim * s = (d!/lam!) dim S_p", all(map(total_dim_check, mods))),
         record("commutant of each simple has dim 1", not bad, {"failures": bad}),
         record("characters pairwise distinct", distinct == len(mods), {"distinct": distinct, "count": len(mods)}),
     ]
+
+
+def verify_complete(ell: int, d: int) -> dict:
+    """The completeness checks of the simples of S(l, d)."""
+    mods = all_simples(ell, d)
+    checks = completeness_checks(mods, ell**d * factorial(d), character_table(ell, d))
     return suite_result(checks, ell=ell, d=d, simple_count=len(mods))
 
 
@@ -659,24 +687,33 @@ def restriction_multiplicities(mod: SimpleModule) -> dict:
 
 
 def _restriction_multiplicities(ell: int, d: int) -> list[dict]:
-    """restriction_multiplicities of every simple of (l, d), in all_simples order, from one inner_products table.
+    """restriction_multiplicities of every simple of (l, d), in all_simples order.
 
     The restricted characters are read in one simple_characters walk over
-    the classes of S(l,d-1), embedded, and paired with the conjugated
-    characters of S(l,d-1).
+    the classes of S(l,d-1), embedded, and decomposed into the characters
+    of S(l,d-1).
     """
     if d < 1:
         raise ValueError("branching needs d >= 1")
     classes = conjugacy_classes(ell, d - 1)
     restricted = list(zip(*simple_characters(ell, d, [embed_lower_rank(y, d) for y, _size in classes])))
-    subs_bar = [[v.conjugate() for v in chi] for chi in character_table(ell, d - 1)]
+    return decompose(classes, restricted, {m.p: chi for m, chi in zip(all_simples(ell, d - 1), character_table(ell, d - 1))})
+
+
+def decompose(classes, chars, constituents: dict) -> list[dict]:
+    """Per character of chars, its nonzero inner products with the constituents {key: character}, from one inner_products table.
+
+    A value is an int where it is one, else the exact Cyc (a wrong
+    character).  The constituents are conjugated once.
+    """
+    conjugated = [[v.conjugate() for v in chi] for chi in constituents.values()]
     out = []
-    for row in inner_products(classes, restricted, subs_bar):
+    for row in inner_products(classes, chars, conjugated):
         mults = {}
-        for sub, val in zip(all_simples(ell, d - 1), row):
+        for key, val in zip(constituents, row):
             if not val.is_zero():
                 integral = val.is_rational() and val.rational_value().denominator == 1
-                mults[sub.p] = int(val.rational_value()) if integral else val
+                mults[key] = int(val.rational_value()) if integral else val
         out.append(mults)
     return out
 

@@ -20,7 +20,7 @@ multiplied block by block on both sides, the route that the sparse one-sided
 closure of schurweyl.glk_generated_algebra replaces.  act_full is the dense
 matrix of an algebra element on V^(x d), and morphism_block_matrix the 0/1
 matrix of one morphism on its blocks: the routes that the index maps of
-schurweyl replace.  ungraded_intertwiners solves X_t A = B X_s with one
+schurweyl replace.  ungraded_intertwiners solves X A = B X with one
 engine row per entry of every action, the route that the weight grading of
 cyclo.intertwiners replaces.  phi_on_generators is Phi as a product of
 generator images, an independent route to the closed form of algebra.phi.
@@ -38,8 +38,10 @@ blocks of simples.SimpleModule replace.  component_functorial is the
 functoriality walk over every morphism of a quotient simple's component,
 and end_base_functorial the walk over End(base) alone, with one dense
 product per step off the identity: the routes that the relations of
-simples._presentation_holds replace.  component_commutant_dim the commutant solved over the whole component from
-its generators, the route that the base-block solve of
+simples._presentation_holds replace; functorial is that check on a module's
+own End(base) generators.  component_commutant_dim the commutant solved over the whole component from
+its generators, as one block of the component's total dimension
+(direct_sum_actions), the route that the base-block solve of
 simples._commutant_dim replaces.  all_morphisms lists every morphism of the
 groupoid.  The dense rotation module is
 rotation_theta, theta as one index map on the whole direct sum of the
@@ -65,7 +67,7 @@ from operator import mul
 
 from groupoidreps.algebra import AlgElem, phi
 from groupoidreps.cyclo import Cyc, Mat, SpanBasis, root_of_unity
-from groupoidreps import gkd, schurweyl
+from groupoidreps import gkd, schurweyl, simples
 from groupoidreps.cyclo import intertwiners
 from groupoidreps.gelfand import inv_statistic
 from groupoidreps.groupoid import (
@@ -348,32 +350,45 @@ def component_morphisms(mod) -> list[GMorphism]:
     return [q for o1 in anchors for o2 in anchors for q in Q.hom(o1, o2)]
 
 
+def direct_sum_actions(ell: int, dims, actions) -> tuple[int, list[tuple[Mat, Mat]]]:
+    """Block actions (s, t, A), A from block s to block t, as (A, A) pairs on the direct sum of the blocks.
+
+    The pairs are led by the diagonal matrix that scales block o by o + 1,
+    which commutes with X exactly when X is block diagonal, so the commutant
+    of the pairs is that of the blocks X_o.  Returns the total dimension and
+    the pairs.
+    """
+    starts = list(accumulate(dims, initial=0))
+    n = starts[-1]
+    weights = Mat.from_entries(ell, n, n, (((i, i), Cyc.rational(ell, o + 1)) for o in range(len(dims)) for i in range(starts[o], starts[o + 1])))
+    placed = (Mat.from_entries(ell, n, n, (((starts[t] + i, starts[s] + j), v) for (i, j), v in A.entries())) for s, t, A in actions)
+    return n, [(weights, weights), *((A, A) for A in placed)]
+
+
 def component_commutant_dim(mod) -> int:
-    """The commutant of mod's action over its whole component, imposed on the normalized component generators."""
+    """The commutant of mod's action over its whole component, imposed on the normalized component generators.
+
+    One solve on the sum of the blocks, of dimension total_dim (direct_sum_actions).
+    """
     Q, anchors = _component(mod)
     index = {o: i for i, o in enumerate(anchors)}
-    dims = [mod.block_dim] * len(index)
-    actions = (
-        (index[Q.source_orbit(q)], index[Q.target_orbit(q)], a, a)
-        for q in gkd._quotient_generators(Q, [mod.lam])
-        for a in [mod.action_block(q)]
-    )
-    return len(intertwiners(mod.ell, dims, dims, actions))
+    actions = [(index[Q.source_orbit(q)], index[Q.target_orbit(q)], mod.action_block(q)) for q in gkd._quotient_generators(Q, [mod.lam])]
+    n, pairs = direct_sum_actions(mod.ell, [mod.block_dim] * len(index), actions)
+    return len(intertwiners(mod.ell, n, n, pairs))
 
 
-def ungraded_intertwiners(ell: int, src_dims, tgt_dims, actions) -> list[dict[int, Cyc]]:
-    """The kernel of the system of cyclo.intertwiners with no unknown dropped: one row per entry (r, c) of X_t A - B X_s."""
-    offsets, zero = list(accumulate((m * n for m, n in zip(tgt_dims, src_dims)), initial=0)), Cyc.zero(ell)
-    sb = SpanBasis(ell, offsets[-1])
-    for s, t, A, B in actions:
-        ns, nt = src_dims[s], src_dims[t]
-        a_cols = [[(u, row[c]) for u, row in enumerate(A.rows) if not row[c].is_zero()] for c in range(ns)]
+def ungraded_intertwiners(ell: int, n_src: int, n_tgt: int, actions) -> list[dict[int, Cyc]]:
+    """The kernel of the system of cyclo.intertwiners with no unknown dropped: one row per entry (r, c) of X A - B X."""
+    zero = Cyc.zero(ell)
+    sb = SpanBasis(ell, n_tgt * n_src)
+    for A, B in actions:
+        a_cols = [[(u, row[c]) for u, row in enumerate(A.rows) if not row[c].is_zero()] for c in range(n_src)]
         b_rows = [[(u, v) for u, v in enumerate(row) if not v.is_zero()] for row in B.rows]
         for (r, b_row), (c, a_col) in product(enumerate(b_rows), enumerate(a_cols)):
-            # (X_t A)[r][c] = sum_u X_t[r][u] A[u][c];  (B X_s)[r][c] = sum_u B[r][u] X_s[u][c]
-            row = {offsets[t] + r * nt + u: a for u, a in a_col}
+            # (X A)[r][c] = sum_u X[r][u] A[u][c];  (B X)[r][c] = sum_u B[r][u] X[u][c]
+            row = {r * n_src + u: a for u, a in a_col}
             for u, b in b_row:
-                j = offsets[s] + u * ns + c
+                j = u * n_src + c
                 row[j] = row.get(j, zero) - b
             sb.add(row)
     return sb.kernel()
@@ -387,6 +402,11 @@ def component_functorial(mod) -> bool:
     return reached == set(component_morphisms(mod))
 
 
+def functorial(mod) -> bool:
+    """The report's functoriality verdict on mod: the relations of End(base) on its own generators."""
+    return simples._presentation_holds(mod, simples._endo_generators(mod))
+
+
 def end_base_functorial(mod) -> bool:
     """rho~(id) = I, rho~(s o q) = rho~(s) rho~(q) for the generators s of End(base), and they reach all r prod lambda_c! of it.
 
@@ -398,7 +418,7 @@ def end_base_functorial(mod) -> bool:
     unit = Q.identity(o)
     if act(unit) != Mat.identity(mod.ell, mod.block_dim):
         return False
-    gens = [Q.normalize(s) for s in gkd._endo_generators(mod)]
+    gens = [Q.normalize(s) for s in simples._endo_generators(mod)]
     reached = gkd._closure(Q, gens, [o], lambda s, x, y: s == unit or act(y) == mat_mul(act(s), act(x)))
     return reached is not None and len(reached) == mod.r * prod(map(factorial, mod.lam))
 

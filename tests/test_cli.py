@@ -50,7 +50,7 @@ def test_gkd_subcommand():
     rep = json.loads(out)
     _name, checks, _seconds = run_task(("gkd", {"ell": 2, "k": 2, "d": 2}))
     assert rep["checks"] == jsonable(checks)
-    wedderburn = "gkd (2,2,2) quotient-simples: wedderburn sum over (p,m) labels"
+    wedderburn = "gkd (2,2,2) quotient-simples: wedderburn sum of squares"
     dims = next(c["details"]["dims"] for c in rep["checks"] if c["name"] == wedderburn)
     assert len(dims) == 4  # one per (p,m) label
 
@@ -234,7 +234,7 @@ def test_the_parser_is_built_once_per_process(tmp_path):
 # The checks payload of the default `all` grid.  A change that moves the
 # payload on purpose updates this digest and the check count, and says so in
 # CHANGES.md.
-ALL_PAYLOAD_SHA256 = "91800a75d72bb8110bfdf92061a7a58ca909370c005122d5be55fd2ebc73ae93"
+ALL_PAYLOAD_SHA256 = "080aabce25bbb5d8b8e98b362cd9af4ad3a06a1fd37f075f3d172679b3a5b28c"
 
 
 def test_all_payload_is_pinned():
@@ -263,10 +263,10 @@ def test_all_payload_is_pinned_under_python_O():
 SUBCOMMAND_PAYLOAD_SHA256 = {
     "objects --ell 2 --d 3": "5334d3dd0436b368f07fb678651e7156f74c9235fbd403a21a786dcd5a2643dc",
     "verify-iso --ell 2 --d 3": "cc0c0cd195377496637d4374ac98132f164c60c39a8dac0d94fe12ebb90e031b",
-    "simples --ell 2 --d 3": "833dfef4bed302785462e268f6e5a3b478e577ab43c8b8c08eeb21f4d81724b1",
+    "simples --ell 2 --d 3": "1815886cf8e0c7b0a40a32f335619fe556e9d53d6120740c0e919699fcb5f771",
     "branching --ell 2 --d 3": "fae43986abf454508772a8d742566ea32680cc7c2af130a07152990a93edbcab",
     "gelfand --ell 2 --d 3": "1778eb45eee157ea51bd91b6ec937ba54bf2a0cb6c1245dd20f1d139dffbef11",
-    "gkd --ell 2 --k 2 --d 4": "b7aeeda42dbe373cae8b5e87b0914e69b1cf96bf8aa38b7f332609d8efa3c716",
+    "gkd --ell 2 --k 2 --d 4": "387228d2899136fd277cb94828dd70f8490487e8d196264c96bbb38faeff7cff",
     "schur-weyl --ell 2 --kvec 2,1 --d 2": "09fccd200d146595115f776647248eabf73986538e9e5f308da4a02da7dfc21f",
     "schur-weyl --shift-duality --ell 4 --kk 2 --m 1 --d 2":
         "bb8cac2d27b2d3fc870292dab42aa0f4c6cb9fadaeba075be2456ab9f947d30c",

@@ -47,6 +47,7 @@ from reference import (
     dense_commutes,
     dense_twisted_traces,
     end_base_functorial,
+    functorial,
     kernel_basis,
     mat_scale,
     mat_sub,
@@ -68,6 +69,9 @@ GRID = [
     (2, 1, 2),
     (4, 2, 1),
 ]
+FUNCTORIAL = "each simple is functorial"
+COMMUTANT = "commutant of each simple has dim 1"
+DIMENSION = "total dim * s = (d!/lam!) dim S_p"
 
 
 def test_theta_examples():
@@ -309,7 +313,7 @@ def test_quotient_commutant_check_fails_for_a_module_acting_trivially(monkeypatc
     class_character(mod)  # tabulated before the action is replaced, so the cache stays right
     monkeypatch.setattr(mod, "action_block", lambda q: Mat.identity(ell, mod.block_dim))
     rep = quotient_simples_check(ell, k, d)
-    check = next(c for c in rep["checks"] if c["name"] == "commutant of each L_(p,m) has dim 1")
+    check = next(c for c in rep["checks"] if c["name"] == COMMUTANT)
     assert check["status"] == "fail"
     assert check["details"]["failures"] == [gkd._label_json(mod)]
 
@@ -406,7 +410,7 @@ def test_generator_checks_reject_a_non_generating_set(monkeypatch):
     for module in (gkd, simples):
         monkeypatch.setattr(module, "component_generators", lambda ell, lam: [m for m in real(ell, lam) if m.source != m.target])
     assert _status(reflection_span_check(2, 2, 3), "Psi multiplicative on the basis") == "fail"
-    assert _status(quotient_simples_check(2, 2, 3), "L_(p,m) functorial") == "fail"
+    assert _status(quotient_simples_check(2, 2, 3), FUNCTORIAL) == "fail"
 
 
 def test_reference_walk_catches_action_wrong_off_generators(monkeypatch):
@@ -424,9 +428,8 @@ def test_reference_walk_catches_action_wrong_off_generators(monkeypatch):
     # checked on the data the blocks are built from, and action_block builds
     # every block from that data, which this fault bypasses
     rep = quotient_simples_check(ell, k, d)
-    assert _status(rep, "L_(p,m) functorial") == "pass"
-    assert _status(rep, "commutant of each L_(p,m) has dim 1") == "pass"
-    assert _status(rep, "identity quotient morphisms act as identity") == "pass"
+    assert _status(rep, FUNCTORIAL) == "pass"
+    assert _status(rep, COMMUTANT) == "pass"
 
 
 @pytest.mark.parametrize("ell,k,d", [(2, 2, 2), (3, 3, 2), (2, 1, 3)])
@@ -440,10 +443,10 @@ def test_functoriality_fails_when_the_identity_does_not_act_as_identity(monkeypa
     unit = Q.identity(Q.orbit_of[mod.base])
     real, minus = mod.action_block, Cyc.rational(ell, -1)
     monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), minus) if q == unit else real(q))
-    assert not gkd._quotient_functorial(mod)
-    assert _status(quotient_simples_check(ell, k, d), "L_(p,m) functorial") == "fail"
+    assert not functorial(mod)
+    assert _status(quotient_simples_check(ell, k, d), FUNCTORIAL) == "fail"
     monkeypatch.undo()
-    assert gkd._quotient_functorial(mod)
+    assert functorial(mod)
 
 
 @pytest.mark.parametrize("ell,k,d", [(2, 2, 3), (3, 3, 2), (3, 1, 3)])
@@ -511,9 +514,9 @@ def test_end_base_walk_agrees_with_the_component_walk(ell, k, d):
     # on each fault in the data their blocks are built from
     for _lam, p, m in quotient_labels(ell, k, d):
         mod = build_simple(ell, k, d, p, m)
-        assert gkd._quotient_functorial(mod) and end_base_functorial(mod) and component_functorial(mod), mod
+        assert functorial(mod) and end_base_functorial(mod) and component_functorial(mod), mod
         for mutant in filter(None, (fault(mod) for fault in MUTANTS)):
-            assert gkd._quotient_functorial(mutant) == end_base_functorial(mutant), (mutant, mutant.reps, mutant.wrap)
+            assert functorial(mutant) == end_base_functorial(mutant), (mutant, mutant.reps, mutant.wrap)
 
 
 @pytest.mark.parametrize("ell,k,d", [(2, 1, 4), (2, 2, 4), (3, 3, 4)])
@@ -527,7 +530,7 @@ def test_presentation_check_reads_only_the_identity_block(monkeypatch, ell, k, d
     for _lam, p, m in quotient_labels(ell, k, d):
         mod, read = _fresh_copy(build_simple(ell, k, d, p, m)), []
         monkeypatch.setattr(mod, "action_block", lambda q, real=mod.action_block, read=read: read.append(q) or real(q))
-        assert gkd._quotient_functorial(mod) and read == [Q.identity(Q.orbit_of[mod.base])]
+        assert functorial(mod) and read == [Q.identity(Q.orbit_of[mod.base])]
 
 
 def test_both_walks_reject_a_block_wrong_inside_end_base(monkeypatch):
@@ -535,7 +538,7 @@ def test_both_walks_reject_a_block_wrong_inside_end_base(monkeypatch):
     mod = build_simple(ell, k, d, ((1,), (1, 1, 1)), 1)
     Q = quotient_groupoid(ell, k, d)
     o = Q.orbit_of[mod.base]
-    bad = _non_generator(Q, Q.hom(o, o), [Q.normalize(s) for s in gkd._endo_generators(mod)])
+    bad = _non_generator(Q, Q.hom(o, o), [Q.normalize(s) for s in simples._endo_generators(mod)])
     real, two = mod.action_block, Cyc.rational(ell, 2)
     monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), two) if q == bad else real(q))
     assert not end_base_functorial(mod)
@@ -550,9 +553,9 @@ def test_presentation_check_rejects_each_fault_in_the_block_data(fault, p):
     # is in a braid relation; p = ((2),(1,1)) has r = 2 and s = 1, so
     # omega = 1 and omega xi has omega^r != 1
     mod = build_simple(2, 2, 4, p, 1)
-    assert gkd._quotient_functorial(_fresh_copy(mod))
+    assert functorial(_fresh_copy(mod))
     mutant = fault(mod)
-    assert not gkd._quotient_functorial(mutant) and not end_base_functorial(mutant)
+    assert not functorial(mutant) and not end_base_functorial(mutant)
 
 
 def test_a_negated_generator_breaks_only_the_braid_relation():
@@ -567,7 +570,7 @@ def test_a_negated_generator_breaks_only_the_braid_relation():
     broken = [(i, j) for i in g for j in g if i <= j and power(_matmul(g[i], g[j]), 1 if i == j else 3 if j == i + 1 else 2) != one]
     assert one == tuple(tuple(int(a == b) for b in range(spec.dim)) for a in range(spec.dim))
     assert broken == [(1, 2)] and not spec.coxeter_relations_hold
-    assert not gkd._quotient_functorial(_generator_negated(mod))
+    assert not functorial(_generator_negated(mod))
 
 
 def test_presentation_check_needs_the_conjugation_shift_c_minus_u(monkeypatch):
@@ -576,37 +579,37 @@ def test_presentation_check_needs_the_conjugation_shift_c_minus_u(monkeypatch):
     real = simples._run_shift
     at_r3 = [build_simple(3, 3, 6, p, m) for _lam, p, m in quotient_labels(3, 3, 6)]
     at_r2 = [build_simple(2, 2, 4, p, m) for _lam, p, m in quotient_labels(2, 2, 4)]
-    assert all(map(gkd._quotient_functorial, at_r3 + at_r2))
+    assert all(map(functorial, at_r3 + at_r2))
     monkeypatch.setattr(simples, "_run_shift", lambda lam, i, shift: real(lam, i, -shift))
-    assert not all(map(gkd._quotient_functorial, at_r3))
-    assert all(map(gkd._quotient_functorial, at_r2))
+    assert not all(map(functorial, at_r3))
+    assert all(map(functorial, at_r2))
 
 
 @pytest.mark.parametrize("ell,k,d", [(2, 2, 2), (3, 3, 3), (2, 2, 4), (4, 4, 2)])
 def test_functoriality_walk_needs_the_canonical_rotation(monkeypatch, ell, k, d):
     # without it the walk stays in hom(base, base) = prod S_(lambda_c), a
     # proper subgroup of End(base) exactly where r > 1
-    real = gkd._endo_generators
-    monkeypatch.setattr(gkd, "_endo_generators", lambda mod: real(mod)[:-1])
+    real = simples._endo_generators
+    monkeypatch.setattr(simples, "_endo_generators", lambda mod: real(mod)[:-1])
     mods = [build_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
-    assert [gkd._quotient_functorial(mod) for mod in mods] == [mod.r == 1 for mod in mods]
-    assert _status(quotient_simples_check(ell, k, d), "L_(p,m) functorial") == "fail"
+    assert [functorial(mod) for mod in mods] == [mod.r == 1 for mod in mods]
+    assert _status(quotient_simples_check(ell, k, d), FUNCTORIAL) == "fail"
 
 
 @pytest.mark.parametrize("ell,k,d", [(2, 2, 3), (3, 1, 3), (2, 1, 3)])
 def test_functoriality_walk_needs_every_transposition(monkeypatch, ell, k, d):
     # here r = 1 on every shape, so End(base) = prod S_(lambda_c), and one
     # adjacent transposition fewer generates a proper subgroup of it
-    real = gkd._endo_generators
+    real = simples._endo_generators
     mods = [build_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
     assert all(mod.r == 1 for mod in mods)
     dropped = 0
     for mod in mods:
         for i in range(len(real(mod)) - 1):
-            monkeypatch.setattr(gkd, "_endo_generators", lambda mod, i=i: real(mod)[:i] + real(mod)[i + 1 :])
-            assert not gkd._quotient_functorial(mod), (mod, i)
+            monkeypatch.setattr(simples, "_endo_generators", lambda mod, i=i: real(mod)[:i] + real(mod)[i + 1 :])
+            assert not functorial(mod), (mod, i)
             dropped += 1
-        monkeypatch.setattr(gkd, "_endo_generators", real)
+        monkeypatch.setattr(simples, "_endo_generators", real)
     assert dropped
 
 
@@ -1036,7 +1039,38 @@ def test_quotient_action_blocks_match_the_dense_rotation_product(ell, k, d):
             assert mod.action_block(q) == quotient_action_block(mod, q)
 
 
-COMMUTANT = "commutant of each L_(p,m) has dim 1"
+
+
+IDENTITY_POINTS = [*GKD_GRID, (2, 2, 4), (4, 2, 3), (3, 3, 4)]
+
+
+def test_identities_read_one_cached_block_the_identity_matrix():
+    # at every object of every module, anchor or not, id_f is carried to the block key
+    # (0, identity) and that block is I: the completeness checks compare it
+    # with I once, in _presentation_holds, for all of them.  The modules are
+    # built fresh, so their block caches hold only what the identities read.
+    mods = [SimpleModule(ell, 1, d, m.p, 1) for ell, d in ISO_GRID for m in all_simples(ell, d)]
+    mods += [SimpleModule(ell, k, d, p, m) for ell, k, d in IDENTITY_POINTS for _lam, p, m in quotient_labels(ell, k, d)]
+    for mod in mods:
+        one = Mat.identity(mod.ell, mod.block_dim)
+        assert all(mod.action_block(identity_morphism(f)) == one for f in mod.to_anchor), mod
+        assert list(mod._mat_cache) == [(0, tuple(range(1, mod.d + 1)))], mod
+        assert simples.total_dim_check(mod), mod
+
+
+def test_dimension_check_fails_for_a_module_with_one_anchor_removed(monkeypatch):
+    # (2,2,3), p = ((1,), (2,)): three anchors; without one, total_dim * s
+    # falls short of (d!/lam!) dim S_p
+    ell, k, d, p = 2, 2, 3, ((1,), (2,))
+    real = gkd.build_simple
+    short = SimpleModule(ell, k, d, p, 1)
+    assert len(short.objects) == 3 and simples.total_dim_check(short)
+    short.objects.pop()
+    assert not simples.total_dim_check(short)
+    monkeypatch.setattr(gkd, "build_simple", lambda *args: short if args == (ell, k, d, p, 1) else real(*args))
+    assert _status(quotient_simples_check(ell, k, d), DIMENSION) == "fail"
+    monkeypatch.undo()
+    assert _status(quotient_simples_check(ell, k, d), DIMENSION) == "pass"
 
 
 def test_every_anchor_acts_as_identity_and_the_base_commutant_is_one():

@@ -1,3 +1,6 @@
+from bisect import bisect_right
+from itertools import accumulate
+
 import pytest
 
 from groupoidreps import schurweyl
@@ -19,6 +22,7 @@ from groupoidreps.wreath import enum_group, wreath_identity, wreath_inv
 from reference import (
     act_full,
     dense_exp_identity,
+    direct_sum_actions,
     kernel_basis,
     mat_add,
     mat_mul,
@@ -180,8 +184,8 @@ def _shift_commutant_in_two_stages(ell, k, m, d):
     cgl = []
     for f, src in sorted(T.block_of.items()):
         for g, tgt in sorted(T.block_of.items()):
-            actions = [(0, 0, gen[f], gen[g]) for gen in gens]
-            for vec in intertwiners(ell, [len(src)], [len(tgt)], actions):
+            actions = [(gen[f], gen[g]) for gen in gens]
+            for vec in intertwiners(ell, len(src), len(tgt), actions):
                 # the vector is X row-major: position r * len(src) + c holds X[r][c]
                 entries = (((T.index[tgt[p // len(src)]], T.index[src[p % len(src)]]), v) for p, v in vec.items())
                 cgl.append(Mat.from_entries(ell, dim, dim, entries))
@@ -362,16 +366,26 @@ def test_graded_solves_and_orbit_count_match_the_ungraded_reference(monkeypatch,
     assert all(graded == ungraded_intertwiners(*args) for args, graded in solved)
     index, dims = {f: i for i, f in enumerate(objs)}, [T.block_dim(f) for f in objs]
     actions = [
-        (index[m.source], index[m.target], A, A)
+        (index[m.source], index[m.target], morphism_block_matrix(T, m))
         for lam in sorted({type_of(f, ell) for f in objs})
         for m in component_generators(ell, lam)
-        for A in [morphism_block_matrix(T, m)]
     ]
-    backward = ungraded_intertwiners(ell, dims, dims, actions)
+    n, pairs = direct_sum_actions(ell, dims, actions)
+    backward = ungraded_intertwiners(ell, n, n, pairs)
     check = next(c for c in rep["checks"] if c["name"] == BACKWARD)
     assert check["details"]["commutant_dim"] == len(backward) == check["details"]["algebra_dim"]
+    # X is block diagonal: entry (R, C) of block o moves to the algebra's layout, the blocks X_o row-major in turn
+    starts, block_starts = list(accumulate(dims, initial=0)), list(accumulate((n_o * n_o for n_o in dims), initial=0))
+
+    def blockwise(v):
+        out = {}
+        for p, c in v.items():
+            (R, C), o = divmod(p, n), bisect_right(starts, p // n) - 1
+            out[block_starts[o] + (R - starts[o]) * dims[o] + C - starts[o]] = c
+        return out
+
     algebra = glk_generated_algebra(T)
-    assert all(algebra.contains(v) for v in backward)
+    assert all(algebra.contains(blockwise(v)) for v in backward)
 
 
 @pytest.mark.parametrize("ell,k,m,d", SHIFT_DUALITY_GRID + [(2, 2, 2, 3)])

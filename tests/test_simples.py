@@ -433,7 +433,7 @@ def test_commutant_check_fails_for_a_module_acting_trivially(monkeypatch):
     monkeypatch.setattr(mod, "action_block", lambda m: Mat.identity(ell, mod.block_dim))
     check = _check(verify_complete(ell, d), "commutant of each simple has dim 1")
     assert check["status"] == "fail"
-    assert check["details"]["failures"] == [mod.label_json()]
+    assert check["details"]["failures"] == [simples._label_json(mod)]
 
 
 def test_branching_reports_a_non_integral_multiplicity(monkeypatch):
@@ -529,7 +529,7 @@ def test_commutant_check_fails_for_one_anchor_scaled_by_two(monkeypatch):
     assert simples._commutant_dim(mod) is None
     check = _check(verify_complete(ell, d), "commutant of each simple has dim 1")
     assert check["status"] == "fail"
-    assert check["details"]["failures"] == [mod.label_json()]
+    assert check["details"]["failures"] == [simples._label_json(mod)]
 
 
 def test_commutant_check_fails_for_end_base_generators_acting_trivially(monkeypatch):
@@ -542,7 +542,7 @@ def test_commutant_check_fails_for_end_base_generators_acting_trivially(monkeypa
     monkeypatch.setattr(mod, "action_block", lambda q: Mat.identity(ell, mod.block_dim) if q in gens else real(q))
     assert simples._commutant_dim(mod) == mod.block_dim**2 == 4
     check = _check(verify_complete(ell, d), "commutant of each simple has dim 1")
-    assert check["details"]["failures"] == [mod.label_json()]
+    assert check["details"]["failures"] == [simples._label_json(mod)]
 
 
 def test_slot_rotations_compose_additively():
@@ -562,7 +562,7 @@ def test_simples_report_checks_functoriality(monkeypatch):
     # the relations of End(b) hold on every module; without one s_i the
     # generators are not End(b)'s and the check fails
     ell, d = 2, 3
-    assert _check(verify_complete(ell, d), "L_p functorial")["status"] == "pass"
+    assert _check(verify_complete(ell, d), "each simple is functorial")["status"] == "pass"
     real = simples._endo_generators
     monkeypatch.setattr(simples, "_endo_generators", lambda mod: real(mod)[1:])
-    assert _check(verify_complete(ell, d), "L_p functorial")["status"] == "fail"
+    assert _check(verify_complete(ell, d), "each simple is functorial")["status"] == "fail"

@@ -469,3 +469,20 @@ def test_specht_and_outer_matrices_are_products_of_the_generator_matrices():
         a, b = specht_rep((2, 1)).matrix_of_perm(w), specht_rep((1,)).matrix_of_perm((1,))
         kron = tuple(tuple(x * y for x in r for y in t) for r in a for t in b)
         assert outer.matrix_of_blockperm((*w, 4)) == kron
+
+
+def test_the_simple_module_checks_have_one_caller():
+    # the functoriality and commutant routines serve both families through
+    # simples.completeness_checks, their one caller; gkd.py names neither
+    shared = ("_commutant_dim", "_presentation_holds")
+    callers = {name: [] for name in shared}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name == "gkd.py":
+            assert not any(_names_used(tree)[name] for name in shared)
+        for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            used = _names_used(fn)
+            for name in shared:
+                if used[name] and fn.name != name:
+                    callers[name].append(f"{path.name}:{fn.name}")
+    assert callers == {name: ["simples.py:completeness_checks"] for name in shared}

@@ -54,7 +54,7 @@ PINNED_COUNTS = {
     "groupoid.hom.calls": 3764,
     "tableaux.specht_build.calls": 7,
     "tableaux.outer_matrix.calls": 1114,
-    "simples.action_block.calls": 1859,
+    "simples.action_block.calls": 1721,
     "simples.conjugacy_classes.calls": 29,
     "simples.commutant.calls": 116,
     "simples.verify_complete.calls": 8,
@@ -66,7 +66,6 @@ PINNED_COUNTS = {
     "gkd.quotient_simples.calls": 15,
     "gkd.restriction.calls": 15,
     "gkd.rotation.calls": 15,
-    "gkd.functorial.calls": 81,
     "gkd.conjugacy_classes.calls": 45,
     "schurweyl.commuting.calls": 6,
     "schurweyl.double_centralizer.calls": 6,
