@@ -36,8 +36,9 @@ mod = build_simple(ELL, 1, D, ((2,), (1,)), 1)
 f, g = mod.objects[0], mod.objects[1]
 m = hom(f, g, ELL)[0]
 print(f"\naction of ({f} -> {g}, perm {m.perm}) on L_{mod.label_json()}:")
-for row in mod.action_block(m).rows:
-    print("  ", [str(v.coeffs[0]) for v in row])
+block = mod.action_block(m)  # the {(row, col): value} entries that are nonzero
+for i in range(mod.block_dim):
+    print("  ", [str(block[i, j].coeffs[0]) if (i, j) in block else "0" for j in range(mod.block_dim)])
 
 print("\ncharacter values on class representatives:")
 for rep, size in conjugacy_classes(ELL, D):

@@ -15,12 +15,12 @@ thin layer over it that no library path calls (the Specht matrices, its last
 user, are integral and straightened in tableaux); the tests keep it as a
 reference, with their own null-space helper.
 Every commutant or intertwiner space solved by elimination is solved by
-:func:`intertwiners`, one source and one target block per call, and every
-matrix assembled from blocks or scattered entries is built by
-:meth:`Mat.from_entries`.  Mat has no product: no library path multiplies two
-matrices (functoriality is read from relations on integer Specht data), so the
-dense product lives with the tests.  A permutation of the basis (gkd's theta,
-schurweyl's shift) stays an index map with its caller.
+:func:`intertwiners`, one source and one target block per call.  A matrix is
+one thing: a {(row, col): Cyc} dict of its nonzero entries, its sizes held by
+its caller.  No library path multiplies two matrices (functoriality is read
+from relations on integer Specht data), so the dense matrix and its product
+live with the tests.  A permutation of the basis (gkd's theta, schurweyl's
+shift) stays an index map with its caller.
 
 All values are immutable; all operations are pure functions.
 """
@@ -36,7 +36,6 @@ __all__ = [
     "cyclotomic_poly",
     "Cyc",
     "root_of_unity",
-    "Mat",
     "SpanBasis",
     "LinSolver",
     "intertwiners",
@@ -312,66 +311,6 @@ def root_of_unity(ell: int, power: int) -> Cyc:
 # ---------------------------------------------------------------------------
 
 
-class Mat:
-    """Immutable dense matrix over Q(xi_l); all algorithms are exact."""
-
-    __slots__ = ("ell", "nrows", "ncols", "rows")
-
-    def __init__(self, ell: int, rows):
-        rows = tuple(tuple(r) for r in rows)
-        self.ell = ell
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged rows")
-        self.rows = rows
-
-    @staticmethod
-    def identity(ell: int, n: int) -> "Mat":
-        z, o = Cyc.zero(ell), Cyc.one(ell)
-        return Mat(ell, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def from_entries(ell: int, nrows: int, ncols: int, entries) -> "Mat":
-        """The nrows x ncols matrix whose (i, j) entry is the sum of the values given at (i, j).
-
-        ``entries`` yields ((i, j), value) pairs; zero values are skipped and
-        every position not given is zero.
-        """
-        z = Cyc.zero(ell)
-        rows = [[z] * ncols for _ in range(nrows)]
-        for (i, j), v in entries:
-            if any(v.num):
-                row = rows[i]
-                w = row[j]
-                row[j] = w + v if any(w.num) else v
-        return Mat(ell, rows)
-
-    def entries(self):
-        """The nonzero entries as ((i, j), value)."""
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if any(v.num):
-                    yield (i, j), v
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Mat)
-            and self.ell == other.ell
-            and self.rows == other.rows
-        )
-
-    def trace(self) -> Cyc:
-        acc = Cyc.zero(self.ell)
-        for i in range(min(self.nrows, self.ncols)):
-            acc = acc + self.rows[i][i]
-        return acc
-
-    def __repr__(self) -> str:
-        return f"Mat({self.nrows}x{self.ncols} over Q(xi_{self.ell}))"
-
-
 def _checked(vec: dict[int, Cyc], n: int) -> dict[int, Cyc]:
     """A copy of the nonzero entries of vec; a column outside 0..n-1 raises ValueError."""
     if vec and (min(vec) < 0 or max(vec) >= n):
@@ -501,27 +440,36 @@ def intertwiners(ell: int, n_src: int, n_tgt: int, actions) -> list[dict[int, Cy
     """Basis of {X : src -> tgt} with X A = B X for every (A, B) in actions.
 
     A acts on the n_src-dimensional source and B on the n_tgt-dimensional
-    target.  A vector holds X row-major (n_tgt x n_src); with A = B on every
-    action the result is a commutant.  Entry (r, c) of X A - B X enters the
-    engine as one sparse row.
+    target, each a {(row, col): Cyc} dict; a zero value counts as absent.
+    A vector holds X row-major (n_tgt x n_src); with A = B on every action
+    the result is a commutant.  Entry (r, c) of X A - B X enters the engine
+    as one sparse row, built from A's columns and B's rows in ascending index
+    order.
 
-    An action with A and B both diagonal says only (A[c][c] - B[r][r]) X[r][c]
-    = 0, a grading (the weights of the Delta(E_aa) on V^(x d)): only the
-    X[r][c] with B[r][r] = A[c][c] for every such action are kept, the rows of
-    the other actions are built over them, and the kernel is mapped back.
+    An action with A and B both diagonal (every key has row == col) says only
+    (A[c][c] - B[r][r]) X[r][c] = 0, a grading (the weights of the Delta(E_aa)
+    on V^(x d)): only the X[r][c] with B[r][r] = A[c][c] for every such action
+    are kept, the rows of the other actions are built over them, and the
+    kernel is mapped back.
     """
     zero, diagonals, rest = Cyc.zero(ell), [], []
     for A, B in actions:
-        if A.nrows != n_src or A.rows and A.ncols != n_src or B.nrows != n_tgt or B.rows and B.ncols != n_tgt:
-            raise ValueError("action does not match the block sizes")
-        a_cols = [[(u, row[c]) for u, row in enumerate(A.rows) if any(row[c].num)] for c in range(n_src)]
-        b_rows = [[(u * n_src, v) for u, v in enumerate(row) if any(v.num)] for row in B.rows]
-        if all(j == c for c, a_col in enumerate(a_cols) for j, _ in a_col) and all(
-            j == r * n_src for r, b_row in enumerate(b_rows) for j, _ in b_row
+        if not all(0 <= i < n_src and 0 <= j < n_src for i, j in A) or not all(
+            0 <= i < n_tgt and 0 <= j < n_tgt for i, j in B
         ):
-            diagonals.append([[e[0][1] if e else zero for e in entries] for entries in (b_rows, a_cols)])
-        else:  # -B, negated once per action: entry (r, c) subtracts B X
-            rest.append((a_cols, [[(j, -v) for j, v in b_row] for b_row in b_rows]))
+            raise ValueError("action does not match the block sizes")
+        if all(i == j for i, j in A) and all(i == j for i, j in B):
+            diagonals.append(([B.get((r, r), zero) for r in range(n_tgt)], [A.get((c, c), zero) for c in range(n_src)]))
+            continue
+        a_cols = [[] for _ in range(n_src)]
+        for (u, c), v in sorted(A.items(), key=lambda e: e[0][::-1]):
+            if any(v.num):
+                a_cols[c].append((u, v))
+        b_rows = [[] for _ in range(n_tgt)]  # -B, negated once per action: entry (r, c) subtracts B X
+        for (r, u), v in sorted(B.items()):
+            if any(v.num):
+                b_rows[r].append((u * n_src, -v))
+        rest.append((a_cols, b_rows))
     cols = {}  # the columns c of X by their weights A[c][c] over the diagonal actions
     for c in range(n_src):
         cols.setdefault(tuple(a[c] for _b, a in diagonals), []).append(c)

@@ -269,12 +269,12 @@ def phi_to_quotient(Q: QuotientGroupoid, x: WreathElem) -> dict[GMorphism, Cyc]:
 @lru_cache(maxsize=None)
 def class_character(mod: SimpleModule) -> tuple[Cyc, ...]:
     """The character of mod on gkd_conjugacy_classes, in their order, via Psi^(-1) Phi."""
-    out = []
+    zero, out = Cyc.zero(mod.ell), []
     for coords in _class_coordinates(mod.ell, mod.k, mod.d):
-        acc = Cyc.zero(mod.ell)
+        acc = zero
         for q, coeff in coords.items():
             if q.source in mod.to_anchor:
-                acc = acc + coeff * mod.action_block(q).trace()
+                acc = acc + coeff * sum((v for (i, j), v in mod.action_block(q).items() if i == j), zero)
         out.append(acc)
     return tuple(out)
 

@@ -26,7 +26,8 @@ target block, and each image span takes one entry per tensor; a Psi-image
 of the shift duality, a sum of k morphisms, is the set of the positions
 their index maps give.  Generator rows are read once, as maps
 j -> ((k, g_jk), ...); the GL closure and the exp identity multiply sparse
-vectors by them, so no dense Mat product is left.
+vectors by them, so no matrix product is formed.  Every matrix is a
+{(row, col): Cyc} dict of its nonzero entries, as in cyclo.
 Whether the central idempotent of a simple p kills V^(x d) is read from
 characters: the algebra is semisimple, so it does iff <chi_V, chi_p> = 0,
 and chi_V is read off the monomial form of Phi (TensorSpace.character): at
@@ -42,7 +43,7 @@ from functools import cache, wraps
 from itertools import accumulate, product
 from math import prod
 
-from .cyclo import Cyc, Mat, SpanBasis, intertwiners
+from .cyclo import Cyc, SpanBasis, intertwiners
 from .gkd import _closure, _quotient_generators
 from .groupoid import GMorphism, component_generators, hom, quotient_groupoid, type_of
 from .perms import invert_perm
@@ -143,21 +144,22 @@ def _block_units(T: TensorSpace) -> list[tuple[int, int]]:
 def glk_generators(T: TensorSpace) -> list[dict]:
     """Leibniz embeddings of all block matrix units, as block-diagonal maps.
 
-    Each generator is returned as {f: Mat on block f}; the unit is implicit.
+    Each generator is returned as {f: block f}, a block the {(row, col): Cyc}
+    dict of its nonzero entries; the unit is implicit.  An entry counts the
+    slots t of the column tensor that E_ab turns into the row tensor: at most
+    one for a != b, and the number of b-slots on the diagonal of Delta(E_bb).
+    The counts are ints, with one Cyc per count.
     """
-    one = Cyc.one(T.ell)
+    values = {n: Cyc.rational(T.ell, n) for n in range(1, T.d + 1)}
     gens = []
     for a, b in _block_units(T):
         blocks = {}
         for f, bs in T.block_of.items():
             pos = T.block_pos[f]
-            entries = (
-                ((pos[vec[:t] + (a,) + vec[t + 1 :]], j), one)
-                for j, vec in enumerate(bs)
-                for t in range(T.d)
-                if vec[t] == b
+            counts = Counter(
+                (pos[vec[:t] + (a,) + vec[t + 1 :]], j) for j, vec in enumerate(bs) for t in range(T.d) if vec[t] == b
             )
-            blocks[f] = Mat.from_entries(T.ell, len(bs), len(bs), entries)
+            blocks[f] = {ij: values[n] for ij, n in counts.items()}
         gens.append(blocks)
     return gens
 
@@ -169,7 +171,7 @@ def _generator_rows(T: TensorSpace) -> list[dict[int, list[tuple[int, Cyc]]]]:
     for gen in glk_generators(T):
         rows: dict[int, list[tuple[int, Cyc]]] = {}
         for f, bs in T.block_of.items():
-            for (j, k), v in gen[f].entries():
+            for (j, k), v in gen[f].items():
                 rows.setdefault(T.index[bs[j]], []).append((k, v))
         table.append(rows)
     return table
@@ -242,7 +244,7 @@ def verify_commuting(T: TensorSpace) -> dict:
     walked = reached == set(Q.all_qmorphisms())
     steps, gl = gens + [Q.identity(o) for o in objs], glk_generators(T)
     relabelled = all(
-        {(pi[i], pi[j]): v for (i, j), v in G[s.source].entries()} == dict(G[s.target].entries())
+        {(pi[i], pi[j]): v for (i, j), v in G[s.source].items()} == G[s.target]
         for s in steps for pi in [act(s)] for G in gl
     )
     return suite_result([record("groupoid action commutes with GL generators", walked and relabelled)])
@@ -427,8 +429,9 @@ def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TEN
     it is the 0/1 matrix with ones at the (row, column) positions of their
     index maps: it commutes with Z^(x d) when (zmap[r], zmap[c]) maps that
     set onto itself.  The commutant of the GL generators and Z^(x d) on all
-    of V^(x d) is one intertwiners solve, with Z^(x d) as a matrix action
-    there, compared with the span of the Psi-images.
+    of V^(x d) is one intertwiners solve, with Z^(x d) and each generator as
+    a sparse matrix over the whole space, compared with the span of the
+    Psi-images.
     """
     if ell % k != 0:
         raise ValueError("k must divide ell")
@@ -442,7 +445,7 @@ def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TEN
     dim = len(T.basis)
     # Z^(x d) as an index map: entry a is the index of Z^(x d) applied to basis vector a
     zmap = tuple(T.index[tuple((x - 1 + shift) % n + 1 for x in b)] for b in T.basis)
-    Ztensor = Mat.from_entries(ell, dim, dim, (((z, a), one) for a, z in enumerate(zmap)))
+    Ztensor = {(z, a): one for a, z in enumerate(zmap)}
 
     def positions(t: GMorphism):
         src, tgt = T.block_of[t.source], T.block_of[t.target]
@@ -456,12 +459,7 @@ def shift_duality_check(ell: int, k: int, m: int, d: int, cap: int = DEFAULT_TEN
     # commutant of <GL generators, Z^(x d)> in one solve, each generator as a
     # block-diagonal dim x dim matrix; the kernel vectors are row-major, r * dim + c
     gl = [
-        Mat.from_entries(
-            ell,
-            dim,
-            dim,
-            (((T.index[bs[i]], T.index[bs[j]]), v) for f, bs in T.block_of.items() for (i, j), v in gen[f].entries()),
-        )
+        {(T.index[bs[i]], T.index[bs[j]]): v for f, bs in T.block_of.items() for (i, j), v in gen[f].items()}
         for gen in glk_generators(T)
     ]
     comm = intertwiners(ell, dim, dim, [(A, A) for A in gl + [Ztensor]])

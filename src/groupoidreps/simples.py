@@ -59,7 +59,7 @@ from itertools import accumulate, chain, product, repeat
 from math import factorial, prod
 from operator import add, mul
 
-from .cyclo import Cyc, Mat, intertwiners, root_of_unity
+from .cyclo import Cyc, intertwiners, root_of_unity
 from .groupoid import (
     GMorphism,
     canonical_morphism,
@@ -161,7 +161,7 @@ class SimpleModule:
             objs = [f for f in objs if all(f <= theta_object(f, j * self.u, ell) for j in range(1, self.r))]
         self.objects = list(objs)
         self.block_index = {f: i for i, f in enumerate(self.objects)}
-        self._mat_cache: dict[tuple, Mat] = {}
+        self._mat_cache: dict[tuple, dict[tuple[int, int], Cyc]] = {}
 
     @property
     def total_dim(self) -> int:
@@ -190,8 +190,11 @@ class SimpleModule:
         to_b, from_b, perm = to_base[m.target], from_base[m.source], m.perm
         return tuple(to_b[perm[j - 1] - 1] for j in from_b)
 
-    def action_block(self, q: GMorphism) -> Mat:
+    def action_block(self, q: GMorphism) -> dict[tuple[int, int], Cyc]:
         """The block of a morphism of the component; any representative of a quotient morphism.
+
+        The block is the {(row, col): Cyc} dict of its nonzero entries, a
+        block_dim x block_dim matrix; it is cached, and callers do not mutate it.
 
         q is translated to leave an anchor a_1; its target is then
         h^t(a_2) for the anchor a_2 of its orbit, so a_2^-1 o q o a_1 is the
@@ -206,7 +209,7 @@ class SimpleModule:
             cached = self._mat_cache[key] = self._endo_block(*key)
         return cached
 
-    def _endo_block(self, t: int, w: tuple[int, ...]) -> Mat:
+    def _endo_block(self, t: int, w: tuple[int, ...]) -> dict[tuple[int, int], Cyc]:
         """rho~(h^t o w) = M^t rho(w), in one pass.
 
         rho(w) is block diagonal, one integer outer-Specht block per copy
@@ -214,22 +217,22 @@ class SimpleModule:
         scales by omega = xi^((l/s) m) where it wraps from the last copy to
         the first.  So M^t sends the block of copy j to copy (j + t) mod
         copies, along the slot map c -> c + t u, scaled by
-        omega^((j + t) // copies).
+        omega^((j + t) // copies).  The positions are distinct, so nothing is summed.
         """
         ell, copies = self.ell, self.copies
         offsets = list(accumulate((rep.dim for rep in self.reps), initial=0))
-        entries = []
+        entries = {}
         for j, rep in enumerate(self.reps):
             scalar = root_of_unity(ell, self.wrap * ((j + t) // copies))
             slot = _slot_rotation([c.dim for c in rep.components], lambda c: (c + t * self.u) % ell)
             row0, col0 = offsets[(j + t) % copies], offsets[j]
-            entries += (
+            entries.update(
                 ((row0 + slot[i], col0 + a), scalar.scale(v))
                 for i, row in enumerate(rep.matrix_of_blockperm(w))
                 for a, v in enumerate(row)
                 if v
             )
-        return Mat.from_entries(ell, self.block_dim, self.block_dim, entries)
+        return entries
 
     # -- characters of S(l, d) ----------------------------------------------
 
@@ -568,7 +571,7 @@ def _commutant_dim(mod: SimpleModule) -> int | None:
     it at least 1: a result of 1 proves dimension 1.
     """
     ell, bd = mod.ell, mod.block_dim
-    one = Mat.identity(ell, bd)
+    one = {(i, i): Cyc.one(ell) for i in range(bd)}
     if any(mod.action_block(a) != one for a in mod.anchors):
         return None
     actions = ((a, a) for a in map(mod.action_block, _endo_generators(mod)))
@@ -604,7 +607,7 @@ def _presentation_holds(mod: SimpleModule, gens) -> bool:
     The images then define a homomorphism of End(b) (von Dyck) whose value at
     h^t w is M^t rho(w), the block action_block returns, so rho~ is
     multiplicative and L is functorial (SimpleModule).  Nothing is walked and
-    no Mat is multiplied.
+    no matrix is multiplied.
     """
     ell, b, r = mod.ell, mod.base, mod.r
     runs = [i for i in range(1, mod.d) if b[i - 1] == b[i]]
@@ -613,7 +616,7 @@ def _presentation_holds(mod: SimpleModule, gens) -> bool:
     if {g for g in gens if g != identity_morphism(b)} != {*s.values(), *([h] if r > 1 else [])}:
         return False
     unit = identity_morphism(min(theta_object(b, t * (ell // mod.k), ell) for t in range(mod.k)))
-    if mod.action_block(unit) != Mat.identity(ell, mod.block_dim):
+    if mod.action_block(unit) != {(i, i): Cyc.one(ell) for i in range(mod.block_dim)}:
         return False
     if not all(spec.coxeter_relations_hold for rep in mod.reps for spec in rep.components):
         return False
@@ -677,17 +680,21 @@ def removable_node_restrictions(p) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def restriction_multiplicities(mod: SimpleModule) -> dict:
-    """Decompose the restriction to S(l,d-1) by exact character inner products.
+    """Decompose the restriction to S(l,d-1) by exact character inner products (k = 1 only).
 
     Maps the label of each constituent to its multiplicity: an int, or the
     exact inner product when that is not an integer (a wrong character).
+    The dict is a copy of the cached table's row.
     """
+    if mod.k != 1:
+        raise ValueError("restriction_multiplicities reads S(l,d) branching; gkd.restriction_check covers k > 1")
     labels = [m.p for m in all_simples(mod.ell, mod.d)]
-    return _restriction_multiplicities(mod.ell, mod.d)[labels.index(mod.p)]
+    return dict(_restriction_multiplicities(mod.ell, mod.d)[labels.index(mod.p)])
 
 
-def _restriction_multiplicities(ell: int, d: int) -> list[dict]:
-    """restriction_multiplicities of every simple of (l, d), in all_simples order.
+@lru_cache(maxsize=None)
+def _restriction_multiplicities(ell: int, d: int) -> tuple[dict, ...]:
+    """restriction_multiplicities of every simple of (l, d), in all_simples order; callers do not mutate it.
 
     The restricted characters are read in one simple_characters walk over
     the classes of S(l,d-1), embedded, and decomposed into the characters
@@ -697,7 +704,7 @@ def _restriction_multiplicities(ell: int, d: int) -> list[dict]:
         raise ValueError("branching needs d >= 1")
     classes = conjugacy_classes(ell, d - 1)
     restricted = list(zip(*simple_characters(ell, d, [embed_lower_rank(y, d) for y, _size in classes])))
-    return decompose(classes, restricted, {m.p: chi for m, chi in zip(all_simples(ell, d - 1), character_table(ell, d - 1))})
+    return tuple(decompose(classes, restricted, {m.p: chi for m, chi in zip(all_simples(ell, d - 1), character_table(ell, d - 1))}))
 
 
 def decompose(classes, chars, constituents: dict) -> list[dict]:

@@ -1,5 +1,10 @@
 """Reference routines that the tests compare the library against.
 
+Mat is the dense matrix over Q(xi_l) that the dense routes below use; the
+library's one matrix format is the sparse {(row, col): Cyc} dict of the
+nonzero entries, and dense and sparse convert between the two; scaled
+multiplies a sparse block by a scalar.
+
 kernel_basis is the null space read off the one elimination engine; no
 library path needs it, since every solved commutant is one call to
 cyclo.intertwiners.  conjugation_orbits and conjugacy_classes_of partition
@@ -16,8 +21,9 @@ and tensor_object_trace (the basis tensors of block g that it fixes), the
 routes that the per-color class functions of simples, gelfand and
 schurweyl replace.  two_sided_closure is
 the dense span closure of the GL generators: block-diagonal maps {f: Mat}
-multiplied block by block on both sides, the route that the sparse one-sided
-closure of schurweyl.glk_generated_algebra replaces.  act_full is the dense
+of their sparse blocks, multiplied block by block on both sides, the route
+that the sparse one-sided closure of schurweyl.glk_generated_algebra
+replaces.  act_full is the dense
 matrix of an algebra element on V^(x d), and morphism_block_matrix the 0/1
 matrix of one morphism on its blocks: the routes that the index maps of
 schurweyl replace.  ungraded_intertwiners solves X A = B X with one
@@ -66,7 +72,7 @@ from math import factorial, prod
 from operator import mul
 
 from groupoidreps.algebra import AlgElem, phi
-from groupoidreps.cyclo import Cyc, Mat, SpanBasis, root_of_unity
+from groupoidreps.cyclo import Cyc, SpanBasis, root_of_unity
 from groupoidreps import gkd, schurweyl, simples
 from groupoidreps.cyclo import intertwiners
 from groupoidreps.gelfand import inv_statistic
@@ -98,6 +104,77 @@ def to_dense(ell: int, n: int, vec: dict[int, Cyc]) -> list[Cyc]:
     for j, c in vec.items():
         out[j] = c
     return out
+
+
+class Mat:
+    """Dense matrix over Q(xi_l), the tests' reference format; the library's is a sparse {(row, col): Cyc} dict."""
+
+    __slots__ = ("ell", "nrows", "ncols", "rows")
+
+    def __init__(self, ell: int, rows):
+        rows = tuple(tuple(r) for r in rows)
+        self.ell = ell
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        for r in rows:
+            if len(r) != self.ncols:
+                raise ValueError("ragged rows")
+        self.rows = rows
+
+    @staticmethod
+    def identity(ell: int, n: int) -> "Mat":
+        z, o = Cyc.zero(ell), Cyc.one(ell)
+        return Mat(ell, [[o if i == j else z for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def from_entries(ell: int, nrows: int, ncols: int, entries) -> "Mat":
+        """The nrows x ncols matrix whose (i, j) entry is the sum of the values given at (i, j).
+
+        ``entries`` yields ((i, j), value) pairs; zero values are skipped and
+        every position not given is zero.
+        """
+        z = Cyc.zero(ell)
+        rows = [[z] * ncols for _ in range(nrows)]
+        for (i, j), v in entries:
+            if any(v.num):
+                row = rows[i]
+                w = row[j]
+                row[j] = w + v if any(w.num) else v
+        return Mat(ell, rows)
+
+    def entries(self):
+        """The nonzero entries as ((i, j), value)."""
+        for i, row in enumerate(self.rows):
+            for j, v in enumerate(row):
+                if any(v.num):
+                    yield (i, j), v
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Mat) and self.ell == other.ell and self.rows == other.rows
+
+    def trace(self) -> Cyc:
+        acc = Cyc.zero(self.ell)
+        for i in range(min(self.nrows, self.ncols)):
+            acc = acc + self.rows[i][i]
+        return acc
+
+    def __repr__(self) -> str:
+        return f"Mat({self.nrows}x{self.ncols} over Q(xi_{self.ell}))"
+
+
+def dense(ell: int, n: int, block: dict) -> Mat:
+    """The n x n dense matrix of a sparse {(row, col): Cyc} block."""
+    return Mat.from_entries(ell, n, n, block.items())
+
+
+def sparse(a: Mat) -> dict:
+    """The {(row, col): Cyc} dict of the nonzero entries of a dense matrix, the library's matrix format."""
+    return dict(a.entries())
+
+
+def scaled(block: dict, c: Cyc) -> dict:
+    """c times a sparse block, entry by entry."""
+    return {key: c * v for key, v in block.items()}
 
 
 def kernel_basis(ell: int, rows: list[list[Cyc]], ncols: int) -> list[list[Cyc]]:
@@ -199,7 +276,8 @@ def blockdiag_vector(x: dict) -> list[Cyc]:
 
 
 def two_sided_closure(T, gens) -> SpanBasis:
-    """The span of the unital algebra that gens generate: x g and g x pushed for every new element x."""
+    """The span of the unital algebra that gens ({f: sparse block}) generate: x g and g x pushed for every new element x."""
+    gens = [{f: dense(T.ell, len(bs), g[f]) for f, bs in T.block_of.items()} for g in gens]
     sb = SpanBasis(T.ell, sum(len(bs) ** 2 for bs in T.block_of.values()))
     frontier = [blockdiag_identity(T)] + list(gens)
     while frontier:
@@ -293,12 +371,12 @@ def all_morphisms(ell: int, d: int) -> list[GMorphism]:
     return out
 
 
-def outer_specht_block(mod, m) -> Mat:
-    """The block of m: f -> g on a k = 1 simple: the outer-Specht matrix of sigma_(g,b) o m o sigma_(b,f), lifted into Q(xi_l)."""
+def outer_specht_block(mod, m) -> dict:
+    """The block of m: f -> g on a k = 1 simple: the outer-Specht matrix of sigma_(g,b) o m o sigma_(b,f), lifted into Q(xi_l), as sparse entries."""
     ell, b = mod.ell, mod.base
     w = compose(canonical_morphism(m.target, b, ell), compose(m, canonical_morphism(b, m.source, ell))).perm
     ints = mod.outer.matrix_of_blockperm(w)
-    return Mat.from_entries(ell, mod.block_dim, mod.block_dim, (((i, j), Cyc.rational(ell, v)) for i, row in enumerate(ints) for j, v in enumerate(row) if v))
+    return {(i, j): Cyc.rational(ell, v) for i, row in enumerate(ints) for j, v in enumerate(row) if v}
 
 
 def _component(mod):
@@ -308,10 +386,11 @@ def _component(mod):
     return Q, anchors
 
 
-def quotient_action_block(mod, q) -> Mat:
+def quotient_action_block(mod, q) -> dict:
     """The matrix of the quotient morphism q on the quotient simple mod, as a
     dense product: q is carried to an endomorphism of the base orbit, which
-    acts as M^t rho(pi) with M the rotation matrix multiplied in t times."""
+    acts as M^t rho(pi) with M the rotation matrix multiplied in t times.
+    Returns the sparse entries of the product."""
     ell, copies = mod.ell, mod.copies
     Q, anchors = _component(mod)
     offsets = list(accumulate((rep.dim for rep in mod.reps), initial=0))
@@ -341,7 +420,7 @@ def quotient_action_block(mod, q) -> Mat:
     out = Mat.from_entries(ell, mod.block_dim, mod.block_dim, rho)
     for _ in range(t):
         out = mat_mul(M, out)
-    return out
+    return sparse(out)
 
 
 def component_morphisms(mod) -> list[GMorphism]:
@@ -350,8 +429,8 @@ def component_morphisms(mod) -> list[GMorphism]:
     return [q for o1 in anchors for o2 in anchors for q in Q.hom(o1, o2)]
 
 
-def direct_sum_actions(ell: int, dims, actions) -> tuple[int, list[tuple[Mat, Mat]]]:
-    """Block actions (s, t, A), A from block s to block t, as (A, A) pairs on the direct sum of the blocks.
+def direct_sum_actions(ell: int, dims, actions) -> tuple[int, list[tuple[dict, dict]]]:
+    """Sparse block actions (s, t, A), A from block s to block t, as sparse (A, A) pairs on the direct sum of the blocks.
 
     The pairs are led by the diagonal matrix that scales block o by o + 1,
     which commutes with X exactly when X is block diagonal, so the commutant
@@ -360,8 +439,8 @@ def direct_sum_actions(ell: int, dims, actions) -> tuple[int, list[tuple[Mat, Ma
     """
     starts = list(accumulate(dims, initial=0))
     n = starts[-1]
-    weights = Mat.from_entries(ell, n, n, (((i, i), Cyc.rational(ell, o + 1)) for o in range(len(dims)) for i in range(starts[o], starts[o + 1])))
-    placed = (Mat.from_entries(ell, n, n, (((starts[t] + i, starts[s] + j), v) for (i, j), v in A.entries())) for s, t, A in actions)
+    weights = {(i, i): Cyc.rational(ell, o + 1) for o in range(len(dims)) for i in range(starts[o], starts[o + 1])}
+    placed = ({(starts[t] + i, starts[s] + j): v for (i, j), v in A.items()} for s, t, A in actions)
     return n, [(weights, weights), *((A, A) for A in placed)]
 
 
@@ -378,10 +457,14 @@ def component_commutant_dim(mod) -> int:
 
 
 def ungraded_intertwiners(ell: int, n_src: int, n_tgt: int, actions) -> list[dict[int, Cyc]]:
-    """The kernel of the system of cyclo.intertwiners with no unknown dropped: one row per entry (r, c) of X A - B X."""
+    """The kernel of the system of cyclo.intertwiners with no unknown dropped: one row per entry (r, c) of X A - B X.
+
+    The sparse actions are read through their dense matrices.
+    """
     zero = Cyc.zero(ell)
     sb = SpanBasis(ell, n_tgt * n_src)
     for A, B in actions:
+        A, B = dense(ell, n_src, A), dense(ell, n_tgt, B)
         a_cols = [[(u, row[c]) for u, row in enumerate(A.rows) if not row[c].is_zero()] for c in range(n_src)]
         b_rows = [[(u, v) for u, v in enumerate(row) if not v.is_zero()] for row in B.rows]
         for (r, b_row), (c, a_col) in product(enumerate(b_rows), enumerate(a_cols)):
@@ -397,7 +480,10 @@ def ungraded_intertwiners(ell: int, n_src: int, n_tgt: int, actions) -> list[dic
 def component_functorial(mod) -> bool:
     """L(s o q) = L(s) L(q) for the component generators s, along a walk that reaches every morphism of the component."""
     Q, anchors = _component(mod)
-    act = mod.action_block
+
+    def act(q):
+        return dense(mod.ell, mod.block_dim, mod.action_block(q))
+
     reached = gkd._closure(Q, gkd._quotient_generators(Q, [mod.lam]), list(anchors), lambda s, x, y: act(y) == mat_mul(act(s), act(x)))
     return reached == set(component_morphisms(mod))
 
@@ -413,7 +499,11 @@ def end_base_functorial(mod) -> bool:
     The base's anchor is the identity, so action_block is rho~ on End(base).
     Once rho~(id) = I, a walk step s o q with s = id holds with no product.
     """
-    Q, act = quotient_groupoid(mod.ell, mod.k, mod.d), mod.action_block
+    Q = quotient_groupoid(mod.ell, mod.k, mod.d)
+
+    def act(q):
+        return dense(mod.ell, mod.block_dim, mod.action_block(q))
+
     o = Q.orbit_of[mod.base]
     unit = Q.identity(o)
     if act(unit) != Mat.identity(mod.ell, mod.block_dim):
@@ -442,7 +532,7 @@ def act_alg(mod, a) -> Mat:
     for m, coeff in a.terms.items():
         if m.source in mod.block_index and m.target in mod.block_index:
             r0, c0 = mod.block_index[m.target] * bd, mod.block_index[m.source] * bd
-            entries += (((r0 + i, c0 + j), coeff * v) for (i, j), v in mod.action_block(m).entries())
+            entries += (((r0 + i, c0 + j), coeff * v) for (i, j), v in mod.action_block(m).items())
     return Mat.from_entries(mod.ell, mod.total_dim, mod.total_dim, entries)
 
 
@@ -580,7 +670,7 @@ def dense_exp_identity(T, gens) -> tuple[bool, int]:
             tensor = Mat.from_entries(ell, n, n, (((pos[u], j), one) for j, us in enumerate(images) for u in us))
             term = series = Mat.identity(ell, n)
             for power in range(1, T.d + 1):
-                term = mat_scale(mat_mul(term, gen[f]), Cyc.rational(ell, Fraction(1, power)))
+                term = mat_scale(mat_mul(term, dense(ell, n, gen[f])), Cyc.rational(ell, Fraction(1, power)))
                 series = mat_add(series, term)
             ok = ok and tensor == series
     return ok, units

@@ -94,7 +94,7 @@ def test_criterion_2_phi_isomorphism():
 def test_criterion_3_simple_modules():
     from groupoidreps.groupoid import compose, hom
     from groupoidreps.simples import all_simples, total_dim_check, verify_complete
-    from reference import mat_mul
+    from reference import dense, mat_mul
 
     t0 = time.perf_counter()
     ok = True
@@ -103,13 +103,17 @@ def test_criterion_3_simple_modules():
         ok = ok and rep["ok"]
         for mod in all_simples(ell, d):
             ok = ok and total_dim_check(mod)
+
+            def act(q, mod=mod):
+                return dense(mod.ell, mod.block_dim, mod.action_block(q))
+
             for f in mod.objects:
                 for g in mod.objects:
                     for m1 in hom(f, g, ell):
-                        a1 = mod.action_block(m1)
+                        a1 = act(m1)
                         for h in mod.objects:
                             for m2 in hom(g, h, ell):
-                                if mod.action_block(compose(m2, m1)) != mat_mul(mod.action_block(m2), a1):
+                                if act(compose(m2, m1)) != mat_mul(act(m2), a1):
                                     ok = False
     _report(3, "simple modules: dims, commutants, characters", ok, time.perf_counter() - t0, 60)
 

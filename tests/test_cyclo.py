@@ -15,7 +15,6 @@ from groupoidreps import cyclo
 from groupoidreps.cyclo import (
     Cyc,
     LinSolver,
-    Mat,
     SpanBasis,
     cyclotomic_poly,
     euler_phi,
@@ -23,13 +22,15 @@ from groupoidreps.cyclo import (
     root_of_unity,
 )
 from reference import (
+    Mat,
     cyc_from_json,
     cyc_pow,
+    dense,
     embed,
     kernel_basis,
     mat_mul,
-    mat_zeros,
     permuted,
+    sparse,
     to_dense,
     to_sparse,
     ungraded_intertwiners,
@@ -441,8 +442,9 @@ def test_intertwiners_match_the_kernel_of_dense_rows():
             else:
                 n_src, n_tgt, actions = graded_system(rng, ell, kind)
             rows, n = dense_intertwiner_rows(ell, n_src, n_tgt, actions)
-            graded = intertwiners(ell, n_src, n_tgt, actions)
-            assert graded == ungraded_intertwiners(ell, n_src, n_tgt, actions)
+            pairs = [(sparse(A), sparse(B)) for A, B in actions]
+            graded = intertwiners(ell, n_src, n_tgt, pairs)
+            assert graded == ungraded_intertwiners(ell, n_src, n_tgt, pairs)
             basis = [to_dense(ell, n, vec) for vec in graded]
             assert basis == kernel_basis(ell, rows, n)
             for vec in basis:
@@ -457,8 +459,8 @@ def test_intertwiners_of_diagonal_actions_alone_insert_no_row(monkeypatch):
     inserted = []
     real = SpanBasis._insert
     monkeypatch.setattr(SpanBasis, "_insert", lambda self, v, width: inserted.append(v) or real(self, v, width))
-    first = (Mat(3, [[one, zero], [zero, two]]), Mat(3, [[two, zero], [zero, one]]))
-    second = (Mat(3, [[zero, zero], [zero, one]]), Mat(3, [[zero, zero], [zero, zero]]))
+    first = ({(0, 0): one, (1, 1): two}, {(0, 0): two, (1, 1): one})
+    second = ({(1, 1): one}, {})
     assert intertwiners(3, 2, 2, [first]) == [{1: one}, {2: one}]  # X[0][1] and X[1][0]
     assert intertwiners(3, 2, 2, [first, second]) == [{2: one}]  # X[1][0]
     assert inserted == []
@@ -534,7 +536,7 @@ def test_insert_negates_a_minus_one_pivot(monkeypatch):
 def test_intertwiners_with_equal_actions_give_the_commutant():
     # the commutant of the swap on Q(xi_4)^2 is spanned by 1 and the swap
     zero, one = Cyc.zero(4), Cyc.one(4)
-    swap = Mat(4, [[zero, one], [one, zero]])
+    swap = sparse(Mat(4, [[zero, one], [one, zero]]))
     basis = intertwiners(4, 2, 2, [(swap, swap)])
     assert basis == [{1: one, 2: one}, {0: one, 3: one}]  # free columns c, d of [[a, b], [c, d]]
 
@@ -551,29 +553,35 @@ def test_intertwiners_handle_a_zero_size_block():
     ell = 3
     rng = random.Random(4100)
     B = Mat(ell, rand_sparse_rows(rng, ell, 3, 3))
-    assert intertwiners(ell, 0, 3, [(Mat(ell, []), B)]) == []
-    assert intertwiners(ell, 3, 0, [(B, Mat(ell, []))]) == []
+    assert intertwiners(ell, 0, 3, [({}, sparse(B))]) == []
+    assert intertwiners(ell, 3, 0, [(sparse(B), {})]) == []
     assert dense_intertwiner_rows(ell, 0, 3, [(Mat(ell, []), B)]) == ([], 0)
 
 
 def test_intertwiners_reject_actions_of_the_wrong_shape():
     one = Cyc.one(1)
     with pytest.raises(ValueError):
-        intertwiners(1, 2, 2, [(Mat.identity(1, 2), Mat.identity(1, 3))])
+        intertwiners(1, 2, 2, [(sparse(Mat.identity(1, 2)), sparse(Mat.identity(1, 3)))])
     with pytest.raises(ValueError):
-        intertwiners(1, 2, 1, [(Mat.identity(1, 2), Mat(1, [[one, one]]))])
+        intertwiners(1, 2, 1, [(sparse(Mat.identity(1, 2)), sparse(Mat(1, [[one, one]])))])
     with pytest.raises(ValueError):
-        intertwiners(1, 2, 2, [(Mat(1, [[one, one]]), Mat.identity(1, 2))])
+        intertwiners(1, 1, 2, [(sparse(Mat(1, [[one, one]])), sparse(Mat.identity(1, 2)))])
 
 
-def test_from_entries_sums_repeats_and_skips_zeros():
-    zero, one, x = Cyc.zero(3), Cyc.one(3), root_of_unity(3, 1)
-    entries = [((0, 0), one), ((1, 2), zero), ((0, 1), x), ((0, 0), x), ((0, 1), -x), ((1, 2), x)]
-    m = Mat.from_entries(3, 2, 3, entries)
-    assert m == Mat(3, [[one + x, zero, zero], [zero, zero, x]])
-    assert list(m.entries()) == [((0, 0), one + x), ((1, 2), x)]
-    assert Mat.from_entries(3, 2, 2, []) == mat_zeros(3, 2, 2)
-    assert Mat.from_entries(3, 0, 0, []) == Mat(3, [])
+@pytest.mark.parametrize(
+    "side, key",
+    [("A", (0, 3)), ("A", (3, 0)), ("A", (-1, 0)), ("B", (0, 2)), ("B", (2, 0)), ("B", (0, -1))],
+    ids=["A-col-3", "A-row-3", "A-row-minus-1", "B-col-2", "B-row-2", "B-col-minus-1"],
+)
+def test_intertwiners_reject_an_entry_outside_its_block(side, key):
+    # A acts on the 3-dimensional source and B on the 2-dimensional target: a
+    # key of A outside n_src or of B outside n_tgt raises
+    one = Cyc.one(3)
+    inside = {(0, 0): one, (1, 0): one}
+    A, B = ({key: one}, inside) if side == "A" else (inside, {key: one})
+    with pytest.raises(ValueError, match="action does not match the block sizes"):
+        intertwiners(3, 3, 2, [(A, B)])
+    assert intertwiners(3, 3, 2, [(inside, inside)])  # the same sizes with in-range keys solve
 
 
 @pytest.mark.parametrize("ell", [1, 3, 4])
@@ -677,7 +685,8 @@ def test_kernel_vectors_are_sparse():
 def test_values_survive_pickle_deepcopy_and_a_process_pool():
     values = [Cyc.one(3), Cyc.zero(1), root_of_unity(4, 3).scale(Fraction(-5, 6)), rand_cyc(random.Random(5), 5)]
     mats = [Mat(3, [[Cyc.rational(3, Fraction(1, 2)), root_of_unity(3, 1)], [Cyc.zero(3), Cyc.one(3)]])]
-    for v in values + mats:
+    blocks = [sparse(m) for m in mats]  # the library's matrix format
+    for v in values + mats + blocks:
         for back in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
             assert back == v and type(back) is type(v)
     with multiprocessing.get_context("spawn").Pool(2) as pool:

@@ -5,7 +5,7 @@ import pytest
 
 from groupoidreps import algebra, gkd, groupoid, simples
 from groupoidreps.cli import GKD_GRID, ISO_GRID
-from groupoidreps.cyclo import Cyc, LinSolver, Mat, root_of_unity
+from groupoidreps.cyclo import Cyc, LinSolver, root_of_unity
 from groupoidreps.gkd import (
     class_character,
     restriction_check,
@@ -40,10 +40,12 @@ from groupoidreps.tableaux import OuterRep, SpechtRep, _matmul, multipartitions
 from groupoidreps.wreath import generators, wreath_identity
 import reference
 from reference import (
+    Mat,
     act_total,
     component_commutant_dim,
     component_functorial,
     component_morphisms,
+    dense,
     dense_commutes,
     dense_twisted_traces,
     end_base_functorial,
@@ -53,7 +55,9 @@ from reference import (
     mat_sub,
     quotient_action_block,
     rotation_theta,
+    scaled,
     slot_powers,
+    sparse,
     to_sparse,
 )
 
@@ -202,7 +206,7 @@ def test_labels_222():
     Q = quotient_groupoid(2, 2, 2)
     oi = Q.orbit_of[pair[0].objects[0]]
     rot = [q for q in Q.hom(oi, oi) if q != Q.identity(oi)][0]
-    vals = sorted(str(m.action_block(rot).rows[0][0].coeffs) for m in pair)
+    vals = sorted(str(m.action_block(rot)[0, 0].coeffs) for m in pair)
     assert vals == [str((Cyc.rational(2, -1)).coeffs), str((Cyc.one(2)).coeffs)]
 
 
@@ -242,7 +246,7 @@ def test_class_characters_match_a_fresh_computation():
                 acc = Cyc.zero(ell)
                 for q, coeff in gkd.phi_to_quotient(Q, rep).items():
                     if Q.source_orbit(q) == Q.target_orbit(q) and Q.source_orbit(q) in component:
-                        acc = acc + coeff * mod.action_block(q).trace()
+                        acc = acc + coeff * dense(ell, mod.block_dim, mod.action_block(q)).trace()
                 fresh.append(acc)
             assert class_character(mod) == tuple(fresh), (ell, k, d, p, m)
 
@@ -311,7 +315,7 @@ def test_quotient_commutant_check_fails_for_a_module_acting_trivially(monkeypatc
     mods = [build_simple(ell, k, d, p, m) for _lam, p, m in quotient_labels(ell, k, d)]
     mod = next(m for m in mods if m.block_dim > 1)
     class_character(mod)  # tabulated before the action is replaced, so the cache stays right
-    monkeypatch.setattr(mod, "action_block", lambda q: Mat.identity(ell, mod.block_dim))
+    monkeypatch.setattr(mod, "action_block", lambda q: sparse(Mat.identity(ell, mod.block_dim)))
     rep = quotient_simples_check(ell, k, d)
     check = next(c for c in rep["checks"] if c["name"] == COMMUTANT)
     assert check["status"] == "fail"
@@ -422,7 +426,7 @@ def test_reference_walk_catches_action_wrong_off_generators(monkeypatch):
     bad = _non_generator(Q, component_morphisms(mod), gkd._quotient_generators(Q, [mod.lam]))
     real = mod.action_block
     two = Cyc.rational(ell, 2)
-    monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), two) if q == bad else real(q))
+    monkeypatch.setattr(mod, "action_block", lambda q: scaled(real(q), two) if q == bad else real(q))
     assert not end_base_functorial(mod) and not component_functorial(mod)
     # the report reads the action at the identity alone: the relations are
     # checked on the data the blocks are built from, and action_block builds
@@ -442,7 +446,7 @@ def test_functoriality_fails_when_the_identity_does_not_act_as_identity(monkeypa
     Q = quotient_groupoid(ell, k, d)
     unit = Q.identity(Q.orbit_of[mod.base])
     real, minus = mod.action_block, Cyc.rational(ell, -1)
-    monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), minus) if q == unit else real(q))
+    monkeypatch.setattr(mod, "action_block", lambda q: scaled(real(q), minus) if q == unit else real(q))
     assert not functorial(mod)
     assert _status(quotient_simples_check(ell, k, d), FUNCTORIAL) == "fail"
     monkeypatch.undo()
@@ -540,7 +544,7 @@ def test_both_walks_reject_a_block_wrong_inside_end_base(monkeypatch):
     o = Q.orbit_of[mod.base]
     bad = _non_generator(Q, Q.hom(o, o), [Q.normalize(s) for s in simples._endo_generators(mod)])
     real, two = mod.action_block, Cyc.rational(ell, 2)
-    monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), two) if q == bad else real(q))
+    monkeypatch.setattr(mod, "action_block", lambda q: scaled(real(q), two) if q == bad else real(q))
     assert not end_base_functorial(mod)
     assert not component_functorial(mod)
 
@@ -1052,7 +1056,7 @@ def test_identities_read_one_cached_block_the_identity_matrix():
     mods = [SimpleModule(ell, 1, d, m.p, 1) for ell, d in ISO_GRID for m in all_simples(ell, d)]
     mods += [SimpleModule(ell, k, d, p, m) for ell, k, d in IDENTITY_POINTS for _lam, p, m in quotient_labels(ell, k, d)]
     for mod in mods:
-        one = Mat.identity(mod.ell, mod.block_dim)
+        one = sparse(Mat.identity(mod.ell, mod.block_dim))
         assert all(mod.action_block(identity_morphism(f)) == one for f in mod.to_anchor), mod
         assert list(mod._mat_cache) == [(0, tuple(range(1, mod.d + 1)))], mod
         assert simples.total_dim_check(mod), mod
@@ -1079,9 +1083,26 @@ def test_every_anchor_acts_as_identity_and_the_base_commutant_is_one():
     mods += [build_simple(ell, k, d, p, m) for ell, k, d in GKD_GRID for _lam, p, m in quotient_labels(ell, k, d)]
     assert len(mods) == 195
     for mod in mods:
-        one = Mat.identity(mod.ell, mod.block_dim)
+        one = sparse(Mat.identity(mod.ell, mod.block_dim))
         assert all(mod.action_block(a) == one for a in mod.anchors), mod
         assert _commutant_dim(mod) == component_commutant_dim(mod) == 1, mod
+
+
+def test_the_blocks_the_commutant_reads_are_sparse_and_in_range(monkeypatch):
+    # the {(row, col): Cyc} contract of cyclo.intertwiners: every block that
+    # _commutant_dim reads has its keys inside block_dim x block_dim and no
+    # zero value, on every module of the simples and gkd grids and two points beyond
+    mods = [m for ell, d in ISO_GRID for m in all_simples(ell, d)]
+    mods += [build_simple(ell, k, d, p, m) for ell, k, d in [*GKD_GRID, (2, 2, 4), (4, 2, 3)] for _lam, p, m in quotient_labels(ell, k, d)]
+    for mod in mods:
+        read = []
+        monkeypatch.setattr(mod, "action_block", lambda q, real=mod.action_block, read=read: read.append(real(q)) or read[-1])
+        assert _commutant_dim(mod) == 1, mod
+        n = mod.block_dim
+        assert len(read) == len(mod.anchors) + len(simples._endo_generators(mod)), mod
+        for block in read:
+            assert all(0 <= i < n and 0 <= j < n for i, j in block), mod
+            assert all(v.ell == mod.ell and not v.is_zero() for v in block.values()), mod
 
 
 def test_commutant_check_fails_for_one_anchor_scaled_by_two(monkeypatch):
@@ -1093,7 +1114,7 @@ def test_commutant_check_fails_for_one_anchor_scaled_by_two(monkeypatch):
     class_character(mod)  # tabulated before the action is replaced, so the cache stays right
     anchor = mod.anchors[1]
     real, two = mod.action_block, Cyc.rational(ell, 2)
-    monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), two) if q == anchor else real(q))
+    monkeypatch.setattr(mod, "action_block", lambda q: scaled(real(q), two) if q == anchor else real(q))
     assert component_commutant_dim(mod) == 1
     assert _commutant_dim(mod) is None
     check = next(c for c in quotient_simples_check(ell, k, d)["checks"] if c["name"] == COMMUTANT)
@@ -1108,7 +1129,7 @@ def test_commutant_check_fails_for_end_base_generators_acting_trivially(monkeypa
     class_character(mod)  # tabulated before the action is replaced, so the cache stays right
     gens = set(simples._endo_generators(mod))
     real = mod.action_block
-    monkeypatch.setattr(mod, "action_block", lambda q: Mat.identity(ell, mod.block_dim) if q in gens else real(q))
+    monkeypatch.setattr(mod, "action_block", lambda q: sparse(Mat.identity(ell, mod.block_dim)) if q in gens else real(q))
     assert _commutant_dim(mod) == mod.block_dim**2 == 4
     check = next(c for c in quotient_simples_check(ell, k, d)["checks"] if c["name"] == COMMUTANT)
     assert check["details"]["failures"] == [gkd._label_json(mod)]

@@ -5,7 +5,7 @@ import pytest
 
 from groupoidreps import schurweyl
 from groupoidreps.algebra import AlgElem, phi
-from groupoidreps.cyclo import Cyc, Mat, SpanBasis, intertwiners
+from groupoidreps.cyclo import Cyc, SpanBasis, intertwiners
 from groupoidreps.groupoid import QuotientGroupoid, quotient_groupoid
 from groupoidreps.groupoid import component_generators, compose, hom, identity_morphism, type_of
 from groupoidreps.schurweyl import (
@@ -20,7 +20,9 @@ from groupoidreps.schurweyl import (
 from groupoidreps.simples import all_simples, character_table, conjugacy_classes, inner_products
 from groupoidreps.wreath import enum_group, wreath_identity, wreath_inv
 from reference import (
+    Mat,
     act_full,
+    dense,
     dense_exp_identity,
     direct_sum_actions,
     kernel_basis,
@@ -31,6 +33,7 @@ from reference import (
     mat_zeros,
     morphism_block_matrix,
     scan_phi_trace,
+    sparse,
     tensor_object_trace,
     to_sparse,
     two_sided_closure,
@@ -366,7 +369,7 @@ def test_graded_solves_and_orbit_count_match_the_ungraded_reference(monkeypatch,
     assert all(graded == ungraded_intertwiners(*args) for args, graded in solved)
     index, dims = {f: i for i, f in enumerate(objs)}, [T.block_dim(f) for f in objs]
     actions = [
-        (index[m.source], index[m.target], morphism_block_matrix(T, m))
+        (index[m.source], index[m.target], sparse(morphism_block_matrix(T, m)))
         for lam in sorted({type_of(f, ell) for f in objs})
         for m in component_generators(ell, lam)
     ]
@@ -425,17 +428,12 @@ def test_exp_identity_fails_for_a_generator_missing_one_slot(monkeypatch):
     T = TensorSpace(1, (2,), 2)
     one = Cyc.one(T.ell)
     short = {
-        f: Mat.from_entries(
-            T.ell,
-            len(bs),
-            len(bs),
-            (
-                ((T.block_pos[f][vec[:t] + (1,) + vec[t + 1 :]], j), one)
-                for j, vec in enumerate(bs)
-                for t in range(T.d - 1)
-                if vec[t] == 2
-            ),
-        )
+        f: {
+            (T.block_pos[f][vec[:t] + (1,) + vec[t + 1 :]], j): one
+            for j, vec in enumerate(bs)
+            for t in range(T.d - 1)
+            if vec[t] == 2
+        }
         for f, bs in T.block_of.items()
     }
     real = schurweyl.glk_generators
@@ -458,9 +456,9 @@ def test_exp_identity_fails_for_a_generator_entry_of_two(monkeypatch):
     real = schurweyl.glk_generators(T)
     f, bs = next(iter(T.block_of.items()))
     i, j = T.block_pos[f][(1, 2)], T.block_pos[f][(2, 2)]
-    bent = [((r, c), v + v if (r, c) == (i, j) else v) for (r, c), v in real[1][f].entries()]
+    bent = [((r, c), v + v if (r, c) == (i, j) else v) for (r, c), v in real[1][f].items()]
     assert (i, j) in {rc for rc, _v in bent}
-    doubled = {f: Mat.from_entries(T.ell, len(bs), len(bs), bent)}
+    doubled = {f: dict(bent)}
     monkeypatch.setattr(schurweyl, "glk_generators", lambda T: [doubled if n == 1 else g for n, g in enumerate(real)])
     T = TensorSpace(1, (2,), 2)
     assert schurweyl._block_units(T)[1] == (1, 2)
@@ -493,7 +491,7 @@ def _all_pairs_commuting(T):
     """The loop verify_commuting ran before its walk: every morphism times every GL generator, two products each."""
     objs = sorted(T.block_of)
     return all(
-        mat_mul(A, gen[f]) == mat_mul(gen[g], A)
+        mat_mul(A, dense(T.ell, T.block_dim(f), gen[f])) == mat_mul(dense(T.ell, T.block_dim(g), gen[g]), A)
         for f in objs
         for g in objs
         for m in hom(f, g, T.ell)

@@ -9,7 +9,7 @@ import pytest
 from groupoidreps import simples, tableaux
 from groupoidreps.algebra import phi
 from groupoidreps.cli import BRANCHING_GRID, GELFAND_WINDOW, GKD_GRID, ISO_GRID
-from groupoidreps.cyclo import Cyc, Mat
+from groupoidreps.cyclo import Cyc
 from groupoidreps.gelfand import build_gelfand, verify_gelfand
 from groupoidreps.gkd import gkd_conjugacy_classes
 from groupoidreps.groupoid import canonical_morphism, compose, hom, identity_morphism, objects, type_of
@@ -32,15 +32,18 @@ from groupoidreps.simples import (
 )
 from groupoidreps.wreath import enum_group, generators, wreath_identity, wreath_inv, wreath_mul
 from reference import (
+    Mat,
     act_alg,
     cyc_inner_product,
     component_commutant_dim,
+    dense,
     mat_mul,
-    mat_scale,
     model_object_trace,
     outer_specht_block,
+    scaled,
     scan_phi_trace,
     simple_object_trace,
+    sparse,
 )
 
 # the (l, d) points of the default simples, branching, gelfand and gkd grids
@@ -58,7 +61,7 @@ def test_trivial_component_module():
     assert mod.total_dim == 1
     f = mod.objects[0]
     for m in hom(f, f, 2):
-        assert mod.action_block(m) == Mat.identity(2, 1)
+        assert mod.action_block(m) == sparse(Mat.identity(2, 1))
 
 
 def test_mixed_color_module():
@@ -70,21 +73,25 @@ def test_mixed_color_module():
 def test_identity_blocks():
     for mod in all_simples(2, 2):
         for f in mod.objects:
-            assert mod.action_block(identity_morphism(f)) == Mat.identity(2, mod.block_dim)
+            assert mod.action_block(identity_morphism(f)) == sparse(Mat.identity(2, mod.block_dim))
 
 
 def test_functoriality_exhaustive():
     for ell, d in [(2, 2), (2, 3), (3, 2)]:
         for mod in all_simples(ell, d):
             objs = mod.objects
+
+            def act(q, mod=mod):
+                return dense(ell, mod.block_dim, mod.action_block(q))
+
             for f in objs:
                 for g in objs:
                     for m1 in hom(f, g, ell):
-                        a1 = mod.action_block(m1)
+                        a1 = act(m1)
                         for h in objs:
                             for m2 in hom(g, h, ell):
-                                lhs = mod.action_block(compose(m2, m1))
-                                assert lhs == mat_mul(mod.action_block(m2), a1)
+                                lhs = act(compose(m2, m1))
+                                assert lhs == mat_mul(act(m2), a1)
 
 
 def test_eq5_total_dims():
@@ -285,6 +292,27 @@ def test_branching_examples():
     assert mults == {((2,), ()): 1}
 
 
+def test_branching_is_only_for_k_1():
+    # a G(2,2,3) module is not an S(2,3) module: its label alone would name the k = 1 answer
+    with pytest.raises(ValueError, match="k > 1"):
+        restriction_multiplicities(build_simple(2, 2, 3, ((1,), (2,)), 1))
+
+
+def test_branching_of_every_module_reads_one_table(monkeypatch, fresh_character_caches):
+    # one simple_characters walk of S(2,3) serves every module, and each call
+    # returns its own copy of the cached row
+    runs = []
+    real = simples.simple_characters
+    monkeypatch.setattr(simples, "simple_characters", lambda ell, d, xs: runs.append((ell, d)) or real(ell, d, xs))
+    mods = all_simples(2, 3)
+    tables = [restriction_multiplicities(mod) for mod in mods]
+    assert runs.count((2, 3)) == 1
+    assert tables == [restriction_multiplicities(mod) for mod in mods]
+    tables[0].clear()
+    assert restriction_multiplicities(mods[0]) == {q: 1 for q in removable_node_restrictions(mods[0].p)}
+    assert runs.count((2, 3)) == 1
+
+
 def test_branching_grid():
     for ell, d in [(2, 2), (2, 3), (3, 2)]:
         rep = branching_report(ell, d)
@@ -389,7 +417,7 @@ def test_character_table_computes_fixed_objects_once_per_class():
     assert info.hits == 0
 
 
-def test_branching_report_computes_fixed_objects_once_per_class():
+def test_branching_report_computes_fixed_objects_once_per_class(fresh_character_caches):
     # every simple of S(2,3) is restricted in one walk, so each embedded
     # representative is one fixed_objects call
     ell, d = 2, 3
@@ -430,13 +458,13 @@ def test_commutant_check_fails_for_a_module_acting_trivially(monkeypatch):
     # with every morphism acting as the identity on blocks of dim 2, the commutant has dim 4
     ell, d = 2, 3
     mod = next(m for m in all_simples(ell, d) if m.block_dim > 1)
-    monkeypatch.setattr(mod, "action_block", lambda m: Mat.identity(ell, mod.block_dim))
+    monkeypatch.setattr(mod, "action_block", lambda m: sparse(Mat.identity(ell, mod.block_dim)))
     check = _check(verify_complete(ell, d), "commutant of each simple has dim 1")
     assert check["status"] == "fail"
     assert check["details"]["failures"] == [simples._label_json(mod)]
 
 
-def test_branching_reports_a_non_integral_multiplicity(monkeypatch):
+def test_branching_reports_a_non_integral_multiplicity(monkeypatch, fresh_character_caches):
     # adding 1 at the identity class of one S(2,1) character shifts its inner
     # product with a restricted character by dim / |S(2,1)| = 1/2 for a dim-1 simple
     ell, d = 2, 2
@@ -459,7 +487,7 @@ def test_branching_reports_a_non_integral_multiplicity(monkeypatch):
 @pytest.fixture
 def fresh_character_caches():
     """Empty the caches that hold character values before and after a test that bends one."""
-    caches = [simples.character_table, simples._shape_traces, tableaux.specht_character]
+    caches = [simples.character_table, simples._shape_traces, tableaux.specht_character, simples._restriction_multiplicities]
     for cache in caches:
         cache.cache_clear()
     yield
@@ -524,7 +552,7 @@ def test_commutant_check_fails_for_one_anchor_scaled_by_two(monkeypatch):
     mod = build_simple(ell, 1, d, ((2,), (1,)), 1)
     anchor = mod.anchors[-1]
     real, two = mod.action_block, Cyc.rational(ell, 2)
-    monkeypatch.setattr(mod, "action_block", lambda q: mat_scale(real(q), two) if q == anchor else real(q))
+    monkeypatch.setattr(mod, "action_block", lambda q: scaled(real(q), two) if q == anchor else real(q))
     assert component_commutant_dim(mod) == 1
     assert simples._commutant_dim(mod) is None
     check = _check(verify_complete(ell, d), "commutant of each simple has dim 1")
@@ -539,7 +567,7 @@ def test_commutant_check_fails_for_end_base_generators_acting_trivially(monkeypa
     mod = build_simple(ell, 1, d, ((2, 1), (1,)), 1)
     gens = set(simples._endo_generators(mod))
     real = mod.action_block
-    monkeypatch.setattr(mod, "action_block", lambda q: Mat.identity(ell, mod.block_dim) if q in gens else real(q))
+    monkeypatch.setattr(mod, "action_block", lambda q: sparse(Mat.identity(ell, mod.block_dim)) if q in gens else real(q))
     assert simples._commutant_dim(mod) == mod.block_dim**2 == 4
     check = _check(verify_complete(ell, d), "commutant of each simple has dim 1")
     assert check["details"]["failures"] == [simples._label_json(mod)]

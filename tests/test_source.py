@@ -47,12 +47,11 @@ def test_character_modules_do_not_sample():
 
 
 def test_dense_scaffolds_live_only_in_cyclo():
-    # a list comprehension of [x] * n rows is a dense matrix scaffold; every
-    # matrix outside cyclo.py is built by Mat.from_entries or Mat.identity
+    # a list comprehension of [x] * n rows is a dense matrix scaffold; the
+    # library builds none, cyclo.py included: every matrix is the sparse
+    # {(row, col): Cyc} dict of its nonzero entries
     offenders = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "cyclo.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             elt = node.elt if isinstance(node, ast.ListComp) else None
             if (
@@ -349,9 +348,10 @@ ROTATION_CHECK = (
 def test_the_rotation_check_builds_no_matrix():
     # theta is carried as slot maps and Phi(x) is read as monomial terms: the
     # rotation-check functions name no Mat and call neither phi nor .permuted
-    # (nor action_block, which lifts a Mat), gkd.py calls phi nowhere, and
-    # neither Mat.permuted nor SimpleModule.act_alg is left in the library
-    from groupoidreps.cyclo import Mat
+    # (nor action_block, which builds a block matrix), gkd.py calls phi
+    # nowhere, and neither a dense Mat nor SimpleModule.act_alg is left in
+    # the library
+    from groupoidreps import cyclo
     from groupoidreps.simples import SimpleModule
 
     tree = ast.parse((SRC / "gkd.py").read_text(), filename="gkd.py")
@@ -367,7 +367,44 @@ def test_the_rotation_check_builds_no_matrix():
     assert not offenders
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "phi"]
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "act_total"]
-    assert not hasattr(Mat, "permuted") and not hasattr(SimpleModule, "act_alg")
+    assert not hasattr(cyclo, "Mat") and not hasattr(SimpleModule, "act_alg")
+
+
+DENSE_MATRIX_API = ("Mat", "nrows", "ncols", "from_entries")
+
+
+def _names_a_dense_matrix(node) -> bool:
+    """Whether an AST node defines, names, imports or reads an attribute of the dense matrix API."""
+    return (
+        (isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in DENSE_MATRIX_API)
+        or (isinstance(node, ast.Name) and node.id in DENSE_MATRIX_API)
+        or (isinstance(node, ast.Attribute) and node.attr in DENSE_MATRIX_API)
+        or (isinstance(node, ast.alias) and node.name in DENSE_MATRIX_API)
+    )
+
+
+def test_the_library_has_one_matrix_format():
+    # every matrix is the sparse {(row, col): Cyc} dict of its nonzero
+    # entries, intertwiners' actions included: no module of src/ defines or
+    # names Mat or reads a dense matrix's shape or constructor, and cyclo
+    # exports no class besides the scalar and the two elimination front ends
+    from groupoidreps import cyclo
+
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _names_a_dense_matrix(node)
+    ]
+    assert not offenders
+    assert "Mat" not in cyclo.__all__ and not hasattr(cyclo, "Mat")
+    assert {name for name in cyclo.__all__ if isinstance(getattr(cyclo, name), type)} == {"Cyc", "SpanBasis", "LinSolver"}
+
+
+def test_the_matrix_format_guard_sees_a_dense_matrix():
+    # the guard is live: a class Mat, a use of Mat, a read of .nrows and an import of Mat are each caught
+    for source in ("class Mat:\n    pass\n", "x = Mat(1, [])\n", "n = a.nrows\n", "from .cyclo import Mat\n"):
+        assert any(map(_names_a_dense_matrix, ast.walk(ast.parse(source)))), source
 
 
 def test_one_class_defines_action_block():

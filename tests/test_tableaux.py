@@ -4,7 +4,7 @@ from math import factorial, prod
 import pytest
 
 from groupoidreps import tableaux
-from groupoidreps.cyclo import Cyc, LinSolver, Mat, intertwiners
+from groupoidreps.cyclo import Cyc, LinSolver, intertwiners
 from groupoidreps.perms import adjacent_transposition, all_perms, compose_perms, perm_sign, perm_to_word
 from groupoidreps.tableaux import (
     SpechtRep,
@@ -49,8 +49,8 @@ def _cycle_type(w):
 
 
 def _lift(ell, a):
-    n = len(a)
-    return Mat.from_entries(ell, n, n, (((i, j), Cyc.rational(ell, v)) for i, row in enumerate(a) for j, v in enumerate(row)))
+    """An integer matrix as the sparse {(row, col): Cyc} entries that cyclo.intertwiners reads."""
+    return {(i, j): Cyc.rational(ell, v) for i, row in enumerate(a) for j, v in enumerate(row) if v}
 
 
 def test_partitions():

@@ -41,7 +41,7 @@ print(json.dumps({"code": code, "counts": counts}))
 
 PINNED_COUNTS = {
     "cyclo.cyc_mul.calls": 4208,
-    "cyclo.cyc_addsub.calls": 5450,
+    "cyclo.cyc_addsub.calls": 5315,
     "cyclo.cyc_scale.calls": 2624,
     "cyclo.cyc_inverse.calls": 47,
     "cyclo.spanbasis_add.calls": 588,
