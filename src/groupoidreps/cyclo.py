@@ -440,7 +440,7 @@ def intertwiners(ell: int, n_src: int, n_tgt: int, actions) -> list[dict[int, Cy
     """Basis of {X : src -> tgt} with X A = B X for every (A, B) in actions.
 
     A acts on the n_src-dimensional source and B on the n_tgt-dimensional
-    target, each a {(row, col): Cyc} dict; a zero value counts as absent.
+    target, each the {(row, col): Cyc} dict of its nonzero entries.
     A vector holds X row-major (n_tgt x n_src); with A = B on every action
     the result is a commutant.  Entry (r, c) of X A - B X enters the engine
     as one sparse row, built from A's columns and B's rows in ascending index
@@ -463,12 +463,10 @@ def intertwiners(ell: int, n_src: int, n_tgt: int, actions) -> list[dict[int, Cy
             continue
         a_cols = [[] for _ in range(n_src)]
         for (u, c), v in sorted(A.items(), key=lambda e: e[0][::-1]):
-            if any(v.num):
-                a_cols[c].append((u, v))
+            a_cols[c].append((u, v))
         b_rows = [[] for _ in range(n_tgt)]  # -B, negated once per action: entry (r, c) subtracts B X
         for (r, u), v in sorted(B.items()):
-            if any(v.num):
-                b_rows[r].append((u * n_src, -v))
+            b_rows[r].append((u * n_src, -v))
         rest.append((a_cols, b_rows))
     cols = {}  # the columns c of X by their weights A[c][c] over the diagonal actions
     for c in range(n_src):

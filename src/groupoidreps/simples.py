@@ -684,17 +684,15 @@ def restriction_multiplicities(mod: SimpleModule) -> dict:
 
     Maps the label of each constituent to its multiplicity: an int, or the
     exact inner product when that is not an integer (a wrong character).
-    The dict is a copy of the cached table's row.
     """
     if mod.k != 1:
         raise ValueError("restriction_multiplicities reads S(l,d) branching; gkd.restriction_check covers k > 1")
     labels = [m.p for m in all_simples(mod.ell, mod.d)]
-    return dict(_restriction_multiplicities(mod.ell, mod.d)[labels.index(mod.p)])
+    return _restriction_multiplicities(mod.ell, mod.d)[labels.index(mod.p)]
 
 
-@lru_cache(maxsize=None)
-def _restriction_multiplicities(ell: int, d: int) -> tuple[dict, ...]:
-    """restriction_multiplicities of every simple of (l, d), in all_simples order; callers do not mutate it.
+def _restriction_multiplicities(ell: int, d: int) -> list[dict]:
+    """restriction_multiplicities of every simple of (l, d), in all_simples order.
 
     The restricted characters are read in one simple_characters walk over
     the classes of S(l,d-1), embedded, and decomposed into the characters
@@ -704,7 +702,7 @@ def _restriction_multiplicities(ell: int, d: int) -> tuple[dict, ...]:
         raise ValueError("branching needs d >= 1")
     classes = conjugacy_classes(ell, d - 1)
     restricted = list(zip(*simple_characters(ell, d, [embed_lower_rank(y, d) for y, _size in classes])))
-    return tuple(decompose(classes, restricted, {m.p: chi for m, chi in zip(all_simples(ell, d - 1), character_table(ell, d - 1))}))
+    return decompose(classes, restricted, {m.p: chi for m, chi in zip(all_simples(ell, d - 1), character_table(ell, d - 1))})
 
 
 def decompose(classes, chars, constituents: dict) -> list[dict]:

@@ -298,21 +298,6 @@ def test_branching_is_only_for_k_1():
         restriction_multiplicities(build_simple(2, 2, 3, ((1,), (2,)), 1))
 
 
-def test_branching_of_every_module_reads_one_table(monkeypatch, fresh_character_caches):
-    # one simple_characters walk of S(2,3) serves every module, and each call
-    # returns its own copy of the cached row
-    runs = []
-    real = simples.simple_characters
-    monkeypatch.setattr(simples, "simple_characters", lambda ell, d, xs: runs.append((ell, d)) or real(ell, d, xs))
-    mods = all_simples(2, 3)
-    tables = [restriction_multiplicities(mod) for mod in mods]
-    assert runs.count((2, 3)) == 1
-    assert tables == [restriction_multiplicities(mod) for mod in mods]
-    tables[0].clear()
-    assert restriction_multiplicities(mods[0]) == {q: 1 for q in removable_node_restrictions(mods[0].p)}
-    assert runs.count((2, 3)) == 1
-
-
 def test_branching_grid():
     for ell, d in [(2, 2), (2, 3), (3, 2)]:
         rep = branching_report(ell, d)
@@ -417,7 +402,7 @@ def test_character_table_computes_fixed_objects_once_per_class():
     assert info.hits == 0
 
 
-def test_branching_report_computes_fixed_objects_once_per_class(fresh_character_caches):
+def test_branching_report_computes_fixed_objects_once_per_class():
     # every simple of S(2,3) is restricted in one walk, so each embedded
     # representative is one fixed_objects call
     ell, d = 2, 3
@@ -464,7 +449,7 @@ def test_commutant_check_fails_for_a_module_acting_trivially(monkeypatch):
     assert check["details"]["failures"] == [simples._label_json(mod)]
 
 
-def test_branching_reports_a_non_integral_multiplicity(monkeypatch, fresh_character_caches):
+def test_branching_reports_a_non_integral_multiplicity(monkeypatch):
     # adding 1 at the identity class of one S(2,1) character shifts its inner
     # product with a restricted character by dim / |S(2,1)| = 1/2 for a dim-1 simple
     ell, d = 2, 2
@@ -487,7 +472,7 @@ def test_branching_reports_a_non_integral_multiplicity(monkeypatch, fresh_charac
 @pytest.fixture
 def fresh_character_caches():
     """Empty the caches that hold character values before and after a test that bends one."""
-    caches = [simples.character_table, simples._shape_traces, tableaux.specht_character, simples._restriction_multiplicities]
+    caches = [simples.character_table, simples._shape_traces, tableaux.specht_character]
     for cache in caches:
         cache.cache_clear()
     yield
