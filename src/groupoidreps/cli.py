@@ -1,25 +1,26 @@
 """Command-line surface: enumeration, construction and verification suites.
 
 Every subcommand prints a report (text or a single JSON document) and exits
-0 on success, 1 when a check fails, 2 on usage errors and 3 when a resource
-cap is exceeded.  Reports are deterministic for identical flags: timings are
-kept outside the checks payload.
+0 on success, 1 when a check fails, 2 on a usage error (one `error:` line)
+and 3 when a resource cap is exceeded.  Reports are deterministic for
+identical flags: timings are kept outside the checks payload.
 
-Each suite is one entry of SUITES, run as a task by `run_task`.  A
+Each suite is one entry of SUITES, run as a task by `run_task`; each flag, its
+kind and default, one entry of FLAGS, read alike from argv and --config.  A
 subcommand runs the one task of `all` at its parameters and reports the same
 checks under the same names, with the task's time under its timings.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
-from contextlib import nullcontext
-from functools import cache, partial
+from contextlib import nullcontext, suppress
+from functools import partial
 from itertools import product
 from math import factorial, prod
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .reporting import EXIT_RESOURCE, EXIT_USAGE, emit, exit_code, make_report, record
@@ -54,11 +55,11 @@ SHIFT_DUALITY_GRID = [(2, 2, 1, 1), (2, 2, 2, 2), (4, 2, 1, 2)]
 
 
 class UsageError(ValueError):
-    """An invalid flag value; reported as a usage error (exit 2)."""
+    """An invalid command line or flag value; reported as a usage error (exit 2)."""
 
 
 def _validate(args) -> None:
-    """Reject invalid parameters before any work starts; parse --kvec into a tuple."""
+    """Reject invalid parameters before any work starts; parse --kvec (unset: 1 per color) into a tuple."""
     cmd = args.command
     # the integer flags with a fixed least value; a subcommand without one skips it
     for key, low in {"jobs": 1, "cap": 1, "ell": 1, "max_ell": 1, "max_d": 0}.items():
@@ -75,7 +76,7 @@ def _validate(args) -> None:
         raise UsageError(f"--k must be a positive divisor of --ell ({args.ell})")
     if cmd == "schur-weyl":
         try:
-            args.kvec = tuple(int(v) for v in args.kvec.split(","))
+            args.kvec = (1,) * args.ell if args.kvec is None else tuple(int(v) for v in args.kvec.split(","))
         except ValueError:
             raise UsageError(f"--kvec must be comma-separated integers, got {args.kvec!r}") from None
         if args.shift_duality:
@@ -297,118 +298,117 @@ def _run_all(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: one table of flags, read alike for argv and --config
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing writes only to the namespace it returns."""
-    parser = argparse.ArgumentParser(
-        prog="groupoid-reps",
-        description="Exact verification suite for colored-permutation groupoid representation theory.",
-    )
-    parser.add_argument("--config", help="JSON file with flag defaults (flags win)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, ell=True, d=True):
-        if ell:
-            p.add_argument("--ell", type=int, default=None)
-        if d:
-            p.add_argument("--d", type=int, default=None)
-        p.add_argument("--out", choices=("json", "text"), default=None)
-        p.add_argument("--cap", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
-
-    common(sub.add_parser("objects", help="enumerate objects and hom sets"))
-    common(sub.add_parser("simples", help="build all simple modules and verify completeness"))
-    common(sub.add_parser("verify-iso", help="verify the groupoid-algebra isomorphism"))
-    common(sub.add_parser("gelfand", help="verify the involutive Gelfand model"))
-    common(sub.add_parser("branching", help="verify the removable-node branching rule"))
-    p = sub.add_parser("gkd", help="quotient groupoid and G(l,k,d) checks")
-    common(p)
-    p.add_argument("--k", type=int, default=None)
-    p = sub.add_parser("schur-weyl", help="tensor-space duality checks")
-    common(p)
-    p.add_argument("--kvec", default=None, help="comma-separated block dimensions")
-    p.add_argument("--shift-duality", dest="shift_duality", action="store_true",
-                   help="check the duality with the cyclic shift adjoined")
-    p.add_argument("--kk", type=int, default=None, help="the k of G(l,k,d) for the shift duality")
-    p.add_argument("--m", type=int, default=None, help="block size for the shift duality (n = l*m)")
-    p = sub.add_parser("rook-check", help="rook-monoid epimorphism checks")
-    common(p, ell=False)
-    p = sub.add_parser("all", help="run the full verification suite")
-    common(p, ell=False, d=False)
-    p.add_argument("--max-ell", type=int, default=None)
-    p.add_argument("--max-d", type=int, default=None)
-    return parser
+class Flag(NamedTuple):
+    kind: type | tuple[str, ...]  # int, str, bool (a switch, given without a value) or its choices
+    default: object  # taken when neither argv nor --config gives the flag
 
 
-_DEFAULTS = {
-    "ell": 2,
-    "d": 2,
-    "k": 1,
-    "kvec": None,
-    "kk": 2,
-    "m": 1,
-    "out": "text",
-    "cap": DEFAULT_CAP,
-    "jobs": 1,
-    "max_ell": 4,
-    "max_d": 4,
+FLAGS = {
+    "config": Flag(str, None),  # before the command only: a JSON object of flag defaults
+    "ell": Flag(int, 2),
+    "d": Flag(int, 2),
+    "k": Flag(int, 1),
+    "kvec": Flag(str, None),
+    "kk": Flag(int, 2),
+    "m": Flag(int, 1),
+    "shift_duality": Flag(bool, False),
+    "out": Flag(("json", "text"), "text"),
+    "cap": Flag(int, DEFAULT_CAP),
+    "jobs": Flag(int, 1),
+    "max_ell": Flag(int, 4),
+    "max_d": Flag(int, 4),
 }
+WANTED = {int: "an integer", str: "a string", bool: "given without a value"}
+SHARED = ("out", "cap", "jobs")
+# each command's own flags: the parameters of the suites it runs
+COMMANDS = {key: suite.flags for key, suite in SUITES.items() if key != "shift-duality"}
+COMMANDS["schur-weyl"] = (*dict.fromkeys(COMMANDS["schur-weyl"] + SUITES["shift-duality"].flags), "shift_duality")
+COMMANDS["all"] = ("max_ell", "max_d")
 
 
-def _check_config(config) -> None:
-    """The config holds a JSON object of known keys, each value of its flag's type."""
-    if not isinstance(config, dict):
-        raise UsageError(f"--config must hold a JSON object, got {type(config).__name__}")
-    known = {name for key in _DEFAULTS for name in (key, key.replace("_", "-"))}
-    for name in config:
-        if name not in known:
-            raise UsageError(f"unknown config key {name!r}")
-    for key in _DEFAULTS:
-        given = [name for name in dict.fromkeys((key, key.replace("_", "-"))) if name in config]
-        if len(given) > 1:
-            # one value would silently win over the other
-            raise UsageError(f"config key {key!r} is given twice, as {given[0]!r} and {given[1]!r}")
-        for name in given:
-            value = config[name]
-            if key == "out":
-                ok, wanted = value in ("json", "text"), "json or text"
-            elif key == "kvec":
-                ok, wanted = isinstance(value, str), "a string"
-            else:
-                ok, wanted = isinstance(value, int) and not isinstance(value, bool), "an integer"
-            if not ok:
-                raise UsageError(f"config key {name!r} must be {wanted}, got {json.dumps(value)}")
+def _check(key: str, value, name: str) -> None:
+    """`value`, given as `name`, is of the kind FLAGS gives `key` (an int is no bool)."""
+    kind = FLAGS[key].kind
+    if not (value in kind if isinstance(kind, tuple) else type(value) is kind):
+        wanted = " or ".join(kind) if isinstance(kind, tuple) else WANTED[kind]
+        raise UsageError(f"{name} must be {wanted}, got {json.dumps(value)}")
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    config = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            config = json.load(fh)
-        _check_config(config)
-    for key, hard_default in _DEFAULTS.items():
-        if not hasattr(args, key):
+def _spell(key: str) -> str:
+    kind = FLAGS[key].kind
+    value = "" if kind is bool else " {%s}" % ",".join(kind) if isinstance(kind, tuple) else f" {key.upper()}"
+    return f"[--{key.replace('_', '-')}{value}]"
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """One walk over `[--config FILE] COMMAND [--flag VALUE | --flag=VALUE | --switch]...`.
+
+    Every flag the command takes is set, to None when not given; None after printing -h/--help.
+    """
+    args = SimpleNamespace(command=None, config=None)
+    takes = {"--config": "config"}
+    items = iter(argv)
+    for item in items:
+        if item in ("-h", "--help"):
+            usage = [f"  {command:11} {' '.join(map(_spell, flags + SHARED))}" for command, flags in COMMANDS.items()]
+            print(f"usage: groupoid-reps {_spell('config')} COMMAND [FLAG ...]", *usage, sep="\n")
+            return None
+        if not item.startswith("--"):
+            if args.command or item not in COMMANDS:
+                raise UsageError(f"unexpected argument {item!r}" if args.command else f"unknown command {item!r}")
+            args.command = item
+            takes = {"--" + key.replace("_", "-"): key for key in COMMANDS[item] + SHARED}
+            vars(args).update(dict.fromkeys(takes.values()))
             continue
-        if getattr(args, key) is None:
-            value = config.get(key.replace("_", "-"), config.get(key, hard_default))
-            setattr(args, key, value)
-    if getattr(args, "kvec", None) is None and hasattr(args, "kvec"):
-        args.kvec = ",".join(["1"] * getattr(args, "ell", 2))
+        name, eq, value = item.partition("=")
+        if name not in takes:
+            raise UsageError(f"{args.command or 'groupoid-reps'} takes no {name}")
+        key = takes[name]
+        if FLAGS[key].kind is bool:
+            value = value if eq else True
+        elif not eq and (value := next(items, "--")).startswith("--"):
+            raise UsageError(f"{name} needs a value")
+        if FLAGS[key].kind is int:
+            with suppress(ValueError):
+                value = int(value)
+        _check(key, value, name)
+        setattr(args, key, value)
+    if args.command is None:
+        raise UsageError(f"expected a command: {', '.join(COMMANDS)}")
     return args
 
 
+def _apply_config(args: SimpleNamespace) -> None:
+    """Give each flag left None its value in the --config object, else its default."""
+    config = {}
+    if args.config:
+        with open(args.config) as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise UsageError(f"--config must hold a JSON object, got {type(config).__name__}")
+    for name, value in config.items():
+        key = name.replace("-", "_")  # a key is spelt as its flag or with `_`
+        if key not in FLAGS or FLAGS[key].kind is bool or key == "config":
+            raise UsageError(f"unknown config key {name!r}")
+        if name != key and key in config:
+            # one value would silently win over the other
+            raise UsageError(f"config key {key!r} is given twice, as {key!r} and {name!r}")
+        _check(key, value, f"config key {name!r}")
+    for key, flag in FLAGS.items():
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, config.get(key.replace("_", "-"), config.get(key, flag.default)))
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0,) else 0
-    try:
-        args = _apply_config(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
+        _apply_config(args)
         _validate(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)

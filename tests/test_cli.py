@@ -218,17 +218,52 @@ def test_config_keys_given_in_both_spellings_are_usage_errors(tmp_path, capsys, 
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
-def test_the_parser_is_built_once_per_process(tmp_path):
-    cli._build_parser.cache_clear()
+def test_a_config_default_does_not_leak_into_the_next_call(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"d": 1}))
-    assert run_cli(["--config", str(cfg), "verify-iso", "--ell", "2", "--out", "json"])[0] == 0
+    code, out = run_cli(["--config", str(cfg), "verify-iso", "--ell", "2", "--out", "json"])
+    assert code == 0 and json.loads(out)["parameters"] == {"ell": 2, "d": 1}
     code, out = run_cli(["verify-iso", "--ell", "2", "--out", "json"])
     assert code == 0
-    # the config default of the first call did not leak into the shared parser
+    # the config default of the first call is not kept by the process
     assert json.loads(out)["parameters"] == {"ell": 2, "d": 2}
-    info = cli._build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["gkd", "--help"], ["--config", "c.json", "-h"]])
+def test_help_prints_the_usage_of_every_command(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("usage: groupoid-reps [--config CONFIG] COMMAND")
+    lines = {line.split()[0]: line for line in captured.out.splitlines()[1:]}
+    assert list(lines) == [key for key in cli.SUITES if key != "shift-duality"] + ["all"]
+    assert "[--k K]" in lines["gkd"] and "[--shift-duality]" in lines["schur-weyl"]
+    assert "[--out {json,text}]" in lines["rook-check"] and "[--max-d MAX_D]" in lines["all"]
+
+
+def test_a_flag_and_its_value_may_be_joined_by_an_equals_sign():
+    joined = run_cli(["verify-iso", "--ell=2", "--d=3", "--out", "json"])
+    spaced = run_cli(["verify-iso", "--ell", "2", "--d", "3", "--out", "json"])
+    assert joined[0] == spaced[0] == 0
+    reports = [json.loads(out) for _code, out in (joined, spaced)]
+    assert checks_payload(reports[0]) == checks_payload(reports[1])
+    assert reports[0]["parameters"] == reports[1]["parameters"] == {"ell": 2, "d": 3}
+
+
+def test_a_cli_call_imports_no_argument_parser():
+    # start-up cost: one call in a fresh interpreter builds no argparse parser
+    script = (
+        "import contextlib, io, sys\n"
+        "from groupoidreps import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify-iso', '--ell', '2', '--d', '2'])\n"
+        "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
 
 
 # The checks payload of the default `all` grid.  A change that moves the
@@ -311,6 +346,18 @@ def test_all_small_grid_deterministic():
         ["all", "--max-ell", "0"],
         ["objects", "--cap", "-5"],
         ["all", "--cap", "0"],
+        # parse errors: no command, an unknown one, a bad or missing value, a
+        # flag the command does not take, a --config after the command, an
+        # abbreviated flag
+        [],
+        ["not-a-command"],
+        ["verify-iso", "--ell", "x"],
+        ["verify-iso", "--ell"],
+        ["verify-iso", "--out", "xml"],
+        ["gkd", "--kvec", "1"],
+        ["verify-iso", "--seed", "1"],
+        ["all", "--config", "c.json"],
+        ["all", "--max-e", "1"],
     ],
 )
 def test_invalid_parameters_are_usage_errors(argv, capsys):

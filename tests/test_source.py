@@ -32,18 +32,25 @@ def test_every_exported_name_resolves():
     assert not stale
 
 
+def _top_level_imports(path: Path) -> set[str]:
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            imported.add(node.module.split(".")[0])
+    return imported
+
+
 def test_character_modules_do_not_sample():
     # every check is exhaustive or rests on generators; nothing in the library is drawn at random
     for path in sorted(SRC.glob("*.py")):
-        name = path.name
-        tree = ast.parse(path.read_text(), filename=name)
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported |= {alias.name.split(".")[0] for alias in node.names}
-            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                imported.add(node.module.split(".")[0])
-        assert "random" not in imported, name
+        assert "random" not in _top_level_imports(path), path.name
+
+
+def test_no_module_imports_argparse():
+    # the CLI parses its flags from one table; an argparse parser costs each process milliseconds to build
+    assert not [path.name for path in sorted(SRC.glob("*.py")) if "argparse" in _top_level_imports(path)]
 
 
 def test_dense_scaffolds_live_only_in_cyclo():
