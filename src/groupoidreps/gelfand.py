@@ -40,11 +40,11 @@ __all__ = [
 ]
 
 
-def involutions(f, ell: int) -> list[GMorphism]:
-    """All w in Hom(f, f) with w o w = e_f (the identity included)."""
-    f = tuple(f)
+@lru_cache(maxsize=None)
+def involutions(f: tuple[int, ...], ell: int) -> tuple[GMorphism, ...]:
+    """All w in Hom(f, f) with w o w = e_f (the identity included), cached per (f, l)."""
     d = len(f)
-    return [m for m in hom(f, f, ell) if compose_perms(m.perm, m.perm) == tuple(range(1, d + 1))]
+    return tuple(m for m in hom(f, f, ell) if compose_perms(m.perm, m.perm) == tuple(range(1, d + 1)))
 
 
 def inv_statistic(sigma: GMorphism, w: GMorphism) -> int:
@@ -63,7 +63,7 @@ class GelfandModel:
         self.ell = ell
         self.d = d
         self.objects = objects(ell, d)
-        self.basis: dict[tuple, list[GMorphism]] = {
+        self.basis: dict[tuple, tuple[GMorphism, ...]] = {
             f: involutions(f, ell) for f in self.objects
         }
         self.total_dim = sum(len(ws) for ws in self.basis.values())

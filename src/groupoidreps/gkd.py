@@ -471,7 +471,7 @@ def _twisted_traces(Q: QuotientGroupoid, summands, powers, rotated_terms) -> lis
                     for simp, slot in zip(summands, powers[j]):
                         if m.target in simp.block_index:
                             rows = simp.outer.matrix_of_blockperm(simp.transported(m))
-                            t += sum(rows[a][b] for a, b in enumerate(slot))
+                            t += sum(rows.get((a, b), 0) for a, b in enumerate(slot))
                     slot_traces[j, m] = t
                 bins[e] += t
             traces[j] = tuple(bins)

@@ -31,8 +31,8 @@ functor, so the block trace is a class function of that product:
 
 chi_c a class function of S_(lambda_c) (Macdonald, Symmetric Functions and
 Hall Polynomials, 2nd ed., App. B).  On L_p it is the Specht character
-chi^(p_c), read once per (p_c, mu_c) from the integer matrix of one
-permutation of type mu_c (`tableaux.specht_character`).  `fixed_objects`
+chi^(p_c), computed once per (p_c, mu_c) by the Murnaghan-Nakayama rule
+with no matrix built (`tableaux.specht_character`).  `fixed_objects`
 lists, per type lambda, the per-color cycle types (mu_c) of the fixed
 objects with their counts per exponent, without building an object, and
 each module takes one block trace per entry.  `simple_characters` evaluates
@@ -226,12 +226,7 @@ class SimpleModule:
             scalar = root_of_unity(ell, self.wrap * ((j + t) // copies))
             slot = _slot_rotation([c.dim for c in rep.components], lambda c: (c + t * self.u) % ell)
             row0, col0 = offsets[(j + t) % copies], offsets[j]
-            entries.update(
-                ((row0 + slot[i], col0 + a), scalar.scale(v))
-                for i, row in enumerate(rep.matrix_of_blockperm(w))
-                for a, v in enumerate(row)
-                if v
-            )
+            entries.update(((row0 + slot[i], col0 + a), scalar.scale(v)) for (i, a), v in rep.matrix_of_blockperm(w).items())
         return entries
 
     # -- characters of S(l, d) ----------------------------------------------
@@ -283,8 +278,8 @@ def _slot_powers(slots, n: int) -> list[list[tuple[int, ...]]]:
 
 
 def _equal_along(rows, image, slot) -> bool:
-    """Whether the integer block image equals rows carried along the index map slot: image[slot[a]][slot[b]] = rows[a][b]."""
-    return all(image[slot[a]][slot[b]] == w for a, row in enumerate(rows) for b, w in enumerate(row))
+    """Whether the integer block image equals rows carried along the index map slot: image[slot[a], slot[b]] = rows[a, b]."""
+    return image == {(slot[a], slot[b]): w for (a, b), w in rows.items()}
 
 
 def _run_shift(lam: tuple[int, ...], i: int, shift: int) -> int:
@@ -590,8 +585,9 @@ def _presentation_holds(mod: SimpleModule, gens) -> bool:
     (Coxeter-Moser, Generators and Relations for Discrete Groups, 1957;
     Matsumoto, C. R. Acad. Sci. Paris 258, 1964; for the semidirect product,
     D. L. Johnson, Presentations of Groups).  The blocks are built from:
-    matrix_of_perm(w), the product of gen_matrices along perm_to_word(w);
-    matrix_of_blockperm, the Kronecker product of those over the colors; and
+    matrix_of_perm(w), the sparse integer product of gen_matrices along
+    perm_to_word(w); matrix_of_blockperm, the Kronecker product of those
+    over the colors; and
     _endo_block(t, w) = M^t rho(w), rho(w) those blocks over the copies and M^t
     t steps of the slot map c -> c + u (they compose to c -> c + tu) with
     omega = xi^wrap at each wrap.  The check:
@@ -606,8 +602,8 @@ def _presentation_holds(mod: SimpleModule, gens) -> bool:
       along M's slot map to the next copy, is the block of s_i' there.
     The images then define a homomorphism of End(b) (von Dyck) whose value at
     h^t w is M^t rho(w), the block action_block returns, so rho~ is
-    multiplicative and L is functorial (SimpleModule).  Nothing is walked and
-    no matrix is multiplied.
+    multiplicative and L is functorial (SimpleModule).  Nothing is walked, and
+    the only products are the integer ones of the Coxeter relations.
     """
     ell, b, r = mod.ell, mod.base, mod.r
     runs = [i for i in range(1, mod.d) if b[i - 1] == b[i]]

@@ -19,11 +19,10 @@ on the i-th tensor factor.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from itertools import permutations, product
-from math import factorial
-from operator import mul
+from itertools import accumulate, permutations, product
+from math import factorial, prod
 
-from .perms import cycle_type_perm, perm_sign, perm_to_word
+from .perms import perm_sign, perm_to_word
 
 __all__ = [
     "partitions",
@@ -143,7 +142,7 @@ def remove_cell(mu: Partition, cell: tuple[int, int]) -> Partition:
     return tuple(new)
 
 
-IntMatrix = tuple[tuple[int, ...], ...]
+IntMatrix = dict[tuple[int, int], int]
 
 
 def _row_vector(tab) -> tuple[int, ...]:
@@ -180,21 +179,20 @@ def _polytabloid(tab) -> dict[tuple[int, ...], int]:
     return {tuple(rows): sgn for sgn, rows in terms}
 
 
-def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
-def _kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(tuple(x * y for x in r for y in s) for r in a for s in b)
-
-
-def _identity(n: int) -> IntMatrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def _product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product ab of two sparse integer matrices."""
+    rows_of_b: dict[int, list[tuple[int, int]]] = {}
+    for (k, j), v in b.items():
+        rows_of_b.setdefault(k, []).append((j, v))
+    out: IntMatrix = {}
+    for (i, k), u in a.items():
+        for j, v in rows_of_b.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + u * v
+    return {key: v for key, v in out.items() if v}
 
 
 class SpechtRep:
-    """Young's natural representation of S_n on S_mu: integer matrices in the polytabloid basis.
+    """Young's natural representation of S_n on S_mu: sparse integer matrices in the polytabloid basis.
 
     Straightening by leading tabloids: for a standard tableau T the largest
     tabloid of e_T (in an order refining dominance) is {T}, with coefficient
@@ -222,12 +220,11 @@ class SpechtRep:
         for i in range(1, self.n):
             # s_i e_T: the entries i and i+1 swap rows in every tabloid
             moved = ({t[: i - 1] + (t[i], t[i - 1]) + t[i + 1 :]: c for t, c in poly.items()} for poly in polys)
-            self.gen_matrices[i] = tuple(zip(*(self._straighten(v, polys, leading) for v in moved)))
-        self._perm_cache: dict[tuple[int, ...], IntMatrix] = {}
+            self.gen_matrices[i] = {(r, c): x for c, v in enumerate(moved) for r, x in self._straighten(v, polys, leading).items()}
 
-    def _straighten(self, vec: dict, polys, leading) -> list[int]:
-        """The integer coordinates of vec in the standard polytabloid basis."""
-        coords = [0] * self.dim
+    def _straighten(self, vec: dict, polys, leading) -> dict[int, int]:
+        """The nonzero integer coordinates of vec in the standard polytabloid basis, as {index: coefficient}."""
+        coords = {}
         while vec:
             top = min(vec)
             j = leading.get(top)
@@ -245,23 +242,18 @@ class SpechtRep:
     # -- queries -----------------------------------------------------------
 
     def matrix_of_perm(self, w: tuple[int, ...]) -> IntMatrix:
-        """Matrix of an arbitrary permutation, via its adjacent-transposition word."""
-        w = tuple(w)
-        cached = self._perm_cache.get(w)
-        if cached is not None:
-            return cached
-        m = _identity(self.dim)
+        """Matrix of an arbitrary permutation: the product of gen_matrices along its adjacent-transposition word."""
+        m = {(i, i): 1 for i in range(self.dim)}
         for i in perm_to_word(w):
-            m = _matmul(m, self.gen_matrices[i])
-        self._perm_cache[w] = m
+            m = _product(m, self.gen_matrices[i])
         return m
 
     @cached_property
     def coxeter_relations_hold(self) -> bool:
         """Whether gen_matrices satisfy the Coxeter relations of S_n: (s_i s_j)^m = 1, m = 1 if i = j, 3 if |i - j| = 1, else 2."""
-        g, one = self.gen_matrices, _identity(self.dim)
+        g, one = self.gen_matrices, {(i, i): 1 for i in range(self.dim)}
         orders = {(i, j): 1 if i == j else 3 if j == i + 1 else 2 for i in g for j in g if i <= j}
-        return all(reduce(_matmul, [_matmul(g[i], g[j])] * m) == one for (i, j), m in orders.items())
+        return all(reduce(_product, [_product(g[i], g[j])] * m) == one for (i, j), m in orders.items())
 
 
 @lru_cache(maxsize=None)
@@ -271,9 +263,26 @@ def specht_rep(mu: Partition) -> SpechtRep:
 
 @lru_cache(maxsize=None)
 def specht_character(mu: Partition, cycle_type: tuple[int, ...]) -> int:
-    """chi^mu at the permutations of the given cycle lengths: the trace of the matrix of one of them."""
-    m = specht_rep(mu).matrix_of_perm(cycle_type_perm(cycle_type))
-    return sum(row[i] for i, row in enumerate(m))
+    """chi^mu at the permutations of the given cycle lengths, by the Murnaghan-Nakayama rule.
+
+    On the beta-set {mu_i + h - i} of mu (h parts), removing a rim hook of
+    length r moves a bead b to the free position b - r >= 0, and the hook's
+    leg length is the number of beads strictly between them.  So chi^mu(rho)
+    is the sum over those moves of (-1)^leg chi^nu(rho less its part r), nu
+    the partition left (Sagan, The Symmetric Group, 2nd ed., 4.10;
+    James-Kerber, The Representation Theory of the Symmetric Group, 2.4).
+    """
+    if not cycle_type:
+        return 1
+    r, h = cycle_type[-1], len(mu)
+    beta = {part + h - 1 - i for i, part in enumerate(mu)}
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            moved = sorted(beta - {b} | {b - r}, reverse=True)
+            nu = tuple(c - (h - 1 - i) for i, c in enumerate(moved) if c > h - 1 - i)
+            total += (-1) ** sum(b - r < c < b for c in beta) * specht_character(nu, cycle_type[:-1])
+    return total
 
 
 class OuterRep:
@@ -290,14 +299,8 @@ class OuterRep:
         self.lam = tuple(lam)
         self.d = sum(lam)
         self.components = [specht_rep(pi) for pi in self.p]
-        self.dim = 1
-        for c in self.components:
-            self.dim *= c.dim
-        self.block_start = []
-        pos = 0
-        for li in lam:
-            self.block_start.append(pos)
-            pos += li
+        self.dim = prod(c.dim for c in self.components)
+        self.block_start = list(accumulate(lam, initial=0))[:-1]
         self._cache: dict[tuple[int, ...], IntMatrix] = {}
 
     def _local_perms(self, w: tuple[int, ...]):
@@ -309,14 +312,15 @@ class OuterRep:
             yield comp, local
 
     def matrix_of_blockperm(self, w: tuple[int, ...]) -> IntMatrix:
-        """Matrix of a permutation of {1..d} preserving each block."""
+        """Matrix of a permutation of {1..d} preserving each block: the Kronecker product of its factors' matrices, the first slowest."""
         w = tuple(w)
         cached = self._cache.get(w)
         if cached is not None:
             return cached
-        m, *rest = [comp.matrix_of_perm(local) for comp, local in self._local_perms(w)]
-        for factor in rest:
-            m = _kron(m, factor)
+        m = {(0, 0): 1}
+        for comp, local in self._local_perms(w):
+            n = comp.dim
+            m = {(i * n + k, j * n + l): u * v for (i, j), u in m.items() for (k, l), v in comp.matrix_of_perm(local).items()}
         self._cache[w] = m
         return m
 

@@ -1,9 +1,19 @@
 """Reference routines that the tests compare the library against.
 
 Mat is the dense matrix over Q(xi_l) that the dense routes below use; the
-library's one matrix format is the sparse {(row, col): Cyc} dict of the
-nonzero entries, and dense and sparse convert between the two; scaled
-multiplies a sparse block by a scalar.
+library's one matrix format is the sparse {(row, col): value} dict of the
+nonzero entries (Cyc values, or int for the Specht matrices), and dense and
+sparse convert between Mat and that dict; scaled multiplies a sparse block
+by a scalar.
+
+The integer Specht matrices have a dense reference route too: int_matmul,
+int_kron and int_identity on tuples of int rows, int_dense and int_sparse
+to convert from and to the library's sparse {(row, col): int} dicts, and
+dense_matrix_of_perm, the dense product of gen_matrices along
+perm_to_word(w), with dense_matrix_of_blockperm its Kronecker product over
+the blocks.  matrix_trace_character is chi^mu as the trace of that matrix,
+the route that the Murnaghan-Nakayama rule of tableaux.specht_character
+replaces.
 
 kernel_basis is the null space read off the one elimination engine; no
 library path needs it, since every solved commutant is one call to
@@ -15,7 +25,8 @@ the batched dot products of simples.inner_products replace.  scan_phi_trace
 is the trace of Phi(x) by a scan of every object, the route that the
 cycle-type groups of simples.fixed_objects replace; its per-object block
 traces are simple_object_trace (sigma_(g, g) transported to the base and
-traced on the outer Specht module by outer_block_trace),
+traced on the outer Specht module by outer_block_trace, a product of dense
+traces),
 model_object_trace (the involutions of g that sigma_(g, g) fixes, signed)
 and tensor_object_trace (the basis tensors of block g that it fixes), the
 routes that the per-color class functions of simples, gelfand and
@@ -35,8 +46,8 @@ cyc_phi_inverse is the inverse DFT of Phi with one Cyc addition per
 that the integer exponent bins of algebra.phi_inverse replace.
 to_sparse and to_dense convert between the tests' dense vectors and the
 engine's one vector format, {column: Cyc}.  outer_specht_block is the block
-of a morphism on a k = 1 simple as the lifted outer-Specht matrix of its
-transport to the base, composed from canonical morphisms.
+of a morphism on a k = 1 simple as the lifted dense outer-Specht matrix of
+its transport to the base, composed from canonical morphisms.
 quotient_action_block is the action of a quotient morphism on a quotient
 simple as the dense product M^t rho(pi), carried to the base orbit by
 Q.compose with the normalized anchors: the routes that the (t, pi)-keyed
@@ -67,6 +78,7 @@ single-morphism algebra elements, which only tests use.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, product
 from math import factorial, prod
 from operator import mul
@@ -89,7 +101,8 @@ from groupoidreps.groupoid import (
     theta_object,
 )
 from groupoidreps.simples import _slot_rotation
-from groupoidreps.perms import invert_perm, perm_to_word, reach
+from groupoidreps.perms import cycle_type_perm, invert_perm, perm_to_word, reach
+from groupoidreps.tableaux import specht_rep
 from groupoidreps.wreath import WreathElem, generators, wreath_inv, wreath_mul
 
 
@@ -231,9 +244,56 @@ def scan_phi_trace(x: WreathElem, objs, block_trace) -> Cyc:
     return Cyc.from_exponent_sums(ell, sums)
 
 
+def int_matmul(a, b):
+    """The product of two dense integer matrices, tuples of int rows."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def int_kron(a, b):
+    """The Kronecker product of two dense integer matrices, the first factor slowest."""
+    return tuple(tuple(x * y for x in r for y in s) for r in a for s in b)
+
+
+def int_identity(n: int):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def int_trace(a) -> int:
+    return sum(row[i] for i, row in enumerate(a))
+
+
+def int_dense(m: dict, n: int):
+    """The n x n dense integer matrix of a sparse {(row, col): int} one."""
+    return tuple(tuple(m.get((i, j), 0) for j in range(n)) for i in range(n))
+
+
+def int_sparse(a) -> dict:
+    """The {(row, col): int} dict of the nonzero entries of a dense integer matrix, the library's format."""
+    return {(i, j): v for i, row in enumerate(a) for j, v in enumerate(row) if v}
+
+
+def dense_matrix_of_perm(spec, w: tuple[int, ...]):
+    """The dense product of the Specht module's gen_matrices along perm_to_word(w), from the identity."""
+    m = int_identity(spec.dim)
+    for i in perm_to_word(w):
+        m = int_matmul(m, int_dense(spec.gen_matrices[i], spec.dim))
+    return m
+
+
+def dense_matrix_of_blockperm(outer, w: tuple[int, ...]):
+    """The Kronecker product of the dense factor matrices of the block permutation w."""
+    return reduce(int_kron, [dense_matrix_of_perm(comp, local) for comp, local in outer._local_perms(w)])
+
+
+def matrix_trace_character(mu, cycle_type: tuple[int, ...]) -> int:
+    """chi^mu at a cycle type as the trace of the dense matrix of one permutation of that type."""
+    return int_trace(dense_matrix_of_perm(specht_rep(mu), cycle_type_perm(cycle_type)))
+
+
 def outer_block_trace(outer, w: tuple[int, ...]) -> int:
-    """The trace of the block permutation w on the outer Specht module: tr(A (x) B) = tr A * tr B."""
-    return prod(sum(row[i] for i, row in enumerate(comp.matrix_of_perm(local))) for comp, local in outer._local_perms(w))
+    """The trace of the block permutation w on the outer Specht module: tr(A (x) B) = tr A * tr B, each a dense trace."""
+    return prod(int_trace(dense_matrix_of_perm(comp, local)) for comp, local in outer._local_perms(w))
 
 
 def simple_object_trace(mod):
@@ -375,8 +435,7 @@ def outer_specht_block(mod, m) -> dict:
     """The block of m: f -> g on a k = 1 simple: the outer-Specht matrix of sigma_(g,b) o m o sigma_(b,f), lifted into Q(xi_l), as sparse entries."""
     ell, b = mod.ell, mod.base
     w = compose(canonical_morphism(m.target, b, ell), compose(m, canonical_morphism(b, m.source, ell))).perm
-    ints = mod.outer.matrix_of_blockperm(w)
-    return {(i, j): Cyc.rational(ell, v) for i, row in enumerate(ints) for j, v in enumerate(row) if v}
+    return {key: Cyc.rational(ell, v) for key, v in int_sparse(dense_matrix_of_blockperm(mod.outer, w)).items()}
 
 
 def _component(mod):
@@ -411,12 +470,7 @@ def quotient_action_block(mod, q) -> dict:
     pi = compose(canonical_morphism(tgt, mod.base, ell), at_base)
     rho = []
     for rep, pos in zip(mod.reps, offsets):
-        rho += (
-            ((pos + i, pos + j), Cyc.rational(ell, v))
-            for i, row in enumerate(rep.matrix_of_blockperm(pi.perm))
-            for j, v in enumerate(row)
-            if v
-        )
+        rho += (((pos + i, pos + j), Cyc.rational(ell, v)) for (i, j), v in rep.matrix_of_blockperm(pi.perm).items())
     out = Mat.from_entries(ell, mod.block_dim, mod.block_dim, rho)
     for _ in range(t):
         out = mat_mul(M, out)

@@ -36,7 +36,7 @@ from groupoidreps.groupoid import (
     type_of,
 )
 from groupoidreps.simples import SimpleModule, _commutant_dim, all_simples, build_simple, inner_products
-from groupoidreps.tableaux import OuterRep, SpechtRep, _matmul, multipartitions
+from groupoidreps.tableaux import OuterRep, SpechtRep, multipartitions
 from groupoidreps.wreath import generators, wreath_identity
 import reference
 from reference import (
@@ -50,6 +50,8 @@ from reference import (
     dense_twisted_traces,
     end_base_functorial,
     functorial,
+    int_dense,
+    int_matmul,
     kernel_basis,
     mat_scale,
     mat_sub,
@@ -494,11 +496,16 @@ def _with_generator(mod, change):
 
 
 def _entry_changed(mod):
-    return _with_generator(mod, lambda g: ((g[0][0] + 1, *g[0][1:]), *g[1:]))
+    # entry (0, 0) of s_1 plus one; an entry that becomes 0 leaves the dict
+    def change(g):
+        g = {**g, (0, 0): g.get((0, 0), 0) + 1}
+        return {key: v for key, v in g.items() if v}
+
+    return _with_generator(mod, change)
 
 
 def _generator_negated(mod):
-    return _with_generator(mod, lambda g: tuple(tuple(-v for v in row) for row in g))
+    return _with_generator(mod, lambda g: {key: -v for key, v in g.items()})
 
 
 def _omega_changed(mod):
@@ -562,12 +569,13 @@ def test_a_negated_generator_breaks_only_the_braid_relation():
     # S_(3,1): of the relations (s_i s_j)^m_ij = 1, only (s_1 s_2)^3 = 1 involves s_1 an odd number of times
     mod = build_simple(2, 1, 4, ((3, 1), ()), 1)
     spec = _generator_negated(mod).outer.components[0]
-    g, one = spec.gen_matrices, _matmul(spec.gen_matrices[1], spec.gen_matrices[1])
+    g = {i: int_dense(m, spec.dim) for i, m in spec.gen_matrices.items()}
+    one = int_matmul(g[1], g[1])
 
     def power(a, n):
-        return a if n == 1 else _matmul(power(a, n - 1), a)
+        return a if n == 1 else int_matmul(power(a, n - 1), a)
 
-    broken = [(i, j) for i in g for j in g if i <= j and power(_matmul(g[i], g[j]), 1 if i == j else 3 if j == i + 1 else 2) != one]
+    broken = [(i, j) for i in g for j in g if i <= j and power(int_matmul(g[i], g[j]), 1 if i == j else 3 if j == i + 1 else 2) != one]
     assert one == tuple(tuple(int(a == b) for b in range(spec.dim)) for a in range(spec.dim))
     assert broken == [(1, 2)] and not spec.coxeter_relations_hold
     assert not functorial(_generator_negated(mod))

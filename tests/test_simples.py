@@ -494,6 +494,43 @@ def test_a_wrong_specht_character_value_fails_the_branching_and_gelfand_checks(m
         assert statuses["gelfand character equals sum of simple characters"] == "fail"
 
 
+SIGN_DROPPED = """
+import contextlib, inspect, io, json
+from functools import lru_cache
+from groupoidreps import cli, simples, tableaux
+
+source = inspect.getsource(tableaux.specht_character.__wrapped__)
+sign = "(-1) ** sum(b - r < c < b for c in beta) * "
+assert sign in source
+scope = {"lru_cache": lru_cache, "Partition": tuple}
+exec(source.replace(sign, ""), scope)
+simples.specht_character = tableaux.specht_character = scope["specht_character"]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["all", "--out", "json"])
+print(json.dumps({"code": code, "failed": [c["name"] for c in json.loads(out.getvalue())["checks"] if c["status"] == "fail"]}))
+"""
+
+
+def test_the_murnaghan_nakayama_rule_without_its_sign_fails_the_all_checks():
+    # the rule with the sign (-1)^leg dropped, run through `all` in a fresh
+    # process so that no cache keeps a true character: branching (2,3) is
+    # the first check to fail, and every suite that reads S_n characters
+    # fails somewhere
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", SIGN_DROPPED], cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["code"] == 1 and out["failed"][0].startswith("branching (2,3): ")
+    assert {name.split(" (")[0] for name in out["failed"]} == {"branching", "simples", "gelfand", "gkd", "schur-weyl"}
+
+
 @pytest.mark.parametrize("ell,d", [(2, 3), (3, 2), (1, 3), (3, 3), (2, 4)])
 def test_k1_blocks_are_the_lifted_outer_specht_matrices_of_the_transport(ell, d):
     # every morphism between two objects of each module's shape

@@ -466,12 +466,15 @@ def test_every_library_function_and_class_is_used_outside_the_tests():
 
 def test_specht_and_outer_matrices_are_products_of_the_generator_matrices():
     # the premises of simples._presentation_holds: matrix_of_perm multiplies
-    # gen_matrices along perm_to_word, a word of w, from the identity, and
-    # matrix_of_blockperm is the Kronecker product of the per-color matrices
+    # gen_matrices along perm_to_word, a word of w, from the identity, by
+    # _product, the one sparse integer product, which coxeter_relations_hold
+    # multiplies by too; and matrix_of_blockperm is the Kronecker product of
+    # the per-color matrices, the first factor slowest
     from itertools import permutations
 
     from groupoidreps.perms import adjacent_transposition, compose_perms, identity_perm, perm_to_word
-    from groupoidreps.tableaux import outer_rep, partitions, specht_rep
+    from groupoidreps.tableaux import _product, outer_rep, partitions, specht_rep
+    from reference import int_dense, int_identity, int_kron, int_matmul, int_sparse
 
     tree = ast.parse((SRC / "tableaux.py").read_text(), filename="tableaux.py")
     methods = {
@@ -483,17 +486,18 @@ def test_specht_and_outer_matrices_are_products_of_the_generator_matrices():
     }
     (loop,) = [n for n in ast.walk(methods["matrix_of_perm"]) if isinstance(n, ast.For)]
     assert ast.unparse(loop.iter) == "perm_to_word(w)"
-    assert [ast.unparse(stmt) for stmt in loop.body] == ["m = _matmul(m, self.gen_matrices[i])"]
+    assert [ast.unparse(stmt) for stmt in loop.body] == ["m = _product(m, self.gen_matrices[i])"]
     assigned = [ast.unparse(n) for n in ast.walk(methods["matrix_of_perm"]) if isinstance(n, ast.Assign)]
-    assert "m = _identity(self.dim)" in assigned
+    assert "m = {(i, i): 1 for i in range(self.dim)}" in assigned
+    called = {ast.unparse(n.func) for n in ast.walk(methods["coxeter_relations_hold"]) if isinstance(n, ast.Call)}
+    assert "_product" in called and not called & {"_matmul", "_kron", "_identity"}
     (loop,) = [n for n in ast.walk(methods["matrix_of_blockperm"]) if isinstance(n, ast.For)]
-    assert [ast.unparse(stmt) for stmt in loop.body] == ["m = _kron(m, factor)"]
-    assert "m, *rest = [comp.matrix_of_perm(local) for comp, local in self._local_perms(w)]" in [
-        ast.unparse(n) for n in ast.walk(methods["matrix_of_blockperm"]) if isinstance(n, ast.Assign)
+    assert ast.unparse(loop.iter) == "self._local_perms(w)"
+    assert [ast.unparse(stmt) for stmt in loop.body] == [
+        "n = comp.dim",
+        "m = {(i * n + k, j * n + l): u * v for (i, j), u in m.items() for (k, l), v in comp.matrix_of_perm(local).items()}",
     ]
-
-    def matmul(a, b):
-        return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+    assert "m = {(0, 0): 1}" in [ast.unparse(n) for n in ast.walk(methods["matrix_of_blockperm"]) if isinstance(n, ast.Assign)]
 
     for n in range(1, 5):
         for w in permutations(range(1, n + 1)):
@@ -504,15 +508,96 @@ def test_specht_and_outer_matrices_are_products_of_the_generator_matrices():
             assert composed == w
             for mu in partitions(n):
                 rep = specht_rep(mu)
-                m = tuple(tuple(int(i == j) for j in range(rep.dim)) for i in range(rep.dim))
+                m = int_identity(rep.dim)
                 for i in word:
-                    m = matmul(m, rep.gen_matrices[i])
-                assert rep.matrix_of_perm(w) == m
+                    m = int_matmul(m, int_dense(rep.gen_matrices[i], rep.dim))
+                assert rep.matrix_of_perm(w) == int_sparse(m)
+                for i in word:
+                    g = rep.gen_matrices[i]
+                    assert _product(rep.matrix_of_perm(w), g) == int_sparse(int_matmul(m, int_dense(g, rep.dim)))
     outer = outer_rep(((2, 1), (), (1,)), (3, 0, 1))
     for w in permutations(range(1, 4)):
         a, b = specht_rep((2, 1)).matrix_of_perm(w), specht_rep((1,)).matrix_of_perm((1,))
-        kron = tuple(tuple(x * y for x in r for y in t) for r in a for t in b)
-        assert outer.matrix_of_blockperm((*w, 4)) == kron
+        kron = int_kron(int_kron(int_dense(a, 2), int_identity(1)), int_dense(b, 1))
+        assert outer.matrix_of_blockperm((*w, 4)) == int_sparse(kron)
+
+
+DENSE_INT_HELPERS = ("_matmul", "_kron", "_identity")
+
+
+def _is_dense_int_matrix(node, transposed=()) -> bool:
+    """Whether an AST node is a tuple-of-tuples matrix helper.
+
+    That is a def, name or import of DENSE_INT_HELPERS, or a comprehension of
+    rows, each itself a comprehension whose entry multiplies, sums or compares
+    (a product, a Kronecker product, an identity) or that walks the columns of
+    a zip(*...) transpose; transposed holds the names the module binds to one.
+    """
+    if (
+        (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in DENSE_INT_HELPERS)
+        or (isinstance(node, ast.Name) and node.id in DENSE_INT_HELPERS)
+        or (isinstance(node, ast.alias) and node.name in DENSE_INT_HELPERS)
+    ):
+        return True
+    if not isinstance(node, (ast.GeneratorExp, ast.ListComp)):
+        return False
+    row = node.elt
+    if isinstance(row, ast.Call) and isinstance(row.func, ast.Name) and row.func.id in ("tuple", "list") and row.args:
+        row = row.args[0]
+    if not isinstance(row, (ast.GeneratorExp, ast.ListComp)):
+        return False
+    entry = list(ast.walk(row.elt))
+    if any(
+        (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult))
+        or (isinstance(n, ast.Name) and n.id in ("sum", "mul"))
+        or (isinstance(n, ast.Compare) and any(isinstance(op, ast.Eq) for op in n.ops))
+        for n in entry
+    ):
+        return True
+    return any(_is_transpose(gen.iter) or ast.unparse(gen.iter) in transposed for gen in row.generators)
+
+
+def _is_transpose(node) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "zip" and any(isinstance(a, ast.Starred) for a in node.args)
+
+
+def _dense_int_matrix_offenders(source: str, name: str = "<src>") -> list[str]:
+    tree = ast.parse(source, filename=name)
+    transposed = {
+        ast.unparse(target)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and any(map(_is_transpose, ast.walk(node.value)))
+        for target in node.targets
+    }
+    return [f"{name}:{node.lineno}" for node in ast.walk(tree) if _is_dense_int_matrix(node, transposed)]
+
+
+def test_the_library_has_no_dense_integer_matrix():
+    # the Specht matrices are sparse {(row, col): int} dicts multiplied by
+    # tableaux._product: no tuple-of-tuples product, Kronecker product or
+    # identity comes back in src/, and IntMatrix names the dict format
+    from groupoidreps import tableaux
+
+    offenders = [off for path in sorted(SRC.glob("*.py")) for off in _dense_int_matrix_offenders(path.read_text(), path.name)]
+    assert not offenders
+    assert tableaux.IntMatrix == dict[tuple[int, int], int]
+    assert not set(DENSE_INT_HELPERS) & set(vars(tableaux))
+
+
+def test_the_dense_integer_matrix_guard_sees_each_helper():
+    # the guard is live: each dense helper the Specht layer used to carry,
+    # and the test suite's own dense product, is caught
+    for source in (
+        "def _matmul(a, b):\n    cols = tuple(zip(*b))\n    return tuple(tuple(0 for col in cols) for row in a)\n",
+        "m = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)\n",
+        "m = tuple(tuple(x * y for x in r for y in s) for r in a for s in b)\n",
+        "one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))\n",
+        "cols = list(zip(*b))\nm = [[row[0] + c[0] for c in cols] for row in a]\n",
+        "m = [[row[0] + c[0] for c in zip(*b)] for row in a]\n",
+        "from .tableaux import _kron\n",
+    ):
+        assert _dense_int_matrix_offenders(source), source
+    assert not _dense_int_matrix_offenders("sources = tuple(tuple(g[p - 1] for p in perm) for g in objs)\n")
 
 
 def test_the_simple_module_checks_have_one_caller():

@@ -19,7 +19,13 @@ from groupoidreps.tableaux import (
     specht_rep,
     standard_tableaux,
 )
-from reference import outer_block_trace
+from reference import (
+    dense_matrix_of_blockperm,
+    int_dense,
+    int_sparse,
+    matrix_trace_character,
+    outer_block_trace,
+)
 
 
 def _mul(a, b):
@@ -31,7 +37,13 @@ def _eye(n):
 
 
 def _trace(a):
-    return sum(a[i][i] for i in range(len(a)))
+    """The trace of a sparse {(row, col): int} matrix."""
+    return sum(v for (i, j), v in a.items() if i == j)
+
+
+def _gens(rep):
+    """The dense gen_matrices of a Specht module, by index."""
+    return {i: int_dense(m, rep.dim) for i, m in rep.gen_matrices.items()}
 
 
 def _cycle_type(w):
@@ -49,8 +61,8 @@ def _cycle_type(w):
 
 
 def _lift(ell, a):
-    """An integer matrix as the sparse {(row, col): Cyc} entries that cyclo.intertwiners reads."""
-    return {(i, j): Cyc.rational(ell, v) for i, row in enumerate(a) for j, v in enumerate(row) if v}
+    """A sparse integer matrix as the sparse {(row, col): Cyc} entries that cyclo.intertwiners reads."""
+    return {key: Cyc.rational(ell, v) for key, v in a.items()}
 
 
 def test_partitions():
@@ -104,36 +116,39 @@ def test_removable_cells():
 
 def test_specht_small_examples():
     sign = specht_rep((1, 1))
-    assert sign.gen_matrices[1] == ((-1,),)
+    assert sign.gen_matrices[1] == {(0, 0): -1}
     triv = specht_rep((4,))
-    assert all(m == ((1,),) for m in triv.gen_matrices.values())
+    assert all(m == {(0, 0): 1} for m in triv.gen_matrices.values())
     two_one = specht_rep((2, 1))
     assert two_one.dim == 2
     assert _trace(two_one.gen_matrices[1]) == 0
-    assert specht_rep(()).matrix_of_perm(()) == ((1,),)
+    assert specht_rep(()).matrix_of_perm(()) == {(0, 0): 1}
 
 
-def test_specht_matrices_are_integer_tuples():
+def test_specht_matrices_are_sparse_integer_maps():
+    # each matrix is the {(row, col): int} dict of its nonzero entries
     for n in range(6):
         for mu in partitions(n):
-            for m in specht_rep(mu).gen_matrices.values():
-                assert type(m) is tuple and all(type(row) is tuple for row in m)
-                assert all(type(v) is int for row in m for v in row)
+            rep = specht_rep(mu)
+            for m in rep.gen_matrices.values():
+                assert type(m) is dict and all(type(k) is tuple and len(k) == 2 for k in m)
+                assert all(0 <= i < rep.dim and 0 <= j < rep.dim for i, j in m)
+                assert all(type(v) is int and v for v in m.values())
 
 
 def test_specht_coxeter_relations():
     for n in range(6):
         for mu in partitions(n):
             rep = specht_rep(mu)
-            eye = _eye(rep.dim)
+            eye, gens = _eye(rep.dim), _gens(rep)
             for i in range(1, n):
-                si = rep.gen_matrices[i]
+                si = gens[i]
                 assert _mul(si, si) == eye
                 for j in range(i + 2, n):
-                    sj = rep.gen_matrices[j]
+                    sj = gens[j]
                     assert _mul(si, sj) == _mul(sj, si)
             for i in range(1, n - 1):
-                a, b = rep.gen_matrices[i], rep.gen_matrices[i + 1]
+                a, b = gens[i], gens[i + 1]
                 assert _mul(_mul(a, b), a) == _mul(_mul(b, a), b)
 
 
@@ -141,7 +156,8 @@ def test_specht_is_representation():
     rep = specht_rep((2, 2))
     for w1 in all_perms(4)[:8]:
         for w2 in all_perms(4)[-8:]:
-            assert rep.matrix_of_perm(compose_perms(w1, w2)) == _mul(rep.matrix_of_perm(w1), rep.matrix_of_perm(w2))
+            a, b = int_dense(rep.matrix_of_perm(w1), rep.dim), int_dense(rep.matrix_of_perm(w2), rep.dim)
+            assert rep.matrix_of_perm(compose_perms(w1, w2)) == int_sparse(_mul(a, b))
 
 
 def test_sum_of_squares():
@@ -206,7 +222,7 @@ def test_specht_matrices_match_the_linsolver_reference():
         for mu in partitions(n):
             rep = specht_rep(mu)
             got = [rep.gen_matrices[i] for i in range(1, n)] + [rep.matrix_of_perm(w) for w in ws]
-            assert got == _reference_matrices(mu, gens + ws), mu
+            assert [int_dense(m, rep.dim) for m in got] == _reference_matrices(mu, gens + ws), mu
 
 
 def test_wrong_leading_tabloid_raises(monkeypatch):
@@ -230,16 +246,20 @@ def test_outer_tensor():
     assert o.dim == 1
     o2 = outer_rep(((2,), (1, 1)), (2, 2))
     assert o2.dim == 1
-    assert o2.matrix_of_blockperm((1, 2, 4, 3)) == ((-1,),)
+    assert o2.matrix_of_blockperm((1, 2, 4, 3)) == {(0, 0): -1}
     o3 = outer_rep(((2, 1), (2, 1)), (3, 3))
     assert o3.dim == 4
-    s1 = specht_rep((2, 1)).gen_matrices[1]
+    s1 = int_dense(specht_rep((2, 1)).gen_matrices[1], 2)
     kron = lambda a, b: tuple(tuple(x * y for x in r for y in s) for r in a for s in b)
-    assert o3.matrix_of_blockperm((2, 1, 3, 4, 5, 6)) == kron(s1, _eye(2))
-    assert o3.matrix_of_blockperm((1, 2, 3, 5, 4, 6)) == kron(_eye(2), s1)
-    # a single factor is that factor's cached matrix
+    assert o3.matrix_of_blockperm((2, 1, 3, 4, 5, 6)) == int_sparse(kron(s1, _eye(2)))
+    assert o3.matrix_of_blockperm((1, 2, 3, 5, 4, 6)) == int_sparse(kron(_eye(2), s1))
+    for w in all_perms(6):
+        if set(w[:3]) == {1, 2, 3}:
+            assert o3.matrix_of_blockperm(w) == int_sparse(dense_matrix_of_blockperm(o3, w))
+    # a single factor is that factor's matrix, cached per block permutation
     one = outer_rep(((2, 1),), (3,))
-    assert one.matrix_of_blockperm((2, 3, 1)) is specht_rep((2, 1)).matrix_of_perm((2, 3, 1))
+    assert one.matrix_of_blockperm((2, 3, 1)) == specht_rep((2, 1)).matrix_of_perm((2, 3, 1))
+    assert one.matrix_of_blockperm((2, 3, 1)) is one.matrix_of_blockperm((2, 3, 1))
     with pytest.raises(ValueError):
         outer_rep(((2,), (1,)), (1, 1))
 
@@ -265,6 +285,25 @@ def test_specht_character_is_the_trace_at_every_permutation_of_its_cycle_type(n)
         for w in all_perms(n):
             assert specht_character(mu, _cycle_type(w)) == _trace(rep.matrix_of_perm(w)), (mu, w)
     assert specht_character((2, 1), (3,)) == -1 and specht_character((3, 1), (1, 1, 2)) == 1
+
+
+def test_the_murnaghan_nakayama_rule_is_the_dense_matrix_trace_for_every_pair_up_to_seven():
+    # the rule reads no matrix; the reference multiplies the dense generator
+    # matrices along a word of one permutation of the cycle type and traces
+    pairs = [(mu, tuple(sorted(rho))) for n in range(8) for mu in partitions(n) for rho in partitions(n)]
+    assert len(pairs) == 435
+    for mu, rho in pairs:
+        assert specht_character(mu, rho) == matrix_trace_character(mu, rho), (mu, rho)
+
+
+def test_specht_character_builds_no_specht_module(monkeypatch):
+    # characters come from the rule alone: no SpechtRep is constructed
+    def refuse(self, shape):
+        raise AssertionError("SpechtRep built")
+
+    monkeypatch.setattr(SpechtRep, "__init__", refuse)
+    assert [specht_character.__wrapped__(mu, (1,) * 6) for mu in partitions(6)] == [hook_length_count(mu) for mu in partitions(6)]
+    assert specht_character.__wrapped__((3, 2, 1), (1, 5)) == 1 and specht_character.__wrapped__((4, 2), (2, 2, 2)) == 3
 
 
 def test_perm_word():

@@ -49,9 +49,9 @@ PINNED_COUNTS = {
     "algebra.verify_iso.calls": 8,
     "wreath.wreath_mul.calls": 637,
     "wreath.enum_group.calls": 23,
-    "perms.compose_perms.calls": 3515,
+    "perms.compose_perms.calls": 3491,
     "groupoid.canonical_morphism.calls": 485,
-    "groupoid.hom.calls": 3764,
+    "groupoid.hom.calls": 3757,
     "tableaux.specht_build.calls": 7,
     "tableaux.outer_matrix.calls": 1114,
     "simples.action_block.calls": 1721,
