@@ -21,9 +21,12 @@ Phi is proved an algebra isomorphism by exact integer computation on forms.
 It is multiplicative because Phi(x g) = Phi(x) Phi(g) for every element x and
 every generator g of a generating set (induction on a word for the second
 factor); the product of two monomial images is monomial, with permutation
-sigma_x o sigma_g and exponent e_x(g) + e_g(g o sigma_x) at g, so each pair
-costs one composition and one exponent addition mod l per object.  It
-preserves the unit, and its images have full rank l^d * d!.  Images of
+sigma_x o sigma_g and exponent e_x(g) + e_g(g o sigma_x) at g.  In
+S(l,d) = C_l^d x| S_d the index of x g is a block offset per permutation
+plus a color index per coloring, d! + l^d products per generator, and the
+composition and e_g(g o sigma_x) depend on x only through sigma_x, so each
+pair costs one exponent addition mod l per object.  It preserves the unit,
+and its images have full rank l^d * d!.  Images of
 elements sharing an underlying permutation live in one coordinate block, and
 there Phi(x) is the function g -> xi^(e_x(g)), a character of C_l^d once its
 exponent is confirmed additive on every object.  Distinct characters are
@@ -184,16 +187,21 @@ def phi(x: WreathElem, d: int | None = None) -> AlgElem:
     return _form_to_alg(x.ell, d, phi_form(x, d))
 
 
-def _form_mul(ell: int, fx: tuple, fy: tuple) -> tuple:
-    """The form of Phi(x) Phi(y) from the forms of x and y.
+def _form_shift(ell: int, px: tuple, fy: tuple) -> tuple:
+    """perm_x o perm_y and y's exponents at the sources g_i o perm_x (None if all 0): _form_mul's part for perm_x."""
+    shift = tuple([fy[1][s] for s in _perm_table(ell, len(px), px)[2]])
+    return compose_perms(px, fy[0]), shift if any(shift) else None
+
+
+def _form_mul(ell: int, fx: tuple, shifted: tuple) -> tuple:
+    """The form of Phi(x) Phi(y) from the form of x and shifted = _form_shift(ell, perm_x, form of y).
 
     The term of Phi(x) at g_i composes only with the term of Phi(y) whose
     target is its source g_i o perm_x, so the product has permutation
     perm_x o perm_y and exponent exps_x[i] + exps_y[index of g_i o perm_x].
     """
-    (px, ex), (py, ey) = fx, fy
-    src = _perm_table(ell, len(px), px)[2]
-    return compose_perms(px, py), tuple([(e + ey[s]) % ell for e, s in zip(ex, src)])
+    perm, shift = shifted
+    return perm, fx[1] if shift is None else tuple([(e + s) % ell for e, s in zip(fx[1], shift)])
 
 
 def phi_inverse(a: AlgElem) -> list[tuple[WreathElem, Cyc]]:
@@ -229,8 +237,8 @@ def phi_inverse(a: AlgElem) -> list[tuple[WreathElem, Cyc]]:
     return out
 
 
-def _rank_of_phi_images(ell: int, d: int, members, forms: list | None = None) -> int:
-    """Exact rank of {Phi(x) : x in members} in the morphism basis, by counting characters.
+def _rank_of_phi_images(ell: int, d: int, forms) -> int:
+    """Exact rank of the images Phi(x) with the given forms, in the morphism basis, by counting characters.
 
     The images of the members with one permutation live in one block, where
     Phi(x) is the function g -> xi^(e_x(g)) on the objects.  Read
@@ -241,14 +249,13 @@ def _rank_of_phi_images(ell: int, d: int, members, forms: list | None = None) ->
     number of distinct confirmed vectors.  A member that fails the
     confirmation is not counted, so a faulty Phi can only lower the result,
     which is a lower bound on the rank and equals it when every member is
-    confirmed.  `forms` holds the phi_form of each member, in order, when
-    the caller already has them.
+    confirmed.  `forms` is an iterable of the members' phi_forms.
     """
     objs = _objects_tuple(ell, d)
     units = [object_index(tuple(1 if k == j else ell for k in range(d)), ell) for j in range(d)]
     characters: dict[tuple, tuple] = {}
     blocks: dict[tuple, set] = {}
-    for perm, exps in forms if forms is not None else (phi_form(x, d) for x in members):
+    for perm, exps in forms:
         a = tuple([exps[i] for i in units])
         chi = characters.get(a)
         if chi is None:
@@ -258,17 +265,34 @@ def _rank_of_phi_images(ell: int, d: int, members, forms: list | None = None) ->
     return sum(map(len, blocks.values()))
 
 
-def _multiplicativity_counterexample(
-    group: list[WreathElem], gens: list[WreathElem], forms: list, table: list
-) -> dict | None:
+def _product_index(group: list[WreathElem], gens: list[WreathElem]):
+    """The function i -> [index of group[i] g for g in gens], from d! + l^d products per generator.
+
+    enum_group is permutation-major, x = group[p l^d + c], and in C_l^d x| S_d
+    the permutation of x g depends only on sigma_x, its colors only on c_x.
+    """
+    n = group[0].ell ** len(group[0].perm)
+    blocks, colorings = group[::n], group[:n]
+    block_start = {x.perm: p * n for p, x in enumerate(blocks)}
+    color_index = {x.colors: c for c, x in enumerate(colorings)}
+    P = [[block_start[wreath_mul(x, g).perm] for x in blocks] for g in gens]
+    C = [[color_index[wreath_mul(x, g).colors] for x in colorings] for g in gens]
+    return lambda i: [Pg[i // n] + Cg[i % n] for Pg, Cg in zip(P, C)]
+
+
+def _multiplicativity_counterexample(group: list, gens: list, forms: list, products) -> dict | None:
     """The first (x, g) in group x gens with Phi(x g) != Phi(x) Phi(g), or None, compared as forms.
 
-    forms[i] is the form of group[i], and table[i][j] is the index of group[i] gens[j].
+    forms[i] is the form of group[i] and products is _product_index's;
+    _form_shift is formed once per permutation block and generator.
     """
     gen_forms = [phi_form(g) for g in gens]
-    for x, fx, row in zip(group, forms, table):
-        for g, fg, xg in zip(gens, gen_forms, row):
-            if forms[xg] != _form_mul(x.ell, fx, fg):
+    perm = None
+    for i, (x, fx) in enumerate(zip(group, forms)):
+        if fx[0] != perm:
+            perm, shifts = fx[0], [_form_shift(x.ell, fx[0], fg) for fg in gen_forms]
+        for g, shifted, xg in zip(gens, shifts, products(i)):
+            if forms[xg] != _form_mul(x.ell, fx, shifted):
                 return {"x": x.to_json(), "y": g.to_json()}
     return None
 
@@ -281,18 +305,17 @@ def verify_iso(ell: int, d: int, cap: int = DEFAULT_GROUP_CAP) -> dict:
     y; each side is a form, the product through _form_mul.  Phi(e) = 1, and
     the rank l^d * d!, counted as distinct additive exponent vectors per
     permutation block (Artin-Dedekind), makes it an isomorphism.  The form of
-    each element and each product x g is computed once: the table of product
-    indices serves both the generation walk and the multiplicativity check.
+    each element is computed once; the product index (_product_index) serves
+    both the generation walk and the multiplicativity check.
     """
     from math import factorial
 
     group = enum_group(ell, d, cap)
     gens = generators(ell, d) if d else []
-    index = {x: i for i, x in enumerate(group)}
-    table = [[index[wreath_mul(x, g)] for g in gens] for x in group]
-    generated = len(reach([index[wreath_identity(ell, d)]], table.__getitem__)) == len(group)
+    products = _product_index(group, gens)
+    generated = len(reach([group.index(wreath_identity(ell, d))], products)) == len(group)
     forms = [phi_form(x, d) for x in group]
-    counterexample = _multiplicativity_counterexample(group, gens, forms, table)
+    counterexample = _multiplicativity_counterexample(group, gens, forms, products)
     checks = [
         record(
             "phi multiplicative",
@@ -308,7 +331,7 @@ def verify_iso(ell: int, d: int, cap: int = DEFAULT_GROUP_CAP) -> dict:
     ]
 
     expected = ell**d * factorial(d)
-    rank = _rank_of_phi_images(ell, d, group, forms)
+    rank = _rank_of_phi_images(ell, d, forms)
     checks.append(record("phi bijective (exact rank)", rank == expected, {"rank": rank, "dim": expected}))
 
     unit_ok = phi(wreath_identity(ell, d)) == AlgElem.unit(ell, d)

@@ -225,16 +225,21 @@ def reflection_span_check(ell: int, k: int, d: int) -> dict:
     mult_ok = in_corner and reached == set(qms)
     checks.append(record("Psi multiplicative on the basis", mult_ok))
 
-    # Phi(G(l,k,d)) lies in the H_k-invariant span (coefficients orbit-constant)
-    members = gkd_elements(ell, k, d)
-    invariant = all(Q.is_invariant(phi_form(x, d)[1]) for x in members)
-    checks.append(record("Phi(G(l,k,d)) is H_k-invariant", invariant))
+    # Phi(G(l,k,d)) is H_k-invariant (orbit-constant), on one pass that feeds the rank too
+    invariant = True
+    def member_forms():
+        nonlocal invariant
+        for x in gkd_elements(ell, k, d):
+            form = phi_form(x, d)
+            invariant = invariant and Q.is_invariant(form[1])
+            yield form
 
     # rank of {Phi(x) : x in G}, counted as distinct additive exponent vectors
     # per permutation block (a lower bound, exact when every image is a
     # character), equals dim A_(l,k,d); with the containment above this gives
     # span equality.
-    rank = _rank_of_phi_images(ell, d, members)
+    rank = _rank_of_phi_images(ell, d, member_forms())
+    checks.append(record("Phi(G(l,k,d)) is H_k-invariant", invariant))
     rank_ok = rank == dim_quotient == ell**d * factorial(d) // k
     checks.append(
         record(

@@ -44,6 +44,10 @@ generator images, an independent route to the closed form of algebra.phi.
 cyc_phi_inverse is the inverse DFT of Phi with one Cyc addition per
 (color vector, source) and one Cyc product per exponent bucket, the route
 that the integer exponent bins of algebra.phi_inverse replace.
+product_table indexes every product x g of the group by one group product
+per pair, and pairwise_counterexample checks Phi(x g) = Phi(x) Phi(g) with
+one full product of forms per pair: the routes that the semidirect product
+index and the per-block shifts of algebra.verify_iso replace.
 to_sparse and to_dense convert between the tests' dense vectors and the
 engine's one vector format, {column: Cyc}.  outer_specht_block is the block
 of a morphism on a k = 1 simple as the lifted dense outer-Specht matrix of
@@ -85,7 +89,7 @@ from operator import mul
 
 from groupoidreps.algebra import AlgElem, phi
 from groupoidreps.cyclo import Cyc, SpanBasis, root_of_unity
-from groupoidreps import gkd, schurweyl, simples
+from groupoidreps import algebra, gkd, schurweyl, simples
 from groupoidreps.cyclo import intertwiners
 from groupoidreps.gelfand import inv_statistic
 from groupoidreps.groupoid import (
@@ -421,6 +425,26 @@ def cyc_phi_inverse(a: AlgElem) -> list[tuple[WreathElem, Cyc]]:
                 out.append((WreathElem(ell, perm, colors), y.scale(norm)))
     out.sort(key=lambda t: (t[0].perm, t[0].colors))
     return out
+
+
+def product_table(group, gens, mul=wreath_mul) -> list[list[int]]:
+    """table[i][j] is the index of group[i] gens[j] in group, one product per pair."""
+    index = {x: i for i, x in enumerate(group)}
+    return [[index[mul(x, g)] for g in gens] for x in group]
+
+
+def pairwise_counterexample(group, gens, forms, table) -> dict | None:
+    """The first (x, g) in group x gens with forms[x g] != the product of the forms of x and g, or None.
+
+    One full algebra._form_mul per pair; forms[i] is the form of group[i],
+    and table is product_table(group, gens).
+    """
+    gen_forms = [algebra.phi_form(g) for g in gens]
+    for x, fx, row in zip(group, forms, table):
+        for g, fg, xg in zip(gens, gen_forms, row):
+            if forms[xg] != algebra._form_mul(x.ell, fx, algebra._form_shift(x.ell, fx[0], fg)):
+                return {"x": x.to_json(), "y": g.to_json()}
+    return None
 
 
 def all_morphisms(ell: int, d: int) -> list[GMorphism]:

@@ -1,13 +1,26 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import factorial
+
+import pytest
 
 from groupoidreps import algebra
 from groupoidreps.algebra import AlgElem, phi, phi_inverse, verify_iso
+from groupoidreps.cli import ISO_GRID
 from groupoidreps.cyclo import Cyc, euler_phi, root_of_unity
 from groupoidreps.groupoid import hom, identity_morphism, objects
+from groupoidreps.perms import all_perms, identity_perm
 from groupoidreps.wreath import WreathElem, enum_group, generators, wreath_identity, wreath_mul
-from reference import all_morphisms, cyc_phi_inverse, idempotent, morphism_element, phi_on_generators
+from reference import (
+    all_morphisms,
+    cyc_phi_inverse,
+    idempotent,
+    morphism_element,
+    pairwise_counterexample,
+    phi_on_generators,
+    product_table,
+)
 
 
 def test_unit_and_idempotents():
@@ -212,7 +225,7 @@ def test_form_product_is_the_algebra_product():
         forms = {x: algebra.phi_form(x) for x in group}
         for x in group:
             for y in group:
-                product = algebra._form_mul(ell, forms[x], forms[y])
+                product = algebra._form_mul(ell, forms[x], algebra._form_shift(ell, x.perm, forms[y]))
                 assert algebra._form_to_alg(ell, d, product) == phi(x) * phi(y)
                 assert product == forms[wreath_mul(x, y)]
 
@@ -348,8 +361,9 @@ def test_serialization():
 
 
 def test_verify_iso_forms_each_product_once(monkeypatch):
-    # the product table feeds both the generation walk and the
-    # multiplicativity check, so each x g is formed once
+    # the product index feeds both the generation walk and the
+    # multiplicativity check; it takes one product per permutation and one
+    # per coloring for each generator, d * (d! + l^d) in all
     calls = []
     real = algebra.wreath_mul
 
@@ -358,7 +372,102 @@ def test_verify_iso_forms_each_product_once(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(algebra, "wreath_mul", counting)
-    for ell, d in [(2, 3), (3, 2)]:
+    for (ell, d), count in [((2, 3), 42), ((3, 2), 22)]:
         calls.clear()
         assert verify_iso(ell, d)["ok"]
-        assert len(calls) == len(enum_group(ell, d)) * d
+        assert len(calls) == count == d * (factorial(d) + ell**d)
+
+
+INDEX_POINTS = [*ISO_GRID, (2, 4), (3, 3), (1, 0), (2, 0)]
+
+
+def _indexed_table(group, gens):
+    """The product index of verify_iso as a table: row i holds the index of group[i] g for each g."""
+    return list(map(algebra._product_index(group, gens), range(len(group))))
+
+
+@pytest.mark.parametrize("ell,d", INDEX_POINTS)
+def test_enum_group_is_permutation_major(ell, d):
+    # the product index reads x = group[p l^d + c]: permutations in the order
+    # of all_perms, the identity first, and colorings in product order
+    # within each
+    perms = all_perms(d)
+    assert perms[0] == identity_perm(d)
+    colorings = list(product(range(ell), repeat=d))
+    assert enum_group(ell, d) == [WreathElem(ell, perm, colors) for perm in perms for colors in colorings]
+
+
+@pytest.mark.parametrize("ell,d", INDEX_POINTS)
+def test_product_index_matches_the_pairwise_products(ell, d):
+    group = enum_group(ell, d)
+    gens = generators(ell, d) if d else []
+    assert _indexed_table(group, gens) == product_table(group, gens)
+
+
+def test_product_index_rejects_colors_that_depend_on_the_permutation(monkeypatch):
+    # a group law that is not semidirect: the colors of x g move with the
+    # image of 1 under the permutation of x.  The index of verify_iso then
+    # disagrees with the pairwise products of that law.
+    def perm_dependent(a, b):
+        y = wreath_mul(a, b)
+        return y._replace(colors=((y.colors[0] + a.perm[0] - 1) % a.ell,) + y.colors[1:])
+
+    ell, d = 2, 3
+    group, gens = enum_group(ell, d), generators(ell, d)
+    monkeypatch.setattr(algebra, "wreath_mul", perm_dependent)
+    assert _indexed_table(group, gens) != product_table(group, gens, mul=perm_dependent)
+
+
+def test_verify_iso_fails_when_the_product_of_forms_drops_the_shift(monkeypatch):
+    # the product of forms keeps the exponents of x and drops those of a
+    # colored generator read at the sources g o perm_x
+    def dropped(ell, fx, shifted):
+        return shifted[0], fx[1]
+
+    monkeypatch.setattr(algebra, "_form_mul", dropped)
+    rep = verify_iso(2, 3)
+    mult = rep["checks"][0]
+    assert (mult["name"], mult["status"]) == ("phi multiplicative", "fail")
+    assert mult["details"]["counterexample"]["y"] == generators(2, 3)[0].to_json()
+    assert not rep["ok"]
+
+
+def _exponent_at_bad(bad, i):
+    def fault(perm, exps, x):
+        return (perm, exps[:i] + ((exps[i] + 1) % x.ell,) + exps[i + 1 :]) if x == bad else (perm, exps)
+
+    return fault
+
+
+def _perm_at_bad(bad):
+    def fault(perm, exps, x):
+        return (perm[::-1], exps) if x == bad else (perm, exps)
+
+    return fault
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        # one wrong exponent in the image of s0 s1 s2, off the generators
+        _exponent_at_bad(WreathElem(2, (2, 3, 1), (0, 0, 1)), 0),
+        # one wrong exponent at an object that is not a unit object
+        _exponent_at_bad(enum_group(2, 3)[13], 2),
+        # the permutation of Phi(e) reversed: e comes before every x with
+        # x g = e, so the first counterexample has e as its left factor
+        _perm_at_bad(enum_group(2, 3)[0]),
+    ],
+)
+def test_verify_iso_reports_the_counterexample_of_the_pairwise_check(monkeypatch, fault):
+    ell, d = 2, 3
+    real = algebra.phi_form
+
+    def faulty(x, n=None):
+        return fault(*real(x, n), x)
+
+    monkeypatch.setattr(algebra, "phi_form", faulty)
+    group, gens = enum_group(ell, d), generators(ell, d)
+    forms = [faulty(x, d) for x in group]
+    expected = pairwise_counterexample(group, gens, forms, product_table(group, gens))
+    assert expected is not None
+    assert verify_iso(ell, d)["checks"][0]["details"]["counterexample"] == expected

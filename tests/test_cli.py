@@ -298,6 +298,8 @@ def test_all_payload_is_pinned_under_python_O():
 SUBCOMMAND_PAYLOAD_SHA256 = {
     "objects --ell 2 --d 3": "5334d3dd0436b368f07fb678651e7156f74c9235fbd403a21a786dcd5a2643dc",
     "verify-iso --ell 2 --d 3": "cc0c0cd195377496637d4374ac98132f164c60c39a8dac0d94fe12ebb90e031b",
+    # the largest verify-iso point of the all grid and of perfbench's iso workload
+    "verify-iso --ell 2 --d 4": "85d897c5009481bfbb31abf75197bc1769bc4cf26471c970ffd200ccf04f2ce2",
     "simples --ell 2 --d 3": "1815886cf8e0c7b0a40a32f335619fe556e9d53d6120740c0e919699fcb5f771",
     "branching --ell 2 --d 3": "fae43986abf454508772a8d742566ea32680cc7c2af130a07152990a93edbcab",
     "gelfand --ell 2 --d 3": "1778eb45eee157ea51bd91b6ec937ba54bf2a0cb6c1245dd20f1d139dffbef11",

@@ -3,7 +3,7 @@ from math import factorial, prod
 
 import pytest
 
-from groupoidreps import algebra, gkd, groupoid, simples
+from groupoidreps import gkd, groupoid, simples
 from groupoidreps.cli import GKD_GRID, ISO_GRID
 from groupoidreps.cyclo import Cyc, LinSolver, root_of_unity
 from groupoidreps.gkd import (
@@ -343,8 +343,9 @@ def test_span_check_fails_for_an_exponent_vector_that_is_not_additive(monkeypatc
     # not additive, in the colors.  Its span and its H_k-invariance are those
     # of the true image, but the character count leaves it out.  With k
     # not dividing d, the vector read at the unit objects, (1, ..., 1), is
-    # not that of a member, so only the additivity test can reject it.
-    real = algebra.phi_form
+    # not that of a member, so only the additivity test can reject it.  The
+    # span check reads each member's form once, through gkd's phi_form.
+    real = gkd.phi_form
     unit = wreath_identity(ell, d)
 
     def fake_phi_form(x, d=None):
@@ -352,7 +353,7 @@ def test_span_check_fails_for_an_exponent_vector_that_is_not_additive(monkeypatc
         return (perm, tuple((e + 1) % ell for e in exps)) if x == unit else (perm, exps)
 
     assert _status(reflection_span_check(ell, k, d), SPAN_CHECK) == "pass"
-    monkeypatch.setattr(algebra, "phi_form", fake_phi_form)
+    monkeypatch.setattr(gkd, "phi_form", fake_phi_form)
     rep = reflection_span_check(ell, k, d)
     assert _status(rep, "Phi(G(l,k,d)) is H_k-invariant") == "pass"
     assert _status(rep, SPAN_CHECK) == "fail"

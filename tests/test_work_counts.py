@@ -47,9 +47,9 @@ PINNED_COUNTS = {
     "cyclo.spanbasis_add.calls": 588,
     "algebra.phi.calls": 8,
     "algebra.verify_iso.calls": 8,
-    "wreath.wreath_mul.calls": 637,
+    "wreath.wreath_mul.calls": 525,
     "wreath.enum_group.calls": 23,
-    "perms.compose_perms.calls": 3491,
+    "perms.compose_perms.calls": 3206,
     "groupoid.canonical_morphism.calls": 485,
     "groupoid.hom.calls": 3757,
     "tableaux.specht_build.calls": 7,
